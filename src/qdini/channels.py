@@ -14,8 +14,6 @@ from .extreal import ExtendedReal
 from .operators import (
     DensityOperator,
     PositiveOperator,
-    default_rank_tol,
-    eigh,
     purify,
     trace_norm_distance,
 )
@@ -67,10 +65,6 @@ class Channel:
         return f"<Channel {self.d_in}->{self.d_out}, {len(self.kraus)} Kraus ops>"
 
 
-def channel_from_kraus(ops) -> Channel:
-    return Channel(ops)
-
-
 def identity_channel(dim: int) -> Channel:
     return Channel([np.eye(dim)])
 
@@ -114,16 +108,10 @@ def choi_matrix(phi: Channel) -> PositiveOperator:
 
 def reduced_kraus(phi: Channel, rank_tol: float | None = None):
     """Linearly independent Kraus set recovered from the Choi eigendecomposition."""
-    j = choi_matrix(phi)
-    dec = eigh(j)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(j.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-    out = []
-    for i in range(lam.size):
-        if lam[i] > tol:
-            vec = dec.eigenvectors[:, i] * np.sqrt(lam[i])
-            out.append(vec.reshape(phi.d_out, phi.d_in))
-    return out
+    spec = choi_matrix(phi).spectrum()
+    k = spec.rank_at(rank_tol)
+    vecs = spec.vectors()[:, :k] * np.sqrt(spec.values[:k])
+    return [vecs[:, i].reshape(phi.d_out, phi.d_in) for i in range(k)]
 
 
 def complementary_channel(phi: Channel) -> Channel:

@@ -259,7 +259,7 @@ def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence
 def laa_check(family: FunctionalFamily, n: int, rho: DensityOperator,
               sigma: DensityOperator, p: float):
     """(a-side slack, b-side slack or None) of the weakened convexity bounds."""
-    mix = _mix_states(rho, sigma, p)
+    mix = rho.scale(p).add(sigma.scale(1.0 - p))
     f_mix = family.value(n, mix)
     f_rho = family.value(n, rho)
     f_sigma = family.value(n, sigma)
@@ -271,12 +271,6 @@ def laa_check(family: FunctionalFamily, n: int, rho: DensityOperator,
     if family.b_f is not None:
         b_slack = combo + family.b_f(p) - _fv(f_mix)
     return a_slack, b_slack
-
-
-def _mix_states(rho: DensityOperator, sigma: DensityOperator, p: float) -> DensityOperator:
-    if rho.is_diagonal and sigma.is_diagonal:
-        return DensityOperator(diagonal=p * np.clip(rho.diag, 0.0, None) + (1.0 - p) * np.clip(sigma.diag, 0.0, None))
-    return DensityOperator(p * rho.matrix + (1.0 - p) * sigma.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +464,7 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
             if head_rho is None or head_sigma is None:
                 ok = False
                 break
-            val = f.value(n, _mix_states(head_rho, head_sigma, p[n]))
+            val = f.value(n, head_rho.scale(p[n]).add(head_sigma.scale(1.0 - p[n])))
             if val.is_inf:
                 ok = False
                 break
@@ -486,7 +480,7 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     mix_ref = None
     mix_inf = False
     for n in range(n_max + 1):
-        mix = _mix_cone(rho_seq(n), sigma_seq(n), p[n])
+        mix = rho_seq(n).scale(p[n]).add(sigma_seq(n).scale(1.0 - p[n]))
         val = f.value(n, mix)
         if val.is_inf:
             mix_inf = True
@@ -514,12 +508,6 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
         trend_only=True,
         notes=("the shared stable index condition is checked only within the finite window",),
     )
-
-
-def _mix_cone(a: PositiveOperator, b: PositiveOperator, p: float) -> PositiveOperator:
-    if a.is_diagonal and b.is_diagonal:
-        return PositiveOperator(diagonal=p * np.clip(a.diag, 0.0, None) + (1.0 - p) * np.clip(b.diag, 0.0, None))
-    return PositiveOperator(p * a.matrix + (1.0 - p) * b.matrix)
 
 
 def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
@@ -656,7 +644,7 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
     """
     d_rho = [relative_entropy(rho_seq(n), omega_seq(n)) for n in range(n_max + 1)]
     d_sigma = [relative_entropy(sigma_seq(n), omega_seq(n)) for n in range(n_max + 1)]
-    d_sum = [relative_entropy(_sum_ops(rho_seq(n), sigma_seq(n)), omega_seq(n)) for n in range(n_max + 1)]
+    d_sum = [relative_entropy(rho_seq(n).add(sigma_seq(n)), omega_seq(n)) for n in range(n_max + 1)]
     inf_hyp = any(v.is_inf for v in d_rho + d_sigma)
     guard_ok, guard_slack, guard_detail = True, math.inf, ""
     for n in range(n_max + 1):
@@ -692,8 +680,8 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
             [abs(_fv(v) - _fv(d_sum[0])) for v in d_sum[1:]]))
     if theta_seq is not None:
         d_theta = [relative_entropy(sigma_seq(n), theta_seq(n)) for n in range(n_max + 1)]
-        d_shift = [relative_entropy(_sum_ops(rho_seq(n), sigma_seq(n)),
-                                    _sum_ops(omega_seq(n), theta_seq(n))) for n in range(n_max + 1)]
+        d_shift = [relative_entropy(rho_seq(n).add(sigma_seq(n)), omega_seq(n).add(theta_seq(n)))
+                   for n in range(n_max + 1)]
         values["shifted_conclusion"] = [(_fv(v) if not v.is_inf else math.inf) for v in d_shift]
         if not any(v.is_inf for v in d_theta):
             trends.append(TrendSummary.from_residuals(
@@ -718,12 +706,6 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
     return Verdict("relative-entropy-sum", status,
                    hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
                    trend_only=True, values=values)
-
-
-def _sum_ops(a: PositiveOperator, b: PositiveOperator) -> PositiveOperator:
-    if a.is_diagonal and b.is_diagonal:
-        return PositiveOperator(diagonal=np.clip(a.diag, 0.0, None) + np.clip(b.diag, 0.0, None))
-    return PositiveOperator(a.matrix + b.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +736,8 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
             "|I(Phi_n,rho_n) - I(Phi_0,rho_0)|",
             [abs(_fv(v) - _fv(mi_rho[0])) for v in mi_rho[1:]]),
     ]
-    mix_vals = [mi.value(n, _mix_cone(rho_seq(n), sigma_seq(n), p[n])) for n in range(n_max + 1)]
+    mix_vals = [mi.value(n, rho_seq(n).scale(p[n]).add(sigma_seq(n).scale(1.0 - p[n])))
+                for n in range(n_max + 1)]
     trends.append(TrendSummary.from_residuals(
         "|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|",
         [abs(_fv(v) - _fv(mix_vals[0])) for v in mix_vals[1:]]))
@@ -853,28 +836,18 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
 
 def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequence, n_max: int):
     """Verify Tr H rho = sum_i lambda_i <v_i|H|v_i> with H = ln(I + sigma^+)."""
-    from .operators import eigh  # local import avoids a cycle at module load
-
     worst = math.inf
     ok = True
     for n in range(n_max + 1):
-        sigma = sigma_seq(n)
-        inv = moore_penrose_inverse(sigma)
-        h = apply_spectral_function(
-            PositiveOperator(diagonal=np.clip(inv.diag, 0.0, None)) if inv.is_diagonal else inv,
-            lambda x: math.log1p(x))
+        h = apply_spectral_function(moore_penrose_inverse(sigma_seq(n)), math.log1p)
         rho = rho_seq(n)
         if rho.is_diagonal and h.is_diagonal:
             direct = float(np.sum(rho.diag * h.diag))
             via_vectors = direct
         else:
-            hm = h.matrix
-            direct = float(np.real(np.trace(hm @ rho.matrix)))
-            dec = eigh(rho)
-            lam = np.clip(dec.eigenvalues, 0.0, None)
-            via_vectors = float(sum(
-                lam[i] * np.real(np.vdot(dec.eigenvectors[:, i], hm @ dec.eigenvectors[:, i]))
-                for i in range(lam.size)))
+            direct = float(np.real(np.trace(h.matrix @ rho.matrix)))
+            spec = rho.spectrum()
+            via_vectors = float(np.sum(spec.values * spec.weights(h)))
         slack = INEQ_SLACK - abs(direct - via_vectors)
         worst = min(worst, slack)
         if slack < 0.0:

@@ -21,7 +21,6 @@ from .operators import (
     PositiveOperator,
     Projector,
     default_rank_tol,
-    eigh,
     partial_trace,
     support_projector,
 )
@@ -50,53 +49,27 @@ def binary_entropy(p: float) -> float:
     return eta(p) + eta(1.0 - p)
 
 
-def _clamped_spectrum(rho: PositiveOperator, rank_tol: float | None = None) -> np.ndarray:
-    lam = np.clip(rho.diag if rho.is_diagonal else rho.eigenvalues(), 0.0, None)
-    tol = default_rank_tol(rho.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-    return np.where(lam > tol, lam, 0.0)
-
-
 def von_neumann_entropy(rho: PositiveOperator) -> ExtendedReal:
     """Homogeneous entropy on the cone; equals Tr eta(rho) for states, 0 at rho = 0."""
-    lam = _clamped_spectrum(rho)
+    spec = rho.spectrum()
+    lam = spec.values[:spec.rank]
     t = float(np.sum(lam))
     if t == 0.0:
         return finite(0.0)
-    s = float(np.sum([eta(x) for x in lam]))
-    return finite(s - eta(t))
+    return finite(float(-np.sum(lam * np.log(lam))) - eta(t))
 
 
 def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedReal:
     """Tr rho (-ln sigma) on supp sigma; +inf if rho has mass outside supp sigma."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if rho.is_diagonal and sigma.is_diagonal:
-        p = _clamped_spectrum_unsorted(rho)
-        q = _clamped_spectrum_unsorted(sigma)
-        outside = float(np.sum(p[q == 0.0]))
-        if outside > SUPPORT_TOL:
-            return INFINITY
-        mask = q > 0.0
-        return finite(float(-np.sum(p[mask] * np.log(q[mask]))))
-    dec = eigh(sigma)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(sigma.dim, float(np.max(lam, initial=0.0)))
-    lam = np.where(lam > tol, lam, 0.0)
-    v = dec.eigenvectors
-    # diag of V* rho V: rho's mass along each sigma eigenvector
-    weights = np.real(np.einsum("ij,ik,kj->j", v.conj(), rho.matrix, v))
-    weights = np.clip(weights, 0.0, None)
-    outside = float(np.sum(weights[lam == 0.0]))
-    if outside > SUPPORT_TOL:
+    spec = sigma.spectrum()
+    # rho's mass along each sigma eigenvector
+    weights = np.clip(spec.weights(rho), 0.0, None)
+    r = spec.rank
+    if float(np.sum(weights[r:])) > SUPPORT_TOL:
         return INFINITY
-    mask = lam > 0.0
-    return finite(float(-np.sum(weights[mask] * np.log(lam[mask]))))
-
-
-def _clamped_spectrum_unsorted(a: PositiveOperator) -> np.ndarray:
-    lam = np.clip(a.diag, 0.0, None)
-    tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0)))
-    return np.where(lam > tol, lam, 0.0)
+    return finite(float(-np.sum(weights[:r] * np.log(spec.values[:r]))))
 
 
 def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedReal:
@@ -162,16 +135,9 @@ def regularized_log_ladder(rho: PositiveOperator, sigma: PositiveOperator, k_sch
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     ks = [int(k) for k in k_schedule]
-    if rho.is_diagonal and sigma.is_diagonal:
-        p = np.clip(rho.diag, 0.0, None)
-        q = np.clip(sigma.diag, 0.0, None)
-        vals = [float(-np.sum(p * np.log(q + 1.0 / k))) for k in ks]
-    else:
-        dec = eigh(sigma)
-        q = np.clip(dec.eigenvalues, 0.0, None)
-        v = dec.eigenvectors
-        weights = np.clip(np.real(np.einsum("ij,ik,kj->j", v.conj(), rho.matrix, v)), 0.0, None)
-        vals = [float(-np.sum(weights * np.log(q + 1.0 / k))) for k in ks]
+    spec = sigma.spectrum()
+    weights = np.clip(spec.weights(rho), 0.0, None)
+    vals = [float(-np.sum(weights * np.log(spec.values + 1.0 / k))) for k in ks]
     return LadderResult(tuple(ks), tuple(vals), trace_neg_log(rho, sigma))
 
 
@@ -179,7 +145,7 @@ def check_entropy_subadditivity_pair(rho: PositiveOperator, sigma: PositiveOpera
     """Slacks of S(rho)+S(sigma) <= S(rho+sigma) <= S(rho)+S(sigma)+H({Tr rho, Tr sigma})."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    s_sum = float(von_neumann_entropy(_as_pos(rho.add(sigma))))
+    s_sum = float(von_neumann_entropy(rho.add(sigma)))
     s_rho = float(von_neumann_entropy(rho))
     s_sigma = float(von_neumann_entropy(sigma))
     h = binary_entropy_extension(rho.trace(), sigma.trace())

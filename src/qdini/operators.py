@@ -5,6 +5,16 @@ their diagonal; spectral operations on them never build the dense matrix,
 which keeps large diagonal scenario states cheap.  Materializing the dense
 matrix of a diagonal operator is tracked so scenarios can assert the fast
 path was never left.
+
+Every positive operator is decomposed at most once.  Its ``Spectrum`` holds
+the clamped non-increasing eigenvalues, the rank and gap tolerances, the
+multiplicity groups and the basis, and every functional, truncation and
+check reads it.  A dense operator keeps the eigenvalues its PSD validation
+computes and solves for eigenvectors on first request only; a diagonal
+operator sorts its diagonal on first spectral read.  Truncation heads and
+tails, normalized states and pseudoinverses are spectral views of their
+parent: they carry a spectrum derived from the parent's and cost no
+eigensolve.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 PSD_REL_TOL = 1e-10
 TRACE_ONE_TOL = 1e-10
+GAP_REL_TOL = 1e-9
 
 
 class LinearAlgebraError(Exception):
@@ -122,31 +133,208 @@ class HermitianOperator:
         return f"<{type(self).__name__} dim={self.dim} {kind}>"
 
 
+def default_rank_tol(dim: int, lam_max: float) -> float:
+    return dim * 1e-14 * max(lam_max, 0.0)
+
+
+class Spectrum:
+    """Eigenvalues of a positive operator, clamped at 0 and non-increasing, with their basis.
+
+    ``rank`` counts the values above ``rank_tol``; ``kept()`` sets the
+    others to 0.  Neighbouring values closer than ``gap_tol`` share a
+    multiplicity group.  ``basis`` pairs ``values[i]`` with column i of a
+    unitary (dense) or with coordinate ``basis[i]`` (diagonal, where the
+    basis is the stable argsort permutation).  A dense basis is solved for
+    on first request, once, and shared with every spectrum scaled from this
+    one.  All arrays are read-only.
+    """
+
+    __slots__ = ("values", "diagonal", "rank_tol", "gap_tol", "rank", "_basis", "_source", "_groups")
+
+    def __init__(self, values, *, diagonal: bool, basis=None, source=None):
+        values = np.asarray(values, dtype=float)
+        values.flags.writeable = False
+        top = float(values[0])
+        self.values = values
+        self.diagonal = diagonal
+        self.rank_tol = default_rank_tol(values.size, top)
+        self.gap_tol = GAP_REL_TOL * top
+        self.rank = int(np.count_nonzero(values > self.rank_tol))
+        if basis is not None:
+            basis.flags.writeable = False
+        self._basis = basis
+        self._source = source  # matrix to diagonalize, or the spectrum whose basis this shares
+        self._groups = None
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            src = self._source
+            if isinstance(src, Spectrum):
+                self._basis = src.basis
+            else:
+                self._basis = _eigh(src)[1]
+                self._basis.flags.writeable = False
+            self._source = None
+        return self._basis
+
+    @property
+    def multiplicity_groups(self) -> list:
+        """(start, stop) index ranges of values within gap_tol of the group's first."""
+        if self._groups is None:
+            self._groups = _multiplicity_groups(self.values, self.gap_tol)
+        return self._groups
+
+    def rank_at(self, rank_tol: float | None = None) -> int:
+        if rank_tol is None:
+            return self.rank
+        return int(np.count_nonzero(self.values > rank_tol))
+
+    def kept(self, rank_tol: float | None = None) -> np.ndarray:
+        """The values with those at or below the rank tolerance set to 0."""
+        out = self.values.copy()
+        out[self.rank_at(rank_tol):] = 0.0
+        return out
+
+    def vectors(self) -> np.ndarray:
+        """The basis as the columns of a dense unitary."""
+        basis = self.basis
+        if not self.diagonal:
+            return basis
+        vec = np.zeros((basis.size, basis.size), dtype=complex)
+        vec[basis, np.arange(basis.size)] = 1.0
+        return vec
+
+    def weights(self, a: HermitianOperator) -> np.ndarray:
+        """<v_i|a|v_i> for every basis vector, in the order of the values."""
+        basis = self.basis
+        if self.diagonal:
+            return a.diag[basis]
+        if a.is_diagonal:
+            return a.diag @ np.abs(basis) ** 2
+        return np.real(np.sum(basis.conj() * (a.matrix @ basis), axis=0))
+
+    def compose(self, vals) -> np.ndarray:
+        """sum_i vals[i] |v_i><v_i|: the diagonal (diagonal basis) or the dense matrix."""
+        basis = self.basis
+        vals = np.asarray(vals, dtype=float)
+        if self.diagonal:
+            out = np.zeros(basis.size)
+            out[basis] = vals
+            return out
+        nonzero = np.flatnonzero(vals)
+        k = int(nonzero[-1]) + 1 if nonzero.size else 0
+        v = basis[:, :k]
+        return (v * vals[:k]) @ v.conj().T
+
+    def scaled(self, c: float) -> "Spectrum":
+        """The spectrum of c times the operator (c >= 0), sharing this basis."""
+        if self._basis is not None:
+            return Spectrum(self.values * c, diagonal=self.diagonal, basis=self._basis)
+        return Spectrum(self.values * c, diagonal=self.diagonal, source=self)
+
+    def reordered(self, values, order=None) -> "Spectrum":
+        """Non-increasing ``values`` paired with this basis, its vectors taken in ``order``."""
+        basis = self.basis
+        if order is not None:
+            basis = basis[order] if self.diagonal else basis[:, order]
+        return Spectrum(values, diagonal=self.diagonal, basis=basis)
+
+    def operator(self, cls=None) -> "PositiveOperator":
+        """The positive operator with this spectrum; no eigensolve."""
+        cls = PositiveOperator if cls is None else cls
+        data = self.compose(self.values)
+        if self.diagonal:
+            return cls._with_spectrum(self, diagonal=data)
+        return cls._with_spectrum(self, matrix=data)
+
+    def projector(self, k: int) -> "Projector":
+        """Projector onto the span of the first k basis vectors."""
+        basis = self.basis
+        if self.diagonal:
+            d = np.zeros(basis.size)
+            d[basis[:k]] = 1.0
+            return Projector(diagonal=d, rank=k)
+        vk = basis[:, :k]
+        return Projector(vk @ vk.conj().T, rank=k)
+
+
 class PositiveOperator(HermitianOperator):
     """Hermitian operator with spectrum >= -tau_psd; eigenvalues clamp to 0 on read."""
 
-    __slots__ = ()
+    __slots__ = ("_spectrum",)
 
     def __init__(self, matrix=None, *, diagonal=None):
         super().__init__(matrix, diagonal=diagonal)
         if self.is_diagonal:
-            lam_min = float(np.min(self._diag))
-            lam_max = float(np.max(self._diag))
+            lam_min = float(self._diag.min())
+            lam_max = float(self._diag.max())
+            self._spectrum = None  # sorted on first spectral read
         else:
             eigs = np.linalg.eigvalsh(self._mat)
             lam_min = float(eigs[0])
             lam_max = float(eigs[-1])
+            self._spectrum = Spectrum(np.clip(eigs[::-1], 0.0, None), diagonal=False, source=self._mat)
         tol = PSD_REL_TOL * max(lam_max, 0.0) + 1e-15
         if lam_min < -tol:
             raise ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{tol:.3e}")
 
-    def clamped_eigenvalues(self) -> np.ndarray:
-        return np.clip(self.eigenvalues(), 0.0, None)
+    @classmethod
+    def _with_spectrum(cls, spectrum: Spectrum | None, matrix=None, diagonal=None):
+        """An operator whose spectrum is already known: no validation, no eigensolve."""
+        op = cls.__new__(cls)
+        HermitianOperator.__init__(op, matrix, diagonal=diagonal)
+        op._spectrum = spectrum
+        return op
+
+    def spectrum(self) -> Spectrum:
+        spec = self._spectrum
+        if spec is None:
+            order = np.argsort(-self._diag, kind="stable")
+            spec = self._spectrum = Spectrum(np.clip(self._diag[order], 0.0, None), diagonal=True, basis=order)
+        return spec
+
+    def trace_norm(self) -> float:
+        return float(np.sum(self.spectrum().values))
+
+    def operator_norm(self) -> float:
+        if self.is_diagonal:
+            return super().operator_norm()
+        return float(self._spectrum.values[0])
+
+    def eigenvalues(self) -> np.ndarray:
+        """Clamped eigenvalues in non-increasing order."""
+        return self.spectrum().values.copy()
 
     def rank(self, rank_tol: float | None = None) -> int:
-        lam = self.clamped_eigenvalues()
-        tol = default_rank_tol(self.dim, lam[0] if lam.size else 0.0) if rank_tol is None else rank_tol
-        return int(np.count_nonzero(lam > tol))
+        return self.spectrum().rank_at(rank_tol)
+
+    def rescaled(self, c: float, cls=None) -> "PositiveOperator":
+        """c * self for c >= 0, with its spectrum scaled from this one (no eigensolve).
+
+        A diagonal operator whose spectrum was never read passes that on:
+        the result sorts its own diagonal on first spectral read.
+        """
+        cls = PositiveOperator if cls is None else cls
+        spec = None if self._spectrum is None else self._spectrum.scaled(c)
+        if self.is_diagonal:
+            return cls._with_spectrum(spec, diagonal=np.clip(self._diag, 0.0, None) * c)
+        return cls._with_spectrum(spec, matrix=self._mat * c)
+
+    def scale(self, c: float) -> HermitianOperator:
+        """c * self; positive (a spectral view) for c >= 0."""
+        if c >= 0.0:
+            return self.rescaled(c)
+        return super().scale(c)
+
+    def add(self, other: HermitianOperator) -> HermitianOperator:
+        """self + other; positive when other is."""
+        if not isinstance(other, PositiveOperator):
+            return super().add(other)
+        self._check_dim(other)
+        if self.is_diagonal and other.is_diagonal:
+            return PositiveOperator(diagonal=np.clip(self._diag, 0.0, None) + np.clip(other._diag, 0.0, None))
+        return PositiveOperator(self.matrix + other.matrix)
 
 
 class DensityOperator(PositiveOperator):
@@ -196,22 +384,15 @@ class Projector(HermitianOperator):
         return bool(np.allclose(other.matrix @ self.matrix, self.matrix, atol=atol))
 
 
-def default_rank_tol(dim: int, lam_max: float) -> float:
-    return dim * 1e-14 * max(lam_max, 0.0)
-
-
 def identity(dim: int) -> Projector:
     return Projector(diagonal=np.ones(dim), rank=dim)
 
 
-def zero_operator(dim: int) -> PositiveOperator:
-    return PositiveOperator(diagonal=np.zeros(dim))
-
-
 def coordinate_projector(dim: int, indices) -> Projector:
+    idx = list(indices)
     d = np.zeros(dim)
-    d[list(indices)] = 1.0
-    return Projector(diagonal=d, rank=len(list(indices)))
+    d[idx] = 1.0
+    return Projector(diagonal=d, rank=len(idx))
 
 
 @dataclass(frozen=True)
@@ -229,14 +410,25 @@ class SpectralDecomposition:
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above 1e-12 is positive real."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    cols = np.arange(vectors.shape[1])
+    nonzero = np.abs(vectors) > 1e-12
+    first = np.argmax(nonzero, axis=0)
+    pivot = vectors[first, cols]
+    found = nonzero[first, cols]
+    phase = np.conj(pivot) / np.abs(np.where(found, pivot, 1.0))
+    return vectors * np.where(found, phase, 1.0)
+
+
+def _eigh(matrix: np.ndarray):
+    """Eigenvalues non-increasing and their phase-canonicalized eigenvectors."""
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        norm = float(np.linalg.norm(matrix))
+        raise LinearAlgebraError(
+            f"eigensolver failed for dim-{matrix.shape[0]} operator (frobenius norm {norm:.3e})"
+        ) from exc
+    return w[::-1].copy(), _canonical_phase(v[:, ::-1])
 
 
 def _multiplicity_groups(lam: np.ndarray, gap_tol: float) -> list:
@@ -254,80 +446,54 @@ def eigh(a: HermitianOperator, gap_tol: float | None = None) -> SpectralDecompos
 
     Ordering is deterministic: descending eigenvalues with stable index
     tie-break, eigenvector phases canonicalized to a positive-real pivot.
+    A positive operator answers from its cached spectrum, so its
+    eigenvalues come back clamped at 0.
     """
+    if isinstance(a, PositiveOperator):
+        spec = a.spectrum()
+        groups = spec.multiplicity_groups if gap_tol is None else _multiplicity_groups(spec.values, gap_tol)
+        return SpectralDecomposition(spec.values.copy(), spec.vectors(), list(groups))
     if a.is_diagonal:
         order = np.argsort(-a.diag, kind="stable")
         lam = a.diag[order].copy()
         vec = np.zeros((a.dim, a.dim), dtype=complex)
         vec[order, np.arange(a.dim)] = 1.0
     else:
-        try:
-            w, v = np.linalg.eigh(a.matrix)
-        except np.linalg.LinAlgError as exc:
-            norm = float(np.linalg.norm(a.matrix))
-            raise LinearAlgebraError(
-                f"eigensolver failed for dim-{a.dim} operator (frobenius norm {norm:.3e})"
-            ) from exc
-        lam = w[::-1].copy()
-        vec = _canonical_phase(v[:, ::-1])
+        lam, vec = _eigh(a.matrix)
     lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = 1e-9 * lam_max if gap_tol is None else gap_tol
+    tol = GAP_REL_TOL * lam_max if gap_tol is None else gap_tol
     return SpectralDecomposition(lam, vec, _multiplicity_groups(lam, tol))
 
 
 def apply_spectral_function(a: PositiveOperator, f, rank_tol: float | None = None) -> HermitianOperator:
     """V f(Lambda) V*; eigenvalues at or below the rank tolerance become exactly 0."""
-    if a.is_diagonal:
-        lam = np.clip(a.diag, 0.0, None)
-        tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-        lam = np.where(lam > tol, lam, 0.0)
-        vals = np.array([float(f(x)) for x in lam])
-        _check_spectral_values(lam, vals, tol)
-        return HermitianOperator(diagonal=vals)
-    dec = eigh(a)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-    lam = np.where(lam > tol, lam, 0.0)
+    spec = a.spectrum()
+    lam = spec.kept(rank_tol)
     vals = np.array([float(f(x)) for x in lam])
-    _check_spectral_values(lam, vals, tol)
-    v = dec.eigenvectors
-    return HermitianOperator((v * vals) @ v.conj().T)
-
-
-def _check_spectral_values(lam: np.ndarray, vals: np.ndarray, tol: float):
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise LinearAlgebraError(f"scalar function undefined at eigenvalue {lam[idx]!r}")
+    if spec.diagonal:
+        return HermitianOperator(diagonal=spec.compose(vals))
+    return HermitianOperator(spec.compose(vals))
 
 
 def support_projector(a: PositiveOperator, rank_tol: float | None = None) -> Projector:
     """Projector onto the span of eigenvectors with eigenvalue above the rank tolerance."""
-    if a.is_diagonal:
-        lam = np.clip(a.diag, 0.0, None)
-        tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-        return Projector(diagonal=(lam > tol).astype(float))
-    dec = eigh(a)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-    keep = lam > tol
-    v = dec.eigenvectors[:, keep]
-    return Projector(v @ v.conj().T, rank=int(np.count_nonzero(keep)))
+    spec = a.spectrum()
+    return spec.projector(spec.rank_at(rank_tol))
 
 
 def moore_penrose_inverse(a: PositiveOperator, rank_tol: float | None = None) -> PositiveOperator:
     """Pseudoinverse: invert eigenvalues above the rank tolerance, zero the rest."""
-    if a.is_diagonal:
-        lam = np.clip(a.diag, 0.0, None)
-        tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-        inv = np.where(lam > tol, 1.0 / np.where(lam > tol, lam, 1.0), 0.0)
-        return PositiveOperator(diagonal=inv)
-    dec = eigh(a)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(a.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-    inv = np.where(lam > tol, 1.0 / np.where(lam > tol, lam, 1.0), 0.0)
-    v = dec.eigenvectors
-    return PositiveOperator((v * inv) @ v.conj().T)
+    spec = a.spectrum()
+    r = spec.rank_at(rank_tol)
+    # 1/lambda grows along the support, so the inverse lists it reversed
+    order = np.concatenate([np.arange(r)[::-1], np.arange(r, a.dim)])
+    inv = np.zeros(a.dim)
+    inv[:r] = 1.0 / spec.values[:r][::-1]
+    return spec.reordered(inv, order).operator()
 
 
 def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -355,26 +521,19 @@ def purify(rho: DensityOperator, rank_tol: float | None = None) -> DensityOperat
     """Minimal purification on H_A (x) H_R with dim(R) = rank(rho).
 
     The purifying vector is built in the non-increasing eigenbasis so the
-    construction is reproducible.
+    construction is reproducible.  The result is a pure state, so its
+    spectrum (1, 0, ..., 0) is known without an eigensolve.
     """
-    dec = eigh(rho)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(rho.dim, float(np.max(lam, initial=0.0))) if rank_tol is None else rank_tol
-    keep = lam > tol
-    lam_r = lam[keep]
-    v = dec.eigenvectors[:, keep]
-    r = lam_r.size
-    psi = np.zeros(rho.dim * r, dtype=complex)
-    for i in range(r):
-        psi += np.sqrt(lam_r[i]) * np.kron(v[:, i], _basis_vec(r, i))
+    spec = rho.spectrum()
+    r = spec.rank_at(rank_tol)
+    v = spec.vectors()[:, :r]
+    # sum_i sqrt(lambda_i) v_i (x) e_i, with index (a, i) at a * r + i
+    psi = (v * np.sqrt(spec.values[:r])).reshape(rho.dim * r)
     psi /= np.linalg.norm(psi)
-    return DensityOperator(np.outer(psi, psi.conj()))
-
-
-def _basis_vec(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[i] = 1.0
-    return e
+    matrix = np.outer(psi, psi.conj())
+    pure = np.zeros(rho.dim * r)
+    pure[0] = 1.0
+    return DensityOperator._with_spectrum(Spectrum(pure, diagonal=False, source=matrix), matrix=matrix)
 
 
 def trace_norm_distance(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -383,19 +542,6 @@ def trace_norm_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     if a.is_diagonal and b.is_diagonal:
         return float(np.sum(np.abs(a.diag - b.diag)))
     return float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
-
-
-def as_positive(h: HermitianOperator) -> PositiveOperator:
-    """Rewrap an arithmetic result as a positive operator (revalidates)."""
-    if h.is_diagonal:
-        return PositiveOperator(diagonal=np.clip(h.diag, 0.0, None))
-    return PositiveOperator(h.matrix)
-
-
-def as_density(h: HermitianOperator) -> DensityOperator:
-    if h.is_diagonal:
-        return DensityOperator(diagonal=np.clip(h.diag, 0.0, None))
-    return DensityOperator(h.matrix)
 
 
 # ---------------------------------------------------------------------------

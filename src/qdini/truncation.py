@@ -23,7 +23,6 @@ from .operators import (
     Projector,
     coordinate_projector,
     default_rank_tol,
-    eigh,
     support_projector,
 )
 from .verdicts import (
@@ -32,9 +31,6 @@ from .verdicts import (
     Verdict,
     combine_status,
 )
-
-GAP_REL_TOL = 1e-9
-
 
 class OperatorSequence:
     """Indexed family n -> PositiveOperator; index 0 is the declared limit."""
@@ -65,9 +61,7 @@ def normalize(sigma: PositiveOperator):
     t = sigma.trace()
     if t <= default_rank_tol(sigma.dim, sigma.operator_norm()):
         return None
-    if sigma.is_diagonal:
-        return DensityOperator(diagonal=np.clip(sigma.diag, 0.0, None) / t)
-    return DensityOperator(sigma.matrix / t)
+    return sigma.rescaled(1.0 / t, DensityOperator)
 
 
 @dataclass(frozen=True)
@@ -78,55 +72,26 @@ class TruncationResult:
     ambiguous: bool = False  # m fell inside a multiplicity group
 
 
-def _sorted_clamped(rho: PositiveOperator):
-    """(eigenvalues desc clamped at the rank tolerance, permutation or vectors)."""
-    if rho.is_diagonal:
-        order = np.argsort(-rho.diag, kind="stable")
-        lam = np.clip(rho.diag[order], 0.0, None)
-        tol = default_rank_tol(rho.dim, float(np.max(lam, initial=0.0)))
-        return np.where(lam > tol, lam, 0.0), order, tol
-    dec = eigh(rho)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    tol = default_rank_tol(rho.dim, float(np.max(lam, initial=0.0)))
-    return np.where(lam > tol, lam, 0.0), dec.eigenvectors, tol
-
-
 def spectral_truncation(rho: PositiveOperator, m: int) -> TruncationResult:
     """Psi_m(rho) = P^rho_m rho with the deterministic eigenvalue tie-break.
 
     If m >= rank rho the head is rho itself.  When m cuts through a
-    multiplicity group the result carries the ambiguous flag.
+    multiplicity group the result carries the ambiguous flag.  Head and
+    tail are spectral views of rho: they reuse its eigenbasis.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    spec = rho.spectrum()
+    lam = spec.kept()
+    if m >= spec.rank:
+        return TruncationResult(rho, rho.rescaled(0.0), float(np.sum(lam)))
     d = rho.dim
-    lam_max = rho.operator_norm()
-    gap_tol = GAP_REL_TOL * lam_max
-    if rho.is_diagonal:
-        lam, order, tol = _sorted_clamped(rho)
-        rank = int(np.count_nonzero(lam))
-        if m >= rank:
-            head = PositiveOperator(diagonal=np.clip(rho.diag, 0.0, None))
-            return TruncationResult(head, PositiveOperator(diagonal=np.zeros(d)), float(np.sum(lam)))
-        ambiguous = lam[m - 1] - lam[m] <= gap_tol
-        hd = np.zeros(d)
-        hd[order[:m]] = lam[:m]
-        head = PositiveOperator(diagonal=hd)
-        tl = np.clip(rho.diag, 0.0, None) - hd
-        return TruncationResult(head, PositiveOperator(diagonal=np.clip(tl, 0.0, None)),
-                                float(np.sum(lam[:m])), ambiguous)
-    lam, vec, tol = _sorted_clamped(rho)
-    rank = int(np.count_nonzero(lam))
-    if m >= rank:
-        return TruncationResult(PositiveOperator(rho.matrix),
-                                PositiveOperator(np.zeros((d, d))), float(np.sum(lam)))
-    ambiguous = lam[m - 1] - lam[m] <= gap_tol
-    vm = vec[:, :m]
-    head_m = (vm * lam[:m]) @ vm.conj().T
-    vr = vec[:, m:]
-    tail_m = (vr * lam[m:]) @ vr.conj().T
-    return TruncationResult(PositiveOperator(head_m), PositiveOperator(tail_m),
-                            float(np.sum(lam[:m])), ambiguous)
+    ambiguous = lam[m - 1] - lam[m] <= spec.gap_tol
+    head = spec.reordered(np.concatenate([lam[:m], np.zeros(d - m)])).operator()
+    # the tail lists rho's eigenvectors from m on first, then the head's
+    tail_order = np.concatenate([np.arange(m, d), np.arange(m)])
+    tail = spec.reordered(np.concatenate([lam[m:], np.zeros(m)]), tail_order).operator()
+    return TruncationResult(head, tail, float(np.sum(lam[:m])), ambiguous)
 
 
 def truncated_state_entropy_bound(rho: PositiveOperator, m: int) -> bool:
@@ -140,15 +105,12 @@ def truncated_state_entropy_bound(rho: PositiveOperator, m: int) -> bool:
 
 def stable_index_set(rho: PositiveOperator, m_max: int, gap_tol: float | None = None):
     """Ranks m where lambda_{m+1} < lambda_m - gap_tol, or lambda_m is zero-rank."""
-    lam, _, rank_tol = _sorted_clamped(rho)
-    lam_max = float(lam[0]) if lam.size else 0.0
-    tol = GAP_REL_TOL * lam_max if gap_tol is None else gap_tol
-    out = []
-    for m in range(1, min(m_max, rho.dim) + 1):
-        nxt = lam[m] if m < rho.dim else 0.0
-        if nxt < lam[m - 1] - tol or lam[m - 1] <= rank_tol:
-            out.append(m)
-    return out
+    spec = rho.spectrum()
+    lam = spec.kept()
+    tol = spec.gap_tol if gap_tol is None else gap_tol
+    nxt = np.append(lam[1:], 0.0)
+    stable = (nxt < lam - tol) | (lam <= spec.rank_tol)
+    return [int(m) + 1 for m in np.flatnonzero(stable[:max(m_max, 0)])]
 
 
 def largest_stable_index(limit: PositiveOperator, m: int, m_max: int | None = None):
@@ -160,12 +122,7 @@ def largest_stable_index(limit: PositiveOperator, m: int, m_max: int | None = No
 
 def top_multiplicity(rho: PositiveOperator) -> int:
     """Multiplicity of the maximal eigenvalue (within the gap tolerance)."""
-    lam, _, _ = _sorted_clamped(rho)
-    tol = GAP_REL_TOL * float(lam[0]) if lam.size else 0.0
-    k = 1
-    while k < lam.size and lam[0] - lam[k] <= tol:
-        k += 1
-    return k
+    return rho.spectrum().multiplicity_groups[0][1]
 
 
 def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float, m: int,
@@ -196,17 +153,14 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     head_rho = spectral_truncation(rho, mh_rho)
     if sigma_zero:
         head = head_rho.head.scale(c)
-        tail = head_rho.tail.scale(c)
-        return TruncationResult(_clip_positive(head), _clip_positive(tail),
-                                head.trace(), head_rho.ambiguous)
+        return TruncationResult(head, head_rho.tail.scale(c), head.trace(), head_rho.ambiguous)
     mh_sigma = largest_stable_index(sigma_limit, m)
     if mh_sigma is None:
         raise ValueError(f"no stable index of the sigma limit at or below m = {m}")
     head_sigma = spectral_truncation(sigma, mh_sigma)
     head = head_rho.head.scale(c).add(head_sigma.head)
     tail = head_rho.tail.scale(c).add(head_sigma.tail)
-    return TruncationResult(_clip_positive(head), _clip_positive(tail), head.trace(),
-                            head_rho.ambiguous or head_sigma.ambiguous)
+    return TruncationResult(head, tail, head.trace(), head_rho.ambiguous or head_sigma.ambiguous)
 
 
 def _clip_positive(h: HermitianOperator) -> PositiveOperator:
@@ -294,7 +248,8 @@ def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> Project
     """
     dim = seq.dim
     members = [seq(n) for n in range(n_max + 1)]
-    ranks = [op.rank() for op in members]
+    spectra = [op.spectrum() for op in members]
+    ranks = [spec.rank for spec in spectra]
     if any(op.trace() <= default_rank_tol(dim, op.operator_norm()) for op in members):
         raise ValueError("commuting_schedule requires every window member to be nonzero")
     full_rank = all(r == dim for r in ranks)
@@ -302,57 +257,29 @@ def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> Project
         limit = members[0]
         m_0 = top_multiplicity(limit)
     else:
-        limit = _extended_limit(members)
+        limit = _extended_limit(spectra)
         m_0 = top_multiplicity(limit)
     if m_0 > m_max:
         raise ValueError(f"m_max = {m_max} is below the starting index m_0 = {m_0}; enlarge the window")
-    decs = [_spectral_basis(op) for op in members]
     projs = {}
     for m in range(m_0, m_max + 1):
         mh = largest_stable_index(limit, m, m_max=limit.dim)
         if mh is None:
             raise ValueError(f"no stable index of the limit at or below m = {m}; enlarge m_max")
         for n in range(n_max + 1):
-            k = min(mh, ranks[n])
-            projs[(n, m)] = _top_k_projector(members[n], decs[n], k)
+            projs[(n, m)] = spectra[n].projector(min(mh, ranks[n]))
     return ProjectorSchedule(m_0, m_max, n_max, projs, commuting=True, label="commuting")
 
 
-def _extended_limit(members) -> PositiveOperator:
+def _extended_limit(spectra) -> PositiveOperator:
     """rho_0 (+) auxiliary state with a geometric spectrum below the window."""
-    dim = members[0].dim
-    min_pos = min(
-        float(np.min(lam[lam > 0.0]))
-        for lam in (_sorted_clamped(op)[0] for op in members)
-    )
+    dim = spectra[0].values.size
+    min_pos = min(float(spec.values[spec.rank - 1]) for spec in spectra)
     # fractional part of sqrt(2): keeps the auxiliary spectrum numerically
     # disjoint from the window spectra while staying strictly below them
     scale = (math.sqrt(2.0) - 1.0) * min_pos
     aux = scale * 0.5 ** np.arange(dim)
-    rho_0 = members[0]
-    base = np.clip(rho_0.diag, 0.0, None) if rho_0.is_diagonal else None
-    if base is not None:
-        return PositiveOperator(diagonal=np.concatenate([base, aux]))
-    lam, _, _ = _sorted_clamped(rho_0)
-    return PositiveOperator(diagonal=np.concatenate([lam, aux]))
-
-
-def _spectral_basis(op: PositiveOperator):
-    if op.is_diagonal:
-        order = np.argsort(-op.diag, kind="stable")
-        return order
-    return eigh(op).eigenvectors
-
-
-def _top_k_projector(op: PositiveOperator, basis, k: int) -> Projector:
-    if k < 1:
-        raise ValueError("projector rank must be at least 1")
-    if op.is_diagonal:
-        d = np.zeros(op.dim)
-        d[basis[:k]] = 1.0
-        return Projector(diagonal=d, rank=k)
-    vk = basis[:, :k]
-    return Projector(vk @ vk.conj().T, rank=k)
+    return PositiveOperator(diagonal=np.concatenate([spectra[0].kept(), aux]))
 
 
 def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
@@ -424,9 +351,7 @@ def _projected_mass(p: Projector, rho: PositiveOperator) -> float:
 
 
 def _probe_vectors(rho_0: PositiveOperator) -> np.ndarray:
-    if rho_0.is_diagonal:
-        return np.eye(rho_0.dim, dtype=complex)
-    return eigh(rho_0).eigenvectors
+    return rho_0.spectrum().vectors()
 
 
 def _probe_residual(pn: Projector, p0: Projector, probes: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from qdini import (
     tensor,
     trace_norm_distance,
 )
+from qdini.operators import _canonical_phase
 
 
 class TestExtendedReal:
@@ -79,6 +80,11 @@ class TestConstruction:
         assert p.rank == 2
         assert p.complement().rank == 1
 
+    def test_coordinate_projector_reads_indices_once(self):
+        p = coordinate_projector(4, iter([0, 1]))
+        assert p.rank == 2
+        assert np.array_equal(p.diag, [1.0, 1.0, 0.0, 0.0])
+
     def test_projector_leq(self):
         p1 = coordinate_projector(3, [0])
         p2 = coordinate_projector(3, [0, 1])
@@ -109,6 +115,30 @@ class TestEigh:
         before = dense_materialization_count()
         eigh(HermitianOperator(diagonal=np.linspace(1, 2, 50)))
         assert dense_materialization_count() == before
+
+    def test_canonical_phase_matches_column_loop(self):
+        rng = np.random.default_rng(6)
+        for trial in range(200):
+            d = int(rng.integers(2, 33))
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            if trial % 3 == 0:
+                # leading rows near zero push the pivot down the column
+                z[: d // 2] = 1e-13 * rng.standard_normal((d // 2, d))
+            _, v = np.linalg.eigh(z + z.conj().T)
+            v = v[:, ::-1]
+            assert np.array_equal(_canonical_phase(v), _canonical_phase_loop(v))
+
+
+def _canonical_phase_loop(vectors):
+    """Reference: rotate each column so its first component above 1e-12 is positive real."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return out
 
 
 class TestSpectralCalculus:

@@ -70,6 +70,16 @@ class TestSpectralTruncation:
 
 
 class TestStableIndices:
+    def test_matches_index_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            d = int(rng.integers(1, 9))
+            # repeated levels and zeros make ties and rank-deficient tails
+            lam = np.sort(rng.choice([0.0, 0.1, 0.25, 0.25 + 1e-12, 0.5], size=d))[::-1]
+            rho = PositiveOperator(diagonal=lam)
+            m_max = int(rng.integers(0, d + 3))
+            assert stable_index_set(rho, m_max) == _stable_index_loop(lam, m_max)
+
     def test_simple_spectrum_all_stable(self):
         rho = PositiveOperator(diagonal=[0.5, 0.3, 0.2])
         assert stable_index_set(rho, 3) == [1, 2, 3]
@@ -268,3 +278,17 @@ class TestSequenceCaching:
         seq = OperatorSequence(lambda n: PositiveOperator(diagonal=[1.0]), 2)
         with pytest.raises(ValueError):
             seq(0)
+
+
+def _stable_index_loop(lam, m_max):
+    """Reference: stable ranks of a clamped non-increasing spectrum, one index at a time."""
+    lam = np.clip(lam, 0.0, None)
+    rank_tol = lam.size * 1e-14 * lam[0]
+    lam = np.where(lam > rank_tol, lam, 0.0)
+    gap_tol = 1e-9 * lam[0]
+    out = []
+    for m in range(1, min(m_max, lam.size) + 1):
+        nxt = lam[m] if m < lam.size else 0.0
+        if nxt < lam[m - 1] - gap_tol or lam[m - 1] <= rank_tol:
+            out.append(m)
+    return out
