@@ -240,13 +240,12 @@ class Spectrum:
             basis = basis[order] if self.diagonal else basis[:, order]
         return Spectrum(values, diagonal=self.diagonal, basis=basis)
 
-    def operator(self, cls=None) -> "PositiveOperator":
+    def operator(self) -> "PositiveOperator":
         """The positive operator with this spectrum; no eigensolve."""
-        cls = PositiveOperator if cls is None else cls
         data = self.compose(self.values)
         if self.diagonal:
-            return cls._with_spectrum(self, diagonal=data)
-        return cls._with_spectrum(self, matrix=data)
+            return PositiveOperator._with_spectrum(self, diagonal=data)
+        return PositiveOperator._with_spectrum(self, matrix=data)
 
     def projector(self, k: int) -> "Projector":
         """Projector onto the span of the first k basis vectors."""
