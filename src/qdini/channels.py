@@ -1,23 +1,27 @@
 """Quantum channels in Kraus form with Choi and Stinespring views.
 
-A Channel maps d_in to d_out via rho -> sum_i K_i rho K_i*.  The Choi matrix
-lives on d_out x d_in, the complementary channel sends inputs to the minimal
-Stinespring environment, and the channel mutual information uses the minimal
-rank-of-rho purification so results are reproducible.
+A Channel maps d_in to d_out via rho -> sum_i K_i rho K_i*, with its Kraus
+operators stored as one read-only (k, d_out, d_in) array, so applying,
+composing and taking the Choi matrix are single batched products.  The
+Choi matrix lives on d_out x d_in, and the complementary channel sends
+inputs to the minimal Stinespring environment.  The channel mutual
+information is read off three small spectra,
+I(Phi, rho) = S(rho) + S(Phi(rho)) - S(Phi^(rho)), where
+Phi^(rho)_ij = Tr K_i rho K_j* is the k x k environment state: no
+purification and no operator larger than max(d_out, k).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .extreal import ExtendedReal
+from .extreal import ExtendedReal, finite
 from .operators import (
     DensityOperator,
     PositiveOperator,
-    purify,
     trace_norm_distance,
 )
-from .entropies import quantum_mutual_information, von_neumann_entropy
+from .entropies import von_neumann_entropy
 
 TP_TOL = 1e-9
 
@@ -28,38 +32,42 @@ class Channel:
     __slots__ = ("d_in", "d_out", "kraus")
 
     def __init__(self, kraus):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        try:
+            ops = np.array(kraus, dtype=complex)
+        except ValueError as exc:
+            raise ValueError(f"inconsistent Kraus shapes: {exc}") from exc
+        if ops.size == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise ValueError(f"inconsistent Kraus shapes: {k.shape} vs {(d_out, d_in)}")
-        gram = sum(k.conj().T @ k for k in ops)
-        deficit = float(np.linalg.norm(gram - np.eye(d_in)))
+        if ops.ndim != 3:
+            raise ValueError(f"Kraus operators must stack to shape (k, d_out, d_in), got {ops.shape}")
+        d_in = ops.shape[2]
+        stacked = ops.reshape(-1, d_in)  # the Stinespring isometry, rows (i, a)
+        deficit = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(d_in)))
         if deficit > TP_TOL:
             raise ValueError(f"channel is not trace preserving: deficit norm {deficit:.3e}")
+        ops.flags.writeable = False
         self.d_in = int(d_in)
-        self.d_out = int(d_out)
-        self.kraus = tuple(k.copy() for k in ops)
+        self.d_out = int(ops.shape[1])
+        self.kraus = ops
 
     def apply(self, rho: PositiveOperator) -> PositiveOperator:
         if rho.dim != self.d_in:
             raise ValueError(f"input dim {rho.dim} != channel d_in {self.d_in}")
-        m = rho.matrix
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ m @ k.conj().T
+        k = self.kraus
+        if rho.is_diagonal:
+            out = np.einsum("iab,b,icb->ac", k, rho.diag, k.conj())
+        else:
+            out = (k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(0)
         return PositiveOperator(out)
 
     def choi_rank(self) -> int:
-        return reduced_kraus(self).__len__()
+        return choi_matrix(self).rank()
 
     def compose(self, inner: "Channel") -> "Channel":
-        """self after inner: rho -> self(inner(rho))."""
+        """self after inner: rho -> self(inner(rho)), Kraus A_i B_j at index i * len(inner) + j."""
         if inner.d_out != self.d_in:
             raise ValueError(f"cannot compose: inner d_out {inner.d_out} != d_in {self.d_in}")
-        return Channel([a @ b for a in self.kraus for b in inner.kraus])
+        return Channel((self.kraus[:, None] @ inner.kraus[None, :]).reshape(-1, self.d_out, inner.d_in))
 
     def __repr__(self):
         return f"<Channel {self.d_in}->{self.d_out}, {len(self.kraus)} Kraus ops>"
@@ -97,21 +105,17 @@ def phase_damping_channel(gamma: float) -> Channel:
 
 def choi_matrix(phi: Channel) -> PositiveOperator:
     """(Phi (x) Id)(|Omega><Omega|) with |Omega> = sum_a |a>|a> unnormalized."""
-    d_in, d_out = phi.d_in, phi.d_out
-    j = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for k in phi.kraus:
-        # vec of (K (x) I)|Omega>: component (b, a) is K[b, a]
-        v = k.reshape(d_out * d_in)
-        j += np.outer(v, v.conj())
-    return PositiveOperator(j)
+    # row i is vec of (K_i (x) I)|Omega>: component (b, a) is K_i[b, a]
+    vecs = phi.kraus.reshape(len(phi.kraus), -1)
+    return PositiveOperator(vecs.T @ vecs.conj())
 
 
-def reduced_kraus(phi: Channel, rank_tol: float | None = None):
-    """Linearly independent Kraus set recovered from the Choi eigendecomposition."""
+def reduced_kraus(phi: Channel, rank_tol: float | None = None) -> np.ndarray:
+    """Linearly independent Kraus set, stacked (k, d_out, d_in), from the Choi eigendecomposition."""
     spec = choi_matrix(phi).spectrum()
     k = spec.rank_at(rank_tol)
     vecs = spec.vectors()[:, :k] * np.sqrt(spec.values[:k])
-    return [vecs[:, i].reshape(phi.d_out, phi.d_in) for i in range(k)]
+    return vecs.T.reshape(k, phi.d_out, phi.d_in)
 
 
 def complementary_channel(phi: Channel) -> Channel:
@@ -121,34 +125,29 @@ def complementary_channel(phi: Channel) -> Channel:
     so the environment output is (Phi_c(rho))_{ij} = Tr(K_i rho K_j*); its
     Kraus operators are K~_l[i, :] = K_i[l, :] for l in range(d_out).
     """
-    ks = reduced_kraus(phi)
-    d_env = len(ks)
-    comp = []
-    for l in range(phi.d_out):
-        kt = np.zeros((d_env, phi.d_in), dtype=complex)
-        for i, k in enumerate(ks):
-            kt[i, :] = k[l, :]
-        comp.append(kt)
-    return Channel(comp)
+    return Channel(reduced_kraus(phi).transpose(1, 0, 2))
+
+
+def _environment_state(phi: Channel, rho: PositiveOperator) -> PositiveOperator:
+    """Phi^(rho)_ij = Tr K_i rho K_j*: complementary_channel(phi)(rho) up to an isometry."""
+    k = phi.kraus
+    k_rho = k * rho.diag if rho.is_diagonal else k @ rho.matrix
+    return PositiveOperator(k_rho.reshape(len(k), -1) @ k.reshape(len(k), -1).conj().T)
 
 
 def channel_mutual_information(phi: Channel, rho: DensityOperator) -> ExtendedReal:
-    """I(Phi, rho): mutual information of (Phi (x) Id_R)(rho_hat), minimal R."""
-    if rho.dim != phi.d_in:
-        raise ValueError(f"input dim {rho.dim} != channel d_in {phi.d_in}")
-    rho_hat = purify(rho)
-    d_r = rho_hat.dim // rho.dim
-    ext = Channel([np.kron(k, np.eye(d_r)) for k in phi.kraus])
-    out = ext.apply(rho_hat)
-    return quantum_mutual_information(
-        DensityOperator(out.matrix), phi.d_out, d_r
-    )
+    """I(Phi, rho) = S(rho) + S(Phi(rho)) - S(Phi^(rho)), always finite.
+
+    Equals the mutual information of (Phi (x) Id_R)(rho_hat) for any
+    purification rho_hat of rho: Phi^ is the complementary channel, whose
+    output has the entropy of the purified joint output.
+    """
+    return finite(float(von_neumann_entropy(rho)) + coherent_information(phi, rho))
 
 
 def coherent_information(phi: Channel, rho: DensityOperator) -> float:
-    """I_c(Phi, rho) = I(Phi, rho) - S(rho); bounded by S(rho) in modulus."""
-    mi = channel_mutual_information(phi, rho)
-    return float(mi) - float(von_neumann_entropy(rho))
+    """I_c(Phi, rho) = S(Phi(rho)) - S(Phi^(rho)) = I(Phi, rho) - S(rho); at most S(rho) in modulus."""
+    return output_entropy(phi, rho) - float(von_neumann_entropy(_environment_state(phi, rho)))
 
 
 def output_entropy(phi: Channel, rho: PositiveOperator) -> float:

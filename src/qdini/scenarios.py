@@ -831,7 +831,7 @@ def random_channel(rng: np.random.Generator, d_in: int, d_out: int, kraus_count:
     z = rng.standard_normal((d_out * kraus_count, d_in)) + 1j * rng.standard_normal((d_out * kraus_count, d_in))
     q, _ = np.linalg.qr(z)
     v = q[:, :d_in]
-    return Channel([v[i * d_out:(i + 1) * d_out, :] for i in range(kraus_count)])
+    return Channel(v.reshape(kraus_count, d_out, d_in))
 
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> Projector:
