@@ -147,11 +147,16 @@ def channel_mutual_information(phi: Channel, rho: DensityOperator) -> ExtendedRe
 
 def coherent_information(phi: Channel, rho: DensityOperator) -> float:
     """I_c(Phi, rho) = S(Phi(rho)) - S(Phi^(rho)) = I(Phi, rho) - S(rho); at most S(rho) in modulus."""
-    return output_entropy(phi, rho) - float(von_neumann_entropy(_environment_state(phi, rho)))
+    return output_entropy(phi, rho) - environment_entropy(phi, rho)
 
 
 def output_entropy(phi: Channel, rho: PositiveOperator) -> float:
     return float(von_neumann_entropy(phi.apply(rho)))
+
+
+def environment_entropy(phi: Channel, rho: PositiveOperator) -> float:
+    """S(Phi^(rho)), the entropy the complementary channel outputs."""
+    return float(von_neumann_entropy(_environment_state(phi, rho)))
 
 
 class ChannelSequence:

@@ -29,8 +29,8 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     PositiveOperator,
-    Projector,
     apply_spectral_function,
+    compress,
     default_rank_tol,
     moore_penrose_inverse,
 )
@@ -167,14 +167,6 @@ def output_entropy_family(channel_seq: ChannelSequence, label: str = "S(Phi_n(.)
 
 def _fv(x: ExtendedReal) -> float:
     return float(x)
-
-
-def compress(rho: PositiveOperator, p: Projector) -> PositiveOperator:
-    """P rho P as a positive operator, with the diagonal fast path."""
-    if rho.is_diagonal and p.is_diagonal:
-        return PositiveOperator(diagonal=np.clip(rho.diag * p.diag, 0.0, None))
-    pm = p.matrix
-    return PositiveOperator(pm @ rho.matrix @ pm)
 
 
 # ---------------------------------------------------------------------------

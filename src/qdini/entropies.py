@@ -20,6 +20,7 @@ from .operators import (
     HermitianOperator,
     PositiveOperator,
     Projector,
+    compress,
     default_rank_tol,
     partial_trace,
     support_projector,
@@ -156,13 +157,6 @@ def check_entropy_subadditivity_pair(rho: PositiveOperator, sigma: PositiveOpera
 
 def compressed_entropy_pair(rho: PositiveOperator, p: Projector):
     """(S(P rho P), S(P_perp rho P_perp)) for the Lindblad-Ozawa comparison."""
-    pbar = p.complement()
-    if rho.is_diagonal and p.is_diagonal:
-        head = PositiveOperator(diagonal=np.clip(rho.diag * p.diag, 0.0, None))
-        tail = PositiveOperator(diagonal=np.clip(rho.diag * pbar.diag, 0.0, None))
-    else:
-        pm = p.matrix
-        pb = pbar.matrix
-        head = _as_pos(HermitianOperator(pm @ rho.matrix @ pm))
-        tail = _as_pos(HermitianOperator(pb @ rho.matrix @ pb))
+    head = compress(rho, p)
+    tail = compress(rho, p.complement())
     return float(von_neumann_entropy(head)), float(von_neumann_entropy(tail))

@@ -14,7 +14,9 @@ computes and solves for eigenvectors on first request only; a diagonal
 operator sorts its diagonal on first spectral read.  Truncation heads and
 tails, normalized states and pseudoinverses are spectral views of their
 parent: they carry a spectrum derived from the parent's and cost no
-eigensolve.
+eigensolve.  A projector cut from a dense spectrum is a range of that
+spectrum's basis: compressions onto it, nesting and mass tests read the
+range, and its matrix is built (and checked) only when someone asks for it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ HERMITIAN_TOL = 1e-12
 PSD_REL_TOL = 1e-10
 TRACE_ONE_TOL = 1e-10
 GAP_REL_TOL = 1e-9
+PROJECTOR_TOL = 1e-10
 
 
 class LinearAlgebraError(Exception):
@@ -71,17 +74,20 @@ class HermitianOperator:
     @property
     def matrix(self) -> np.ndarray:
         if self._mat is None:
-            global _DENSE_MATERIALIZATIONS
-            _DENSE_MATERIALIZATIONS += 1
-            self._mat = np.diag(self._diag).astype(complex)
+            self._mat = self._materialize()
         return self._mat
+
+    def _materialize(self) -> np.ndarray:
+        global _DENSE_MATERIALIZATIONS
+        _DENSE_MATERIALIZATIONS += 1
+        return np.diag(self._diag).astype(complex)
 
     @property
     def diag(self) -> np.ndarray:
         """Real diagonal entries (works for dense operators too)."""
         if self.is_diagonal:
             return self._diag
-        return np.real(np.diagonal(self._mat))
+        return np.real(np.diagonal(self.matrix))
 
     def trace(self) -> float:
         return float(np.sum(self.diag))
@@ -89,18 +95,18 @@ class HermitianOperator:
     def trace_norm(self) -> float:
         if self.is_diagonal:
             return float(np.sum(np.abs(self._diag)))
-        return float(np.sum(np.abs(np.linalg.eigvalsh(self._mat))))
+        return float(np.sum(np.abs(np.linalg.eigvalsh(self.matrix))))
 
     def operator_norm(self) -> float:
         if self.is_diagonal:
             return float(np.max(np.abs(self._diag))) if self.dim else 0.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(self._mat))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in non-increasing order."""
         if self.is_diagonal:
             return np.sort(self._diag)[::-1].copy()
-        return np.linalg.eigvalsh(self._mat)[::-1].copy()
+        return np.linalg.eigvalsh(self.matrix)[::-1].copy()
 
     def add(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check_dim(other)
@@ -145,8 +151,8 @@ class Spectrum:
     multiplicity group.  ``basis`` pairs ``values[i]`` with column i of a
     unitary (dense) or with coordinate ``basis[i]`` (diagonal, where the
     basis is the stable argsort permutation).  A dense basis is solved for
-    on first request, once, and shared with every spectrum scaled from this
-    one.  All arrays are read-only.
+    on first request, once, checked for orthonormality, and shared with
+    every spectrum scaled from this one.  All arrays are read-only.
     """
 
     __slots__ = ("values", "diagonal", "rank_tol", "gap_tol", "rank", "_basis", "_source", "_groups")
@@ -173,8 +179,10 @@ class Spectrum:
             if isinstance(src, Spectrum):
                 self._basis = src.basis
             else:
-                self._basis = _eigh(src)[1]
-                self._basis.flags.writeable = False
+                basis = _eigh(src)[1]
+                _check_orthonormal(basis)
+                basis.flags.writeable = False
+                self._basis = basis
             self._source = None
         return self._basis
 
@@ -248,14 +256,31 @@ class Spectrum:
         return PositiveOperator._with_spectrum(self, matrix=data)
 
     def projector(self, k: int) -> "Projector":
-        """Projector onto the span of the first k basis vectors."""
-        basis = self.basis
-        if self.diagonal:
-            d = np.zeros(basis.size)
-            d[basis[:k]] = 1.0
-            return Projector(diagonal=d, rank=k)
-        vk = basis[:, :k]
-        return Projector(vk @ vk.conj().T, rank=k)
+        """Projector onto the span of the first k basis vectors.
+
+        Dense spectra give the range projector of columns [0, k), which
+        solves for no basis and builds no matrix until one is read.
+        """
+        if not self.diagonal:
+            return Projector._range(self, 0, k)
+        d = np.zeros(self.values.size)
+        d[self.basis[:k]] = 1.0
+        return Projector(diagonal=d, rank=k)
+
+
+def _check_orthonormal(basis: np.ndarray):
+    """||V*V - I||_F <= PROJECTOR_TOL / 2, so every range projector passes the projector checks.
+
+    With E = V*V - I and e = ||E||_F, a range projector P = V_k V_k* has
+    P^2 - P = V_k E_kk V_k*, so every entry of P^2 - P is at most
+    ||V_k||^2 ||E_kk|| <= (1 + e) e < PROJECTOR_TOL, and Tr P - k = Tr E_kk
+    is at most sqrt(k) e, far inside the trace tolerance.
+    """
+    d = basis.shape[1]
+    err = float(np.linalg.norm(basis.conj().T @ basis - np.eye(d)))
+    if err > PROJECTOR_TOL / 2:
+        raise LinearAlgebraError(f"eigenvectors of a dim-{d} operator are not orthonormal: "
+                                 f"||V*V - I||_F = {err:.3e}")
 
 
 class PositiveOperator(HermitianOperator):
@@ -273,7 +298,7 @@ class PositiveOperator(HermitianOperator):
             eigs = np.linalg.eigvalsh(self._mat)
             lam_min = float(eigs[0])
             lam_max = float(eigs[-1])
-            self._spectrum = Spectrum(np.clip(eigs[::-1], 0.0, None), diagonal=False, source=self._mat)
+            self._spectrum = Spectrum(np.maximum(eigs[::-1], 0.0), diagonal=False, source=self._mat)
         tol = PSD_REL_TOL * max(lam_max, 0.0) + 1e-15
         if lam_min < -tol:
             raise ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{tol:.3e}")
@@ -290,7 +315,7 @@ class PositiveOperator(HermitianOperator):
         spec = self._spectrum
         if spec is None:
             order = np.argsort(-self._diag, kind="stable")
-            spec = self._spectrum = Spectrum(np.clip(self._diag[order], 0.0, None), diagonal=True, basis=order)
+            spec = self._spectrum = Spectrum(np.maximum(self._diag[order], 0.0), diagonal=True, basis=order)
         return spec
 
     def trace_norm(self) -> float:
@@ -349,38 +374,105 @@ class DensityOperator(PositiveOperator):
 
 
 class Projector(HermitianOperator):
-    """Orthogonal projector with known rank."""
+    """Orthogonal projector with known rank.
 
-    __slots__ = ("rank",)
+    A projector cut from a dense spectrum is a range projector: ``span`` is
+    (spectrum, lo, hi), a leading (lo = 0) or trailing (hi = dim) range of
+    the spectrum's basis columns, and the projector is the sum of
+    |v_i><v_i| over lo <= i < hi.  Its matrix is built on first read, when
+    the P^2 = P and trace checks run; the basis orthonormality check covers
+    it before that.  Every other projector has span None and is checked at
+    construction.
+    """
+
+    __slots__ = ("rank", "span")
 
     def __init__(self, matrix=None, *, diagonal=None, rank: int | None = None):
         super().__init__(matrix, diagonal=diagonal)
+        self.span = None
         if self.is_diagonal:
             d = self._diag
-            if not np.all((np.abs(d) < 1e-10) | (np.abs(d - 1.0) < 1e-10)):
+            if not np.all((np.abs(d) < PROJECTOR_TOL) | (np.abs(d - 1.0) < PROJECTOR_TOL)):
                 raise ValueError("diagonal projector entries must be 0 or 1")
             inferred = int(np.count_nonzero(d > 0.5))
         else:
-            m = self._mat
-            if not np.allclose(m @ m, m, atol=1e-10):
-                raise ValueError("P^2 != P beyond tolerance 1e-10")
+            _check_idempotent(self._mat)
             inferred = int(round(self.trace()))
         if rank is None:
             rank = inferred
-        if abs(self.trace() - rank) > 1e-8:
-            raise ValueError(f"trace {self.trace()} does not match rank {rank}")
+        _check_trace(self.trace(), rank)
         self.rank = rank
 
+    @classmethod
+    def _range(cls, spectrum: Spectrum, lo: int, hi: int) -> "Projector":
+        """The range projector onto basis columns [lo, hi) of a dense spectrum."""
+        p = cls.__new__(cls)
+        p.dim = spectrum.values.size
+        p.is_diagonal = False
+        p._diag = None
+        p._mat = None
+        p.rank = hi - lo
+        p.span = (spectrum, lo, hi)
+        return p
+
+    def _materialize(self) -> np.ndarray:
+        if self.span is None:
+            return super()._materialize()
+        spec, lo, hi = self.span
+        v = spec.basis[:, lo:hi]
+        m = v @ v.conj().T
+        m = 0.5 * (m + m.conj().T)  # symmetrized as the constructor symmetrizes
+        _check_idempotent(m)
+        _check_trace(float(np.sum(np.real(np.diagonal(m)))), self.rank)
+        return m
+
     def complement(self) -> "Projector":
+        if self.span is not None:
+            spec, lo, hi = self.span
+            # the complement of a leading range is the trailing one, and back
+            return Projector._range(spec, *((hi, self.dim) if lo == 0 else (0, lo)))
         if self.is_diagonal:
             return Projector(diagonal=1.0 - self._diag, rank=self.dim - self.rank)
         return Projector(np.eye(self.dim) - self.matrix, rank=self.dim - self.rank)
 
     def leq(self, other: "Projector", atol=1e-9) -> bool:
         """Range inclusion: P <= Q iff QP = P."""
+        if self.span is not None and other.span is not None and self.span[0] is other.span[0]:
+            _, lo, hi = self.span
+            _, other_lo, other_hi = other.span
+            return lo == hi or other_lo <= lo and hi <= other_hi
         if self.is_diagonal and other.is_diagonal:
             return bool(np.all(other._diag[self._diag > 0.5] > 0.5))
         return bool(np.allclose(other.matrix @ self.matrix, self.matrix, atol=atol))
+
+
+def _check_idempotent(m: np.ndarray):
+    if not np.allclose(m @ m, m, atol=PROJECTOR_TOL):
+        raise ValueError(f"P^2 != P beyond tolerance {PROJECTOR_TOL:g}")
+
+
+def _check_trace(trace: float, rank: int):
+    if abs(trace - rank) > 1e-8:
+        raise ValueError(f"trace {trace} does not match rank {rank}")
+
+
+def compress(rho: PositiveOperator, p: Projector) -> PositiveOperator:
+    """P rho P as a positive operator.
+
+    A range projector cut from rho's own spectrum gives a spectral view (no
+    eigensolve): rho's values on the range, then zeros, paired with the
+    range's basis vectors first, as ``spectral_truncation`` builds heads and
+    tails.  A diagonal pair stays diagonal; anything else is the dense product.
+    """
+    if p.span is not None and p.span[0] is rho.spectrum():
+        spec, lo, hi = p.span
+        values = np.concatenate([spec.values[lo:hi], np.zeros(rho.dim - (hi - lo))])
+        order = np.concatenate([np.arange(lo, hi), np.arange(lo), np.arange(hi, rho.dim)])
+        return spec.reordered(values, order).operator()
+    if rho.is_diagonal and p.is_diagonal:
+        return PositiveOperator(diagonal=np.clip(rho.diag * p.diag, 0.0, None))
+    pm = p.matrix
+    return PositiveOperator(pm @ rho.matrix @ pm)
 
 
 def identity(dim: int) -> Projector:

@@ -134,6 +134,37 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     with sigma = tau - c rho; m must reach the top-eigenvalue multiplicities
     of both limit operators.
     """
+    return _dominated_truncation(tau, rho, c, m, _LimitCuts(rho_limit, sigma_limit))
+
+
+class _LimitCuts:
+    """The limit operators of a dominated truncation, with their cut indices memoized.
+
+    ``which`` names a limit: "rho" (rho_0) or "sigma" (sigma_0 = tau_0 - c rho_0).
+    """
+
+    __slots__ = ("rho", "sigma", "_memo")
+
+    def __init__(self, rho_limit: PositiveOperator, sigma_limit: PositiveOperator):
+        self.rho = rho_limit
+        self.sigma = sigma_limit
+        self._memo = {}
+
+    def top_multiplicity(self, which: str) -> int:
+        return self._memoized(which, None, top_multiplicity)
+
+    def stable_index(self, which: str, m: int):
+        return self._memoized(which, m, lambda limit: largest_stable_index(limit, m))
+
+    def _memoized(self, which, m, compute):
+        key = (which, m)
+        if key not in self._memo:
+            self._memo[key] = compute(getattr(self, which))
+        return self._memo[key]
+
+
+def _dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float, m: int,
+                          cuts: _LimitCuts) -> TruncationResult:
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
     diff = tau.sub(rho.scale(c))
@@ -143,19 +174,19 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
         raise ValueError(f"tau - c*rho is not PSD: most negative eigenvalue {lam_min:.3e}")
     sigma = _clip_positive(diff)
     sigma_zero = sigma.trace() <= default_rank_tol(sigma.dim, sigma.operator_norm())
-    m_star = top_multiplicity(rho_limit)
+    m_star = cuts.top_multiplicity("rho")
     if not sigma_zero:
-        m_star = max(m_star, top_multiplicity(sigma_limit))
+        m_star = max(m_star, cuts.top_multiplicity("sigma"))
     if m < m_star:
         raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
-    mh_rho = largest_stable_index(rho_limit, m)
+    mh_rho = cuts.stable_index("rho", m)
     if mh_rho is None:
         raise ValueError(f"no stable index of the rho limit at or below m = {m}")
     head_rho = spectral_truncation(rho, mh_rho)
     if sigma_zero:
         head = head_rho.head.scale(c)
         return TruncationResult(head, head_rho.tail.scale(c), head.trace(), head_rho.ambiguous)
-    mh_sigma = largest_stable_index(sigma_limit, m)
+    mh_sigma = cuts.stable_index("sigma", m)
     if mh_sigma is None:
         raise ValueError(f"no stable index of the sigma limit at or below m = {m}")
     head_sigma = spectral_truncation(sigma, mh_sigma)
@@ -176,12 +207,14 @@ class ApproximationScheme:
 
     The dominated kind truncates tau_n = c rho_n + sigma_n by cutting rho_n
     and sigma_n = tau_n - c rho_n separately at stable indices of the limit
-    operators.
+    operators.  The limit operators and their cut indices are worked out
+    once per sequence.
     """
 
     kind: str = "spectral"  # "spectral" or "dominated"
     c: float = 1.0
     dominated: OperatorSequence | None = None
+    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("spectral", "dominated"):
@@ -192,20 +225,27 @@ class ApproximationScheme:
     def truncate(self, seq: OperatorSequence, n: int, m: int) -> TruncationResult:
         if self.kind == "spectral":
             return spectral_truncation(seq(n), m)
-        rho_limit = self.dominated(0)
-        sigma_limit = _clip_positive(seq(0).sub(rho_limit.scale(self.c)))
-        return dominated_truncation(seq(n), self.dominated(n), self.c, m, rho_limit, sigma_limit)
+        return _dominated_truncation(seq(n), self.dominated(n), self.c, m, self._limit_cuts(seq))
 
     def m_floor(self, seq: OperatorSequence) -> int:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""
         if self.kind == "spectral":
             return 1
-        rho_limit = self.dominated(0)
-        sigma_limit = _clip_positive(seq(0).sub(rho_limit.scale(self.c)))
-        m_star = top_multiplicity(rho_limit)
+        cuts = self._limit_cuts(seq)
+        m_star = cuts.top_multiplicity("rho")
+        sigma_limit = cuts.sigma
         if sigma_limit.trace() > default_rank_tol(sigma_limit.dim, sigma_limit.operator_norm()):
-            m_star = max(m_star, top_multiplicity(sigma_limit))
+            m_star = max(m_star, cuts.top_multiplicity("sigma"))
         return m_star
+
+    def _limit_cuts(self, seq: OperatorSequence) -> _LimitCuts:
+        # keyed by id; the entry holds seq itself, so the id stays its own
+        entry = self._cuts.get(id(seq))
+        if entry is None:
+            rho_limit = self.dominated(0)
+            sigma_limit = _clip_positive(seq(0).sub(rho_limit.scale(self.c)))
+            entry = self._cuts[id(seq)] = (seq, _LimitCuts(rho_limit, sigma_limit))
+        return entry[1]
 
 
 @dataclass(frozen=True)
@@ -346,6 +386,9 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
 
 
 def _projected_mass(p: Projector, rho: PositiveOperator) -> float:
+    if p.span is not None and p.span[0] is rho.spectrum():
+        spec, lo, hi = p.span
+        return float(np.sum(spec.values[lo:hi]))
     if p.is_diagonal and rho.is_diagonal:
         return float(np.sum(rho.diag[p.diag > 0.5]))
     return float(np.real(np.trace(p.matrix @ rho.matrix)))
@@ -356,6 +399,12 @@ def _probe_vectors(rho_0: PositiveOperator) -> np.ndarray:
 
 
 def _probe_residual(pn: Projector, p0: Projector, probes: np.ndarray) -> float:
+    if pn.span is not None and p0.span is not None:
+        (spec_n, lo_n, hi_n), (spec_0, lo_0, hi_0) = pn.span, p0.span
+        v = spec_n.basis[:, lo_n:hi_n]
+        w = spec_0.basis[:, lo_0:hi_0]
+        d = v @ (v.conj().T @ probes) - w @ (w.conj().T @ probes)
+        return float(np.max(np.linalg.norm(d, axis=0)))
     if pn.is_diagonal and p0.is_diagonal:
         diff = np.abs(pn.diag - p0.diag)
         return float(np.max(diff))
