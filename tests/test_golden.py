@@ -1,4 +1,4 @@
-"""The canonical reports of the 10 builtins against reports frozen in tests/golden/.
+"""The canonical reports of the 10 builtins and the 8 fuzz suites against reports frozen in tests/golden/.
 
 ``golden/builtin_reports_seed3.json`` maps each builtin name to the decoded
 ``report_to_json(run_scenario(builtin_scenario(name), seed=3))``, captured
@@ -7,6 +7,11 @@ the behavioural contract of every refactor below the report layer: statuses,
 ``matched`` flags, names and the "inf" marker must match exactly, and every
 number must agree within 1e-12 * max(1, |golden|).  A mismatch is a change of
 behaviour to explain, never a reason to recapture the file.
+
+``golden/fuzz_reports_seed3.json`` maps each fuzz suite to the decoded
+``dumps_canonical(inequality_fuzz(suite, dim, 200, 3))`` at the dimensions of
+the acceptance test AC2, captured before the PSD checks were unified.  It
+pins the seeded random generators and every worst slack the same way.
 """
 
 import json
@@ -14,9 +19,22 @@ from pathlib import Path
 
 import pytest
 
-from qdini import BUILTIN_SCENARIOS, builtin_scenario, report_to_json, run_scenario
+from qdini import BUILTIN_SCENARIOS, FUZZ_SUITES, builtin_scenario, inequality_fuzz, report_to_json, run_scenario
+from qdini.verdicts import dumps_canonical
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "builtin_reports_seed3.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "builtin_reports_seed3.json").read_text())
+GOLDEN_FUZZ = json.loads((GOLDEN_DIR / "fuzz_reports_seed3.json").read_text())
+FUZZ_DIMS = {  # the dimensions of test_ac2_inequality_fuzz_suites
+    "entropy": 6,
+    "relative-entropy": 6,
+    "mi-bound": 4,
+    "laa-relative-entropy": 6,
+    "laa-channel-mi": 6,
+    "chain-rule": 6,
+    "lindblad-ozawa": 6,
+    "choi-rank": 6,
+}
 NUMBER_TOL = 1e-12
 
 
@@ -57,6 +75,16 @@ def test_builtin_report_matches_golden(name, monkeypatch):
     monkeypatch.delenv("QDINI_THREADS", raising=False)
     report = json.loads(report_to_json(run_scenario(builtin_scenario(name), seed=3)))
     assert first_difference(GOLDEN[name], report, name) is None
+
+
+def test_golden_covers_every_fuzz_suite():
+    assert sorted(GOLDEN_FUZZ) == sorted(FUZZ_SUITES) == sorted(FUZZ_DIMS)
+
+
+@pytest.mark.parametrize("suite", sorted(FUZZ_SUITES))
+def test_fuzz_report_matches_golden(suite):
+    report = json.loads(dumps_canonical(inequality_fuzz(suite, FUZZ_DIMS[suite], trials=200, seed=3)))
+    assert first_difference(GOLDEN_FUZZ[suite], report, suite) is None
 
 
 def test_comparison_is_strict_on_statuses_and_inf():
