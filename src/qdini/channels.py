@@ -110,10 +110,10 @@ def choi_matrix(phi: Channel) -> PositiveOperator:
     return PositiveOperator(vecs.T @ vecs.conj())
 
 
-def reduced_kraus(phi: Channel, rank_tol: float | None = None) -> np.ndarray:
+def reduced_kraus(phi: Channel) -> np.ndarray:
     """Linearly independent Kraus set, stacked (k, d_out, d_in), from the Choi eigendecomposition."""
     spec = choi_matrix(phi).spectrum()
-    k = spec.rank_at(rank_tol)
+    k = spec.rank
     vecs = spec.vectors()[:, :k] * np.sqrt(spec.values[:k])
     return vecs.T.reshape(k, phi.d_out, phi.d_in)
 

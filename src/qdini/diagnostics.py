@@ -32,6 +32,7 @@ from .operators import (
     apply_spectral_function,
     compress,
     default_rank_tol,
+    is_psd,
     moore_penrose_inverse,
 )
 from .truncation import (
@@ -56,7 +57,7 @@ from .verdicts import (
     windowed_sup,
 )
 
-INEQ_SLACK = 1e-8
+INEQ_SLACK = 1e-8  # a slack below -INEQ_SLACK is a violation (verdicts and fuzz suites)
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,9 @@ def output_entropy_family(channel_seq: ChannelSequence, label: str = "S(Phi_n(.)
     )
 
 
-def _fv(x: ExtendedReal) -> float:
-    return float(x)
+def _limit_trend(name: str, vals) -> TrendSummary:
+    """Residuals |v_n - v_0| of finite values v_0, v_1, ... as a trend."""
+    return TrendSummary.from_residuals(name, [abs(float(v) - float(vals[0])) for v in vals[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +195,14 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
             head_state = normalize(tr.head)
             tail_state = normalize(tr.tail)
             if head_state is None:
-                gap = _fv(f_rho)
+                gap = float(f_rho)
             else:
                 f_head = family.value(n, head_state)
                 if f_rho.is_inf or f_head.is_inf:
                     gap = math.inf
                     flags.append("inf-gap")
                 else:
-                    gap = _fv(f_rho) - _fv(f_head)
+                    gap = float(f_rho) - float(f_head)
             tail_mass = tr.tail.trace()
             if tail_state is None or tail_mass <= 0.0:
                 tail = 0.0
@@ -210,7 +212,7 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
                     tail = math.inf
                     flags.append("inf-tail")
                 else:
-                    tail = tail_mass * _fv(f_tail)
+                    tail = tail_mass * float(f_tail)
             cells.append(GridCell(n, m, tr.mass, gap, tail, tuple(flags)))
     return DiagnosticsGrid(tuple(range(n_max + 1)), tuple(range(m_lo, m_max + 1)), tuple(cells))
 
@@ -239,7 +241,7 @@ def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence
             if f_head.is_inf:
                 continue
             mu = min(max(tr.mass / t, 0.0), 1.0)
-            slack = _fv(f_rho) - mu * _fv(f_head) + family.a_f(1.0 - mu)
+            slack = float(f_rho) - mu * float(f_head) + family.a_f(1.0 - mu)
             worst = min(worst, slack)
     return worst
 
@@ -257,11 +259,11 @@ def laa_check(family: FunctionalFamily, n: int, rho: DensityOperator,
     f_sigma = family.value(n, sigma)
     if f_mix.is_inf or f_rho.is_inf or f_sigma.is_inf:
         return None, None
-    combo = p * _fv(f_rho) + (1.0 - p) * _fv(f_sigma)
-    a_slack = _fv(f_mix) - combo + family.a_f(p)
+    combo = p * float(f_rho) + (1.0 - p) * float(f_sigma)
+    a_slack = float(f_mix) - combo + family.a_f(p)
     b_slack = None
     if family.b_f is not None:
-        b_slack = combo + family.b_f(p) - _fv(f_mix)
+        b_slack = combo + family.b_f(p) - float(f_mix)
     return a_slack, b_slack
 
 
@@ -298,7 +300,7 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
         if gv.is_inf:
             dom_ok, dom_detail = False, f"|g| infinite with finite f at {tag}"
             continue
-        slack = _fv(fv) - abs(_fv(gv))
+        slack = float(fv) - abs(float(gv))
         if slack < dom_slack:
             dom_slack = slack
         if slack < -INEQ_SLACK:
@@ -325,14 +327,10 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
     trends = []
     f_trend = g_trend = None
     if not inf_in_f:
-        f_trend = TrendSummary.from_residuals(
-            "|f_n(rho_n) - f_0(rho_0)|",
-            [abs(_fv(v) - _fv(f_vals[0])) for v in f_vals[1:]])
+        f_trend = _limit_trend("|f_n(rho_n) - f_0(rho_0)|", f_vals)
         trends.append(f_trend)
     if not inf_in_g:
-        g_trend = TrendSummary.from_residuals(
-            "|g_n(rho_n) - g_0(rho_0)|",
-            [abs(_fv(v) - _fv(g_vals[0])) for v in g_vals[1:]])
+        g_trend = _limit_trend("|g_n(rho_n) - g_0(rho_0)|", g_vals)
         trends.append(g_trend)
     checks = (
         CheckResult("|g_n| <= f_n on window and truncations", dom_ok, float(dom_slack), dom_detail),
@@ -375,22 +373,18 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     trends = []
     values = {}
     if not inf_tau:
-        a_window = max(0.0, windowed_sup([_fv(v) - _fv(tau_vals[0]) for v in tau_vals[1:]], n_max))
+        a_window = max(0.0, windowed_sup([float(v) - float(tau_vals[0]) for v in tau_vals[1:]], n_max))
         values["A_window"] = a_window
         values["conclusion_bound"] = a_window / c + g_c(a_window)
-        trends.append(TrendSummary.from_residuals(
-            "|f_n(tau_n) - f_0(tau_0)|",
-            [abs(_fv(v) - _fv(tau_vals[0])) for v in tau_vals[1:]]))
+        trends.append(_limit_trend("|f_n(tau_n) - f_0(tau_0)|", tau_vals))
         if not inf_rho:
             # reported for inspection only: on a finite window the surrogate
             # A can undershoot the limsup it stands in for, so the bound does
             # not gate the status
             values["conclusion_window"] = windowed_sup(
-                [_fv(v) - _fv(rho_vals[0]) for v in rho_vals[1:]], n_max)
+                [float(v) - float(rho_vals[0]) for v in rho_vals[1:]], n_max)
     if not inf_rho:
-        trends.append(TrendSummary.from_residuals(
-            "|f_n(rho_n) - f_0(rho_0)|",
-            [abs(_fv(v) - _fv(rho_vals[0])) for v in rho_vals[1:]]))
+        trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", rho_vals))
     slack = min(
         truncation_lower_bound_slack(f, tau_seq, ApproximationScheme("spectral"), n_max, m_max),
         truncation_lower_bound_slack(f, rho_seq, ApproximationScheme("spectral"), n_max, m_max),
@@ -432,12 +426,8 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     inf_hyp = any(v.is_inf for v in rho_vals + sigma_vals)
     trends = []
     if not inf_hyp:
-        trends.append(TrendSummary.from_residuals(
-            "|f_n(rho_n) - f_0(rho_0)|",
-            [abs(_fv(v) - _fv(rho_vals[0])) for v in rho_vals[1:]]))
-        trends.append(TrendSummary.from_residuals(
-            "|f_n(sigma_n) - f_0(sigma_0)|",
-            [abs(_fv(v) - _fv(sigma_vals[0])) for v in sigma_vals[1:]]))
+        trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", rho_vals))
+        trends.append(_limit_trend("|f_n(sigma_n) - f_0(sigma_0)|", sigma_vals))
     hyp_trends_ok = bool(trends) and all(t.shrinks for t in trends)
     stable = sorted(set(stable_index_set(rho_seq(0), m_max)) & set(stable_index_set(sigma_seq(0), m_max)))
     checks = [
@@ -461,9 +451,9 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
                 ok = False
                 break
             if n == 0:
-                ref = _fv(val)
+                ref = float(val)
             else:
-                residuals.append(abs(_fv(val) - ref))
+                residuals.append(abs(float(val) - ref))
         if ok and residuals:
             sumrel_trends.append(TrendSummary.from_residuals(
                 f"truncated-mixture residual, m = {m}", residuals))
@@ -478,9 +468,9 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
             mix_inf = True
             break
         if n == 0:
-            mix_ref = _fv(val)
+            mix_ref = float(val)
         else:
-            mix_residuals.append(abs(_fv(val) - mix_ref))
+            mix_residuals.append(abs(float(val) - mix_ref))
     mix_trend = None
     if not mix_inf:
         mix_trend = TrendSummary.from_residuals(
@@ -531,15 +521,13 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
             head_vals.append(hv)
             tail_vals.append(tv)
         if not any(v.is_inf for v in head_vals):
-            trend = TrendSummary.from_residuals(
-                f"head residual, m = {m}",
-                [abs(_fv(v) - _fv(head_vals[0])) for v in head_vals[1:]])
+            trend = _limit_trend(f"head residual, m = {m}", head_vals)
             trends.append(trend)
             head_ok = head_ok and trend.shrinks
         else:
             head_ok = False
         window = [v for n, v in enumerate(tail_vals) if n >= n_0]
-        tails.append(math.inf if any(v.is_inf for v in window) else max(_fv(v) for v in window))
+        tails.append(math.inf if any(v.is_inf for v in window) else max(float(v) for v in window))
     tail_trend = TrendSummary.from_residuals("tail sup over m", tails)
     trends.append(tail_trend)
     tail_vanishes = shrinks_toward_zero(tails)
@@ -584,8 +572,8 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     for n in range(1, n_max + 1):
         _psd_or_raise(rho1(n).sub(rho2(n).scale(c_rho)), f"c_rho*rho2_n <= rho1_n at n = {n}")
         _psd_or_raise(sigma2(n).sub(sigma1(n).scale(c_sigma)), f"c_sigma*sigma1_n <= sigma2_n at n = {n}")
-    limit_rho_ok = _is_psd(rho1(0).sub(rho2(0).scale(c_rho)))
-    limit_sigma_ok = _is_psd(sigma2(0).sub(sigma1(0).scale(c_sigma)))
+    limit_rho_ok = is_psd(rho1(0).sub(rho2(0).scale(c_rho)))
+    limit_sigma_ok = is_psd(sigma2(0).sub(sigma1(0).scale(c_sigma)))
     hyp_vals = [relative_entropy(rho1(n), sigma1(n)) for n in range(n_max + 1)]
     con_vals = [relative_entropy(rho2(n), sigma2(n)) for n in range(n_max + 1)]
     inf_hyp = any(v.is_inf for v in hyp_vals)
@@ -596,15 +584,13 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     ]
     trends = []
     values = {
-        "hypothesis": [(_fv(v) if not v.is_inf else math.inf) for v in hyp_vals],
-        "conclusion": [(_fv(v) if not v.is_inf else math.inf) for v in con_vals],
+        "hypothesis": [float(v) for v in hyp_vals],
+        "conclusion": [float(v) for v in con_vals],
     }
     if inf_hyp:
         return Verdict("relative-entropy-domination", INCONCLUSIVE,
                        hypothesis_checks=tuple(checks), trend_only=True, values=values)
-    trends.append(TrendSummary.from_residuals(
-        "|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|",
-        [abs(_fv(v) - _fv(hyp_vals[0])) for v in hyp_vals[1:]]))
+    trends.append(_limit_trend("|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", hyp_vals))
     hyp_ok = trends[0].shrinks
     inf_cells = [n for n, v in enumerate(con_vals) if v.is_inf]
     if inf_cells:
@@ -615,9 +601,7 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         return Verdict("relative-entropy-domination", status,
                        hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
                        trend_only=True, values=values)
-    con_trend = TrendSummary.from_residuals(
-        "|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|",
-        [abs(_fv(v) - _fv(con_vals[0])) for v in con_vals[1:]])
+    con_trend = _limit_trend("|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|", con_vals)
     trends.append(con_trend)
     status = CONSISTENT if hyp_ok and con_trend.shrinks else INCONCLUSIVE
     return Verdict("relative-entropy-domination", status,
@@ -643,10 +627,10 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
         if d_rho[n].is_inf or d_sigma[n].is_inf or d_sum[n].is_inf:
             continue
         tr_omega = omega_seq(n).trace()
-        lower = _fv(d_rho[n]) + _fv(d_sigma[n]) - tr_omega
+        lower = float(d_rho[n]) + float(d_sigma[n]) - tr_omega
         upper = lower + binary_entropy_extension(rho_seq(n).trace(), sigma_seq(n).trace())
-        lo_slack = _fv(d_sum[n]) - lower
-        hi_slack = upper - _fv(d_sum[n])
+        lo_slack = float(d_sum[n]) - lower
+        hi_slack = upper - float(d_sum[n])
         for tag, slack in (("lower", lo_slack), ("upper", hi_slack)):
             if slack < guard_slack:
                 guard_slack = slack
@@ -657,34 +641,24 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
         CheckResult("per-n sum inequalities", guard_ok, float(guard_slack), guard_detail),
     ]
     trends = []
-    values = {"conclusion": [(_fv(v) if not v.is_inf else math.inf) for v in d_sum]}
+    values = {"conclusion": [float(v) for v in d_sum]}
     if not inf_hyp:
-        trends.append(TrendSummary.from_residuals(
-            "|D(rho_n||omega_n) - D(rho_0||omega_0)|",
-            [abs(_fv(v) - _fv(d_rho[0])) for v in d_rho[1:]]))
-        trends.append(TrendSummary.from_residuals(
-            "|D(sigma_n||omega_n) - D(sigma_0||omega_0)|",
-            [abs(_fv(v) - _fv(d_sigma[0])) for v in d_sigma[1:]]))
+        trends.append(_limit_trend("|D(rho_n||omega_n) - D(rho_0||omega_0)|", d_rho))
+        trends.append(_limit_trend("|D(sigma_n||omega_n) - D(sigma_0||omega_0)|", d_sigma))
     inf_sum = any(v.is_inf for v in d_sum)
     if not inf_sum:
-        trends.append(TrendSummary.from_residuals(
-            "|D(rho_n+sigma_n||omega_n) - D(rho_0+sigma_0||omega_0)|",
-            [abs(_fv(v) - _fv(d_sum[0])) for v in d_sum[1:]]))
+        trends.append(_limit_trend("|D(rho_n+sigma_n||omega_n) - D(rho_0+sigma_0||omega_0)|", d_sum))
     if theta_seq is not None:
         d_theta = [relative_entropy(sigma_seq(n), theta_seq(n)) for n in range(n_max + 1)]
         d_shift = [relative_entropy(rho_seq(n).add(sigma_seq(n)), omega_seq(n).add(theta_seq(n)))
                    for n in range(n_max + 1)]
-        values["shifted_conclusion"] = [(_fv(v) if not v.is_inf else math.inf) for v in d_shift]
+        values["shifted_conclusion"] = [float(v) for v in d_shift]
         if not any(v.is_inf for v in d_theta):
-            trends.append(TrendSummary.from_residuals(
-                "|D(sigma_n||theta_n) - D(sigma_0||theta_0)|",
-                [abs(_fv(v) - _fv(d_theta[0])) for v in d_theta[1:]]))
+            trends.append(_limit_trend("|D(sigma_n||theta_n) - D(sigma_0||theta_0)|", d_theta))
         else:
             inf_hyp = True
         if not any(v.is_inf for v in d_shift):
-            trends.append(TrendSummary.from_residuals(
-                "|D(rho_n+sigma_n||omega_n+theta_n) - D(...limit...)|",
-                [abs(_fv(v) - _fv(d_shift[0])) for v in d_shift[1:]]))
+            trends.append(_limit_trend("|D(rho_n+sigma_n||omega_n+theta_n) - D(...limit...)|", d_shift))
         else:
             inf_sum = True
     if not guard_ok:
@@ -721,24 +695,16 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     mi_sigma = [mi.value(n, sigma_seq(n)) for n in range(n_max + 1)]
     mi_rho = [mi.value(n, rho_seq(n)) for n in range(n_max + 1)]
     trends = [
-        TrendSummary.from_residuals(
-            "|I(Phi_n,sigma_n) - I(Phi_0,sigma_0)|",
-            [abs(_fv(v) - _fv(mi_sigma[0])) for v in mi_sigma[1:]]),
-        TrendSummary.from_residuals(
-            "|I(Phi_n,rho_n) - I(Phi_0,rho_0)|",
-            [abs(_fv(v) - _fv(mi_rho[0])) for v in mi_rho[1:]]),
+        _limit_trend("|I(Phi_n,sigma_n) - I(Phi_0,sigma_0)|", mi_sigma),
+        _limit_trend("|I(Phi_n,rho_n) - I(Phi_0,rho_0)|", mi_rho),
     ]
     mix_vals = [mi.value(n, rho_seq(n).scale(p[n]).add(sigma_seq(n).scale(1.0 - p[n])))
                 for n in range(n_max + 1)]
-    trends.append(TrendSummary.from_residuals(
-        "|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|",
-        [abs(_fv(v) - _fv(mix_vals[0])) for v in mix_vals[1:]]))
+    trends.append(_limit_trend("|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|", mix_vals))
     s_in = [ent.value(n, rho_seq(n)) for n in range(n_max + 1)]
     s_out = [out_ent.value(n, rho_seq(n)) for n in range(n_max + 1)]
-    in_trend = TrendSummary.from_residuals(
-        "|S(rho_n) - S(rho_0)|", [abs(_fv(v) - _fv(s_in[0])) for v in s_in[1:]])
-    out_trend = TrendSummary.from_residuals(
-        "|S(Phi_n(rho_n)) - S(Phi_0(rho_0))|", [abs(_fv(v) - _fv(s_out[0])) for v in s_out[1:]])
+    in_trend = _limit_trend("|S(rho_n) - S(rho_0)|", s_in)
+    out_trend = _limit_trend("|S(Phi_n(rho_n)) - S(Phi_0(rho_0))|", s_out)
     trends.extend([in_trend, out_trend])
     checks = [
         CheckResult("entropy sufficient condition (inputs or outputs)",
@@ -751,7 +717,7 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
         for m in range(schedule.m_0, min(m_max, schedule.m_max) + 1):
             vals = [out_ent.value(n, compress(rho_seq(n), schedule.projector(n, m).complement()))
                     for n in range(n_max + 1)]
-            tails.append(max(_fv(v) for v in vals))
+            tails.append(max(float(v) for v in vals))
         tail_trend = TrendSummary.from_residuals("output-entropy tail sup over m", tails)
         trends.append(tail_trend)
         tail_ok = shrinks_toward_zero(tails)
@@ -793,8 +759,8 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         l1 = regularized_log_ladder(rho1(n), sigma1(n), k_schedule)
         l2 = regularized_log_ladder(rho2(n), sigma2(n), k_schedule)
         for i, k in enumerate(l1.k_values):
-            d1 = _fv(a1[n]) - l1.a_k[i]
-            d2 = _fv(a2[n]) - l2.a_k[i]
+            d1 = float(a1[n]) - l1.a_k[i]
+            d2 = float(a2[n]) - l2.a_k[i]
             for tag, slack in (("0 <= a2_n - a2_(k,n)", d2 + INEQ_SLACK),
                                ("a2 difference <= a1 difference", d1 - d2 + INEQ_SLACK)):
                 if slack < ladder_slack:
@@ -804,15 +770,15 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     checks.append(CheckResult("ladder difference comparisons", ladder_ok, float(ladder_slack), ladder_detail))
     sq_ok, sq_slack = _spectral_form_identity(rho1, sigma1, n_max)
     checks.append(CheckResult("Tr H rho equals the eigenvector quadratic-form sum", sq_ok, sq_slack))
-    a1_window = windowed_sup([_fv(v) for v in a1[1:]], n_max)
-    delta = max(0.0, a1_window - _fv(a1[0]))
-    a2_window = windowed_sup([_fv(v) for v in a2[1:]], n_max)
-    bound_slack = delta + INEQ_SLACK - (a2_window - _fv(a2[0]))
+    a1_window = windowed_sup([float(v) for v in a1[1:]], n_max)
+    delta = max(0.0, a1_window - float(a1[0]))
+    a2_window = windowed_sup([float(v) for v in a2[1:]], n_max)
+    bound_slack = delta + INEQ_SLACK - (a2_window - float(a2[0]))
     bound_ok = bound_slack >= 0.0
     checks.append(CheckResult("windowed A_2 - a2_0 <= Delta", bound_ok, bound_slack))
     trends = (
-        TrendSummary.from_residuals("|a1_n - a1_0|", [abs(_fv(v) - _fv(a1[0])) for v in a1[1:]]),
-        TrendSummary.from_residuals("|a2_n - a2_0|", [abs(_fv(v) - _fv(a2[0])) for v in a2[1:]]),
+        _limit_trend("|a1_n - a1_0|", a1),
+        _limit_trend("|a2_n - a2_0|", a2),
     )
     if not ladder_ok or not sq_ok:
         status = VIOLATED
@@ -858,13 +824,6 @@ def _require_psd_domination(lower: OperatorSequence, upper: OperatorSequence,
 
 
 def _psd_or_raise(diff: HermitianOperator, label: str):
-    lam_min = float(np.min(diff.diag)) if diff.is_diagonal else float(np.min(np.linalg.eigvalsh(diff.matrix)))
-    scale = diff.operator_norm()
-    if lam_min < -(1e-10 * max(scale, 1e-30) + 1e-15):
-        raise ValueError(f"PSD domination fails ({label}): most negative eigenvalue {lam_min:.3e}")
-
-
-def _is_psd(diff: HermitianOperator) -> bool:
-    lam_min = float(np.min(diff.diag)) if diff.is_diagonal else float(np.min(np.linalg.eigvalsh(diff.matrix)))
-    scale = diff.operator_norm()
-    return lam_min >= -(1e-10 * max(scale, 1e-30) + 1e-15)
+    if not is_psd(diff):
+        raise ValueError(f"PSD domination fails ({label}): most negative eigenvalue "
+                         f"{diff.eigenvalues()[-1]:.3e}")

@@ -17,7 +17,6 @@ import numpy as np
 from .extreal import INFINITY, ExtendedReal, finite
 from .operators import (
     DensityOperator,
-    HermitianOperator,
     PositiveOperator,
     Projector,
     compress,
@@ -99,16 +98,10 @@ def quantum_mutual_information(rho_ab: DensityOperator, d_a: int, d_b: int) -> E
         raise ValueError(f"dim {rho_ab.dim} != d_a*d_b = {d_a * d_b}")
     rho_a = partial_trace(rho_ab, "A", d_a, d_b)
     rho_b = partial_trace(rho_ab, "B", d_a, d_b)
-    s_a = float(von_neumann_entropy(_as_pos(rho_a)))
-    s_b = float(von_neumann_entropy(_as_pos(rho_b)))
+    s_a = float(von_neumann_entropy(PositiveOperator.of(rho_a)))
+    s_b = float(von_neumann_entropy(PositiveOperator.of(rho_b)))
     s_ab = float(von_neumann_entropy(rho_ab))
     return finite(s_a + s_b - s_ab)
-
-
-def _as_pos(h: HermitianOperator) -> PositiveOperator:
-    if h.is_diagonal:
-        return PositiveOperator(diagonal=np.clip(h.diag, 0.0, None))
-    return PositiveOperator(h.matrix)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,12 @@ parent: they carry a spectrum derived from the parent's and cost no
 eigensolve.  A projector cut from a dense spectrum is a range of that
 spectrum's basis: compressions onto it, nesting and mass tests read the
 range, and its matrix is built (and checked) only when someone asks for it.
+
+One PSD rule decides positivity, and this is the only module that calls
+numpy's eigensolvers.  ``PositiveOperator`` enforces the rule,
+``PositiveOperator.of`` turns a Hermitian result (a difference, a partial
+trace) into a checked positive operator, and ``is_psd`` answers the same
+question without building one.
 """
 
 from __future__ import annotations
@@ -129,11 +135,6 @@ class HermitianOperator:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def allclose(self, other: "HermitianOperator", atol=1e-10) -> bool:
-        if self.is_diagonal and other.is_diagonal:
-            return bool(np.allclose(self._diag, other._diag, atol=atol))
-        return bool(np.allclose(self.matrix, other.matrix, atol=atol))
-
     def __repr__(self):
         kind = "diagonal" if self.is_diagonal else "dense"
         return f"<{type(self).__name__} dim={self.dim} {kind}>"
@@ -193,15 +194,10 @@ class Spectrum:
             self._groups = _multiplicity_groups(self.values, self.gap_tol)
         return self._groups
 
-    def rank_at(self, rank_tol: float | None = None) -> int:
-        if rank_tol is None:
-            return self.rank
-        return int(np.count_nonzero(self.values > rank_tol))
-
-    def kept(self, rank_tol: float | None = None) -> np.ndarray:
+    def kept(self) -> np.ndarray:
         """The values with those at or below the rank tolerance set to 0."""
         out = self.values.copy()
-        out[self.rank_at(rank_tol):] = 0.0
+        out[self.rank:] = 0.0
         return out
 
     def vectors(self) -> np.ndarray:
@@ -283,25 +279,54 @@ def _check_orthonormal(basis: np.ndarray):
                                  f"||V*V - I||_F = {err:.3e}")
 
 
+def _extreme_eigenvalues(h: HermitianOperator):
+    """(lambda_min, lambda_max, all eigenvalues ascending or None for a diagonal h)."""
+    if h.is_diagonal:
+        return float(h.diag.min()), float(h.diag.max()), None
+    eigs = np.linalg.eigvalsh(h.matrix)
+    return float(eigs[0]), float(eigs[-1]), eigs
+
+
+def _psd_tol(lam_max: float) -> float:
+    """The PSD rule: an operator is positive iff lambda_min >= -_psd_tol(lambda_max)."""
+    return PSD_REL_TOL * max(lam_max, 0.0) + 1e-15
+
+
+def is_psd(h: HermitianOperator) -> bool:
+    """Whether h passes the PSD rule of ``PositiveOperator``; builds no operator."""
+    lam_min, lam_max, _ = _extreme_eigenvalues(h)
+    return lam_min >= -_psd_tol(lam_max)
+
+
 class PositiveOperator(HermitianOperator):
-    """Hermitian operator with spectrum >= -tau_psd; eigenvalues clamp to 0 on read."""
+    """Hermitian operator passing the PSD rule; its eigenvalues clamp to 0.
+
+    The rule (see ``is_psd``) allows lambda_min down to
+    -(PSD_REL_TOL * max(lambda_max, 0) + 1e-15).  A dense operator keeps its
+    matrix and clamps the spectrum it checked with; a diagonal operator
+    stores its diagonal clamped at 0.
+    """
 
     __slots__ = ("_spectrum",)
 
     def __init__(self, matrix=None, *, diagonal=None):
         super().__init__(matrix, diagonal=diagonal)
-        if self.is_diagonal:
-            lam_min = float(self._diag.min())
-            lam_max = float(self._diag.max())
-            self._spectrum = None  # sorted on first spectral read
-        else:
-            eigs = np.linalg.eigvalsh(self._mat)
-            lam_min = float(eigs[0])
-            lam_max = float(eigs[-1])
-            self._spectrum = Spectrum(np.maximum(eigs[::-1], 0.0), diagonal=False, source=self._mat)
-        tol = PSD_REL_TOL * max(lam_max, 0.0) + 1e-15
+        lam_min, lam_max, eigs = _extreme_eigenvalues(self)
+        tol = _psd_tol(lam_max)
         if lam_min < -tol:
             raise ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{tol:.3e}")
+        if self.is_diagonal:
+            np.maximum(self._diag, 0.0, out=self._diag)  # the constructor's own copy
+            self._spectrum = None  # sorted on first spectral read
+        else:
+            self._spectrum = Spectrum(np.maximum(eigs[::-1], 0.0), diagonal=False, source=self._mat)
+
+    @classmethod
+    def of(cls, h: HermitianOperator) -> "PositiveOperator":
+        """h as a positive operator, checked by the PSD rule; a diagonal h stays diagonal."""
+        if h.is_diagonal:
+            return cls(diagonal=h.diag)
+        return cls(h.matrix)
 
     @classmethod
     def _with_spectrum(cls, spectrum: Spectrum | None, matrix=None, diagonal=None):
@@ -330,8 +355,8 @@ class PositiveOperator(HermitianOperator):
         """Clamped eigenvalues in non-increasing order."""
         return self.spectrum().values.copy()
 
-    def rank(self, rank_tol: float | None = None) -> int:
-        return self.spectrum().rank_at(rank_tol)
+    def rank(self) -> int:
+        return self.spectrum().rank
 
     def rescaled(self, c: float, cls=None) -> "PositiveOperator":
         """c * self for c >= 0, with its spectrum scaled from this one (no eigensolve).
@@ -342,7 +367,7 @@ class PositiveOperator(HermitianOperator):
         cls = PositiveOperator if cls is None else cls
         spec = None if self._spectrum is None else self._spectrum.scaled(c)
         if self.is_diagonal:
-            return cls._with_spectrum(spec, diagonal=np.clip(self._diag, 0.0, None) * c)
+            return cls._with_spectrum(spec, diagonal=self._diag * c)
         return cls._with_spectrum(spec, matrix=self._mat * c)
 
     def scale(self, c: float) -> HermitianOperator:
@@ -357,7 +382,7 @@ class PositiveOperator(HermitianOperator):
             return super().add(other)
         self._check_dim(other)
         if self.is_diagonal and other.is_diagonal:
-            return PositiveOperator(diagonal=np.clip(self._diag, 0.0, None) + np.clip(other._diag, 0.0, None))
+            return PositiveOperator(diagonal=self._diag + other._diag)
         return PositiveOperator(self.matrix + other.matrix)
 
 
@@ -435,7 +460,7 @@ class Projector(HermitianOperator):
             return Projector(diagonal=1.0 - self._diag, rank=self.dim - self.rank)
         return Projector(np.eye(self.dim) - self.matrix, rank=self.dim - self.rank)
 
-    def leq(self, other: "Projector", atol=1e-9) -> bool:
+    def leq(self, other: "Projector") -> bool:
         """Range inclusion: P <= Q iff QP = P."""
         if self.span is not None and other.span is not None and self.span[0] is other.span[0]:
             _, lo, hi = self.span
@@ -443,7 +468,7 @@ class Projector(HermitianOperator):
             return lo == hi or other_lo <= lo and hi <= other_hi
         if self.is_diagonal and other.is_diagonal:
             return bool(np.all(other._diag[self._diag > 0.5] > 0.5))
-        return bool(np.allclose(other.matrix @ self.matrix, self.matrix, atol=atol))
+        return bool(np.allclose(other.matrix @ self.matrix, self.matrix, atol=1e-9))
 
 
 def _check_idempotent(m: np.ndarray):
@@ -470,7 +495,7 @@ def compress(rho: PositiveOperator, p: Projector) -> PositiveOperator:
         order = np.concatenate([np.arange(lo, hi), np.arange(lo), np.arange(hi, rho.dim)])
         return spec.reordered(values, order).operator()
     if rho.is_diagonal and p.is_diagonal:
-        return PositiveOperator(diagonal=np.clip(rho.diag * p.diag, 0.0, None))
+        return PositiveOperator(diagonal=rho.diag * p.diag)
     pm = p.matrix
     return PositiveOperator(pm @ rho.matrix @ pm)
 
@@ -532,7 +557,7 @@ def _multiplicity_groups(lam: np.ndarray, gap_tol: float) -> list:
     return groups
 
 
-def eigh(a: HermitianOperator, gap_tol: float | None = None) -> SpectralDecomposition:
+def eigh(a: HermitianOperator) -> SpectralDecomposition:
     """Spectral decomposition, eigenvalues sorted non-increasing.
 
     Ordering is deterministic: descending eigenvalues with stable index
@@ -542,8 +567,7 @@ def eigh(a: HermitianOperator, gap_tol: float | None = None) -> SpectralDecompos
     """
     if isinstance(a, PositiveOperator):
         spec = a.spectrum()
-        groups = spec.multiplicity_groups if gap_tol is None else _multiplicity_groups(spec.values, gap_tol)
-        return SpectralDecomposition(spec.values.copy(), spec.vectors(), list(groups))
+        return SpectralDecomposition(spec.values.copy(), spec.vectors(), list(spec.multiplicity_groups))
     if a.is_diagonal:
         order = np.argsort(-a.diag, kind="stable")
         lam = a.diag[order].copy()
@@ -552,14 +576,13 @@ def eigh(a: HermitianOperator, gap_tol: float | None = None) -> SpectralDecompos
     else:
         lam, vec = _eigh(a.matrix)
     lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = GAP_REL_TOL * lam_max if gap_tol is None else gap_tol
-    return SpectralDecomposition(lam, vec, _multiplicity_groups(lam, tol))
+    return SpectralDecomposition(lam, vec, _multiplicity_groups(lam, GAP_REL_TOL * lam_max))
 
 
-def apply_spectral_function(a: PositiveOperator, f, rank_tol: float | None = None) -> HermitianOperator:
+def apply_spectral_function(a: PositiveOperator, f) -> HermitianOperator:
     """V f(Lambda) V*; eigenvalues at or below the rank tolerance become exactly 0."""
     spec = a.spectrum()
-    lam = spec.kept(rank_tol)
+    lam = spec.kept()
     vals = np.array([float(f(x)) for x in lam])
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -570,16 +593,16 @@ def apply_spectral_function(a: PositiveOperator, f, rank_tol: float | None = Non
     return HermitianOperator(spec.compose(vals))
 
 
-def support_projector(a: PositiveOperator, rank_tol: float | None = None) -> Projector:
+def support_projector(a: PositiveOperator) -> Projector:
     """Projector onto the span of eigenvectors with eigenvalue above the rank tolerance."""
     spec = a.spectrum()
-    return spec.projector(spec.rank_at(rank_tol))
+    return spec.projector(spec.rank)
 
 
-def moore_penrose_inverse(a: PositiveOperator, rank_tol: float | None = None) -> PositiveOperator:
+def moore_penrose_inverse(a: PositiveOperator) -> PositiveOperator:
     """Pseudoinverse: invert eigenvalues above the rank tolerance, zero the rest."""
     spec = a.spectrum()
-    r = spec.rank_at(rank_tol)
+    r = spec.rank
     # 1/lambda grows along the support, so the inverse lists it reversed
     order = np.concatenate([np.arange(r)[::-1], np.arange(r, a.dim)])
     inv = np.zeros(a.dim)
@@ -608,7 +631,7 @@ def partial_trace(a: HermitianOperator, keep: str, d_a: int, d_b: int) -> Hermit
     return HermitianOperator(red)
 
 
-def purify(rho: DensityOperator, rank_tol: float | None = None) -> DensityOperator:
+def purify(rho: DensityOperator) -> DensityOperator:
     """Minimal purification on H_A (x) H_R with dim(R) = rank(rho).
 
     The purifying vector is built in the non-increasing eigenbasis so the
@@ -616,7 +639,7 @@ def purify(rho: DensityOperator, rank_tol: float | None = None) -> DensityOperat
     spectrum (1, 0, ..., 0) is known without an eigensolve.
     """
     spec = rho.spectrum()
-    r = spec.rank_at(rank_tol)
+    r = spec.rank
     v = spec.vectors()[:, :r]
     # sum_i sqrt(lambda_i) v_i (x) e_i, with index (a, i) at a * r + i
     psi = (v * np.sqrt(spec.values[:r])).reshape(rho.dim * r)

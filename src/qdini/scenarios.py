@@ -19,6 +19,7 @@ from . import diagnostics as dx
 from .channels import (
     Channel,
     ChannelSequence,
+    channel_mutual_information,
     choi_matrix,
     depolarizing_channel,
     environment_entropy,
@@ -28,6 +29,7 @@ from .channels import (
 )
 from .entropies import (
     binary_entropy,
+    binary_entropy_extension,
     check_entropy_subadditivity_pair,
     compressed_entropy_pair,
     regularized_log_ladder,
@@ -890,7 +892,6 @@ def _fuzz_relative_entropy(rng, dim):
     d_sum = relative_entropy(PositiveOperator(rho.matrix + sigma.matrix), omega)
     if not (d_ro.is_inf or d_so.is_inf or d_sum.is_inf):
         lower = float(d_ro) + float(d_so) - omega.trace()
-        from .entropies import binary_entropy_extension
         upper = lower + binary_entropy_extension(rho.trace(), sigma.trace())
         slacks["sum lower bound"] = float(d_sum) - lower
         slacks["sum upper bound"] = upper - float(d_sum)
@@ -912,8 +913,8 @@ def _fuzz_mi_bound(rng, dim):
     d_a = int(rng.integers(2, min(dim, 4) + 1))
     d_b = int(rng.integers(2, min(dim, 4) + 1))
     rho_ab = random_density(rng, d_a * d_b)
-    s_a = float(von_neumann_entropy(_pos(partial_trace(rho_ab, "A", d_a, d_b))))
-    s_b = float(von_neumann_entropy(_pos(partial_trace(rho_ab, "B", d_a, d_b))))
+    s_a = float(von_neumann_entropy(PositiveOperator.of(partial_trace(rho_ab, "A", d_a, d_b))))
+    s_b = float(von_neumann_entropy(PositiveOperator.of(partial_trace(rho_ab, "B", d_a, d_b))))
     mi = s_a + s_b - float(von_neumann_entropy(rho_ab))
     phi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     rho = random_density(rng, dim)
@@ -925,10 +926,6 @@ def _fuzz_mi_bound(rng, dim):
         "channel mutual information bound": 2.0 * min(s_in, s_out) - mi_ch,
         "mutual information nonnegative": mi,
     }
-
-
-def _pos(h) -> PositiveOperator:
-    return PositiveOperator(h.matrix)
 
 
 def _fuzz_laa_relative_entropy(rng, dim):
@@ -950,7 +947,6 @@ def _fuzz_laa_relative_entropy(rng, dim):
 
 
 def _fuzz_laa_channel_mi(rng, dim):
-    from .channels import channel_mutual_information
     phi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     rho = random_density(rng, dim)
     sigma = random_density(rng, dim)
@@ -966,7 +962,6 @@ def _fuzz_laa_channel_mi(rng, dim):
 
 
 def _fuzz_chain_rule(rng, dim):
-    from .channels import channel_mutual_information
     phi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     psi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     rho = random_density(rng, dim)
@@ -1004,8 +999,6 @@ FUZZ_SUITES = {
     "choi-rank": _fuzz_choi_rank,
 }
 
-FUZZ_SLACK = 1e-8
-
 
 def inequality_fuzz(suite: str, dim: int, trials: int, seed: int) -> dict:
     """Run a named inequality suite; slacks below -1e-8 are violations."""
@@ -1021,7 +1014,7 @@ def inequality_fuzz(suite: str, dim: int, trials: int, seed: int) -> dict:
         for name, slack in slacks.items():
             if name not in worst or slack < worst[name]:
                 worst[name] = slack
-            if slack < -FUZZ_SLACK:
+            if slack < -dx.INEQ_SLACK:
                 violations.append({"trial": trial, "check": name, "slack": slack})
     return {
         "tool": "qdini",

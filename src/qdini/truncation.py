@@ -18,7 +18,6 @@ import numpy as np
 from .entropies import von_neumann_entropy
 from .operators import (
     DensityOperator,
-    HermitianOperator,
     PositiveOperator,
     Projector,
     coordinate_projector,
@@ -104,13 +103,12 @@ def truncated_state_entropy_bound(rho: PositiveOperator, m: int) -> bool:
     return float(von_neumann_entropy(state)) <= math.log(m) + 1e-10
 
 
-def stable_index_set(rho: PositiveOperator, m_max: int, gap_tol: float | None = None):
+def stable_index_set(rho: PositiveOperator, m_max: int):
     """Ranks m where lambda_{m+1} < lambda_m - gap_tol, or lambda_m is zero-rank."""
     spec = rho.spectrum()
     lam = spec.kept()
-    tol = spec.gap_tol if gap_tol is None else gap_tol
     nxt = np.append(lam[1:], 0.0)
-    stable = (nxt < lam - tol) | (lam <= spec.rank_tol)
+    stable = (nxt < lam - spec.gap_tol) | (lam <= spec.rank_tol)
     return [int(m) + 1 for m in np.flatnonzero(stable[:max(m_max, 0)])]
 
 
@@ -167,12 +165,7 @@ def _dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float
                           cuts: _LimitCuts) -> TruncationResult:
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
-    diff = tau.sub(rho.scale(c))
-    lam_min = float(np.min(diff.diag)) if diff.is_diagonal else float(np.min(np.linalg.eigvalsh(diff.matrix)))
-    psd_tol = 1e-10 * max(tau.operator_norm(), 1e-30)
-    if lam_min < -psd_tol:
-        raise ValueError(f"tau - c*rho is not PSD: most negative eigenvalue {lam_min:.3e}")
-    sigma = _clip_positive(diff)
+    sigma = _sigma_part(tau, rho, c)
     sigma_zero = sigma.trace() <= default_rank_tol(sigma.dim, sigma.operator_norm())
     m_star = cuts.top_multiplicity("rho")
     if not sigma_zero:
@@ -195,10 +188,12 @@ def _dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float
     return TruncationResult(head, tail, head.trace(), head_rho.ambiguous or head_sigma.ambiguous)
 
 
-def _clip_positive(h: HermitianOperator) -> PositiveOperator:
-    if h.is_diagonal:
-        return PositiveOperator(diagonal=np.clip(h.diag, 0.0, None))
-    return PositiveOperator(h.matrix)
+def _sigma_part(tau: PositiveOperator, rho: PositiveOperator, c: float) -> PositiveOperator:
+    """sigma = tau - c rho, checked by the PSD rule."""
+    try:
+        return PositiveOperator.of(tau.sub(rho.scale(c)))
+    except ValueError as exc:
+        raise ValueError(f"tau - c*rho: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,7 @@ class ApproximationScheme:
         entry = self._cuts.get(id(seq))
         if entry is None:
             rho_limit = self.dominated(0)
-            sigma_limit = _clip_positive(seq(0).sub(rho_limit.scale(self.c)))
+            sigma_limit = _sigma_part(seq(0), rho_limit, self.c)
             entry = self._cuts[id(seq)] = (seq, _LimitCuts(rho_limit, sigma_limit))
         return entry[1]
 

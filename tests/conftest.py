@@ -1,4 +1,25 @@
-"""Emit one pass/fail summary line per acceptance criterion."""
+"""Shared fixtures, and one pass/fail summary line per acceptance criterion."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Counts of numpy's eigensolver calls by name; every reader looks them up at call time."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            counts[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
 
 ACCEPTANCE_LABELS = {
     "test_ac1_identity_channel_mi_doubles_entropy":

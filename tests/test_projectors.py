@@ -68,20 +68,6 @@ def close(a, b, scale=None) -> bool:
     return bool(np.all(np.abs(a - b) <= TOL * max(1.0, scale)))
 
 
-@pytest.fixture
-def eigensolves(monkeypatch):
-    counts = Counter()
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def counted(*args, _solver=solver, _name=name, **kwargs):
-            counts[_name] += 1
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("name, lam", SPECTRA)
 class TestRangeAgainstDense:
     def test_compress_head_and_tail(self, name, lam):

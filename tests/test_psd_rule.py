@@ -1,0 +1,215 @@
+"""The one PSD rule: ``PositiveOperator``, ``PositiveOperator.of`` and ``is_psd``.
+
+An operator is positive iff lambda_min >= -(PSD_REL_TOL * max(lambda_max, 0)
++ 1e-15).  Every ordering the verdict procedures assume (c rho_n <= tau_n,
+rho2 <= rho1, sigma1 <= sigma2) is decided by that rule, so a diagonal
+input and the same input rotated into a dense basis must get the same
+verdict.  Only ``operators`` may call numpy's eigensolvers.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qdini
+from qdini import (
+    ApproximationScheme,
+    HermitianOperator,
+    OperatorSequence,
+    PositiveOperator,
+    appendix_domination,
+    approximation_gap_grid,
+    check_dct_simon,
+    constant_sequence,
+    dominated_truncation,
+    entropy_family,
+    is_psd,
+    random_unitary,
+    relative_entropy_domination,
+)
+from qdini.operators import PSD_REL_TOL
+
+KINDS = ("diagonal", "dense")
+
+
+def hermitian(values, kind: str) -> HermitianOperator:
+    """diag(values), or the same spectrum rotated into a dense basis."""
+    values = np.asarray(values, dtype=float)
+    if kind == "diagonal":
+        return HermitianOperator(diagonal=values)
+    u = random_unitary(np.random.default_rng(values.size), values.size)
+    return HermitianOperator((u * values) @ u.conj().T)
+
+
+def positive(values, kind: str) -> PositiveOperator:
+    return PositiveOperator.of(hermitian(values, kind))
+
+
+def sequence(limit, pert, kind: str, rate: float = 0.5) -> OperatorSequence:
+    """limit + rate^n pert for n >= 1 and the limit at n = 0, in one fixed basis."""
+    limit = np.asarray(limit, dtype=float)
+    pert = np.asarray(pert, dtype=float)
+    return OperatorSequence(lambda n: positive(limit + (rate ** n if n else 0.0) * pert, kind), limit.size)
+
+
+class TestNonPsdDominatedLimit:
+    """rho_0 = diag(0.6, 0.4), tau_0 = diag(0.2, 0.8), c = 1: tau_0 - rho_0 is not PSD."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_multiplicity_floor_rejects_it(self, kind):
+        scheme = ApproximationScheme("dominated", 1.0, constant_sequence(positive([0.6, 0.4], kind)))
+        with pytest.raises(ValueError, match="not PSD"):
+            scheme.m_floor(constant_sequence(positive([0.2, 0.8], kind)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gap_grid_rejects_it(self, kind):
+        # members n >= 1 are ordered; only the declared limit breaks the ordering
+        rho = sequence([0.6, 0.4], [-0.5, 0.0], kind)
+        tau = sequence([0.2, 0.8], [0.5, 0.0], kind)
+        assert is_psd(tau(1).sub(rho(1)))
+        with pytest.raises(ValueError, match="not PSD"):
+            approximation_gap_grid(entropy_family(), tau, ApproximationScheme("dominated", 1.0, rho), 2, 2)
+
+
+class TestRejectionOnBothPaths:
+    """The diagonal rejection tests of the verdict procedures, diagonal and rotated."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dominated_truncation(self, kind):
+        rho = positive([1.0, 0.0], kind)
+        tau = positive([0.2, 0.5], kind)
+        with pytest.raises(ValueError, match="tau - c\\*rho: operator is not PSD"):
+            dominated_truncation(tau, rho, 1.0, 1, rho, tau)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_check_dct_simon(self, kind):
+        rho = sequence([0.5, 0.5], [0.1, -0.1], kind)
+        tau = constant_sequence(positive([0.1, 0.1], kind))
+        with pytest.raises(ValueError, match="PSD domination fails"):
+            check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_relative_entropy_domination(self, kind):
+        rho1 = sequence([0.4, 0.35, 0.25], [0.02, -0.01, -0.01], kind)
+        rho2 = sequence([0.2, 0.175, 0.125], [0.01, -0.005, -0.005], kind)
+        sigma1 = sequence([0.3, 0.3, 0.4], [0.01, 0.01, -0.02], kind)
+        sigma2 = sequence([0.6, 0.6, 0.8], [0.02, 0.02, -0.04], kind)
+        assert relative_entropy_domination(rho1, rho2, sigma1, sigma2, n_max=4).status == "consistent"
+        with pytest.raises(ValueError, match="PSD domination fails"):
+            relative_entropy_domination(rho2, rho1, sigma1, sigma2, n_max=4)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_appendix_domination(self, kind):
+        rho1 = sequence([0.5, 0.5], [0.0, 0.0], kind)
+        rho2 = OperatorSequence(lambda n: rho1(n).scale(2.0), 2)
+        with pytest.raises(ValueError, match="PSD domination fails"):
+            appendix_domination(rho1, rho2, rho1, rho1, k_schedule=[1, 10], n_max=2)
+
+
+TOL_AT_ONE = PSD_REL_TOL * 1.0 + 1e-15  # the rule's tolerance when lambda_max = 1
+TOL_AT_ZERO = 1e-15  # and when lambda_max <= 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("top, tol", [(1.0, TOL_AT_ONE), (0.0, TOL_AT_ZERO)])
+@pytest.mark.parametrize("factor, inside", [(0.9, True), (1.1, False)])
+def test_constructor_and_is_psd_agree_at_the_boundary(kind, top, tol, factor, inside):
+    h = hermitian([top, 0.5 * top, -factor * tol], kind)
+    assert is_psd(h) is inside
+    if not inside:
+        with pytest.raises(ValueError, match="not PSD"):
+            PositiveOperator.of(h)
+        return
+    op = PositiveOperator.of(h)
+    assert op.is_diagonal == (kind == "diagonal")
+    assert np.all(op.eigenvalues() >= 0.0)
+    if kind == "diagonal":
+        # a diagonal positive operator stores its diagonal clamped at 0
+        assert op.diag.tolist() == [top, 0.5 * top, 0.0]
+
+
+def test_positive_arithmetic_reads_the_clamped_diagonal():
+    rho = PositiveOperator(diagonal=[0.5, -1e-11])
+    assert rho.diag.tolist() == [0.5, 0.0]
+    assert rho.trace() == 0.5
+    assert rho.scale(2.0).diag.tolist() == [1.0, 0.0]
+    assert rho.add(rho).diag.tolist() == [1.0, 0.0]
+
+
+def _dense_dominated_pair(d: int, n_max: int):
+    """rho_n and tau_n = rho_n / 2 + sigma_n, dense, with every member built."""
+    rng = np.random.default_rng(5)
+    u, w = random_unitary(rng, d), random_unitary(rng, d)
+    eps = rng.uniform(-0.1, 0.1, d)
+
+    def spectrum(ratio, pert, n):
+        lam = ratio ** np.arange(d) * (1.0 + (0.5 ** n if n else 0.0) * pert)
+        return lam / lam.sum()
+
+    def rho_n(n):
+        return PositiveOperator((u * spectrum(0.7, eps, n)) @ u.conj().T)
+
+    def tau_n(n):
+        sigma = (w * (0.3 * spectrum(0.6, eps[::-1], n))) @ w.conj().T
+        return PositiveOperator(0.5 * rho(n).matrix + sigma)
+
+    rho = OperatorSequence(rho_n, d)
+    tau = OperatorSequence(tau_n, d)
+    for n in range(n_max + 1):
+        rho(n), tau(n)
+    return rho, tau
+
+
+def test_dense_guards_solve_once_per_ordering_per_n(eigensolves):
+    n_max = 6
+    rho, tau = _dense_dominated_pair(6, n_max)
+    eigensolves.clear()
+    check_dct_simon(entropy_family(), rho, tau, 0.5, n_max, 3)
+    # the guard c rho_n <= tau_n is the only eigvalsh: the members' spectra are cached
+    assert eigensolves["eigvalsh"] == n_max + 1
+
+
+def test_dense_dominated_cell_costs_three_eigvalsh_and_one_eigh(eigensolves):
+    n_max, m_max = 6, 6
+    rho, tau = _dense_dominated_pair(6, n_max)
+    scheme = ApproximationScheme("dominated", 0.5, rho)
+    scheme.m_floor(tau)  # builds the limits once per sequence
+    eigensolves.clear()
+    grid = approximation_gap_grid(entropy_family(), tau, scheme, n_max, m_max)
+    cells = len(grid.cells)
+    assert cells == (n_max + 1) * m_max
+    # sigma_n = tau_n - c rho_n once, then the head and tail sums; sigma_n's eigenvectors
+    assert eigensolves["eigvalsh"] <= 3 * cells
+    assert eigensolves["eigh"] <= cells
+
+
+def _eigensolver_calls(tree: ast.AST) -> list:
+    """Line numbers of np.linalg.eigh / eigvalsh references, or of their import from numpy.linalg."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name in ("eigh", "eigvalsh") for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_operators_calls_the_eigensolvers():
+    package = Path(qdini.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        lines = _eigensolver_calls(ast.parse(path.read_text()))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_the_structural_check_sees_a_call():
+    assert _eigensolver_calls(ast.parse("import numpy as np\nnp.linalg.eigvalsh(m)\n")) == [2]
+    assert _eigensolver_calls(ast.parse("from numpy.linalg import eigh\n")) == [1]

@@ -7,7 +7,6 @@ looks up at call time.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,20 +57,6 @@ def close(a, b) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(a - b) <= TOL * max(1.0, abs(a))
-
-
-@pytest.fixture
-def eigensolves(monkeypatch):
-    counts = Counter()
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def counted(*args, _solver=solver, _name=name, **kwargs):
-            counts[_name] += 1
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
 
 
 class TestDiagonalAgainstDense:
