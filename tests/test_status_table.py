@@ -1,0 +1,588 @@
+"""Status table: (procedure, branch) -> status for every reachable branch.
+
+Each verdict procedure decides its status from three inputs: a genuine
+inequality failure ("violated"), an unmet or infinite hypothesis
+("inconclusive"), and otherwise its trends ("consistent" iff they shrink).
+Every case below drives one procedure down one of those branches on a small
+window, on diagonal inputs and, where the branch does not depend on the
+coordinate basis, on the same inputs rotated into a dense basis.
+
+A few cases need a hand-written functional family, because no registered
+family can reach the branch (an infinite g with finite f at the same state,
+an infinite mixture of two finite states, a functional that breaks its own
+LAA or truncation bounds).
+"""
+
+import ast
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from qdini import (
+    Channel,
+    ChannelSequence,
+    ExtendedReal,
+    OperatorSequence,
+    PositiveOperator,
+    ProjectorSchedule,
+    appendix_domination,
+    channel_mi_checks,
+    check_convex_mixture,
+    check_dct_basic,
+    check_dct_simon,
+    commuting_schedule,
+    constant_sequence,
+    coordinate_projector,
+    depolarizing_channel,
+    entropy_family,
+    fixed_basis_schedule,
+    identity_channel,
+    relative_entropy_domination,
+    relative_entropy_family,
+    relative_entropy_sum,
+    trace_neg_log_family,
+    truncation_criterion,
+    validate_schedule,
+    von_neumann_entropy,
+)
+from qdini.diagnostics import ZERO_MODULUS, FunctionalFamily
+from qdini.scenarios import _entropy_jump_probe
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qdini"
+
+DIAGONAL = "diagonal"
+DENSE = "dense"
+BOTH = (DIAGONAL, DENSE)
+
+
+def _rotation(dim):
+    q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))
+    return q
+
+
+def _op(lam, basis):
+    lam = np.asarray(lam, dtype=float)
+    if basis == DIAGONAL:
+        return PositiveOperator(diagonal=lam)
+    u = _rotation(lam.size)
+    return PositiveOperator((u * lam) @ u.T)
+
+
+def _seq(limit, pert, basis, rate=0.5):
+    """Members limit + rate^n pert; rate = 1 keeps them at a fixed distance."""
+    limit = np.asarray(limit, dtype=float)
+    pert = np.asarray(pert, dtype=float)
+    ops = {}
+
+    def member(n):
+        if n not in ops:
+            ops[n] = _op(limit if n == 0 else limit + rate ** n * pert, basis)
+        return ops[n]
+
+    return OperatorSequence(member, limit.size)
+
+
+def _const(lam, basis):
+    return constant_sequence(_op(lam, basis))
+
+
+def _scaled(seq, c):
+    return OperatorSequence(lambda n: seq(n).scale(c), seq.dim)
+
+
+def _family(value, label="custom"):
+    return FunctionalFamily("Custom", label, value, a_f=ZERO_MODULUS)
+
+
+NEG_ENTROPY = _family(lambda n, op: ExtendedReal(-float(von_neumann_entropy(op))), "-S")
+
+
+def _entropy_unless(pred, label):
+    """S, but +inf on operators where pred holds."""
+    return _family(lambda n, op: ExtendedReal(math.inf) if pred(op) else von_neumann_entropy(op), label)
+
+
+# a converging pair on three levels, and a pair stuck away from its limit
+CONV = ([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])
+STUCK = ([0.5, 0.3, 0.2], [0.1, -0.05, -0.05])
+
+
+# ---------------------------------------------------------------------------
+# dct-basic
+
+
+def dct_basic_consistent(b):
+    seq = _seq(*CONV, b)
+    return check_dct_basic(entropy_family(), entropy_family(), seq, n_max=8, m_max=3)
+
+
+def dct_basic_violated_domination(b):
+    # g = Tr rho(-ln 0.1 I) = ln 10 exceeds f = S at pure truncations
+    seq = _seq([0.5, 0.5, 0.0], [0.2, -0.2, 0.0], b)
+    g = trace_neg_log_family(_const([0.1, 0.1, 0.1], b))
+    return check_dct_basic(entropy_family(), g, seq, n_max=6, m_max=3)
+
+
+def dct_basic_violated_laa(b):
+    # |g| = |-S| = f, so domination holds, but -S is convex: its a-side fails
+    seq = _seq(*CONV, b)
+    return check_dct_basic(entropy_family(), NEG_ENTROPY, seq, n_max=6, m_max=3)
+
+
+def dct_basic_inf_f(b):
+    sigma = _const([1.0, 0.0, 0.0], b)
+    seq = _seq([0.4, 0.3, 0.3], [0.1, -0.05, -0.05], b)
+    return check_dct_basic(relative_entropy_family(sigma), entropy_family(), seq, n_max=6, m_max=3)
+
+
+def dct_basic_inf_g_only(b):
+    # g is +inf on the unnormalized window members (trace 2) only
+    seq = _scaled(_seq(*CONV, b), 2.0)
+    g = _entropy_unless(lambda op: op.trace() > 1.5, "S unless Tr > 1.5")
+    return check_dct_basic(entropy_family(), g, seq, n_max=6, m_max=3)
+
+
+def dct_basic_inf_f_on_samples(b):
+    # f is +inf on the normalized samples only, finite on the window members
+    seq = _scaled(_seq(*CONV, b), 2.0)
+    f = _entropy_unless(lambda op: abs(op.trace() - 1.0) < 1e-9, "S unless Tr = 1")
+    return check_dct_basic(f, entropy_family(), seq, n_max=6, m_max=3)
+
+
+def dct_basic_trends(b):
+    seq = _seq(*STUCK, b, rate=1.0)
+    return check_dct_basic(entropy_family(), entropy_family(), seq, n_max=6, m_max=3)
+
+
+# ---------------------------------------------------------------------------
+# dct-simon
+
+
+def dct_simon_consistent(b):
+    seq = _seq(*CONV, b)
+    return check_dct_simon(entropy_family(), seq, seq, 1.0, 8, 3)
+
+
+def dct_simon_violated(b):
+    # -S(rho) >= mu (-S([Psi_1 rho])) = 0 fails for every mixed rho
+    seq = _seq(*CONV, b)
+    return check_dct_simon(NEG_ENTROPY, seq, seq, 1.0, 6, 3)
+
+
+def dct_simon_inf(b):
+    f = relative_entropy_family(_const([0.5, 0.5, 0.0], b))
+    seq = _seq(*CONV, b)
+    return check_dct_simon(f, seq, seq, 1.0, 6, 3)
+
+
+def dct_simon_inf_rho_only(b):
+    # rho_n = tau_n / 2 satisfies the domination; f is +inf on rho_n alone
+    tau = _seq(*CONV, b)
+    f = _entropy_unless(lambda op: op.trace() < 0.9, "S unless Tr < 0.9")
+    return check_dct_simon(f, _scaled(tau, 0.5), tau, 1.0, 6, 3)
+
+
+def dct_simon_trends(b):
+    seq = _seq(*STUCK, b, rate=1.0)
+    return check_dct_simon(entropy_family(), seq, seq, 1.0, 6, 3)
+
+
+# ---------------------------------------------------------------------------
+# convex-mixture
+
+MIX_RHO = ([0.6, 0.25, 0.15], [0.05, -0.03, -0.02])
+MIX_SIGMA = ([0.2, 0.5, 0.3], [-0.02, 0.05, -0.03])
+MIX_P = [0.5] + [0.5 + 0.1 * 0.5 ** n for n in range(1, 9)]
+
+
+def convex_mixture_consistent(b):
+    return check_convex_mixture(entropy_family(), _seq(*MIX_RHO, b), _seq(*MIX_SIGMA, b),
+                                MIX_P, n_max=8, m_max=3)
+
+
+def convex_mixture_inf(b):
+    f = relative_entropy_family(_const([0.5, 0.5, 0.0], b))
+    return check_convex_mixture(f, _seq(*MIX_RHO, b), _seq(*MIX_SIGMA, b), MIX_P, n_max=8, m_max=3)
+
+
+def convex_mixture_hypothesis_trends(b):
+    return check_convex_mixture(entropy_family(), _seq(*STUCK, b, rate=1.0), _seq(*MIX_SIGMA, b),
+                                MIX_P, n_max=8, m_max=3)
+
+
+def convex_mixture_no_stable_index(b):
+    # the top eigenvalue of both limits is doubly degenerate and m_max = 1
+    rho = _seq([0.4, 0.4, 0.2], [0.02, -0.01, -0.01], b)
+    sigma = _seq([0.35, 0.35, 0.3], [-0.01, 0.02, -0.01], b)
+    return check_convex_mixture(entropy_family(), rho, sigma, MIX_P, n_max=8, m_max=1)
+
+
+def convex_mixture_mixture_trend(b):
+    p = [0.5] + [0.2 if n % 2 else 0.8 for n in range(1, 9)]
+    return check_convex_mixture(entropy_family(), _seq(*MIX_RHO, b), _seq(*MIX_SIGMA, b),
+                                p, n_max=8, m_max=3)
+
+
+def convex_mixture_mixture_inf(b):
+    # rank-2 states on disjoint supports are finite; their mixtures are not
+    f = _entropy_unless(lambda op: op.rank() > 2, "S unless rank > 2")
+    rho = _seq([0.6, 0.4, 0.0, 0.0], [0.02, -0.02, 0.0, 0.0], b)
+    sigma = _seq([0.0, 0.0, 0.7, 0.3], [0.0, 0.0, -0.02, 0.02], b)
+    return check_convex_mixture(f, rho, sigma, MIX_P, n_max=8, m_max=2)
+
+
+# ---------------------------------------------------------------------------
+# truncation-criterion
+
+TC_SEQ = ([0.7, 0.2, 0.06, 0.04], [0.02, -0.01, -0.005, -0.005])
+
+
+def _schedule(seq, basis, n_max):
+    if basis == DIAGONAL:
+        return fixed_basis_schedule(seq.dim, seq.dim, seq, n_max=n_max)
+    return commuting_schedule(seq, m_max=seq.dim, n_max=n_max)
+
+
+def truncation_criterion_consistent(b):
+    seq = _seq(*TC_SEQ, b)
+    return truncation_criterion(entropy_family(), seq, _schedule(seq, b, 8), n_0=1, n_max=8, m_max=4)
+
+
+def truncation_criterion_violated(b):
+    # a planted rank-3 projector at slot m = 2 fails schedule validation
+    seq = _seq(*TC_SEQ, b)
+    sched = fixed_basis_schedule(4, 4, seq, n_max=6)
+    sched.projectors[(1, 2)] = coordinate_projector(4, [0, 1, 2])
+    return truncation_criterion(entropy_family(), seq, sched, n_0=1, n_max=6, m_max=4)
+
+
+def truncation_criterion_inf(b):
+    seq = _seq(*TC_SEQ, b)
+    f = relative_entropy_family(_const([0.5, 0.3, 0.2, 0.0], b))
+    return truncation_criterion(f, seq, _schedule(seq, b, 6), n_0=1, n_max=6, m_max=4)
+
+
+def truncation_criterion_head_trends(b):
+    seq = _seq(TC_SEQ[0], [0.1, -0.05, -0.03, -0.02], b, rate=1.0)
+    return truncation_criterion(entropy_family(), seq, _schedule(seq, b, 6), n_0=1, n_max=6, m_max=4)
+
+
+def truncation_criterion_tails(b):
+    # flat spectrum: entropy tails halve but stay far from zero
+    seq = _const(np.full(8, 1.0 / 8), b)
+    sched = fixed_basis_schedule(8, 8, seq, n_max=6)
+    return truncation_criterion(entropy_family(), seq, sched, n_0=1, n_max=6, m_max=4)
+
+
+# ---------------------------------------------------------------------------
+# relative-entropy-domination
+
+RD_RHO1 = ([0.4, 0.35, 0.25], [0.02, -0.01, -0.01])
+RD_SIGMA1 = ([0.3, 0.3, 0.4], [0.01, 0.01, -0.02])
+
+
+def re_domination_consistent(b):
+    rho1, sigma1 = _seq(*RD_RHO1, b), _seq(*RD_SIGMA1, b)
+    return relative_entropy_domination(rho1, _scaled(rho1, 0.5), sigma1, _scaled(sigma1, 2.0), n_max=8)
+
+
+def re_domination_inf_hypothesis(b):
+    rho1 = _seq(*RD_RHO1, b)
+    sigma1 = _seq([0.5, 0.5, 0.0], [0.01, -0.01, 0.0], b)
+    return relative_entropy_domination(rho1, _scaled(rho1, 0.5), sigma1, _scaled(sigma1, 2.0), n_max=8)
+
+
+def _planted_inf_conclusion(b, rate):
+    # D(rho2_0||sigma2_0) = +inf at the declared limit only
+    rho1 = _seq([0.5, 0.3, 0.0], [0.02, -0.01, 0.05], b, rate=rate)
+    sigma1 = _seq([0.3, 0.3, 0.0], [0.01, -0.01, 0.05], b)
+    limit = _op([0.25, 0.15, 0.05], b)
+    rho2 = OperatorSequence(lambda n: limit if n == 0 else rho1(n).scale(0.5), 3)
+    return relative_entropy_domination(rho1, rho2, sigma1, _scaled(sigma1, 2.0), n_max=8)
+
+
+def re_domination_violated(b):
+    return _planted_inf_conclusion(b, 0.5)
+
+
+def re_domination_inf_conclusion_trends(b):
+    # the same planted +inf, but the hypothesis does not converge
+    return _planted_inf_conclusion(b, 1.0)
+
+
+def re_domination_trends(b):
+    rho1, sigma1 = _seq(*RD_RHO1, b, rate=1.0), _seq(*RD_SIGMA1, b)
+    return relative_entropy_domination(rho1, _scaled(rho1, 0.5), sigma1, _scaled(sigma1, 2.0), n_max=8)
+
+
+# ---------------------------------------------------------------------------
+# relative-entropy-sum
+
+RS_RHO = ([0.3, 0.2, 0.1], [0.02, -0.01, -0.01])
+RS_SIGMA = ([0.1, 0.2, 0.3], [-0.01, 0.02, -0.01])
+RS_OMEGA = ([0.4, 0.3, 0.3], [0.01, -0.01, 0.0])
+RS_THETA = ([0.2, 0.3, 0.4], [0.0, 0.01, -0.01])
+
+
+def re_sum_consistent(b):
+    return relative_entropy_sum(_seq(*RS_RHO, b), _seq(*RS_SIGMA, b), _seq(*RS_OMEGA, b), n_max=8)
+
+
+def re_sum_shifted_consistent(b):
+    return relative_entropy_sum(_seq(*RS_RHO, b), _seq(*RS_SIGMA, b), _seq(*RS_OMEGA, b), n_max=8,
+                                theta_seq=_seq(*RS_THETA, b))
+
+
+def re_sum_inf(b):
+    omega = _seq([0.4, 0.6, 0.0], [0.01, -0.01, 0.0], b)
+    return relative_entropy_sum(_seq(*RS_RHO, b), _seq(*RS_SIGMA, b), omega, n_max=8)
+
+
+def re_sum_inf_theta(b):
+    theta = _seq([0.5, 0.5, 0.0], [0.01, -0.01, 0.0], b)
+    return relative_entropy_sum(_seq(*RS_RHO, b), _seq(*RS_SIGMA, b), _seq(*RS_OMEGA, b), n_max=8,
+                                theta_seq=theta)
+
+
+def re_sum_trends(b):
+    return relative_entropy_sum(_seq(*RS_RHO, b), _seq(RS_SIGMA[0], [0.05, -0.02, 0.0], b, rate=1.0),
+                                _seq(*RS_OMEGA, b), n_max=8)
+
+
+# ---------------------------------------------------------------------------
+# channel-mi
+
+
+def _depolarizing(rate=0.5):
+    return ChannelSequence(lambda n: depolarizing_channel(0.5 + (rate ** n if n else 0.0) * 0.2, 2), 2, 2)
+
+
+def _replacement(omega):
+    """Phi(rho) = Tr(rho) omega, Kraus sqrt(omega_i)|i><j|."""
+    d = len(omega)
+    kraus = [math.sqrt(w) * np.outer(np.eye(d)[i], np.eye(d)[j]) for i, w in enumerate(omega) for j in range(d)]
+    return Channel(kraus)
+
+
+CM_RHO = ([0.75, 0.25], [0.05, -0.05])
+CM_P = [0.5] + [0.5 + 0.25 * 0.5 ** n for n in range(1, 9)]
+
+
+def channel_mi_consistent(b):
+    rho = _seq(*CM_RHO, b)
+    return channel_mi_checks(_depolarizing(), rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
+
+
+def channel_mi_core_trends(b):
+    rho = _seq(*CM_RHO, b)
+    p = [0.5] + [0.1 if n % 2 else 0.9 for n in range(1, 9)]
+    sigma = _const([0.5, 0.5], b)
+    return channel_mi_checks(_depolarizing(), rho, sigma, 0.5, p, 8, 2)
+
+
+def channel_mi_sufficient_condition(b):
+    # replacement channels carry no information (every MI is 0), but the
+    # inputs and the prepared outputs both stay away from their limits
+    rho = _seq(*CM_RHO, b, rate=1.0)
+    chans = ChannelSequence(lambda n: _replacement([0.5, 0.5] if n == 0 else [0.9, 0.1]), 2, 2)
+    return channel_mi_checks(chans, rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
+
+
+def channel_mi_tail(b):
+    # identity channel on a flat spectrum: output-entropy tails stay large
+    rho = _const(np.full(6, 1.0 / 6), b)
+    chans = ChannelSequence(lambda n: identity_channel(6), 6, 6)
+    sched = fixed_basis_schedule(6, 6, rho, n_max=6)
+    return channel_mi_checks(chans, rho, _scaled(rho, 2.0), 0.5, CM_P, 6, 3, schedule=sched)
+
+
+# ---------------------------------------------------------------------------
+# appendix-domination
+
+AP_RHO1 = ([0.5, 0.3, 0.2], [0.02, -0.01, -0.01])
+AP_SIGMA1 = ([0.2, 0.3, 0.5], [0.01, -0.01, 0.0])
+K_SCHEDULE = [1, 10, 100, 1000]
+
+
+def appendix_consistent(b):
+    rho1, sigma1 = _seq(*AP_RHO1, b), _seq(*AP_SIGMA1, b)
+    return appendix_domination(rho1, _scaled(rho1, 0.6), sigma1, _scaled(sigma1, 1.5), K_SCHEDULE, n_max=8)
+
+
+def appendix_inf(b):
+    rho1 = _seq([0.5, 0.5], [0.02, -0.02], b)
+    sigma = _const([1.0, 0.0], b)
+    return appendix_domination(rho1, _scaled(rho1, 0.5), sigma, sigma, [1, 10], n_max=4)
+
+
+def appendix_trends(b):
+    rho1, sigma1 = _seq(AP_RHO1[0], [0.1, -0.05, -0.05], b, rate=1.0), _seq(*AP_SIGMA1, b)
+    return appendix_domination(rho1, _scaled(rho1, 0.6), sigma1, _scaled(sigma1, 1.5), K_SCHEDULE, n_max=8)
+
+
+def appendix_violated(b):
+    # the spectral identity Tr H rho = sum_i lambda_i <v_i|H|v_i> is checked to
+    # an absolute 1e-8, which a dense rho of trace 1e10 exceeds in rounding
+    rho1, sigma1 = _scaled(_seq(*AP_RHO1, b), 1e10), _seq(*AP_SIGMA1, b)
+    return appendix_domination(rho1, _scaled(rho1, 0.6), sigma1, _scaled(sigma1, 1.5), K_SCHEDULE, n_max=4)
+
+
+# ---------------------------------------------------------------------------
+# entropy-jump-probe and schedule-consistency
+
+JP_SEQ = ([1.0, 0.0, 0.0], [-0.4, 0.2, 0.2])
+
+
+def jump_probe_consistent(b):
+    return _entropy_jump_probe(_seq(*JP_SEQ, b), 6, -1.0, 1.0, 3)
+
+
+def jump_probe_out_of_band(b):
+    return _entropy_jump_probe(_seq(*JP_SEQ, b), 6, 0.9, 1.1, 3)
+
+
+def jump_probe_trends(b):
+    return _entropy_jump_probe(_seq(*JP_SEQ, b, rate=1.0), 6, -1.0, 1.0, 3)
+
+
+def schedule_consistent(b):
+    seq = _seq(*TC_SEQ, b)
+    return validate_schedule(_schedule(seq, b, 6), seq, n_max=6)
+
+
+def schedule_violated_rank(b):
+    seq = _seq(*TC_SEQ, b)
+    sched = fixed_basis_schedule(4, 4, seq, n_max=2)
+    sched.projectors[(1, 2)] = coordinate_projector(4, [0, 1, 2])
+    return validate_schedule(sched, seq, n_max=2)
+
+
+def schedule_violated_nesting(b):
+    seq = _seq(*TC_SEQ, b)
+    sched = fixed_basis_schedule(4, 4, seq, n_max=2)
+    sched.projectors[(1, 2)] = coordinate_projector(4, [2, 3])
+    return validate_schedule(sched, seq, n_max=2)
+
+
+def schedule_probe_trends(b):
+    # P^n_1 alternates between two coordinates, so it never approaches P^0_1
+    seq = _const([0.5, 0.5, 0.0], b)
+    first, second, both = (coordinate_projector(3, idx) for idx in ([0], [1], [0, 1]))
+    projs = {}
+    for n in range(6):
+        projs[(n, 1)] = second if n % 2 else first
+        projs[(n, 2)] = both
+    return validate_schedule(ProjectorSchedule(1, 2, 5, projs), seq)
+
+
+CONSISTENT, VIOLATED, INCONCLUSIVE = "consistent", "violated", "inconclusive"
+
+# (procedure, branch) -> (case, expected status, bases it runs on)
+STATUS_TABLE = {
+    ("dct-basic", "trends shrink"): (dct_basic_consistent, CONSISTENT, BOTH),
+    ("dct-basic", "domination fails"): (dct_basic_violated_domination, VIOLATED, BOTH),
+    ("dct-basic", "LAA bound fails"): (dct_basic_violated_laa, VIOLATED, BOTH),
+    ("dct-basic", "+inf in f"): (dct_basic_inf_f, INCONCLUSIVE, BOTH),
+    ("dct-basic", "+inf in g only"): (dct_basic_inf_g_only, INCONCLUSIVE, BOTH),
+    ("dct-basic", "+inf in f at a sample only"): (dct_basic_inf_f_on_samples, INCONCLUSIVE, BOTH),
+    ("dct-basic", "trends do not shrink"): (dct_basic_trends, INCONCLUSIVE, BOTH),
+    ("dct-simon", "trends shrink"): (dct_simon_consistent, CONSISTENT, BOTH),
+    ("dct-simon", "per-cell bound fails"): (dct_simon_violated, VIOLATED, BOTH),
+    ("dct-simon", "+inf"): (dct_simon_inf, INCONCLUSIVE, BOTH),
+    ("dct-simon", "+inf in rho only"): (dct_simon_inf_rho_only, INCONCLUSIVE, BOTH),
+    ("dct-simon", "trends do not shrink"): (dct_simon_trends, INCONCLUSIVE, BOTH),
+    ("convex-mixture", "trends shrink"): (convex_mixture_consistent, CONSISTENT, BOTH),
+    ("convex-mixture", "+inf in a hypothesis"): (convex_mixture_inf, INCONCLUSIVE, BOTH),
+    ("convex-mixture", "hypothesis trends do not shrink"): (convex_mixture_hypothesis_trends, INCONCLUSIVE, BOTH),
+    ("convex-mixture", "no shared stable index"): (convex_mixture_no_stable_index, INCONCLUSIVE, BOTH),
+    ("convex-mixture", "mixture trend does not shrink"): (convex_mixture_mixture_trend, INCONCLUSIVE, BOTH),
+    ("convex-mixture", "+inf in the mixture only"): (convex_mixture_mixture_inf, INCONCLUSIVE, BOTH),
+    ("truncation-criterion", "trends shrink"): (truncation_criterion_consistent, CONSISTENT, BOTH),
+    ("truncation-criterion", "schedule violated"): (truncation_criterion_violated, VIOLATED, (DIAGONAL,)),
+    ("truncation-criterion", "+inf"): (truncation_criterion_inf, INCONCLUSIVE, BOTH),
+    ("truncation-criterion", "head trends do not shrink"): (truncation_criterion_head_trends, INCONCLUSIVE, BOTH),
+    ("truncation-criterion", "tails do not vanish"): (truncation_criterion_tails, INCONCLUSIVE, (DIAGONAL,)),
+    ("re-domination", "trends shrink"): (re_domination_consistent, CONSISTENT, BOTH),
+    ("re-domination", "+inf in the hypothesis"): (re_domination_inf_hypothesis, INCONCLUSIVE, BOTH),
+    ("re-domination", "+inf conclusion, converging hypothesis"): (re_domination_violated, VIOLATED, BOTH),
+    ("re-domination", "+inf conclusion, stuck hypothesis"): (re_domination_inf_conclusion_trends, INCONCLUSIVE, BOTH),
+    ("re-domination", "trends do not shrink"): (re_domination_trends, INCONCLUSIVE, BOTH),
+    ("re-sum", "trends shrink"): (re_sum_consistent, CONSISTENT, BOTH),
+    ("re-sum", "shifted trends shrink"): (re_sum_shifted_consistent, CONSISTENT, BOTH),
+    ("re-sum", "+inf in a hypothesis"): (re_sum_inf, INCONCLUSIVE, BOTH),
+    ("re-sum", "+inf in D(sigma||theta)"): (re_sum_inf_theta, INCONCLUSIVE, BOTH),
+    ("re-sum", "trends do not shrink"): (re_sum_trends, INCONCLUSIVE, BOTH),
+    ("channel-mi", "trends shrink"): (channel_mi_consistent, CONSISTENT, BOTH),
+    ("channel-mi", "MI trends do not shrink"): (channel_mi_core_trends, INCONCLUSIVE, BOTH),
+    ("channel-mi", "sufficient condition fails"): (channel_mi_sufficient_condition, INCONCLUSIVE, (DIAGONAL,)),
+    ("channel-mi", "output tails do not vanish"): (channel_mi_tail, INCONCLUSIVE, (DIAGONAL,)),
+    ("appendix-domination", "trends shrink"): (appendix_consistent, CONSISTENT, BOTH),
+    ("appendix-domination", "+inf in A_1"): (appendix_inf, INCONCLUSIVE, BOTH),
+    ("appendix-domination", "trends do not shrink"): (appendix_trends, INCONCLUSIVE, BOTH),
+    ("appendix-domination", "spectral identity fails"): (appendix_violated, VIOLATED, (DENSE,)),
+    ("entropy-jump-probe", "distances shrink, gap in band"): (jump_probe_consistent, CONSISTENT, BOTH),
+    ("entropy-jump-probe", "gap out of band"): (jump_probe_out_of_band, INCONCLUSIVE, BOTH),
+    ("entropy-jump-probe", "distances do not shrink"): (jump_probe_trends, INCONCLUSIVE, BOTH),
+    ("schedule-consistency", "probe trends shrink"): (schedule_consistent, CONSISTENT, BOTH),
+    ("schedule-consistency", "rank condition fails"): (schedule_violated_rank, VIOLATED, (DIAGONAL,)),
+    ("schedule-consistency", "nesting fails"): (schedule_violated_nesting, VIOLATED, (DIAGONAL,)),
+    ("schedule-consistency", "probe trends do not shrink"): (schedule_probe_trends, INCONCLUSIVE, (DIAGONAL,)),
+}
+
+CASES = [
+    pytest.param(case, expected, basis, id=f"{proc}: {branch} [{basis}]")
+    for (proc, branch), (case, expected, bases) in STATUS_TABLE.items()
+    for basis in bases
+]
+
+
+@pytest.mark.parametrize("case, expected, basis", CASES)
+def test_status_table(case, expected, basis):
+    verdict = case(basis)
+    assert verdict.status == expected
+    assert verdict.to_json()["status"] == expected
+
+
+def test_every_procedure_reaches_each_status_it_can():
+    reached = {}
+    for (proc, _), (_, expected, _) in STATUS_TABLE.items():
+        reached.setdefault(proc, set()).add(expected)
+    # re-sum cannot reach "violated" (its per-n sum inequalities are theorems
+    # of the relative entropy), and neither can convex-mixture, channel-mi or
+    # the entropy-jump probe, which assert no inequality
+    for proc in ("dct-basic", "dct-simon", "truncation-criterion", "re-domination",
+                 "appendix-domination", "schedule-consistency"):
+        assert reached[proc] == {CONSISTENT, VIOLATED, INCONCLUSIVE}, proc
+    for proc in ("convex-mixture", "re-sum", "channel-mi", "entropy-jump-probe"):
+        assert reached[proc] == {CONSISTENT, INCONCLUSIVE}, proc
+
+
+def _status_name_references(path):
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("CONSISTENT", "INCONCLUSIVE"):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in ("CONSISTENT", "INCONCLUSIVE"):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            found.extend((a.name, node.lineno) for a in node.names
+                         if a.name in ("CONSISTENT", "INCONCLUSIVE"))
+    return found
+
+
+def test_only_verdicts_names_a_status():
+    """No module but verdicts decides a status: none names CONSISTENT or INCONCLUSIVE.
+
+    The package __init__ may re-export the names for callers; it uses neither.
+    """
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "verdicts.py":
+            continue
+        refs = _status_name_references(path)
+        if refs:
+            offenders[path.name] = refs
+    assert not offenders
