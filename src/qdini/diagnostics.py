@@ -2,10 +2,10 @@
 
 Each procedure takes declared-limit sequences (index 0), evaluates an
 entropic functional family across the window, and reports a Verdict: named
-hypothesis checks with slacks, residual trends, and a status.  Genuine
-inequality failures beyond tolerance are "violated"; unmet or infinite
-hypotheses are "inconclusive"; trend-certified conclusions are at most
-"consistent" and always carry trend_only.
+hypothesis checks with slacks, residual trends, and the three inputs of the
+status policy in ``verdicts``: whether an inequality failed beyond
+tolerance, whether every hypothesis is met and finite, and whether the
+conclusion trends shrink.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ChannelSequence, channel_mutual_information, coherent_information
+from .channels import ChannelSequence, channel_mutual_information, coherent_information
 from .entropies import (
     binary_entropy,
     binary_entropy_extension,
@@ -45,9 +45,6 @@ from .truncation import (
     validate_schedule,
 )
 from .verdicts import (
-    CONSISTENT,
-    INCONCLUSIVE,
-    VIOLATED,
     CheckResult,
     DiagnosticsGrid,
     GridCell,
@@ -325,33 +322,23 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
     inf_in_f = any(v.is_inf for v in f_vals)
     inf_in_g = any(v.is_inf for v in g_vals)
     trends = []
-    f_trend = g_trend = None
     if not inf_in_f:
-        f_trend = _limit_trend("|f_n(rho_n) - f_0(rho_0)|", f_vals)
-        trends.append(f_trend)
+        trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", f_vals))
     if not inf_in_g:
-        g_trend = _limit_trend("|g_n(rho_n) - g_0(rho_0)|", g_vals)
-        trends.append(g_trend)
+        trends.append(_limit_trend("|g_n(rho_n) - g_0(rho_0)|", g_vals))
     checks = (
         CheckResult("|g_n| <= f_n on window and truncations", dom_ok, float(dom_slack), dom_detail),
         CheckResult("LAA bounds for f and g", laa_ok, float(laa_slack), laa_detail),
         CheckResult("f values finite on window", not inf_in_f, 0.0,
                      "" if not inf_in_f else "f hit +inf on the window"),
     )
-    if not dom_ok or not laa_ok:
-        status = VIOLATED
-    elif inf_in_f or inf_in_g or saw_inf:
-        status = INCONCLUSIVE
-    elif f_trend is not None and f_trend.shrinks and g_trend is not None and g_trend.shrinks:
-        status = CONSISTENT
-    else:
-        status = INCONCLUSIVE
     return Verdict(
         name="dct-basic",
-        status=status,
         hypothesis_checks=checks,
         conclusion_trends=tuple(trends),
-        trend_only=True,
+        violated=not dom_ok or not laa_ok,
+        hypotheses_ok=not (inf_in_f or inf_in_g or saw_inf),
+        trends_ok=all(t.shrinks for t in trends),
     )
 
 
@@ -391,21 +378,14 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     )
     cell_bound_ok = slack >= -INEQ_SLACK
     checks.append(CheckResult("per-cell truncation lower bound", cell_bound_ok, float(slack)))
-    if not cell_bound_ok:
-        status = VIOLATED
-    elif inf_tau or inf_rho or tau_vals[0].is_inf:
-        status = INCONCLUSIVE
-    elif trends and all(t.shrinks for t in trends):
-        status = CONSISTENT
-    else:
-        status = INCONCLUSIVE
     return Verdict(
         name="dct-simon",
-        status=status,
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
-        trend_only=True,
         values=values,
+        violated=not cell_bound_ok,
+        hypotheses_ok=not (inf_tau or inf_rho),
+        trends_ok=all(t.shrinks for t in trends),
     )
 
 
@@ -428,68 +408,50 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     if not inf_hyp:
         trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", rho_vals))
         trends.append(_limit_trend("|f_n(sigma_n) - f_0(sigma_0)|", sigma_vals))
-    hyp_trends_ok = bool(trends) and all(t.shrinks for t in trends)
     stable = sorted(set(stable_index_set(rho_seq(0), m_max)) & set(stable_index_set(sigma_seq(0), m_max)))
     checks = [
         CheckResult("hypothesis values finite", not inf_hyp, 0.0),
         CheckResult("stable index sets intersect within window", bool(stable), float(len(stable)),
                      "" if stable else "no shared stable index"),
     ]
-    sumrel_trends = []
     for m in stable[-3:]:
-        residuals = []
-        ok = True
-        ref = None
-        for n in range(n_max + 1):
-            head_rho = normalize(spectral_truncation(rho_seq(n), m).head)
-            head_sigma = normalize(spectral_truncation(sigma_seq(n), m).head)
-            if head_rho is None or head_sigma is None:
-                ok = False
-                break
-            val = f.value(n, head_rho.scale(p[n]).add(head_sigma.scale(1.0 - p[n])))
-            if val.is_inf:
-                ok = False
-                break
-            if n == 0:
-                ref = float(val)
-            else:
-                residuals.append(abs(float(val) - ref))
-        if ok and residuals:
-            sumrel_trends.append(TrendSummary.from_residuals(
-                f"truncated-mixture residual, m = {m}", residuals))
-    trends.extend(sumrel_trends)
-    mix_residuals = []
-    mix_ref = None
-    mix_inf = False
-    for n in range(n_max + 1):
-        mix = rho_seq(n).scale(p[n]).add(sigma_seq(n).scale(1.0 - p[n]))
-        val = f.value(n, mix)
-        if val.is_inf:
-            mix_inf = True
-            break
-        if n == 0:
-            mix_ref = float(val)
-        else:
-            mix_residuals.append(abs(float(val) - mix_ref))
-    mix_trend = None
-    if not mix_inf:
-        mix_trend = TrendSummary.from_residuals(
-            "|f_n(p_n rho_n + (1-p_n) sigma_n) - f_0(...)|", mix_residuals)
-        trends.append(mix_trend)
-    if inf_hyp or not hyp_trends_ok or not stable:
-        status = INCONCLUSIVE
-    elif mix_trend is not None and mix_trend.shrinks and all(t.shrinks for t in sumrel_trends):
-        status = CONSISTENT
-    else:
-        status = INCONCLUSIVE
+        vals = _finite_values(f, n_max, lambda n: _mixture(
+            normalize(spectral_truncation(rho_seq(n), m).head),
+            normalize(spectral_truncation(sigma_seq(n), m).head), p[n]))
+        if vals is not None and len(vals) > 1:
+            trends.append(_limit_trend(f"truncated-mixture residual, m = {m}", vals))
+    mix_vals = _finite_values(f, n_max, lambda n: _mixture(rho_seq(n), sigma_seq(n), p[n]))
+    if mix_vals is not None:
+        trends.append(_limit_trend("|f_n(p_n rho_n + (1-p_n) sigma_n) - f_0(...)|", mix_vals))
     return Verdict(
         name="convex-mixture",
-        status=status,
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
-        trend_only=True,
         notes=("the shared stable index condition is checked only within the finite window",),
+        hypotheses_ok=not inf_hyp and bool(stable),
+        trends_ok=mix_vals is not None and all(t.shrinks for t in trends),
     )
+
+
+def _mixture(rho, sigma, p: float):
+    """p rho + (1 - p) sigma, or None when either state is missing."""
+    if rho is None or sigma is None:
+        return None
+    return rho.scale(p).add(sigma.scale(1.0 - p))
+
+
+def _finite_values(f: FunctionalFamily, n_max: int, op_at):
+    """f_n(op_at(n)) for n = 0..n_max, or None from the first missing operator or +inf value on."""
+    vals = []
+    for n in range(n_max + 1):
+        op = op_at(n)
+        if op is None:
+            return None
+        val = f.value(n, op)
+        if val.is_inf:
+            return None
+        vals.append(val)
+    return vals
 
 
 def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
@@ -506,7 +468,6 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     m_hi = min(m_max, schedule.m_max)
     trends = []
     tails = []
-    head_ok = True
     saw_inf = False
     for m in range(schedule.m_0, m_hi + 1):
         head_vals = []
@@ -521,36 +482,26 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
             head_vals.append(hv)
             tail_vals.append(tv)
         if not any(v.is_inf for v in head_vals):
-            trend = _limit_trend(f"head residual, m = {m}", head_vals)
-            trends.append(trend)
-            head_ok = head_ok and trend.shrinks
-        else:
-            head_ok = False
+            trends.append(_limit_trend(f"head residual, m = {m}", head_vals))
         window = [v for n, v in enumerate(tail_vals) if n >= n_0]
         tails.append(math.inf if any(v.is_inf for v in window) else max(float(v) for v in window))
-    tail_trend = TrendSummary.from_residuals("tail sup over m", tails)
-    trends.append(tail_trend)
+    trends.append(TrendSummary.from_residuals("tail sup over m", tails))
     tail_vanishes = shrinks_toward_zero(tails)
     checks = (
-        CheckResult("schedule consistency", sched_verdict.status != VIOLATED, 0.0,
-                     "" if sched_verdict.status != VIOLATED else "schedule failed validation"),
+        CheckResult("schedule consistency", not sched_verdict.violated, 0.0,
+                     "schedule failed validation" if sched_verdict.violated else ""),
         CheckResult("finite values on window", not saw_inf, 0.0),
         CheckResult("tail sup decreases toward zero over m", tail_vanishes,
                      float(tails[-1]) if tails else 0.0),
     )
-    if sched_verdict.status == VIOLATED:
-        status = VIOLATED
-    elif saw_inf or not head_ok or not tail_vanishes:
-        status = INCONCLUSIVE
-    else:
-        status = CONSISTENT
     return Verdict(
         name="truncation-criterion",
-        status=status,
         hypothesis_checks=checks,
         conclusion_trends=tuple(trends),
-        trend_only=True,
         values={"tail_sup_per_m": tails},
+        violated=sched_verdict.violated,
+        hypotheses_ok=not saw_inf,
+        trends_ok=tail_vanishes and all(t.shrinks for t in trends),
     )
 
 
@@ -587,26 +538,23 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         "hypothesis": [float(v) for v in hyp_vals],
         "conclusion": [float(v) for v in con_vals],
     }
-    if inf_hyp:
-        return Verdict("relative-entropy-domination", INCONCLUSIVE,
-                       hypothesis_checks=tuple(checks), trend_only=True, values=values)
-    trends.append(_limit_trend("|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", hyp_vals))
-    hyp_ok = trends[0].shrinks
-    inf_cells = [n for n, v in enumerate(con_vals) if v.is_inf]
-    if inf_cells:
-        checks.append(CheckResult(
-            "conclusion finite where domination guarantees it", False, 0.0,
-            f"D(rho2_n||sigma2_n) = +inf at n = {inf_cells[0]}"))
-        status = VIOLATED if hyp_ok else INCONCLUSIVE
-        return Verdict("relative-entropy-domination", status,
-                       hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
-                       trend_only=True, values=values)
-    con_trend = _limit_trend("|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|", con_vals)
-    trends.append(con_trend)
-    status = CONSISTENT if hyp_ok and con_trend.shrinks else INCONCLUSIVE
-    return Verdict("relative-entropy-domination", status,
-                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
-                   trend_only=True, values=values)
+    violated = False
+    if not inf_hyp:
+        hyp_trend = _limit_trend("|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", hyp_vals)
+        trends.append(hyp_trend)
+        inf_cells = [n for n, v in enumerate(con_vals) if v.is_inf]
+        if inf_cells:
+            checks.append(CheckResult(
+                "conclusion finite where domination guarantees it", False, 0.0,
+                f"D(rho2_n||sigma2_n) = +inf at n = {inf_cells[0]}"))
+            # the guarantee needs the hypothesis to converge
+            violated = hyp_trend.shrinks
+        else:
+            trends.append(_limit_trend("|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|", con_vals))
+    return Verdict("relative-entropy-domination",
+                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values,
+                   violated=violated, hypotheses_ok=not inf_hyp,
+                   trends_ok=all(t.shrinks for t in trends))
 
 
 def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
@@ -661,17 +609,10 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
             trends.append(_limit_trend("|D(rho_n+sigma_n||omega_n+theta_n) - D(...limit...)|", d_shift))
         else:
             inf_sum = True
-    if not guard_ok:
-        status = VIOLATED
-    elif inf_hyp or inf_sum or not trends:
-        status = INCONCLUSIVE
-    elif all(t.shrinks for t in trends):
-        status = CONSISTENT
-    else:
-        status = INCONCLUSIVE
-    return Verdict("relative-entropy-sum", status,
-                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
-                   trend_only=True, values=values)
+    return Verdict("relative-entropy-sum",
+                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values,
+                   violated=not guard_ok, hypotheses_ok=not inf_hyp,
+                   trends_ok=not inf_sum and all(t.shrinks for t in trends))
 
 
 # ---------------------------------------------------------------------------
@@ -694,40 +635,34 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     out_ent = output_entropy_family(channel_seq)
     mi_sigma = [mi.value(n, sigma_seq(n)) for n in range(n_max + 1)]
     mi_rho = [mi.value(n, rho_seq(n)) for n in range(n_max + 1)]
-    trends = [
+    mix_vals = [mi.value(n, _mixture(rho_seq(n), sigma_seq(n), p[n])) for n in range(n_max + 1)]
+    mi_trends = [
         _limit_trend("|I(Phi_n,sigma_n) - I(Phi_0,sigma_0)|", mi_sigma),
         _limit_trend("|I(Phi_n,rho_n) - I(Phi_0,rho_0)|", mi_rho),
+        _limit_trend("|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|", mix_vals),
     ]
-    mix_vals = [mi.value(n, rho_seq(n).scale(p[n]).add(sigma_seq(n).scale(1.0 - p[n])))
-                for n in range(n_max + 1)]
-    trends.append(_limit_trend("|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|", mix_vals))
     s_in = [ent.value(n, rho_seq(n)) for n in range(n_max + 1)]
     s_out = [out_ent.value(n, rho_seq(n)) for n in range(n_max + 1)]
     in_trend = _limit_trend("|S(rho_n) - S(rho_0)|", s_in)
     out_trend = _limit_trend("|S(Phi_n(rho_n)) - S(Phi_0(rho_0))|", s_out)
-    trends.extend([in_trend, out_trend])
+    trends = mi_trends + [in_trend, out_trend]
     checks = [
         CheckResult("entropy sufficient condition (inputs or outputs)",
                      in_trend.shrinks or out_trend.shrinks, 0.0),
     ]
-    tail_trend = None
-    tail_ok = True
     if schedule is not None:
         tails = []
         for m in range(schedule.m_0, min(m_max, schedule.m_max) + 1):
             vals = [out_ent.value(n, compress(rho_seq(n), schedule.projector(n, m).complement()))
                     for n in range(n_max + 1)]
             tails.append(max(float(v) for v in vals))
-        tail_trend = TrendSummary.from_residuals("output-entropy tail sup over m", tails)
-        trends.append(tail_trend)
-        tail_ok = shrinks_toward_zero(tails)
-        checks.append(CheckResult("output-entropy tail decreases toward zero over m", tail_ok, 0.0))
-    core_ok = all(t.shrinks for t in trends[:3])
-    sufficient_ok = in_trend.shrinks or out_trend.shrinks
-    status = CONSISTENT if core_ok and sufficient_ok and tail_ok else INCONCLUSIVE
-    return Verdict("channel-mi", status,
+        trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))
+        checks.append(CheckResult("output-entropy tail decreases toward zero over m",
+                                  shrinks_toward_zero(tails), 0.0))
+    return Verdict("channel-mi",
                    hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
-                   trend_only=True)
+                   hypotheses_ok=all(c.passed for c in checks),
+                   trends_ok=all(t.shrinks for t in mi_trends))
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +687,7 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     inf_hyp = any(v.is_inf for v in a1)
     checks = [CheckResult("A_1 values finite on window", not inf_hyp, 0.0)]
     if inf_hyp:
-        return Verdict("appendix-domination", INCONCLUSIVE,
-                       hypothesis_checks=tuple(checks), trend_only=True)
+        return Verdict("appendix-domination", hypothesis_checks=tuple(checks), hypotheses_ok=False)
     ladder_ok, ladder_slack, ladder_detail = True, math.inf, ""
     for n in range(n_max + 1):
         l1 = regularized_log_ladder(rho1(n), sigma1(n), k_schedule)
@@ -780,16 +714,11 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         _limit_trend("|a1_n - a1_0|", a1),
         _limit_trend("|a2_n - a2_0|", a2),
     )
-    if not ladder_ok or not sq_ok:
-        status = VIOLATED
-    elif bound_ok and all(t.shrinks for t in trends):
-        status = CONSISTENT
-    else:
-        status = INCONCLUSIVE
-    return Verdict("appendix-domination", status,
+    return Verdict("appendix-domination",
                    hypothesis_checks=tuple(checks), conclusion_trends=trends,
-                   trend_only=True,
-                   values={"A_1": a1_window, "A_2": a2_window, "Delta": delta})
+                   values={"A_1": a1_window, "A_2": a2_window, "Delta": delta},
+                   violated=not ladder_ok or not sq_ok,
+                   trends_ok=bound_ok and all(t.shrinks for t in trends))
 
 
 def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequence, n_max: int):

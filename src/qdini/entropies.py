@@ -22,7 +22,6 @@ from .operators import (
     compress,
     default_rank_tol,
     partial_trace,
-    support_projector,
 )
 
 SUPPORT_TOL = 1e-10

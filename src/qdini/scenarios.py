@@ -32,18 +32,15 @@ from .entropies import (
     binary_entropy_extension,
     check_entropy_subadditivity_pair,
     compressed_entropy_pair,
-    regularized_log_ladder,
     relative_entropy,
-    trace_neg_log,
     von_neumann_entropy,
 )
-from .extreal import ExtendedReal
 from .operators import (
     DensityOperator,
     PositiveOperator,
     Projector,
+    compress,
     partial_trace,
-    tensor,
     trace_norm_distance,
 )
 from .truncation import (
@@ -51,17 +48,8 @@ from .truncation import (
     OperatorSequence,
     commuting_schedule,
     fixed_basis_schedule,
-    spectral_truncation,
 )
-from .verdicts import (
-    CONSISTENT,
-    INCONCLUSIVE,
-    CheckResult,
-    TrendSummary,
-    Verdict,
-    dumps_canonical,
-    residual_shrinks,
-)
+from .verdicts import CheckResult, TrendSummary, Verdict, dumps_canonical
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_BUDGET = 2e10
@@ -492,11 +480,10 @@ def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: flo
         CheckResult(f"entropy gap within [{low}, {high}] for n >= {n_from}", in_band,
                     min((g - low for g in window), default=0.0)),
     )
-    status = CONSISTENT if dist_trend.shrinks and in_band else INCONCLUSIVE
-    return Verdict("entropy-jump-probe", status,
+    return Verdict("entropy-jump-probe",
                    hypothesis_checks=checks, conclusion_trends=(dist_trend,),
-                   trend_only=True,
-                   values={"distances": distances, "entropy_gaps": gaps})
+                   values={"distances": distances, "entropy_gaps": gaps},
+                   hypotheses_ok=in_band, trends_ok=dist_trend.shrinks)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,7 @@ from .operators import (
     eigh,  # noqa: F401  kept importable from here: perfbench's tracer test wraps truncation.eigh
     support_projector,
 )
-from .verdicts import (
-    CheckResult,
-    TrendSummary,
-    Verdict,
-    combine_status,
-)
+from .verdicts import CheckResult, TrendSummary, Verdict
 
 class OperatorSequence:
     """Indexed family n -> PositiveOperator; index 0 is the declared limit."""
@@ -358,25 +353,20 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     checks.append(CheckResult("join of P^n_m covers supp rho_n", cover_ok, 0.0, cover_detail))
     probes = _probe_vectors(seq(0))
     trends = []
-    trends_ok = True
     for m in range(m_lo, m_hi + 1):
         p0 = schedule.projector(0, m)
         res = []
         for n in range(1, n_hi + 1):
             pn = schedule.projector(n, m)
             res.append(_probe_residual(pn, p0, probes))
-        trend = TrendSummary.from_residuals(f"probe residual ||(P^n_m - P^0_m)v||, m = {m}", res)
-        trends.append(trend)
-        trends_ok = trends_ok and trend.shrinks
-    hypothesis_ok = rank_ok and mass_ok and nest_ok and cover_ok
-    status = combine_status(True, not hypothesis_ok, trends_ok)
+        trends.append(TrendSummary.from_residuals(f"probe residual ||(P^n_m - P^0_m)v||, m = {m}", res))
     return Verdict(
         name="schedule-consistency",
-        status=status,
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
-        trend_only=True,
         notes=("projector convergence is certified only as a finite-window trend",),
+        violated=not all(c.passed for c in checks),
+        trends_ok=all(t.shrinks for t in trends),
     )
 
 

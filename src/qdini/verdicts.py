@@ -3,10 +3,11 @@
 A finite window can never certify a limit, so asymptotic claims are reported
 with a fixed trend rule: a residual sequence "shrinks" iff its last value is
 below half its first value and at least 60 percent of consecutive steps
-decrease.  Statuses follow a strict convention: "violated" is reserved for
-actual inequality failures beyond tolerance, a +inf inside a hypothesis makes
-the verdict "inconclusive", and trend-based conclusions are at most
-"consistent" and carry trend_only = true.
+decrease.  Every verdict's status follows one policy, ``Verdict.status``:
+"violated" is reserved for actual inequality failures beyond tolerance, a
++inf or an unmet hypothesis makes the verdict "inconclusive", and otherwise
+the trends decide; trend-based conclusions are at most "consistent" and
+carry trend_only = true.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 CONSISTENT = "consistent"
 VIOLATED = "violated"
@@ -119,17 +121,34 @@ class TrendSummary:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A procedure's checks and trends, and the three inputs its status is derived from.
+
+    ``violated``: an inequality failed beyond tolerance.  ``hypotheses_ok``:
+    no hypothesis is unmet or +inf.  ``trends_ok``: the residual trends that
+    stand in for the conclusion shrink.  The defaults make an unannotated
+    verdict "inconclusive".
+    """
+
     name: str
-    status: str
     hypothesis_checks: tuple = ()
     conclusion_trends: tuple = ()
-    trend_only: bool = False
     notes: tuple = ()
     values: dict = field(default_factory=dict)
+    violated: bool = False
+    hypotheses_ok: bool = True
+    trends_ok: bool = False
 
-    def __post_init__(self):
-        if self.status not in (CONSISTENT, VIOLATED, INCONCLUSIVE):
-            raise ValueError(f"unknown status {self.status!r}")
+    # a finite window never certifies a limit, so every verdict rests on trends
+    trend_only: ClassVar[bool] = True
+
+    @property
+    def status(self) -> str:
+        """The status policy, and the only place a status is decided."""
+        if self.violated:
+            return VIOLATED
+        if not self.hypotheses_ok:
+            return INCONCLUSIVE
+        return CONSISTENT if self.trends_ok else INCONCLUSIVE
 
     def to_json(self) -> dict:
         return {
@@ -155,15 +174,6 @@ def _encode_value(v):
     return encode_number(v)
 
 
-def combine_status(hypothesis_ok: bool, inequality_violated: bool, trends_ok: bool) -> str:
-    """Shared status logic: inequality failures dominate, then unmet hypotheses."""
-    if inequality_violated:
-        return VIOLATED
-    if not hypothesis_ok:
-        return INCONCLUSIVE
-    return CONSISTENT if trends_ok else INCONCLUSIVE
-
-
 @dataclass(frozen=True)
 class GridCell:
     n: int
@@ -185,12 +195,6 @@ class DiagnosticsGrid:
     def cell(self, n: int, m: int) -> GridCell:
         idx = self.n_range.index(n) * len(self.m_range) + self.m_range.index(m)
         return self.cells[idx]
-
-    def sup_gap_per_m(self) -> dict:
-        return {m: max(c.gap for c in self.cells if c.m == m) for m in self.m_range}
-
-    def sup_tail_per_m(self) -> dict:
-        return {m: max(c.tail for c in self.cells if c.m == m) for m in self.m_range}
 
     def to_rows(self):
         for c in self.cells:
