@@ -24,10 +24,6 @@ class ExtendedReal:
         object.__setattr__(self, "value", v)
 
     @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    @property
     def is_inf(self) -> bool:
         return self.value == math.inf
 

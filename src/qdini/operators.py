@@ -98,11 +98,6 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(np.sum(self.diag))
 
-    def trace_norm(self) -> float:
-        if self.is_diagonal:
-            return float(np.sum(np.abs(self._diag)))
-        return float(np.sum(np.abs(np.linalg.eigvalsh(self.matrix))))
-
     def operator_norm(self) -> float:
         if self.is_diagonal:
             return float(np.max(np.abs(self._diag))) if self.dim else 0.0
@@ -343,9 +338,6 @@ class PositiveOperator(HermitianOperator):
             spec = self._spectrum = Spectrum(np.maximum(self._diag[order], 0.0), diagonal=True, basis=order)
         return spec
 
-    def trace_norm(self) -> float:
-        return float(np.sum(self.spectrum().values))
-
     def operator_norm(self) -> float:
         if self.is_diagonal:
             return super().operator_norm()
@@ -518,10 +510,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns; eigenvectors[:, i] pairs with eigenvalues[i]
     multiplicity_groups: list = field(default_factory=list)  # (start, stop) index ranges
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:

@@ -99,7 +99,8 @@ class TestEigh:
         h = HermitianOperator(z @ z.conj().T)
         dec = eigh(h)
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-        assert np.allclose(dec.reconstruct(), h.matrix, atol=1e-10)
+        v = dec.eigenvectors
+        assert np.allclose((v * dec.eigenvalues) @ v.conj().T, h.matrix, atol=1e-10)
 
     def test_deterministic_on_repeats(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
