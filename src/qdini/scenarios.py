@@ -821,7 +821,7 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
 
 def random_positive(rng: np.random.Generator, dim: int, scale_max: float = 2.0) -> PositiveOperator:
     c = rng.uniform(0.1, scale_max)
-    return PositiveOperator(c * random_density(rng, dim).matrix)
+    return random_density(rng, dim).scale(c)
 
 
 def random_channel(rng: np.random.Generator, d_in: int, d_out: int, kraus_count: int) -> Channel:
@@ -843,7 +843,7 @@ def _fuzz_entropy(rng, dim):
     lo, hi = check_entropy_subadditivity_pair(rho, sigma)
     c = rng.uniform(0.2, 3.0)
     s = float(von_neumann_entropy(rho))
-    s_scaled = float(von_neumann_entropy(PositiveOperator(c * rho.matrix)))
+    s_scaled = float(von_neumann_entropy(rho.scale(c)))
     p = rng.uniform(0.0, 1.0)
     rho_s = random_density(rng, dim)
     sigma_s = random_density(rng, dim)
@@ -868,26 +868,26 @@ def _fuzz_relative_entropy(rng, dim):
     d = relative_entropy(rho, sigma)
     slacks["nonnegativity"] = float(d) if not d.is_inf else 0.0
     c = rng.uniform(0.2, 3.0)
-    d_cc = relative_entropy(PositiveOperator(c * rho.matrix), PositiveOperator(c * sigma.matrix))
+    d_cc = relative_entropy(rho.scale(c), sigma.scale(c))
     if not d.is_inf:
         slacks["joint scaling identity"] = -abs(float(d_cc) - c * float(d))
-        d_c = relative_entropy(rho, PositiveOperator(c * sigma.matrix))
+        d_c = relative_entropy(rho, sigma.scale(c))
         expect = float(d) - rho.trace() * math.log(c) + (c - 1.0) * sigma.trace()
         slacks["second-argument scaling identity"] = -abs(float(d_c) - expect)
     d_ro = relative_entropy(rho, omega)
     d_so = relative_entropy(sigma, omega)
-    d_sum = relative_entropy(PositiveOperator(rho.matrix + sigma.matrix), omega)
+    d_sum = relative_entropy(rho.add(sigma), omega)
     if not (d_ro.is_inf or d_so.is_inf or d_sum.is_inf):
         lower = float(d_ro) + float(d_so) - omega.trace()
         upper = lower + binary_entropy_extension(rho.trace(), sigma.trace())
         slacks["sum lower bound"] = float(d_sum) - lower
         slacks["sum upper bound"] = upper - float(d_sum)
-    d_shift = relative_entropy(rho, PositiveOperator(sigma.matrix + theta.matrix))
+    d_shift = relative_entropy(rho, sigma.add(theta))
     if not d.is_inf:
         slacks["second-argument shift bound"] = float(d) + theta.trace() - float(d_shift)
     # support-break control: a finite-side inequality must still hold
     proj = random_projector(rng, dim, dim - 1)
-    sigma_cut = PositiveOperator(proj.matrix @ sigma.matrix @ proj.matrix)
+    sigma_cut = compress(sigma, proj)
     d_cut = relative_entropy(rho, sigma_cut)
     slacks["support break is infinite"] = 0.0 if d_cut.is_inf else -1.0
     return slacks

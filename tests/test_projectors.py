@@ -251,3 +251,16 @@ def test_dominated_scheme_builds_its_limits_once(monkeypatch):
 def test_mi_bound_trial_solves_six_spectra(eigensolves):
     inequality_fuzz("mi-bound", 4, 1, 11)
     assert sum(eigensolves.values()) == 6
+
+
+def test_relative_entropy_trial_reuses_scaled_spectra(eigensolves):
+    # one eigvalsh per random state and per sum or cut built from them, one
+    # eigh per second argument; c rho and c sigma are views of rho and sigma
+    inequality_fuzz("relative-entropy", 6, 1, 11)
+    assert eigensolves == {"eigvalsh": 7, "eigh": 4}
+
+
+@pytest.mark.parametrize("suite, solves", [("entropy", 6), ("laa-relative-entropy", 5), ("lindblad-ozawa", 3)])
+def test_fuzz_trials_scale_by_views(eigensolves, suite, solves):
+    inequality_fuzz(suite, 6, 1, 11)
+    assert sum(eigensolves.values()) == solves
