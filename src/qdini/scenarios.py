@@ -393,12 +393,17 @@ def _build_schedule(spec, seqs, default_seq, n_max):
     raise ScenarioError(f"unknown schedule type {kind!r}")
 
 
+def _window(check: dict, n_override, m_override):
+    """The (n_max, m_max) window a check runs on: the override where given, else its own."""
+    n_max = int(n_override if n_override is not None else check.get("n_max", 12))
+    m_max = int(m_override if m_override is not None else check.get("m_max", 12))
+    return n_max, m_max
+
+
 def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
     op = check.get("op")
     params = dict(check)
-    n_max = int(n_override if n_override is not None else params.get("n_max", 12))
-    m_max_default = params.get("m_max", 12)
-    m_max = int(m_override if m_override is not None else m_max_default)
+    n_max, m_max = _window(check, n_override, m_override)
     grid = None
     if op == "truncation-criterion":
         family = fams[params["family"]]
@@ -490,16 +495,16 @@ def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: flo
 # Budget guard
 
 
-def estimate_flops(scenario: Scenario) -> float:
+def estimate_flops(scenario: Scenario, n_max=None, m_max=None) -> float:
+    """Estimated cost of running the scenario with the same window overrides as run_scenario."""
     seqs, _, _ = _resolve_bindings(scenario)
     total = 0.0
     for check in scenario.checks:
         dims = [seqs[v].dim for v in check.values() if isinstance(v, str) and v in seqs]
         dim = max(dims, default=2)
         cost_dim = dim if scenario.diagonal else dim ** 3
-        n_max = int(check.get("n_max", 12))
-        m_max = int(check.get("m_max", 12))
-        total += cost_dim * (n_max + 1) * (m_max + 1) * 8.0
+        n, m = _window(check, n_max, m_max)
+        total += cost_dim * (n + 1) * (m + 1) * 8.0
     return total
 
 
@@ -513,7 +518,7 @@ def _budget() -> float:
 
 
 def run_scenario(scenario: Scenario, seed: int = 0, n_max=None, m_max=None) -> dict:
-    estimate = estimate_flops(scenario)
+    estimate = estimate_flops(scenario, n_max, m_max)
     cap = _budget()
     if estimate > cap:
         raise ScenarioError(

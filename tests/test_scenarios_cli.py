@@ -18,6 +18,7 @@ from qdini import (
     run_scenario,
 )
 from qdini.cli import main
+from qdini.scenarios import DEFAULT_BUDGET, estimate_flops
 
 
 class TestScenarioModel:
@@ -175,6 +176,21 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "re-sum"])
         assert result.exit_code == 2
         assert "budget" in result.output.lower()
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--m-max"])
+    def test_run_budget_counts_window_overrides(self, flag, monkeypatch):
+        # re-sum's own window (n, m <= 12, diagonal, d = 8) is estimated at
+        # 8 * 13 * 13 * 8 = 10816 flops; a window of 100 is 84032
+        monkeypatch.setenv("QDINI_BUDGET", "20000")
+        assert CliRunner().invoke(main, ["run", "re-sum"]).exit_code == 0
+        result = CliRunner().invoke(main, ["run", "re-sum", flag, "100"])
+        assert result.exit_code == 2
+        assert "budget" in result.output.lower()
+
+    def test_budget_estimate_reads_the_overrides(self):
+        sc = builtin_scenario("re-sum")
+        assert estimate_flops(sc) <= DEFAULT_BUDGET < estimate_flops(sc, n_max=10 ** 9)
+        assert estimate_flops(sc, n_max=12, m_max=12) == estimate_flops(sc)
 
     def test_run_scenario_file(self, tmp_path):
         path = tmp_path / "sc.json"
