@@ -17,11 +17,15 @@ import numpy as np
 
 from .channels import ChannelSequence, channel_mutual_information, coherent_information
 from .entropies import (
+    SpectralCuts,
     binary_entropy,
     binary_entropy_extension,
+    entropy_cuts,
     regularized_log_ladder,
     relative_entropy,
+    relative_entropy_cuts,
     trace_neg_log,
+    trace_neg_log_cuts,
     von_neumann_entropy,
 )
 from .extreal import ExtendedReal
@@ -82,19 +86,24 @@ class FunctionalFamily:
     """An index-dependent functional f_n on the positive cone.
 
     Evaluation returns an ExtendedReal; +inf is a legitimate value (support
-    violations of the relative entropy), never an error.
+    violations of the relative entropy), never an error.  A family that
+    reads a state only through its spectrum and its weights in a fixed
+    basis per n also has ``rows``: (n, SpectralCuts) -> f_n of every head
+    and tail, as floats with +inf, which the grids and the truncation
+    criterion use in place of one ``value`` call per cut.
     """
 
-    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed")
+    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed", "rows")
 
     def __init__(self, kind: str, label: str, value, a_f: ModulusFunction,
-                 b_f: ModulusFunction | None = None, signed: bool = False):
+                 b_f: ModulusFunction | None = None, signed: bool = False, rows=None):
         self.kind = kind
         self.label = label
         self._value = value
         self.a_f = a_f
         self.b_f = b_f
         self.signed = signed
+        self.rows = rows
 
     def value(self, n: int, op: PositiveOperator) -> ExtendedReal:
         return self._value(n, op)
@@ -120,6 +129,7 @@ def entropy_family() -> FunctionalFamily:
         "Entropy", "S",
         lambda n, op: von_neumann_entropy(op),
         a_f=ZERO_MODULUS, b_f=H2_MODULUS,
+        rows=lambda n, cuts: entropy_cuts(cuts),
     )
 
 
@@ -128,6 +138,7 @@ def relative_entropy_family(sigma_seq: OperatorSequence, label: str = "D(.||sigm
         "RelativeEntropyVsSequence", label,
         lambda n, op: relative_entropy(op, sigma_seq(n)),
         a_f=H2_MODULUS, b_f=ZERO_MODULUS,
+        rows=lambda n, cuts: relative_entropy_cuts(cuts, sigma_seq(n)),
     )
 
 
@@ -136,6 +147,7 @@ def trace_neg_log_family(sigma_seq: OperatorSequence, label: str = "Tr rho(-ln s
         "TraceNegLogVsSequence", label,
         lambda n, op: trace_neg_log(op, sigma_seq(n)),
         a_f=ZERO_MODULUS, b_f=ZERO_MODULUS,
+        rows=lambda n, cuts: trace_neg_log_cuts(cuts, sigma_seq(n)),
     )
 
 
@@ -179,39 +191,31 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
     Cells where a value is +inf are flagged and kept; the grid is returned in
     full either way.
     """
-    m_lo = scheme.m_floor(seq)
+    m_range = range(scheme.m_floor(seq), m_max + 1)
     cells = []
     for n in range(n_max + 1):
-        rho = seq(n)
-        f_rho = family.value(n, rho)
-        for m in range(m_lo, m_max + 1):
-            tr = scheme.truncate(seq, n, m)
+        f_rho = family.value(n, seq(n))
+        row = _truncation_row(family, seq, scheme, n, m_range, tails=True)
+        for m, (mass, ambiguous, f_head, tail_mass, f_tail) in zip(m_range, row):
             flags = []
-            if tr.ambiguous:
+            if ambiguous:
                 flags.append("ambiguous-m")
-            head_state = normalize(tr.head)
-            tail_state = normalize(tr.tail)
-            if head_state is None:
+            if f_head is None:
                 gap = float(f_rho)
+            elif f_rho.is_inf or math.isinf(f_head):
+                gap = math.inf
+                flags.append("inf-gap")
             else:
-                f_head = family.value(n, head_state)
-                if f_rho.is_inf or f_head.is_inf:
-                    gap = math.inf
-                    flags.append("inf-gap")
-                else:
-                    gap = float(f_rho) - float(f_head)
-            tail_mass = tr.tail.trace()
-            if tail_state is None or tail_mass <= 0.0:
+                gap = float(f_rho) - f_head
+            if f_tail is None:
                 tail = 0.0
+            elif math.isinf(f_tail):
+                tail = math.inf
+                flags.append("inf-tail")
             else:
-                f_tail = family.value(n, tail_state)
-                if f_tail.is_inf:
-                    tail = math.inf
-                    flags.append("inf-tail")
-                else:
-                    tail = tail_mass * float(f_tail)
-            cells.append(GridCell(n, m, tr.mass, gap, tail, tuple(flags)))
-    return DiagnosticsGrid(tuple(range(n_max + 1)), tuple(range(m_lo, m_max + 1)), tuple(cells))
+                tail = tail_mass * f_tail
+            cells.append(GridCell(n, m, mass, gap, tail, tuple(flags)))
+    return DiagnosticsGrid(tuple(range(n_max + 1)), tuple(m_range), tuple(cells))
 
 
 def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence,
@@ -221,26 +225,69 @@ def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence
     mu is the truncated mass relative to Tr rho_n; cells with +inf values are
     skipped (the inequality presupposes finiteness).
     """
-    m_lo = scheme.m_floor(seq)
+    m_range = range(scheme.m_floor(seq), m_max + 1)
     worst = math.inf
     for n in range(n_max + 1):
-        rho = seq(n)
-        t = rho.trace()
-        f_rho = family.value(n, rho)
+        t = seq(n).trace()
+        f_rho = family.value(n, seq(n))
         if f_rho.is_inf:
             continue
-        for m in range(m_lo, m_max + 1):
-            tr = scheme.truncate(seq, n, m)
-            head_state = normalize(tr.head)
-            if head_state is None:
+        for mass, _, f_head, _, _ in _truncation_row(family, seq, scheme, n, m_range, tails=False):
+            if f_head is None or math.isinf(f_head):
                 continue
-            f_head = family.value(n, head_state)
-            if f_head.is_inf:
-                continue
-            mu = min(max(tr.mass / t, 0.0), 1.0)
-            slack = float(f_rho) - mu * float(f_head) + family.a_f(1.0 - mu)
+            mu = min(max(mass / t, 0.0), 1.0)
+            slack = float(f_rho) - mu * f_head + family.a_f(1.0 - mu)
             worst = min(worst, slack)
     return worst
+
+
+def _truncation_row(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
+                    n: int, m_range, tails: bool) -> list:
+    """(mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n) for each m of m_range.
+
+    f_head is f_n of the normalized head and f_tail of the normalized tail,
+    floats with +inf, or None where that state does not exist (f_tail also
+    when ``tails`` is false).  A spectral scheme and a family with rows take
+    the whole row from one spectrum; anything else evaluates cell by cell.
+    """
+    if scheme.kind == "spectral" and family.rows is not None:
+        return _spectral_row(family, n, seq(n), m_range)
+    return [_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in m_range]
+
+
+def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple:
+    head_state = normalize(tr.head)
+    f_head = None if head_state is None else float(family.value(n, head_state))
+    tail_mass = tr.tail.trace()
+    f_tail = None
+    if tails and tail_mass > 0.0:
+        tail_state = normalize(tr.tail)
+        if tail_state is not None:
+            f_tail = float(family.value(n, tail_state))
+    return tr.mass, tr.ambiguous, f_head, tail_mass, f_tail
+
+
+def _spectral_row(family: FunctionalFamily, n: int, rho: PositiveOperator, m_range) -> list:
+    """``_truncation_row`` of the spectral scheme from rho's kept spectrum.
+
+    A cut m below rank rho splits the kept spectrum into a head and a tail
+    of positive mass.  A cut at or above the rank keeps rho itself and
+    leaves no tail, so all those cells are the one cell of spectral_truncation(rho, m).
+    """
+    spec = rho.spectrum()
+    lam = spec.kept()
+    below = np.array([m for m in m_range if m < spec.rank], dtype=np.intp)
+    row = []
+    if below.size:
+        cuts = SpectralCuts(spec, lam, below, normalized=True)
+        f_heads, f_tails = family.rows(n, cuts)
+        ambiguous = lam[below - 1] - lam[below] <= spec.gap_tol
+        row = list(zip(cuts.mass[0].tolist(), ambiguous.tolist(), f_heads.tolist(),
+                       cuts.mass[1].tolist(), f_tails.tolist()))
+    if len(row) < len(m_range):
+        whole = _truncation_cell(family, n, spectral_truncation(rho, m_range[len(row)]), True)
+        row.extend([whole] * (len(m_range) - len(row)))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +501,24 @@ def _finite_values(f: FunctionalFamily, n_max: int, op_at):
     return vals
 
 
+def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, projectors) -> tuple:
+    """f_n(P rho P) and f_n(Pbar rho Pbar) for each projector P, as floats with +inf.
+
+    When every P is a leading range of rho's own spectrum (a commuting
+    schedule), the compressions are the heads and tails of rho's values and a
+    family with rows evaluates them all at once.
+    """
+    if family.rows is not None and all(p.span is not None and p.span[0] is rho.spectrum()
+                                       and p.span[1] == 0 for p in projectors):
+        spec = rho.spectrum()
+        cuts = SpectralCuts(spec, spec.values, [p.span[2] for p in projectors], normalized=False)
+        heads, tails = family.rows(n, cuts)
+        return [float(v) for v in heads], [float(v) for v in tails]
+    heads = [float(family.value(n, compress(rho, p))) for p in projectors]
+    tails = [float(family.value(n, compress(rho, p.complement()))) for p in projectors]
+    return heads, tails
+
+
 def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
                          schedule: ProjectorSchedule, n_0: int, n_max: int, m_max: int) -> Verdict:
     """Head-convergence residuals and tail sups over a projector schedule.
@@ -465,26 +530,18 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     m-window scanned for tails.
     """
     sched_verdict = validate_schedule(schedule, seq, n_max=n_max)
-    m_hi = min(m_max, schedule.m_max)
+    m_range = range(schedule.m_0, min(m_max, schedule.m_max) + 1)
+    # rows[n] = (f_n(P rho_n P), f_n(Pbar rho_n Pbar)), each along m_range
+    rows = [_compressed_values(family, n, seq(n), [schedule.projector(n, m) for m in m_range])
+            for n in range(n_max + 1)]
+    saw_inf = any(math.isinf(v) for head_row, tail_row in rows for v in head_row + tail_row)
     trends = []
     tails = []
-    saw_inf = False
-    for m in range(schedule.m_0, m_hi + 1):
-        head_vals = []
-        tail_vals = []
-        for n in range(n_max + 1):
-            rho = seq(n)
-            p = schedule.projector(n, m)
-            hv = family.value(n, compress(rho, p))
-            tv = family.value(n, compress(rho, p.complement()))
-            if hv.is_inf or tv.is_inf:
-                saw_inf = True
-            head_vals.append(hv)
-            tail_vals.append(tv)
-        if not any(v.is_inf for v in head_vals):
+    for i, m in enumerate(m_range):
+        head_vals = [head_row[i] for head_row, _ in rows]
+        if not any(math.isinf(v) for v in head_vals):
             trends.append(_limit_trend(f"head residual, m = {m}", head_vals))
-        window = [v for n, v in enumerate(tail_vals) if n >= n_0]
-        tails.append(math.inf if any(v.is_inf for v in window) else max(float(v) for v in window))
+        tails.append(max(tail_row[i] for n, (_, tail_row) in enumerate(rows) if n >= n_0))
     trends.append(TrendSummary.from_residuals("tail sup over m", tails))
     tail_vanishes = shrinks_toward_zero(tails)
     checks = (

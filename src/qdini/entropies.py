@@ -16,9 +16,11 @@ import numpy as np
 
 from .extreal import INFINITY, ExtendedReal, finite
 from .operators import (
+    RANK_REL_TOL,
     DensityOperator,
     PositiveOperator,
     Projector,
+    Spectrum,
     compress,
     default_rank_tol,
     partial_trace,
@@ -89,6 +91,109 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
         return INFINITY
     s = float(von_neumann_entropy(rho))
     return finite(float(tnl) - s - eta(tr_rho) + tr_sigma - tr_rho)
+
+
+class SpectralCuts:
+    """The heads and tails of one spectrum, cut at several indices at once.
+
+    ``values`` v is non-increasing and pairs with the basis u of
+    ``spectrum``: its kept values for spectral truncation, its values for
+    compression onto a leading range of the basis.  The head at cut k is
+    X = c sum_{i < k} v_i |u_i><u_i| and the tail is the same sum over
+    i >= k, with c = 1, or c = 1 / Tr X when ``normalized`` (every head and
+    tail must then have positive mass).  Arrays indexed by cut have shape
+    (2, len(cuts)): heads in row 0, tails in row 1.
+
+    The row functionals below read a head off a forward cumulative sum
+    along the spectrum order and a tail off a reversed one, so a whole row
+    of cuts costs what one cut costs.  They follow the scalar functionals
+    step for step, which remain their oracle.
+    """
+
+    __slots__ = ("spectrum", "values", "cuts", "scale", "mass", "top", "_ranked_end")
+
+    def __init__(self, spectrum: Spectrum, values, cuts, normalized: bool):
+        v = np.asarray(values, dtype=float)
+        k = np.asarray(cuts, dtype=np.intp)
+        self.spectrum = spectrum
+        self.values = v
+        self.cuts = k
+        self.mass = self.sums(v)
+        self.scale = 1.0 / self.mass if normalized else np.ones_like(self.mass)
+        # largest value of each head and tail, before scaling (0 for an empty tail)
+        self.top = np.stack([np.full(k.size, v[0]), np.append(v, 0.0)[k]])
+        # a cut's entropy counts its values above the rank tolerance of its
+        # own top value: all of a head's, a prefix of a tail's
+        end = np.searchsorted(-v, -_rank_tols(v.size, self.top), side="left")  # count of values above
+        self._ranked_end = np.stack([np.minimum(k, end[0]), np.maximum(k, end[1])])
+
+    def sums(self, x, ranked: bool = False) -> np.ndarray:
+        """Sums of a per-eigenvector quantity x (shape (d,) or (d, p)) over every head and tail.
+
+        ``ranked`` sums only over the values the cut's entropy counts.
+        """
+        x = np.asarray(x, dtype=float)
+        zero = np.zeros((1,) + x.shape[1:])
+        forward = np.concatenate([zero, np.cumsum(x, axis=0)])
+        backward = np.concatenate([np.cumsum(x[::-1], axis=0)[::-1], zero])
+        k = self.cuts
+        if not ranked:
+            return np.stack([forward[k], backward[k]])
+        head_end, tail_end = self._ranked_end
+        return np.stack([forward[head_end], backward[k] - backward[tail_end]])
+
+
+def _rank_tols(dim: int, tops: np.ndarray) -> np.ndarray:
+    """``default_rank_tol`` elementwise."""
+    return dim * RANK_REL_TOL * np.maximum(tops, 0.0)
+
+
+def entropy_cuts(cuts: SpectralCuts) -> np.ndarray:
+    """``von_neumann_entropy`` of every head and tail of ``cuts``."""
+    v = cuts.values
+    # logs relative to the top value r keep the terms independent of the
+    # spectrum's scale, and a one-value cut exactly 0
+    r = v[0] if v[0] > 0.0 else 1.0
+    v_log = v * np.log(np.where(v > 0.0, v, r) / r)
+    sums = cuts.sums(np.column_stack([v, v_log]), ranked=True)
+    mass, v_log_sum = sums[..., 0], sums[..., 1]
+    # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the counted values
+    s = cuts.scale * (mass * np.log(np.where(mass > 0.0, mass, r) / r) - v_log_sum)
+    return np.where(mass > 0.0, s, 0.0)
+
+
+def _support_sums(cuts: SpectralCuts, sigma: PositiveOperator):
+    """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X."""
+    if cuts.values.size != sigma.dim:
+        raise ValueError(f"dimension mismatch: {cuts.values.size} vs {sigma.dim}")
+    spec = sigma.spectrum()
+    r = spec.rank
+    g = np.zeros((sigma.dim, 2))
+    g[:r, 0] = -np.log(spec.values[:r])
+    g[r:, 1] = 1.0
+    # per eigenvector u_i of the cut spectrum: <u_i|-ln sigma|u_i> and its weight off supp sigma
+    per_vector = spec.expectations(cuts.spectrum, g)
+    sums = cuts.scale[..., None] * cuts.sums(cuts.values[:, None] * per_vector)
+    return sums[..., 0], sums[..., 1]
+
+
+def trace_neg_log_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.ndarray:
+    """``trace_neg_log(X, sigma)`` of every head and tail X of ``cuts``; +inf as np.inf."""
+    cost, outside = _support_sums(cuts, sigma)
+    return np.where(outside > SUPPORT_TOL, np.inf, cost)
+
+
+def relative_entropy_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.ndarray:
+    """``relative_entropy(X, sigma)`` of every head and tail X of ``cuts``; +inf as np.inf."""
+    cost, outside = _support_sums(cuts, sigma)
+    tr = cuts.scale * cuts.mass
+    tr_sigma = sigma.trace()
+    eta_tr = -tr * np.log(np.where(tr > 0.0, tr, 1.0))
+    d = cost - entropy_cuts(cuts) - eta_tr + tr_sigma - tr
+    d = np.where(outside > SUPPORT_TOL, np.inf, d)
+    # D(0||sigma) = Tr sigma, decided before the support test
+    vanishing = tr <= _rank_tols(cuts.values.size, cuts.scale * cuts.top)
+    return np.where(vanishing, tr_sigma, d)
 
 
 def quantum_mutual_information(rho_ab: DensityOperator, d_a: int, d_b: int) -> ExtendedReal:

@@ -35,6 +35,7 @@ HERMITIAN_TOL = 1e-12
 PSD_REL_TOL = 1e-10
 TRACE_ONE_TOL = 1e-10
 GAP_REL_TOL = 1e-9
+RANK_REL_TOL = 1e-14  # per dimension, relative to the largest eigenvalue
 PROJECTOR_TOL = 1e-10
 
 
@@ -54,7 +55,7 @@ def dense_materialization_count() -> int:
 class HermitianOperator:
     """A d x d Hermitian matrix, symmetrized at construction."""
 
-    __slots__ = ("dim", "is_diagonal", "_diag", "_mat")
+    __slots__ = ("dim", "is_diagonal", "_diag", "_mat", "_trace")
 
     def __init__(self, matrix=None, *, diagonal=None):
         if (matrix is None) == (diagonal is None):
@@ -76,6 +77,7 @@ class HermitianOperator:
             self.is_diagonal = False
             self._diag = None
             self._mat = m
+        self._trace = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -96,7 +98,10 @@ class HermitianOperator:
         return np.real(np.diagonal(self.matrix))
 
     def trace(self) -> float:
-        return float(np.sum(self.diag))
+        """Sum of the diagonal, computed on first call: operators are immutable."""
+        if self._trace is None:
+            self._trace = float(np.sum(self.diag))
+        return self._trace
 
     def operator_norm(self) -> float:
         if self.is_diagonal:
@@ -136,7 +141,7 @@ class HermitianOperator:
 
 
 def default_rank_tol(dim: int, lam_max: float) -> float:
-    return dim * 1e-14 * max(lam_max, 0.0)
+    return dim * RANK_REL_TOL * max(lam_max, 0.0)
 
 
 class Spectrum:
@@ -212,6 +217,25 @@ class Spectrum:
         if a.is_diagonal:
             return a.diag @ np.abs(basis) ** 2
         return np.real(np.sum(basis.conj() * (a.matrix @ basis), axis=0))
+
+    def expectations(self, other: "Spectrum", g) -> np.ndarray:
+        """<w_i|G|w_i> for every basis vector w_i of ``other``, where G = sum_j g[j] |v_j><v_j|.
+
+        Row i is sum_j |<v_j|w_i>|^2 g[j]; g may have several columns.  The
+        overlaps |<v_j|w_i>|^2 are one d x d product for two dense bases, a
+        gather of rows for one diagonal basis, and a permutation of g for two.
+        """
+        g = np.asarray(g, dtype=float)
+        mine, theirs = self.basis, other.basis
+        if self.diagonal and other.diagonal:
+            position = np.empty_like(mine)
+            position[mine] = np.arange(mine.size)
+            return g[position[theirs]]
+        if self.diagonal:
+            return (np.abs(theirs[mine]) ** 2).T @ g
+        if other.diagonal:
+            return np.abs(mine[theirs]) ** 2 @ g
+        return (np.abs(mine.conj().T @ theirs) ** 2).T @ g
 
     def compose(self, vals) -> np.ndarray:
         """sum_i vals[i] |v_i><v_i|: the diagonal (diagonal basis) or the dense matrix."""
@@ -428,6 +452,7 @@ class Projector(HermitianOperator):
         p.is_diagonal = False
         p._diag = None
         p._mat = None
+        p._trace = None
         p.rank = hi - lo
         p.span = (spectrum, lo, hi)
         return p

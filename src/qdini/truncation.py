@@ -127,20 +127,24 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     with sigma = tau - c rho; m must reach the top-eigenvalue multiplicities
     of both limit operators.
     """
-    return _dominated_truncation(tau, rho, c, m, _LimitCuts(rho_limit, sigma_limit))
+    if tau.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
+    return _dominated_truncation(rho, _sigma_part(tau, rho, c), c, m, _LimitCuts(rho_limit, sigma_limit))
 
 
 class _LimitCuts:
     """The limit operators of a dominated truncation, with their cut indices memoized.
 
     ``which`` names a limit: "rho" (rho_0) or "sigma" (sigma_0 = tau_0 - c rho_0).
+    ``sigma_parts`` maps n to sigma_n = tau_n - c rho_n, built once per n.
     """
 
-    __slots__ = ("rho", "sigma", "_memo")
+    __slots__ = ("rho", "sigma", "sigma_parts", "_memo")
 
     def __init__(self, rho_limit: PositiveOperator, sigma_limit: PositiveOperator):
         self.rho = rho_limit
         self.sigma = sigma_limit
+        self.sigma_parts = {}
         self._memo = {}
 
     def top_multiplicity(self, which: str) -> int:
@@ -156,11 +160,8 @@ class _LimitCuts:
         return self._memo[key]
 
 
-def _dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float, m: int,
+def _dominated_truncation(rho: PositiveOperator, sigma: PositiveOperator, c: float, m: int,
                           cuts: _LimitCuts) -> TruncationResult:
-    if tau.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
-    sigma = _sigma_part(tau, rho, c)
     sigma_zero = sigma.trace() <= default_rank_tol(sigma.dim, sigma.operator_norm())
     m_star = cuts.top_multiplicity("rho")
     if not sigma_zero:
@@ -215,7 +216,12 @@ class ApproximationScheme:
     def truncate(self, seq: OperatorSequence, n: int, m: int) -> TruncationResult:
         if self.kind == "spectral":
             return spectral_truncation(seq(n), m)
-        return _dominated_truncation(seq(n), self.dominated(n), self.c, m, self._limit_cuts(seq))
+        tau, rho = seq(n), self.dominated(n)
+        cuts = self._limit_cuts(seq)
+        sigma = cuts.sigma_parts.get(n)
+        if sigma is None:
+            sigma = cuts.sigma_parts[n] = _sigma_part(tau, rho, self.c)
+        return _dominated_truncation(rho, sigma, self.c, m, cuts)
 
     def m_floor(self, seq: OperatorSequence) -> int:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""
@@ -323,6 +329,8 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     n_hi = schedule.n_max if n_max is None else min(n_max, schedule.n_max)
     m_hi = schedule.m_max if m_max is None else min(m_max, schedule.m_max)
     m_lo = schedule.m_0
+    if m_hi < m_lo:
+        raise ValueError(f"m_max = {m_hi} is below the schedule's starting index m_0 = {m_lo}")
     checks = []
     rank_ok, rank_slack, rank_detail = True, math.inf, ""
     mass_ok, mass_slack, mass_detail = True, math.inf, ""

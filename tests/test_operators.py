@@ -85,6 +85,26 @@ class TestConstruction:
         assert p.rank == 2
         assert np.array_equal(p.diag, [1.0, 1.0, 0.0, 0.0])
 
+    def test_trace_is_summed_once_on_every_constructor(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        rho = _random_density(rng, 4)
+        ops = [
+            HermitianOperator(rho.matrix),
+            PositiveOperator(diagonal=[0.5, 0.2, 0.0]),
+            rho,
+            rho.rescaled(0.5),                         # PositiveOperator._with_spectrum
+            support_projector(rho),                    # Projector._range
+            support_projector(rho).complement(),
+        ]
+        firsts = [op.trace() for op in ops]
+        assert firsts == [float(np.sum(op.diag)) for op in ops]
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("trace() summed the diagonal again")
+
+        monkeypatch.setattr(np, "sum", no_sum)
+        assert [op.trace() for op in ops] == firsts
+
     def test_projector_leq(self):
         p1 = coordinate_projector(3, [0])
         p2 = coordinate_projector(3, [0, 1])

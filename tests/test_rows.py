@@ -1,0 +1,192 @@
+"""Row evaluation of spectral heads and tails against the per-cell path.
+
+The entropy, relative-entropy and trace-neg-log families carry ``rows``:
+f_n of every head and tail of rho_n's spectrum at once, from cumulative
+sums over one overlap with sigma_n's basis.  The same family without
+``rows`` evaluates every cell through the scalar functionals and is the
+oracle here.  Numbers agree within 1e-12 * max(1, |x|); flags and +inf
+agree exactly.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from qdini import (
+    ApproximationScheme,
+    FunctionalFamily,
+    HermitianOperator,
+    OperatorSequence,
+    PositiveOperator,
+    approximation_gap_grid,
+    commuting_schedule,
+    entropy_family,
+    random_unitary,
+    relative_entropy_family,
+    trace_neg_log_family,
+    truncation_criterion,
+    truncation_lower_bound_slack,
+)
+from qdini import diagnostics
+from qdini.operators import Spectrum
+
+TOL = 1e-12
+SEEDS = range(4)
+FAMILIES = ("entropy", "relative-entropy", "trace-neg-log")
+CASES = ("generic", "rank-deficient", "ties", "scaled-up", "scaled-down", "support-break")
+
+
+def _family(kind, sigma_seq):
+    if kind == "entropy":
+        return entropy_family()
+    if kind == "relative-entropy":
+        return relative_entropy_family(sigma_seq)
+    return trace_neg_log_family(sigma_seq)
+
+
+def _per_cell(family):
+    """The same family without its row evaluator."""
+    return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f, family.signed)
+
+
+def _window(case, dense, seed, d=None):
+    """Converging sequences rho_n and sigma_n of one random window, with its n_max.
+
+    rank-deficient: rho_n has zero eigenvalues; ties: rho_n's spectrum has
+    repeated values, so cuts fall inside multiplicity groups; scaled-*: both
+    spectra times 1e7 or 1e-7; support-break: sigma_n has zero eigenvalues
+    in directions where rho_n has mass, so some heads and tails give +inf.
+    """
+    rng = np.random.default_rng([seed, CASES.index(case), int(dense)])
+    d = int(rng.integers(3, 8)) if d is None else d
+    n_max = int(rng.integers(2, 5))
+    base = rng.uniform(0.05, 1.0, d)
+    if case == "ties":
+        base = rng.choice([0.4, 0.2, 0.1], d)
+    if case == "rank-deficient":
+        base[rng.permutation(d)[:rng.integers(1, d - 1)]] = 0.0
+    sigma_base = rng.uniform(0.05, 1.0, d)
+    if case == "support-break":
+        sigma_base[rng.permutation(d)[:rng.integers(1, d - 1)]] = 0.0
+    scale = {"scaled-up": 1e7, "scaled-down": 1e-7}.get(case, 1.0)
+    # ties survive a common factor; the other cases move every eigenvalue
+    pert = rng.uniform(-0.1, 0.1, 1 if case == "ties" else d)
+    sigma_pert = rng.uniform(-0.1, 0.1, d)
+    u = random_unitary(rng, d)
+    # sharing rho's basis puts whole eigenvectors of rho inside and outside supp sigma
+    w = u if case == "support-break" else random_unitary(rng, d)
+    perm, sigma_perm = rng.permutation(d), rng.permutation(d)
+
+    def member(lam, basis, order):
+        if dense:
+            return PositiveOperator((basis * lam) @ basis.conj().T)
+        return PositiveOperator(diagonal=lam[order])
+
+    def rho(n):
+        return member(scale * base * (1.0 + (0.5 ** n if n else 0.0) * pert), u, perm)
+
+    def sigma(n):
+        return member(scale * sigma_base * (1.0 + (0.5 ** n if n else 0.0) * sigma_pert), w, sigma_perm)
+
+    return OperatorSequence(rho, d), OperatorSequence(sigma, d), n_max
+
+
+def _close(got, want) -> bool:
+    if math.isinf(got) or math.isinf(want):
+        return got == want
+    return abs(got - want) <= TOL * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_gap_grid_rows_match_cells(kind, case, dense):
+    flags = Counter()
+    for seed in SEEDS:
+        rho_seq, sigma_seq, n_max = _window(case, dense, seed)
+        family = _family(kind, sigma_seq)
+        assert family.rows is not None
+        scheme = ApproximationScheme("spectral")
+        rows = approximation_gap_grid(family, rho_seq, scheme, n_max, rho_seq.dim)
+        cells = approximation_gap_grid(_per_cell(family), rho_seq, scheme, n_max, rho_seq.dim)
+        assert rows.m_range == cells.m_range and len(rows.cells) == len(cells.cells)
+        for got, want in zip(rows.cells, cells.cells):
+            where = f"seed {seed}, (n, m) = ({want.n}, {want.m})"
+            assert (got.n, got.m, got.flags) == (want.n, want.m, want.flags), where
+            for label in ("mu", "gap", "tail"):
+                assert _close(getattr(got, label), getattr(want, label)), f"{label} at {where}"
+            flags.update(want.flags)
+        slack_rows = truncation_lower_bound_slack(family, rho_seq, scheme, n_max, rho_seq.dim)
+        slack_cells = truncation_lower_bound_slack(_per_cell(family), rho_seq, scheme, n_max, rho_seq.dim)
+        assert _close(slack_rows, slack_cells), f"slack at seed {seed}"
+    # the windows reach the branches they are built for
+    if case == "ties":
+        assert flags["ambiguous-m"]
+    if case == "support-break" and kind != "entropy":
+        assert flags["inf-gap"] and flags["inf-tail"]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_commuting_criterion_rows_match_cells(kind, case):
+    for seed in SEEDS:
+        rho_seq, sigma_seq, n_max = _window(case, True, seed)
+        family = _family(kind, sigma_seq)
+        schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
+        m_range = range(schedule.m_0, schedule.m_max + 1)
+        for n in range(n_max + 1):
+            projectors = [schedule.projector(n, m) for m in m_range]
+            got = diagnostics._compressed_values(family, n, rho_seq(n), projectors)
+            want = diagnostics._compressed_values(_per_cell(family), n, rho_seq(n), projectors)
+            for side, got_side, want_side in zip(("head", "tail"), got, want):
+                for m, g, w in zip(m_range, got_side, want_side):
+                    assert _close(g, w), f"{side} at seed {seed}, (n, m) = ({n}, {m}): {g!r} vs {w!r}"
+        rows = truncation_criterion(family, rho_seq, schedule, 1, n_max, rho_seq.dim)
+        cells = truncation_criterion(_per_cell(family), rho_seq, schedule, 1, n_max, rho_seq.dim)
+        assert rows.status == cells.status
+        assert all(map(_close, rows.values["tail_sup_per_m"], cells.values["tail_sup_per_m"]))
+
+
+def test_commuting_criterion_takes_the_row_path(monkeypatch):
+    rho_seq, sigma_seq, n_max = _window("generic", True, 0)
+    schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
+    calls = Counter()
+    compress = diagnostics.compress
+
+    def counted(rho, p):
+        calls["compress"] += 1
+        return compress(rho, p)
+
+    monkeypatch.setattr(diagnostics, "compress", counted)
+    family = relative_entropy_family(sigma_seq)
+    truncation_criterion(family, rho_seq, schedule, 1, n_max, rho_seq.dim)
+    assert calls["compress"] == 0
+    truncation_criterion(_per_cell(family), rho_seq, schedule, 1, n_max, rho_seq.dim)
+    assert calls["compress"] == 2 * (n_max + 1) * len(range(schedule.m_0, schedule.m_max + 1))
+
+
+def test_dense_grid_row_builds_no_operator_and_reads_no_weights_per_cell(monkeypatch):
+    rho_seq, sigma_seq, _ = _window("generic", True, 0, d=16)
+    n_max = m_max = 8
+    for n in range(n_max + 1):
+        rho_seq(n), sigma_seq(n)
+    counts = Counter()
+    weights, init = Spectrum.weights, HermitianOperator.__init__
+
+    def counted_weights(self, a):
+        counts["weights"] += 1
+        return weights(self, a)
+
+    def counted_init(self, *args, **kwargs):
+        counts["constructions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Spectrum, "weights", counted_weights)
+    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
+    grid = approximation_gap_grid(relative_entropy_family(sigma_seq), rho_seq,
+                                  ApproximationScheme("spectral"), n_max, m_max)
+    assert len(grid.cells) == (n_max + 1) * m_max
+    assert counts["weights"] == n_max + 1  # f_n(rho_n) itself, once per row
+    assert counts["constructions"] == 0

@@ -9,11 +9,13 @@ from qdini import (
     OperatorSequence,
     PositiveOperator,
     Projector,
+    approximation_gap_grid,
     commutator_norm,
     commuting_schedule,
     constant_sequence,
     coordinate_projector,
     dominated_truncation,
+    entropy_family,
     fixed_basis_schedule,
     largest_stable_index,
     normalize,
@@ -159,6 +161,35 @@ class TestSchemes:
         assert abs(res.mass - 0.8) < 1e-14
         assert scheme.m_floor(seq) == 1
 
+    def test_dominated_grid_builds_sigma_once_per_n(self, eigensolves):
+        # dense d = 6: sigma_n = tau_n - c rho_n is checked (one eigvalsh) and
+        # its basis solved (one eigh) once per n, whatever the number of cells
+        rng = np.random.default_rng(4)
+        d, c, n_max = 6, 0.5, 4
+        u, w = random_unitary(rng, d), random_unitary(rng, d)
+
+        def rho_member(n):
+            lam = 0.6 ** np.arange(d) * (1.0 + (0.5 ** n if n else 0.0) * 0.1)
+            return PositiveOperator((u * lam) @ u.conj().T)
+
+        def tau_member(n):
+            s = 0.7 ** np.arange(d) * (1.0 + (0.5 ** n if n else 0.0) * 0.05)
+            return PositiveOperator(c * rho_seq(n).matrix + (w * s) @ w.conj().T)
+
+        rho_seq, tau_seq = OperatorSequence(rho_member, d), OperatorSequence(tau_member, d)
+        for m_max in (3, 6):
+            for n in range(n_max + 1):
+                tau_seq(n)
+                rho_seq(n).spectrum().basis
+            eigensolves.clear()
+            scheme = ApproximationScheme("dominated", c, rho_seq)
+            grid = approximation_gap_grid(entropy_family(), tau_seq, scheme, n_max, m_max)
+            cells = len(grid.cells)
+            assert cells == (n_max + 1) * m_max
+            assert eigensolves["eigh"] == n_max + 1
+            # sigma_0 and each sigma_n once; each cell's head and tail sum c rho + sigma once
+            assert eigensolves["eigvalsh"] == 1 + (n_max + 1) + 2 * cells
+
     def test_dominated_scheme_floor(self):
         rho = PositiveOperator(diagonal=[0.4, 0.4, 0.2, 0.0])
         sigma = PositiveOperator(diagonal=[0.0, 0.0, 0.0, 0.3])
@@ -256,6 +287,13 @@ class TestCommutingSchedule:
         seq = constant_sequence(DensityOperator(diagonal=[0.5, 0.5]))
         with pytest.raises(ValueError):
             commuting_schedule(seq, m_max=1, n_max=2)
+
+    def test_validation_window_below_m_0_is_named(self):
+        seq = constant_sequence(DensityOperator(diagonal=[0.4, 0.4, 0.2]))
+        sched = commuting_schedule(seq, m_max=3, n_max=2)
+        assert sched.m_0 == 2
+        with pytest.raises(ValueError, match=r"m_max = 1 .* m_0 = 2"):
+            validate_schedule(sched, seq, m_max=1)
 
     def test_commutator_exactly_zero_on_diagonal(self):
         p = coordinate_projector(3, [0])
