@@ -33,9 +33,9 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     PositiveOperator,
+    Spectrum,
     apply_spectral_function,
     compress,
-    default_rank_tol,
     is_psd,
     moore_penrose_inverse,
 )
@@ -116,10 +116,9 @@ def _homogeneous(state_value):
     """Extend a state functional to the cone: f~(rho) = Tr rho * f([rho])."""
 
     def value(n, op):
-        t = op.trace()
-        if t <= default_rank_tol(op.dim, op.operator_norm()):
+        if op.vanishes():
             return ExtendedReal(0.0)
-        return state_value(n, normalize(op)) * t
+        return state_value(n, normalize(op)) * op.trace()
 
     return value
 
@@ -501,19 +500,17 @@ def _finite_values(f: FunctionalFamily, n_max: int, op_at):
     return vals
 
 
-def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, projectors) -> tuple:
-    """f_n(P rho P) and f_n(Pbar rho Pbar) for each projector P, as floats with +inf.
+def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, basis: Spectrum, cuts) -> tuple:
+    """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf.
 
-    When every P is a leading range of rho's own spectrum (a commuting
-    schedule), the compressions are the heads and tails of rho's values and a
-    family with rows evaluates them all at once.
+    When the basis is rho's own spectrum (a commuting schedule), the
+    compressions are the heads and tails of rho's values and a family with
+    rows evaluates them all at once.
     """
-    if family.rows is not None and all(p.span is not None and p.span[0] is rho.spectrum()
-                                       and p.span[1] == 0 for p in projectors):
-        spec = rho.spectrum()
-        cuts = SpectralCuts(spec, spec.values, [p.span[2] for p in projectors], normalized=False)
-        heads, tails = family.rows(n, cuts)
+    if family.rows is not None and basis is rho.spectrum():
+        heads, tails = family.rows(n, SpectralCuts(basis, basis.values, cuts, normalized=False))
         return [float(v) for v in heads], [float(v) for v in tails]
+    projectors = [basis.projector(int(k)) for k in cuts]
     heads = [float(family.value(n, compress(rho, p))) for p in projectors]
     tails = [float(family.value(n, compress(rho, p.complement()))) for p in projectors]
     return heads, tails
@@ -532,7 +529,7 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     sched_verdict = validate_schedule(schedule, seq, n_max=n_max)
     m_range = range(schedule.m_0, min(m_max, schedule.m_max) + 1)
     # rows[n] = (f_n(P rho_n P), f_n(Pbar rho_n Pbar)), each along m_range
-    rows = [_compressed_values(family, n, seq(n), [schedule.projector(n, m) for m in m_range])
+    rows = [_compressed_values(family, n, seq(n), schedule.bases[n], schedule.cuts[n, :len(m_range)])
             for n in range(n_max + 1)]
     saw_inf = any(math.isinf(v) for head_row, tail_row in rows for v in head_row + tail_row)
     trends = []
@@ -779,9 +776,8 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
 
 
 def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequence, n_max: int):
-    """Verify Tr H rho = sum_i lambda_i <v_i|H|v_i> with H = ln(I + sigma^+)."""
+    """Verify Tr H rho = sum_i lambda_i <v_i|H|v_i> with H = ln(I + sigma^+), relative to |Tr H rho| above 1."""
     worst = math.inf
-    ok = True
     for n in range(n_max + 1):
         h = apply_spectral_function(moore_penrose_inverse(sigma_seq(n)), math.log1p)
         rho = rho_seq(n)
@@ -792,11 +788,8 @@ def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequen
             direct = float(np.real(np.trace(h.matrix @ rho.matrix)))
             spec = rho.spectrum()
             via_vectors = float(np.sum(spec.values * spec.weights(h)))
-        slack = INEQ_SLACK - abs(direct - via_vectors)
-        worst = min(worst, slack)
-        if slack < 0.0:
-            ok = False
-    return ok, float(worst)
+        worst = min(worst, INEQ_SLACK - abs(direct - via_vectors) / max(1.0, abs(direct)))
+    return worst >= 0.0, float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,15 @@ from .operators import (
     Projector,
     Spectrum,
     compress,
-    default_rank_tol,
     partial_trace,
 )
 
 SUPPORT_TOL = 1e-10
+
+
+def _support_tol(trace):
+    """The mass of X off supp sigma that still counts as on it: SUPPORT_TOL, relative above Tr X = 1."""
+    return SUPPORT_TOL * np.maximum(1.0, trace)
 
 
 def eta(x: float) -> float:
@@ -68,7 +72,7 @@ def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedRea
     # rho's mass along each sigma eigenvector
     weights = np.clip(spec.weights(rho), 0.0, None)
     r = spec.rank
-    if float(np.sum(weights[r:])) > SUPPORT_TOL:
+    if float(np.sum(weights[r:])) > _support_tol(rho.trace()):
         return INFINITY
     return finite(float(-np.sum(weights[:r] * np.log(spec.values[:r]))))
 
@@ -84,7 +88,7 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     tr_rho = rho.trace()
     tr_sigma = sigma.trace()
-    if tr_rho <= default_rank_tol(rho.dim, rho.operator_norm()):
+    if rho.vanishes():
         return finite(tr_sigma)
     tnl = trace_neg_log(rho, sigma)
     if tnl.is_inf:
@@ -180,7 +184,7 @@ def _support_sums(cuts: SpectralCuts, sigma: PositiveOperator):
 def trace_neg_log_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.ndarray:
     """``trace_neg_log(X, sigma)`` of every head and tail X of ``cuts``; +inf as np.inf."""
     cost, outside = _support_sums(cuts, sigma)
-    return np.where(outside > SUPPORT_TOL, np.inf, cost)
+    return np.where(outside > _support_tol(cuts.scale * cuts.mass), np.inf, cost)
 
 
 def relative_entropy_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.ndarray:
@@ -190,7 +194,7 @@ def relative_entropy_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.nda
     tr_sigma = sigma.trace()
     eta_tr = -tr * np.log(np.where(tr > 0.0, tr, 1.0))
     d = cost - entropy_cuts(cuts) - eta_tr + tr_sigma - tr
-    d = np.where(outside > SUPPORT_TOL, np.inf, d)
+    d = np.where(outside > _support_tol(tr), np.inf, d)
     # D(0||sigma) = Tr sigma, decided before the support test
     vanishing = tr <= _rank_tols(cuts.values.size, cuts.scale * cuts.top)
     return np.where(vanishing, tr_sigma, d)

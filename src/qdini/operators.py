@@ -15,8 +15,8 @@ operator sorts its diagonal on first spectral read.  Truncation heads and
 tails, normalized states and pseudoinverses are spectral views of their
 parent: they carry a spectrum derived from the parent's and cost no
 eigensolve.  A projector cut from a dense spectrum is a range of that
-spectrum's basis: compressions onto it, nesting and mass tests read the
-range, and its matrix is built (and checked) only when someone asks for it.
+spectrum's basis: compressions onto it and inclusion tests read the range,
+and its matrix is built (and checked) only when someone asks for it.
 
 One PSD rule decides positivity, and this is the only module that calls
 numpy's eigensolvers.  ``PositiveOperator`` enforces the rule,
@@ -373,6 +373,10 @@ class PositiveOperator(HermitianOperator):
 
     def rank(self) -> int:
         return self.spectrum().rank
+
+    def vanishes(self) -> bool:
+        """Whether the trace is at or below the rank tolerance: the operator is numerically 0."""
+        return self.trace() <= default_rank_tol(self.dim, self.operator_norm())
 
     def rescaled(self, c: float, cls=None) -> "PositiveOperator":
         """c * self for c >= 0, with its spectrum scaled from this one (no eigensolve).

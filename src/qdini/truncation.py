@@ -20,7 +20,7 @@ from .operators import (
     DensityOperator,
     PositiveOperator,
     Projector,
-    coordinate_projector,
+    Spectrum,
     default_rank_tol,
     eigh,  # noqa: F401  kept importable from here: perfbench's tracer test wraps truncation.eigh
     support_projector,
@@ -53,10 +53,9 @@ def constant_sequence(op: PositiveOperator, label: str = "") -> OperatorSequence
 
 def normalize(sigma: PositiveOperator):
     """[sigma] = sigma / Tr sigma; returns None for (numerically) zero input."""
-    t = sigma.trace()
-    if t <= default_rank_tol(sigma.dim, sigma.operator_norm()):
+    if sigma.vanishes():
         return None
-    return sigma.rescaled(1.0 / t, DensityOperator)
+    return sigma.rescaled(1.0 / sigma.trace(), DensityOperator)
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class _LimitCuts:
 
 def _dominated_truncation(rho: PositiveOperator, sigma: PositiveOperator, c: float, m: int,
                           cuts: _LimitCuts) -> TruncationResult:
-    sigma_zero = sigma.trace() <= default_rank_tol(sigma.dim, sigma.operator_norm())
+    sigma_zero = sigma.vanishes()
     m_star = cuts.top_multiplicity("rho")
     if not sigma_zero:
         m_star = max(m_star, cuts.top_multiplicity("sigma"))
@@ -229,8 +228,7 @@ class ApproximationScheme:
             return 1
         cuts = self._limit_cuts(seq)
         m_star = cuts.top_multiplicity("rho")
-        sigma_limit = cuts.sigma
-        if sigma_limit.trace() > default_rank_tol(sigma_limit.dim, sigma_limit.operator_norm()):
+        if not cuts.sigma.vanishes():
             m_star = max(m_star, cuts.top_multiplicity("sigma"))
         return m_star
 
@@ -244,34 +242,48 @@ class ApproximationScheme:
         return entry[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSchedule:
-    """Double-indexed projector family (n, m) -> Projector on [0..n_max] x [m_0..m_max]."""
+    """Double-indexed projector family P^n_m on [0..n_max] x [m_0..m_max].
+
+    Each member is a prefix of one basis per n: P^n_m projects onto the
+    first cuts[n, m - m_0] vectors of ``bases[n]``.  Cuts above m or
+    decreasing in m can be stored, so that validation can reject them.
+    """
 
     m_0: int
     m_max: int
     n_max: int
-    projectors: dict = field(repr=False)  # (n, m) -> Projector
-    commuting: bool = False
-    label: str = ""
+    bases: tuple  # one Spectrum per n
+    cuts: np.ndarray = field(repr=False)  # ints, shape (n_max + 1, m_max - m_0 + 1)
+
+    def __post_init__(self):
+        cuts = np.array(self.cuts, dtype=np.intp)
+        shape = (self.n_max + 1, self.m_max - self.m_0 + 1)
+        if len(self.bases) != shape[0] or cuts.shape != shape:
+            raise ValueError(f"expected {shape[0]} bases and cuts of shape {shape}, got {len(self.bases)} and {cuts.shape}")
+        if np.any((cuts < 0) | (cuts > self.bases[0].values.size)):
+            raise ValueError("cuts must lie in [0, dim]")
+        cuts.flags.writeable = False
+        object.__setattr__(self, "cuts", cuts)
 
     def projector(self, n: int, m: int) -> Projector:
-        return self.projectors[(n, m)]
+        if not self.m_0 <= m <= self.m_max:
+            raise KeyError((n, m))
+        return self.bases[n].projector(int(self.cuts[n, m - self.m_0]))
 
 
-def fixed_basis_schedule(dim: int, m_max: int, seq: OperatorSequence,
-                         n_max: int = 12, m_0: int = 1) -> ProjectorSchedule:
+def fixed_basis_schedule(dim: int, m_max: int, seq: OperatorSequence, n_max: int = 12) -> ProjectorSchedule:
     """P^n_m = projector onto the first m coordinates, constant in n."""
-    projs = {}
-    for m in range(m_0, m_max + 1):
-        p = coordinate_projector(dim, range(m))
-        for n in range(n_max + 1):
-            rho = seq(n)
-            mass = float(np.sum(rho.diag[:m])) if rho.is_diagonal else float(np.real(np.trace(p.matrix @ rho.matrix)))
-            if mass <= default_rank_tol(dim, rho.operator_norm()):
-                raise ValueError(f"Tr P_m rho_n vanishes at (n, m) = ({n}, {m})")
-            projs[(n, m)] = p
-    return ProjectorSchedule(m_0, m_max, n_max, projs, commuting=False, label="fixed-basis")
+    coordinates = PositiveOperator(diagonal=np.ones(dim)).spectrum()
+    masses = np.array([_prefix_masses(coordinates, seq(n))[1:m_max + 1] for n in range(n_max + 1)])
+    tols = np.array([[default_rank_tol(dim, seq(n).operator_norm())] for n in range(n_max + 1)])
+    vanishing = np.argwhere((masses <= tols).T)  # (m, n) order: the first vanishing cell by m
+    if vanishing.size:
+        m, n = vanishing[0]
+        raise ValueError(f"Tr P_m rho_n vanishes at (n, m) = ({n}, {m + 1})")
+    cuts = np.tile(np.arange(1, m_max + 1), (n_max + 1, 1))
+    return ProjectorSchedule(1, m_max, n_max, (coordinates,) * (n_max + 1), cuts)
 
 
 def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> ProjectorSchedule:
@@ -287,25 +299,17 @@ def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> Project
     members = [seq(n) for n in range(n_max + 1)]
     spectra = [op.spectrum() for op in members]
     ranks = [spec.rank for spec in spectra]
-    if any(op.trace() <= default_rank_tol(dim, op.operator_norm()) for op in members):
+    if any(op.vanishes() for op in members):
         raise ValueError("commuting_schedule requires every window member to be nonzero")
-    full_rank = all(r == dim for r in ranks)
-    if full_rank:
-        limit = members[0]
-        m_0 = top_multiplicity(limit)
-    else:
-        limit = _extended_limit(spectra)
-        m_0 = top_multiplicity(limit)
+    limit = members[0] if all(r == dim for r in ranks) else _extended_limit(spectra)
+    m_0 = top_multiplicity(limit)
     if m_0 > m_max:
         raise ValueError(f"m_max = {m_max} is below the starting index m_0 = {m_0}; enlarge the window")
-    projs = {}
-    for m in range(m_0, m_max + 1):
-        mh = largest_stable_index(limit, m, m_max=limit.dim)
-        if mh is None:
-            raise ValueError(f"no stable index of the limit at or below m = {m}; enlarge m_max")
-        for n in range(n_max + 1):
-            projs[(n, m)] = spectra[n].projector(min(mh, ranks[n]))
-    return ProjectorSchedule(m_0, m_max, n_max, projs, commuting=True, label="commuting")
+    m_hats = [largest_stable_index(limit, m, m_max=limit.dim) for m in range(m_0, m_max + 1)]
+    if None in m_hats:
+        raise ValueError(f"no stable index of the limit at or below m = {m_0 + m_hats.index(None)}; enlarge m_max")
+    cuts = np.minimum(np.array(m_hats)[None, :], np.array(ranks)[:, None])
+    return ProjectorSchedule(m_0, m_max, n_max, tuple(spectra), cuts)
 
 
 def _extended_limit(spectra) -> PositiveOperator:
@@ -323,54 +327,41 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
                       n_max: int | None = None, m_max: int | None = None) -> Verdict:
     """Check the five consistency conditions of a schedule on a finite window.
 
-    The first four are hard checks; convergence of P^n_m to P^0_m is reported
-    only as a probe-vector residual trend over n, never as a proof.
+    The first four are hard checks, read off the cut array; each names its
+    last failing cell.  Convergence of P^n_m to P^0_m is reported only as a
+    probe-vector residual trend over n, never as a proof.
     """
     n_hi = schedule.n_max if n_max is None else min(n_max, schedule.n_max)
     m_hi = schedule.m_max if m_max is None else min(m_max, schedule.m_max)
     m_lo = schedule.m_0
     if m_hi < m_lo:
         raise ValueError(f"m_max = {m_hi} is below the schedule's starting index m_0 = {m_lo}")
-    checks = []
-    rank_ok, rank_slack, rank_detail = True, math.inf, ""
-    mass_ok, mass_slack, mass_detail = True, math.inf, ""
-    nest_ok, nest_detail = True, ""
-    cover_ok, cover_detail = True, ""
-    for n in range(n_hi + 1):
-        rho = seq(n)
-        for m in range(m_lo, m_hi + 1):
-            p = schedule.projector(n, m)
-            slack = m - p.rank
-            if slack < rank_slack:
-                rank_slack = slack
-            if p.rank > m:
-                rank_ok, rank_detail = False, f"rank {p.rank} > m at (n, m) = ({n}, {m})"
-            mass = _projected_mass(p, rho)
-            if mass < mass_slack:
-                mass_slack = mass
-            if mass <= 0.0:
-                mass_ok, mass_detail = False, f"Tr P rho_n = {mass:.3e} at (n, m) = ({n}, {m})"
-            if m < m_hi and not p.leq(schedule.projector(n, m + 1)):
-                nest_ok, nest_detail = False, f"P^n_m not below P^n_(m+1) at (n, m) = ({n}, {m})"
-        q_n = support_projector(rho)
-        if not q_n.leq(schedule.projector(n, m_hi)):
-            cover_ok, cover_detail = False, f"support of rho_n not covered at n = {n}, m = {m_hi}"
-    checks.append(CheckResult("rank P^n_m <= m", rank_ok, float(rank_slack), rank_detail))
-    checks.append(CheckResult("Tr P^n_m rho_n > 0", mass_ok, float(mass_slack), mass_detail))
-    checks.append(CheckResult("P^n_m <= P^n_(m+1)", nest_ok, 0.0, nest_detail))
-    checks.append(CheckResult("join of P^n_m covers supp rho_n", cover_ok, 0.0, cover_detail))
-    probes = _probe_vectors(seq(0))
+    ms = np.arange(m_lo, m_hi + 1)
+    bases, cuts = schedule.bases, schedule.cuts[:n_hi + 1, :ms.size]
+    masses = np.array([_prefix_masses(bases[n], seq(n))[cuts[n]] for n in range(n_hi + 1)])
+    rank_bad = cuts > ms
+    mass_bad = masses <= 0.0
+    # prefixes of one basis are nested iff the cut does not decrease
+    nest_bad = cuts[:, :-1] > cuts[:, 1:]
+    uncovered = [n for n in range(n_hi + 1) if not support_projector(seq(n)).leq(schedule.projector(n, m_hi))]
+    cover_detail = f"support of rho_n not covered at n = {uncovered[-1]}, m = {m_hi}" if uncovered else ""
+    checks = (
+        CheckResult("rank P^n_m <= m", not rank_bad.any(), float(np.min(ms - cuts)),
+                    _last_failure(rank_bad, m_lo, lambda n, i: f"rank {cuts[n, i]} > m")),
+        CheckResult("Tr P^n_m rho_n > 0", not mass_bad.any(), float(np.min(masses)),
+                    _last_failure(mass_bad, m_lo, lambda n, i: f"Tr P rho_n = {masses[n, i]:.3e}")),
+        CheckResult("P^n_m <= P^n_(m+1)", not nest_bad.any(), 0.0,
+                    _last_failure(nest_bad, m_lo, lambda n, i: "P^n_m not below P^n_(m+1)")),
+        CheckResult("join of P^n_m covers supp rho_n", not uncovered, 0.0, cover_detail),
+    )
+    probes = seq(0).spectrum().vectors()
     trends = []
-    for m in range(m_lo, m_hi + 1):
-        p0 = schedule.projector(0, m)
-        res = []
-        for n in range(1, n_hi + 1):
-            pn = schedule.projector(n, m)
-            res.append(_probe_residual(pn, p0, probes))
+    for i, m in enumerate(ms):
+        res = [_probe_residual(bases[n], cuts[n, i], bases[0], cuts[0, i], probes) for n in range(1, n_hi + 1)]
         trends.append(TrendSummary.from_residuals(f"probe residual ||(P^n_m - P^0_m)v||, m = {m}", res))
     return Verdict(
         name="schedule-consistency",
-        hypothesis_checks=tuple(checks),
+        hypothesis_checks=checks,
         conclusion_trends=tuple(trends),
         notes=("projector convergence is certified only as a finite-window trend",),
         violated=not all(c.passed for c in checks),
@@ -378,31 +369,35 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     )
 
 
-def _projected_mass(p: Projector, rho: PositiveOperator) -> float:
-    if p.span is not None and p.span[0] is rho.spectrum():
-        spec, lo, hi = p.span
-        return float(np.sum(spec.values[lo:hi]))
-    if p.is_diagonal and rho.is_diagonal:
-        return float(np.sum(rho.diag[p.diag > 0.5]))
-    return float(np.real(np.trace(p.matrix @ rho.matrix)))
+def _last_failure(bad: np.ndarray, m_lo: int, describe) -> str:
+    """describe(n, i) at the last cell of ``bad`` in (n, m) order, i = m - m_lo; "" if none fails."""
+    cells = np.argwhere(bad)
+    if not cells.size:
+        return ""
+    n, i = (int(x) for x in cells[-1])
+    return f"{describe(n, i)} at (n, m) = ({n}, {m_lo + i})"
 
 
-def _probe_vectors(rho_0: PositiveOperator) -> np.ndarray:
-    return rho_0.spectrum().vectors()
+def _prefix_masses(basis: Spectrum, rho: PositiveOperator) -> np.ndarray:
+    """Tr P_k rho for the projector P_k onto the first k vectors of ``basis``, k = 0..d."""
+    return np.concatenate([[0.0], np.cumsum(basis.weights(rho))])
 
 
-def _probe_residual(pn: Projector, p0: Projector, probes: np.ndarray) -> float:
-    if pn.span is not None and p0.span is not None:
-        (spec_n, lo_n, hi_n), (spec_0, lo_0, hi_0) = pn.span, p0.span
-        v = spec_n.basis[:, lo_n:hi_n]
-        w = spec_0.basis[:, lo_0:hi_0]
-        d = v @ (v.conj().T @ probes) - w @ (w.conj().T @ probes)
-        return float(np.max(np.linalg.norm(d, axis=0)))
-    if pn.is_diagonal and p0.is_diagonal:
-        diff = np.abs(pn.diag - p0.diag)
-        return float(np.max(diff))
-    d = pn.matrix - p0.matrix
-    return float(np.max(np.linalg.norm(d @ probes, axis=0)))
+def _probe_residual(spec_n: Spectrum, cut_n: int, spec_0: Spectrum, cut_0: int, probes: np.ndarray) -> float:
+    """max_v ||(P^n - P^0) v|| over the probe columns v, for prefix projectors of two bases.
+
+    Exactly 0 for the same basis and cut.  Two diagonal bases give the
+    largest entry of |P^n - P^0|: the residual on coordinate probes.
+    """
+    if spec_n is spec_0 and cut_n == cut_0:
+        return 0.0
+    if spec_n.diagonal and spec_0.diagonal:
+        index = np.arange(spec_n.values.size)
+        return float(np.max(np.abs(spec_n.compose(index < cut_n) - spec_0.compose(index < cut_0))))
+    v = spec_n.vectors()[:, :cut_n]
+    w = spec_0.vectors()[:, :cut_0]
+    d = v @ (v.conj().T @ probes) - w @ (w.conj().T @ probes)
+    return float(np.max(np.linalg.norm(d, axis=0)))
 
 
 def commutator_norm(p: Projector, rho: PositiveOperator) -> float:

@@ -1,9 +1,14 @@
-"""Shared fixtures, and one pass/fail summary line per acceptance criterion."""
+"""Shared fixtures, the hypothesis profile, and one pass/fail summary line per acceptance criterion."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from qdini import (
     trace_neg_log,
     von_neumann_entropy,
 )
+from qdini.entropies import SpectralCuts, relative_entropy_cuts, trace_neg_log_cuts
 
 
 def _scalar_entropy(lam):
@@ -134,6 +135,23 @@ class TestRelativeEntropy:
         rho = DensityOperator(diagonal=[0.5, 0.5])
         sigma = PositiveOperator(diagonal=[1.0, 0.0])
         assert relative_entropy(rho, sigma).is_inf
+
+    def test_equal_supports_at_large_scale_are_finite(self):
+        # rounding leaves about 3e-10 of a trace-1e7 rho off the common
+        # support; the support test allows SUPPORT_TOL relative to Tr rho
+        p = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
+        q = np.array([0.4, 0.35, 0.25, 0.0, 0.0, 0.0])
+        want = 1e7 * float(np.sum(p[:3] * np.log(p[:3] / q[:3])))
+        for seed in range(50):
+            u = random_unitary(np.random.default_rng(seed), 6)
+            rho = PositiveOperator(1e7 * (u * p) @ u.conj().T)
+            sigma = PositiveOperator(1e7 * (u * q) @ u.conj().T)
+            assert abs(float(relative_entropy(rho, sigma)) - want) <= 1e-9 * want
+            assert not trace_neg_log(rho, sigma).is_inf
+            spec = rho.spectrum()
+            cuts = SpectralCuts(spec, spec.values, [1, 2], normalized=False)
+            assert np.all(np.isfinite(relative_entropy_cuts(cuts, sigma)))
+            assert np.all(np.isfinite(trace_neg_log_cuts(cuts, sigma)))
 
     def test_klein_inequality_random(self):
         rng = np.random.default_rng(4)

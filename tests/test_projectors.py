@@ -35,7 +35,7 @@ from qdini import (
     von_neumann_entropy,
 )
 from qdini import operators, truncation
-from qdini.truncation import _probe_residual, _projected_mass
+from qdini.truncation import _prefix_masses, _probe_residual
 
 TOL = 1e-12
 
@@ -88,7 +88,6 @@ class TestRangeAgainstDense:
         for k in range(rho.dim + 1):
             p = other.spectrum().projector(k)
             assert close(compress(rho, p).matrix, compress(rho, dense_copy(p)).matrix, norm)
-            assert close(_projected_mass(p, rho), _projected_mass(dense_copy(p), rho), norm)
 
     def test_compress_makes_no_eigensolve(self, name, lam, eigensolves):
         rho = dense_operator(lam, 2)
@@ -120,23 +119,33 @@ class TestRangeAgainstDense:
             assert comp.complement().rank == k
             assert close(comp.complement().matrix, p.matrix)
 
-    def test_projected_mass(self, name, lam):
+    def test_prefix_masses(self, name, lam):
         rho = dense_operator(lam, 5)
-        for k in range(rho.dim + 1):
-            for p in (rho.spectrum().projector(k), rho.spectrum().projector(k).complement()):
-                mass = _projected_mass(p, rho)
-                assert close(mass, _projected_mass(dense_copy(p), rho))
+        # rho's own basis, another dense basis and the coordinate basis
+        for spec in (rho.spectrum(), dense_operator(lam, 15).spectrum(), PositiveOperator(diagonal=lam).spectrum()):
+            masses = _prefix_masses(spec, rho)
+            assert masses[0] == 0.0
+            for k in range(rho.dim + 1):
+                p = dense_copy(spec.projector(k))
+                assert close(masses[k], np.real(np.trace(p.matrix @ rho.matrix)), rho.trace())
 
     def test_probe_residual(self, name, lam):
         rho_0 = dense_operator(lam, 6)
         rho_n = PositiveOperator(rho_0.matrix + 1e-3 * dense_operator(lam, 7).matrix)
+        spectra = (rho_n.spectrum(), rho_0.spectrum(), PositiveOperator(diagonal=lam[::-1]).spectrum())
         probes = rho_0.spectrum().vectors()
         d = rho_0.dim
-        for k, j in ((k, j) for k in range(d + 1) for j in (k, min(k + 1, d))):
-            p0, pn = rho_0.spectrum().projector(j), rho_n.spectrum().projector(k)
-            for a, b in ((pn, p0), (pn.complement(), p0.complement()), (pn, p0.complement())):
-                res = _probe_residual(a, b, probes)
-                assert close(res, _probe_residual(dense_copy(a), dense_copy(b), probes))
+        for spec_n in spectra:
+            for spec_0 in spectra:
+                for k, j in ((k, j) for k in range(d + 1) for j in (k, min(k + 1, d))):
+                    res = _probe_residual(spec_n, k, spec_0, j, probes)
+                    if spec_n is spec_0 and k == j:
+                        assert res == 0.0
+                        continue
+                    # two diagonal bases are compared entrywise: the residual on coordinate probes
+                    v = np.eye(d) if spec_n.diagonal and spec_0.diagonal else probes
+                    diff = dense_copy(spec_n.projector(k)).matrix - dense_copy(spec_0.projector(j)).matrix
+                    assert close(res, np.max(np.linalg.norm(diff @ v, axis=0)))
 
 
 @pytest.mark.parametrize("name, lam", SPECTRA)
@@ -212,8 +221,14 @@ def window(d, n_max, seed):
 
 
 @pytest.mark.parametrize("with_sigma", [False, True])
-def test_schedule_checks_decompose_each_member_once(eigensolves, with_sigma):
-    """commuting_schedule + validate_schedule + truncation_criterion: 2 eigensolves per member."""
+def test_schedule_checks_decompose_each_member_once(eigensolves, monkeypatch, with_sigma):
+    """commuting_schedule + validate_schedule + truncation_criterion: 2 eigensolves per member.
+
+    No projector matrix is built either.
+    """
+    materialised = []
+    materialise = Projector._materialize
+    monkeypatch.setattr(Projector, "_materialize", lambda p: materialised.append(p) or materialise(p))
     d, n_max = 8, 6
     rho, sigma = window(d, n_max, 4)
     family = relative_entropy_family(sigma) if with_sigma else entropy_family()
@@ -224,7 +239,7 @@ def test_schedule_checks_decompose_each_member_once(eigensolves, with_sigma):
     members = (n_max + 1) * (2 if with_sigma else 1)
     assert sum(eigensolves.values()) <= 2 * members
     assert eigensolves["eigh"] <= members
-    assert all(p._mat is None for p in schedule.projectors.values())
+    assert not materialised
 
 
 def test_dominated_scheme_builds_its_limits_once(monkeypatch):

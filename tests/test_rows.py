@@ -128,18 +128,19 @@ def test_gap_grid_rows_match_cells(kind, case, dense):
         assert flags["inf-gap"] and flags["inf-tail"]
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("kind", FAMILIES)
-def test_commuting_criterion_rows_match_cells(kind, case):
+def test_commuting_criterion_rows_match_cells(kind, case, dense):
     for seed in SEEDS:
-        rho_seq, sigma_seq, n_max = _window(case, True, seed)
+        rho_seq, sigma_seq, n_max = _window(case, dense, seed)
         family = _family(kind, sigma_seq)
         schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
         m_range = range(schedule.m_0, schedule.m_max + 1)
         for n in range(n_max + 1):
-            projectors = [schedule.projector(n, m) for m in m_range]
-            got = diagnostics._compressed_values(family, n, rho_seq(n), projectors)
-            want = diagnostics._compressed_values(_per_cell(family), n, rho_seq(n), projectors)
+            basis, cuts = schedule.bases[n], schedule.cuts[n]
+            got = diagnostics._compressed_values(family, n, rho_seq(n), basis, cuts)
+            want = diagnostics._compressed_values(_per_cell(family), n, rho_seq(n), basis, cuts)
             for side, got_side, want_side in zip(("head", "tail"), got, want):
                 for m, g, w in zip(m_range, got_side, want_side):
                     assert _close(g, w), f"{side} at seed {seed}, (n, m) = ({n}, {m}): {g!r} vs {w!r}"
@@ -149,8 +150,9 @@ def test_commuting_criterion_rows_match_cells(kind, case):
         assert all(map(_close, rows.values["tail_sup_per_m"], cells.values["tail_sup_per_m"]))
 
 
-def test_commuting_criterion_takes_the_row_path(monkeypatch):
-    rho_seq, sigma_seq, n_max = _window("generic", True, 0)
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_commuting_criterion_takes_the_row_path(monkeypatch, dense):
+    rho_seq, sigma_seq, n_max = _window("generic", dense, 0)
     schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
     calls = Counter()
     compress = diagnostics.compress

@@ -1,0 +1,169 @@
+"""Prefix-schedule validation against the per-projector reference.
+
+A schedule stores one basis per n and an int array of cuts, and
+``validate_schedule`` reads its hard checks off the cut array.  The
+reference below is the per-projector loop it replaced: one ``Projector``
+per (n, m), Tr P rho_n by the range, diagonal or dense path, nesting by
+``Projector.leq``, and probe residuals by the range, diagonal or dense
+path.  Random windows mix diagonal and dense members (some rank
+deficient) with five kinds of basis per n (the member's own spectrum, a
+shared coordinate basis, a random permutation, a random dense basis, or
+the basis of n - 1), and plant cuts above m and cuts that decrease in m.  Pass flags, details and statuses must agree
+exactly; slacks and residuals within 1e-12 of scale.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdini import (
+    OperatorSequence,
+    PositiveOperator,
+    Projector,
+    ProjectorSchedule,
+    Spectrum,
+    random_unitary,
+    support_projector,
+    validate_schedule,
+)
+from qdini.verdicts import CheckResult, TrendSummary, Verdict
+
+TOL = 1e-12
+BASES = ("own", "coordinates", "permutation", "dense", "previous")
+
+
+def reference_validate(schedule, seq, n_max=None, m_max=None) -> Verdict:
+    """The per-projector validation loop: every check cell by cell, the last failing cell named."""
+    n_hi = schedule.n_max if n_max is None else min(n_max, schedule.n_max)
+    m_hi = schedule.m_max if m_max is None else min(m_max, schedule.m_max)
+    m_lo = schedule.m_0
+    checks = []
+    rank_ok, rank_slack, rank_detail = True, math.inf, ""
+    mass_ok, mass_slack, mass_detail = True, math.inf, ""
+    nest_ok, nest_detail = True, ""
+    cover_ok, cover_detail = True, ""
+    for n in range(n_hi + 1):
+        rho = seq(n)
+        for m in range(m_lo, m_hi + 1):
+            p = schedule.projector(n, m)
+            slack = m - p.rank
+            if slack < rank_slack:
+                rank_slack = slack
+            if p.rank > m:
+                rank_ok, rank_detail = False, f"rank {p.rank} > m at (n, m) = ({n}, {m})"
+            mass = _projected_mass(p, rho)
+            if mass < mass_slack:
+                mass_slack = mass
+            if mass <= 0.0:
+                mass_ok, mass_detail = False, f"Tr P rho_n = {mass:.3e} at (n, m) = ({n}, {m})"
+            if m < m_hi and not p.leq(schedule.projector(n, m + 1)):
+                nest_ok, nest_detail = False, f"P^n_m not below P^n_(m+1) at (n, m) = ({n}, {m})"
+        q_n = support_projector(rho)
+        if not q_n.leq(schedule.projector(n, m_hi)):
+            cover_ok, cover_detail = False, f"support of rho_n not covered at n = {n}, m = {m_hi}"
+    checks.append(CheckResult("rank P^n_m <= m", rank_ok, float(rank_slack), rank_detail))
+    checks.append(CheckResult("Tr P^n_m rho_n > 0", mass_ok, float(mass_slack), mass_detail))
+    checks.append(CheckResult("P^n_m <= P^n_(m+1)", nest_ok, 0.0, nest_detail))
+    checks.append(CheckResult("join of P^n_m covers supp rho_n", cover_ok, 0.0, cover_detail))
+    probes = seq(0).spectrum().vectors()
+    trends = []
+    for m in range(m_lo, m_hi + 1):
+        p0 = schedule.projector(0, m)
+        res = [_probe_residual(schedule.projector(n, m), p0, probes) for n in range(1, n_hi + 1)]
+        trends.append(TrendSummary.from_residuals(f"probe residual ||(P^n_m - P^0_m)v||, m = {m}", res))
+    return Verdict(
+        name="schedule-consistency",
+        hypothesis_checks=tuple(checks),
+        conclusion_trends=tuple(trends),
+        violated=not all(c.passed for c in checks),
+        trends_ok=all(t.shrinks for t in trends),
+    )
+
+
+def _projected_mass(p: Projector, rho: PositiveOperator) -> float:
+    if p.span is not None and p.span[0] is rho.spectrum():
+        spec, lo, hi = p.span
+        return float(np.sum(spec.values[lo:hi]))
+    if p.is_diagonal and rho.is_diagonal:
+        return float(np.sum(rho.diag[p.diag > 0.5]))
+    return float(np.real(np.trace(p.matrix @ rho.matrix)))
+
+
+def _probe_residual(pn: Projector, p0: Projector, probes: np.ndarray) -> float:
+    if pn.span is not None and p0.span is not None:
+        (spec_n, lo_n, hi_n), (spec_0, lo_0, hi_0) = pn.span, p0.span
+        v = spec_n.basis[:, lo_n:hi_n]
+        w = spec_0.basis[:, lo_0:hi_0]
+        d = v @ (v.conj().T @ probes) - w @ (w.conj().T @ probes)
+        return float(np.max(np.linalg.norm(d, axis=0)))
+    if pn.is_diagonal and p0.is_diagonal:
+        return float(np.max(np.abs(pn.diag - p0.diag)))
+    d = pn.matrix - p0.matrix
+    return float(np.max(np.linalg.norm(d @ probes, axis=0)))
+
+
+@st.composite
+def windows(draw):
+    """A schedule with mixed bases and planted cuts, and the sequence it is validated on."""
+    d = draw(st.integers(2, 5))
+    n_max = draw(st.integers(0, 3))
+    m_0 = draw(st.integers(1, 2))
+    m_max = draw(st.integers(m_0, d + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = random_unitary(rng, d)
+    members = []
+    for _ in range(n_max + 1):
+        lam = rng.uniform(0.05, 1.0, d)
+        if draw(st.booleans()):
+            lam[rng.permutation(d)[:rng.integers(1, d)]] = 0.0
+        if draw(st.booleans()):
+            basis = u if draw(st.booleans()) else random_unitary(rng, d)
+            members.append(PositiveOperator((basis * lam) @ basis.conj().T))
+        else:
+            members.append(PositiveOperator(diagonal=lam))
+    coordinates = PositiveOperator(diagonal=np.ones(d)).spectrum()
+    bases = []
+    for n, rho in enumerate(members):
+        kind = draw(st.sampled_from(BASES if n else BASES[:-1]))
+        if kind == "own":
+            bases.append(rho.spectrum())
+        elif kind == "coordinates":
+            bases.append(coordinates)
+        elif kind == "permutation":
+            bases.append(Spectrum(np.ones(d), diagonal=True, basis=rng.permutation(d)))
+        elif kind == "dense":
+            bases.append(Spectrum(np.ones(d), diagonal=False, basis=random_unitary(rng, d)))
+        else:
+            bases.append(bases[-1])
+    ms = np.arange(m_0, m_max + 1)
+    cuts = np.tile(np.minimum(ms, d), (n_max + 1, 1))
+    plants = st.tuples(st.integers(0, n_max), st.integers(0, ms.size - 1), st.integers(0, d))
+    for n, i, k in draw(st.lists(plants, max_size=3)):
+        cuts[n, i] = k
+    seq = OperatorSequence(lambda n: members[n], d)
+    return ProjectorSchedule(m_0, m_max, n_max, bases, cuts), seq
+
+
+def _close(got, want, scale=1.0) -> bool:
+    return abs(got - want) <= TOL * max(1.0, scale)
+
+
+@settings(max_examples=200)
+@given(windows(), st.none() | st.integers(0, 3), st.none() | st.integers(1, 6))
+def test_prefix_validation_matches_per_projector_reference(window, n_max, m_max):
+    schedule, seq = window
+    if m_max is not None:
+        m_max = max(m_max, schedule.m_0)
+    got = validate_schedule(schedule, seq, n_max=n_max, m_max=m_max)
+    want = reference_validate(schedule, seq, n_max=n_max, m_max=m_max)
+    assert got.status == want.status
+    assert len(got.hypothesis_checks) == len(want.hypothesis_checks)
+    for g, w in zip(got.hypothesis_checks, want.hypothesis_checks):
+        assert (g.name, g.passed, g.detail) == (w.name, w.passed, w.detail)
+        assert _close(g.slack, w.slack, abs(w.slack))
+    assert len(got.conclusion_trends) == len(want.conclusion_trends)
+    for g, w in zip(got.conclusion_trends, want.conclusion_trends):
+        assert (g.name, g.shrinks) == (w.name, w.shrinks)
+        assert all(map(_close, g.residuals, w.residuals))

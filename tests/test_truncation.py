@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestFixedBasisSchedule:
         # state supported on coordinates {3, 4}: every P_m with m <= 2 misses it
         rho = DensityOperator(diagonal=[0.0, 0.0, 0.0, 0.5, 0.5])
         seq = constant_sequence(rho)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"vanishes at \(n, m\) = \(0, 1\)"):
             fixed_basis_schedule(5, 2, seq, n_max=3)
 
     def test_validates_on_covering_window(self):
@@ -226,12 +227,33 @@ class TestFixedBasisSchedule:
         seq = constant_sequence(rho)
         sched = fixed_basis_schedule(4, 4, seq, n_max=2)
         # plant a rank-(m+1) projector at slot m = 2
-        sched.projectors[(1, 2)] = coordinate_projector(4, [0, 1, 2])
-        v = validate_schedule(sched, seq, n_max=2)
+        cuts = sched.cuts.copy()
+        cuts[1, 1] = 3
+        v = validate_schedule(dataclasses.replace(sched, cuts=cuts), seq, n_max=2)
         rank_check = next(c for c in v.hypothesis_checks if c.name == "rank P^n_m <= m")
         assert not rank_check.passed
         assert "(1, 2)" in rank_check.detail
         assert v.status == "violated"
+
+    def test_members_are_coordinate_prefixes(self):
+        seq = constant_sequence(DensityOperator(diagonal=[0.1, 0.4, 0.3, 0.2]))
+        sched = fixed_basis_schedule(4, 3, seq, n_max=2)
+        assert sched.cuts.tolist() == [[1, 2, 3]] * 3
+        for n in range(3):
+            for m in range(1, 4):
+                assert sched.projector(n, m).diag.tolist() == coordinate_projector(4, range(m)).diag.tolist()
+
+    def test_rejects_malformed_cuts(self):
+        sched = fixed_basis_schedule(4, 4, constant_sequence(DensityOperator(diagonal=[0.4, 0.3, 0.2, 0.1])),
+                                     n_max=2)
+        with pytest.raises(ValueError, match="cuts of shape"):
+            dataclasses.replace(sched, cuts=sched.cuts[:, :3])
+        with pytest.raises(ValueError, match="cuts must lie in"):
+            dataclasses.replace(sched, cuts=sched.cuts + 1)
+        with pytest.raises(ValueError):
+            sched.cuts[0, 0] = 2
+        with pytest.raises(KeyError):
+            sched.projector(0, 0)
 
 
 class TestCommutingSchedule:
