@@ -274,13 +274,12 @@ def _spectral_row(family: FunctionalFamily, n: int, rho: PositiveOperator, m_ran
     leaves no tail, so all those cells are the one cell of spectral_truncation(rho, m).
     """
     spec = rho.spectrum()
-    lam = spec.kept()
     below = np.array([m for m in m_range if m < spec.rank], dtype=np.intp)
     row = []
     if below.size:
-        cuts = SpectralCuts(spec, lam, below, normalized=True)
+        cuts = SpectralCuts(spec, below, normalized=True)
         f_heads, f_tails = family.rows(n, cuts)
-        ambiguous = lam[below - 1] - lam[below] <= spec.gap_tol
+        ambiguous = cuts.values[below - 1] - cuts.values[below] <= spec.gap_tol
         row = list(zip(cuts.mass[0].tolist(), ambiguous.tolist(), f_heads.tolist(),
                        cuts.mass[1].tolist(), f_tails.tolist()))
     if len(row) < len(m_range):
@@ -442,11 +441,7 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     Requires a nonempty intersection of the limit stable index sets within
     the window and checks the truncated-mixture convergences there.
     """
-    p = [float(x) for x in p_seq]
-    if len(p) < n_max + 1:
-        raise ValueError(f"p_seq must supply {n_max + 1} entries, got {len(p)}")
-    if any(not 0.0 <= x <= 1.0 for x in p):
-        raise ValueError("p_seq entries must lie in [0, 1]")
+    p = mixture_weights(p_seq, n_max)
     rho_vals = [f.value(n, rho_seq(n)) for n in range(n_max + 1)]
     sigma_vals = [f.value(n, sigma_seq(n)) for n in range(n_max + 1)]
     inf_hyp = any(v.is_inf for v in rho_vals + sigma_vals)
@@ -479,6 +474,17 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     )
 
 
+def mixture_weights(p_seq, n_max: int) -> list:
+    """The mixture weights p_seq as floats; ValueError unless p_0..p_n_max are given and all lie in [0, 1]."""
+    p = [float(x) for x in p_seq]
+    if len(p) < n_max + 1:
+        raise ValueError(f"the mixture weights need {n_max + 1} entries, got {len(p)}")
+    outside = [x for x in p if not 0.0 <= x <= 1.0]
+    if outside:
+        raise ValueError(f"mixture weight {outside[0]!r} lies outside [0, 1]")
+    return p
+
+
 def _mixture(rho, sigma, p: float):
     """p rho + (1 - p) sigma, or None when either state is missing."""
     if rho is None or sigma is None:
@@ -500,19 +506,29 @@ def _finite_values(f: FunctionalFamily, n_max: int, op_at):
     return vals
 
 
+def _compressions(rho: PositiveOperator, basis: Spectrum, k: int) -> tuple:
+    """(P rho P, Pbar rho Pbar) for the prefix P of ``basis`` cut at k.
+
+    On rho's own spectrum (a commuting schedule) they are ``rho.split(k)``,
+    the head and tail of rho's kept values.
+    """
+    if basis is rho.spectrum():
+        return rho.split(int(k))
+    p = basis.projector(int(k))
+    return compress(rho, p), compress(rho, p.complement())
+
+
 def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, basis: Spectrum, cuts) -> tuple:
     """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf.
 
-    When the basis is rho's own spectrum (a commuting schedule), the
-    compressions are the heads and tails of rho's values and a family with
-    rows evaluates them all at once.
+    On rho's own spectrum a family with rows evaluates every head and tail at once.
     """
     if family.rows is not None and basis is rho.spectrum():
-        heads, tails = family.rows(n, SpectralCuts(basis, basis.values, cuts, normalized=False))
+        heads, tails = family.rows(n, SpectralCuts(basis, cuts, normalized=False))
         return [float(v) for v in heads], [float(v) for v in tails]
-    projectors = [basis.projector(int(k)) for k in cuts]
-    heads = [float(family.value(n, compress(rho, p))) for p in projectors]
-    tails = [float(family.value(n, compress(rho, p.complement()))) for p in projectors]
+    pairs = [_compressions(rho, basis, k) for k in cuts]
+    heads = [float(family.value(n, head)) for head, _ in pairs]
+    tails = [float(family.value(n, tail)) for _, tail in pairs]
     return heads, tails
 
 
@@ -682,8 +698,8 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     conclusion for p_seq, the two entropy-based sufficient conditions, and an
     output-entropy tail check when a schedule is supplied.
     """
+    p = mixture_weights(p_seq, n_max)
     _require_psd_domination(rho_seq, sigma_seq, c, n_max, "c*rho_n <= sigma_n")
-    p = [float(x) for x in p_seq]
     mi = channel_mi_family(channel_seq)
     ent = entropy_family()
     out_ent = output_entropy_family(channel_seq)
@@ -707,7 +723,8 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     if schedule is not None:
         tails = []
         for m in range(schedule.m_0, min(m_max, schedule.m_max) + 1):
-            vals = [out_ent.value(n, compress(rho_seq(n), schedule.projector(n, m).complement()))
+            i = m - schedule.m_0
+            vals = [out_ent.value(n, _compressions(rho_seq(n), schedule.bases[n], schedule.cuts[n, i])[1])
                     for n in range(n_max + 1)]
             tails.append(max(float(v) for v in vals))
         trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))

@@ -100,9 +100,8 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
 class SpectralCuts:
     """The heads and tails of one spectrum, cut at several indices at once.
 
-    ``values`` v is non-increasing and pairs with the basis u of
-    ``spectrum``: its kept values for spectral truncation, its values for
-    compression onto a leading range of the basis.  The head at cut k is
+    ``values`` v are the spectrum's kept values, paired with its basis u,
+    as ``PositiveOperator.split`` cuts them.  The head at cut k is
     X = c sum_{i < k} v_i |u_i><u_i| and the tail is the same sum over
     i >= k, with c = 1, or c = 1 / Tr X when ``normalized`` (every head and
     tail must then have positive mass).  Arrays indexed by cut have shape
@@ -116,8 +115,8 @@ class SpectralCuts:
 
     __slots__ = ("spectrum", "values", "cuts", "scale", "mass", "top", "_ranked_end")
 
-    def __init__(self, spectrum: Spectrum, values, cuts, normalized: bool):
-        v = np.asarray(values, dtype=float)
+    def __init__(self, spectrum: Spectrum, cuts, normalized: bool):
+        v = spectrum.kept()
         k = np.asarray(cuts, dtype=np.intp)
         self.spectrum = spectrum
         self.values = v

@@ -14,9 +14,10 @@ computes and solves for eigenvectors on first request only; a diagonal
 operator sorts its diagonal on first spectral read.  Truncation heads and
 tails, normalized states and pseudoinverses are spectral views of their
 parent: they carry a spectrum derived from the parent's and cost no
-eigensolve.  A projector cut from a dense spectrum is a range of that
-spectrum's basis: compressions onto it and inclusion tests read the range,
-and its matrix is built (and checked) only when someone asks for it.
+eigensolve.  ``PositiveOperator.split`` is the one cut of a spectrum into
+a head and a tail: both read the kept values, and a cut at or past the rank
+leaves the operator itself and a zero tail.  A projector cut from a dense
+spectrum is built and checked at once, like any other projector.
 
 One PSD rule decides positivity, and this is the only module that calls
 numpy's eigensolvers.  ``PositiveOperator`` enforces the rule,
@@ -81,14 +82,11 @@ class HermitianOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._mat is None:
-            self._mat = self._materialize()
-        return self._mat
-
-    def _materialize(self) -> np.ndarray:
         global _DENSE_MATERIALIZATIONS
-        _DENSE_MATERIALIZATIONS += 1
-        return np.diag(self._diag).astype(complex)
+        if self._mat is None:
+            _DENSE_MATERIALIZATIONS += 1
+            self._mat = np.diag(self._diag).astype(complex)
+        return self._mat
 
     @property
     def diag(self) -> np.ndarray:
@@ -271,25 +269,24 @@ class Spectrum:
         return PositiveOperator._with_spectrum(self, matrix=data)
 
     def projector(self, k: int) -> "Projector":
-        """Projector onto the span of the first k basis vectors.
-
-        Dense spectra give the range projector of columns [0, k), which
-        solves for no basis and builds no matrix until one is read.
-        """
+        """Projector onto the first k basis vectors, checked as it is built."""
         if not self.diagonal:
-            return Projector._range(self, 0, k)
+            v = self.basis[:, :k]
+            return Projector(v @ v.conj().T, rank=k)
         d = np.zeros(self.values.size)
         d[self.basis[:k]] = 1.0
         return Projector(diagonal=d, rank=k)
 
 
 def _check_orthonormal(basis: np.ndarray):
-    """||V*V - I||_F <= PROJECTOR_TOL / 2, so every range projector passes the projector checks.
+    """||V*V - I||_F <= PROJECTOR_TOL / 2 for a solved eigenbasis V, else the solve is refused.
 
-    With E = V*V - I and e = ||E||_F, a range projector P = V_k V_k* has
-    P^2 - P = V_k E_kk V_k*, so every entry of P^2 - P is at most
-    ||V_k||^2 ||E_kk|| <= (1 + e) e < PROJECTOR_TOL, and Tr P - k = Tr E_kk
-    is at most sqrt(k) e, far inside the trace tolerance.
+    Every spectral view, split and pseudoinverse reads V as a unitary
+    without checking it again, so a basis that is not one would corrupt
+    them silently.  The bound also keeps every prefix projector V_k V_k*
+    inside the projector checks: with E = V*V - I and e = ||E||_F, each
+    entry of P^2 - P = V_k E_kk V_k* is at most (1 + e) e < PROJECTOR_TOL,
+    and Tr P - k = Tr E_kk is at most sqrt(k) e.
     """
     d = basis.shape[1]
     err = float(np.linalg.norm(basis.conj().T @ basis - np.eye(d)))
@@ -396,6 +393,22 @@ class PositiveOperator(HermitianOperator):
             return self.rescaled(c)
         return super().scale(c)
 
+    def split(self, k: int) -> tuple:
+        """(head, tail) of the kept spectrum cut at index k, as spectral views (no eigensolve).
+
+        The head keeps the first k kept values and the tail the rest, both
+        paired with this basis; the tail lists the vectors from k on first.
+        A cut at or past the rank gives the operator itself and a zero tail.
+        """
+        spec = self.spectrum()
+        if k >= spec.rank:
+            return self, self.rescaled(0.0)
+        lam, d = spec.kept(), self.dim
+        head = spec.reordered(np.concatenate([lam[:k], np.zeros(d - k)])).operator()
+        tail_order = np.concatenate([np.arange(k, d), np.arange(k)])
+        tail = spec.reordered(np.concatenate([lam[k:], np.zeros(k)]), tail_order).operator()
+        return head, tail
+
     def add(self, other: HermitianOperator) -> HermitianOperator:
         """self + other; positive when other is."""
         if not isinstance(other, PositiveOperator):
@@ -419,22 +432,12 @@ class DensityOperator(PositiveOperator):
 
 
 class Projector(HermitianOperator):
-    """Orthogonal projector with known rank.
+    """Orthogonal projector with known rank, checked at construction."""
 
-    A projector cut from a dense spectrum is a range projector: ``span`` is
-    (spectrum, lo, hi), a leading (lo = 0) or trailing (hi = dim) range of
-    the spectrum's basis columns, and the projector is the sum of
-    |v_i><v_i| over lo <= i < hi.  Its matrix is built on first read, when
-    the P^2 = P and trace checks run; the basis orthonormality check covers
-    it before that.  Every other projector has span None and is checked at
-    construction.
-    """
-
-    __slots__ = ("rank", "span")
+    __slots__ = ("rank",)
 
     def __init__(self, matrix=None, *, diagonal=None, rank: int | None = None):
         super().__init__(matrix, diagonal=diagonal)
-        self.span = None
         if self.is_diagonal:
             d = self._diag
             if not np.all((np.abs(d) < PROJECTOR_TOL) | (np.abs(d - 1.0) < PROJECTOR_TOL)):
@@ -448,45 +451,13 @@ class Projector(HermitianOperator):
         _check_trace(self.trace(), rank)
         self.rank = rank
 
-    @classmethod
-    def _range(cls, spectrum: Spectrum, lo: int, hi: int) -> "Projector":
-        """The range projector onto basis columns [lo, hi) of a dense spectrum."""
-        p = cls.__new__(cls)
-        p.dim = spectrum.values.size
-        p.is_diagonal = False
-        p._diag = None
-        p._mat = None
-        p._trace = None
-        p.rank = hi - lo
-        p.span = (spectrum, lo, hi)
-        return p
-
-    def _materialize(self) -> np.ndarray:
-        if self.span is None:
-            return super()._materialize()
-        spec, lo, hi = self.span
-        v = spec.basis[:, lo:hi]
-        m = v @ v.conj().T
-        m = 0.5 * (m + m.conj().T)  # symmetrized as the constructor symmetrizes
-        _check_idempotent(m)
-        _check_trace(float(np.sum(np.real(np.diagonal(m)))), self.rank)
-        return m
-
     def complement(self) -> "Projector":
-        if self.span is not None:
-            spec, lo, hi = self.span
-            # the complement of a leading range is the trailing one, and back
-            return Projector._range(spec, *((hi, self.dim) if lo == 0 else (0, lo)))
         if self.is_diagonal:
             return Projector(diagonal=1.0 - self._diag, rank=self.dim - self.rank)
         return Projector(np.eye(self.dim) - self.matrix, rank=self.dim - self.rank)
 
     def leq(self, other: "Projector") -> bool:
         """Range inclusion: P <= Q iff QP = P."""
-        if self.span is not None and other.span is not None and self.span[0] is other.span[0]:
-            _, lo, hi = self.span
-            _, other_lo, other_hi = other.span
-            return lo == hi or other_lo <= lo and hi <= other_hi
         if self.is_diagonal and other.is_diagonal:
             return bool(np.all(other._diag[self._diag > 0.5] > 0.5))
         return bool(np.allclose(other.matrix @ self.matrix, self.matrix, atol=1e-9))
@@ -503,18 +474,11 @@ def _check_trace(trace: float, rank: int):
 
 
 def compress(rho: PositiveOperator, p: Projector) -> PositiveOperator:
-    """P rho P as a positive operator.
+    """P rho P as a positive operator: a diagonal pair stays diagonal, anything else is the dense product.
 
-    A range projector cut from rho's own spectrum gives a spectral view (no
-    eigensolve): rho's values on the range, then zeros, paired with the
-    range's basis vectors first, as ``spectral_truncation`` builds heads and
-    tails.  A diagonal pair stays diagonal; anything else is the dense product.
+    For P a prefix of rho's own spectrum, ``rho.split`` gives P rho P and its
+    complement as spectral views instead.
     """
-    if p.span is not None and p.span[0] is rho.spectrum():
-        spec, lo, hi = p.span
-        values = np.concatenate([spec.values[lo:hi], np.zeros(rho.dim - (hi - lo))])
-        order = np.concatenate([np.arange(lo, hi), np.arange(lo), np.arange(hi, rho.dim)])
-        return spec.reordered(values, order).operator()
     if rho.is_diagonal and p.is_diagonal:
         return PositiveOperator(diagonal=rho.diag * p.diag)
     pm = p.matrix
@@ -611,7 +575,7 @@ def apply_spectral_function(a: PositiveOperator, f) -> HermitianOperator:
 
 
 def support_projector(a: PositiveOperator) -> Projector:
-    """Projector onto the span of eigenvectors with eigenvalue above the rank tolerance."""
+    """Projector onto the eigenvectors with eigenvalue above the rank tolerance."""
     spec = a.spectrum()
     return spec.projector(spec.rank)
 

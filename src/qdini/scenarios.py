@@ -361,8 +361,8 @@ def _build_family(spec: dict, seqs: dict, chans: dict) -> dx.FunctionalFamily:
 
 def _ref(table: dict, spec: dict, key: str):
     name = spec.get(key)
-    if name not in table:
-        raise ScenarioError(f"family references missing binding {name!r} via {key!r}")
+    if not isinstance(name, str) or name not in table:
+        raise ScenarioError(f"{key!r} names missing binding {name!r}")
     return table[name]
 
 
@@ -371,20 +371,23 @@ def _ref(table: dict, spec: dict, key: str):
 
 
 def _p_sequence(params: dict, n_max: int):
-    if "p_list" in params:
-        p = [float(x) for x in params["p_list"]]
-        if len(p) < n_max + 1:
-            raise ScenarioError(f"p_list needs {n_max + 1} entries")
-        return p[:n_max + 1]
-    limit = float(params.get("p_limit", 0.5))
-    amp = float(params.get("p_amp", 0.0))
-    rate = float(params.get("p_rate", 0.5))
-    return [limit] + [limit + amp * rate ** n for n in range(1, n_max + 1)]
+    """The mixture weights p_0..p_n_max of a check: its p_list, or p_limit + p_amp * p_rate^n."""
+    try:
+        if "p_list" in params:
+            p = params["p_list"]
+        else:
+            limit = float(params.get("p_limit", 0.5))
+            amp = float(params.get("p_amp", 0.0))
+            rate = float(params.get("p_rate", 0.5))
+            p = [limit] + [limit + amp * rate ** n for n in range(1, n_max + 1)]
+        return dx.mixture_weights(p, n_max)[:n_max + 1]
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _build_schedule(spec, seqs, default_seq, n_max):
     kind = spec.get("type", "commuting")
-    seq = seqs[spec["sequence"]] if "sequence" in spec else default_seq
+    seq = _ref(seqs, spec, "sequence") if "sequence" in spec else default_seq
     m_max = int(spec.get("m_max", seq.dim))
     if kind == "fixed-basis":
         return fixed_basis_schedule(seq.dim, m_max, seq, n_max=n_max)
@@ -397,63 +400,59 @@ def _window(check: dict, n_override, m_override):
     """The (n_max, m_max) window a check runs on: the override where given, else its own."""
     n_max = int(n_override if n_override is not None else check.get("n_max", 12))
     m_max = int(m_override if m_override is not None else check.get("m_max", 12))
+    if n_max < 0 or m_max < 1:
+        raise ScenarioError(f"the window needs n_max >= 0 and m_max >= 1, got n_max = {n_max}, m_max = {m_max}")
     return n_max, m_max
 
 
 def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
     op = check.get("op")
-    params = dict(check)
     n_max, m_max = _window(check, n_override, m_override)
+
+    def seq(key):
+        return _ref(seqs, check, key)
+
+    def fam(key):
+        return _ref(fams, check, key)
+
     grid = None
     if op == "truncation-criterion":
-        family = fams[params["family"]]
-        seq = seqs[params["sequence"]]
-        schedule = _build_schedule(params.get("schedule", {}), seqs, seq, n_max)
-        verdict = dx.truncation_criterion(family, seq, schedule,
-                                          int(params.get("n_0", 1)), n_max, m_max)
+        schedule = _build_schedule(check.get("schedule", {}), seqs, seq("sequence"), n_max)
+        verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule,
+                                          int(check.get("n_0", 1)), n_max, m_max)
     elif op == "dct-simon":
-        verdict = dx.check_dct_simon(fams[params["family"]], seqs[params["rho"]],
-                                     seqs[params["tau"]], float(params.get("c", 0.5)),
+        verdict = dx.check_dct_simon(fam("family"), seq("rho"), seq("tau"), float(check.get("c", 0.5)),
                                      n_max, m_max)
     elif op == "dct-basic":
-        verdict = dx.check_dct_basic(fams[params["f"]], fams[params["g"]],
-                                     seqs[params["sequence"]], n_max, m_max)
+        verdict = dx.check_dct_basic(fam("f"), fam("g"), seq("sequence"), n_max, m_max)
     elif op == "convex-mixture":
-        verdict = dx.check_convex_mixture(fams[params["family"]], seqs[params["rho"]],
-                                          seqs[params["sigma"]], _p_sequence(params, n_max),
-                                          n_max, m_max)
+        verdict = dx.check_convex_mixture(fam("family"), seq("rho"), seq("sigma"),
+                                          _p_sequence(check, n_max), n_max, m_max)
     elif op == "re-domination":
         verdict = dx.relative_entropy_domination(
-            seqs[params["rho1"]], seqs[params["rho2"]],
-            seqs[params["sigma1"]], seqs[params["sigma2"]],
-            float(params.get("c_rho", 1.0)), float(params.get("c_sigma", 1.0)), n_max)
+            seq("rho1"), seq("rho2"), seq("sigma1"), seq("sigma2"),
+            float(check.get("c_rho", 1.0)), float(check.get("c_sigma", 1.0)), n_max)
     elif op == "re-sum":
-        theta = seqs[params["theta"]] if "theta" in params else None
-        verdict = dx.relative_entropy_sum(seqs[params["rho"]], seqs[params["sigma"]],
-                                          seqs[params["omega"]], n_max, theta_seq=theta)
+        theta = seq("theta") if "theta" in check else None
+        verdict = dx.relative_entropy_sum(seq("rho"), seq("sigma"), seq("omega"), n_max, theta_seq=theta)
     elif op == "channel-mi":
         schedule = None
-        if "schedule" in params:
-            schedule = _build_schedule(params["schedule"], seqs, seqs[params["rho"]], n_max)
-        verdict = dx.channel_mi_checks(chans[params["channels"]], seqs[params["rho"]],
-                                       seqs[params["sigma"]], float(params.get("c", 0.5)),
-                                       _p_sequence(params, n_max), n_max, m_max,
-                                       schedule=schedule)
+        if "schedule" in check:
+            schedule = _build_schedule(check["schedule"], seqs, seq("rho"), n_max)
+        verdict = dx.channel_mi_checks(_ref(chans, check, "channels"), seq("rho"), seq("sigma"),
+                                       float(check.get("c", 0.5)), _p_sequence(check, n_max),
+                                       n_max, m_max, schedule=schedule)
     elif op == "appendix-domination":
-        verdict = dx.appendix_domination(seqs[params["rho1"]], seqs[params["rho2"]],
-                                         seqs[params["sigma1"]], seqs[params["sigma2"]],
-                                         params.get("k_schedule", [1, 10, 100, 1000, 10000]),
-                                         n_max)
+        verdict = dx.appendix_domination(seq("rho1"), seq("rho2"), seq("sigma1"), seq("sigma2"),
+                                         check.get("k_schedule", [1, 10, 100, 1000, 10000]), n_max)
     elif op == "entropy-jump-probe":
-        verdict = _entropy_jump_probe(seqs[params["sequence"]], n_max,
-                                      float(params.get("low", 0.9)),
-                                      float(params.get("high", 1.1)),
-                                      int(params.get("n_from", 3)))
+        verdict = _entropy_jump_probe(seq("sequence"), n_max,
+                                      float(check.get("low", 0.9)),
+                                      float(check.get("high", 1.1)),
+                                      int(check.get("n_from", 3)))
     elif op == "gap-grid":
-        family = fams[params["family"]]
-        seq = seqs[params["sequence"]]
-        scheme = _build_scheme(params.get("scheme", {}), seqs)
-        grid = dx.approximation_gap_grid(family, seq, scheme, n_max, m_max)
+        scheme = _build_scheme(check.get("scheme", {}), seqs)
+        grid = dx.approximation_gap_grid(fam("family"), seq("sequence"), scheme, n_max, m_max)
         verdict = None
     else:
         raise ScenarioError(f"unknown check op {op!r}")
@@ -464,7 +463,7 @@ def _build_scheme(spec: dict, seqs) -> ApproximationScheme:
     kind = spec.get("kind", "spectral")
     if kind == "spectral":
         return ApproximationScheme("spectral")
-    return ApproximationScheme("dominated", float(spec.get("c", 1.0)), seqs[spec["dominated"]])
+    return ApproximationScheme("dominated", float(spec.get("c", 1.0)), _ref(seqs, spec, "dominated"))
 
 
 def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: float,
@@ -997,6 +996,8 @@ def inequality_fuzz(suite: str, dim: int, trials: int, seed: int) -> dict:
     if suite not in FUZZ_SUITES:
         known = ", ".join(sorted(FUZZ_SUITES))
         raise ScenarioError(f"unknown fuzz suite {suite!r}; registered: {known}")
+    if dim < 2 or trials < 1:
+        raise ScenarioError(f"fuzzing needs dim >= 2 and trials >= 1, got dim = {dim}, trials = {trials}")
     rng = np.random.default_rng(seed)
     fn = FUZZ_SUITES[suite]
     violations = []

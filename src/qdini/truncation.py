@@ -69,22 +69,18 @@ class TruncationResult:
 def spectral_truncation(rho: PositiveOperator, m: int) -> TruncationResult:
     """Psi_m(rho) = P^rho_m rho with the deterministic eigenvalue tie-break.
 
-    If m >= rank rho the head is rho itself.  When m cuts through a
-    multiplicity group the result carries the ambiguous flag.  Head and
-    tail are spectral views of rho: they reuse its eigenbasis.
+    Head and tail are ``rho.split(m)``: spectral views of rho's kept
+    values, so if m >= rank rho the head is rho itself.  When m cuts through
+    a multiplicity group the result carries the ambiguous flag.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = rho.spectrum()
     lam = spec.kept()
+    head, tail = rho.split(m)
     if m >= spec.rank:
-        return TruncationResult(rho, rho.rescaled(0.0), float(np.sum(lam)))
-    d = rho.dim
+        return TruncationResult(head, tail, float(np.sum(lam)))
     ambiguous = lam[m - 1] - lam[m] <= spec.gap_tol
-    head = spec.reordered(np.concatenate([lam[:m], np.zeros(d - m)])).operator()
-    # the tail lists rho's eigenvectors from m on first, then the head's
-    tail_order = np.concatenate([np.arange(m, d), np.arange(m)])
-    tail = spec.reordered(np.concatenate([lam[m:], np.zeros(m)]), tail_order).operator()
     return TruncationResult(head, tail, float(np.sum(lam[:m])), ambiguous)
 
 
@@ -328,8 +324,10 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     """Check the five consistency conditions of a schedule on a finite window.
 
     The first four are hard checks, read off the cut array; each names its
-    last failing cell.  Convergence of P^n_m to P^0_m is reported only as a
-    probe-vector residual trend over n, never as a proof.
+    last failing cell.  Coverage is cut >= rank rho_n on rho_n's own basis;
+    any other basis compares support projectors.  Convergence of P^n_m to
+    P^0_m is reported only as a probe-vector residual trend over n, never
+    as a proof.
     """
     n_hi = schedule.n_max if n_max is None else min(n_max, schedule.n_max)
     m_hi = schedule.m_max if m_max is None else min(m_max, schedule.m_max)
@@ -343,7 +341,7 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     mass_bad = masses <= 0.0
     # prefixes of one basis are nested iff the cut does not decrease
     nest_bad = cuts[:, :-1] > cuts[:, 1:]
-    uncovered = [n for n in range(n_hi + 1) if not support_projector(seq(n)).leq(schedule.projector(n, m_hi))]
+    uncovered = [n for n in range(n_hi + 1) if not _covers(bases[n], cuts[n, -1], seq(n))]
     cover_detail = f"support of rho_n not covered at n = {uncovered[-1]}, m = {m_hi}" if uncovered else ""
     checks = (
         CheckResult("rank P^n_m <= m", not rank_bad.any(), float(np.min(ms - cuts)),
@@ -376,6 +374,13 @@ def _last_failure(bad: np.ndarray, m_lo: int, describe) -> str:
         return ""
     n, i = (int(x) for x in cells[-1])
     return f"{describe(n, i)} at (n, m) = ({n}, {m_lo + i})"
+
+
+def _covers(basis: Spectrum, cut: int, rho: PositiveOperator) -> bool:
+    """Whether the prefix of ``basis`` cut at ``cut`` covers supp rho: cut >= rank rho for rho's own basis."""
+    if basis is rho.spectrum():
+        return cut >= basis.rank
+    return support_projector(rho).leq(basis.projector(int(cut)))
 
 
 def _prefix_masses(basis: Spectrum, rho: PositiveOperator) -> np.ndarray:

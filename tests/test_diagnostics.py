@@ -5,16 +5,19 @@ import pytest
 
 from qdini import (
     ApproximationScheme,
+    ChannelSequence,
     DensityOperator,
     OperatorSequence,
     PositiveOperator,
     appendix_domination,
     approximation_gap_grid,
+    channel_mi_checks,
     channel_mi_family,
     check_convex_mixture,
     check_dct_basic,
     check_dct_simon,
     constant_sequence,
+    depolarizing_channel,
     entropy_family,
     fixed_basis_schedule,
     g_c_linear,
@@ -188,6 +191,22 @@ class TestConvexMixture:
         rho = _diag_seq([0.6, 0.4], [0.05, -0.05])
         with pytest.raises(ValueError):
             check_convex_mixture(entropy_family(), rho, rho, [0.5, 0.5], n_max=4, m_max=2)
+
+
+@pytest.mark.parametrize("p_seq, match", [
+    ([0.5, 0.5], "need 5 entries, got 2"),
+    ([0.5, 1.5, 0.5, 0.5, 0.5], "1.5 lies outside"),
+    ([0.5, 0.5, -0.1, 0.5, 0.5], "-0.1 lies outside"),
+    ([0.5, 0.5, 0.5, float("nan"), 0.5], "nan lies outside"),
+])
+def test_mixture_checks_refuse_bad_weights(p_seq, match):
+    rho = _diag_seq([0.6, 0.4], [0.05, -0.05])
+    sigma = constant_sequence(PositiveOperator(diagonal=[0.5, 0.5]))
+    channels = ChannelSequence(lambda n: depolarizing_channel(0.1), 2, 2)
+    with pytest.raises(ValueError, match=match):
+        check_convex_mixture(entropy_family(), rho, sigma, p_seq, n_max=4, m_max=2)
+    with pytest.raises(ValueError, match=match):
+        channel_mi_checks(channels, rho, sigma, 0.5, p_seq, n_max=4, m_max=2)
 
 
 class TestTruncationCriterion:

@@ -149,7 +149,7 @@ class TestRelativeEntropy:
             assert abs(float(relative_entropy(rho, sigma)) - want) <= 1e-9 * want
             assert not trace_neg_log(rho, sigma).is_inf
             spec = rho.spectrum()
-            cuts = SpectralCuts(spec, spec.values, [1, 2], normalized=False)
+            cuts = SpectralCuts(spec, [1, 2], normalized=False)
             assert np.all(np.isfinite(relative_entropy_cuts(cuts, sigma)))
             assert np.all(np.isfinite(trace_neg_log_cuts(cuts, sigma)))
 

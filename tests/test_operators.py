@@ -93,7 +93,7 @@ class TestConstruction:
             PositiveOperator(diagonal=[0.5, 0.2, 0.0]),
             rho,
             rho.rescaled(0.5),                         # PositiveOperator._with_spectrum
-            support_projector(rho),                    # Projector._range
+            support_projector(rho),                    # dense Projector
             support_projector(rho).complement(),
         ]
         firsts = [op.trace() for op in ops]

@@ -1,10 +1,12 @@
-"""Range projectors: schedule projectors kept as column ranges of a spectrum's basis.
+"""Cuts of a spectrum: splits against dense products, and prefix projectors.
 
-Every reader that works on the range is checked against the dense path on
-the same projector (rebuilt from its materialised matrix, so the range is
-forgotten), and every materialised range projector against the dense
-P^2 = P and trace checks.  Eigensolves are counted by wrapping numpy's
-solvers, which every reader looks up at call time.
+``PositiveOperator.split`` gives the head and tail of rho's kept spectrum
+as spectral views; each is checked against P rho P from the materialised
+prefix projector P.  Prefix projectors of a dense spectrum are built and
+checked at once, and the schedule readers (prefix masses, probe residuals,
+the coverage rule cut >= rank) are checked against dense projector
+matrices.  Eigensolves are counted by wrapping numpy's solvers, which every
+reader looks up at call time.
 """
 
 from collections import Counter
@@ -56,11 +58,6 @@ def dense_operator(lam, seed):
     return PositiveOperator((u * lam) @ u.conj().T)
 
 
-def dense_copy(p: Projector) -> Projector:
-    """The same projector on the dense path: built from its matrix, no range."""
-    return Projector(p.matrix, rank=p.rank)
-
-
 def close(a, b, scale=None) -> bool:
     """|a - b| <= TOL * max(1, scale), with scale the largest |b| by default."""
     a, b = np.asarray(a), np.asarray(b)
@@ -69,55 +66,41 @@ def close(a, b, scale=None) -> bool:
 
 
 @pytest.mark.parametrize("name, lam", SPECTRA)
-class TestRangeAgainstDense:
-    def test_compress_head_and_tail(self, name, lam):
+class TestCutsAgainstDense:
+    def test_split_matches_dense_compressions(self, name, lam):
         rho = dense_operator(lam, 1)
-        norm = rho.operator_norm()
-        for k in range(rho.dim + 1):
-            head = rho.spectrum().projector(k)
-            for p in (head, head.complement()):
-                view, fresh = compress(rho, p), compress(rho, dense_copy(p))
-                assert close(view.eigenvalues(), fresh.eigenvalues(), norm)
-                assert close(view.matrix, fresh.matrix, norm)
-                assert close(float(von_neumann_entropy(view)), float(von_neumann_entropy(fresh)))
-                assert close(view.trace(), fresh.trace())
-
-    def test_ranges_of_another_spectrum_take_the_dense_path(self, name, lam):
-        rho, other = dense_operator(lam, 11), dense_operator(lam, 12)
-        norm = rho.operator_norm()
-        for k in range(rho.dim + 1):
-            p = other.spectrum().projector(k)
-            assert close(compress(rho, p).matrix, compress(rho, dense_copy(p)).matrix, norm)
-
-    def test_compress_makes_no_eigensolve(self, name, lam, eigensolves):
-        rho = dense_operator(lam, 2)
         spec = rho.spectrum()
-        spec.basis  # solved before counting: the views read it
+        # relative to the operator's own scale, so the 1e-9 spectrum is held as tightly as the 1e7 one
+        tol = TOL * rho.operator_norm()
+        for k in range(rho.dim + 1):
+            p = spec.projector(k).matrix
+            pbar = np.eye(rho.dim) - p
+            head, tail = rho.split(k)
+            for view, want in ((head, p @ rho.matrix @ p), (tail, pbar @ rho.matrix @ pbar)):
+                assert np.max(np.abs(view.matrix - want)) <= tol, (k, view is head)
+                assert abs(view.trace() - np.real(np.trace(want))) <= tol
+                assert np.max(np.abs(view.eigenvalues() - np.linalg.eigvalsh(want)[::-1])) <= tol
+            if k >= spec.rank:
+                # at or past the rank: rho itself and a zero tail
+                assert head is rho and not tail.eigenvalues().any()
+
+    def test_split_makes_no_eigensolve(self, name, lam, eigensolves):
+        rho = dense_operator(lam, 2)
+        rho.spectrum().basis  # solved before counting: the views read it
         eigensolves.clear()
         for k in range(rho.dim + 1):
-            compress(rho, spec.projector(k))
-            compress(rho, spec.projector(k).complement())
+            rho.split(k)
         assert not eigensolves
 
-    def test_leq(self, name, lam):
-        ranges = []
-        for rho in (dense_operator(lam, 3), dense_operator(lam, 13)):
-            heads = [rho.spectrum().projector(k) for k in range(rho.dim + 1)]
-            ranges += heads + [p.complement() for p in heads] + [support_projector(rho)]
-        for p in ranges:
-            for q in ranges:
-                assert p.leq(q) == dense_copy(p).leq(dense_copy(q)), (p.span[1:], q.span[1:])
-
-    def test_complement(self, name, lam):
-        rho = dense_operator(lam, 4)
-        for k in range(rho.dim + 1):
-            p = rho.spectrum().projector(k)
-            comp = p.complement()
-            assert comp.span[0] is rho.spectrum()
-            assert comp.rank == rho.dim - k
-            assert close(comp.matrix, dense_copy(p).complement().matrix)
-            assert comp.complement().rank == k
-            assert close(comp.complement().matrix, p.matrix)
+    def test_prefix_inclusion_is_cut_order(self, name, lam):
+        rho = dense_operator(lam, 3)
+        spec = rho.spectrum()
+        heads = [spec.projector(k) for k in range(rho.dim + 1)]
+        for k, p in enumerate(heads):
+            assert [p.leq(q) for q in heads] == [k <= j for j in range(rho.dim + 1)]
+        # the coverage rule of validate_schedule on rho's own basis
+        support = support_projector(rho)
+        assert [support.leq(q) for q in heads] == [j >= spec.rank for j in range(rho.dim + 1)]
 
     def test_prefix_masses(self, name, lam):
         rho = dense_operator(lam, 5)
@@ -126,7 +109,7 @@ class TestRangeAgainstDense:
             masses = _prefix_masses(spec, rho)
             assert masses[0] == 0.0
             for k in range(rho.dim + 1):
-                p = dense_copy(spec.projector(k))
+                p = spec.projector(k)
                 assert close(masses[k], np.real(np.trace(p.matrix @ rho.matrix)), rho.trace())
 
     def test_probe_residual(self, name, lam):
@@ -144,27 +127,27 @@ class TestRangeAgainstDense:
                         continue
                     # two diagonal bases are compared entrywise: the residual on coordinate probes
                     v = np.eye(d) if spec_n.diagonal and spec_0.diagonal else probes
-                    diff = dense_copy(spec_n.projector(k)).matrix - dense_copy(spec_0.projector(j)).matrix
+                    diff = spec_n.projector(k).matrix - spec_0.projector(j).matrix
                     assert close(res, np.max(np.linalg.norm(diff @ v, axis=0)))
 
 
 @pytest.mark.parametrize("name, lam", SPECTRA)
-def test_materialised_ranges_pass_the_dense_checks(name, lam):
+def test_dense_prefix_projectors_pass_the_checks(name, lam):
     rho = dense_operator(lam, 8)
     for k in range(rho.dim + 1):
         for p in (rho.spectrum().projector(k), rho.spectrum().projector(k).complement()):
             m = p.matrix
+            assert not p.is_diagonal
             assert np.allclose(m @ m, m, atol=1e-10)
             assert abs(np.real(np.trace(m)) - p.rank) <= 1e-8
             assert Projector(m, rank=p.rank).rank == p.rank
 
 
-def test_materialising_a_range_of_a_bad_basis_fails():
+def test_prefix_projector_of_a_bad_basis_fails_at_once():
     basis = np.eye(3, dtype=complex)
     basis[0, 1] = 0.1  # columns 0 and 1 overlap
-    p = Spectrum([0.5, 0.3, 0.2], diagonal=False, basis=basis).projector(2)
     with pytest.raises(ValueError, match="P\\^2 != P"):
-        p.matrix
+        Spectrum([0.5, 0.3, 0.2], diagonal=False, basis=basis).projector(2)
 
 
 def test_solved_basis_is_checked_for_orthonormality(monkeypatch):
@@ -185,7 +168,7 @@ def test_solved_basis_is_checked_for_orthonormality(monkeypatch):
 def test_diagonal_spectra_keep_diagonal_projectors():
     rho = PositiveOperator(diagonal=[0.2, 0.5, 0.3])
     p = rho.spectrum().projector(2)
-    assert p.is_diagonal and p.span is None
+    assert p.is_diagonal
     assert p.diag.tolist() == [0.0, 1.0, 1.0]
 
 
@@ -199,8 +182,8 @@ def test_lindblad_ozawa_pair_uses_compress():
     rho = dense_operator([0.4, 0.3, 0.2, 0.1], 10)
     p = rho.spectrum().projector(2)
     s_head, s_tail = compressed_entropy_pair(rho, p)
-    fresh_head, fresh_tail = compressed_entropy_pair(rho, dense_copy(p))
-    assert close(s_head, fresh_head) and close(s_tail, fresh_tail)
+    head, tail = rho.split(2)
+    assert close(s_head, float(von_neumann_entropy(head))) and close(s_tail, float(von_neumann_entropy(tail)))
     # for an eigenprojector the Lindblad-Ozawa slack is the binary entropy of the split
     slack = binary_entropy_extension(0.7, 0.3)
     assert close(float(von_neumann_entropy(rho)) - s_head - s_tail, slack)
@@ -224,11 +207,11 @@ def window(d, n_max, seed):
 def test_schedule_checks_decompose_each_member_once(eigensolves, monkeypatch, with_sigma):
     """commuting_schedule + validate_schedule + truncation_criterion: 2 eigensolves per member.
 
-    No projector matrix is built either.
+    No projector is built either: coverage is read off the cuts.
     """
-    materialised = []
-    materialise = Projector._materialize
-    monkeypatch.setattr(Projector, "_materialize", lambda p: materialised.append(p) or materialise(p))
+    built = []
+    init = Projector.__init__
+    monkeypatch.setattr(Projector, "__init__", lambda p, *args, **kwargs: built.append(p) or init(p, *args, **kwargs))
     d, n_max = 8, 6
     rho, sigma = window(d, n_max, 4)
     family = relative_entropy_family(sigma) if with_sigma else entropy_family()
@@ -239,7 +222,7 @@ def test_schedule_checks_decompose_each_member_once(eigensolves, monkeypatch, wi
     members = (n_max + 1) * (2 if with_sigma else 1)
     assert sum(eigensolves.values()) <= 2 * members
     assert eigensolves["eigh"] <= members
-    assert not materialised
+    assert not built
 
 
 def test_dominated_scheme_builds_its_limits_once(monkeypatch):

@@ -155,18 +155,15 @@ def test_commuting_criterion_takes_the_row_path(monkeypatch, dense):
     rho_seq, sigma_seq, n_max = _window("generic", dense, 0)
     schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
     calls = Counter()
-    compress = diagnostics.compress
-
-    def counted(rho, p):
-        calls["compress"] += 1
-        return compress(rho, p)
-
-    monkeypatch.setattr(diagnostics, "compress", counted)
+    compress, split = diagnostics.compress, PositiveOperator.split
+    monkeypatch.setattr(diagnostics, "compress", lambda rho, p: calls.update(["compress"]) or compress(rho, p))
+    monkeypatch.setattr(PositiveOperator, "split", lambda rho, k: calls.update(["split"]) or split(rho, k))
     family = relative_entropy_family(sigma_seq)
     truncation_criterion(family, rho_seq, schedule, 1, n_max, rho_seq.dim)
-    assert calls["compress"] == 0
+    assert not calls
+    # the per-cell path splits rho_n's own spectrum once per cell and compresses nothing
     truncation_criterion(_per_cell(family), rho_seq, schedule, 1, n_max, rho_seq.dim)
-    assert calls["compress"] == 2 * (n_max + 1) * len(range(schedule.m_0, schedule.m_max + 1))
+    assert calls == {"split": (n_max + 1) * len(range(schedule.m_0, schedule.m_max + 1))}
 
 
 def test_dense_grid_row_builds_no_operator_and_reads_no_weights_per_cell(monkeypatch):
@@ -192,3 +189,23 @@ def test_dense_grid_row_builds_no_operator_and_reads_no_weights_per_cell(monkeyp
     assert len(grid.cells) == (n_max + 1) * m_max
     assert counts["weights"] == n_max + 1  # f_n(rho_n) itself, once per row
     assert counts["constructions"] == 0
+
+
+def test_criterion_tails_at_the_rank_are_finite_at_large_scale():
+    # equal supports of rank 3 in dim 6 at trace 1e7: at a cut equal to the
+    # rank the tail is 0, not the eigensolver's noise off the support, so
+    # D(tail||sigma) = Tr sigma on the row path and on the per-cell path
+    p = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
+    q = np.array([0.4, 0.35, 0.25, 0.0, 0.0, 0.0])
+    for seed in range(50):
+        u = random_unitary(np.random.default_rng(seed), 6)
+        rho = PositiveOperator(1e7 * (u * p) @ u.conj().T)
+        sigma = PositiveOperator(1e7 * (u * q) @ u.conj().T)
+        rho_seq, sigma_seq = OperatorSequence(lambda n: rho, 6), OperatorSequence(lambda n: sigma, 6)
+        schedule = commuting_schedule(rho_seq, 6, 2)
+        assert schedule.cuts.max() == 3
+        family = relative_entropy_family(sigma_seq)
+        for fam in (family, _per_cell(family)):
+            tails = truncation_criterion(fam, rho_seq, schedule, 1, 2, 6).values["tail_sup_per_m"]
+            assert np.all(np.isfinite(tails)), (seed, fam.rows is None, tails)
+            assert tails[-1] == pytest.approx(sigma.trace(), rel=1e-12)

@@ -221,3 +221,58 @@ class TestCli:
         assert result.exit_code == 0
         assert "scenario: re-sum" in result.output
         assert "consistent" in result.output
+
+
+def _scenario_with(check: dict) -> Scenario:
+    """The channel-mi-depolarizing bindings with one check in place of its own."""
+    sc = builtin_scenario("channel-mi-depolarizing").to_json()
+    sc["families"] = {"S": {"kind": "entropy"}}
+    sc["checks"] = [check]
+    return Scenario.from_json(sc)
+
+
+class TestMalformedInputsExit2:
+    """Every malformed input is a ScenarioError, so the CLI exits 2 instead of crashing with 1."""
+
+    @pytest.mark.parametrize("suite", sorted(FUZZ_SUITES))
+    @pytest.mark.parametrize("dim, trials", [(0, 10), (1, 10), (4, 0), (4, -1)])
+    def test_fuzz_refuses_degenerate_arguments(self, suite, dim, trials):
+        with pytest.raises(ScenarioError, match="dim >= 2 and trials >= 1"):
+            inequality_fuzz(suite, dim, trials, seed=0)
+
+    @pytest.mark.parametrize("args", [["lindblad-ozawa", "--dim", "1"], ["entropy", "--trials", "-1"]])
+    def test_fuzz_cli_exit_2(self, args):
+        assert CliRunner().invoke(main, ["fuzz"] + args).exit_code == 2
+
+    @pytest.mark.parametrize("args", [["re-sum", "--n-max", "-1"], ["simon-dct", "--m-max", "0"]])
+    def test_run_refuses_empty_windows(self, args):
+        result = CliRunner().invoke(main, ["run"] + args)
+        assert result.exit_code == 2
+        assert "n_max >= 0 and m_max >= 1" in result.output
+
+    @pytest.mark.parametrize("weights", [{"p_list": [1.5] + [0.5] * 12}, {"p_list": [0.5] * 3},
+                                         {"p_limit": 0.5, "p_amp": 1.2, "p_rate": 0.5}])
+    @pytest.mark.parametrize("op", ["channel-mi", "convex-mixture"])
+    def test_mixture_weights_are_checked(self, op, weights):
+        check = {"op": op, "channels": "phi", "family": "S", "rho": "rho", "sigma": "sigma",
+                 "c": 0.5, "n_max": 12, "m_max": 2, **weights}
+        with pytest.raises(ScenarioError, match="mixture weight|entries"):
+            run_scenario(_scenario_with(check))
+
+    @pytest.mark.parametrize("check", [
+        {"op": "dct-basic", "f": "S", "sequence": "rho"},                    # no "g"
+        {"op": "dct-basic", "f": "S", "g": "S", "sequence": "nope"},         # unknown sequence
+        {"op": "re-sum", "rho": "rho", "sigma": "sigma", "omega": "sigma", "theta": "nope"},
+        {"op": "channel-mi", "channels": "nope", "rho": "rho", "sigma": "sigma"},
+        {"op": "gap-grid", "family": "nope", "sequence": "rho"},
+        {"op": "gap-grid", "family": "S", "sequence": "rho",
+         "scheme": {"kind": "dominated", "dominated": "nope"}},
+        {"op": "truncation-criterion", "family": "S", "sequence": "rho",
+         "schedule": {"sequence": ["rho"]}},
+    ])
+    def test_checks_naming_missing_bindings(self, check, tmp_path):
+        with pytest.raises(ScenarioError, match="names missing binding"):
+            run_scenario(_scenario_with(check))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(_scenario_with(check).to_json()))
+        assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 2

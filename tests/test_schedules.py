@@ -3,9 +3,8 @@
 A schedule stores one basis per n and an int array of cuts, and
 ``validate_schedule`` reads its hard checks off the cut array.  The
 reference below is the per-projector loop it replaced: one ``Projector``
-per (n, m), Tr P rho_n by the range, diagonal or dense path, nesting by
-``Projector.leq``, and probe residuals by the range, diagonal or dense
-path.  Random windows mix diagonal and dense members (some rank
+per (n, m), Tr P rho_n by the diagonal or dense path, nesting and coverage
+by ``Projector.leq``, and probe residuals by the diagonal or dense path.  Random windows mix diagonal and dense members (some rank
 deficient) with five kinds of basis per n (the member's own spectrum, a
 shared coordinate basis, a random permutation, a random dense basis, or
 the basis of n - 1), and plant cuts above m and cuts that decrease in m.  Pass flags, details and statuses must agree
@@ -83,21 +82,12 @@ def reference_validate(schedule, seq, n_max=None, m_max=None) -> Verdict:
 
 
 def _projected_mass(p: Projector, rho: PositiveOperator) -> float:
-    if p.span is not None and p.span[0] is rho.spectrum():
-        spec, lo, hi = p.span
-        return float(np.sum(spec.values[lo:hi]))
     if p.is_diagonal and rho.is_diagonal:
         return float(np.sum(rho.diag[p.diag > 0.5]))
     return float(np.real(np.trace(p.matrix @ rho.matrix)))
 
 
 def _probe_residual(pn: Projector, p0: Projector, probes: np.ndarray) -> float:
-    if pn.span is not None and p0.span is not None:
-        (spec_n, lo_n, hi_n), (spec_0, lo_0, hi_0) = pn.span, p0.span
-        v = spec_n.basis[:, lo_n:hi_n]
-        w = spec_0.basis[:, lo_0:hi_0]
-        d = v @ (v.conj().T @ probes) - w @ (w.conj().T @ probes)
-        return float(np.max(np.linalg.norm(d, axis=0)))
     if pn.is_diagonal and p0.is_diagonal:
         return float(np.max(np.abs(pn.diag - p0.diag)))
     d = pn.matrix - p0.matrix
