@@ -444,11 +444,14 @@ class Projector(HermitianOperator):
                 raise ValueError("diagonal projector entries must be 0 or 1")
             inferred = int(np.count_nonzero(d > 0.5))
         else:
-            _check_idempotent(self._mat)
+            m = self._mat
+            if not np.allclose(m @ m, m, atol=PROJECTOR_TOL):
+                raise ValueError(f"P^2 != P beyond tolerance {PROJECTOR_TOL:g}")
             inferred = int(round(self.trace()))
         if rank is None:
             rank = inferred
-        _check_trace(self.trace(), rank)
+        if abs(self.trace() - rank) > 1e-8:
+            raise ValueError(f"trace {self.trace()} does not match rank {rank}")
         self.rank = rank
 
     def complement(self) -> "Projector":
@@ -461,16 +464,6 @@ class Projector(HermitianOperator):
         if self.is_diagonal and other.is_diagonal:
             return bool(np.all(other._diag[self._diag > 0.5] > 0.5))
         return bool(np.allclose(other.matrix @ self.matrix, self.matrix, atol=1e-9))
-
-
-def _check_idempotent(m: np.ndarray):
-    if not np.allclose(m @ m, m, atol=PROJECTOR_TOL):
-        raise ValueError(f"P^2 != P beyond tolerance {PROJECTOR_TOL:g}")
-
-
-def _check_trace(trace: float, rank: int):
-    if abs(trace - rank) > 1e-8:
-        raise ValueError(f"trace {trace} does not match rank {rank}")
 
 
 def compress(rho: PositiveOperator, p: Projector) -> PositiveOperator:
