@@ -21,6 +21,7 @@ from .entropies import (
     binary_entropy,
     binary_entropy_extension,
     entropy_cuts,
+    entropy_of_diagonals,
     regularized_log_ladder,
     relative_entropy,
     relative_entropy_cuts,
@@ -36,13 +37,16 @@ from .operators import (
     Spectrum,
     apply_spectral_function,
     compress,
+    default_rank_tols,
     is_psd,
     moore_penrose_inverse,
 )
 from .truncation import (
     ApproximationScheme,
     OperatorSequence,
+    DominatedRow,
     ProjectorSchedule,
+    ambiguous_cuts,
     normalize,
     spectral_truncation,
     stable_index_set,
@@ -90,13 +94,17 @@ class FunctionalFamily:
     reads a state only through its spectrum and its weights in a fixed
     basis per n also has ``rows``: (n, SpectralCuts) -> f_n of every head
     and tail, as floats with +inf, which the grids and the truncation
-    criterion use in place of one ``value`` call per cut.
+    criterion use in place of one ``value`` call per cut.  A family that
+    reads a diagonal operator only through its diagonal can also have
+    ``stacked``: (n, (M, d) array) -> f_n of the M diagonal operators
+    whose diagonals are its rows, which the dominated scheme's grids use
+    on diagonal pairs.
     """
 
-    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed", "rows")
+    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed", "rows", "stacked")
 
     def __init__(self, kind: str, label: str, value, a_f: ModulusFunction,
-                 b_f: ModulusFunction | None = None, signed: bool = False, rows=None):
+                 b_f: ModulusFunction | None = None, signed: bool = False, rows=None, stacked=None):
         self.kind = kind
         self.label = label
         self._value = value
@@ -104,6 +112,7 @@ class FunctionalFamily:
         self.b_f = b_f
         self.signed = signed
         self.rows = rows
+        self.stacked = stacked
 
     def value(self, n: int, op: PositiveOperator) -> ExtendedReal:
         return self._value(n, op)
@@ -129,6 +138,7 @@ def entropy_family() -> FunctionalFamily:
         lambda n, op: von_neumann_entropy(op),
         a_f=ZERO_MODULUS, b_f=H2_MODULUS,
         rows=lambda n, cuts: entropy_cuts(cuts),
+        stacked=lambda n, diagonals: entropy_of_diagonals(diagonals),
     )
 
 
@@ -247,11 +257,24 @@ def _truncation_row(family: FunctionalFamily, seq: OperatorSequence, scheme: App
     f_head is f_n of the normalized head and f_tail of the normalized tail,
     floats with +inf, or None where that state does not exist (f_tail also
     when ``tails`` is false).  A spectral scheme and a family with rows take
-    the whole row from one spectrum; anything else evaluates cell by cell.
+    the whole row from one spectrum, and the dominated scheme on a diagonal
+    pair and a family with a stacked form from one array of diagonals.
+    Anything else evaluates cell by cell, the dominated scheme once per cut
+    pair.
     """
-    if scheme.kind == "spectral" and family.rows is not None:
-        return _spectral_row(family, n, seq(n), m_range)
-    return [_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in m_range]
+    if scheme.kind == "spectral":
+        if family.rows is not None:
+            return _spectral_row(family, n, seq(n), m_range)
+        return [_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in m_range]
+    row = scheme.dominated_row(seq, n, m_range)
+    if family.stacked is not None and row.rho.is_diagonal and row.sigma.is_diagonal:
+        return _dominated_diagonal_row(family, n, row, tails)
+    keys = row.keys()
+    cells = {}
+    for i, key in enumerate(keys):
+        if key not in cells:
+            cells[key] = _truncation_cell(family, n, row.truncation(i), tails)
+    return [cells[key] for key in keys]
 
 
 def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple:
@@ -279,13 +302,34 @@ def _spectral_row(family: FunctionalFamily, n: int, rho: PositiveOperator, m_ran
     if below.size:
         cuts = SpectralCuts(spec, below, normalized=True)
         f_heads, f_tails = family.rows(n, cuts)
-        ambiguous = cuts.values[below - 1] - cuts.values[below] <= spec.gap_tol
-        row = list(zip(cuts.mass[0].tolist(), ambiguous.tolist(), f_heads.tolist(),
+        row = list(zip(cuts.mass[0].tolist(), ambiguous_cuts(spec, below).tolist(), f_heads.tolist(),
                        cuts.mass[1].tolist(), f_tails.tolist()))
     if len(row) < len(m_range):
         whole = _truncation_cell(family, n, spectral_truncation(rho, m_range[len(row)]), True)
         row.extend([whole] * (len(m_range) - len(row)))
     return row
+
+
+def _dominated_diagonal_row(family: FunctionalFamily, n: int, row: DominatedRow, tails: bool) -> list:
+    """``_truncation_row`` of the dominated scheme on a diagonal pair, every m at once.
+
+    The heads and tails c Psi(rho_n) + Psi(sigma_n) are (M, d) arrays of
+    diagonals, each part cut as ``split`` cuts it.  Masses, the vanishing
+    tests and the normalization read them as ``normalize`` does, and one
+    ``family.stacked`` call evaluates f_n on every state.
+    """
+    parts = [row.c * x for x in row.rho.split_diagonals(row.rho_cuts)]
+    if row.sigma_cuts is not None:
+        parts = [x + y for x, y in zip(parts, row.sigma.split_diagonals(row.sigma_cuts))]
+    ops = np.concatenate(parts)  # the heads, then the tails
+    mass = np.sum(ops, axis=1)
+    exists = mass > default_rank_tols(ops.shape[1], np.max(ops, axis=1))
+    size = row.rho_cuts.size
+    exists[size:] &= tails
+    values = np.full(ops.shape[0], None, dtype=object)
+    values[exists] = family.stacked(n, ops[exists] * (1.0 / mass[exists])[:, None]).tolist()
+    return list(zip(mass[:size].tolist(), row.ambiguous().tolist(), values[:size].tolist(),
+                    mass[size:].tolist(), values[size:].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +562,13 @@ def _compressions(rho: PositiveOperator, basis: Spectrum, k: int) -> tuple:
     return compress(rho, p), compress(rho, p.complement())
 
 
+def _compressed_tail(rho: PositiveOperator, basis: Spectrum, k: int) -> PositiveOperator:
+    """The tail of ``_compressions`` alone: Pbar rho Pbar, with no head built."""
+    if basis is rho.spectrum():
+        return rho.tail(int(k))
+    return compress(rho, basis.projector(int(k)).complement())
+
+
 def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, basis: Spectrum, cuts) -> tuple:
     """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf.
 
@@ -724,7 +775,7 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
         tails = []
         for m in range(schedule.m_0, min(m_max, schedule.m_max) + 1):
             i = m - schedule.m_0
-            vals = [out_ent.value(n, _compressions(rho_seq(n), schedule.bases[n], schedule.cuts[n, i])[1])
+            vals = [out_ent.value(n, _compressed_tail(rho_seq(n), schedule.bases[n], schedule.cuts[n, i]))
                     for n in range(n_max + 1)]
             tails.append(max(float(v) for v in vals))
         trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))

@@ -16,12 +16,12 @@ import numpy as np
 
 from .extreal import INFINITY, ExtendedReal, finite
 from .operators import (
-    RANK_REL_TOL,
     DensityOperator,
     PositiveOperator,
     Projector,
     Spectrum,
     compress,
+    default_rank_tols,
     partial_trace,
 )
 
@@ -62,6 +62,20 @@ def von_neumann_entropy(rho: PositiveOperator) -> ExtendedReal:
     if t == 0.0:
         return finite(0.0)
     return finite(float(-np.sum(lam * np.log(lam))) - eta(t))
+
+
+def entropy_of_diagonals(x: np.ndarray) -> np.ndarray:
+    """``von_neumann_entropy`` of each row of x, read as the diagonal of a positive operator.
+
+    Step for step on each row: the values sorted non-increasing and
+    clamped at 0, the rank tolerance of the row's own top value, the sum
+    over the values above it, minus eta of their total.
+    """
+    lam = np.maximum(-np.sort(-x, axis=1), 0.0)
+    counted = lam > default_rank_tols(x.shape[1], lam[:, 0])[:, None]
+    lam = np.where(counted, lam, 0.0)
+    t = np.sum(lam, axis=1)
+    return -np.sum(lam * np.log(np.where(counted, lam, 1.0)), axis=1) + t * np.log(np.where(t > 0.0, t, 1.0))
 
 
 def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedReal:
@@ -127,7 +141,7 @@ class SpectralCuts:
         self.top = np.stack([np.full(k.size, v[0]), np.append(v, 0.0)[k]])
         # a cut's entropy counts its values above the rank tolerance of its
         # own top value: all of a head's, a prefix of a tail's
-        end = np.searchsorted(-v, -_rank_tols(v.size, self.top), side="left")  # count of values above
+        end = np.searchsorted(-v, -default_rank_tols(v.size, self.top), side="left")  # count of values above
         self._ranked_end = np.stack([np.minimum(k, end[0]), np.maximum(k, end[1])])
 
     def sums(self, x, ranked: bool = False) -> np.ndarray:
@@ -144,11 +158,6 @@ class SpectralCuts:
             return np.stack([forward[k], backward[k]])
         head_end, tail_end = self._ranked_end
         return np.stack([forward[head_end], backward[k] - backward[tail_end]])
-
-
-def _rank_tols(dim: int, tops: np.ndarray) -> np.ndarray:
-    """``default_rank_tol`` elementwise."""
-    return dim * RANK_REL_TOL * np.maximum(tops, 0.0)
 
 
 def entropy_cuts(cuts: SpectralCuts) -> np.ndarray:
@@ -195,7 +204,7 @@ def relative_entropy_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.nda
     d = cost - entropy_cuts(cuts) - eta_tr + tr_sigma - tr
     d = np.where(outside > _support_tol(tr), np.inf, d)
     # D(0||sigma) = Tr sigma, decided before the support test
-    vanishing = tr <= _rank_tols(cuts.values.size, cuts.scale * cuts.top)
+    vanishing = tr <= default_rank_tols(cuts.values.size, cuts.scale * cuts.top)
     return np.where(vanishing, tr_sigma, d)
 
 

@@ -142,6 +142,11 @@ def default_rank_tol(dim: int, lam_max: float) -> float:
     return dim * RANK_REL_TOL * max(lam_max, 0.0)
 
 
+def default_rank_tols(dim: int, lam_max: np.ndarray) -> np.ndarray:
+    """``default_rank_tol`` elementwise."""
+    return dim * RANK_REL_TOL * np.maximum(lam_max, 0.0)
+
+
 class Spectrum:
     """Eigenvalues of a positive operator, clamped at 0 and non-increasing, with their basis.
 
@@ -405,9 +410,37 @@ class PositiveOperator(HermitianOperator):
             return self, self.rescaled(0.0)
         lam, d = spec.kept(), self.dim
         head = spec.reordered(np.concatenate([lam[:k], np.zeros(d - k)])).operator()
-        tail_order = np.concatenate([np.arange(k, d), np.arange(k)])
-        tail = spec.reordered(np.concatenate([lam[k:], np.zeros(k)]), tail_order).operator()
-        return head, tail
+        return head, self.tail(k)
+
+    def tail(self, k: int) -> "PositiveOperator":
+        """The tail of ``split(k)`` alone."""
+        spec = self.spectrum()
+        if k >= spec.rank:
+            return self.rescaled(0.0)
+        lam, d = spec.kept(), self.dim
+        order = np.concatenate([np.arange(k, d), np.arange(k)])
+        return spec.reordered(np.concatenate([lam[k:], np.zeros(k)]), order).operator()
+
+    def split_diagonals(self, cuts) -> tuple:
+        """The diagonals of ``split(k)`` for every k of ``cuts``: (heads, tails), each of shape (len(cuts), d).
+
+        Diagonal operators only.  Row i of the heads holds the kept values
+        of the first cuts[i] coordinates in spectrum order and the tails
+        the rest; a cut at or past the rank gives this diagonal and a zero
+        tail, as ``split`` does.
+        """
+        if not self.is_diagonal:
+            raise ValueError("split_diagonals needs a diagonal operator")
+        spec = self.spectrum()
+        k = np.asarray(cuts, dtype=np.intp)[:, None]
+        position = np.empty(self.dim, dtype=np.intp)
+        position[spec.basis] = np.arange(self.dim)
+        kept = spec.kept()[position]  # in coordinate order
+        in_head = position < k
+        whole = k >= spec.rank
+        heads = np.where(whole, self._diag, np.where(in_head, kept, 0.0))
+        tails = np.where(in_head | whole, 0.0, kept)
+        return heads, tails
 
     def add(self, other: HermitianOperator) -> HermitianOperator:
         """self + other; positive when other is."""

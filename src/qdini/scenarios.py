@@ -287,7 +287,7 @@ class Scenario:
     def from_json(cls, obj: dict) -> "Scenario":
         if not isinstance(obj, dict) or "name" not in obj:
             raise ScenarioError("scenario file must be a JSON object with a 'name' field")
-        if int(obj.get("version", 1)) != 1:
+        if _number(obj, "version", 1, int) != 1:
             raise ScenarioError(f"unsupported scenario version {obj.get('version')!r}")
         for sec in ("sequences", "channels"):
             for key, spec in obj.get(sec, {}).items():
@@ -300,7 +300,7 @@ class Scenario:
             families=obj.get("families", {}),
             checks=tuple(obj.get("checks", [])),
             diagonal=bool(obj.get("diagonal", False)),
-            version=int(obj.get("version", 1)),
+            version=_number(obj, "version", 1, int),
         )
 
 
@@ -321,17 +321,39 @@ def _resolve_bindings(scenario: Scenario):
         builder = SEQUENCE_BUILDERS.get(spec["builder"])
         if builder is None:
             raise ScenarioError(f"unknown sequence builder {spec['builder']!r} for binding {key!r}")
-        seqs[key] = builder(spec.get("params", {}))
+        seqs[key] = _built(f"sequences.{key}", spec, builder)
     chans = {}
     for key, spec in scenario.channels.items():
         builder = CHANNEL_BUILDERS.get(spec["builder"])
         if builder is None:
             raise ScenarioError(f"unknown channel builder {spec['builder']!r} for binding {key!r}")
-        chans[key] = builder(spec.get("params", {}))
+        chans[key] = _built(f"channels.{key}", spec, builder)
     fams = {}
     for key, spec in scenario.families.items():
         fams[key] = _build_family(spec, seqs, chans)
     return seqs, chans, fams
+
+
+def _built(where: str, spec: dict, builder):
+    """builder(params) of one binding; a missing or malformed parameter is a ScenarioError."""
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{where}.params must be an object, got {params!r}")
+    try:
+        return builder(params)
+    except KeyError as exc:
+        raise ScenarioError(f"{where} is missing the parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where} has a malformed parameter: {exc}") from None
+
+
+def _number(spec: dict, key: str, default, kind=float):
+    """spec[key], or default where it is absent, converted by kind; a ScenarioError if it does not convert."""
+    value = spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{key!r} must be a number, got {value!r}") from None
 
 
 def _build_family(spec: dict, seqs: dict, chans: dict) -> dx.FunctionalFamily:
@@ -339,7 +361,7 @@ def _build_family(spec: dict, seqs: dict, chans: dict) -> dx.FunctionalFamily:
     if kind == "entropy":
         return dx.entropy_family()
     if kind == "entropy-plus-log":
-        k = int(spec["k"])
+        k = _number(spec, "k", None, int)
         shift = math.log(k)
         ent = dx.entropy_family()
         return dx.FunctionalFamily(
@@ -388,7 +410,7 @@ def _p_sequence(params: dict, n_max: int):
 def _build_schedule(spec, seqs, default_seq, n_max):
     kind = spec.get("type", "commuting")
     seq = _ref(seqs, spec, "sequence") if "sequence" in spec else default_seq
-    m_max = int(spec.get("m_max", seq.dim))
+    m_max = _number(spec, "m_max", seq.dim, int)
     if kind == "fixed-basis":
         return fixed_basis_schedule(seq.dim, m_max, seq, n_max=n_max)
     if kind == "commuting":
@@ -398,8 +420,8 @@ def _build_schedule(spec, seqs, default_seq, n_max):
 
 def _window(check: dict, n_override, m_override):
     """The (n_max, m_max) window a check runs on: the override where given, else its own."""
-    n_max = int(n_override if n_override is not None else check.get("n_max", 12))
-    m_max = int(m_override if m_override is not None else check.get("m_max", 12))
+    n_max = int(n_override) if n_override is not None else _number(check, "n_max", 12, int)
+    m_max = int(m_override) if m_override is not None else _number(check, "m_max", 12, int)
     if n_max < 0 or m_max < 1:
         raise ScenarioError(f"the window needs n_max >= 0 and m_max >= 1, got n_max = {n_max}, m_max = {m_max}")
     return n_max, m_max
@@ -419,9 +441,9 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
     if op == "truncation-criterion":
         schedule = _build_schedule(check.get("schedule", {}), seqs, seq("sequence"), n_max)
         verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule,
-                                          int(check.get("n_0", 1)), n_max, m_max)
+                                          _number(check, "n_0", 1, int), n_max, m_max)
     elif op == "dct-simon":
-        verdict = dx.check_dct_simon(fam("family"), seq("rho"), seq("tau"), float(check.get("c", 0.5)),
+        verdict = dx.check_dct_simon(fam("family"), seq("rho"), seq("tau"), _number(check, "c", 0.5),
                                      n_max, m_max)
     elif op == "dct-basic":
         verdict = dx.check_dct_basic(fam("f"), fam("g"), seq("sequence"), n_max, m_max)
@@ -431,7 +453,7 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
     elif op == "re-domination":
         verdict = dx.relative_entropy_domination(
             seq("rho1"), seq("rho2"), seq("sigma1"), seq("sigma2"),
-            float(check.get("c_rho", 1.0)), float(check.get("c_sigma", 1.0)), n_max)
+            _number(check, "c_rho", 1.0), _number(check, "c_sigma", 1.0), n_max)
     elif op == "re-sum":
         theta = seq("theta") if "theta" in check else None
         verdict = dx.relative_entropy_sum(seq("rho"), seq("sigma"), seq("omega"), n_max, theta_seq=theta)
@@ -440,16 +462,16 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
         if "schedule" in check:
             schedule = _build_schedule(check["schedule"], seqs, seq("rho"), n_max)
         verdict = dx.channel_mi_checks(_ref(chans, check, "channels"), seq("rho"), seq("sigma"),
-                                       float(check.get("c", 0.5)), _p_sequence(check, n_max),
+                                       _number(check, "c", 0.5), _p_sequence(check, n_max),
                                        n_max, m_max, schedule=schedule)
     elif op == "appendix-domination":
         verdict = dx.appendix_domination(seq("rho1"), seq("rho2"), seq("sigma1"), seq("sigma2"),
                                          check.get("k_schedule", [1, 10, 100, 1000, 10000]), n_max)
     elif op == "entropy-jump-probe":
         verdict = _entropy_jump_probe(seq("sequence"), n_max,
-                                      float(check.get("low", 0.9)),
-                                      float(check.get("high", 1.1)),
-                                      int(check.get("n_from", 3)))
+                                      _number(check, "low", 0.9),
+                                      _number(check, "high", 1.1),
+                                      _number(check, "n_from", 3, int))
     elif op == "gap-grid":
         scheme = _build_scheme(check.get("scheme", {}), seqs)
         grid = dx.approximation_gap_grid(fam("family"), seq("sequence"), scheme, n_max, m_max)
@@ -463,7 +485,7 @@ def _build_scheme(spec: dict, seqs) -> ApproximationScheme:
     kind = spec.get("kind", "spectral")
     if kind == "spectral":
         return ApproximationScheme("spectral")
-    return ApproximationScheme("dominated", float(spec.get("c", 1.0)), _ref(seqs, spec, "dominated"))
+    return ApproximationScheme("dominated", _number(spec, "c", 1.0), _ref(seqs, spec, "dominated"))
 
 
 def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: float,

@@ -124,7 +124,8 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     """
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
-    return _dominated_truncation(rho, _sigma_part(tau, rho, c), c, m, _LimitCuts(rho_limit, sigma_limit))
+    cuts = _LimitCuts(rho_limit, sigma_limit)
+    return _dominated_row(rho, _sigma_part(tau, rho, c), c, (m,), cuts).truncation(0)
 
 
 class _LimitCuts:
@@ -145,8 +146,10 @@ class _LimitCuts:
     def top_multiplicity(self, which: str) -> int:
         return self._memoized(which, None, top_multiplicity)
 
-    def stable_index(self, which: str, m: int):
-        return self._memoized(which, m, lambda limit: largest_stable_index(limit, m))
+    def stable_indices(self, which: str, m_range) -> tuple:
+        """m-hat of the limit at each m of m_range, None where it has none."""
+        return self._memoized(which, m_range,
+                              lambda limit: tuple(largest_stable_index(limit, m) for m in m_range))
 
     def _memoized(self, which, m, compute):
         key = (which, m)
@@ -155,28 +158,76 @@ class _LimitCuts:
         return self._memo[key]
 
 
-def _dominated_truncation(rho: PositiveOperator, sigma: PositiveOperator, c: float, m: int,
-                          cuts: _LimitCuts) -> TruncationResult:
+@dataclass(frozen=True, eq=False)
+class DominatedRow:
+    """Row n of the dominated scheme: rho_n, sigma_n = tau_n - c rho_n and the cut pair of each m.
+
+    ``rho_cuts[i]`` is m-hat of the rho limit at the i-th m, clipped at
+    rank rho_n (at least 1), and ``sigma_cuts[i]`` the same for the sigma
+    limit and sigma_n.  A cut at or past the rank truncates to the
+    operator itself, so the clip changes no truncation, and two m with the
+    same pair have the same truncation.  When sigma_n vanishes only rho_n
+    is cut and ``sigma_cuts`` is None.
+    """
+
+    rho: PositiveOperator
+    sigma: PositiveOperator
+    c: float
+    rho_cuts: np.ndarray
+    sigma_cuts: np.ndarray | None
+
+    def keys(self) -> list:
+        """The cut pair of each m as a hashable key: (rho cut, sigma cut or None)."""
+        sigma = [None] * self.rho_cuts.size if self.sigma_cuts is None else self.sigma_cuts.tolist()
+        return list(zip(self.rho_cuts.tolist(), sigma))
+
+    def ambiguous(self) -> np.ndarray:
+        """Whether either cut of each m falls inside a multiplicity group, as ``spectral_truncation`` flags it."""
+        flags = ambiguous_cuts(self.rho.spectrum(), self.rho_cuts)
+        if self.sigma_cuts is not None:
+            flags |= ambiguous_cuts(self.sigma.spectrum(), self.sigma_cuts)
+        return flags
+
+    def truncation(self, i: int) -> TruncationResult:
+        """c Psi(rho_n) + Psi(sigma_n) at the i-th m, head and tail each summed as operators."""
+        head_rho = spectral_truncation(self.rho, int(self.rho_cuts[i]))
+        if self.sigma_cuts is None:
+            head = head_rho.head.scale(self.c)
+            return TruncationResult(head, head_rho.tail.scale(self.c), head.trace(), head_rho.ambiguous)
+        head_sigma = spectral_truncation(self.sigma, int(self.sigma_cuts[i]))
+        head = head_rho.head.scale(self.c).add(head_sigma.head)
+        tail = head_rho.tail.scale(self.c).add(head_sigma.tail)
+        return TruncationResult(head, tail, head.trace(), head_rho.ambiguous or head_sigma.ambiguous)
+
+
+def ambiguous_cuts(spec: Spectrum, cuts: np.ndarray) -> np.ndarray:
+    """``spectral_truncation``'s ambiguous flag for each cut k >= 1 of ``cuts``, from the spectrum alone.
+
+    Below the rank the values either side of a cut are kept values.
+    """
+    lam = spec.values
+    return (cuts < spec.rank) & (lam[cuts - 1] - lam[np.minimum(cuts, lam.size - 1)] <= spec.gap_tol)
+
+
+def _dominated_row(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
+                   cuts: _LimitCuts) -> DominatedRow:
+    """The cut pairs of every m of m_range, raising at the first m that has none."""
     sigma_zero = sigma.vanishes()
-    m_star = cuts.top_multiplicity("rho")
-    if not sigma_zero:
-        m_star = max(m_star, cuts.top_multiplicity("sigma"))
-    if m < m_star:
-        raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
-    mh_rho = cuts.stable_index("rho", m)
-    if mh_rho is None:
-        raise ValueError(f"no stable index of the rho limit at or below m = {m}")
-    head_rho = spectral_truncation(rho, mh_rho)
-    if sigma_zero:
-        head = head_rho.head.scale(c)
-        return TruncationResult(head, head_rho.tail.scale(c), head.trace(), head_rho.ambiguous)
-    mh_sigma = cuts.stable_index("sigma", m)
-    if mh_sigma is None:
-        raise ValueError(f"no stable index of the sigma limit at or below m = {m}")
-    head_sigma = spectral_truncation(sigma, mh_sigma)
-    head = head_rho.head.scale(c).add(head_sigma.head)
-    tail = head_rho.tail.scale(c).add(head_sigma.tail)
-    return TruncationResult(head, tail, head.trace(), head_rho.ambiguous or head_sigma.ambiguous)
+    limits = ("rho",) if sigma_zero else ("rho", "sigma")
+    m_star = max(cuts.top_multiplicity(which) for which in limits)
+    m_hats = {which: cuts.stable_indices(which, m_range) for which in limits}
+    for i, m in enumerate(m_range):
+        if m < m_star:
+            raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
+        for which in limits:
+            if m_hats[which][i] is None:
+                raise ValueError(f"no stable index of the {which} limit at or below m = {m}")
+
+    def clipped(op, which):
+        return np.minimum(np.array(m_hats[which], dtype=np.intp), max(op.spectrum().rank, 1))
+
+    sigma_cuts = None if sigma_zero else clipped(sigma, "sigma")
+    return DominatedRow(rho, sigma, c, clipped(rho, "rho"), sigma_cuts)
 
 
 def _sigma_part(tau: PositiveOperator, rho: PositiveOperator, c: float) -> PositiveOperator:
@@ -211,12 +262,20 @@ class ApproximationScheme:
     def truncate(self, seq: OperatorSequence, n: int, m: int) -> TruncationResult:
         if self.kind == "spectral":
             return spectral_truncation(seq(n), m)
+        return self.dominated_row(seq, n, (m,)).truncation(0)
+
+    def dominated_row(self, seq: OperatorSequence, n: int, m_range) -> DominatedRow:
+        """The dominated scheme's cut pairs of every m of m_range at row n.
+
+        Raises, at the first m of m_range that has no cut, the error
+        ``truncate`` raises there.
+        """
         tau, rho = seq(n), self.dominated(n)
         cuts = self._limit_cuts(seq)
         sigma = cuts.sigma_parts.get(n)
         if sigma is None:
             sigma = cuts.sigma_parts[n] = _sigma_part(tau, rho, self.c)
-        return _dominated_truncation(rho, sigma, self.c, m, cuts)
+        return _dominated_row(rho, sigma, self.c, m_range, cuts)
 
     def m_floor(self, seq: OperatorSequence) -> int:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""

@@ -2,10 +2,12 @@
 
 The entropy, relative-entropy and trace-neg-log families carry ``rows``:
 f_n of every head and tail of rho_n's spectrum at once, from cumulative
-sums over one overlap with sigma_n's basis.  The same family without
-``rows`` evaluates every cell through the scalar functionals and is the
-oracle here.  Numbers agree within 1e-12 * max(1, |x|); flags and +inf
-agree exactly.
+sums over one overlap with sigma_n's basis.  The entropy family also has a
+stacked form, which the dominated scheme's grids evaluate on one array of
+diagonals per row when rho_n and sigma_n are diagonal.  The same family
+without ``rows`` and ``stacked`` evaluates every cell through the scalar
+functionals and is the oracle here.  Numbers agree within
+1e-12 * max(1, |x|); flags, None and +inf agree exactly.
 """
 
 import math
@@ -13,6 +15,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdini import (
     ApproximationScheme,
@@ -21,15 +25,17 @@ from qdini import (
     OperatorSequence,
     PositiveOperator,
     approximation_gap_grid,
+    builtin_scenario,
     commuting_schedule,
     entropy_family,
     random_unitary,
     relative_entropy_family,
+    run_scenario,
     trace_neg_log_family,
     truncation_criterion,
     truncation_lower_bound_slack,
 )
-from qdini import diagnostics
+from qdini import Scenario, diagnostics
 from qdini.operators import Spectrum
 
 TOL = 1e-12
@@ -209,3 +215,106 @@ def test_criterion_tails_at_the_rank_are_finite_at_large_scale():
             tails = truncation_criterion(fam, rho_seq, schedule, 1, 2, 6).values["tail_sup_per_m"]
             assert np.all(np.isfinite(tails)), (seed, fam.rows is None, tails)
             assert tails[-1] == pytest.approx(sigma.trace(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The dominated scheme on diagonal pairs
+
+
+def _dominated_grids(rho_diags, sigma_diags, c, scale, family):
+    """The dominated gap grid of tau_n = c rho_n + sigma_n and its lower-bound slack, or the ValueError raised."""
+    d, n_max = len(rho_diags[0]), len(rho_diags) - 1
+    rho = OperatorSequence(lambda n: PositiveOperator(diagonal=scale * np.array(rho_diags[n])), d)
+    tau = OperatorSequence(lambda n: PositiveOperator(
+        diagonal=scale * (c * np.array(rho_diags[n]) + np.array(sigma_diags[n]))), d)
+    scheme = ApproximationScheme("dominated", c, rho)
+    try:
+        # m_max past d, so past both ranks
+        grid = approximation_gap_grid(family, tau, scheme, n_max, d + 1)
+        slack = truncation_lower_bound_slack(family, tau, scheme, n_max, d + 1)
+    except ValueError as exc:
+        return str(exc)
+    return grid, slack
+
+
+def _dominated_row_matches_cells(rho_diags, sigma_diags, c, scale) -> Counter:
+    """Assert the row path equals the per-cell path on one window; the flags seen."""
+    family = entropy_family()
+    assert family.stacked is not None
+    got = _dominated_grids(rho_diags, sigma_diags, c, scale, family)
+    want = _dominated_grids(rho_diags, sigma_diags, c, scale, _per_cell(family))
+    if isinstance(want, str):
+        assert got == want
+        return Counter()
+    (rows, slack_rows), (cells, slack_cells) = got, want
+    assert rows.m_range == cells.m_range and len(rows.cells) == len(cells.cells)
+    flags = Counter()
+    for g, w in zip(rows.cells, cells.cells):
+        where = f"(n, m) = ({w.n}, {w.m})"
+        assert (g.n, g.m, g.flags) == (w.n, w.m, w.flags), where
+        for label in ("mu", "gap", "tail"):
+            assert _close(getattr(g, label), getattr(w, label)), f"{label} at {where}"
+        flags.update(w.flags)
+    assert _close(slack_rows, slack_cells)
+    return flags
+
+
+# rho_n ties at cuts the limit's gaps put there (ambiguous-m); rho_n and
+# sigma_n have zero values (rank deficient); the last member is all zero
+TIED_WINDOW = (
+    [[0.4, 0.3, 0.2, 0.1, 0.0], [0.3, 0.3, 0.2, 0.2, 0.0], [0.35, 0.25, 0.25, 0.1, 0.0], [0.0] * 5],
+    [[0.0, 0.2, 0.0, 0.3, 0.1], [0.0, 0.2, 0.2, 0.3, 0.1], [0.0, 0.25, 0.0, 0.3, 0.1], [0.0] * 5],
+    0.5, 1.0,
+)
+LATTICE = (0.0, 1e-17, 0.1, 0.2, 0.4)
+
+
+@st.composite
+def dominated_windows(draw):
+    """Diagonals of rho_n and sigma_n for n = 0..n_max, a c and a common scale of the traces.
+
+    Values come from a small lattice, whose zeros and values below the rank
+    tolerance make members rank deficient and whose repeats put ties at
+    cuts, or from a continuous range.
+    """
+    d = draw(st.integers(2, 7))
+    n_max = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from(LATTICE), st.floats(0.01, 1.0))
+    members = st.lists(st.lists(value, min_size=d, max_size=d), min_size=n_max + 1, max_size=n_max + 1)
+    return (draw(members), draw(members), draw(st.sampled_from([0.25, 0.5, 1.0, 3.0])),
+            draw(st.sampled_from([1.0, 1e7, 1e-7])))
+
+
+@settings(max_examples=150)
+@given(dominated_windows())
+@example(TIED_WINDOW)
+@example((TIED_WINDOW[0], TIED_WINDOW[1], 3.0, 1e7))
+@example((TIED_WINDOW[0], TIED_WINDOW[1], 0.25, 1e-7))
+def test_dominated_rows_match_cells(window):
+    _dominated_row_matches_cells(*window)
+
+
+def test_dominated_row_flags_ties_at_a_cut():
+    assert _dominated_row_matches_cells(*TIED_WINDOW)["ambiguous-m"]
+
+
+def test_simon_dct_grid_builds_no_operator_per_cell(monkeypatch):
+    sc = builtin_scenario("simon-dct").to_json()
+    sc["checks"] = [check for check in sc["checks"] if check["op"] == "gap-grid"]
+    init = HermitianOperator.__init__
+    counts = Counter()
+
+    def counted_init(self, *args, **kwargs):
+        counts["constructions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
+    built = []
+    for m_max in (4, 16):
+        counts.clear()
+        report = run_scenario(Scenario.from_json(sc), m_max=m_max)
+        assert len(report["grids"][0]["grid"]["cells"]) == 13 * m_max
+        built.append(counts["constructions"])
+    # per n: tau_n, rho_n and the thermal state rho_n mixes in; c rho_n, the
+    # difference tau_n - c rho_n and sigma_n; whatever the number of cells
+    assert built[0] == built[1] <= 7 * 13

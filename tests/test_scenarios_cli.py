@@ -276,3 +276,38 @@ class TestMalformedInputsExit2:
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(_scenario_with(check).to_json()))
         assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 2
+
+    @pytest.mark.parametrize("check", [
+        {"op": "dct-basic", "f": "S", "g": "S", "sequence": "rho", "n_max": "many"},
+        {"op": "dct-basic", "f": "S", "g": "S", "sequence": "rho", "m_max": "many"},
+        {"op": "dct-simon", "family": "S", "rho": "rho", "tau": "sigma", "c": "half"},
+        {"op": "truncation-criterion", "family": "S", "sequence": "rho", "n_0": "one"},
+        {"op": "entropy-jump-probe", "sequence": "rho", "low": "low"},
+        {"op": "gap-grid", "family": "S", "sequence": "rho",
+         "scheme": {"kind": "dominated", "c": [0.5], "dominated": "rho"}},
+    ])
+    def test_non_numeric_scalars(self, check, tmp_path):
+        with pytest.raises(ScenarioError, match="must be a number"):
+            run_scenario(_scenario_with(check))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(_scenario_with(check).to_json()))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2
+        assert "must be a number" in result.output
+
+    @pytest.mark.parametrize("params, message", [
+        ({"pert": [0.05, -0.05]}, "missing the parameter 'base'"),
+        ({"base": [0.75, "x"], "pert": [0.05, -0.05]}, "malformed parameter"),
+        ({"base": [0.75, 0.25], "pert": [0.05, -0.05], "rate": "fast"}, "malformed parameter"),
+        ([0.75, 0.25], "params must be an object"),
+    ])
+    def test_malformed_builder_parameters(self, params, message, tmp_path):
+        sc = _scenario_with({"op": "dct-basic", "f": "S", "g": "S", "sequence": "rho"}).to_json()
+        sc["sequences"]["rho"]["params"] = params
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(Scenario.from_json(sc))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2
+        assert message in result.output

@@ -191,6 +191,35 @@ class TestSchemes:
             # sigma_0 and each sigma_n once; each cell's head and tail sum c rho + sigma once
             assert eigensolves["eigvalsh"] == 1 + (n_max + 1) + 2 * cells
 
+    def test_dominated_grid_evaluates_each_cut_pair_once(self, eigensolves):
+        # dense d = 6 with rho_n and sigma_n of rank 3: every m >= 3 cuts both
+        # at their ranks, so a row of 6 cells has 3 distinct cut pairs, and
+        # only those sum their head and tail (one eigvalsh each)
+        rng = np.random.default_rng(9)
+        d, c, n_max, m_max = 6, 0.5, 4, 6
+        u, w = random_unitary(rng, d), random_unitary(rng, d)
+
+        def rank_three(basis, ratio, n):
+            lam = np.zeros(d)
+            lam[:3] = ratio ** np.arange(3) * (1.0 + (0.5 ** n if n else 0.0) * 0.1)
+            return (basis * lam) @ basis.conj().T
+
+        rho_seq = OperatorSequence(lambda n: PositiveOperator(rank_three(u, 0.6, n)), d)
+        tau_seq = OperatorSequence(lambda n: PositiveOperator(c * rho_seq(n).matrix + rank_three(w, 0.7, n)), d)
+        for n in range(n_max + 1):
+            tau_seq(n)
+            rho_seq(n).spectrum().basis
+        eigensolves.clear()
+        grid = approximation_gap_grid(entropy_family(), tau_seq, ApproximationScheme("dominated", c, rho_seq),
+                                      n_max, m_max)
+        assert len(grid.cells) == (n_max + 1) * m_max
+        pairs = (n_max + 1) * 3
+        assert eigensolves["eigh"] == n_max + 1
+        assert eigensolves["eigvalsh"] == 1 + (n_max + 1) + 2 * pairs
+        for n in range(n_max + 1):
+            row = [(cell.mu, cell.gap, cell.tail, cell.flags) for cell in grid.cells if cell.n == n]
+            assert row[2:] == [row[2]] * (m_max - 2)
+
     def test_dominated_scheme_floor(self):
         rho = PositiveOperator(diagonal=[0.4, 0.4, 0.2, 0.0])
         sigma = PositiveOperator(diagonal=[0.0, 0.0, 0.0, 0.3])
