@@ -48,9 +48,9 @@ from .truncation import (
     ProjectorSchedule,
     ambiguous_cuts,
     normalize,
+    schedule_checks,
     spectral_truncation,
     stable_index_set,
-    validate_schedule,
 )
 from .verdicts import (
     CheckResult,
@@ -587,13 +587,16 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
                          schedule: ProjectorSchedule, n_0: int, n_max: int, m_max: int) -> Verdict:
     """Head-convergence residuals and tail sups over a projector schedule.
 
-    Consistent iff the schedule validates, head residuals shrink for each m,
-    and the tail sups sup_{n >= n_0} f~_n(Pbar rho_n Pbar) decrease toward
-    zero across the m-window.  The schedule is validated on its own full
-    m-window (its coverage condition lives there), independently of the
-    m-window scanned for tails.
+    Consistent iff the schedule passes its four hard checks, head residuals
+    shrink for each m, and the tail sups sup_{n >= n_0} f~_n(Pbar rho_n Pbar)
+    decrease toward zero across the m-window.  The hard checks
+    (``schedule_checks``: rank, mass, nesting, coverage) run on the
+    schedule's own full m-window (its coverage condition lives there),
+    independently of the m-window scanned for tails.  The probe-residual
+    trend of P^n_m toward P^0_m does not gate the criterion; only
+    ``validate_schedule`` reports it.
     """
-    sched_verdict = validate_schedule(schedule, seq, n_max=n_max)
+    sched_violated = not all(c.passed for c in schedule_checks(schedule, seq, n_max=n_max))
     m_range = range(schedule.m_0, min(m_max, schedule.m_max) + 1)
     # rows[n] = (f_n(P rho_n P), f_n(Pbar rho_n Pbar)), each along m_range
     rows = [_compressed_values(family, n, seq(n), schedule.bases[n], schedule.cuts[n, :len(m_range)])
@@ -609,8 +612,8 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     trends.append(TrendSummary.from_residuals("tail sup over m", tails))
     tail_vanishes = shrinks_toward_zero(tails)
     checks = (
-        CheckResult("schedule consistency", not sched_verdict.violated, 0.0,
-                     "schedule failed validation" if sched_verdict.violated else ""),
+        CheckResult("schedule consistency", not sched_violated, 0.0,
+                     "schedule failed validation" if sched_violated else ""),
         CheckResult("finite values on window", not saw_inf, 0.0),
         CheckResult("tail sup decreases toward zero over m", tail_vanishes,
                      float(tails[-1]) if tails else 0.0),
@@ -620,7 +623,7 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
         hypothesis_checks=checks,
         conclusion_trends=tuple(trends),
         values={"tail_sup_per_m": tails},
-        violated=sched_verdict.violated,
+        violated=sched_violated,
         hypotheses_ok=not saw_inf,
         trends_ok=tail_vanishes and all(t.shrinks for t in trends),
     )

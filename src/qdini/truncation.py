@@ -3,9 +3,9 @@
 Psi_m compresses a positive operator onto its m largest-eigenvalue
 directions.  Stable indices are the ranks m where a spectral gap makes the
 projector basis-independent.  Projector schedules are double-indexed families
-P^n_m validated against five consistency conditions: rank P^n_m <= m,
-Tr P^n_m rho_n > 0, nesting in m, support coverage, and convergence of P^n_m
-to P^0_m (the last one only as a finite-window trend).
+P^n_m validated against five consistency conditions: four hard checks
+(rank P^n_m <= m, Tr P^n_m rho_n > 0, nesting in m, support coverage) and
+convergence of P^n_m to P^0_m, the last one only as a finite-window trend.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     """Truncation of tau = c rho + sigma along stable indices of the limits.
 
     head = c Psi_{m-hat(rho_limit)}(rho) + Psi_{m-hat(sigma_limit)}(sigma)
-    with sigma = tau - c rho; m must reach the top-eigenvalue multiplicities
-    of both limit operators.
+    with sigma = tau - c rho; m must reach the top-eigenvalue multiplicity
+    of each limit operator that does not vanish.
     """
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
@@ -143,8 +143,14 @@ class _LimitCuts:
         self.sigma_parts = {}
         self._memo = {}
 
-    def top_multiplicity(self, which: str) -> int:
-        return self._memoized(which, None, top_multiplicity)
+    def floor(self, limits) -> int:
+        """The multiplicity floor m_* of the named limits: the largest top multiplicity of one that does not vanish.
+
+        A vanishing limit adds no floor, since every m is a stable index of
+        a zero operator.
+        """
+        return max((self._memoized(which, None, top_multiplicity) for which in limits
+                    if not getattr(self, which).vanishes()), default=1)
 
     def stable_indices(self, which: str, m_range) -> tuple:
         """m-hat of the limit at each m of m_range, None where it has none."""
@@ -214,7 +220,7 @@ def _dominated_row(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_r
     """The cut pairs of every m of m_range, raising at the first m that has none."""
     sigma_zero = sigma.vanishes()
     limits = ("rho",) if sigma_zero else ("rho", "sigma")
-    m_star = max(cuts.top_multiplicity(which) for which in limits)
+    m_star = cuts.floor(limits)
     m_hats = {which: cuts.stable_indices(which, m_range) for which in limits}
     for i, m in enumerate(m_range):
         if m < m_star:
@@ -281,11 +287,7 @@ class ApproximationScheme:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""
         if self.kind == "spectral":
             return 1
-        cuts = self._limit_cuts(seq)
-        m_star = cuts.top_multiplicity("rho")
-        if not cuts.sigma.vanishes():
-            m_star = max(m_star, cuts.top_multiplicity("sigma"))
-        return m_star
+        return self._limit_cuts(seq).floor(("rho", "sigma"))
 
     def _limit_cuts(self, seq: OperatorSequence) -> _LimitCuts:
         # keyed by id; the entry holds seq itself, so the id stays its own
@@ -378,22 +380,18 @@ def _extended_limit(spectra) -> PositiveOperator:
     return PositiveOperator(diagonal=np.concatenate([spectra[0].kept(), aux]))
 
 
-def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
-                      n_max: int | None = None, m_max: int | None = None) -> Verdict:
-    """Check the five consistency conditions of a schedule on a finite window.
+def schedule_checks(schedule: ProjectorSchedule, seq: OperatorSequence,
+                    n_max: int | None = None, m_max: int | None = None) -> tuple:
+    """The four hard consistency checks of a schedule on a finite window.
 
-    The first four are hard checks, read off the cut array; each names its
-    last failing cell.  Coverage is cut >= rank rho_n on rho_n's own basis;
-    any other basis compares support projectors.  Convergence of P^n_m to
-    P^0_m is reported only as a probe-vector residual trend over n, never
-    as a proof.
+    rank P^n_m <= m, Tr P^n_m rho_n > 0, nesting in m and support coverage,
+    each read off the cut array and naming its last failing cell.  Coverage
+    is cut >= rank rho_n on rho_n's own basis; any other basis compares
+    support projectors.  A schedule is violated iff one of them fails; no
+    probe residual is computed.
     """
-    n_hi = schedule.n_max if n_max is None else min(n_max, schedule.n_max)
-    m_hi = schedule.m_max if m_max is None else min(m_max, schedule.m_max)
-    m_lo = schedule.m_0
-    if m_hi < m_lo:
-        raise ValueError(f"m_max = {m_hi} is below the schedule's starting index m_0 = {m_lo}")
-    ms = np.arange(m_lo, m_hi + 1)
+    n_hi, ms = _schedule_window(schedule, n_max, m_max)
+    m_lo, m_hi = int(ms[0]), int(ms[-1])
     bases, cuts = schedule.bases, schedule.cuts[:n_hi + 1, :ms.size]
     masses = np.array([_prefix_masses(bases[n], seq(n))[cuts[n]] for n in range(n_hi + 1)])
     rank_bad = cuts > ms
@@ -402,7 +400,7 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     nest_bad = cuts[:, :-1] > cuts[:, 1:]
     uncovered = [n for n in range(n_hi + 1) if not _covers(bases[n], cuts[n, -1], seq(n))]
     cover_detail = f"support of rho_n not covered at n = {uncovered[-1]}, m = {m_hi}" if uncovered else ""
-    checks = (
+    return (
         CheckResult("rank P^n_m <= m", not rank_bad.any(), float(np.min(ms - cuts)),
                     _last_failure(rank_bad, m_lo, lambda n, i: f"rank {cuts[n, i]} > m")),
         CheckResult("Tr P^n_m rho_n > 0", not mass_bad.any(), float(np.min(masses)),
@@ -411,6 +409,21 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
                     _last_failure(nest_bad, m_lo, lambda n, i: "P^n_m not below P^n_(m+1)")),
         CheckResult("join of P^n_m covers supp rho_n", not uncovered, 0.0, cover_detail),
     )
+
+
+def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
+                      n_max: int | None = None, m_max: int | None = None) -> Verdict:
+    """Check the five consistency conditions of a schedule on a finite window.
+
+    The first four are the hard checks of ``schedule_checks``, which alone
+    decide whether the schedule is violated.  Convergence of P^n_m to P^0_m
+    is reported only here, as a probe-vector residual trend over n, never
+    as a proof; ``truncation_criterion`` gates on the hard checks and
+    computes no probe residual.
+    """
+    checks = schedule_checks(schedule, seq, n_max, m_max)
+    n_hi, ms = _schedule_window(schedule, n_max, m_max)
+    bases, cuts = schedule.bases, schedule.cuts
     probes = seq(0).spectrum().vectors()
     trends = []
     for i, m in enumerate(ms):
@@ -424,6 +437,15 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
         violated=not all(c.passed for c in checks),
         trends_ok=all(t.shrinks for t in trends),
     )
+
+
+def _schedule_window(schedule: ProjectorSchedule, n_max, m_max) -> tuple:
+    """The last n and the m values of the window, clipped to the schedule's own."""
+    n_hi = schedule.n_max if n_max is None else min(n_max, schedule.n_max)
+    m_hi = schedule.m_max if m_max is None else min(m_max, schedule.m_max)
+    if m_hi < schedule.m_0:
+        raise ValueError(f"m_max = {m_hi} is below the schedule's starting index m_0 = {schedule.m_0}")
+    return n_hi, np.arange(schedule.m_0, m_hi + 1)
 
 
 def _last_failure(bad: np.ndarray, m_lo: int, describe) -> str:

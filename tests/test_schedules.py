@@ -8,7 +8,9 @@ by ``Projector.leq``, and probe residuals by the diagonal or dense path.  Random
 deficient) with five kinds of basis per n (the member's own spectrum, a
 shared coordinate basis, a random permutation, a random dense basis, or
 the basis of n - 1), and plant cuts above m and cuts that decrease in m.  Pass flags, details and statuses must agree
-exactly; slacks and residuals within 1e-12 of scale.
+exactly; slacks and residuals within 1e-12 of scale.  On the same windows,
+``truncation_criterion`` gates on the hard checks alone: its schedule
+check agrees with ``validate_schedule``, and it computes no probe residual.
 """
 
 import math
@@ -17,14 +19,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdini.truncation
 from qdini import (
     OperatorSequence,
     PositiveOperator,
     Projector,
     ProjectorSchedule,
     Spectrum,
+    commuting_schedule,
+    entropy_family,
     random_unitary,
     support_projector,
+    truncation_criterion,
     validate_schedule,
 )
 from qdini.verdicts import CheckResult, TrendSummary, Verdict
@@ -157,3 +163,34 @@ def test_prefix_validation_matches_per_projector_reference(window, n_max, m_max)
     for g, w in zip(got.conclusion_trends, want.conclusion_trends):
         assert (g.name, g.shrinks) == (w.name, w.shrinks)
         assert all(map(_close, g.residuals, w.residuals))
+
+
+@settings(max_examples=200)
+@given(windows(), st.integers(0, 3))
+def test_criterion_schedule_check_matches_validation(window, n_max):
+    schedule, seq = window
+    n_max = min(n_max, schedule.n_max)
+    full = validate_schedule(schedule, seq, n_max=n_max)
+    criterion = truncation_criterion(entropy_family(), seq, schedule, min(1, n_max), n_max, schedule.m_max)
+    check = criterion.hypothesis_checks[0]
+    assert check.name == "schedule consistency"
+    assert check.passed == (not full.violated)
+    assert criterion.violated == full.violated
+
+
+def test_criterion_computes_no_probe_residual(monkeypatch):
+    def probe_residual(*args):
+        raise AssertionError("truncation_criterion computed a probe residual")
+
+    monkeypatch.setattr(qdini.truncation, "_probe_residual", probe_residual)
+    d, n_max = 4, 3
+    rng = np.random.default_rng(5)
+    u = random_unitary(rng, d)
+    lam = np.array([0.4, 0.3, 0.2, 0.1])
+    pert = np.array([0.04, -0.01, -0.01, -0.02])
+    members = [PositiveOperator((u * (lam + (0.5 ** n if n else 0.0) * pert)) @ u.conj().T) for n in range(n_max + 1)]
+    seq = OperatorSequence(lambda n: members[n], d)
+    schedule = commuting_schedule(seq, d, n_max)
+    assert not schedule.bases[0].diagonal
+    verdict = truncation_criterion(entropy_family(), seq, schedule, 1, n_max, d)
+    assert verdict.hypothesis_checks[0].passed

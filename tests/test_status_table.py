@@ -11,6 +11,9 @@ A few cases need a hand-written functional family, because no registered
 family can reach the branch (an infinite g with finite f at the same state,
 an infinite mixture of two finite states, a functional that breaks its own
 LAA or truncation bounds).
+
+The gap grid has no status; the last tests pin an input on which it must
+return its full grid instead of raising.
 """
 
 import ast
@@ -20,8 +23,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from qdini import (
+    ApproximationScheme,
     Channel,
     ChannelSequence,
     ExtendedReal,
@@ -29,6 +34,7 @@ from qdini import (
     PositiveOperator,
     ProjectorSchedule,
     appendix_domination,
+    approximation_gap_grid,
     channel_mi_checks,
     check_convex_mixture,
     check_dct_basic,
@@ -47,10 +53,12 @@ from qdini import (
     validate_schedule,
     von_neumann_entropy,
 )
+from qdini.cli import main
 from qdini.diagnostics import ZERO_MODULUS, FunctionalFamily
 from qdini.scenarios import _entropy_jump_probe
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qdini"
+SCENARIOS = pathlib.Path(__file__).resolve().parent / "scenarios"
 
 DIAGONAL = "diagonal"
 DENSE = "dense"
@@ -592,3 +600,32 @@ def test_only_verdicts_names_a_status():
         if refs:
             offenders[path.name] = refs
     assert not offenders
+
+
+# ---------------------------------------------------------------------------
+# The dominated gap grid when the sigma limit vanishes
+
+# tau_n = rho_n / 2 + 2^-n diag(0.1, 0.05, 0), so sigma_0 = tau_0 - rho_0 / 2 = 0
+# while sigma_n does not vanish: the paper's domination with equality in the limit
+VANISHING_SIGMA_LIMIT = ([0.5, 0.3, 0.2], ([0.25, 0.15, 0.1], [0.1, 0.05, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("basis", BOTH)
+def test_vanishing_sigma_limit_adds_no_multiplicity_floor(basis):
+    """Every m is a stable index of the zero sigma limit, so rows and m_floor start at m = 1."""
+    rho_diag, tau_parts, c = VANISHING_SIGMA_LIMIT
+    tau = _seq(*tau_parts, basis)
+    scheme = ApproximationScheme("dominated", c, _const(rho_diag, basis))
+    assert scheme.m_floor(tau) == 1
+    grid = approximation_gap_grid(entropy_family(), tau, scheme, 6, 3)
+    assert grid.m_range == (1, 2, 3)
+    assert len(grid.cells) == 7 * 3
+    assert not any(cell.flags for cell in grid.cells)
+    # sigma_0 = 0 is not cut, so the n = 0 row is c Psi_m(rho_0); sigma_n adds its top value at m = 1
+    assert [cell.mu for cell in grid.cells[:4]] == pytest.approx([0.25, 0.4, 0.5, 0.25 + 0.05])
+
+
+def test_vanishing_sigma_limit_scenario_exits_zero():
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "vanishing-sigma-limit.json")])
+    assert result.exit_code == 0, result.output
+    assert '"m_range":[1,2,3]' in result.output
