@@ -160,21 +160,27 @@ def environment_entropy(phi: Channel, rho: PositiveOperator) -> float:
 
 
 class ChannelSequence:
-    """Indexed family n -> Channel with index 0 the declared limit."""
+    """Indexed family n -> Channel with index 0 the declared limit.
 
-    __slots__ = ("generator", "d_in", "d_out", "label")
+    Channels are immutable, so each member is built once and kept.
+    """
+
+    __slots__ = ("generator", "d_in", "d_out", "label", "_cache")
 
     def __init__(self, generator, d_in: int, d_out: int, label: str = ""):
         self.generator = generator
         self.d_in = int(d_in)
         self.d_out = int(d_out)
         self.label = label
+        self._cache = {}
 
     def __call__(self, n: int) -> Channel:
-        phi = self.generator(n)
-        if phi.d_in != self.d_in or phi.d_out != self.d_out:
-            raise ValueError(f"member {n} has dims {phi.d_in}->{phi.d_out}, expected {self.d_in}->{self.d_out}")
-        return phi
+        if n not in self._cache:
+            phi = self.generator(n)
+            if phi.d_in != self.d_in or phi.d_out != self.d_out:
+                raise ValueError(f"member {n} has dims {phi.d_in}->{phi.d_out}, expected {self.d_in}->{self.d_out}")
+            self._cache[n] = phi
+        return self._cache[n]
 
 
 def strong_convergence_probe(seq: ChannelSequence, probes, n_max: int) -> np.ndarray:

@@ -47,6 +47,7 @@ from .truncation import (
     DominatedRow,
     ProjectorSchedule,
     ambiguous_cuts,
+    dominated_ambiguity,
     normalize,
     schedule_checks,
     spectral_truncation,
@@ -92,13 +93,14 @@ class FunctionalFamily:
     Evaluation returns an ExtendedReal; +inf is a legitimate value (support
     violations of the relative entropy), never an error.  A family that
     reads a state only through its spectrum and its weights in a fixed
-    basis per n also has ``rows``: (n, SpectralCuts) -> f_n of every head
-    and tail, as floats with +inf, which the grids and the truncation
-    criterion use in place of one ``value`` call per cut.  A family that
-    reads a diagonal operator only through its diagonal can also have
-    ``stacked``: (n, (M, d) array) -> f_n of the M diagonal operators
-    whose diagonals are its rows, which the dominated scheme's grids use
-    on diagonal pairs.
+    basis per n also has ``rows``: (ns, SpectralCuts) -> f_n of every head
+    and tail of the window, row j evaluated at n = ns[j], as a (2, N, M)
+    float array with +inf, which the grids and the truncation criterion
+    use in place of one ``value`` call per cut.  A family that reads a
+    diagonal operator only through its diagonal can also have ``stacked``:
+    (ns, (K, d) array) -> f_{ns[i]} of the diagonal operator whose
+    diagonal is row i, for all K rows at once, which the dominated
+    scheme's grids use on diagonal pairs.
     """
 
     __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed", "rows", "stacked")
@@ -137,8 +139,8 @@ def entropy_family() -> FunctionalFamily:
         "Entropy", "S",
         lambda n, op: von_neumann_entropy(op),
         a_f=ZERO_MODULUS, b_f=H2_MODULUS,
-        rows=lambda n, cuts: entropy_cuts(cuts),
-        stacked=lambda n, diagonals: entropy_of_diagonals(diagonals),
+        rows=lambda ns, cuts: entropy_cuts(cuts),
+        stacked=lambda ns, diagonals: entropy_of_diagonals(diagonals),
     )
 
 
@@ -147,7 +149,7 @@ def relative_entropy_family(sigma_seq: OperatorSequence, label: str = "D(.||sigm
         "RelativeEntropyVsSequence", label,
         lambda n, op: relative_entropy(op, sigma_seq(n)),
         a_f=H2_MODULUS, b_f=ZERO_MODULUS,
-        rows=lambda n, cuts: relative_entropy_cuts(cuts, sigma_seq(n)),
+        rows=lambda ns, cuts: relative_entropy_cuts(cuts, [sigma_seq(n) for n in ns]),
     )
 
 
@@ -156,7 +158,7 @@ def trace_neg_log_family(sigma_seq: OperatorSequence, label: str = "Tr rho(-ln s
         "TraceNegLogVsSequence", label,
         lambda n, op: trace_neg_log(op, sigma_seq(n)),
         a_f=ZERO_MODULUS, b_f=ZERO_MODULUS,
-        rows=lambda n, cuts: trace_neg_log_cuts(cuts, sigma_seq(n)),
+        rows=lambda ns, cuts: trace_neg_log_cuts(cuts, [sigma_seq(n) for n in ns]),
     )
 
 
@@ -201,30 +203,21 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
     full either way.
     """
     m_range = range(scheme.m_floor(seq), m_max + 1)
+    ns = range(n_max + 1)
+    mass, ambiguous, f_head, tail_mass, f_tail = _truncation_window(family, seq, scheme, ns, m_range, tails=True)
+    f_rho = _column([float(family.value(n, seq(n))) for n in ns])
+    no_head, no_tail = np.isnan(f_head), np.isnan(f_tail)
+    inf_gap = ~no_head & (np.isinf(f_rho) | np.isinf(f_head))
+    inf_tail = np.isinf(f_tail)
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf land only in cells replaced below
+        gap = np.where(no_head, f_rho, np.where(inf_gap, np.inf, f_rho - f_head))
+        tail = np.where(no_tail, 0.0, np.where(inf_tail, np.inf, tail_mass * f_tail))
     cells = []
-    for n in range(n_max + 1):
-        f_rho = family.value(n, seq(n))
-        row = _truncation_row(family, seq, scheme, n, m_range, tails=True)
-        for m, (mass, ambiguous, f_head, tail_mass, f_tail) in zip(m_range, row):
-            flags = []
-            if ambiguous:
-                flags.append("ambiguous-m")
-            if f_head is None:
-                gap = float(f_rho)
-            elif f_rho.is_inf or math.isinf(f_head):
-                gap = math.inf
-                flags.append("inf-gap")
-            else:
-                gap = float(f_rho) - f_head
-            if f_tail is None:
-                tail = 0.0
-            elif math.isinf(f_tail):
-                tail = math.inf
-                flags.append("inf-tail")
-            else:
-                tail = tail_mass * f_tail
-            cells.append(GridCell(n, m, mass, gap, tail, tuple(flags)))
-    return DiagnosticsGrid(tuple(range(n_max + 1)), tuple(m_range), tuple(cells))
+    for n, *row in zip(ns, *(a.tolist() for a in (mass, gap, tail, ambiguous, inf_gap, inf_tail))):
+        for m, mu, gap_nm, tail_nm, *flagged in zip(m_range, *row):
+            flags = tuple(flag for flag, on in zip(("ambiguous-m", "inf-gap", "inf-tail"), flagged) if on)
+            cells.append(GridCell(n, m, mu, gap_nm, tail_nm, flags))
+    return DiagnosticsGrid(tuple(ns), tuple(m_range), tuple(cells))
 
 
 def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence,
@@ -232,49 +225,53 @@ def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence
     """Worst slack of f_n(rho_n) >= mu f_n([Psi_m(rho_n)]) - a_f(1 - mu) per cell.
 
     mu is the truncated mass relative to Tr rho_n; cells with +inf values are
-    skipped (the inequality presupposes finiteness).
+    skipped (the inequality presupposes finiteness), and so are the rows
+    where f_n(rho_n) is +inf.
     """
     m_range = range(scheme.m_floor(seq), m_max + 1)
-    worst = math.inf
-    for n in range(n_max + 1):
-        t = seq(n).trace()
-        f_rho = family.value(n, seq(n))
-        if f_rho.is_inf:
-            continue
-        for mass, _, f_head, _, _ in _truncation_row(family, seq, scheme, n, m_range, tails=False):
-            if f_head is None or math.isinf(f_head):
-                continue
-            mu = min(max(mass / t, 0.0), 1.0)
-            slack = float(f_rho) - mu * f_head + family.a_f(1.0 - mu)
-            worst = min(worst, slack)
-    return worst
+    f_rho = {n: family.value(n, seq(n)) for n in range(n_max + 1)}
+    ns = [n for n, v in f_rho.items() if not v.is_inf]
+    mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_range, tails=False)
+    counted = np.isfinite(f_head)
+    t = np.broadcast_to(_column([seq(n).trace() for n in ns]), mass.shape)[counted]
+    f = np.broadcast_to(_column([float(f_rho[n]) for n in ns]), mass.shape)[counted]
+    mu = np.minimum(np.maximum(mass[counted] / t, 0.0), 1.0)
+    a = np.array([family.a_f(x) for x in (1.0 - mu).tolist()])
+    slack = f - mu * f_head[counted] + a
+    return float(np.min(slack)) if slack.size else math.inf
 
 
-def _truncation_row(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
-                    n: int, m_range, tails: bool) -> list:
-    """(mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n) for each m of m_range.
+def _column(values) -> np.ndarray:
+    """Per-n values as an (N, 1) column, to broadcast along m."""
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
+                       ns, m_range, tails: bool) -> tuple:
+    """(mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n), each an (N, M) array over n of ns and m of m_range.
 
     f_head is f_n of the normalized head and f_tail of the normalized tail,
-    floats with +inf, or None where that state does not exist (f_tail also
-    when ``tails`` is false).  A spectral scheme and a family with rows take
-    the whole row from one spectrum, and the dominated scheme on a diagonal
-    pair and a family with a stacked form from one array of diagonals.
-    Anything else evaluates cell by cell, the dominated scheme once per cut
-    pair.
+    +inf included, and NaN where that state does not exist; when ``tails``
+    is false, f_tail may be NaN throughout.  A spectral scheme and a family
+    with rows take the whole window from one ``family.rows`` call, and the
+    dominated scheme on diagonal pairs and a family with a stacked form
+    from one ``family.stacked`` call.  Anything else evaluates cell by
+    cell, the dominated scheme once per cut pair of a row.
     """
     if scheme.kind == "spectral":
         if family.rows is not None:
-            return _spectral_row(family, n, seq(n), m_range)
-        return [_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in m_range]
-    row = scheme.dominated_row(seq, n, m_range)
-    if family.stacked is not None and row.rho.is_diagonal and row.sigma.is_diagonal:
-        return _dominated_diagonal_row(family, n, row, tails)
-    keys = row.keys()
-    cells = {}
-    for i, key in enumerate(keys):
-        if key not in cells:
-            cells[key] = _truncation_cell(family, n, row.truncation(i), tails)
-    return [cells[key] for key in keys]
+            return _spectral_window(family, seq, ns, m_range)
+        cells = [[_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in m_range] for n in ns]
+    else:
+        rows = [scheme.dominated_row(seq, n, m_range) for n in ns]
+        if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal
+                                                       for row in rows):
+            return _dominated_diagonal_window(family, ns, rows, tails)
+        cells = [_dominated_cells(family, n, row, tails) for n, row in zip(ns, rows)]
+    # None (no state) converts to NaN
+    window = np.array(cells, dtype=float).reshape(len(ns), len(m_range), 5)
+    mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
+    return mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
 
 
 def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple:
@@ -289,47 +286,74 @@ def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple
     return tr.mass, tr.ambiguous, f_head, tail_mass, f_tail
 
 
-def _spectral_row(family: FunctionalFamily, n: int, rho: PositiveOperator, m_range) -> list:
-    """``_truncation_row`` of the spectral scheme from rho's kept spectrum.
+def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow, tails: bool) -> list:
+    """The cells of one dominated row, each distinct cut pair evaluated once."""
+    keys = row.keys()
+    cells = {}
+    for i, key in enumerate(keys):
+        if key not in cells:
+            cells[key] = _truncation_cell(family, n, row.truncation(i), tails)
+    return [cells[key] for key in keys]
 
-    A cut m below rank rho splits the kept spectrum into a head and a tail
-    of positive mass.  A cut at or above the rank keeps rho itself and
-    leaves no tail, so all those cells are the one cell of spectral_truncation(rho, m).
+
+def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range) -> tuple:
+    """``_truncation_window`` of the spectral scheme from the kept spectra of the window.
+
+    A cut m below rank rho_n splits rho_n's kept spectrum into a head and a
+    tail of positive mass.  A cut at or above the rank keeps rho_n itself
+    and leaves no tail: the whole cell, whose head is read at the cut equal
+    to the rank and whose mass is Tr of the kept spectrum, as in
+    ``spectral_truncation``.  Every row of positive rank enters one
+    ``family.rows`` call; a vanishing rho_n has no state, so its cells
+    keep zero masses and no values.
     """
-    spec = rho.spectrum()
-    below = np.array([m for m in m_range if m < spec.rank], dtype=np.intp)
-    row = []
-    if below.size:
-        cuts = SpectralCuts(spec, below, normalized=True)
-        f_heads, f_tails = family.rows(n, cuts)
-        row = list(zip(cuts.mass[0].tolist(), ambiguous_cuts(spec, below).tolist(), f_heads.tolist(),
-                       cuts.mass[1].tolist(), f_tails.tolist()))
-    if len(row) < len(m_range):
-        whole = _truncation_cell(family, n, spectral_truncation(rho, m_range[len(row)]), True)
-        row.extend([whole] * (len(m_range) - len(row)))
-    return row
+    ms = np.asarray(m_range, dtype=np.intp)
+    shape = (len(ns), ms.size)
+    mass, ambiguous, tail_mass = np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
+    f_head, f_tail = np.full(shape, np.nan), np.full(shape, np.nan)
+    spectra = [seq(n).spectrum() for n in ns]
+    live = [j for j, spec in enumerate(spectra) if spec.rank]
+    if live and ms.size:
+        ranks = np.array([[spectra[j].rank] for j in live])
+        cuts = SpectralCuts([spectra[j] for j in live], np.minimum(ms, ranks), normalized=True)
+        heads, tails = family.rows([ns[j] for j in live], cuts)
+        whole = cuts.cuts >= ranks
+        mass[live] = np.where(whole, np.sum(cuts.values, axis=1)[:, None], cuts.mass[0])
+        ambiguous[live] = ambiguous_cuts(cuts.spectra, cuts.cuts)
+        f_head[live] = heads
+        tail_mass[live] = cuts.mass[1]
+        f_tail[live] = np.where(whole, np.nan, tails)
+    return mass, ambiguous, f_head, tail_mass, f_tail
 
 
-def _dominated_diagonal_row(family: FunctionalFamily, n: int, row: DominatedRow, tails: bool) -> list:
-    """``_truncation_row`` of the dominated scheme on a diagonal pair, every m at once.
+def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list, tails: bool) -> tuple:
+    """``_truncation_window`` of the dominated scheme on diagonal pairs, the whole window at once.
 
-    The heads and tails c Psi(rho_n) + Psi(sigma_n) are (M, d) arrays of
-    diagonals, each part cut as ``split`` cuts it.  Masses, the vanishing
-    tests and the normalization read them as ``normalize`` does, and one
-    ``family.stacked`` call evaluates f_n on every state.
+    The heads and tails c Psi(rho_n) + Psi(sigma_n) of each row are
+    (M, d) arrays of diagonals, each part cut as ``split`` cuts it; the
+    heads of every row, then their tails, form one (2 N M, d) array.
+    Masses, the vanishing tests and the normalization read it as
+    ``normalize`` does, and one ``family.stacked`` call evaluates f_n on
+    every state of the window.
     """
-    parts = [row.c * x for x in row.rho.split_diagonals(row.rho_cuts)]
-    if row.sigma_cuts is not None:
-        parts = [x + y for x, y in zip(parts, row.sigma.split_diagonals(row.sigma_cuts))]
-    ops = np.concatenate(parts)  # the heads, then the tails
+    shape = (len(rows), rows[0].rho_cuts.size)
+    heads, tails_of = [], []
+    for row in rows:
+        head, tail = (row.c * x for x in row.rho.split_diagonals(row.rho_cuts))
+        if row.sigma_cuts is not None:
+            sigma_head, sigma_tail = row.sigma.split_diagonals(row.sigma_cuts)
+            head, tail = head + sigma_head, tail + sigma_tail
+        heads.append(head)
+        tails_of.append(tail)
+    ops = np.concatenate(heads + tails_of)
     mass = np.sum(ops, axis=1)
     exists = mass > default_rank_tols(ops.shape[1], np.max(ops, axis=1))
-    size = row.rho_cuts.size
-    exists[size:] &= tails
-    values = np.full(ops.shape[0], None, dtype=object)
-    values[exists] = family.stacked(n, ops[exists] * (1.0 / mass[exists])[:, None]).tolist()
-    return list(zip(mass[:size].tolist(), row.ambiguous().tolist(), values[:size].tolist(),
-                    mass[size:].tolist(), values[size:].tolist()))
+    exists[ops.shape[0] // 2:] &= tails
+    op_ns = np.tile(np.repeat(np.asarray(ns), shape[1]), 2)
+    values = np.full(ops.shape[0], np.nan)
+    values[exists] = family.stacked(op_ns[exists], ops[exists] * (1.0 / mass[exists])[:, None])
+    (head_mass, tail_mass), (f_head, f_tail) = mass.reshape((2,) + shape), values.reshape((2,) + shape)
+    return head_mass, dominated_ambiguity(rows), f_head, tail_mass, f_tail
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +463,7 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     the conclusion residuals through A/c + G_c(A); per-cell truncation
     inequalities are asserted as genuine inequality checks.
     """
-    _require_psd_domination(rho_seq, tau_seq, c, n_max, "c*rho_n <= tau_n")
+    domination = _psd_domination_failure(rho_seq, tau_seq, c, n_max, "c*rho_n <= tau_n")
     g_c = g_c_linear(c)
     tau_vals = [f.value(n, tau_seq(n)) for n in range(n_max + 1)]
     rho_vals = [f.value(n, rho_seq(n)) for n in range(n_max + 1)]
@@ -467,13 +491,15 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     )
     cell_bound_ok = slack >= -INEQ_SLACK
     checks.append(CheckResult("per-cell truncation lower bound", cell_bound_ok, float(slack)))
+    if domination is not None:
+        checks.append(domination)
     return Verdict(
         name="dct-simon",
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
         values=values,
         violated=not cell_bound_ok,
-        hypotheses_ok=not (inf_tau or inf_rho),
+        hypotheses_ok=not (inf_tau or inf_rho) and domination is None,
         trends_ok=all(t.shrinks for t in trends),
     )
 
@@ -570,17 +596,25 @@ def _compressed_tail(rho: PositiveOperator, basis: Spectrum, k: int) -> Positive
 
 
 def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, basis: Spectrum, cuts) -> tuple:
-    """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf.
-
-    On rho's own spectrum a family with rows evaluates every head and tail at once.
-    """
-    if family.rows is not None and basis is rho.spectrum():
-        heads, tails = family.rows(n, SpectralCuts(basis, cuts, normalized=False))
-        return [float(v) for v in heads], [float(v) for v in tails]
+    """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf, cell by cell."""
     pairs = [_compressions(rho, basis, k) for k in cuts]
     heads = [float(family.value(n, head)) for head, _ in pairs]
     tails = [float(family.value(n, tail)) for _, tail in pairs]
     return heads, tails
+
+
+def _compressed_window(family: FunctionalFamily, seq: OperatorSequence, bases, cuts: np.ndarray) -> list:
+    """``_compressed_values`` of row n of ``cuts`` (shape (N, M)) against bases[n], for n = 0..N-1.
+
+    When every basis is rho_n's own spectrum (a commuting schedule), a
+    family with rows evaluates every head and tail of the window in one
+    call.
+    """
+    ns = range(cuts.shape[0])
+    if family.rows is not None and all(bases[n] is seq(n).spectrum() for n in ns):
+        heads, tails = family.rows(ns, SpectralCuts(bases[:cuts.shape[0]], cuts, normalized=False)).tolist()
+        return list(zip(heads, tails))
+    return [_compressed_values(family, n, seq(n), bases[n], cuts[n]) for n in ns]
 
 
 def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
@@ -596,11 +630,12 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     trend of P^n_m toward P^0_m does not gate the criterion; only
     ``validate_schedule`` reports it.
     """
+    if n_max > schedule.n_max:
+        raise ValueError(f"n_max = {n_max} is past the schedule's n_max = {schedule.n_max}")
     sched_violated = not all(c.passed for c in schedule_checks(schedule, seq, n_max=n_max))
     m_range = range(schedule.m_0, min(m_max, schedule.m_max) + 1)
     # rows[n] = (f_n(P rho_n P), f_n(Pbar rho_n Pbar)), each along m_range
-    rows = [_compressed_values(family, n, seq(n), schedule.bases[n], schedule.cuts[n, :len(m_range)])
-            for n in range(n_max + 1)]
+    rows = _compressed_window(family, seq, schedule.bases, schedule.cuts[:n_max + 1, :len(m_range)])
     saw_inf = any(math.isinf(v) for head_row, tail_row in rows for v in head_row + tail_row)
     trends = []
     tails = []
@@ -753,7 +788,7 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     output-entropy tail check when a schedule is supplied.
     """
     p = mixture_weights(p_seq, n_max)
-    _require_psd_domination(rho_seq, sigma_seq, c, n_max, "c*rho_n <= sigma_n")
+    domination = _psd_domination_failure(rho_seq, sigma_seq, c, n_max, "c*rho_n <= sigma_n")
     mi = channel_mi_family(channel_seq)
     ent = entropy_family()
     out_ent = output_entropy_family(channel_seq)
@@ -784,6 +819,8 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
         trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))
         checks.append(CheckResult("output-entropy tail decreases toward zero over m",
                                   shrinks_toward_zero(tails), 0.0))
+    if domination is not None:
+        checks.append(domination)
     return Verdict("channel-mi",
                    hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
                    hypotheses_ok=all(c.passed for c in checks),
@@ -867,10 +904,19 @@ def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequen
 # Shared PSD guards
 
 
-def _require_psd_domination(lower: OperatorSequence, upper: OperatorSequence,
-                            c: float, n_max: int, label: str):
+def _psd_domination_failure(lower: OperatorSequence, upper: OperatorSequence,
+                            c: float, n_max: int, label: str) -> CheckResult | None:
+    """A failed hypothesis check at the first n where c lower_n <= upper_n breaks the PSD rule, None if it holds on the window.
+
+    The slack is the most negative eigenvalue of upper_n - c lower_n there.
+    """
     for n in range(n_max + 1):
-        _psd_or_raise(upper(n).sub(lower(n).scale(c)), f"{label} at n = {n}")
+        diff = upper(n).sub(lower(n).scale(c))
+        if not is_psd(diff):
+            lam_min = float(diff.eigenvalues()[-1])
+            return CheckResult(f"PSD domination {label}", False, lam_min,
+                               f"fails at n = {n}: most negative eigenvalue {lam_min:.3e}")
+    return None
 
 
 def _psd_or_raise(diff: HermitianOperator, label: str):

@@ -19,7 +19,6 @@ from .operators import (
     DensityOperator,
     PositiveOperator,
     Projector,
-    Spectrum,
     compress,
     default_rank_tols,
     partial_trace,
@@ -112,99 +111,110 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
 
 
 class SpectralCuts:
-    """The heads and tails of one spectrum, cut at several indices at once.
+    """The heads and tails of one spectrum per n of a window, each cut at several indices at once.
 
-    ``values`` v are the spectrum's kept values, paired with its basis u,
-    as ``PositiveOperator.split`` cuts them.  The head at cut k is
-    X = c sum_{i < k} v_i |u_i><u_i| and the tail is the same sum over
-    i >= k, with c = 1, or c = 1 / Tr X when ``normalized`` (every head and
-    tail must then have positive mass).  Arrays indexed by cut have shape
-    (2, len(cuts)): heads in row 0, tails in row 1.
+    ``spectra`` holds one spectrum per row of the window, N in all, and
+    ``values`` V, of shape (N, d), their kept values; row j pairs with the
+    basis u of spectra[j] as ``PositiveOperator.split`` cuts it.  ``cuts``
+    is an int array of shape (N, M).  The head at cut k of row j is
+    X = c sum_{i < k} V[j, i] |u_i><u_i| and the tail is the same sum over
+    i >= k, with c = 1, or c = 1 / Tr X when ``normalized`` and Tr X > 0.
+    Arrays indexed by cut have shape (2, N, M): heads in [0], tails in [1].
 
-    The row functionals below read a head off a forward cumulative sum
-    along the spectrum order and a tail off a reversed one, so a whole row
-    of cuts costs what one cut costs.  They follow the scalar functionals
-    step for step, which remain their oracle.
+    The window functionals below read a head off a forward cumulative sum
+    along each row of V and a tail off a reversed one, so a whole window of
+    cuts costs a few array passes.  They follow the scalar functionals step
+    for step, which remain their oracle.
     """
 
-    __slots__ = ("spectrum", "values", "cuts", "scale", "mass", "top", "_ranked_end")
+    __slots__ = ("spectra", "values", "cuts", "scale", "mass", "top", "_rows", "_ranked_end")
 
-    def __init__(self, spectrum: Spectrum, cuts, normalized: bool):
-        v = spectrum.kept()
+    def __init__(self, spectra, cuts, normalized: bool):
+        v = np.stack([spec.kept() for spec in spectra])
         k = np.asarray(cuts, dtype=np.intp)
-        self.spectrum = spectrum
+        self.spectra = tuple(spectra)
         self.values = v
         self.cuts = k
+        self._rows = np.arange(v.shape[0])[:, None]  # gathers prefix[j, k[j, i]] with k
         self.mass = self.sums(v)
-        self.scale = 1.0 / self.mass if normalized else np.ones_like(self.mass)
+        self.scale = np.ones_like(self.mass)
+        if normalized:
+            # a cut of zero mass (the empty tail at the rank) has no state and stays unscaled
+            np.divide(1.0, self.mass, out=self.scale, where=self.mass > 0.0)
         # largest value of each head and tail, before scaling (0 for an empty tail)
-        self.top = np.stack([np.full(k.size, v[0]), np.append(v, 0.0)[k]])
+        padded = np.concatenate([v, np.zeros((v.shape[0], 1))], axis=1)
+        self.top = np.stack([np.broadcast_to(v[:, :1], k.shape), padded[self._rows, k]])
         # a cut's entropy counts its values above the rank tolerance of its
-        # own top value: all of a head's, a prefix of a tail's
-        end = np.searchsorted(-v, -default_rank_tols(v.size, self.top), side="left")  # count of values above
+        # own top value: all of a head's, a prefix of a tail's.  V is
+        # non-increasing, so the count of values above the tolerance is
+        # where that prefix ends
+        tols = default_rank_tols(v.shape[1], self.top)
+        end = np.count_nonzero(v[None, :, None, :] > tols[..., None], axis=-1)
         self._ranked_end = np.stack([np.minimum(k, end[0]), np.maximum(k, end[1])])
 
     def sums(self, x, ranked: bool = False) -> np.ndarray:
-        """Sums of a per-eigenvector quantity x (shape (d,) or (d, p)) over every head and tail.
+        """Sums of a per-eigenvector quantity x (shape (N, d) or (N, d, p)) over every head and tail.
 
         ``ranked`` sums only over the values the cut's entropy counts.
         """
         x = np.asarray(x, dtype=float)
-        zero = np.zeros((1,) + x.shape[1:])
-        forward = np.concatenate([zero, np.cumsum(x, axis=0)])
-        backward = np.concatenate([np.cumsum(x[::-1], axis=0)[::-1], zero])
-        k = self.cuts
+        zero = np.zeros((x.shape[0], 1) + x.shape[2:])
+        forward = np.concatenate([zero, np.cumsum(x, axis=1)], axis=1)
+        backward = np.concatenate([np.cumsum(x[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+        j, k = self._rows, self.cuts
         if not ranked:
-            return np.stack([forward[k], backward[k]])
+            return np.stack([forward[j, k], backward[j, k]])
         head_end, tail_end = self._ranked_end
-        return np.stack([forward[head_end], backward[k] - backward[tail_end]])
+        return np.stack([forward[j, head_end], backward[j, k] - backward[j, tail_end]])
 
 
 def entropy_cuts(cuts: SpectralCuts) -> np.ndarray:
     """``von_neumann_entropy`` of every head and tail of ``cuts``."""
     v = cuts.values
-    # logs relative to the top value r keep the terms independent of the
-    # spectrum's scale, and a one-value cut exactly 0
-    r = v[0] if v[0] > 0.0 else 1.0
+    # logs relative to each row's top value r keep the terms independent of
+    # the spectrum's scale, and a one-value cut exactly 0
+    r = np.where(v[:, :1] > 0.0, v[:, :1], 1.0)
     v_log = v * np.log(np.where(v > 0.0, v, r) / r)
-    sums = cuts.sums(np.column_stack([v, v_log]), ranked=True)
+    sums = cuts.sums(np.stack([v, v_log], axis=-1), ranked=True)
     mass, v_log_sum = sums[..., 0], sums[..., 1]
     # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the counted values
     s = cuts.scale * (mass * np.log(np.where(mass > 0.0, mass, r) / r) - v_log_sum)
     return np.where(mass > 0.0, s, 0.0)
 
 
-def _support_sums(cuts: SpectralCuts, sigma: PositiveOperator):
-    """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X."""
-    if cuts.values.size != sigma.dim:
-        raise ValueError(f"dimension mismatch: {cuts.values.size} vs {sigma.dim}")
-    spec = sigma.spectrum()
-    r = spec.rank
-    g = np.zeros((sigma.dim, 2))
-    g[:r, 0] = -np.log(spec.values[:r])
-    g[r:, 1] = 1.0
-    # per eigenvector u_i of the cut spectrum: <u_i|-ln sigma|u_i> and its weight off supp sigma
-    per_vector = spec.expectations(cuts.spectrum, g)
-    sums = cuts.scale[..., None] * cuts.sums(cuts.values[:, None] * per_vector)
+def _support_sums(cuts: SpectralCuts, sigmas):
+    """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X of row j and sigma = sigmas[j]."""
+    per_vector = []
+    for spectrum, sigma in zip(cuts.spectra, sigmas):
+        if spectrum.values.size != sigma.dim:
+            raise ValueError(f"dimension mismatch: {spectrum.values.size} vs {sigma.dim}")
+        spec = sigma.spectrum()
+        r = spec.rank
+        g = np.zeros((sigma.dim, 2))
+        g[:r, 0] = -np.log(spec.values[:r])
+        g[r:, 1] = 1.0
+        # per eigenvector u_i of the cut spectrum: <u_i|-ln sigma|u_i> and its weight off supp sigma
+        per_vector.append(spec.expectations(spectrum, g))
+    sums = cuts.scale[..., None] * cuts.sums(cuts.values[..., None] * np.stack(per_vector))
     return sums[..., 0], sums[..., 1]
 
 
-def trace_neg_log_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.ndarray:
-    """``trace_neg_log(X, sigma)`` of every head and tail X of ``cuts``; +inf as np.inf."""
-    cost, outside = _support_sums(cuts, sigma)
+def trace_neg_log_cuts(cuts: SpectralCuts, sigmas) -> np.ndarray:
+    """``trace_neg_log(X, sigmas[j])`` of every head and tail X of row j of ``cuts``; +inf as np.inf."""
+    cost, outside = _support_sums(cuts, sigmas)
     return np.where(outside > _support_tol(cuts.scale * cuts.mass), np.inf, cost)
 
 
-def relative_entropy_cuts(cuts: SpectralCuts, sigma: PositiveOperator) -> np.ndarray:
-    """``relative_entropy(X, sigma)`` of every head and tail X of ``cuts``; +inf as np.inf."""
-    cost, outside = _support_sums(cuts, sigma)
+def relative_entropy_cuts(cuts: SpectralCuts, sigmas) -> np.ndarray:
+    """``relative_entropy(X, sigmas[j])`` of every head and tail X of row j of ``cuts``; +inf as np.inf."""
+    cost, outside = _support_sums(cuts, sigmas)
     tr = cuts.scale * cuts.mass
-    tr_sigma = sigma.trace()
+    tr_sigma = np.array([sigma.trace() for sigma in sigmas])[:, None]
     eta_tr = -tr * np.log(np.where(tr > 0.0, tr, 1.0))
     d = cost - entropy_cuts(cuts) - eta_tr + tr_sigma - tr
     d = np.where(outside > _support_tol(tr), np.inf, d)
     # D(0||sigma) = Tr sigma, decided before the support test
-    vanishing = tr <= default_rank_tols(cuts.values.size, cuts.scale * cuts.top)
+    vanishing = tr <= default_rank_tols(cuts.values.shape[1], cuts.scale * cuts.top)
     return np.where(vanishing, tr_sigma, d)
 
 

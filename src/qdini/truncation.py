@@ -187,13 +187,6 @@ class DominatedRow:
         sigma = [None] * self.rho_cuts.size if self.sigma_cuts is None else self.sigma_cuts.tolist()
         return list(zip(self.rho_cuts.tolist(), sigma))
 
-    def ambiguous(self) -> np.ndarray:
-        """Whether either cut of each m falls inside a multiplicity group, as ``spectral_truncation`` flags it."""
-        flags = ambiguous_cuts(self.rho.spectrum(), self.rho_cuts)
-        if self.sigma_cuts is not None:
-            flags |= ambiguous_cuts(self.sigma.spectrum(), self.sigma_cuts)
-        return flags
-
     def truncation(self, i: int) -> TruncationResult:
         """c Psi(rho_n) + Psi(sigma_n) at the i-th m, head and tail each summed as operators."""
         head_rho = spectral_truncation(self.rho, int(self.rho_cuts[i]))
@@ -206,13 +199,31 @@ class DominatedRow:
         return TruncationResult(head, tail, head.trace(), head_rho.ambiguous or head_sigma.ambiguous)
 
 
-def ambiguous_cuts(spec: Spectrum, cuts: np.ndarray) -> np.ndarray:
-    """``spectral_truncation``'s ambiguous flag for each cut k >= 1 of ``cuts``, from the spectrum alone.
+def ambiguous_cuts(spectra, cuts: np.ndarray) -> np.ndarray:
+    """``spectral_truncation``'s ambiguous flag for every cut k >= 1 of ``cuts``, from the spectra alone.
 
-    Below the rank the values either side of a cut are kept values.
+    ``cuts`` has shape (N, M), row j cutting spectra[j].  Below the rank
+    the values either side of a cut are kept values.
     """
-    lam = spec.values
-    return (cuts < spec.rank) & (lam[cuts - 1] - lam[np.minimum(cuts, lam.size - 1)] <= spec.gap_tol)
+    lam = np.stack([spec.values for spec in spectra])
+    rank = np.array([[spec.rank] for spec in spectra])
+    gap_tol = np.array([[spec.gap_tol] for spec in spectra])
+    j = np.arange(lam.shape[0])[:, None]
+    return (cuts < rank) & (lam[j, cuts - 1] - lam[j, np.minimum(cuts, lam.shape[1] - 1)] <= gap_tol)
+
+
+def dominated_ambiguity(rows) -> np.ndarray:
+    """Whether either cut of each (n, m) falls inside a multiplicity group, as ``spectral_truncation`` flags it.
+
+    ``rows`` are the ``DominatedRow`` of a window, one per n, all over the
+    same m-range; the flags come as an (N, M) array.
+    """
+    flags = ambiguous_cuts([row.rho.spectrum() for row in rows], np.stack([row.rho_cuts for row in rows]))
+    cut = [j for j, row in enumerate(rows) if row.sigma_cuts is not None]
+    if cut:
+        flags[cut] |= ambiguous_cuts([rows[j].sigma.spectrum() for j in cut],
+                                     np.stack([rows[j].sigma_cuts for j in cut]))
+    return flags
 
 
 def _dominated_row(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
@@ -424,7 +435,9 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
     checks = schedule_checks(schedule, seq, n_max, m_max)
     n_hi, ms = _schedule_window(schedule, n_max, m_max)
     bases, cuts = schedule.bases, schedule.cuts
-    probes = seq(0).spectrum().vectors()
+    # only a pair with a dense basis reads the probes; diagonal pairs compare coordinates
+    dense = not all(basis.diagonal for basis in bases[:n_hi + 1])
+    probes = seq(0).spectrum().vectors() if dense else None
     trends = []
     for i, m in enumerate(ms):
         res = [_probe_residual(bases[n], cuts[n, i], bases[0], cuts[0, i], probes) for n in range(1, n_hi + 1)]

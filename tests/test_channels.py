@@ -399,6 +399,31 @@ class TestCoherentInfoFamily:
             assert close(res, abs(ic[n] - ic[0]))
 
 
+class TestChannelSequenceMemo:
+    """A ChannelSequence builds each member once, however often a check reads it."""
+
+    @pytest.mark.parametrize("name, n_max", [("choi-rank-bound", 12), ("channel-mi-depolarizing", 12)])
+    def test_builtin_builds_each_channel_once(self, monkeypatch, name, n_max):
+        calls = Counter()
+        init = ChannelSequence.__init__
+
+        def counted_init(self, generator, *args, **kwargs):
+            def counted(n):
+                calls[n] += 1
+                return generator(n)
+
+            init(self, counted, *args, **kwargs)
+
+        monkeypatch.setattr(ChannelSequence, "__init__", counted_init)
+        report = run_scenario(builtin_scenario(name), seed=0)
+        assert report["all_matched"] and len(report["checks"]) == 1
+        assert calls == {n: 1 for n in range(n_max + 1)}
+
+    def test_member_is_the_same_object(self):
+        seq = ChannelSequence(lambda n: depolarizing_channel(0.5 ** (n + 1)), 2, 2)
+        assert seq(3) is seq(3)
+
+
 class TestOutputEntropyTails:
     """The output-entropy tails of ``channel_mi_checks`` build the tail Pbar rho_n Pbar and no head."""
 

@@ -167,10 +167,16 @@ class TestDctBasic:
 
 class TestDctSimon:
     def test_rejects_broken_domination(self):
+        # an unmet hypothesis is a failed check, not an error; the per-cell
+        # bound, which does not read the domination, fails on this
+        # trace-0.2 tau as well and decides the status
         rho = _diag_seq([0.5, 0.5], [0.1, -0.1])
         tau = constant_sequence(PositiveOperator(diagonal=[0.1, 0.1]))
-        with pytest.raises(ValueError):
-            check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2)
+        v = check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2)
+        assert not v.hypotheses_ok and v.status != CONSISTENT
+        dom = v.hypothesis_checks[-1]
+        assert dom.name == "PSD domination c*rho_n <= tau_n" and not dom.passed
+        assert dom.slack == pytest.approx(-0.4) and "n = 0" in dom.detail
 
     def test_self_domination_consistent(self):
         seq = _diag_seq([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])

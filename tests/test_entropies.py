@@ -149,9 +149,9 @@ class TestRelativeEntropy:
             assert abs(float(relative_entropy(rho, sigma)) - want) <= 1e-9 * want
             assert not trace_neg_log(rho, sigma).is_inf
             spec = rho.spectrum()
-            cuts = SpectralCuts(spec, [1, 2], normalized=False)
-            assert np.all(np.isfinite(relative_entropy_cuts(cuts, sigma)))
-            assert np.all(np.isfinite(trace_neg_log_cuts(cuts, sigma)))
+            cuts = SpectralCuts([spec], [[1, 2]], normalized=False)
+            assert np.all(np.isfinite(relative_entropy_cuts(cuts, [sigma])))
+            assert np.all(np.isfinite(trace_neg_log_cuts(cuts, [sigma])))
 
     def test_klein_inequality_random(self):
         rng = np.random.default_rng(4)

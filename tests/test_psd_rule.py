@@ -87,8 +87,10 @@ class TestRejectionOnBothPaths:
     def test_check_dct_simon(self, kind):
         rho = sequence([0.5, 0.5], [0.1, -0.1], kind)
         tau = constant_sequence(positive([0.1, 0.1], kind))
-        with pytest.raises(ValueError, match="PSD domination fails"):
-            check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2)
+        # reported as a failed hypothesis check on both paths, not raised
+        dom = check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2).hypothesis_checks[-1]
+        assert dom.name == "PSD domination c*rho_n <= tau_n" and not dom.passed
+        assert dom.slack == pytest.approx(-0.4, abs=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_relative_entropy_domination(self, kind):

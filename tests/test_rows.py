@@ -1,12 +1,15 @@
-"""Row evaluation of spectral heads and tails against the per-cell path.
+"""Window evaluation of spectral heads and tails against the per-cell path.
 
 The entropy, relative-entropy and trace-neg-log families carry ``rows``:
-f_n of every head and tail of rho_n's spectrum at once, from cumulative
-sums over one overlap with sigma_n's basis.  The entropy family also has a
-stacked form, which the dominated scheme's grids evaluate on one array of
-diagonals per row when rho_n and sigma_n are diagonal.  The same family
-without ``rows`` and ``stacked`` evaluates every cell through the scalar
-functionals and is the oracle here.  Numbers agree within
+(ns, SpectralCuts) -> f_n of every head and tail of every rho_n of an
+(n, m) window at once, from cumulative sums along the stacked kept spectra
+and one overlap per n with sigma_n's basis.  The entropy family also has a
+stacked form, (ns, diagonals) -> f_n of each diagonal operator, which the
+dominated scheme's grids evaluate on one array of diagonals per window
+when every rho_n and sigma_n is diagonal.  The grids, the truncation lower
+bound and the truncation criterion make one such call per window.  The
+same family without ``rows`` and ``stacked`` evaluates every cell through
+the scalar functionals and is the oracle here.  Numbers agree within
 1e-12 * max(1, |x|); flags, None and +inf agree exactly.
 """
 
@@ -143,10 +146,9 @@ def test_commuting_criterion_rows_match_cells(kind, case, dense):
         family = _family(kind, sigma_seq)
         schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
         m_range = range(schedule.m_0, schedule.m_max + 1)
-        for n in range(n_max + 1):
-            basis, cuts = schedule.bases[n], schedule.cuts[n]
-            got = diagnostics._compressed_values(family, n, rho_seq(n), basis, cuts)
-            want = diagnostics._compressed_values(_per_cell(family), n, rho_seq(n), basis, cuts)
+        got_window = diagnostics._compressed_window(family, rho_seq, schedule.bases, schedule.cuts)
+        want_window = diagnostics._compressed_window(_per_cell(family), rho_seq, schedule.bases, schedule.cuts)
+        for n, got, want in zip(range(n_max + 1), got_window, want_window):
             for side, got_side, want_side in zip(("head", "tail"), got, want):
                 for m, g, w in zip(m_range, got_side, want_side):
                     assert _close(g, w), f"{side} at seed {seed}, (n, m) = ({n}, {m}): {g!r} vs {w!r}"
@@ -318,3 +320,108 @@ def test_simon_dct_grid_builds_no_operator_per_cell(monkeypatch):
     # per n: tau_n, rho_n and the thermal state rho_n mixes in; c rho_n, the
     # difference tau_n - c rho_n and sigma_n; whatever the number of cells
     assert built[0] == built[1] <= 7 * 13
+
+
+# ---------------------------------------------------------------------------
+# One call per window
+
+
+def _sequences(rho_diags, sigma_diags, scale, dense):
+    """rho_n and sigma_n with the given spectra times scale, diagonal or in two fixed dense bases."""
+    d = len(rho_diags[0])
+    rng = np.random.default_rng(d)
+    bases = (random_unitary(rng, d), random_unitary(rng, d)) if dense else (None, None)
+
+    def sequence(diags, u):
+        def member(n):
+            lam = scale * np.array(diags[n])
+            if u is None:
+                return PositiveOperator(diagonal=lam)
+            return PositiveOperator((u * lam) @ u.conj().T)
+
+        return OperatorSequence(member, d)
+
+    return sequence(rho_diags, bases[0]), sequence(sigma_diags, bases[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominated_windows(), st.sampled_from(FAMILIES), st.booleans(), st.booleans())
+@example(TIED_WINDOW, "entropy", False, False)
+@example(TIED_WINDOW, "relative-entropy", True, False)
+@example(TIED_WINDOW, "trace-neg-log", False, True)
+def test_window_slack_and_grid_match_cells(window, kind, dense, single):
+    """The spectral window against the per-cell oracle.
+
+    The lattice values make the rank vary with n, the tied window's last
+    member vanishes, ``single`` keeps n_max = 0, and m runs one past d, so
+    every row has cuts at and past its rank.
+    """
+    rho_diags, sigma_diags, _, scale = window
+    if single:
+        rho_diags, sigma_diags = rho_diags[:1], sigma_diags[:1]
+    rho_seq, sigma_seq = _sequences(rho_diags, sigma_diags, scale, dense)
+    family = _family(kind, sigma_seq)
+    n_max, m_max = len(rho_diags) - 1, rho_seq.dim + 1
+    scheme = ApproximationScheme("spectral")
+    got = truncation_lower_bound_slack(family, rho_seq, scheme, n_max, m_max)
+    want = truncation_lower_bound_slack(_per_cell(family), rho_seq, scheme, n_max, m_max)
+    assert _close(got, want), (got, want)
+    rows = approximation_gap_grid(family, rho_seq, scheme, n_max, m_max)
+    cells = approximation_gap_grid(_per_cell(family), rho_seq, scheme, n_max, m_max)
+    assert len(rows.cells) == len(cells.cells) == (n_max + 1) * m_max
+    for g, w in zip(rows.cells, cells.cells):
+        assert (g.n, g.m, g.flags) == (w.n, w.m, w.flags)
+        for label in ("mu", "gap", "tail"):
+            assert _close(getattr(g, label), getattr(w, label)), f"{label} at (n, m) = ({w.n}, {w.m})"
+
+
+def _counted(family, calls: Counter):
+    """``family`` with its rows and stacked forms counting their calls in ``calls``."""
+    rows = stacked = None
+    if family.rows is not None:
+        def rows(ns, cuts):
+            calls["rows"] += 1
+            return family.rows(ns, cuts)
+    if family.stacked is not None:
+        def stacked(ns, diagonals):
+            calls["stacked"] += 1
+            return family.stacked(ns, diagonals)
+    return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f,
+                            family.signed, rows=rows, stacked=stacked)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_spectral_procedures_make_one_rows_call_per_window(kind, dense):
+    rho_seq, sigma_seq, n_max = _window("rank-deficient", dense, 1)
+    calls = Counter()
+    family = _counted(_family(kind, sigma_seq), calls)
+    scheme = ApproximationScheme("spectral")
+    approximation_gap_grid(family, rho_seq, scheme, n_max, rho_seq.dim)
+    assert calls == {"rows": 1}
+    truncation_lower_bound_slack(family, rho_seq, scheme, n_max, rho_seq.dim)
+    assert calls == {"rows": 2}
+    truncation_criterion(family, rho_seq, commuting_schedule(rho_seq, rho_seq.dim, n_max), 1, n_max, rho_seq.dim)
+    assert calls == {"rows": 3}
+
+
+def test_dominated_diagonal_grid_makes_one_stacked_call_per_window():
+    rho_diags, sigma_diags, c, _ = TIED_WINDOW
+    d, n_max = len(rho_diags[0]), len(rho_diags) - 1
+    rho = OperatorSequence(lambda n: PositiveOperator(diagonal=np.array(rho_diags[n])), d)
+    tau = OperatorSequence(lambda n: PositiveOperator(
+        diagonal=c * np.array(rho_diags[n]) + np.array(sigma_diags[n])), d)
+    calls = Counter()
+    family = _counted(entropy_family(), calls)
+    scheme = ApproximationScheme("dominated", c, rho)
+    grid = approximation_gap_grid(family, tau, scheme, n_max, d)
+    assert calls == {"stacked": 1} and len(grid.cells) == (n_max + 1) * len(grid.m_range)
+    truncation_lower_bound_slack(family, tau, scheme, n_max, d)
+    assert calls == {"stacked": 2}
+
+
+def test_criterion_refuses_n_max_past_the_schedule():
+    rho_seq, sigma_seq, n_max = _window("generic", False, 0)
+    schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
+    with pytest.raises(ValueError, match="past the schedule's n_max"):
+        truncation_criterion(entropy_family(), rho_seq, schedule, 1, n_max + 1, rho_seq.dim)

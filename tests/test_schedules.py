@@ -16,6 +16,7 @@ check agrees with ``validate_schedule``, and it computes no probe residual.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from qdini import (
     Spectrum,
     commuting_schedule,
     entropy_family,
+    fixed_basis_schedule,
     random_unitary,
     support_projector,
     truncation_criterion,
@@ -194,3 +196,28 @@ def test_criterion_computes_no_probe_residual(monkeypatch):
     assert not schedule.bases[0].diagonal
     verdict = truncation_criterion(entropy_family(), seq, schedule, 1, n_max, d)
     assert verdict.hypothesis_checks[0].passed
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_fixed_basis_validation_builds_no_dense_probes(monkeypatch, dense):
+    """Every basis of a fixed-basis schedule is diagonal, so no pair reads a probe vector."""
+    d, n_max = 5, 3
+    rng = np.random.default_rng(9)
+    u = random_unitary(rng, d)
+    lam = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
+    pert = np.array([0.02, -0.01, 0.01, -0.01, -0.01])
+
+    def member(n):
+        x = lam + (0.5 ** n if n else 0.0) * pert
+        return PositiveOperator((u * x) @ u.conj().T) if dense else PositiveOperator(diagonal=x)
+
+    seq = OperatorSequence(member, d)
+    schedule = fixed_basis_schedule(d, d, seq, n_max)
+
+    def vectors(self):
+        raise AssertionError("validate_schedule built a dense probe matrix")
+
+    monkeypatch.setattr(Spectrum, "vectors", vectors)
+    verdict = validate_schedule(schedule, seq)
+    assert not verdict.violated
+    assert len(verdict.conclusion_trends) == d

@@ -13,7 +13,8 @@ an infinite mixture of two finite states, a functional that breaks its own
 LAA or truncation bounds).
 
 The gap grid has no status; the last tests pin an input on which it must
-return its full grid instead of raising.
+return its full grid instead of raising, and a broken domination that must
+read as a failed hypothesis check instead of raising.
 """
 
 import ast
@@ -171,6 +172,12 @@ def dct_basic_trends(b):
 def dct_simon_consistent(b):
     seq = _seq(*CONV, b)
     return check_dct_simon(entropy_family(), seq, seq, 1.0, 8, 3)
+
+
+def dct_simon_domination_fails(b):
+    # 2 rho_n <= rho_n fails for every nonzero rho_n: an unmet hypothesis
+    seq = _seq(*CONV, b)
+    return check_dct_simon(entropy_family(), seq, seq, 2.0, 8, 3)
 
 
 def dct_simon_violated(b):
@@ -389,6 +396,12 @@ def channel_mi_consistent(b):
     return channel_mi_checks(_depolarizing(), rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
 
 
+def channel_mi_domination_fails(b):
+    # 4 rho_n <= 2 rho_n fails: an unmet hypothesis
+    rho = _seq(*CM_RHO, b)
+    return channel_mi_checks(_depolarizing(), rho, _scaled(rho, 2.0), 4.0, CM_P, 8, 2)
+
+
 def channel_mi_core_trends(b):
     rho = _seq(*CM_RHO, b)
     p = [0.5] + [0.1 if n % 2 else 0.9 for n in range(1, 9)]
@@ -501,6 +514,7 @@ STATUS_TABLE = {
     ("dct-basic", "trends do not shrink"): (dct_basic_trends, INCONCLUSIVE, BOTH),
     ("dct-simon", "trends shrink"): (dct_simon_consistent, CONSISTENT, BOTH),
     ("dct-simon", "per-cell bound fails"): (dct_simon_violated, VIOLATED, BOTH),
+    ("dct-simon", "domination fails"): (dct_simon_domination_fails, INCONCLUSIVE, BOTH),
     ("dct-simon", "+inf"): (dct_simon_inf, INCONCLUSIVE, BOTH),
     ("dct-simon", "+inf in rho only"): (dct_simon_inf_rho_only, INCONCLUSIVE, BOTH),
     ("dct-simon", "trends do not shrink"): (dct_simon_trends, INCONCLUSIVE, BOTH),
@@ -527,6 +541,7 @@ STATUS_TABLE = {
     ("re-sum", "trends do not shrink"): (re_sum_trends, INCONCLUSIVE, BOTH),
     ("channel-mi", "trends shrink"): (channel_mi_consistent, CONSISTENT, BOTH),
     ("channel-mi", "MI trends do not shrink"): (channel_mi_core_trends, INCONCLUSIVE, BOTH),
+    ("channel-mi", "domination fails"): (channel_mi_domination_fails, INCONCLUSIVE, BOTH),
     ("channel-mi", "sufficient condition fails"): (channel_mi_sufficient_condition, INCONCLUSIVE, (DIAGONAL,)),
     ("channel-mi", "output tails do not vanish"): (channel_mi_tail, INCONCLUSIVE, (DIAGONAL,)),
     ("appendix-domination", "trends shrink"): (appendix_consistent, CONSISTENT, BOTH),
@@ -629,3 +644,32 @@ def test_vanishing_sigma_limit_scenario_exits_zero():
     result = CliRunner().invoke(main, ["run", str(SCENARIOS / "vanishing-sigma-limit.json")])
     assert result.exit_code == 0, result.output
     assert '"m_range":[1,2,3]' in result.output
+
+
+# ---------------------------------------------------------------------------
+# A broken domination c rho_n <= tau_n is an unmet hypothesis, not an error
+
+
+@pytest.mark.parametrize("case, name", [
+    (dct_simon_domination_fails, "PSD domination c*rho_n <= tau_n"),
+    (channel_mi_domination_fails, "PSD domination c*rho_n <= sigma_n"),
+])
+@pytest.mark.parametrize("basis", BOTH)
+def test_broken_domination_is_a_failed_hypothesis_check(case, name, basis):
+    verdict = case(basis)
+    failed = [check for check in verdict.hypothesis_checks if not check.passed]
+    assert [check.name for check in failed] == [name]
+    assert failed[0].slack < 0.0 and failed[0].detail.startswith("fails at n = 0")
+    assert verdict.hypothesis_checks[-1] is failed[0]
+
+
+@pytest.mark.parametrize("case", [dct_simon_consistent, channel_mi_consistent])
+def test_held_domination_adds_no_check(case):
+    assert not any(check.name.startswith("PSD domination") for check in case(DIAGONAL).hypothesis_checks)
+
+
+def test_simon_dct_at_c5_scenario_exits_zero():
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "simon-dct-c5.json")])
+    assert result.exit_code == 0, result.output
+    assert '"status":"inconclusive"' in result.output
+    assert '"name":"PSD domination c*rho_n <= tau_n","passed":false' in result.output
