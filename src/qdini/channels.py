@@ -9,6 +9,11 @@ information is read off three small spectra,
 I(Phi, rho) = S(rho) + S(Phi(rho)) - S(Phi^(rho)), where
 Phi^(rho)_ij = Tr K_i rho K_j* is the k x k environment state: no
 purification and no operator larger than max(d_out, k).
+
+Both maps are linear, so on the heads and tails of a spectral window
+(``SpectralCuts``) the outputs are cumulative sums of the images of the
+basis vectors' rank-one projectors, and the window forms below read all
+their spectra off one stacked eigensolve.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from .extreal import ExtendedReal, finite
 from .operators import (
     DensityOperator,
     PositiveOperator,
+    default_rank_tols,
+    positive_eigenvalues,
     trace_norm_distance,
 )
-from .entropies import von_neumann_entropy
+from .entropies import SpectralCuts, entropy_cuts, entropy_of_diagonals, von_neumann_entropy
 
 TP_TOL = 1e-9
 
@@ -157,6 +164,104 @@ def output_entropy(phi: Channel, rho: PositiveOperator) -> float:
 def environment_entropy(phi: Channel, rho: PositiveOperator) -> float:
     """S(Phi^(rho)), the entropy the complementary channel outputs."""
     return float(von_neumann_entropy(_environment_state(phi, rho)))
+
+
+def output_entropy_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
+    """``output_entropy(channels[j], X)`` of every head and tail X of row j of ``cuts``."""
+    out, _ = _cut_spectra(cuts, channels, cuts.scale, environment=False)
+    return _entropies(out, out.shape[-1])
+
+
+def coherent_information_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
+    """Tr X * I_c(Phi_j, [X]) of every head and tail X of row j of ``cuts``, 0 where X vanishes."""
+    unit, vanishing = _normalization(cuts)
+    s_out, s_env = _normalized_output_entropies(cuts, channels, unit)
+    return _homogeneous_cuts(cuts, vanishing, s_out - s_env)
+
+
+def channel_mi_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
+    """Tr X * I(Phi_j, [X]) of every head and tail X of row j of ``cuts``, 0 where X vanishes."""
+    unit, vanishing = _normalization(cuts)
+    s_out, s_env = _normalized_output_entropies(cuts, channels, unit)
+    return _homogeneous_cuts(cuts, vanishing, entropy_cuts(cuts, unit) + (s_out - s_env))
+
+
+def _normalization(cuts: SpectralCuts) -> tuple:
+    """1 / Tr X of every cut X before its scale (0 for an empty cut), and whether X vanishes as ``vanishes`` decides."""
+    unit = np.zeros_like(cuts.mass)
+    np.divide(1.0, cuts.mass, out=unit, where=cuts.mass > 0.0)
+    vanishing = cuts.scale * cuts.mass <= default_rank_tols(cuts.values.shape[1], cuts.scale * cuts.top)
+    return unit, vanishing
+
+
+def _homogeneous_cuts(cuts: SpectralCuts, vanishing: np.ndarray, state_values: np.ndarray) -> np.ndarray:
+    """The homogeneous extension Tr X * f([X]) from the values f([X]) of the normalized cuts."""
+    return np.where(vanishing, 0.0, state_values * (cuts.scale * cuts.mass))
+
+
+def _normalized_output_entropies(cuts: SpectralCuts, channels, unit: np.ndarray) -> tuple:
+    """S(Phi_j([X])) and S(Phi^_j([X])) of every head and tail X of row j of ``cuts``."""
+    out, env = _cut_spectra(cuts, channels, unit, environment=True)
+    return _entropies(out, channels[0].d_out), _entropies(env, [[len(phi.kraus)] for phi in channels])
+
+
+def _entropies(spectra: np.ndarray, dims) -> np.ndarray:
+    """``entropy_of_diagonals`` over the last axis of ``spectra``, each spectrum of the dimension ``dims`` broadcasts to it."""
+    dims = np.broadcast_to(dims, spectra.shape[:-1]).ravel()
+    return entropy_of_diagonals(spectra.reshape(-1, spectra.shape[-1]), dims).reshape(spectra.shape[:-1])
+
+
+def _cut_spectra(cuts: SpectralCuts, channels, scale: np.ndarray, environment: bool) -> tuple:
+    """Spectra of Phi_j(c X) and, with ``environment``, of Phi^_j(c X) for every head and tail X of row j, c = ``scale``.
+
+    Each output is the cumulative sum, weighted by the kept values, of
+    the images of row j's rank-one projectors u_i u_i*.  Every output of
+    the window enters one ``positive_eigenvalues`` call; with the
+    environment states, both kinds are zero-padded to one common size,
+    which adds zeros to each spectrum, so only the leading d_out or k_j
+    values of a spectrum are its own.  Returns (outputs, environments or
+    None), each of shape (2, N, M, size), size = d_out without the
+    environments.
+    """
+    images = _rank_one_images(cuts.spectra, channels, environment)
+    d_out = images[0].shape[-1]
+    flat = np.concatenate([x.reshape(x.shape[:2] + (-1,)) for x in images], axis=-1)
+    sums = cuts.sums(cuts.values[..., None] * flat) * scale[..., None]
+    window = sums.shape[:-1]
+    out = sums[..., :d_out * d_out].reshape(window + (d_out, d_out))
+    if not environment:
+        return positive_eigenvalues(out), None
+    k_max = images[1].shape[-1]
+    size = max(d_out, k_max)
+    stack = np.zeros((2,) + window + (size, size), dtype=complex)
+    stack[0, ..., :d_out, :d_out] = out
+    stack[1, ..., :k_max, :k_max] = sums[..., d_out * d_out:].reshape(window + (k_max, k_max))
+    out_spectra, env_spectra = positive_eigenvalues(stack)
+    return out_spectra, env_spectra
+
+
+def _rank_one_images(spectra, channels, environment: bool) -> tuple:
+    """Phi_j(u_i u_i*), and with ``environment`` Phi^_j(u_i u_i*), for every basis vector u_i of spectra[j].
+
+    Shapes (N, d_in, d_out, d_out) and (N, d_in, k, k).  Every Kraus set
+    is zero-padded to the largest count k, which pads each environment
+    state with zeros.  With w_a = K_a u_i, Phi(u_i u_i*) = sum_a w_a w_a*
+    and Phi^(u_i u_i*)_ab = <w_b, w_a>.
+    """
+    d_in = channels[0].d_in
+    for spec in spectra:
+        if spec.values.size != d_in:
+            raise ValueError(f"input dim {spec.values.size} != channel d_in {d_in}")
+    kraus = np.zeros((len(channels), max(len(phi.kraus) for phi in channels), channels[0].d_out, d_in), dtype=complex)
+    for j, phi in enumerate(channels):
+        kraus[j, :len(phi.kraus)] = phi.kraus
+    w = kraus @ np.stack([spec.vectors() for spec in spectra])[:, None]  # w[j, a, :, i] = K_a u_i
+    by_output = w.transpose(0, 3, 2, 1)  # [j, i, b, a]
+    images = (by_output @ by_output.conj().swapaxes(-1, -2),)
+    if environment:
+        by_kraus = w.transpose(0, 3, 1, 2)  # [j, i, a, b]
+        images += (by_kraus @ by_kraus.conj().swapaxes(-1, -2),)
+    return images
 
 
 class ChannelSequence:

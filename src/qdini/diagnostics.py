@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSequence, channel_mutual_information, coherent_information
+from .channels import (
+    ChannelSequence,
+    channel_mi_cuts,
+    channel_mutual_information,
+    coherent_information,
+    coherent_information_cuts,
+    output_entropy_cuts,
+)
 from .entropies import (
     SpectralCuts,
     binary_entropy,
@@ -93,14 +100,16 @@ class FunctionalFamily:
     Evaluation returns an ExtendedReal; +inf is a legitimate value (support
     violations of the relative entropy), never an error.  A family that
     reads a state only through its spectrum and its weights in a fixed
-    basis per n also has ``rows``: (ns, SpectralCuts) -> f_n of every head
+    basis per n, or through a linear map of it (the channel families),
+    also has ``rows``: (ns, SpectralCuts) -> f_n of every head
     and tail of the window, row j evaluated at n = ns[j], as a (2, N, M)
-    float array with +inf, which the grids and the truncation criterion
-    use in place of one ``value`` call per cut.  A family that reads a
-    diagonal operator only through its diagonal can also have ``stacked``:
+    float array with +inf, which the window procedures use in place of
+    one ``value`` call per cut.  A family that reads a diagonal operator
+    only through its diagonal can also have ``stacked``:
     (ns, (K, d) array) -> f_{ns[i]} of the diagonal operator whose
     diagonal is row i, for all K rows at once, which the dominated
-    scheme's grids use on diagonal pairs.
+    scheme's grids use on diagonal pairs and the truncation criterion on
+    fixed diagonal bases.
     """
 
     __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed", "rows", "stacked")
@@ -167,6 +176,7 @@ def channel_mi_family(channel_seq: ChannelSequence, label: str = "I(Phi_n,.)") -
         "ChannelMI", label,
         _homogeneous(lambda n, state: channel_mutual_information(channel_seq(n), state)),
         a_f=ZERO_MODULUS, b_f=TWO_H2_MODULUS,
+        rows=lambda ns, cuts: channel_mi_cuts(cuts, [channel_seq(n) for n in ns]),
     )
 
 
@@ -175,6 +185,7 @@ def coherent_info_family(channel_seq: ChannelSequence, label: str = "Ic(Phi_n,.)
         "CoherentInfo", label,
         _homogeneous(lambda n, state: ExtendedReal(coherent_information(channel_seq(n), state))),
         a_f=H2_MODULUS, b_f=H2_MODULUS, signed=True,
+        rows=lambda ns, cuts: coherent_information_cuts(cuts, [channel_seq(n) for n in ns]),
     )
 
 
@@ -183,6 +194,7 @@ def output_entropy_family(channel_seq: ChannelSequence, label: str = "S(Phi_n(.)
         "OutputEntropy", label,
         lambda n, op: von_neumann_entropy(channel_seq(n).apply(op)),
         a_f=ZERO_MODULUS, b_f=H2_MODULUS,
+        rows=lambda ns, cuts: output_entropy_cuts(cuts, [channel_seq(n) for n in ns]),
     )
 
 
@@ -222,19 +234,21 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
 
 def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence,
                     scheme: ApproximationScheme, n_max: int, m_max: int) -> float:
-    """Worst slack of f_n(rho_n) >= mu f_n([Psi_m(rho_n)]) - a_f(1 - mu) per cell.
+    """Worst slack of f_n([rho_n]) >= mu f_n([Psi_m(rho_n)]) - a_f(1 - mu) per cell.
 
-    mu is the truncated mass relative to Tr rho_n; cells with +inf values are
+    The bound holds for states, so rho_n enters normalized: [rho_n] is
+    the window's whole-state column, a cut at the rank.  mu is the
+    truncated mass relative to Tr rho_n; cells with +inf values are
     skipped (the inequality presupposes finiteness), and so are the rows
-    where f_n(rho_n) is +inf.
+    where f_n([rho_n]) is +inf.
     """
     m_range = range(scheme.m_floor(seq), m_max + 1)
-    f_rho = {n: family.value(n, seq(n)) for n in range(n_max + 1)}
-    ns = [n for n, v in f_rho.items() if not v.is_inf]
-    mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_range, tails=False)
-    counted = np.isfinite(f_head)
+    ns = range(n_max + 1)
+    mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_range, tails=False, whole=True)
+    f_state, mass, f_head = f_head[:, -1:], mass[:, :-1], f_head[:, :-1]
+    counted = np.isfinite(f_head) & np.isfinite(f_state)
     t = np.broadcast_to(_column([seq(n).trace() for n in ns]), mass.shape)[counted]
-    f = np.broadcast_to(_column([float(f_rho[n]) for n in ns]), mass.shape)[counted]
+    f = np.broadcast_to(f_state, mass.shape)[counted]
     mu = np.minimum(np.maximum(mass[counted] / t, 0.0), 1.0)
     a = np.array([family.a_f(x) for x in (1.0 - mu).tolist()])
     slack = f - mu * f_head[counted] + a
@@ -247,29 +261,35 @@ def _column(values) -> np.ndarray:
 
 
 def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
-                       ns, m_range, tails: bool) -> tuple:
+                       ns, m_range, tails: bool, whole: bool = False) -> tuple:
     """(mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n), each an (N, M) array over n of ns and m of m_range.
 
     f_head is f_n of the normalized head and f_tail of the normalized tail,
     +inf included, and NaN where that state does not exist; when ``tails``
-    is false, f_tail may be NaN throughout.  A spectral scheme and a family
-    with rows take the whole window from one ``family.rows`` call, and the
-    dominated scheme on diagonal pairs and a family with a stacked form
-    from one ``family.stacked`` call.  Anything else evaluates cell by
-    cell, the dominated scheme once per cut pair of a row.
+    is false, f_tail may be NaN throughout.  With ``whole``, one more
+    column after m_range cuts rho_n at its rank, so its head is [rho_n].
+    A spectral scheme and a family with rows take the whole window from
+    one ``family.rows`` call, and the dominated scheme on diagonal pairs
+    and a family with a stacked form from one ``family.stacked`` call.
+    Anything else evaluates cell by cell, the dominated scheme once per cut
+    pair of a row.
     """
     if scheme.kind == "spectral":
+        # a cut at m >= rank keeps rho_n whole
+        ms = list(m_range) + [seq.dim] if whole else m_range
         if family.rows is not None:
-            return _spectral_window(family, seq, ns, m_range)
-        cells = [[_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in m_range] for n in ns]
+            return _spectral_window(family, seq, ns, ms)
+        cells = [[_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in ms] for n in ns]
     else:
         rows = [scheme.dominated_row(seq, n, m_range) for n in ns]
+        if whole:
+            rows = [row.with_whole() for row in rows]
         if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal
                                                        for row in rows):
             return _dominated_diagonal_window(family, ns, rows, tails)
         cells = [_dominated_cells(family, n, row, tails) for n, row in zip(ns, rows)]
     # None (no state) converts to NaN
-    window = np.array(cells, dtype=float).reshape(len(ns), len(m_range), 5)
+    window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
     mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
     return mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
 
@@ -364,17 +384,33 @@ def laa_check(family: FunctionalFamily, n: int, rho: DensityOperator,
               sigma: DensityOperator, p: float):
     """(a-side slack, b-side slack or None) of the weakened convexity bounds."""
     mix = rho.scale(p).add(sigma.scale(1.0 - p))
-    f_mix = family.value(n, mix)
-    f_rho = family.value(n, rho)
-    f_sigma = family.value(n, sigma)
-    if f_mix.is_inf or f_rho.is_inf or f_sigma.is_inf:
+    return _laa_slacks(family, p, *(float(family.value(n, op)) for op in (mix, rho, sigma)))
+
+
+def _laa_slacks(family: FunctionalFamily, p: float, f_mix: float, f_rho: float, f_sigma: float):
+    """``laa_check`` from the values f_n(p rho + (1 - p) sigma), f_n(rho) and f_n(sigma); (None, None) if one is +inf."""
+    if math.isinf(f_mix) or math.isinf(f_rho) or math.isinf(f_sigma):
         return None, None
-    combo = p * float(f_rho) + (1.0 - p) * float(f_sigma)
-    a_slack = float(f_mix) - combo + family.a_f(p)
+    combo = p * f_rho + (1.0 - p) * f_sigma
+    a_slack = f_mix - combo + family.a_f(p)
     b_slack = None
     if family.b_f is not None:
-        b_slack = combo + family.b_f(p) - float(f_mix)
+        b_slack = combo + family.b_f(p) - f_mix
     return a_slack, b_slack
+
+
+def _whole_values(family: FunctionalFamily, ns, ops) -> list:
+    """f_{ns[j]}(ops[j]) for every j, as floats with +inf.
+
+    A family with rows reads them all off one ``family.rows`` call, each
+    operator cut at its rank (the operator itself); any other family makes
+    one ``value`` call per operator.
+    """
+    if family.rows is None:
+        return [float(family.value(n, op)) for n, op in zip(ns, ops)]
+    spectra = [op.spectrum() for op in ops]
+    cuts = SpectralCuts(spectra, [[spec.rank] for spec in spectra], normalized=False)
+    return family.rows(list(ns), cuts)[0, :, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -387,42 +423,50 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
 
     Verifies domination on window members and their truncations, spot-checks
     the LAA bounds for both families, and reports whether shrinking residuals
-    of f imply shrinking residuals of g.
+    of f imply shrinking residuals of g.  Per family, the samples [rho_n]
+    and [Psi_m(rho_n)] are one truncation window, and f_n(rho_n) with the
+    LAA values f_n([rho_0]) one ``_whole_values`` call; only the mixtures
+    are evaluated one by one.
     """
-    samples = []
-    for n in range(n_max + 1):
-        rho = seq(n)
-        state = normalize(rho)
-        if state is not None:
-            samples.append((n, state, f"rho_{n}"))
-        for m in sorted({1, max(1, m_max // 2), m_max}):
-            head = normalize(spectral_truncation(rho, m).head)
-            if head is not None:
-                samples.append((n, head, f"[Psi_{m}(rho_{n})]"))
+    ns = range(n_max + 1)
+    ms = sorted({1, max(1, m_max // 2), m_max})
+    base = normalize(seq(0))
+    laa_ns = list(ns[1:]) if base is not None else []
+    whole_ns, whole_ops = list(ns) + laa_ns, [seq(n) for n in ns] + [base] * len(laa_ns)
+
+    def evaluate(fam):
+        # samples[n, i]: f_n([Psi_m(rho_n)]) at the i-th m, then f_n([rho_n]); NaN where there is no state
+        samples = _truncation_window(fam, seq, ApproximationScheme("spectral"), ns, ms, tails=False, whole=True)[2]
+        values = _whole_values(fam, whole_ns, whole_ops)
+        return samples, values[:len(ns)], values[len(ns):]
+
+    (f_samples, f_vals, f_base), (g_samples, g_vals, g_base) = evaluate(f), evaluate(g)
     dom_ok, dom_slack, dom_detail = True, math.inf, ""
     saw_inf = False
-    for n, state, tag in samples:
-        fv = f.value(n, state)
-        gv = g.value(n, state)
-        if fv.is_inf:
-            saw_inf = True
-            continue
-        if gv.is_inf:
-            dom_ok, dom_detail = False, f"|g| infinite with finite f at {tag}"
-            continue
-        slack = float(fv) - abs(float(gv))
-        if slack < dom_slack:
-            dom_slack = slack
-        if slack < -INEQ_SLACK:
-            dom_ok, dom_detail = False, f"|g| > f by {-slack:.3e} at {tag}"
+    for n in ns:
+        for i, tag in [(len(ms), f"rho_{n}")] + [(i, f"[Psi_{m}(rho_{n})]") for i, m in enumerate(ms)]:
+            fv, gv = f_samples[n, i], g_samples[n, i]
+            if math.isnan(fv):
+                continue
+            if math.isinf(fv):
+                saw_inf = True
+                continue
+            if math.isinf(gv):
+                dom_ok, dom_detail = False, f"|g| infinite with finite f at {tag}"
+                continue
+            slack = fv - abs(gv)
+            if slack < dom_slack:
+                dom_slack = slack
+            if slack < -INEQ_SLACK:
+                dom_ok, dom_detail = False, f"|g| > f by {-slack:.3e} at {tag}"
     laa_ok, laa_slack, laa_detail = True, math.inf, ""
-    base = normalize(seq(0))
-    for n in range(1, n_max + 1):
+    for i, n in enumerate(laa_ns):
         state = normalize(seq(n))
-        if state is None or base is None:
+        if state is None:
             continue
-        for fam, tag in ((f, "f"), (g, "g")):
-            a_slack, b_slack = laa_check(fam, n, state, base, 0.5)
+        mix = state.scale(0.5).add(base.scale(0.5))
+        for fam, samples, at_base, tag in ((f, f_samples, f_base, "f"), (g, g_samples, g_base, "g")):
+            a_slack, b_slack = _laa_slacks(fam, 0.5, float(fam.value(n, mix)), samples[n, -1], at_base[i])
             for side, slack in (("a", a_slack), ("b", b_slack)):
                 if slack is None:
                     continue
@@ -430,10 +474,8 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
                     laa_slack = slack
                 if slack < -INEQ_SLACK:
                     laa_ok, laa_detail = False, f"LAA {side}-side fails for {tag} at n = {n} by {-slack:.3e}"
-    f_vals = [f.value(n, seq(n)) for n in range(n_max + 1)]
-    g_vals = [g.value(n, seq(n)) for n in range(n_max + 1)]
-    inf_in_f = any(v.is_inf for v in f_vals)
-    inf_in_g = any(v.is_inf for v in g_vals)
+    inf_in_f = any(math.isinf(v) for v in f_vals)
+    inf_in_g = any(math.isinf(v) for v in g_vals)
     trends = []
     if not inf_in_f:
         trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", f_vals))
@@ -588,13 +630,6 @@ def _compressions(rho: PositiveOperator, basis: Spectrum, k: int) -> tuple:
     return compress(rho, p), compress(rho, p.complement())
 
 
-def _compressed_tail(rho: PositiveOperator, basis: Spectrum, k: int) -> PositiveOperator:
-    """The tail of ``_compressions`` alone: Pbar rho Pbar, with no head built."""
-    if basis is rho.spectrum():
-        return rho.tail(int(k))
-    return compress(rho, basis.projector(int(k)).complement())
-
-
 def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, basis: Spectrum, cuts) -> tuple:
     """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf, cell by cell."""
     pairs = [_compressions(rho, basis, k) for k in cuts]
@@ -608,13 +643,42 @@ def _compressed_window(family: FunctionalFamily, seq: OperatorSequence, bases, c
 
     When every basis is rho_n's own spectrum (a commuting schedule), a
     family with rows evaluates every head and tail of the window in one
-    call.
+    call.  When every rho_n and every other basis is diagonal (a
+    fixed-basis schedule), a family with a stacked form evaluates them on
+    the masked diagonals of rho_n, one call per n.
     """
     ns = range(cuts.shape[0])
     if family.rows is not None and all(bases[n] is seq(n).spectrum() for n in ns):
-        heads, tails = family.rows(ns, SpectralCuts(bases[:cuts.shape[0]], cuts, normalized=False)).tolist()
-        return list(zip(heads, tails))
-    return [_compressed_values(family, n, seq(n), bases[n], cuts[n]) for n in ns]
+        values = family.rows(ns, SpectralCuts(bases[:cuts.shape[0]], cuts, normalized=False))
+    elif family.stacked is not None and all(seq(n).is_diagonal and bases[n].diagonal
+                                            and bases[n] is not seq(n).spectrum() for n in ns):
+        values = _masked_diagonal_window(family, seq, bases, cuts)
+    else:
+        return [_compressed_values(family, n, seq(n), bases[n], cuts[n]) for n in ns]
+    heads, tails = values.tolist()
+    return list(zip(heads, tails))
+
+
+def _masked_diagonal_window(family: FunctionalFamily, seq: OperatorSequence, bases, cuts: np.ndarray) -> np.ndarray:
+    """f_n(P rho_n P) and f_n(Pbar rho_n Pbar) of every cell of ``cuts``, as a (2, N, M) array, from one ``family.stacked`` call per n.
+
+    P keeps the coordinates that the first cuts[n, i] vectors of the
+    diagonal basis bases[n] name and Pbar the others, so the two
+    compressions are rho_n's diagonal masked by P's, exactly as
+    ``compress`` forms them cell by cell; row n's heads, then its tails,
+    form one (2 M, d) array.  One call per n rather than per window keeps
+    the array to the size of a row at large d.
+    """
+    values = np.empty((cuts.shape[0], 2, cuts.shape[1]))
+    for n, row in enumerate(cuts):
+        order = bases[n].basis
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        in_head = position < row[:, None]
+        diag = seq(n).diag
+        masked = np.concatenate([np.where(in_head, diag, 0.0), np.where(in_head, 0.0, diag)])
+        values[n] = family.stacked(np.full(2 * row.size, n), masked).reshape(2, -1)
+    return values.transpose(1, 0, 2)
 
 
 def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
@@ -792,16 +856,18 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     mi = channel_mi_family(channel_seq)
     ent = entropy_family()
     out_ent = output_entropy_family(channel_seq)
-    mi_sigma = [mi.value(n, sigma_seq(n)) for n in range(n_max + 1)]
-    mi_rho = [mi.value(n, rho_seq(n)) for n in range(n_max + 1)]
-    mix_vals = [mi.value(n, _mixture(rho_seq(n), sigma_seq(n), p[n])) for n in range(n_max + 1)]
+    ns = list(range(n_max + 1))
+    rhos = [rho_seq(n) for n in ns]
+    mi_vals = _whole_values(mi, ns + ns, [sigma_seq(n) for n in ns] + rhos)
+    mi_sigma, mi_rho = mi_vals[:len(ns)], mi_vals[len(ns):]
+    mix_vals = [mi.value(n, _mixture(rho_seq(n), sigma_seq(n), p[n])) for n in ns]
     mi_trends = [
         _limit_trend("|I(Phi_n,sigma_n) - I(Phi_0,sigma_0)|", mi_sigma),
         _limit_trend("|I(Phi_n,rho_n) - I(Phi_0,rho_0)|", mi_rho),
         _limit_trend("|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|", mix_vals),
     ]
-    s_in = [ent.value(n, rho_seq(n)) for n in range(n_max + 1)]
-    s_out = [out_ent.value(n, rho_seq(n)) for n in range(n_max + 1)]
+    s_in = _whole_values(ent, ns, rhos)
+    s_out = _whole_values(out_ent, ns, rhos)
     in_trend = _limit_trend("|S(rho_n) - S(rho_0)|", s_in)
     out_trend = _limit_trend("|S(Phi_n(rho_n)) - S(Phi_0(rho_0))|", s_out)
     trends = mi_trends + [in_trend, out_trend]
@@ -810,12 +876,9 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
                      in_trend.shrinks or out_trend.shrinks, 0.0),
     ]
     if schedule is not None:
-        tails = []
-        for m in range(schedule.m_0, min(m_max, schedule.m_max) + 1):
-            i = m - schedule.m_0
-            vals = [out_ent.value(n, _compressed_tail(rho_seq(n), schedule.bases[n], schedule.cuts[n, i]))
-                    for n in range(n_max + 1)]
-            tails.append(max(float(v) for v in vals))
+        m_count = len(range(schedule.m_0, min(m_max, schedule.m_max) + 1))
+        window = _compressed_window(out_ent, rho_seq, schedule.bases, schedule.cuts[:n_max + 1, :m_count])
+        tails = [max(tail_row[i] for _, tail_row in window) for i in range(m_count)]
         trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))
         checks.append(CheckResult("output-entropy tail decreases toward zero over m",
                                   shrinks_toward_zero(tails), 0.0))

@@ -63,15 +63,23 @@ def von_neumann_entropy(rho: PositiveOperator) -> ExtendedReal:
     return finite(float(-np.sum(lam * np.log(lam))) - eta(t))
 
 
-def entropy_of_diagonals(x: np.ndarray) -> np.ndarray:
+def entropy_of_diagonals(x: np.ndarray, dims=None) -> np.ndarray:
     """``von_neumann_entropy`` of each row of x, read as the diagonal of a positive operator.
 
     Step for step on each row: the values sorted non-increasing and
     clamped at 0, the rank tolerance of the row's own top value, the sum
-    over the values above it, minus eta of their total.
+    over the values above it, minus eta of their total.  ``dims`` gives
+    each row's own dimension when rows are zero-padded spectra: only the
+    row's largest dims[i] values are read, with the rank tolerance of that
+    dimension.
     """
     lam = np.maximum(-np.sort(-x, axis=1), 0.0)
-    counted = lam > default_rank_tols(x.shape[1], lam[:, 0])[:, None]
+    if dims is None:
+        dims = x.shape[1]
+    else:
+        dims = np.asarray(dims)
+        lam = np.where(np.arange(x.shape[1]) < dims[:, None], lam, 0.0)
+    counted = lam > default_rank_tols(dims, lam[:, 0])[:, None]
     lam = np.where(counted, lam, 0.0)
     t = np.sum(lam, axis=1)
     return -np.sum(lam * np.log(np.where(counted, lam, 1.0)), axis=1) + t * np.log(np.where(t > 0.0, t, 1.0))
@@ -153,12 +161,12 @@ class SpectralCuts:
         self._ranked_end = np.stack([np.minimum(k, end[0]), np.maximum(k, end[1])])
 
     def sums(self, x, ranked: bool = False) -> np.ndarray:
-        """Sums of a per-eigenvector quantity x (shape (N, d) or (N, d, p)) over every head and tail.
+        """Sums of a per-eigenvector quantity x (shape (N, d) or (N, d, p), real or complex) over every head and tail.
 
         ``ranked`` sums only over the values the cut's entropy counts.
         """
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros((x.shape[0], 1) + x.shape[2:])
+        x = np.asarray(x)
+        zero = np.zeros((x.shape[0], 1) + x.shape[2:], dtype=x.dtype)
         forward = np.concatenate([zero, np.cumsum(x, axis=1)], axis=1)
         backward = np.concatenate([np.cumsum(x[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
         j, k = self._rows, self.cuts
@@ -168,8 +176,8 @@ class SpectralCuts:
         return np.stack([forward[j, head_end], backward[j, k] - backward[j, tail_end]])
 
 
-def entropy_cuts(cuts: SpectralCuts) -> np.ndarray:
-    """``von_neumann_entropy`` of every head and tail of ``cuts``."""
+def entropy_cuts(cuts: SpectralCuts, scale=None) -> np.ndarray:
+    """``von_neumann_entropy`` of every head and tail of ``cuts``, each cut taken at ``scale`` in place of ``cuts.scale``."""
     v = cuts.values
     # logs relative to each row's top value r keep the terms independent of
     # the spectrum's scale, and a one-value cut exactly 0
@@ -178,7 +186,7 @@ def entropy_cuts(cuts: SpectralCuts) -> np.ndarray:
     sums = cuts.sums(np.stack([v, v_log], axis=-1), ranked=True)
     mass, v_log_sum = sums[..., 0], sums[..., 1]
     # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the counted values
-    s = cuts.scale * (mass * np.log(np.where(mass > 0.0, mass, r) / r) - v_log_sum)
+    s = (cuts.scale if scale is None else scale) * (mass * np.log(np.where(mass > 0.0, mass, r) / r) - v_log_sum)
     return np.where(mass > 0.0, s, 0.0)
 
 

@@ -23,7 +23,9 @@ One PSD rule decides positivity, and this is the only module that calls
 numpy's eigensolvers.  ``PositiveOperator`` enforces the rule,
 ``PositiveOperator.of`` turns a Hermitian result (a difference, a partial
 trace) into a checked positive operator, and ``is_psd`` answers the same
-question without building one.
+question without building one.  ``positive_eigenvalues`` applies the rule
+to a whole stack of matrices with one eigensolve, for the window
+functionals that need many small spectra and no operators.
 """
 
 from __future__ import annotations
@@ -308,15 +310,39 @@ def _extreme_eigenvalues(h: HermitianOperator):
     return float(eigs[0]), float(eigs[-1]), eigs
 
 
-def _psd_tol(lam_max: float) -> float:
-    """The PSD rule: an operator is positive iff lambda_min >= -_psd_tol(lambda_max)."""
-    return PSD_REL_TOL * max(lam_max, 0.0) + 1e-15
+def _psd_tol(lam_max):
+    """The PSD rule: an operator is positive iff lambda_min >= -_psd_tol(lambda_max); elementwise on an array."""
+    # max() on a float: np.maximum would cost a microsecond on every operator built
+    top = np.maximum(lam_max, 0.0) if isinstance(lam_max, np.ndarray) else max(lam_max, 0.0)
+    return PSD_REL_TOL * top + 1e-15
+
+
+def _not_psd(lam_min: float, tol: float) -> ValueError:
+    return ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{tol:.3e}")
 
 
 def is_psd(h: HermitianOperator) -> bool:
     """Whether h passes the PSD rule of ``PositiveOperator``; builds no operator."""
     lam_min, lam_max, _ = _extreme_eigenvalues(h)
     return lam_min >= -_psd_tol(lam_max)
+
+
+def positive_eigenvalues(matrices) -> np.ndarray:
+    """The spectra of a stack of d x d matrices as ``PositiveOperator`` would hold them: one eigensolve for the stack.
+
+    ``matrices`` has shape (..., d, d).  Each matrix is symmetrized and
+    checked by the PSD rule, the first that fails raising the error
+    ``PositiveOperator`` raises; the result, of shape (..., d), holds each
+    spectrum clamped at 0 and non-increasing.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    eigs = np.linalg.eigvalsh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+    tol = _psd_tol(eigs[..., -1])
+    failing = np.flatnonzero(eigs[..., 0] < -tol)
+    if failing.size:
+        first = np.unravel_index(failing[0], tol.shape)
+        raise _not_psd(eigs[first][0], tol[first])
+    return np.maximum(eigs[..., ::-1], 0.0)
 
 
 class PositiveOperator(HermitianOperator):
@@ -335,7 +361,7 @@ class PositiveOperator(HermitianOperator):
         lam_min, lam_max, eigs = _extreme_eigenvalues(self)
         tol = _psd_tol(lam_max)
         if lam_min < -tol:
-            raise ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{tol:.3e}")
+            raise _not_psd(lam_min, tol)
         if self.is_diagonal:
             np.maximum(self._diag, 0.0, out=self._diag)  # the constructor's own copy
             self._spectrum = None  # sorted on first spectral read
@@ -410,16 +436,8 @@ class PositiveOperator(HermitianOperator):
             return self, self.rescaled(0.0)
         lam, d = spec.kept(), self.dim
         head = spec.reordered(np.concatenate([lam[:k], np.zeros(d - k)])).operator()
-        return head, self.tail(k)
-
-    def tail(self, k: int) -> "PositiveOperator":
-        """The tail of ``split(k)`` alone."""
-        spec = self.spectrum()
-        if k >= spec.rank:
-            return self.rescaled(0.0)
-        lam, d = spec.kept(), self.dim
         order = np.concatenate([np.arange(k, d), np.arange(k)])
-        return spec.reordered(np.concatenate([lam[k:], np.zeros(k)]), order).operator()
+        return head, spec.reordered(np.concatenate([lam[k:], np.zeros(k)]), order).operator()
 
     def split_diagonals(self, cuts) -> tuple:
         """The diagonals of ``split(k)`` for every k of ``cuts``: (heads, tails), each of shape (len(cuts), d).

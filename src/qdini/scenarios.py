@@ -367,7 +367,8 @@ def _build_family(spec: dict, seqs: dict, chans: dict) -> dx.FunctionalFamily:
         return dx.FunctionalFamily(
             "EntropyPlusLog", f"S + ln {k}",
             lambda n, op: ent.value(n, op) + shift * op.trace(),
-            a_f=dx.ZERO_MODULUS, b_f=dx.H2_MODULUS)
+            a_f=dx.ZERO_MODULUS, b_f=dx.H2_MODULUS,
+            rows=lambda ns, cuts: ent.rows(ns, cuts) + shift * (cuts.scale * cuts.mass))
     if kind == "relative-entropy":
         return dx.relative_entropy_family(_ref(seqs, spec, "sigma"))
     if kind == "trace-neg-log":

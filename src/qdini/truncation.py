@@ -103,10 +103,19 @@ def stable_index_set(rho: PositiveOperator, m_max: int):
 
 
 def largest_stable_index(limit: PositiveOperator, m: int, m_max: int | None = None):
-    """m-hat: the largest stable index of the limit operator not exceeding m."""
-    cap = limit.dim if m_max is None else m_max
-    candidates = [s for s in stable_index_set(limit, min(m, cap)) if s <= m]
-    return candidates[-1] if candidates else None
+    """m-hat: the largest stable index of the limit operator not exceeding m (nor m_max, default its dim); None if there is none."""
+    return int(largest_stable_indices(limit, [m], m_max)[0]) or None
+
+
+def largest_stable_indices(limit: PositiveOperator, ms, m_max: int | None = None) -> np.ndarray:
+    """``largest_stable_index`` at every m of ms as an int array, 0 where there is none.
+
+    The stable index set up to m_max is computed once and each m found
+    in it by ``np.searchsorted``.
+    """
+    stable = np.array(stable_index_set(limit, limit.dim if m_max is None else m_max), dtype=np.intp)
+    found = np.searchsorted(stable, np.asarray(ms, dtype=np.intp), side="right")
+    return np.concatenate([[0], stable])[found]
 
 
 def top_multiplicity(rho: PositiveOperator) -> int:
@@ -152,10 +161,9 @@ class _LimitCuts:
         return max((self._memoized(which, None, top_multiplicity) for which in limits
                     if not getattr(self, which).vanishes()), default=1)
 
-    def stable_indices(self, which: str, m_range) -> tuple:
-        """m-hat of the limit at each m of m_range, None where it has none."""
-        return self._memoized(which, m_range,
-                              lambda limit: tuple(largest_stable_index(limit, m) for m in m_range))
+    def stable_indices(self, which: str, m_range) -> np.ndarray:
+        """m-hat of the limit at each m of m_range, 0 where it has none."""
+        return self._memoized(which, m_range, lambda limit: largest_stable_indices(limit, m_range))
 
     def _memoized(self, which, m, compute):
         key = (which, m)
@@ -186,6 +194,14 @@ class DominatedRow:
         """The cut pair of each m as a hashable key: (rho cut, sigma cut or None)."""
         sigma = [None] * self.rho_cuts.size if self.sigma_cuts is None else self.sigma_cuts.tolist()
         return list(zip(self.rho_cuts.tolist(), sigma))
+
+    def with_whole(self) -> "DominatedRow":
+        """This row with one more cut pair after the last, at the ranks of rho_n and sigma_n: the whole tau_n."""
+        def at_rank(cuts, op):
+            return np.append(cuts, max(op.spectrum().rank, 1))
+
+        sigma_cuts = None if self.sigma_cuts is None else at_rank(self.sigma_cuts, self.sigma)
+        return DominatedRow(self.rho, self.sigma, self.c, at_rank(self.rho_cuts, self.rho), sigma_cuts)
 
     def truncation(self, i: int) -> TruncationResult:
         """c Psi(rho_n) + Psi(sigma_n) at the i-th m, head and tail each summed as operators."""
@@ -237,11 +253,11 @@ def _dominated_row(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_r
         if m < m_star:
             raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
         for which in limits:
-            if m_hats[which][i] is None:
+            if not m_hats[which][i]:
                 raise ValueError(f"no stable index of the {which} limit at or below m = {m}")
 
     def clipped(op, which):
-        return np.minimum(np.array(m_hats[which], dtype=np.intp), max(op.spectrum().rank, 1))
+        return np.minimum(m_hats[which], max(op.spectrum().rank, 1))
 
     sigma_cuts = None if sigma_zero else clipped(sigma, "sigma")
     return DominatedRow(rho, sigma, c, clipped(rho, "rho"), sigma_cuts)
@@ -373,10 +389,10 @@ def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> Project
     m_0 = top_multiplicity(limit)
     if m_0 > m_max:
         raise ValueError(f"m_max = {m_max} is below the starting index m_0 = {m_0}; enlarge the window")
-    m_hats = [largest_stable_index(limit, m, m_max=limit.dim) for m in range(m_0, m_max + 1)]
-    if None in m_hats:
-        raise ValueError(f"no stable index of the limit at or below m = {m_0 + m_hats.index(None)}; enlarge m_max")
-    cuts = np.minimum(np.array(m_hats)[None, :], np.array(ranks)[:, None])
+    m_hats = largest_stable_indices(limit, range(m_0, m_max + 1))
+    if not m_hats.all():
+        raise ValueError(f"no stable index of the limit at or below m = {m_0 + int(np.argmin(m_hats))}; enlarge m_max")
+    cuts = np.minimum(m_hats[None, :], np.array(ranks)[:, None])
     return ProjectorSchedule(m_0, m_max, n_max, tuple(spectra), cuts)
 
 

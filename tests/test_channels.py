@@ -425,32 +425,31 @@ class TestChannelSequenceMemo:
 
 
 class TestOutputEntropyTails:
-    """The output-entropy tails of ``channel_mi_checks`` build the tail Pbar rho_n Pbar and no head."""
+    """The output-entropy tails of ``channel_mi_checks`` go through ``_compressed_window``."""
 
     @staticmethod
     def counted_cuts(monkeypatch):
         calls = Counter()
-        split, tail, compress = PositiveOperator.split, PositiveOperator.tail, diagnostics.compress
+        split, compress = PositiveOperator.split, diagnostics.compress
 
         def counted_compress(rho, p):
             calls["compress", p.rank] += 1
             return compress(rho, p)
 
         monkeypatch.setattr(PositiveOperator, "split", lambda rho, k: calls.update(["split"]) or split(rho, k))
-        monkeypatch.setattr(PositiveOperator, "tail", lambda rho, k: calls.update(["tail"]) or tail(rho, k))
         monkeypatch.setattr(diagnostics, "compress", counted_compress)
         return calls
 
-    def test_own_spectrum_takes_one_tail_per_cell(self, monkeypatch):
+    def test_own_spectrum_takes_the_rows_path(self, monkeypatch):
         calls = self.counted_cuts(monkeypatch)
         assert run_scenario(builtin_scenario("channel-mi-depolarizing"), seed=0)["all_matched"]
-        # 13 n times 2 m, each the tail of rho_n's own spectrum
-        assert calls == {"tail": 26}
+        # a commuting schedule: every head and tail is read off one rows call, none is built
+        assert not calls
 
-    def test_other_basis_compresses_once_per_cell_onto_the_complement(self, monkeypatch):
+    def test_other_basis_compresses_once_per_cell_and_side(self, monkeypatch):
         sc = builtin_scenario("channel-mi-depolarizing").to_json()
         sc["checks"][0]["schedule"] = {"type": "fixed-basis", "m_max": 2}
         calls = self.counted_cuts(monkeypatch)
         run_scenario(Scenario.from_json(sc), seed=0)
-        # P^n_m is the first m of 2 coordinates, so Pbar has rank 2 - m
-        assert calls == {("compress", 1): 13, ("compress", 0): 13}
+        # the per-cell path: P^n_m is the first m of 2 coordinates, so P has rank m and Pbar rank 2 - m
+        assert calls == {("compress", 1): 26, ("compress", 2): 13, ("compress", 0): 13}

@@ -168,8 +168,8 @@ class TestDctBasic:
 class TestDctSimon:
     def test_rejects_broken_domination(self):
         # an unmet hypothesis is a failed check, not an error; the per-cell
-        # bound, which does not read the domination, fails on this
-        # trace-0.2 tau as well and decides the status
+        # bound reads the normalized [tau_n], so it holds on this trace-0.2
+        # tau and the failed domination alone keeps the status off consistent
         rho = _diag_seq([0.5, 0.5], [0.1, -0.1])
         tau = constant_sequence(PositiveOperator(diagonal=[0.1, 0.1]))
         v = check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2)
@@ -177,6 +177,25 @@ class TestDctSimon:
         dom = v.hypothesis_checks[-1]
         assert dom.name == "PSD domination c*rho_n <= tau_n" and not dom.passed
         assert dom.slack == pytest.approx(-0.4) and "n = 0" in dom.detail
+
+    def test_subnormalized_pair_is_not_violated(self):
+        # 0.5 rho_n <= tau_n holds with Tr rho_n = 0.1 and Tr tau_n = 0.2; the
+        # truncation lower bound compares f_n([rho_n]), so operators that
+        # are not states no longer read a false violation
+        rho = _diag_seq([0.06, 0.04], [0.01, -0.01])
+        tau = _diag_seq([0.12, 0.08], [0.01, -0.01])
+        v = check_dct_simon(entropy_family(), rho, tau, 0.5, 6, 2)
+        bound = v.hypothesis_checks[1]
+        assert bound.name == "per-cell truncation lower bound" and bound.passed
+        assert bound.slack >= -1e-12
+        assert v.status == CONSISTENT
+
+    def test_lower_bound_is_homogeneous(self):
+        rho = _diag_seq([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])
+        scaled = OperatorSequence(lambda n: rho(n).scale(0.2), 3)
+        scheme = ApproximationScheme("spectral")
+        assert truncation_lower_bound_slack(entropy_family(), scaled, scheme, 6, 3) == pytest.approx(
+            truncation_lower_bound_slack(entropy_family(), rho, scheme, 6, 3), abs=1e-12)
 
     def test_self_domination_consistent(self):
         seq = _diag_seq([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])

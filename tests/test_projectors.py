@@ -227,7 +227,7 @@ def test_schedule_checks_decompose_each_member_once(eigensolves, monkeypatch, wi
 
 def test_dominated_scheme_builds_its_limits_once(monkeypatch):
     calls = Counter()
-    for name in ("largest_stable_index", "top_multiplicity"):
+    for name in ("largest_stable_index", "stable_index_set", "top_multiplicity"):
         fn = getattr(truncation, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -244,6 +244,8 @@ def test_dominated_scheme_builds_its_limits_once(monkeypatch):
     # one per limit and per (limit, m), not one per (n, m) cell
     assert calls["top_multiplicity"] <= 2
     assert calls["largest_stable_index"] <= 2 * m_max
+    # one stable index set per limit, whatever the number of m
+    assert calls["stable_index_set"] <= 2
 
 
 def test_mi_bound_trial_solves_six_spectra(eigensolves):

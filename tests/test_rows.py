@@ -3,7 +3,11 @@
 The entropy, relative-entropy and trace-neg-log families carry ``rows``:
 (ns, SpectralCuts) -> f_n of every head and tail of every rho_n of an
 (n, m) window at once, from cumulative sums along the stacked kept spectra
-and one overlap per n with sigma_n's basis.  The entropy family also has a
+and one overlap per n with sigma_n's basis.  The channel families
+(mutual information, coherent information, output entropy) and
+entropy-plus-log carry them too: by linearity every channel output of a
+head or tail is a cumulative sum of the images of rank-one projectors,
+and one stacked eigensolve gives all their spectra.  The entropy family also has a
 stacked form, (ns, diagonals) -> f_n of each diagonal operator, which the
 dominated scheme's grids evaluate on one array of diagonals per window
 when every rho_n and sigma_n is diagonal.  The grids, the truncation lower
@@ -23,14 +27,23 @@ from hypothesis import strategies as st
 
 from qdini import (
     ApproximationScheme,
+    ChannelSequence,
     FunctionalFamily,
     HermitianOperator,
     OperatorSequence,
     PositiveOperator,
     approximation_gap_grid,
     builtin_scenario,
+    channel_mi_checks,
+    channel_mi_family,
+    check_dct_basic,
+    coherent_info_family,
     commuting_schedule,
     entropy_family,
+    fixed_basis_schedule,
+    normalize,
+    output_entropy_family,
+    random_channel,
     random_unitary,
     relative_entropy_family,
     run_scenario,
@@ -38,7 +51,8 @@ from qdini import (
     truncation_criterion,
     truncation_lower_bound_slack,
 )
-from qdini import Scenario, diagnostics
+from qdini import Scenario, diagnostics, scenarios
+from qdini.entropies import SpectralCuts
 from qdini.operators import Spectrum
 
 TOL = 1e-12
@@ -425,3 +439,245 @@ def test_criterion_refuses_n_max_past_the_schedule():
     schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
     with pytest.raises(ValueError, match="past the schedule's n_max"):
         truncation_criterion(entropy_family(), rho_seq, schedule, 1, n_max + 1, rho_seq.dim)
+
+
+# ---------------------------------------------------------------------------
+# The channel families by linearity
+
+CHANNEL_FAMILIES = ("channel-mi", "coherent-info", "output-entropy")
+
+
+def _channel_family(kind, channel_seq):
+    if kind == "channel-mi":
+        return channel_mi_family(channel_seq)
+    if kind == "coherent-info":
+        return coherent_info_family(channel_seq)
+    if kind == "output-entropy":
+        return output_entropy_family(channel_seq)
+    return scenarios._build_family({"kind": "entropy-plus-log", "k": 2}, {}, {})
+
+
+@st.composite
+def channel_windows(draw, scales=(1.0, 1e7, 1e-7)):
+    """(d_in, d_out, Kraus count per n, case, dense, scale, seed) of one random channel window.
+
+    d_out may differ from d_in, and each Phi_n has its own count of 1 to 4
+    Kraus operators (at least ceil(d_in / d_out), so that a random isometry
+    exists).  The cases are those of ``_window``: rank-deficient rho_n and
+    spectra with ties at the cuts; the scale, one of ``scales``,
+    multiplies every trace.
+    """
+    d_in, d_out = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    n_max = draw(st.integers(0, 3))
+    k_min = -(-d_in // d_out)
+    kraus_counts = draw(st.lists(st.integers(k_min, 4), min_size=n_max + 1, max_size=n_max + 1))
+    case = draw(st.sampled_from(("generic", "rank-deficient", "ties")))
+    return (d_in, d_out, kraus_counts, case, draw(st.booleans()),
+            draw(st.sampled_from(scales)), draw(st.integers(0, 2 ** 16)))
+
+
+def _channel_window(d_in, d_out, kraus_counts, case, dense, scale, seed):
+    """The channel sequence, rho_n and n_max of ``channel_windows``."""
+    rng = np.random.default_rng(seed)
+    channels = [random_channel(rng, d_in, d_out, k) for k in kraus_counts]
+    base = rng.uniform(0.05, 1.0, d_in)
+    if case == "ties":
+        base = rng.choice([0.4, 0.2], d_in)
+    if case == "rank-deficient":
+        base[rng.permutation(d_in)[:rng.integers(1, d_in)]] = 0.0
+    # ties survive a common factor; the other cases move every eigenvalue.
+    # The rate is off the trend rule's halving threshold: under a common
+    # factor the residuals of a homogeneous family shrink at exactly the
+    # rate, and at 0.5 rounding alone would decide each trend
+    pert = rng.uniform(-0.1, 0.1, 1 if case == "ties" else d_in)
+    u, perm = random_unitary(rng, d_in), rng.permutation(d_in)
+
+    def rho(n):
+        lam = scale * base * (1.0 + (0.45 ** n if n else 0.0) * pert)
+        return PositiveOperator((u * lam) @ u.conj().T) if dense else PositiveOperator(diagonal=lam[perm])
+
+    return ChannelSequence(lambda n: channels[n], d_in, d_out), OperatorSequence(rho, d_in), len(kraus_counts) - 1
+
+
+TIED_CHANNEL_WINDOW = (3, 2, [2, 4, 3], "ties", True, 1.0, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(channel_windows(), st.sampled_from(CHANNEL_FAMILIES + ("entropy-plus-log",)), st.booleans())
+@example(TIED_CHANNEL_WINDOW, "channel-mi", True)
+@example((4, 1, [4, 4], "rank-deficient", False, 1e7, 1), "coherent-info", False)
+@example((2, 3, [1, 4], "generic", True, 1e-7, 2), "output-entropy", True)
+def test_channel_rows_match_values_on_every_head_and_tail(window, kind, normalized):
+    """Each rows form against ``value`` on every head and tail of ``split``, every cut 0..d of every rho_n."""
+    channel_seq, rho_seq, n_max = _channel_window(*window)
+    family = _channel_family(kind, channel_seq)
+    assert family.rows is not None
+    ns, d = range(n_max + 1), rho_seq.dim
+    cuts = np.tile(np.arange(d + 1), (n_max + 1, 1))
+    got = family.rows(ns, SpectralCuts([rho_seq(n).spectrum() for n in ns], cuts, normalized=normalized))
+    assert got.shape == (2, n_max + 1, d + 1)
+    for n in ns:
+        for k in range(d + 1):
+            for side, op in enumerate(rho_seq(n).split(k)):
+                state = normalize(op) if normalized else None
+                cut = op if state is None else state
+                want = float(family.value(n, cut))
+                # values are homogeneous in the cut, and the mutual and coherent
+                # informations cancel entropies of its size: the error scales with Tr
+                assert abs(got[side, n, k] - want) <= TOL * max(1.0, abs(want), cut.trace()), \
+                    (n, k, side, got[side, n, k], want)
+
+
+def _json_difference(got, want, path="verdict"):
+    """The first place two report fragments differ: structure, strings and flags exactly, numbers within TOL of scale."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return path
+        return next((d for key in sorted(want) if (d := _json_difference(got[key], want[key], f"{path}.{key}"))), None)
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return path
+        return next((d for i, (g, w) in enumerate(zip(got, want))
+                     if (d := _json_difference(g, w, f"{path}[{i}]"))), None)
+    if isinstance(want, float) and not isinstance(got, bool) and isinstance(got, (int, float)):
+        return None if _close(float(got), want) else f"{path}: {got!r} vs {want!r}"
+    return None if got == want and type(got) is type(want) else f"{path}: {got!r} vs {want!r}"
+
+
+# Whole checks at traces up to 1: a trend of values that vanish up to
+# rounding (the mutual information through a one-dimensional output) has
+# residuals of about 1e-16 * Tr, which at Tr = 1e7 pass the trend rule's
+# absolute zero tolerance, so rounding would decide it on either path
+CHECK_WINDOWS = channel_windows(scales=(1.0, 1e-7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CHECK_WINDOWS, st.sampled_from(("entropy-plus-log",) + CHANNEL_FAMILIES),
+       st.sampled_from(CHANNEL_FAMILIES), st.integers(1, 5))
+@example(TIED_CHANNEL_WINDOW, "entropy-plus-log", "output-entropy", 2)
+@example(TIED_CHANNEL_WINDOW, "channel-mi", "coherent-info", 3)
+def test_dct_basic_rows_match_cells(window, f_kind, g_kind, m_max):
+    channel_seq, rho_seq, n_max = _channel_window(*window)
+    f, g = (_channel_family(kind, channel_seq) for kind in (f_kind, g_kind))
+    got = check_dct_basic(f, g, rho_seq, n_max, m_max).to_json()
+    want = check_dct_basic(_per_cell(f), _per_cell(g), rho_seq, n_max, m_max).to_json()
+    assert _json_difference(got, want) is None, (got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(CHECK_WINDOWS, st.booleans())
+@example(TIED_CHANNEL_WINDOW, True)
+def test_channel_mi_checks_rows_match_cells(window, with_schedule):
+    """``channel_mi_checks`` builds its families itself, so the per-cell run swaps in their ``_per_cell`` forms."""
+    channel_seq, rho_seq, n_max = _channel_window(*window)
+    d = rho_seq.dim
+    sigma = PositiveOperator(diagonal=np.full(d, window[5] / d))
+    sigma_seq = OperatorSequence(lambda n: sigma, d)
+    schedule = commuting_schedule(rho_seq, d, n_max) if with_schedule else None
+
+    def run():
+        return channel_mi_checks(channel_seq, rho_seq, sigma_seq, 0.5, [0.5] * (n_max + 1), n_max, d,
+                                 schedule=schedule).to_json()
+
+    got = run()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("channel_mi_family", "entropy_family", "output_entropy_family"):
+            patch.setattr(diagnostics, name, lambda *args, _make=getattr(diagnostics, name): _per_cell(_make(*args)))
+        want = run()
+    assert _json_difference(got, want) is None, (got, want)
+
+
+def test_choi_rank_bound_check_builds_no_operator_per_sample_cut(monkeypatch):
+    sc = builtin_scenario("choi-rank-bound")
+    seqs, _, fams = scenarios._resolve_bindings(sc)
+    check = sc.checks[0]
+    rho, n_max = seqs["rho"], check["n_max"]
+    for n in range(n_max + 1):
+        rho(n).spectrum().basis  # the members and their bases, built beforehand
+    counts = Counter()
+    init, split = HermitianOperator.__init__, PositiveOperator.split
+
+    def counted_init(self, *args, **kwargs):
+        counts["constructions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
+    monkeypatch.setattr(PositiveOperator, "split", lambda op, k: counts.update(["split"]) or split(op, k))
+    verdict = check_dct_basic(fams["f"], fams["g"], rho, n_max, check["m_max"])
+    assert verdict.status == "consistent"
+    # [rho_0] once; per n >= 1 only the LAA mixture: [rho_n], the halves of
+    # [rho_n] and [rho_0], their sum and Phi_n of it
+    assert counts == {"constructions": 1 + 5 * n_max}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("kind", CHANNEL_FAMILIES)
+def test_channel_rows_make_one_stacked_eigensolve(monkeypatch, kind, dense):
+    channel_seq, rho_seq, n_max = _channel_window(3, 2, [2, 4, 3], "generic", dense, 1.0, 3)
+    ns = range(n_max + 1)
+    spectra = [rho_seq(n).spectrum() for n in ns]
+    for spec in spectra:
+        spec.basis
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _name=name, _solver=solver, **kwargs:
+                            calls.update([(_name, np.shape(a))]) or _solver(a, *args, **kwargs))
+    cuts = SpectralCuts(spectra, np.tile(np.arange(4), (n_max + 1, 1)), normalized=True)
+    _channel_family(kind, channel_seq).rows(ns, cuts)
+    # the output states are 2 x 2; with the environment states, up to 4 x 4, both in one stack
+    shape = (2, n_max + 1, 4, 2, 2) if kind == "output-entropy" else (2, 2, n_max + 1, 4, 4, 4)
+    assert calls == {("eigvalsh", shape): 1}
+
+
+def test_channel_rows_raise_the_psd_error_of_a_failing_row():
+    from qdini.operators import positive_eigenvalues
+    stack = np.zeros((2, 3, 2, 2))
+    stack[:, :] = np.eye(2)
+    stack[1, 2] = np.diag([1.0, -1e-3])
+    with pytest.raises(ValueError, match="operator is not PSD: min eigenvalue -1.000e-03"):
+        PositiveOperator(stack[1, 2])
+    with pytest.raises(ValueError, match="operator is not PSD: min eigenvalue -1.000e-03"):
+        positive_eigenvalues(stack)
+    assert positive_eigenvalues(stack[0]).tolist() == [[1.0, 1.0]] * 3
+
+
+# ---------------------------------------------------------------------------
+# Fixed-basis criterion windows on diagonal members
+
+
+@settings(max_examples=80, deadline=None)
+@given(dominated_windows(), st.booleans(), st.integers(0, 2 ** 16))
+@example(TIED_WINDOW, False, 0)
+@example(TIED_WINDOW, True, 1)
+def test_fixed_basis_window_matches_cells(window, permuted, seed):
+    """The stacked masked-diagonal rows against ``_compressed_values``: coordinate or permuted bases, any cuts."""
+    rho_diags, _, _, scale = window
+    d, n_count = len(rho_diags[0]), len(rho_diags)
+    rho_seq = OperatorSequence(lambda n: PositiveOperator(diagonal=scale * np.array(rho_diags[n])), d)
+    rng = np.random.default_rng(seed)
+    coordinates = PositiveOperator(diagonal=np.ones(d)).spectrum()
+    bases = [PositiveOperator(diagonal=rng.permutation(d) + 1.0).spectrum() if permuted else coordinates
+             for _ in range(n_count)]
+    cuts = rng.integers(0, d + 1, size=(n_count, int(rng.integers(1, d + 2))))
+    family = entropy_family()
+    got = diagnostics._compressed_window(family, rho_seq, bases, cuts)
+    want = [diagnostics._compressed_values(family, n, rho_seq(n), bases[n], cuts[n]) for n in range(n_count)]
+    for n, (got_row, want_row) in enumerate(zip(got, want)):
+        for side, g_side, w_side in zip(("head", "tail"), got_row, want_row):
+            assert all(map(_close, g_side, w_side)), (n, side, g_side, w_side)
+
+
+def test_fixed_basis_criterion_makes_one_stacked_call_per_n_and_no_compression(monkeypatch):
+    seq = scenarios._seq_entropy_discontinuity({"n_cap": 6})
+    schedule = fixed_basis_schedule(seq.dim, 413, seq, n_max=6)
+    compress = diagnostics.compress
+    calls = Counter()
+    monkeypatch.setattr(diagnostics, "compress", lambda rho, p: calls.update(["compress"]) or compress(rho, p))
+    family = _counted(entropy_family(), calls)
+    rows = truncation_criterion(family, seq, schedule, 1, 6, 12)
+    assert calls == {"stacked": 7}
+    cells = truncation_criterion(_per_cell(family), seq, schedule, 1, 6, 12)
+    assert calls["compress"] == 2 * 7 * 12
+    assert rows.status == cells.status
+    assert all(map(_close, rows.values["tail_sup_per_m"], cells.values["tail_sup_per_m"]))

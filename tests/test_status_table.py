@@ -673,3 +673,11 @@ def test_simon_dct_at_c5_scenario_exits_zero():
     assert result.exit_code == 0, result.output
     assert '"status":"inconclusive"' in result.output
     assert '"name":"PSD domination c*rho_n <= tau_n","passed":false' in result.output
+
+
+def test_subnormalized_dct_simon_scenario_exits_zero():
+    # Tr rho_n = 0.1 and Tr tau_n = 0.2: the truncation lower bound reads the normalized states
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "dct-simon-subnormalized.json")])
+    assert result.exit_code == 0, result.output
+    assert '"status":"consistent"' in result.output
+    assert '"name":"per-cell truncation lower bound","passed":true' in result.output

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qdini import (
     ApproximationScheme,
@@ -19,6 +21,7 @@ from qdini import (
     entropy_family,
     fixed_basis_schedule,
     largest_stable_index,
+    largest_stable_indices,
     normalize,
     random_density,
     random_unitary,
@@ -29,6 +32,7 @@ from qdini import (
     validate_schedule,
     von_neumann_entropy,
 )
+from qdini.operators import GAP_REL_TOL
 
 
 class TestSpectralTruncation:
@@ -104,6 +108,40 @@ class TestStableIndices:
     def test_no_stable_index_below_multiplicity(self):
         rho = PositiveOperator(diagonal=[0.5, 0.5])
         assert largest_stable_index(rho, 1) is None
+
+
+def _largest_stable_index_loop(limit, m, m_max=None):
+    """The per-m reference: the stable index set up to min(m, cap) rebuilt for each m."""
+    cap = limit.dim if m_max is None else m_max
+    candidates = [s for s in stable_index_set(limit, min(m, cap)) if s <= m]
+    return candidates[-1] if candidates else None
+
+
+# steps between neighbouring values, in units of GAP_REL_TOL * top: a step
+# of exactly 1 is a tie at the gap tolerance, the others fall either side of it
+GAP_STEPS = (0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 1e6, 1e8)
+
+
+@st.composite
+def planted_spectra(draw):
+    """Non-increasing spectra whose neighbours sit at, just inside and just outside the gap tolerance, some reaching 0."""
+    d = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.sampled_from(GAP_STEPS), min_size=d - 1, max_size=d - 1))
+    lam = [1.0]
+    for step in steps:
+        lam.append(max(lam[-1] - step * GAP_REL_TOL, 0.0))
+    return np.array(lam)
+
+
+@given(planted_spectra(), st.lists(st.integers(-1, 10), max_size=12), st.sampled_from([None, 0, 1, 3, 8, 12]))
+@example(np.array([1.0, 1.0 - GAP_REL_TOL, 1.0 - 2 * GAP_REL_TOL]), [1, 2, 3], None)
+@example(np.array([0.5, 0.5]), [0, 1, 2, 3], None)
+def test_largest_stable_indices_match_the_per_m_loop(lam, ms, m_max):
+    limit = PositiveOperator(diagonal=lam)
+    got = largest_stable_indices(limit, ms, m_max)
+    assert got.shape == (len(ms),)
+    assert [int(x) or None for x in got] == [_largest_stable_index_loop(limit, m, m_max) for m in ms]
+    assert [largest_stable_index(limit, m, m_max) for m in ms] == [int(x) or None for x in got]
 
 
 class TestNormalize:
