@@ -41,7 +41,6 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     PositiveOperator,
-    Spectrum,
     apply_spectral_function,
     compress,
     default_rank_tols,
@@ -103,25 +102,26 @@ class FunctionalFamily:
     basis per n, or through a linear map of it (the channel families),
     also has ``rows``: (ns, SpectralCuts) -> f_n of every head
     and tail of the window, row j evaluated at n = ns[j], as a (2, N, M)
-    float array with +inf, which the window procedures use in place of
-    one ``value`` call per cut.  A family that reads a diagonal operator
-    only through its diagonal can also have ``stacked``:
-    (ns, (K, d) array) -> f_{ns[i]} of the diagonal operator whose
-    diagonal is row i, for all K rows at once, which the dominated
-    scheme's grids use on diagonal pairs and the truncation criterion on
-    fixed diagonal bases.
+    float array with +inf.  A family that reads a diagonal operator only
+    through its diagonal can also have ``stacked``: (ns, (K, d) array) ->
+    f_{ns[i]} of the diagonal operator whose diagonal is row i, for all K
+    rows at once.  The procedures do not choose between the forms
+    themselves: ``_cut_values`` reads the cuts of one basis per n through
+    rows when every basis is its operator's own spectrum, through stacked
+    on masked diagonals when operators and bases are diagonal, and
+    through ``value`` cell by cell otherwise; the dominated scheme's grids
+    on diagonal pairs also use stacked.
     """
 
-    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "signed", "rows", "stacked")
+    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "rows", "stacked")
 
     def __init__(self, kind: str, label: str, value, a_f: ModulusFunction,
-                 b_f: ModulusFunction | None = None, signed: bool = False, rows=None, stacked=None):
+                 b_f: ModulusFunction | None = None, rows=None, stacked=None):
         self.kind = kind
         self.label = label
         self._value = value
         self.a_f = a_f
         self.b_f = b_f
-        self.signed = signed
         self.rows = rows
         self.stacked = stacked
 
@@ -184,7 +184,7 @@ def coherent_info_family(channel_seq: ChannelSequence, label: str = "Ic(Phi_n,.)
     return FunctionalFamily(
         "CoherentInfo", label,
         _homogeneous(lambda n, state: ExtendedReal(coherent_information(channel_seq(n), state))),
-        a_f=H2_MODULUS, b_f=H2_MODULUS, signed=True,
+        a_f=H2_MODULUS, b_f=H2_MODULUS,
         rows=lambda ns, cuts: coherent_information_cuts(cuts, [channel_seq(n) for n in ns]),
     )
 
@@ -266,44 +266,30 @@ def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: 
 
     f_head is f_n of the normalized head and f_tail of the normalized tail,
     +inf included, and NaN where that state does not exist; when ``tails``
-    is false, f_tail may be NaN throughout.  With ``whole``, one more
-    column after m_range cuts rho_n at its rank, so its head is [rho_n].
-    A spectral scheme and a family with rows take the whole window from
-    one ``family.rows`` call, and the dominated scheme on diagonal pairs
-    and a family with a stacked form from one ``family.stacked`` call.
-    Anything else evaluates cell by cell, the dominated scheme once per cut
-    pair of a row.
+    is false, f_tail is NaN throughout.  With ``whole``, one more column
+    after m_range cuts rho_n at its rank, so its head is [rho_n].  The
+    spectral scheme reads the window off ``_cut_values``; the dominated
+    scheme on diagonal pairs and a family with a stacked form makes one
+    ``family.stacked`` call, and anything else evaluates each distinct cut
+    pair of a row once.
     """
     if scheme.kind == "spectral":
         # a cut at m >= rank keeps rho_n whole
-        ms = list(m_range) + [seq.dim] if whole else m_range
-        if family.rows is not None:
-            return _spectral_window(family, seq, ns, ms)
-        cells = [[_truncation_cell(family, n, scheme.truncate(seq, n, m), tails) for m in ms] for n in ns]
-    else:
-        rows = [scheme.dominated_row(seq, n, m_range) for n in ns]
-        if whole:
-            rows = [row.with_whole() for row in rows]
-        if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal
-                                                       for row in rows):
-            return _dominated_diagonal_window(family, ns, rows, tails)
-        cells = [_dominated_cells(family, n, row, tails) for n, row in zip(ns, rows)]
-    # None (no state) converts to NaN
+        return _spectral_window(family, seq, ns, list(m_range) + [seq.dim] if whole else m_range, tails)
+    rows = [scheme.dominated_row(seq, n, m_range) for n in ns]
+    if whole:
+        rows = [row.with_whole() for row in rows]
+    if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal for row in rows):
+        return _dominated_diagonal_window(family, ns, rows, tails)
+    cells = [_dominated_cells(family, n, row, tails) for n, row in zip(ns, rows)]
     window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
     mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
     return mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
 
 
 def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple:
-    head_state = normalize(tr.head)
-    f_head = None if head_state is None else float(family.value(n, head_state))
-    tail_mass = tr.tail.trace()
-    f_tail = None
-    if tails and tail_mass > 0.0:
-        tail_state = normalize(tr.tail)
-        if tail_state is not None:
-            f_tail = float(family.value(n, tail_state))
-    return tr.mass, tr.ambiguous, f_head, tail_mass, f_tail
+    f_head = _state_value(family, n, tr.head)
+    return tr.mass, tr.ambiguous, f_head, tr.tail.trace(), _state_value(family, n, tr.tail) if tails else math.nan
 
 
 def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow, tails: bool) -> list:
@@ -316,34 +302,26 @@ def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow, tails:
     return [cells[key] for key in keys]
 
 
-def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range) -> tuple:
-    """``_truncation_window`` of the spectral scheme from the kept spectra of the window.
+def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range, tails: bool) -> tuple:
+    """``_truncation_window`` of the spectral scheme: rho_n's own spectrum cut at min(m, rank rho_n).
 
     A cut m below rank rho_n splits rho_n's kept spectrum into a head and a
     tail of positive mass.  A cut at or above the rank keeps rho_n itself
-    and leaves no tail: the whole cell, whose head is read at the cut equal
-    to the rank and whose mass is Tr of the kept spectrum, as in
-    ``spectral_truncation``.  Every row of positive rank enters one
-    ``family.rows`` call; a vanishing rho_n has no state, so its cells
-    keep zero masses and no values.
+    and leaves no tail: the whole cell, whose mass is Tr of the kept
+    spectrum, as in ``spectral_truncation``.  A vanishing rho_n has rank
+    0, so its cells keep zero masses and no values.
     """
-    ms = np.asarray(m_range, dtype=np.intp)
-    shape = (len(ns), ms.size)
-    mass, ambiguous, tail_mass = np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
-    f_head, f_tail = np.full(shape, np.nan), np.full(shape, np.nan)
-    spectra = [seq(n).spectrum() for n in ns]
-    live = [j for j, spec in enumerate(spectra) if spec.rank]
-    if live and ms.size:
-        ranks = np.array([[spectra[j].rank] for j in live])
-        cuts = SpectralCuts([spectra[j] for j in live], np.minimum(ms, ranks), normalized=True)
-        heads, tails = family.rows([ns[j] for j in live], cuts)
-        whole = cuts.cuts >= ranks
-        mass[live] = np.where(whole, np.sum(cuts.values, axis=1)[:, None], cuts.mass[0])
-        ambiguous[live] = ambiguous_cuts(cuts.spectra, cuts.cuts)
-        f_head[live] = heads
-        tail_mass[live] = cuts.mass[1]
-        f_tail[live] = np.where(whole, np.nan, tails)
-    return mass, ambiguous, f_head, tail_mass, f_tail
+    ops = [seq(n) for n in ns]
+    spectra = [op.spectrum() for op in ops]
+    kept = np.stack([spec.kept() for spec in spectra])
+    ranks = np.array([[spec.rank] for spec in spectra])
+    cuts = np.minimum(np.asarray(m_range, dtype=np.intp), ranks)
+    j, zero = np.arange(len(ops))[:, None], np.zeros((len(ops), 1))
+    head_mass = np.concatenate([zero, np.cumsum(kept, axis=1)], axis=1)[j, cuts]
+    tail_mass = np.concatenate([np.cumsum(kept[:, ::-1], axis=1)[:, ::-1], zero], axis=1)[j, cuts]
+    mass = np.where(cuts >= ranks, np.sum(kept, axis=1)[:, None], head_mass)
+    f_head, f_tail = _cut_values(family, ns, ops, spectra, cuts, normalized=True, tails=tails)
+    return mass, ambiguous_cuts(spectra, cuts), f_head, tail_mass, f_tail
 
 
 def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list, tails: bool) -> tuple:
@@ -351,10 +329,9 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list, tails: 
 
     The heads and tails c Psi(rho_n) + Psi(sigma_n) of each row are
     (M, d) arrays of diagonals, each part cut as ``split`` cuts it; the
-    heads of every row, then their tails, form one (2 N M, d) array.
-    Masses, the vanishing tests and the normalization read it as
-    ``normalize`` does, and one ``family.stacked`` call evaluates f_n on
-    every state of the window.
+    heads of every row, then their tails, form one (2 N M, d) array, and
+    one ``_stacked_values`` call evaluates f_n on every state of the
+    window.
     """
     shape = (len(rows), rows[0].rho_cuts.size)
     heads, tails_of = [], []
@@ -366,14 +343,93 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list, tails: 
         heads.append(head)
         tails_of.append(tail)
     ops = np.concatenate(heads + tails_of)
-    mass = np.sum(ops, axis=1)
-    exists = mass > default_rank_tols(ops.shape[1], np.max(ops, axis=1))
-    exists[ops.shape[0] // 2:] &= tails
+    asked = np.repeat([True, tails], ops.shape[0] // 2)
     op_ns = np.tile(np.repeat(np.asarray(ns), shape[1]), 2)
-    values = np.full(ops.shape[0], np.nan)
-    values[exists] = family.stacked(op_ns[exists], ops[exists] * (1.0 / mass[exists])[:, None])
-    (head_mass, tail_mass), (f_head, f_tail) = mass.reshape((2,) + shape), values.reshape((2,) + shape)
+    values = _stacked_values(family, op_ns, ops, normalized=True, asked=asked)
+    (head_mass, tail_mass), (f_head, f_tail) = np.sum(ops, axis=1).reshape((2,) + shape), values.reshape((2,) + shape)
     return head_mass, dominated_ambiguity(rows), f_head, tail_mass, f_tail
+
+
+# ---------------------------------------------------------------------------
+# The cut evaluator: f_n on the heads and tails of one basis per n
+
+
+def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized: bool,
+                heads: bool = True, tails: bool = True) -> np.ndarray:
+    """f_{ns[j]} of the head P X P and the tail Pbar X Pbar of X = ops[j], for each prefix P of bases[j] cut at cuts[j].
+
+    ``cuts`` has shape (N, M); the result is a (2, N, M) float array,
+    heads in [0] and tails in [1], with +inf.  With ``normalized`` each
+    cut enters as its state [P X P].  An entry is NaN where that state
+    does not exist (the cut vanishes, as ``normalize`` decides) or where
+    its side was not asked for.  The inputs choose one of three forms:
+
+    - every basis is its operator's own spectrum and the family has rows:
+      one ``family.rows`` call, each kept spectrum cut as ``split`` cuts
+      it, where a state exists iff the cut's mass is positive;
+    - every operator and every basis is diagonal, no basis is its
+      operator's own spectrum, and the family has a stacked form: P X P
+      is X's diagonal masked by P's, one ``_stacked_values`` call per n
+      (one window-sized array would cost megabytes at large d);
+    - anything else, cell by cell: ``split`` on an operator's own
+      spectrum, ``compress`` onto P or Pbar on any other basis, building
+      only the sides asked for.
+    """
+    ns, cuts = list(ns), np.asarray(cuts, dtype=np.intp)
+    asked = np.array([heads, tails])
+    own = [basis is op.spectrum() for op, basis in zip(ops, bases)]
+    if family.rows is not None and all(own):
+        window = SpectralCuts(bases, cuts, normalized)
+        missing = ~asked[:, None, None] | (normalized & (window.mass <= 0.0))
+        return np.where(missing, np.nan, family.rows(ns, window))
+    if family.stacked is not None and not any(own) and all(op.is_diagonal and basis.diagonal
+                                                            for op, basis in zip(ops, bases)):
+        values = np.empty((cuts.shape[0], 2, cuts.shape[1]))
+        for j, (n, op, basis, row) in enumerate(zip(ns, ops, bases, cuts)):
+            position = np.empty_like(basis.basis)
+            position[basis.basis] = np.arange(position.size)
+            in_head = position < row[:, None]
+            masked = np.concatenate([np.where(in_head, op.diag, 0.0), np.where(in_head, 0.0, op.diag)])
+            values[j] = _stacked_values(family, np.full(2 * row.size, n), masked, normalized,
+                                        np.repeat(asked, row.size)).reshape(2, -1)
+        return values.transpose(1, 0, 2)
+    values = np.full((2,) + cuts.shape, np.nan)
+    for j, (n, op, basis) in enumerate(zip(ns, ops, bases)):
+        for i, k in enumerate(cuts[j].tolist()):
+            if own[j]:
+                parts = op.split(k)
+            else:
+                p = basis.projector(k)
+                parts = (compress(op, p) if heads else None, compress(op, p.complement()) if tails else None)
+            for side in np.flatnonzero(asked):
+                part = parts[side]
+                values[side, j, i] = _state_value(family, n, part) if normalized else float(family.value(n, part))
+    return values
+
+
+def _state_value(family: FunctionalFamily, n: int, op: PositiveOperator) -> float:
+    """f_n([op]) as a float with +inf, or NaN when op vanishes and has no state."""
+    state = normalize(op)
+    return math.nan if state is None else float(family.value(n, state))
+
+
+def _stacked_values(family: FunctionalFamily, ns, diagonals: np.ndarray, normalized: bool,
+                    asked: np.ndarray) -> np.ndarray:
+    """f_{ns[i]} of the diagonal operator whose diagonal is row i of ``diagonals``, for each asked row, from one ``family.stacked`` call.
+
+    With ``normalized`` a row enters as its state, its masses and its
+    vanishing test read as ``normalize`` reads them; a row that vanishes,
+    like one not asked for, is NaN.
+    """
+    values = np.full(diagonals.shape[0], np.nan)
+    if normalized:
+        mass = np.sum(diagonals, axis=1)
+        asked = asked & (mass > default_rank_tols(diagonals.shape[1], np.max(diagonals, axis=1)))
+        states = diagonals[asked] * (1.0 / mass[asked])[:, None]
+    else:
+        states = diagonals[asked]
+    values[asked] = family.stacked(np.asarray(ns)[asked], states)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +456,10 @@ def _laa_slacks(family: FunctionalFamily, p: float, f_mix: float, f_rho: float, 
 
 
 def _whole_values(family: FunctionalFamily, ns, ops) -> list:
-    """f_{ns[j]}(ops[j]) for every j, as floats with +inf.
-
-    A family with rows reads them all off one ``family.rows`` call, each
-    operator cut at its rank (the operator itself); any other family makes
-    one ``value`` call per operator.
-    """
-    if family.rows is None:
-        return [float(family.value(n, op)) for n, op in zip(ns, ops)]
+    """f_{ns[j]}(ops[j]) for every j, as floats with +inf: the heads of ``_cut_values`` with each operator cut at its rank."""
     spectra = [op.spectrum() for op in ops]
-    cuts = SpectralCuts(spectra, [[spec.rank] for spec in spectra], normalized=False)
-    return family.rows(list(ns), cuts)[0, :, 0].tolist()
+    cuts = [[spec.rank] for spec in spectra]
+    return _cut_values(family, ns, ops, spectra, cuts, normalized=False, tails=False)[0, :, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +474,11 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
     the LAA bounds for both families, and reports whether shrinking residuals
     of f imply shrinking residuals of g.  Per family, the samples [rho_n]
     and [Psi_m(rho_n)] are one truncation window, and f_n(rho_n) with the
-    LAA values f_n([rho_0]) one ``_whole_values`` call; only the mixtures
-    are evaluated one by one.
+    LAA values f_n([rho_0]) one ``_whole_values`` call.  Only the LAA
+    mixtures are evaluated one by one: read through rows, each dense
+    mixture would need an ``eigh`` of its own basis, and on
+    ``choi-rank-bound`` that costs more eigensolves than the ``value``
+    calls it replaces.
     """
     ns = range(n_max + 1)
     ms = sorted({1, max(1, m_max // 2), m_max})
@@ -618,69 +670,6 @@ def _finite_values(f: FunctionalFamily, n_max: int, op_at):
     return vals
 
 
-def _compressions(rho: PositiveOperator, basis: Spectrum, k: int) -> tuple:
-    """(P rho P, Pbar rho Pbar) for the prefix P of ``basis`` cut at k.
-
-    On rho's own spectrum (a commuting schedule) they are ``rho.split(k)``,
-    the head and tail of rho's kept values.
-    """
-    if basis is rho.spectrum():
-        return rho.split(int(k))
-    p = basis.projector(int(k))
-    return compress(rho, p), compress(rho, p.complement())
-
-
-def _compressed_values(family: FunctionalFamily, n: int, rho: PositiveOperator, basis: Spectrum, cuts) -> tuple:
-    """f_n(P rho P) and f_n(Pbar rho Pbar) for each prefix P of ``basis`` cut at ``cuts``, as floats with +inf, cell by cell."""
-    pairs = [_compressions(rho, basis, k) for k in cuts]
-    heads = [float(family.value(n, head)) for head, _ in pairs]
-    tails = [float(family.value(n, tail)) for _, tail in pairs]
-    return heads, tails
-
-
-def _compressed_window(family: FunctionalFamily, seq: OperatorSequence, bases, cuts: np.ndarray) -> list:
-    """``_compressed_values`` of row n of ``cuts`` (shape (N, M)) against bases[n], for n = 0..N-1.
-
-    When every basis is rho_n's own spectrum (a commuting schedule), a
-    family with rows evaluates every head and tail of the window in one
-    call.  When every rho_n and every other basis is diagonal (a
-    fixed-basis schedule), a family with a stacked form evaluates them on
-    the masked diagonals of rho_n, one call per n.
-    """
-    ns = range(cuts.shape[0])
-    if family.rows is not None and all(bases[n] is seq(n).spectrum() for n in ns):
-        values = family.rows(ns, SpectralCuts(bases[:cuts.shape[0]], cuts, normalized=False))
-    elif family.stacked is not None and all(seq(n).is_diagonal and bases[n].diagonal
-                                            and bases[n] is not seq(n).spectrum() for n in ns):
-        values = _masked_diagonal_window(family, seq, bases, cuts)
-    else:
-        return [_compressed_values(family, n, seq(n), bases[n], cuts[n]) for n in ns]
-    heads, tails = values.tolist()
-    return list(zip(heads, tails))
-
-
-def _masked_diagonal_window(family: FunctionalFamily, seq: OperatorSequence, bases, cuts: np.ndarray) -> np.ndarray:
-    """f_n(P rho_n P) and f_n(Pbar rho_n Pbar) of every cell of ``cuts``, as a (2, N, M) array, from one ``family.stacked`` call per n.
-
-    P keeps the coordinates that the first cuts[n, i] vectors of the
-    diagonal basis bases[n] name and Pbar the others, so the two
-    compressions are rho_n's diagonal masked by P's, exactly as
-    ``compress`` forms them cell by cell; row n's heads, then its tails,
-    form one (2 M, d) array.  One call per n rather than per window keeps
-    the array to the size of a row at large d.
-    """
-    values = np.empty((cuts.shape[0], 2, cuts.shape[1]))
-    for n, row in enumerate(cuts):
-        order = bases[n].basis
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        in_head = position < row[:, None]
-        diag = seq(n).diag
-        masked = np.concatenate([np.where(in_head, diag, 0.0), np.where(in_head, 0.0, diag)])
-        values[n] = family.stacked(np.full(2 * row.size, n), masked).reshape(2, -1)
-    return values.transpose(1, 0, 2)
-
-
 def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
                          schedule: ProjectorSchedule, n_0: int, n_max: int, m_max: int) -> Verdict:
     """Head-convergence residuals and tail sups over a projector schedule.
@@ -698,16 +687,15 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
         raise ValueError(f"n_max = {n_max} is past the schedule's n_max = {schedule.n_max}")
     sched_violated = not all(c.passed for c in schedule_checks(schedule, seq, n_max=n_max))
     m_range = range(schedule.m_0, min(m_max, schedule.m_max) + 1)
-    # rows[n] = (f_n(P rho_n P), f_n(Pbar rho_n Pbar)), each along m_range
-    rows = _compressed_window(family, seq, schedule.bases, schedule.cuts[:n_max + 1, :len(m_range)])
-    saw_inf = any(math.isinf(v) for head_row, tail_row in rows for v in head_row + tail_row)
-    trends = []
-    tails = []
-    for i, m in enumerate(m_range):
-        head_vals = [head_row[i] for head_row, _ in rows]
-        if not any(math.isinf(v) for v in head_vals):
-            trends.append(_limit_trend(f"head residual, m = {m}", head_vals))
-        tails.append(max(tail_row[i] for n, (_, tail_row) in enumerate(rows) if n >= n_0))
+    ns = range(n_max + 1)
+    # f_n(P rho_n P) and f_n(Pbar rho_n Pbar), each (N, M) along m_range
+    values = _cut_values(family, ns, [seq(n) for n in ns], schedule.bases[:len(ns)],
+                         schedule.cuts[:len(ns), :len(m_range)], normalized=False)
+    heads, tail_rows = values
+    saw_inf = bool(np.isinf(values).any())
+    trends = [_limit_trend(f"head residual, m = {m}", head_vals) for m, head_vals in zip(m_range, heads.T.tolist())
+              if not any(math.isinf(v) for v in head_vals)]
+    tails = np.max(tail_rows[n_0:], axis=0).tolist()
     trends.append(TrendSummary.from_residuals("tail sup over m", tails))
     tail_vanishes = shrinks_toward_zero(tails)
     checks = (
@@ -860,7 +848,7 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     rhos = [rho_seq(n) for n in ns]
     mi_vals = _whole_values(mi, ns + ns, [sigma_seq(n) for n in ns] + rhos)
     mi_sigma, mi_rho = mi_vals[:len(ns)], mi_vals[len(ns):]
-    mix_vals = [mi.value(n, _mixture(rho_seq(n), sigma_seq(n), p[n])) for n in ns]
+    mix_vals = _whole_values(mi, ns, [_mixture(rho_seq(n), sigma_seq(n), p[n]) for n in ns])
     mi_trends = [
         _limit_trend("|I(Phi_n,sigma_n) - I(Phi_0,sigma_0)|", mi_sigma),
         _limit_trend("|I(Phi_n,rho_n) - I(Phi_0,rho_0)|", mi_rho),
@@ -877,8 +865,9 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     ]
     if schedule is not None:
         m_count = len(range(schedule.m_0, min(m_max, schedule.m_max) + 1))
-        window = _compressed_window(out_ent, rho_seq, schedule.bases, schedule.cuts[:n_max + 1, :m_count])
-        tails = [max(tail_row[i] for _, tail_row in window) for i in range(m_count)]
+        window = _cut_values(out_ent, ns, rhos, schedule.bases[:len(ns)], schedule.cuts[:len(ns), :m_count],
+                             normalized=False, heads=False)
+        tails = np.max(window[1], axis=0).tolist()
         trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))
         checks.append(CheckResult("output-entropy tail decreases toward zero over m",
                                   shrinks_toward_zero(tails), 0.0))

@@ -292,16 +292,11 @@ class ApproximationScheme:
         if self.kind == "dominated" and self.dominated is None:
             raise ValueError("dominated scheme needs the dominated sequence")
 
-    def truncate(self, seq: OperatorSequence, n: int, m: int) -> TruncationResult:
-        if self.kind == "spectral":
-            return spectral_truncation(seq(n), m)
-        return self.dominated_row(seq, n, (m,)).truncation(0)
-
     def dominated_row(self, seq: OperatorSequence, n: int, m_range) -> DominatedRow:
         """The dominated scheme's cut pairs of every m of m_range at row n.
 
         Raises, at the first m of m_range that has no cut, the error
-        ``truncate`` raises there.
+        ``dominated_truncation`` raises there.
         """
         tau, rho = seq(n), self.dominated(n)
         cuts = self._limit_cuts(seq)

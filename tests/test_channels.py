@@ -425,7 +425,7 @@ class TestChannelSequenceMemo:
 
 
 class TestOutputEntropyTails:
-    """The output-entropy tails of ``channel_mi_checks`` go through ``_compressed_window``."""
+    """The output-entropy tails of ``channel_mi_checks`` go through ``_cut_values``, tails only."""
 
     @staticmethod
     def counted_cuts(monkeypatch):
@@ -446,10 +446,10 @@ class TestOutputEntropyTails:
         # a commuting schedule: every head and tail is read off one rows call, none is built
         assert not calls
 
-    def test_other_basis_compresses_once_per_cell_and_side(self, monkeypatch):
+    def test_other_basis_compresses_only_the_tails(self, monkeypatch):
         sc = builtin_scenario("channel-mi-depolarizing").to_json()
         sc["checks"][0]["schedule"] = {"type": "fixed-basis", "m_max": 2}
         calls = self.counted_cuts(monkeypatch)
         run_scenario(Scenario.from_json(sc), seed=0)
-        # the per-cell path: P^n_m is the first m of 2 coordinates, so P has rank m and Pbar rank 2 - m
-        assert calls == {("compress", 1): 26, ("compress", 2): 13, ("compress", 0): 13}
+        # the per-cell form: P^n_m is the first m of 2 coordinates, so Pbar has rank 2 - m; no head is built
+        assert calls == {("compress", 1): 13, ("compress", 0): 13}

@@ -1,20 +1,25 @@
-"""Window evaluation of spectral heads and tails against the per-cell path.
+"""The window forms of the cut evaluator against its per-cell form.
 
-The entropy, relative-entropy and trace-neg-log families carry ``rows``:
-(ns, SpectralCuts) -> f_n of every head and tail of every rho_n of an
-(n, m) window at once, from cumulative sums along the stacked kept spectra
-and one overlap per n with sigma_n's basis.  The channel families
-(mutual information, coherent information, output entropy) and
-entropy-plus-log carry them too: by linearity every channel output of a
-head or tail is a cumulative sum of the images of rank-one projectors,
-and one stacked eigensolve gives all their spectra.  The entropy family also has a
-stacked form, (ns, diagonals) -> f_n of each diagonal operator, which the
-dominated scheme's grids evaluate on one array of diagonals per window
-when every rho_n and sigma_n is diagonal.  The grids, the truncation lower
-bound and the truncation criterion make one such call per window.  The
-same family without ``rows`` and ``stacked`` evaluates every cell through
-the scalar functionals and is the oracle here.  Numbers agree within
-1e-12 * max(1, |x|); flags, None and +inf agree exactly.
+Every procedure reads f_n on the cuts of one basis per n through
+``diagnostics._cut_values``: the head P X P and the tail Pbar X Pbar of
+X = ops[j] for each prefix P of bases[j], as one (2, N, M) array.  Its
+inputs choose the form.  When every basis is the operator's own spectrum,
+a family with ``rows`` evaluates the whole window in one call,
+(ns, SpectralCuts) -> f_n of every head and tail, from cumulative sums
+along the stacked kept spectra.  The entropy, relative-entropy,
+trace-neg-log and entropy-plus-log families carry rows, and so do the
+channel families (mutual information, coherent information, output
+entropy): by linearity every channel output of a head or tail is a
+cumulative sum of the images of rank-one projectors, and one stacked
+eigensolve gives all their spectra.  When operators and other bases are
+diagonal, a family with a stacked form, (ns, diagonals) -> f_n of each
+diagonal operator, reads the masked diagonals in one call per n; the
+dominated scheme's grids use the same form on one array of diagonals per
+window when every rho_n and sigma_n is diagonal.  Anything else goes cell
+by cell through the scalar functionals.  The same family without
+``rows`` and ``stacked`` (``_per_cell``) takes the per-cell form
+everywhere and is the oracle here.  Numbers agree within
+1e-12 * max(1, |x|); flags, NaN and +inf agree exactly.
 """
 
 import math
@@ -47,6 +52,7 @@ from qdini import (
     random_unitary,
     relative_entropy_family,
     run_scenario,
+    spectral_truncation,
     trace_neg_log_family,
     truncation_criterion,
     truncation_lower_bound_slack,
@@ -70,8 +76,8 @@ def _family(kind, sigma_seq):
 
 
 def _per_cell(family):
-    """The same family without its row evaluator."""
-    return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f, family.signed)
+    """The same family without its rows and stacked forms."""
+    return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f)
 
 
 def _window(case, dense, seed, d=None):
@@ -122,6 +128,13 @@ def _close(got, want) -> bool:
     return abs(got - want) <= TOL * max(1.0, abs(want))
 
 
+def _same_cut(got, want) -> bool:
+    """``_close`` on two entries of ``_cut_values``, where NaN (no state, or a side not asked for) must meet NaN."""
+    if math.isnan(got) or math.isnan(want):
+        return math.isnan(got) and math.isnan(want)
+    return _close(got, want)
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -140,6 +153,9 @@ def test_gap_grid_rows_match_cells(kind, case, dense):
             assert (got.n, got.m, got.flags) == (want.n, want.m, want.flags), where
             for label in ("mu", "gap", "tail"):
                 assert _close(getattr(got, label), getattr(want, label)), f"{label} at {where}"
+            # both grids share the window's masses and flags; the scalar truncation is their oracle
+            truncated = spectral_truncation(rho_seq(want.n), want.m)
+            assert _close(want.mu, truncated.mass) and ("ambiguous-m" in want.flags) == truncated.ambiguous, where
             flags.update(want.flags)
         slack_rows = truncation_lower_bound_slack(family, rho_seq, scheme, n_max, rho_seq.dim)
         slack_cells = truncation_lower_bound_slack(_per_cell(family), rho_seq, scheme, n_max, rho_seq.dim)
@@ -160,12 +176,15 @@ def test_commuting_criterion_rows_match_cells(kind, case, dense):
         family = _family(kind, sigma_seq)
         schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
         m_range = range(schedule.m_0, schedule.m_max + 1)
-        got_window = diagnostics._compressed_window(family, rho_seq, schedule.bases, schedule.cuts)
-        want_window = diagnostics._compressed_window(_per_cell(family), rho_seq, schedule.bases, schedule.cuts)
-        for n, got, want in zip(range(n_max + 1), got_window, want_window):
-            for side, got_side, want_side in zip(("head", "tail"), got, want):
-                for m, g, w in zip(m_range, got_side, want_side):
-                    assert _close(g, w), f"{side} at seed {seed}, (n, m) = ({n}, {m}): {g!r} vs {w!r}"
+        ns = range(n_max + 1)
+        ops = [rho_seq(n) for n in ns]
+        for normalized in (False, True):
+            got, want = (diagnostics._cut_values(fam, ns, ops, schedule.bases, schedule.cuts, normalized)
+                         for fam in (family, _per_cell(family)))
+            for (side, n, i), w in np.ndenumerate(want):
+                g = got[side, n, i]
+                where = f"{('head', 'tail')[side]} at seed {seed}, (n, m) = ({n}, {m_range[i]}), normalized {normalized}"
+                assert _same_cut(g, w), f"{where}: {g!r} vs {w!r}"
         rows = truncation_criterion(family, rho_seq, schedule, 1, n_max, rho_seq.dim)
         cells = truncation_criterion(_per_cell(family), rho_seq, schedule, 1, n_max, rho_seq.dim)
         assert rows.status == cells.status
@@ -401,7 +420,7 @@ def _counted(family, calls: Counter):
             calls["stacked"] += 1
             return family.stacked(ns, diagonals)
     return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f,
-                            family.signed, rows=rows, stacked=stacked)
+                            rows=rows, stacked=stacked)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
@@ -646,12 +665,20 @@ def test_channel_rows_raise_the_psd_error_of_a_failing_row():
 # Fixed-basis criterion windows on diagonal members
 
 
+SIDES = ((True, True), (False, True), (True, False))
+
+
 @settings(max_examples=80, deadline=None)
-@given(dominated_windows(), st.booleans(), st.integers(0, 2 ** 16))
-@example(TIED_WINDOW, False, 0)
-@example(TIED_WINDOW, True, 1)
-def test_fixed_basis_window_matches_cells(window, permuted, seed):
-    """The stacked masked-diagonal rows against ``_compressed_values``: coordinate or permuted bases, any cuts."""
+@given(dominated_windows(), st.booleans(), st.integers(0, 2 ** 16), st.booleans(), st.sampled_from(SIDES))
+@example(TIED_WINDOW, False, 0, False, SIDES[0])
+@example(TIED_WINDOW, True, 1, False, SIDES[0])
+@example(TIED_WINDOW, True, 2, True, SIDES[1])
+def test_fixed_basis_window_matches_cells(window, permuted, seed, normalized, sides):
+    """The stacked masked-diagonal form of ``_cut_values`` against its per-cell form.
+
+    Coordinate or permuted bases, any cuts, the cuts or their states, both
+    sides or one.
+    """
     rho_diags, _, _, scale = window
     d, n_count = len(rho_diags[0]), len(rho_diags)
     rho_seq = OperatorSequence(lambda n: PositiveOperator(diagonal=scale * np.array(rho_diags[n])), d)
@@ -661,11 +688,14 @@ def test_fixed_basis_window_matches_cells(window, permuted, seed):
              for _ in range(n_count)]
     cuts = rng.integers(0, d + 1, size=(n_count, int(rng.integers(1, d + 2))))
     family = entropy_family()
-    got = diagnostics._compressed_window(family, rho_seq, bases, cuts)
-    want = [diagnostics._compressed_values(family, n, rho_seq(n), bases[n], cuts[n]) for n in range(n_count)]
-    for n, (got_row, want_row) in enumerate(zip(got, want)):
-        for side, g_side, w_side in zip(("head", "tail"), got_row, want_row):
-            assert all(map(_close, g_side, w_side)), (n, side, g_side, w_side)
+    ns = range(n_count)
+    ops = [rho_seq(n) for n in ns]
+    got, want = (diagnostics._cut_values(fam, ns, ops, bases, cuts, normalized, *sides)
+                 for fam in (family, _per_cell(family)))
+    assert np.isnan(got[[not side for side in sides]]).all()
+    for n in ns:
+        for side in (0, 1):
+            assert all(map(_same_cut, got[side, n], want[side, n])), (n, side, got[side, n], want[side, n])
 
 
 def test_fixed_basis_criterion_makes_one_stacked_call_per_n_and_no_compression(monkeypatch):

@@ -681,3 +681,11 @@ def test_subnormalized_dct_simon_scenario_exits_zero():
     assert result.exit_code == 0, result.output
     assert '"status":"consistent"' in result.output
     assert '"name":"per-cell truncation lower bound","passed":true' in result.output
+
+
+def test_channel_mi_fixed_basis_scenario_exits_zero():
+    # the output-entropy tails on a basis that is not rho_n's own take the per-cell form end to end
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "channel-mi-fixed-basis.json")])
+    assert result.exit_code == 0, result.output
+    assert '"status":"consistent"' in result.output
+    assert '"name":"output-entropy tail decreases toward zero over m","passed":true' in result.output

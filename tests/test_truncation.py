@@ -195,10 +195,7 @@ class TestDominatedTruncation:
 class TestSchemes:
     def test_spectral_scheme_delegates(self):
         seq = constant_sequence(PositiveOperator(diagonal=[0.5, 0.3, 0.2]))
-        scheme = ApproximationScheme()
-        res = scheme.truncate(seq, 0, 2)
-        assert abs(res.mass - 0.8) < 1e-14
-        assert scheme.m_floor(seq) == 1
+        assert ApproximationScheme().m_floor(seq) == 1
 
     def test_dominated_grid_builds_sigma_once_per_n(self, eigensolves):
         # dense d = 6: sigma_n = tau_n - c rho_n is checked (one eigvalsh) and
