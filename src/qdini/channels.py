@@ -26,6 +26,7 @@ from .operators import (
     PositiveOperator,
     default_rank_tols,
     positive_eigenvalues,
+    solve_bases,
     trace_norm_distance,
 )
 from .entropies import SpectralCuts, entropy_cuts, entropy_of_diagonals, von_neumann_entropy
@@ -243,7 +244,8 @@ def _cut_spectra(cuts: SpectralCuts, channels, scale: np.ndarray, environment: b
 def _rank_one_images(spectra, channels, environment: bool) -> tuple:
     """Phi_j(u_i u_i*), and with ``environment`` Phi^_j(u_i u_i*), for every basis vector u_i of spectra[j].
 
-    Shapes (N, d_in, d_out, d_out) and (N, d_in, k, k).  Every Kraus set
+    The bases of ``spectra`` are solved in one call.  Shapes
+    (N, d_in, d_out, d_out) and (N, d_in, k, k).  Every Kraus set
     is zero-padded to the largest count k, which pads each environment
     state with zeros.  With w_a = K_a u_i, Phi(u_i u_i*) = sum_a w_a w_a*
     and Phi^(u_i u_i*)_ab = <w_b, w_a>.
@@ -252,6 +254,7 @@ def _rank_one_images(spectra, channels, environment: bool) -> tuple:
     for spec in spectra:
         if spec.values.size != d_in:
             raise ValueError(f"input dim {spec.values.size} != channel d_in {d_in}")
+    solve_bases(spectra)
     kraus = np.zeros((len(channels), max(len(phi.kraus) for phi in channels), channels[0].d_out, d_in), dtype=complex)
     for j, phi in enumerate(channels):
         kraus[j, :len(phi.kraus)] = phi.kraus

@@ -685,6 +685,8 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     """
     if n_max > schedule.n_max:
         raise ValueError(f"n_max = {n_max} is past the schedule's n_max = {schedule.n_max}")
+    if not 0 <= n_0 <= n_max:
+        raise ValueError(f"n_0 = {n_0} is outside the window 0 <= n <= n_max = {n_max}")
     sched_violated = not all(c.passed for c in schedule_checks(schedule, seq, n_max=n_max))
     m_range = range(schedule.m_0, min(m_max, schedule.m_max) + 1)
     ns = range(n_max + 1)

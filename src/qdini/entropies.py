@@ -22,6 +22,7 @@ from .operators import (
     compress,
     default_rank_tols,
     partial_trace,
+    solve_bases,
 )
 
 SUPPORT_TOL = 1e-10
@@ -191,14 +192,20 @@ def entropy_cuts(cuts: SpectralCuts, scale=None) -> np.ndarray:
 
 
 def _support_sums(cuts: SpectralCuts, sigmas):
-    """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X of row j and sigma = sigmas[j]."""
-    per_vector = []
+    """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X of row j and sigma = sigmas[j].
+
+    The pending bases of the rows and of the sigmas are solved in one call
+    before any row reads its overlaps.
+    """
     for spectrum, sigma in zip(cuts.spectra, sigmas):
         if spectrum.values.size != sigma.dim:
             raise ValueError(f"dimension mismatch: {spectrum.values.size} vs {sigma.dim}")
-        spec = sigma.spectrum()
+    specs = [sigma.spectrum() for sigma in sigmas]
+    solve_bases(cuts.spectra + tuple(specs))
+    per_vector = []
+    for spectrum, spec in zip(cuts.spectra, specs):
         r = spec.rank
-        g = np.zeros((sigma.dim, 2))
+        g = np.zeros((spec.values.size, 2))
         g[:r, 0] = -np.log(spec.values[:r])
         g[r:, 1] = 1.0
         # per eigenvector u_i of the cut spectrum: <u_i|-ln sigma|u_i> and its weight off supp sigma

@@ -10,11 +10,13 @@ Every positive operator is decomposed at most once.  Its ``Spectrum`` holds
 the clamped non-increasing eigenvalues, the rank and gap tolerances, the
 multiplicity groups and the basis, and every functional, truncation and
 check reads it.  A dense operator keeps the eigenvalues its PSD validation
-computes and solves for eigenvectors on first request only; a diagonal
-operator sorts its diagonal on first spectral read.  Truncation heads and
-tails, normalized states and pseudoinverses are spectral views of their
-parent: they carry a spectrum derived from the parent's and cost no
-eigensolve.  ``PositiveOperator.split`` is the one cut of a spectrum into
+computes and solves for eigenvectors only when they are read: one basis on
+first request, or every pending basis of a window at once through
+``solve_bases``, one stacked eigensolve per dimension, bitwise the same as
+solving each alone.  A diagonal operator sorts its diagonal on first
+spectral read.  Truncation heads and tails, normalized states and
+pseudoinverses are spectral views of their parent: they carry a spectrum
+derived from the parent's and cost no eigensolve.  ``PositiveOperator.split`` is the one cut of a spectrum into
 a head and a tail: both read the kept values, and a cut at or past the rank
 leaves the operator itself and a zero tail.  A projector cut from a dense
 spectrum is built and checked at once, like any other projector.
@@ -157,8 +159,9 @@ class Spectrum:
     multiplicity group.  ``basis`` pairs ``values[i]`` with column i of a
     unitary (dense) or with coordinate ``basis[i]`` (diagonal, where the
     basis is the stable argsort permutation).  A dense basis is solved for
-    on first request, once, checked for orthonormality, and shared with
-    every spectrum scaled from this one.  All arrays are read-only.
+    once, on first request or with the other pending bases of a window
+    (``solve_bases``), checked for orthonormality, and shared with every
+    spectrum scaled from this one.  All arrays are read-only.
     """
 
     __slots__ = ("values", "diagonal", "rank_tol", "gap_tol", "rank", "_basis", "_source", "_groups")
@@ -181,15 +184,7 @@ class Spectrum:
     @property
     def basis(self) -> np.ndarray:
         if self._basis is None:
-            src = self._source
-            if isinstance(src, Spectrum):
-                self._basis = src.basis
-            else:
-                basis = _eigh(src)[1]
-                _check_orthonormal(basis)
-                basis.flags.writeable = False
-                self._basis = basis
-            self._source = None
+            solve_bases([self])
         return self._basis
 
     @property
@@ -285,21 +280,59 @@ class Spectrum:
         return Projector(diagonal=d, rank=k)
 
 
-def _check_orthonormal(basis: np.ndarray):
-    """||V*V - I||_F <= PROJECTOR_TOL / 2 for a solved eigenbasis V, else the solve is refused.
+def solve_bases(spectra) -> None:
+    """Solve the pending dense bases of ``spectra`` together: one eigensolve per dimension.
+
+    A spectrum scaled from another reads its parent's basis, so the parent
+    is solved once for all its views.  Solved and diagonal bases are left
+    as they are; a window reader calls this on all its spectra before it
+    reads any basis.
+    """
+    roots = []
+    for spec in spectra:
+        root = spec
+        while root._basis is None and isinstance(root._source, Spectrum):
+            root = root._source
+        roots.append(root)
+    pending = {}
+    for root in roots:
+        if root._basis is None:
+            pending.setdefault(root.values.size, {})[id(root)] = root
+    for group in pending.values():
+        members = list(group.values())
+        _, bases = _solve(np.stack([root._source for root in members]))
+        bases.flags.writeable = False
+        for root, basis in zip(members, bases):
+            root._basis, root._source = basis, None
+    for spec, root in zip(spectra, roots):
+        if spec._basis is None:
+            spec._basis, spec._source = root._basis, None
+
+
+def _solve(matrices: np.ndarray) -> tuple:
+    """``_eigh`` of a stack of matrices, its eigenvectors checked by ``_check_orthonormal``."""
+    values, vectors = _eigh(matrices)
+    _check_orthonormal(vectors)
+    return values, vectors
+
+
+def _check_orthonormal(bases: np.ndarray):
+    """||V*V - I||_F <= PROJECTOR_TOL / 2 for every solved eigenbasis V of a stack, else the solve is refused.
 
     Every spectral view, split and pseudoinverse reads V as a unitary
     without checking it again, so a basis that is not one would corrupt
     them silently.  The bound also keeps every prefix projector V_k V_k*
     inside the projector checks: with E = V*V - I and e = ||E||_F, each
     entry of P^2 - P = V_k E_kk V_k* is at most (1 + e) e < PROJECTOR_TOL,
-    and Tr P - k = Tr E_kk is at most sqrt(k) e.
+    and Tr P - k = Tr E_kk is at most sqrt(k) e.  The first basis of the
+    stack that fails is named.
     """
-    d = basis.shape[1]
-    err = float(np.linalg.norm(basis.conj().T @ basis - np.eye(d)))
-    if err > PROJECTOR_TOL / 2:
+    d = bases.shape[2]
+    err = np.linalg.norm((np.conj(bases).swapaxes(1, 2) @ bases - np.eye(d)).reshape(len(bases), -1), axis=1)
+    failing = np.flatnonzero(err > PROJECTOR_TOL / 2)
+    if failing.size:
         raise LinearAlgebraError(f"eigenvectors of a dim-{d} operator are not orthonormal: "
-                                 f"||V*V - I||_F = {err:.3e}")
+                                 f"||V*V - I||_F = {err[failing[0]]:.3e}")
 
 
 def _extreme_eigenvalues(h: HermitianOperator):
@@ -550,26 +583,33 @@ class SpectralDecomposition:
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above 1e-12 is positive real."""
-    cols = np.arange(vectors.shape[1])
+    """Rotate each column of each matrix of a stack (k, d, d) so its first component above 1e-12 is positive real."""
     nonzero = np.abs(vectors) > 1e-12
-    first = np.argmax(nonzero, axis=0)
-    pivot = vectors[first, cols]
-    found = nonzero[first, cols]
+    first = np.argmax(nonzero, axis=1)
+    at = (np.arange(len(vectors))[:, None], first, np.arange(vectors.shape[2]))
+    pivot, found = vectors[at], nonzero[at]
     phase = np.conj(pivot) / np.abs(np.where(found, pivot, 1.0))
-    return vectors * np.where(found, phase, 1.0)
+    return vectors * np.where(found, phase, 1.0)[:, None, :]
 
 
-def _eigh(matrix: np.ndarray):
-    """Eigenvalues non-increasing and their phase-canonicalized eigenvectors."""
+def _eigh(matrices: np.ndarray) -> tuple:
+    """Eigenvalues non-increasing and their phase-canonicalized eigenvectors, for a stack (k, d, d) in one eigensolve.
+
+    numpy does not say which member of a stack it failed on, so on a
+    failure the members are solved one at a time and the first that fails
+    alone is named.
+    """
     try:
-        w, v = np.linalg.eigh(matrix)
+        w, v = np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
-        norm = float(np.linalg.norm(matrix))
-        raise LinearAlgebraError(
-            f"eigensolver failed for dim-{matrix.shape[0]} operator (frobenius norm {norm:.3e})"
-        ) from exc
-    return w[::-1].copy(), _canonical_phase(v[:, ::-1])
+        if len(matrices) == 1:
+            norm = float(np.linalg.norm(matrices[0]))
+            raise LinearAlgebraError(
+                f"eigensolver failed for dim-{matrices.shape[-1]} operator (frobenius norm {norm:.3e})"
+            ) from exc
+        solved = [_eigh(m[None]) for m in matrices]
+        return np.concatenate([w for w, _ in solved]), np.concatenate([v for _, v in solved])
+    return w[:, ::-1].copy(), _canonical_phase(v[..., ::-1])
 
 
 def _multiplicity_groups(lam: np.ndarray, gap_tol: float) -> list:
@@ -599,7 +639,7 @@ def eigh(a: HermitianOperator) -> SpectralDecomposition:
         vec = np.zeros((a.dim, a.dim), dtype=complex)
         vec[order, np.arange(a.dim)] = 1.0
     else:
-        lam, vec = _eigh(a.matrix)
+        lam, vec = (x[0] for x in _solve(a.matrix[None]))
     lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
     return SpectralDecomposition(lam, vec, _multiplicity_groups(lam, GAP_REL_TOL * lam_max))
 

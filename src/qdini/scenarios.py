@@ -440,9 +440,11 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
 
     grid = None
     if op == "truncation-criterion":
+        n_0 = _number(check, "n_0", 1, int)
+        if not 0 <= n_0 <= n_max:
+            raise ScenarioError(f"n_0 = {n_0} is outside the window 0 <= n <= n_max = {n_max}")
         schedule = _build_schedule(check.get("schedule", {}), seqs, seq("sequence"), n_max)
-        verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule,
-                                          _number(check, "n_0", 1, int), n_max, m_max)
+        verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule, n_0, n_max, m_max)
     elif op == "dct-simon":
         verdict = dx.check_dct_simon(fam("family"), seq("rho"), seq("tau"), _number(check, "c", 0.5),
                                      n_max, m_max)

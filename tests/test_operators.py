@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdini.extreal import INFINITY, ExtendedReal, finite
 from qdini import (
@@ -24,7 +27,8 @@ from qdini import (
     tensor,
     trace_norm_distance,
 )
-from qdini.operators import _canonical_phase
+from qdini.operators import GAP_REL_TOL, LinearAlgebraError, _canonical_phase, _eigh, solve_bases
+from qdini.scenarios import random_unitary
 
 
 class TestExtendedReal:
@@ -147,7 +151,7 @@ class TestEigh:
                 z[: d // 2] = 1e-13 * rng.standard_normal((d // 2, d))
             _, v = np.linalg.eigh(z + z.conj().T)
             v = v[:, ::-1]
-            assert np.array_equal(_canonical_phase(v), _canonical_phase_loop(v))
+            assert np.array_equal(_canonical_phase(v[None])[0], _canonical_phase_loop(v))
 
 
 def _canonical_phase_loop(vectors):
@@ -160,6 +164,101 @@ def _canonical_phase_loop(vectors):
             pivot = col[nz[0]]
             out[:, j] = col * (np.conj(pivot) / abs(pivot))
     return out
+
+
+MEMBER_CASES = ("generic", "ties", "rank-deficient", "zero-leading")
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(dims, cases, seed) of a stack of 1-9 Hermitian matrices with d <= 8, in at most two dimensions."""
+    dims = st.sampled_from(sorted({draw(st.integers(1, 8)), draw(st.integers(1, 8))}))
+    k = draw(st.integers(1, 9))
+    return (draw(st.lists(dims, min_size=k, max_size=k)),
+            draw(st.lists(st.sampled_from(MEMBER_CASES), min_size=k, max_size=k)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+def _stack_member(rng, d, case):
+    """A d x d positive matrix of one case.
+
+    ``ties`` plants a pair of values GAP_REL_TOL apart relative to the top
+    and an exact double value; ``rank-deficient`` zeroes half the values;
+    ``zero-leading`` makes the eigenvectors of the lower block vanish on
+    the leading coordinates, so their phase pivot moves down the column.
+    """
+    lam = rng.uniform(0.1, 1.0, d)
+    u = random_unitary(rng, d)
+    if case == "ties":
+        lam[1:] = np.minimum(lam[1:], lam[0])
+        if d > 1:
+            lam[1] = lam[0] * (1.0 - GAP_REL_TOL)
+        if d > 3:
+            lam[3] = lam[2]
+    elif case == "rank-deficient":
+        lam[d // 2:] = 0.0
+    elif case == "zero-leading":
+        h = d // 2
+        u = np.eye(d, dtype=complex)
+        u[h:, h:] = random_unitary(rng, d - h)
+    return (u * lam) @ u.conj().T
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_stacks())
+def test_stacked_solve_equals_solving_each_member_alone(stack):
+    """One eigensolve per dimension, bitwise equal to one eigensolve per member."""
+    dims, cases, seed = stack
+    rng = np.random.default_rng(seed)
+    members = [_stack_member(rng, d, case) for d, case in zip(dims, cases)]
+    for d in set(dims):
+        group = np.stack([m for m in members if m.shape[0] == d])
+        values, vectors = _eigh(group)
+        for m, w, v in zip(group, values, vectors):
+            w_alone, v_alone = _eigh(m[None])
+            assert np.array_equal(w, w_alone[0]) and np.array_equal(v, v_alone[0])
+            w_np, v_np = np.linalg.eigh(m)
+            # numpy's scalar and array complex divisions may round apart, so the loop agrees to rounding
+            assert np.array_equal(w, w_np[::-1]) and np.allclose(v, _canonical_phase_loop(v_np[:, ::-1]),
+                                                                 rtol=0.0, atol=1e-15)
+    together = [PositiveOperator(m) for m in members]
+    views = [op.spectrum().scaled(2.0) for op in together]  # each resolves through its parent
+    solve_bases(views + [op.spectrum() for op in together[::2]])
+    for m, op, view in zip(members, together, views):
+        alone = PositiveOperator(m).spectrum().basis
+        assert np.array_equal(op.spectrum().basis, alone) and view.basis is op.spectrum().basis
+
+
+def test_stacked_solve_counts_one_eigh_per_dimension(eigensolves):
+    rng = np.random.default_rng(3)
+    ops = [PositiveOperator(_stack_member(rng, d, "generic")) for d in (3, 4, 3, 4, 3)]
+    eigensolves.clear()
+    solve_bases([op.spectrum() for op in ops])
+    assert eigensolves == {"eigh": 2}
+    solve_bases([op.spectrum() for op in ops])
+    assert eigensolves == {"eigh": 2}
+
+
+def test_stack_failure_names_the_failing_member(monkeypatch):
+    """numpy's eigh fails on every stack of several members here, and on any member with an entry above 100."""
+    rng = np.random.default_rng(4)
+    members = [_stack_member(rng, 3, "generic") for _ in range(3)]
+    solved = _eigh(np.stack(members))
+    solver = np.linalg.eigh
+
+    def failing(matrices):
+        if len(matrices) > 1 or np.any(np.abs(matrices) > 100.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solver(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    # every member solves alone: the stack is solved member by member, to the same result
+    values, vectors = _eigh(np.stack(members))
+    assert np.array_equal(values, solved[0]) and np.array_equal(vectors, solved[1])
+    members[1] = members[1] * 1e3
+    norm = float(np.linalg.norm(members[1]))
+    with pytest.raises(LinearAlgebraError, match=re.escape(f"eigensolver failed for dim-3 operator (frobenius norm {norm:.3e})")):
+        solve_bases([PositiveOperator(m).spectrum() for m in members])
 
 
 class TestSpectralCalculus:

@@ -153,16 +153,16 @@ def test_prefix_projector_of_a_bad_basis_fails_at_once():
 def test_solved_basis_is_checked_for_orthonormality(monkeypatch):
     real_eigh = operators._eigh
 
-    def skewed(matrix):
-        w, v = real_eigh(matrix)
+    def skewed(matrices):
+        w, v = real_eigh(matrices)
         v = v.copy()
-        v[:, 1] += 1e-9 * v[:, 0]
+        v[1, :, 1] += 1e-9 * v[1, :, 0]  # one member of the stack only
         return w, v
 
     monkeypatch.setattr(operators, "_eigh", skewed)
-    rho = dense_operator([0.5, 0.3, 0.2], 9)
-    with pytest.raises(LinearAlgebraError, match="not orthonormal"):
-        rho.spectrum().basis
+    window = [dense_operator([0.5, 0.3, 0.2], seed) for seed in (9, 10, 11)]
+    with pytest.raises(LinearAlgebraError, match="dim-3 operator are not orthonormal"):
+        operators.solve_bases([rho.spectrum() for rho in window])
 
 
 def test_diagonal_spectra_keep_diagonal_projectors():
@@ -223,6 +223,22 @@ def test_schedule_checks_decompose_each_member_once(eigensolves, monkeypatch, wi
     assert sum(eigensolves.values()) <= 2 * members
     assert eigensolves["eigh"] <= members
     assert not built
+
+
+def test_dense_window_solves_its_bases_in_one_eigensolve(eigensolves):
+    """The gap grid of D(.||sigma_n) solves every rho_n and sigma_n basis in one eigh; nothing after it solves again."""
+    d, n_max = 8, 6
+    rho, sigma = window(d, n_max, 4)
+    for n in range(n_max + 1):
+        rho(n), sigma(n)  # fresh pairs: built, their bases not yet solved
+    eigensolves.clear()
+    family = relative_entropy_family(sigma)
+    approximation_gap_grid(family, rho, ApproximationScheme("spectral"), n_max, d)
+    assert eigensolves == {"eigh": 1}
+    eigensolves.clear()
+    schedule = commuting_schedule(rho, d, n_max)
+    truncation_criterion(family, rho, schedule, 1, n_max, d)
+    assert not eigensolves
 
 
 def test_dominated_scheme_builds_its_limits_once(monkeypatch):

@@ -460,6 +460,17 @@ def test_criterion_refuses_n_max_past_the_schedule():
         truncation_criterion(entropy_family(), rho_seq, schedule, 1, n_max + 1, rho_seq.dim)
 
 
+@pytest.mark.parametrize("shift", [1, -1], ids=["past n_max", "negative"])
+def test_criterion_refuses_n_0_outside_the_window(monkeypatch, shift):
+    rho_seq, _, n_max = _window("generic", False, 0)
+    schedule = commuting_schedule(rho_seq, rho_seq.dim, n_max)
+    n_0 = n_max + 1 if shift > 0 else -1
+    # refused before any window work: no schedule check runs
+    monkeypatch.setattr(diagnostics, "schedule_checks", None)
+    with pytest.raises(ValueError, match=rf"n_0 = {n_0} is outside the window 0 <= n <= n_max = {n_max}"):
+        truncation_criterion(entropy_family(), rho_seq, schedule, n_0, n_max, rho_seq.dim)
+
+
 # ---------------------------------------------------------------------------
 # The channel families by linearity
 
@@ -627,6 +638,19 @@ def test_choi_rank_bound_check_builds_no_operator_per_sample_cut(monkeypatch):
     # [rho_0] once; per n >= 1 only the LAA mixture: [rho_n], the halves of
     # [rho_n] and [rho_0], their sum and Phi_n of it
     assert counts == {"constructions": 1 + 5 * n_max}
+
+
+def test_choi_rank_bound_check_solves_its_bases_in_one_eigensolve(eigensolves):
+    sc = builtin_scenario("choi-rank-bound")
+    seqs, _, fams = scenarios._resolve_bindings(sc)
+    check = sc.checks[0]
+    rho, n_max = seqs["rho"], check["n_max"]
+    for n in range(n_max + 1):
+        rho(n)  # the members, built beforehand; their bases are not solved yet
+    eigensolves.clear()
+    check_dct_basic(fams["f"], fams["g"], rho, n_max, check["m_max"])
+    # the 13 rho_n bases of the output-entropy rows, solved together
+    assert eigensolves["eigh"] == 1
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])

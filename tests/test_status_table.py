@@ -689,3 +689,10 @@ def test_channel_mi_fixed_basis_scenario_exits_zero():
     assert result.exit_code == 0, result.output
     assert '"status":"consistent"' in result.output
     assert '"name":"output-entropy tail decreases toward zero over m","passed":true' in result.output
+
+
+def test_n_0_past_the_window_is_a_usage_error():
+    # entropy-discontinuity with n_0 = 99 and n_max = 6: no tail sup exists
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "n0-past-window.json")])
+    assert result.exit_code == 2, result.output
+    assert "n_0 = 99 is outside the window 0 <= n <= n_max = 6" in result.output
