@@ -24,7 +24,6 @@ from .extreal import ExtendedReal, finite
 from .operators import (
     DensityOperator,
     PositiveOperator,
-    default_rank_tols,
     positive_eigenvalues,
     solve_bases,
     trace_norm_distance,
@@ -175,29 +174,27 @@ def output_entropy_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
 
 def coherent_information_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
     """Tr X * I_c(Phi_j, [X]) of every head and tail X of row j of ``cuts``, 0 where X vanishes."""
-    unit, vanishing = _normalization(cuts)
-    s_out, s_env = _normalized_output_entropies(cuts, channels, unit)
-    return _homogeneous_cuts(cuts, vanishing, s_out - s_env)
+    s_out, s_env = _normalized_output_entropies(cuts, channels, _unit(cuts))
+    return _homogeneous_cuts(cuts, s_out - s_env)
 
 
 def channel_mi_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
     """Tr X * I(Phi_j, [X]) of every head and tail X of row j of ``cuts``, 0 where X vanishes."""
-    unit, vanishing = _normalization(cuts)
+    unit = _unit(cuts)
     s_out, s_env = _normalized_output_entropies(cuts, channels, unit)
-    return _homogeneous_cuts(cuts, vanishing, entropy_cuts(cuts, unit) + (s_out - s_env))
+    return _homogeneous_cuts(cuts, entropy_cuts(cuts, unit) + (s_out - s_env))
 
 
-def _normalization(cuts: SpectralCuts) -> tuple:
-    """1 / Tr X of every cut X before its scale (0 for an empty cut), and whether X vanishes as ``vanishes`` decides."""
+def _unit(cuts: SpectralCuts) -> np.ndarray:
+    """1 / Tr X of every cut X before its scale, 0 for an empty cut."""
     unit = np.zeros_like(cuts.mass)
     np.divide(1.0, cuts.mass, out=unit, where=cuts.mass > 0.0)
-    vanishing = cuts.scale * cuts.mass <= default_rank_tols(cuts.values.shape[1], cuts.scale * cuts.top)
-    return unit, vanishing
+    return unit
 
 
-def _homogeneous_cuts(cuts: SpectralCuts, vanishing: np.ndarray, state_values: np.ndarray) -> np.ndarray:
-    """The homogeneous extension Tr X * f([X]) from the values f([X]) of the normalized cuts."""
-    return np.where(vanishing, 0.0, state_values * (cuts.scale * cuts.mass))
+def _homogeneous_cuts(cuts: SpectralCuts, state_values: np.ndarray) -> np.ndarray:
+    """The homogeneous extension Tr X * f([X]) from the values f([X]) of the normalized cuts, 0 where X vanishes."""
+    return np.where(cuts.vanishing, 0.0, state_values * (cuts.scale * cuts.mass))
 
 
 def _normalized_output_entropies(cuts: SpectralCuts, channels, unit: np.ndarray) -> tuple:

@@ -214,9 +214,8 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
     Cells where a value is +inf are flagged and kept; the grid is returned in
     full either way.
     """
-    m_range = range(scheme.m_floor(seq), m_max + 1)
     ns = range(n_max + 1)
-    mass, ambiguous, f_head, tail_mass, f_tail = _truncation_window(family, seq, scheme, ns, m_range, tails=True)
+    m_range, mass, ambiguous, f_head, tail_mass, f_tail = _truncation_window(family, seq, scheme, ns, m_max, tails=True)
     f_rho = _column([float(family.value(n, seq(n))) for n in ns])
     no_head, no_tail = np.isnan(f_head), np.isnan(f_tail)
     inf_gap = ~no_head & (np.isinf(f_rho) | np.isinf(f_head))
@@ -242,9 +241,8 @@ def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence
     skipped (the inequality presupposes finiteness), and so are the rows
     where f_n([rho_n]) is +inf.
     """
-    m_range = range(scheme.m_floor(seq), m_max + 1)
     ns = range(n_max + 1)
-    mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_range, tails=False, whole=True)
+    _, mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_max, tails=False, whole=True)
     f_state, mass, f_head = f_head[:, -1:], mass[:, :-1], f_head[:, :-1]
     counted = np.isfinite(f_head) & np.isfinite(f_state)
     t = np.broadcast_to(_column([seq(n).trace() for n in ns]), mass.shape)[counted]
@@ -261,30 +259,33 @@ def _column(values) -> np.ndarray:
 
 
 def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
-                       ns, m_range, tails: bool, whole: bool = False) -> tuple:
-    """(mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n), each an (N, M) array over n of ns and m of m_range.
+                       ns, m_max: int, tails: bool, whole: bool = False) -> tuple:
+    """(m_range, mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n), each an (N, M) array over n of ns and m of m_range.
 
-    f_head is f_n of the normalized head and f_tail of the normalized tail,
-    +inf included, and NaN where that state does not exist; when ``tails``
-    is false, f_tail is NaN throughout.  With ``whole``, one more column
-    after m_range cuts rho_n at its rank, so its head is [rho_n].  The
-    spectral scheme reads the window off ``_cut_values``; the dominated
-    scheme on diagonal pairs and a family with a stacked form makes one
+    m_range runs from the scheme's smallest usable m to m_max.  f_head is
+    f_n of the normalized head and f_tail of the normalized tail, +inf
+    included, and NaN where that state does not exist; when ``tails`` is
+    false, f_tail is NaN throughout.  With ``whole``, one more column after
+    m_range cuts rho_n at its rank, so its head is [rho_n].  The spectral
+    scheme reads the window off ``_cut_values``; the dominated scheme takes
+    its m-range and rows from one ``dominated_window`` call, then on
+    diagonal pairs and a family with a stacked form makes one
     ``family.stacked`` call, and anything else evaluates each distinct cut
     pair of a row once.
     """
     if scheme.kind == "spectral":
+        m_range = range(1, m_max + 1)
         # a cut at m >= rank keeps rho_n whole
-        return _spectral_window(family, seq, ns, list(m_range) + [seq.dim] if whole else m_range, tails)
-    rows = [scheme.dominated_row(seq, n, m_range) for n in ns]
+        return (m_range, *_spectral_window(family, seq, ns, list(m_range) + [seq.dim] if whole else m_range, tails))
+    m_range, rows = scheme.dominated_window(seq, ns, m_max)
     if whole:
         rows = [row.with_whole() for row in rows]
     if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal for row in rows):
-        return _dominated_diagonal_window(family, ns, rows, tails)
+        return (m_range, *_dominated_diagonal_window(family, ns, rows, tails))
     cells = [_dominated_cells(family, n, row, tails) for n, row in zip(ns, rows)]
     window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
     mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
-    return mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
+    return m_range, mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
 
 
 def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple:
@@ -488,7 +489,7 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
 
     def evaluate(fam):
         # samples[n, i]: f_n([Psi_m(rho_n)]) at the i-th m, then f_n([rho_n]); NaN where there is no state
-        samples = _truncation_window(fam, seq, ApproximationScheme("spectral"), ns, ms, tails=False, whole=True)[2]
+        samples = _spectral_window(fam, seq, ns, ms + [seq.dim], tails=False)[2]
         values = _whole_values(fam, whole_ns, whole_ops)
         return samples, values[:len(ns)], values[len(ns):]
 

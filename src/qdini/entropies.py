@@ -136,7 +136,7 @@ class SpectralCuts:
     for step, which remain their oracle.
     """
 
-    __slots__ = ("spectra", "values", "cuts", "scale", "mass", "top", "_rows", "_ranked_end")
+    __slots__ = ("spectra", "values", "cuts", "scale", "mass", "top", "vanishing", "_rows", "_ranked_end")
 
     def __init__(self, spectra, cuts, normalized: bool):
         v = np.stack([spec.kept() for spec in spectra])
@@ -153,6 +153,8 @@ class SpectralCuts:
         # largest value of each head and tail, before scaling (0 for an empty tail)
         padded = np.concatenate([v, np.zeros((v.shape[0], 1))], axis=1)
         self.top = np.stack([np.broadcast_to(v[:, :1], k.shape), padded[self._rows, k]])
+        # whether each cut, taken at its scale, vanishes as ``vanishes`` decides
+        self.vanishing = self.scale * self.mass <= default_rank_tols(v.shape[1], self.scale * self.top)
         # a cut's entropy counts its values above the rank tolerance of its
         # own top value: all of a head's, a prefix of a tail's.  V is
         # non-increasing, so the count of values above the tolerance is
@@ -229,8 +231,7 @@ def relative_entropy_cuts(cuts: SpectralCuts, sigmas) -> np.ndarray:
     d = cost - entropy_cuts(cuts) - eta_tr + tr_sigma - tr
     d = np.where(outside > _support_tol(tr), np.inf, d)
     # D(0||sigma) = Tr sigma, decided before the support test
-    vanishing = tr <= default_rank_tols(cuts.values.shape[1], cuts.scale * cuts.top)
-    return np.where(vanishing, tr_sigma, d)
+    return np.where(cuts.vanishing, tr_sigma, d)
 
 
 def quantum_mutual_information(rho_ab: DensityOperator, d_a: int, d_b: int) -> ExtendedReal:

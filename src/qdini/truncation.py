@@ -133,43 +133,23 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     """
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
-    cuts = _LimitCuts(rho_limit, sigma_limit)
-    return _dominated_row(rho, _sigma_part(tau, rho, c), c, (m,), cuts).truncation(0)
+    sigma = _sigma_part(tau, rho, c)
+    limits = (rho_limit, sigma_limit)
+    return _cut_pairs(rho, sigma, c, (m,), _limit_floors(limits), _limit_m_hats(limits, (m,))).truncation(0)
 
 
-class _LimitCuts:
-    """The limit operators of a dominated truncation, with their cut indices memoized.
+def _limit_floors(limits) -> tuple:
+    """The multiplicity floor of each limit (rho_0, sigma_0): its top multiplicity, 1 if it vanishes.
 
-    ``which`` names a limit: "rho" (rho_0) or "sigma" (sigma_0 = tau_0 - c rho_0).
-    ``sigma_parts`` maps n to sigma_n = tau_n - c rho_n, built once per n.
+    Every m is a stable index of a zero operator, so a vanishing limit
+    adds no floor.
     """
+    return tuple(1 if limit.vanishes() else top_multiplicity(limit) for limit in limits)
 
-    __slots__ = ("rho", "sigma", "sigma_parts", "_memo")
 
-    def __init__(self, rho_limit: PositiveOperator, sigma_limit: PositiveOperator):
-        self.rho = rho_limit
-        self.sigma = sigma_limit
-        self.sigma_parts = {}
-        self._memo = {}
-
-    def floor(self, limits) -> int:
-        """The multiplicity floor m_* of the named limits: the largest top multiplicity of one that does not vanish.
-
-        A vanishing limit adds no floor, since every m is a stable index of
-        a zero operator.
-        """
-        return max((self._memoized(which, None, top_multiplicity) for which in limits
-                    if not getattr(self, which).vanishes()), default=1)
-
-    def stable_indices(self, which: str, m_range) -> np.ndarray:
-        """m-hat of the limit at each m of m_range, 0 where it has none."""
-        return self._memoized(which, m_range, lambda limit: largest_stable_indices(limit, m_range))
-
-    def _memoized(self, which, m, compute):
-        key = (which, m)
-        if key not in self._memo:
-            self._memo[key] = compute(getattr(self, which))
-        return self._memo[key]
+def _limit_m_hats(limits, m_range) -> tuple:
+    """m-hat of each limit (rho_0, sigma_0) at every m of m_range, 0 where it has none."""
+    return tuple(largest_stable_indices(limit, m_range) for limit in limits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,25 +222,28 @@ def dominated_ambiguity(rows) -> np.ndarray:
     return flags
 
 
-def _dominated_row(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
-                   cuts: _LimitCuts) -> DominatedRow:
-    """The cut pairs of every m of m_range, raising at the first m that has none."""
-    sigma_zero = sigma.vanishes()
-    limits = ("rho",) if sigma_zero else ("rho", "sigma")
-    m_star = cuts.floor(limits)
-    m_hats = {which: cuts.stable_indices(which, m_range) for which in limits}
+def _cut_pairs(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
+               floors: tuple, m_hats: tuple) -> DominatedRow:
+    """The cut pairs of every m of m_range, raising at the first m that has none.
+
+    ``floors`` and ``m_hats`` hold, for the rho and the sigma limit, its
+    multiplicity floor and its m-hat at each m of m_range.  When sigma
+    vanishes only the rho limit cuts.
+    """
+    limits = ("rho",) if sigma.vanishes() else ("rho", "sigma")
+    m_star = max(floors[:len(limits)])
     for i, m in enumerate(m_range):
         if m < m_star:
             raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
-        for which in limits:
-            if not m_hats[which][i]:
+        for which, m_hat in zip(limits, m_hats):
+            if not m_hat[i]:
                 raise ValueError(f"no stable index of the {which} limit at or below m = {m}")
 
-    def clipped(op, which):
-        return np.minimum(m_hats[which], max(op.spectrum().rank, 1))
+    def clipped(op, m_hat):
+        return np.minimum(m_hat, max(op.spectrum().rank, 1))
 
-    sigma_cuts = None if sigma_zero else clipped(sigma, "sigma")
-    return DominatedRow(rho, sigma, c, clipped(rho, "rho"), sigma_cuts)
+    sigma_cuts = None if len(limits) == 1 else clipped(sigma, m_hats[1])
+    return DominatedRow(rho, sigma, c, clipped(rho, m_hats[0]), sigma_cuts)
 
 
 def _sigma_part(tau: PositiveOperator, rho: PositiveOperator, c: float) -> PositiveOperator:
@@ -277,14 +260,13 @@ class ApproximationScheme:
 
     The dominated kind truncates tau_n = c rho_n + sigma_n by cutting rho_n
     and sigma_n = tau_n - c rho_n separately at stable indices of the limit
-    operators.  The limit operators and their cut indices are worked out
-    once per sequence.
+    operators.  The limits and their cut indices are worked out once per
+    ``dominated_window`` call.
     """
 
     kind: str = "spectral"  # "spectral" or "dominated"
     c: float = 1.0
     dominated: OperatorSequence | None = None
-    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("spectral", "dominated"):
@@ -292,33 +274,33 @@ class ApproximationScheme:
         if self.kind == "dominated" and self.dominated is None:
             raise ValueError("dominated scheme needs the dominated sequence")
 
-    def dominated_row(self, seq: OperatorSequence, n: int, m_range) -> DominatedRow:
-        """The dominated scheme's cut pairs of every m of m_range at row n.
+    def dominated_window(self, seq: OperatorSequence, ns, m_max: int) -> tuple:
+        """(m_range, rows): the dominated scheme's m-range up to m_max and the ``DominatedRow`` of each n of ns.
 
-        Raises, at the first m of m_range that has no cut, the error
-        ``dominated_truncation`` raises there.
+        The m-range starts at the multiplicity floor.  Raises, at the first
+        n and m that has no cut, the error ``dominated_truncation`` raises
+        there.
         """
-        tau, rho = seq(n), self.dominated(n)
-        cuts = self._limit_cuts(seq)
-        sigma = cuts.sigma_parts.get(n)
-        if sigma is None:
-            sigma = cuts.sigma_parts[n] = _sigma_part(tau, rho, self.c)
-        return _dominated_row(rho, sigma, self.c, m_range, cuts)
+        limits = self._limits(seq)
+        floors = _limit_floors(limits)
+        m_range = range(max(floors), m_max + 1)
+        m_hats = _limit_m_hats(limits, m_range)
+        rows = []
+        for n in ns:
+            tau, rho = seq(n), self.dominated(n)
+            rows.append(_cut_pairs(rho, _sigma_part(tau, rho, self.c), self.c, m_range, floors, m_hats))
+        return m_range, rows
 
     def m_floor(self, seq: OperatorSequence) -> int:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""
         if self.kind == "spectral":
             return 1
-        return self._limit_cuts(seq).floor(("rho", "sigma"))
+        return max(_limit_floors(self._limits(seq)))
 
-    def _limit_cuts(self, seq: OperatorSequence) -> _LimitCuts:
-        # keyed by id; the entry holds seq itself, so the id stays its own
-        entry = self._cuts.get(id(seq))
-        if entry is None:
-            rho_limit = self.dominated(0)
-            sigma_limit = _sigma_part(seq(0), rho_limit, self.c)
-            entry = self._cuts[id(seq)] = (seq, _LimitCuts(rho_limit, sigma_limit))
-        return entry[1]
+    def _limits(self, seq: OperatorSequence) -> tuple:
+        """The limits (rho_0, sigma_0 = tau_0 - c rho_0) of the dominated scheme on seq."""
+        rho_limit = self.dominated(0)
+        return rho_limit, _sigma_part(seq(0), rho_limit, self.c)
 
 
 @dataclass(frozen=True, eq=False)

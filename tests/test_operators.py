@@ -153,16 +153,30 @@ class TestEigh:
             v = v[:, ::-1]
             assert np.array_equal(_canonical_phase(v[None])[0], _canonical_phase_loop(v))
 
+    def test_canonical_phase_matches_column_loop_on_a_split_pivot(self):
+        # the 'ties' member after three 'zero-leading' ones (seed 0, d = 4): one
+        # pivot's phase rounds apart in the last bit as a scalar and an array division
+        rng = np.random.default_rng(0)
+        member = [_stack_member(rng, 4, case) for case in ("zero-leading",) * 3 + ("ties",)][-1]
+        _, v = np.linalg.eigh(member)
+        v = v[:, ::-1]
+        assert np.array_equal(_canonical_phase(v[None])[0], _canonical_phase_loop(v))
+
 
 def _canonical_phase_loop(vectors):
-    """Reference: rotate each column so its first component above 1e-12 is positive real."""
+    """Reference: rotate each column so its first component above 1e-12 is positive real.
+
+    The pivot stays a 1-element array: numpy's complex scalar and array
+    divisions can round apart in the last bit, and ``_canonical_phase``
+    divides arrays.
+    """
     out = vectors.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (np.conj(pivot) / abs(pivot))
+            pivot = col[nz[:1]]
+            out[:, j] = col * (np.conj(pivot) / np.abs(pivot))
     return out
 
 
@@ -218,9 +232,7 @@ def test_stacked_solve_equals_solving_each_member_alone(stack):
             w_alone, v_alone = _eigh(m[None])
             assert np.array_equal(w, w_alone[0]) and np.array_equal(v, v_alone[0])
             w_np, v_np = np.linalg.eigh(m)
-            # numpy's scalar and array complex divisions may round apart, so the loop agrees to rounding
-            assert np.array_equal(w, w_np[::-1]) and np.allclose(v, _canonical_phase_loop(v_np[:, ::-1]),
-                                                                 rtol=0.0, atol=1e-15)
+            assert np.array_equal(w, w_np[::-1]) and np.array_equal(v, _canonical_phase_loop(v_np[:, ::-1]))
     together = [PositiveOperator(m) for m in members]
     views = [op.spectrum().scaled(2.0) for op in together]  # each resolves through its parent
     solve_bases(views + [op.spectrum() for op in together[::2]])

@@ -19,6 +19,7 @@ read as a failed hypothesis check instead of raising.
 
 import ast
 import dataclasses
+import json
 import math
 import pathlib
 
@@ -689,6 +690,18 @@ def test_channel_mi_fixed_basis_scenario_exits_zero():
     assert result.exit_code == 0, result.output
     assert '"status":"consistent"' in result.output
     assert '"name":"output-entropy tail decreases toward zero over m","passed":true' in result.output
+
+
+@pytest.mark.parametrize("name, status", [("convex-mixture", "consistent"),
+                                          ("convex-mixture-nonconv", "inconclusive")])
+def test_convex_mixture_scenarios_exit_zero(name, status):
+    # the negative control's sigma_n oscillates, so |f_n(sigma_n) - f_0(sigma_0)| does not shrink
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / f"{name}.json")])
+    assert result.exit_code == 0, result.output
+    (check,) = json.loads(result.output)["checks"]
+    assert check["matched"] and check["verdict"]["status"] == status
+    trends = {trend["name"]: trend["shrinks"] for trend in check["verdict"]["conclusion_trends"]}
+    assert trends["|f_n(sigma_n) - f_0(sigma_0)|"] == (status == "consistent")
 
 
 def test_n_0_past_the_window_is_a_usage_error():

@@ -29,6 +29,7 @@ from qdini import (
     stable_index_set,
     top_multiplicity,
     truncated_state_entropy_bound,
+    truncation_lower_bound_slack,
     validate_schedule,
     von_neumann_entropy,
 )
@@ -267,6 +268,37 @@ class TestSchemes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ApproximationScheme(kind="other")
+
+    @pytest.mark.parametrize("kind", ("diagonal", "dense"))
+    def test_dominated_scheme_reused_across_sequences_matches_fresh_schemes(self, kind):
+        # one scheme on two tau sequences, each twice: tau_a with sigma_0 != 0 and
+        # a top-multiplicity floor of 2, tau_b with sigma_0 = 0 (equality in the limit)
+        d, c, n_max, m_max = 4, 0.5, 5, 4
+        u = np.eye(d) if kind == "diagonal" else random_unitary(np.random.default_rng(7), d)
+
+        def members(limit, pert):
+            def member(n):
+                lam = np.asarray(limit) + (0.5 ** n if n else 0.0) * np.asarray(pert)
+                return PositiveOperator(diagonal=lam) if kind == "diagonal" else PositiveOperator((u * lam) @ u.conj().T)
+            return OperatorSequence(member, d)
+
+        rho = members([0.4, 0.3, 0.2, 0.1], [0.0, 0.05, -0.05, 0.0])
+        sigma_a = members([0.3, 0.3, 0.1, 0.0], [0.05, 0.0, 0.0, 0.02])
+        sigma_b = members([0.0] * d, [0.1, 0.05, 0.0, 0.0])
+        tau_a, tau_b = (OperatorSequence(lambda n, s=s: PositiveOperator.of(rho(n).scale(c).add(s(n))), d)
+                        for s in (sigma_a, sigma_b))
+        family = entropy_family()
+
+        def window(scheme, tau):
+            return (approximation_gap_grid(family, tau, scheme, n_max, m_max),
+                    truncation_lower_bound_slack(family, tau, scheme, n_max, m_max))
+
+        shared = ApproximationScheme("dominated", c, rho)
+        got = [window(shared, tau) for tau in (tau_a, tau_b, tau_a, tau_b)]
+        want = [window(ApproximationScheme("dominated", c, rho), tau) for tau in (tau_a, tau_b)]
+        assert got == want * 2
+        assert want[0][0].m_range == (2, 3, 4) and want[1][0].m_range == (1, 2, 3, 4)
+        assert [f.name for f in dataclasses.fields(ApproximationScheme)] == ["kind", "c", "dominated"]
 
 
 class TestFixedBasisSchedule:
