@@ -1,8 +1,8 @@
 """Command line interface: run scenarios, fuzz inequalities, list registries.
 
-Exit codes: 0 when every check matched its expectation (or no expectations
-were declared), 1 on a mismatch or an inequality violation, 2 on usage
-errors (unknown names, malformed scenario files, budget refusals).
+Exit codes: 0 when every check matched its expectation (or none was declared),
+1 on a mismatch or an inequality violation, 2 on usage errors (unknown names,
+malformed scenario files, budget refusals, a ValueError on a check's input).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from .entropies import (
 from .extreal import ExtendedReal
 from .operators import (
     DensityOperator,
-    HermitianOperator,
     PositiveOperator,
     apply_spectral_function,
     compress,
@@ -558,7 +557,7 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     the conclusion residuals through A/c + G_c(A); per-cell truncation
     inequalities are asserted as genuine inequality checks.
     """
-    domination = _psd_domination_failure(rho_seq, tau_seq, c, n_max, "c*rho_n <= tau_n")
+    domination = _broken_orderings(range(n_max + 1), (rho_seq, tau_seq, c, "c*rho_n <= tau_n"))
     g_c = g_c_linear(c)
     tau_vals = [f.value(n, tau_seq(n)) for n in range(n_max + 1)]
     rho_vals = [f.value(n, rho_seq(n)) for n in range(n_max + 1)]
@@ -586,15 +585,14 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     )
     cell_bound_ok = slack >= -INEQ_SLACK
     checks.append(CheckResult("per-cell truncation lower bound", cell_bound_ok, float(slack)))
-    if domination is not None:
-        checks.append(domination)
+    checks.extend(domination)
     return Verdict(
         name="dct-simon",
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
         values=values,
         violated=not cell_bound_ok,
-        hypotheses_ok=not (inf_tau or inf_rho) and domination is None,
+        hypotheses_ok=not (inf_tau or inf_rho or domination),
         trends_ok=all(t.shrinks for t in trends),
     )
 
@@ -729,24 +727,23 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
                                 n_max: int = 12) -> Verdict:
     """Convergence of D(rho2_n||sigma2_n) dominated by D(rho1_n||sigma1_n).
 
-    Requires c_rho rho2_n <= rho1_n and c_sigma sigma1_n <= sigma2_n; these
-    orderings are enforced on n >= 1 and only reported at the declared limit
-    n = 0, so that a deliberately inconsistent limit can be detected as a
-    violation instead of an input error.
+    Requires c_rho rho2_n <= rho1_n and c_sigma sigma1_n <= sigma2_n; where
+    one fails at some n >= 1 the verdict is inconclusive at once, with the
+    failed check.  At the declared limit n = 0 they are only reported, so
+    that an inconsistent limit can be detected as a violation.
     """
-    for n in range(1, n_max + 1):
-        _psd_or_raise(rho1(n).sub(rho2(n).scale(c_rho)), f"c_rho*rho2_n <= rho1_n at n = {n}")
-        _psd_or_raise(sigma2(n).sub(sigma1(n).scale(c_sigma)), f"c_sigma*sigma1_n <= sigma2_n at n = {n}")
+    broken = _broken_orderings(range(1, n_max + 1), (rho2, rho1, c_rho, "c_rho*rho2_n <= rho1_n"),
+                               (sigma1, sigma2, c_sigma, "c_sigma*sigma1_n <= sigma2_n"))
     limit_rho_ok = is_psd(rho1(0).sub(rho2(0).scale(c_rho)))
     limit_sigma_ok = is_psd(sigma2(0).sub(sigma1(0).scale(c_sigma)))
+    limit_check = CheckResult("orderings hold at the declared limit", limit_rho_ok and limit_sigma_ok, 0.0,
+                              "" if limit_rho_ok and limit_sigma_ok else "declared limit breaks an ordering")
+    if broken:
+        return Verdict("relative-entropy-domination", hypothesis_checks=(limit_check, *broken), hypotheses_ok=False)
     hyp_vals = [relative_entropy(rho1(n), sigma1(n)) for n in range(n_max + 1)]
     con_vals = [relative_entropy(rho2(n), sigma2(n)) for n in range(n_max + 1)]
     inf_hyp = any(v.is_inf for v in hyp_vals)
-    checks = [
-        CheckResult("orderings hold at the declared limit", limit_rho_ok and limit_sigma_ok, 0.0,
-                     "" if limit_rho_ok and limit_sigma_ok else "declared limit breaks an ordering"),
-        CheckResult("hypothesis D(rho1_n||sigma1_n) finite", not inf_hyp, 0.0),
-    ]
+    checks = [limit_check, CheckResult("hypothesis D(rho1_n||sigma1_n) finite", not inf_hyp, 0.0)]
     trends = []
     values = {
         "hypothesis": [float(v) for v in hyp_vals],
@@ -843,7 +840,7 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     output-entropy tail check when a schedule is supplied.
     """
     p = mixture_weights(p_seq, n_max)
-    domination = _psd_domination_failure(rho_seq, sigma_seq, c, n_max, "c*rho_n <= sigma_n")
+    domination = _broken_orderings(range(n_max + 1), (rho_seq, sigma_seq, c, "c*rho_n <= sigma_n"))
     mi = channel_mi_family(channel_seq)
     ent = entropy_family()
     out_ent = output_entropy_family(channel_seq)
@@ -874,8 +871,7 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
         trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))
         checks.append(CheckResult("output-entropy tail decreases toward zero over m",
                                   shrinks_toward_zero(tails), 0.0))
-    if domination is not None:
-        checks.append(domination)
+    checks.extend(domination)
     return Verdict("channel-mi",
                    hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
                    hypotheses_ok=all(c.passed for c in checks),
@@ -891,14 +887,16 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
                         k_schedule, n_max: int = 12) -> Verdict:
     """Windowed A_1/Delta/A_2 bound plus per-(n, k) ladder comparisons.
 
-    Checks rho1_n >= rho2_n and sigma1_n <= sigma2_n, the monotone ladder
+    Where rho2_n <= rho1_n or sigma1_n <= sigma2_n fails at some n, or A_1
+    hits +inf, inconclusive at once.  Else checks the monotone ladder
     difference inequality 0 <= a2_n - a2_{k,n} <= a1_n - a1_{k,n}, the
     windowed bound A_2 - a2_0 <= Delta, and the spectral identity
     Tr H rho = sum of H-quadratic forms over rho's eigenvectors.
     """
-    for n in range(n_max + 1):
-        _psd_or_raise(rho1(n).sub(rho2(n)), f"rho2_n <= rho1_n at n = {n}")
-        _psd_or_raise(sigma2(n).sub(sigma1(n)), f"sigma1_n <= sigma2_n at n = {n}")
+    broken = _broken_orderings(range(n_max + 1), (rho2, rho1, 1.0, "rho2_n <= rho1_n"),
+                               (sigma1, sigma2, 1.0, "sigma1_n <= sigma2_n"))
+    if broken:
+        return Verdict("appendix-domination", hypothesis_checks=broken, hypotheses_ok=False)
     a1 = [trace_neg_log(rho1(n), sigma1(n)) for n in range(n_max + 1)]
     a2 = [trace_neg_log(rho2(n), sigma2(n)) for n in range(n_max + 1)]
     inf_hyp = any(v.is_inf for v in a1)
@@ -946,11 +944,10 @@ def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequen
         rho = rho_seq(n)
         if rho.is_diagonal and h.is_diagonal:
             direct = float(np.sum(rho.diag * h.diag))
-            via_vectors = direct
         else:
             direct = float(np.real(np.trace(h.matrix @ rho.matrix)))
-            spec = rho.spectrum()
-            via_vectors = float(np.sum(spec.values * spec.weights(h)))
+        spec = rho.spectrum()
+        via_vectors = float(np.sum(spec.values * spec.weights(h)))
         worst = min(worst, INEQ_SLACK - abs(direct - via_vectors) / max(1.0, abs(direct)))
     return worst >= 0.0, float(worst)
 
@@ -959,22 +956,19 @@ def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequen
 # Shared PSD guards
 
 
-def _psd_domination_failure(lower: OperatorSequence, upper: OperatorSequence,
-                            c: float, n_max: int, label: str) -> CheckResult | None:
-    """A failed hypothesis check at the first n where c lower_n <= upper_n breaks the PSD rule, None if it holds on the window.
+def _broken_orderings(ns, *orderings) -> tuple:
+    """A failed hypothesis check per ordering (lower, upper, c, label) where c lower_n <= upper_n breaks the PSD rule at some n of ns.
 
-    The slack is the most negative eigenvalue of upper_n - c lower_n there.
+    Each names the first such n; its slack is the most negative eigenvalue of upper_n - c lower_n there.
     """
-    for n in range(n_max + 1):
-        diff = upper(n).sub(lower(n).scale(c))
-        if not is_psd(diff):
-            lam_min = float(diff.eigenvalues()[-1])
-            return CheckResult(f"PSD domination {label}", False, lam_min,
-                               f"fails at n = {n}: most negative eigenvalue {lam_min:.3e}")
-    return None
+    failed = []
+    for lower, upper, c, label in orderings:
+        for n in ns:
+            diff = upper(n).sub(lower(n).scale(c))
+            if not is_psd(diff):
+                lam_min = float(diff.eigenvalues()[-1])
+                failed.append(CheckResult(f"PSD domination {label}", False, lam_min,
+                                          f"fails at n = {n}: most negative eigenvalue {lam_min:.3e}"))
+                break
+    return tuple(failed)
 
-
-def _psd_or_raise(diff: HermitianOperator, label: str):
-    if not is_psd(diff):
-        raise ValueError(f"PSD domination fails ({label}): most negative eigenvalue "
-                         f"{diff.eigenvalues()[-1]:.3e}")

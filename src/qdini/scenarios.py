@@ -440,11 +440,9 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
 
     grid = None
     if op == "truncation-criterion":
-        n_0 = _number(check, "n_0", 1, int)
-        if not 0 <= n_0 <= n_max:
-            raise ScenarioError(f"n_0 = {n_0} is outside the window 0 <= n <= n_max = {n_max}")
         schedule = _build_schedule(check.get("schedule", {}), seqs, seq("sequence"), n_max)
-        verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule, n_0, n_max, m_max)
+        verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule,
+                                          _number(check, "n_0", 1, int), n_max, m_max)
     elif op == "dct-simon":
         verdict = dx.check_dct_simon(fam("family"), seq("rho"), seq("tau"), _number(check, "c", 0.5),
                                      n_max, m_max)
@@ -493,7 +491,9 @@ def _build_scheme(spec: dict, seqs) -> ApproximationScheme:
 
 def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: float,
                         n_from: int) -> Verdict:
-    """Trace distances shrink while the entropy gap sits inside [low, high]."""
+    """Trace distances shrink while the entropy gap sits inside [low, high] for n_from <= n <= n_max."""
+    if not 1 <= n_from <= n_max:
+        raise ValueError(f"n_from = {n_from} is outside the window 1 <= n <= n_max = {n_max}")
     rho_0 = seq(0)
     s_0 = float(von_neumann_entropy(rho_0))
     distances = []
@@ -507,7 +507,7 @@ def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: flo
     in_band = all(low <= g <= high for g in window)
     checks = (
         CheckResult(f"entropy gap within [{low}, {high}] for n >= {n_from}", in_band,
-                    min((g - low for g in window), default=0.0)),
+                    min(g - low for g in window)),
     )
     return Verdict("entropy-jump-probe",
                    hypothesis_checks=checks, conclusion_trends=(dist_trend,),
@@ -553,8 +553,13 @@ def run_scenario(scenario: Scenario, seed: int = 0, n_max=None, m_max=None) -> d
     grids_out = []
     all_matched = True
     for check in scenario.checks:
-        verdict, grid = _run_check(check, seqs, chans, fams, n_max, m_max)
         entry = {"op": check.get("op"), "name": check.get("name", check.get("op"))}
+        try:
+            verdict, grid = _run_check(check, seqs, chans, fams, n_max, m_max)
+        except np.linalg.LinAlgError:
+            raise  # numpy derives it from ValueError, but it is a numerical failure
+        except ValueError as exc:  # the library's input errors; other types keep their tracebacks
+            raise ScenarioError(f"check {entry['name']!r}: {exc}") from exc
         if grid is not None:
             grids_out.append({"check": entry["name"], "grid": grid.to_json()})
         if verdict is not None:

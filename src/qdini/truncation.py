@@ -287,8 +287,9 @@ class ApproximationScheme:
         m_hats = _limit_m_hats(limits, m_range)
         rows = []
         for n in ns:
-            tau, rho = seq(n), self.dominated(n)
-            rows.append(_cut_pairs(rho, _sigma_part(tau, rho, self.c), self.c, m_range, floors, m_hats))
+            rho = limits[0] if n == 0 else self.dominated(n)
+            sigma = limits[1] if n == 0 else _sigma_part(seq(n), rho, self.c)
+            rows.append(_cut_pairs(rho, sigma, self.c, m_range, floors, m_hats))
         return m_range, rows
 
     def m_floor(self, seq: OperatorSequence) -> int:

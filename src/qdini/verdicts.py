@@ -67,7 +67,7 @@ def windowed_sup(values, n_max: int) -> float:
     """Tail surrogate for a limsup: max over the last ceil(n_max/2) entries."""
     vals = [float(v) for v in values]
     if not vals:
-        raise ValueError("windowed_sup needs at least one value")
+        raise ValueError("windowed_sup needs at least one value: the window needs n_max >= 1")
     tail = max(1, math.ceil(n_max / 2))
     return max(vals[-tail:])
 

@@ -9,6 +9,7 @@ from qdini import (
     DensityOperator,
     OperatorSequence,
     PositiveOperator,
+    Spectrum,
     appendix_domination,
     approximation_gap_grid,
     channel_mi_checks,
@@ -77,6 +78,10 @@ class TestTrendRule:
     def test_windowed_sup_uses_tail_half(self):
         # tail length ceil(n_max/2) = 2
         assert windowed_sup([5.0, 4.0, 3.0, 2.0, 1.0], 4) == 2.0
+
+    def test_windowed_sup_refuses_an_empty_window(self):
+        with pytest.raises(ValueError, match="the window needs n_max >= 1"):
+            windowed_sup([], 0)
 
 
 class TestGapGrid:
@@ -267,10 +272,13 @@ class TestRelativeEntropyDomination:
         assert v.status == CONSISTENT
         assert len(v.values["hypothesis"]) == 11
 
-    def test_enforces_ordering_on_members(self):
+    def test_broken_ordering_on_members_is_inconclusive(self):
         rho1, rho2, sigma1, sigma2 = self._pair()
-        with pytest.raises(ValueError):
-            relative_entropy_domination(rho2, rho1, sigma1, sigma2, n_max=4)
+        v = relative_entropy_domination(rho2, rho1, sigma1, sigma2, n_max=4)
+        assert v.status == INCONCLUSIVE
+        assert [c.name for c in v.hypothesis_checks if not c.passed] == [
+            "orderings hold at the declared limit", "PSD domination c_rho*rho2_n <= rho1_n"]
+        assert v.hypothesis_checks[-1].detail.startswith("fails at n = 1")
 
     def test_planted_infinite_conclusion_is_violated(self):
         # conclusion hits +inf at the declared limit while the hypothesis
@@ -321,11 +329,27 @@ class TestAppendixDomination:
         assert v.status == CONSISTENT
         assert v.values["A_2"] - v.values["Delta"] <= float(v.values["A_1"]) + 1e-6
 
-    def test_rejects_unordered_inputs(self):
+    def test_unordered_inputs_are_inconclusive(self):
         rho1 = _diag_seq([0.5, 0.5], [0.0, 0.0])
         rho2 = OperatorSequence(lambda n: rho1(n).scale(2.0), 2)
-        with pytest.raises(ValueError):
-            appendix_domination(rho1, rho2, rho1, rho1, k_schedule=[1, 10], n_max=2)
+        v = appendix_domination(rho1, rho2, rho1, rho1, k_schedule=[1, 10], n_max=2)
+        assert v.status == INCONCLUSIVE
+        (check,) = v.hypothesis_checks
+        assert check.name == "PSD domination rho2_n <= rho1_n" and not check.passed
+        assert check.slack == pytest.approx(-0.5) and check.detail.startswith("fails at n = 0")
+
+    def test_spectral_identity_is_checked_on_diagonal_pairs(self, monkeypatch):
+        rho1 = _diag_seq([0.5, 0.3, 0.2], [0.02, -0.01, -0.01])
+        rho2 = OperatorSequence(lambda n: rho1(n).scale(0.6), 3)
+        sigma1 = _diag_seq([0.2, 0.3, 0.5], [0.01, -0.01, 0.0])
+        sigma2 = OperatorSequence(lambda n: sigma1(n).scale(1.5), 3)
+        assert rho1(0).is_diagonal and sigma1(0).is_diagonal
+        weights = Spectrum.weights
+        monkeypatch.setattr(Spectrum, "weights", lambda spec, a: weights(spec, a) * (1.0 + 1e-6))
+        v = appendix_domination(rho1, rho2, sigma1, sigma2, k_schedule=[1, 10], n_max=4)
+        identity = next(c for c in v.hypothesis_checks if c.name.startswith("Tr H rho"))
+        assert not identity.passed and identity.slack < 0.0
+        assert v.status == VIOLATED
 
     def test_infinite_hypothesis_inconclusive(self):
         rho1 = _diag_seq([0.5, 0.5], [0.02, -0.02])

@@ -99,15 +99,22 @@ class TestRejectionOnBothPaths:
         sigma1 = sequence([0.3, 0.3, 0.4], [0.01, 0.01, -0.02], kind)
         sigma2 = sequence([0.6, 0.6, 0.8], [0.02, 0.02, -0.04], kind)
         assert relative_entropy_domination(rho1, rho2, sigma1, sigma2, n_max=4).status == "consistent"
-        with pytest.raises(ValueError, match="PSD domination fails"):
-            relative_entropy_domination(rho2, rho1, sigma1, sigma2, n_max=4)
+        # reported as a failed hypothesis check on both paths, not raised
+        verdict = relative_entropy_domination(rho2, rho1, sigma1, sigma2, n_max=4)
+        assert verdict.status == "inconclusive"
+        dom = verdict.hypothesis_checks[-1]
+        assert dom.name == "PSD domination c_rho*rho2_n <= rho1_n" and not dom.passed
+        assert dom.slack == pytest.approx(-0.205, abs=1e-12)  # 0.205 - 0.41 at n = 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_appendix_domination(self, kind):
         rho1 = sequence([0.5, 0.5], [0.0, 0.0], kind)
         rho2 = OperatorSequence(lambda n: rho1(n).scale(2.0), 2)
-        with pytest.raises(ValueError, match="PSD domination fails"):
-            appendix_domination(rho1, rho2, rho1, rho1, k_schedule=[1, 10], n_max=2)
+        verdict = appendix_domination(rho1, rho2, rho1, rho1, k_schedule=[1, 10], n_max=2)
+        assert verdict.status == "inconclusive"
+        (dom,) = verdict.hypothesis_checks
+        assert dom.name == "PSD domination rho2_n <= rho1_n" and not dom.passed
+        assert dom.slack == pytest.approx(-0.5, abs=1e-12)
 
 
 TOL_AT_ONE = PSD_REL_TOL * 1.0 + 1e-15  # the rule's tolerance when lambda_max = 1

@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from qdini import (
 )
 from qdini.cli import main
 from qdini.scenarios import DEFAULT_BUDGET, estimate_flops
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent / "scenarios"
 
 
 class TestScenarioModel:
@@ -311,3 +315,61 @@ class TestMalformedInputsExit2:
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 2
         assert message in result.output
+
+
+class TestLibraryInputErrorsExit2:
+    """A ValueError on a check's input becomes a ScenarioError naming the check; other errors propagate."""
+
+    @pytest.mark.parametrize("name, message", [
+        ("usage-dominated-not-psd", "check 'dominated-grid': tau - c*rho: operator is not PSD"),
+        ("usage-member-not-psd", "check 'dct-basic': operator is not PSD"),
+        ("usage-commuting-below-m0", "check 'truncation-criterion': m_max = 1 is below the starting index m_0 = 2"),
+        ("usage-n0-past-window", "check 'truncation-criterion': n_0 = 99 is outside the window"),
+    ])
+    def test_scenario_files_exit_2(self, name, message):
+        path = str(SCENARIOS / f"{name}.json")
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(load_scenario(path))
+        result = CliRunner().invoke(main, ["run", path])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("n_from", [0, 7, 50])
+    def test_jump_probe_refuses_a_band_window_outside_the_window(self, n_from, tmp_path):
+        # n_from = 0 used to read only the last gap, n_from past n_max = 6 none at all
+        sc = builtin_scenario("entropy-discontinuity").to_json()
+        sc["checks"] = [dict(sc["checks"][0], n_from=n_from)]
+        message = f"check 'entropy-jump-probe': n_from = {n_from} is outside the window 1 <= n <= n_max = 6"
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(Scenario.from_json(sc))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2 and message in result.output
+
+    @pytest.mark.parametrize("name", ["simon-dct", "appendix-ladder"])
+    def test_empty_sup_window_exits_2(self, name):
+        result = CliRunner().invoke(main, ["run", name, "--n-max", "0"])
+        assert result.exit_code == 2, result.output
+        assert "windowed_sup needs at least one value: the window needs n_max >= 1" in result.output
+
+    @pytest.mark.parametrize("name", ["re-domination-broken-ordering", "appendix-broken-ordering"])
+    def test_broken_ordering_files_read_inconclusive(self, name):
+        result = CliRunner().invoke(main, ["run", str(SCENARIOS / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+        (check,) = json.loads(result.output)["checks"]
+        assert check["matched"] and check["verdict"]["status"] == "inconclusive"
+        failed = [c["name"] for c in check["verdict"]["hypothesis_checks"] if not c["passed"]]
+        assert len(failed) == 1 and failed[0].startswith("PSD domination")
+
+    @pytest.mark.parametrize("error", [ArithmeticError("overflow"), TypeError("bug"),
+                                       np.linalg.LinAlgError("no convergence")])
+    def test_other_errors_propagate(self, error, monkeypatch):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("qdini.diagnostics.check_dct_simon", failing)
+        with pytest.raises(type(error)) as info:
+            run_scenario(builtin_scenario("simon-dct"))
+        assert info.value is error

@@ -13,8 +13,8 @@ an infinite mixture of two finite states, a functional that breaks its own
 LAA or truncation bounds).
 
 The gap grid has no status; the last tests pin an input on which it must
-return its full grid instead of raising, and a broken domination that must
-read as a failed hypothesis check instead of raising.
+return its full grid instead of raising, and a broken domination or ordering
+that must read as a failed hypothesis check instead of raising.
 """
 
 import ast
@@ -334,6 +334,13 @@ def re_domination_inf_conclusion_trends(b):
     return _planted_inf_conclusion(b, 1.0)
 
 
+def re_domination_ordering_fails(b):
+    # rho2_n = rho1_0 - 2^-n pert exceeds rho1_n on two levels for n >= 1; the limits coincide
+    rho1, sigma1 = _seq(*RD_RHO1, b), _seq(*RD_SIGMA1, b)
+    rho2 = _seq(RD_RHO1[0], [-x for x in RD_RHO1[1]], b)
+    return relative_entropy_domination(rho1, rho2, sigma1, _scaled(sigma1, 2.0), n_max=8)
+
+
 def re_domination_trends(b):
     rho1, sigma1 = _seq(*RD_RHO1, b, rate=1.0), _seq(*RD_SIGMA1, b)
     return relative_entropy_domination(rho1, _scaled(rho1, 0.5), sigma1, _scaled(sigma1, 2.0), n_max=8)
@@ -450,6 +457,12 @@ def appendix_trends(b):
     return appendix_domination(rho1, _scaled(rho1, 0.6), sigma1, _scaled(sigma1, 1.5), K_SCHEDULE, n_max=8)
 
 
+def appendix_ordering_fails(b):
+    # rho2_n = 1.5 rho1_n is not <= rho1_n at any n
+    rho1, sigma1 = _seq(*AP_RHO1, b), _seq(*AP_SIGMA1, b)
+    return appendix_domination(rho1, _scaled(rho1, 1.5), sigma1, _scaled(sigma1, 1.5), K_SCHEDULE, n_max=8)
+
+
 def appendix_large_trace(b):
     # the spectral identity Tr H rho = sum_i lambda_i <v_i|H|v_i> holds to
     # rounding relative to |Tr H rho|, which for a dense rho of trace 1e10
@@ -535,6 +548,7 @@ STATUS_TABLE = {
     ("re-domination", "+inf conclusion, converging hypothesis"): (re_domination_violated, VIOLATED, BOTH),
     ("re-domination", "+inf conclusion, stuck hypothesis"): (re_domination_inf_conclusion_trends, INCONCLUSIVE, BOTH),
     ("re-domination", "trends do not shrink"): (re_domination_trends, INCONCLUSIVE, BOTH),
+    ("re-domination", "ordering fails at n >= 1"): (re_domination_ordering_fails, INCONCLUSIVE, BOTH),
     ("re-sum", "trends shrink"): (re_sum_consistent, CONSISTENT, BOTH),
     ("re-sum", "shifted trends shrink"): (re_sum_shifted_consistent, CONSISTENT, BOTH),
     ("re-sum", "+inf in a hypothesis"): (re_sum_inf, INCONCLUSIVE, BOTH),
@@ -549,6 +563,7 @@ STATUS_TABLE = {
     ("appendix-domination", "+inf in A_1"): (appendix_inf, INCONCLUSIVE, BOTH),
     ("appendix-domination", "trends do not shrink"): (appendix_trends, INCONCLUSIVE, BOTH),
     ("appendix-domination", "trends shrink at trace 1e10"): (appendix_large_trace, CONSISTENT, BOTH),
+    ("appendix-domination", "ordering fails"): (appendix_ordering_fails, INCONCLUSIVE, BOTH),
     ("entropy-jump-probe", "distances shrink, gap in band"): (jump_probe_consistent, CONSISTENT, BOTH),
     ("entropy-jump-probe", "gap out of band"): (jump_probe_out_of_band, INCONCLUSIVE, BOTH),
     ("entropy-jump-probe", "distances do not shrink"): (jump_probe_trends, INCONCLUSIVE, BOTH),
@@ -578,8 +593,9 @@ def test_every_procedure_reaches_each_status_it_can():
         reached.setdefault(proc, set()).add(expected)
     # re-sum cannot reach "violated" (its per-n sum inequalities are theorems
     # of the relative entropy), nor can appendix-domination (its ladder
-    # comparisons are theorems once the enforced orderings hold, and its
-    # spectral identity is checked relative to |Tr H rho|), and neither can
+    # comparisons are theorems once its orderings hold, it returns
+    # inconclusive where they do not, and its spectral identity is checked
+    # relative to |Tr H rho|), and neither can
     # convex-mixture, channel-mi or the entropy-jump probe, which assert no
     # inequality
     for proc in ("dct-basic", "dct-simon", "truncation-criterion", "re-domination",
@@ -669,6 +685,20 @@ def test_held_domination_adds_no_check(case):
     assert not any(check.name.startswith("PSD domination") for check in case(DIAGONAL).hypothesis_checks)
 
 
+@pytest.mark.parametrize("case, name, n", [
+    (re_domination_ordering_fails, "PSD domination c_rho*rho2_n <= rho1_n", 1),
+    (appendix_ordering_fails, "PSD domination rho2_n <= rho1_n", 0),
+])
+@pytest.mark.parametrize("basis", BOTH)
+def test_broken_ordering_returns_before_any_inequality(case, name, n, basis):
+    verdict = case(basis)
+    failed = [check for check in verdict.hypothesis_checks if not check.passed]
+    assert [check.name for check in failed] == [name]
+    assert failed[0].slack < 0.0 and failed[0].detail.startswith(f"fails at n = {n}:")
+    # nothing that rests on the ordering is evaluated, so nothing can read violated
+    assert not verdict.violated and not verdict.conclusion_trends and not verdict.values
+
+
 def test_simon_dct_at_c5_scenario_exits_zero():
     result = CliRunner().invoke(main, ["run", str(SCENARIOS / "simon-dct-c5.json")])
     assert result.exit_code == 0, result.output
@@ -706,6 +736,6 @@ def test_convex_mixture_scenarios_exit_zero(name, status):
 
 def test_n_0_past_the_window_is_a_usage_error():
     # entropy-discontinuity with n_0 = 99 and n_max = 6: no tail sup exists
-    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "n0-past-window.json")])
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "usage-n0-past-window.json")])
     assert result.exit_code == 2, result.output
     assert "n_0 = 99 is outside the window 0 <= n <= n_max = 6" in result.output

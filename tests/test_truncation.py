@@ -224,8 +224,9 @@ class TestSchemes:
             cells = len(grid.cells)
             assert cells == (n_max + 1) * m_max
             assert eigensolves["eigh"] == n_max + 1
-            # sigma_0 and each sigma_n once; each cell's head and tail sum c rho + sigma once
-            assert eigensolves["eigvalsh"] == 1 + (n_max + 1) + 2 * cells
+            # sigma_0 once (the limit is row 0's sigma_n), each other sigma_n once;
+            # each cell's head and tail sum c rho + sigma once
+            assert eigensolves["eigvalsh"] == 1 + n_max + 2 * cells
 
     def test_dominated_grid_evaluates_each_cut_pair_once(self, eigensolves):
         # dense d = 6 with rho_n and sigma_n of rank 3: every m >= 3 cuts both
@@ -251,7 +252,7 @@ class TestSchemes:
         assert len(grid.cells) == (n_max + 1) * m_max
         pairs = (n_max + 1) * 3
         assert eigensolves["eigh"] == n_max + 1
-        assert eigensolves["eigvalsh"] == 1 + (n_max + 1) + 2 * pairs
+        assert eigensolves["eigvalsh"] == 1 + n_max + 2 * pairs
         for n in range(n_max + 1):
             row = [(cell.mu, cell.gap, cell.tail, cell.flags) for cell in grid.cells if cell.n == n]
             assert row[2:] == [row[2]] * (m_max - 2)
