@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from qdini import (
     BUILTIN_SCENARIOS,
     FUZZ_SUITES,
+    LinearAlgebraError,
     Scenario,
     ScenarioError,
     builtin_scenario,
@@ -336,7 +337,7 @@ class TestLibraryInputErrorsExit2:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("n_from", [0, 7, 50])
-    def test_jump_probe_refuses_a_band_window_outside_the_window(self, n_from, tmp_path):
+    def test_jump_probe_refuses_n_from_outside_the_window(self, n_from, tmp_path):
         # n_from = 0 used to read only the last gap, n_from past n_max = 6 none at all
         sc = builtin_scenario("entropy-discontinuity").to_json()
         sc["checks"] = [dict(sc["checks"][0], n_from=n_from)]
@@ -364,6 +365,7 @@ class TestLibraryInputErrorsExit2:
         assert len(failed) == 1 and failed[0].startswith("PSD domination")
 
     @pytest.mark.parametrize("error", [ArithmeticError("overflow"), TypeError("bug"),
+                                       LinearAlgebraError("eigensolver failed"),
                                        np.linalg.LinAlgError("no convergence")])
     def test_other_errors_propagate(self, error, monkeypatch):
         def failing(*args, **kwargs):
