@@ -214,7 +214,7 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
     full either way.
     """
     ns = range(n_max + 1)
-    m_range, mass, ambiguous, f_head, tail_mass, f_tail = _truncation_window(family, seq, scheme, ns, m_max, tails=True)
+    m_range, mass, ambiguous, f_head, tail_mass, f_tail = _truncation_window(family, seq, scheme, ns, m_max)
     f_rho = _column([float(family.value(n, seq(n))) for n in ns])
     no_head, no_tail = np.isnan(f_head), np.isnan(f_tail)
     inf_gap = ~no_head & (np.isinf(f_rho) | np.isinf(f_head))
@@ -241,7 +241,7 @@ def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence
     where f_n([rho_n]) is +inf.
     """
     ns = range(n_max + 1)
-    _, mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_max, tails=False, whole=True)
+    _, mass, _, f_head, _, _ = _truncation_window(family, seq, scheme, ns, m_max, whole=True)
     f_state, mass, f_head = f_head[:, -1:], mass[:, :-1], f_head[:, :-1]
     counted = np.isfinite(f_head) & np.isfinite(f_state)
     t = np.broadcast_to(_column([seq(n).trace() for n in ns]), mass.shape)[counted]
@@ -258,51 +258,49 @@ def _column(values) -> np.ndarray:
 
 
 def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
-                       ns, m_max: int, tails: bool, whole: bool = False) -> tuple:
+                       ns, m_max: int, whole: bool = False) -> tuple:
     """(m_range, mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n), each an (N, M) array over n of ns and m of m_range.
 
     m_range runs from the scheme's smallest usable m to m_max.  f_head is
     f_n of the normalized head and f_tail of the normalized tail, +inf
-    included, and NaN where that state does not exist; when ``tails`` is
-    false, f_tail is NaN throughout.  With ``whole``, one more column after
-    m_range cuts rho_n at its rank, so its head is [rho_n].  The spectral
-    scheme reads the window off ``_cut_values``; the dominated scheme takes
-    its m-range and rows from one ``dominated_window`` call, then on
-    diagonal pairs and a family with a stacked form makes one
-    ``family.stacked`` call, and anything else evaluates each distinct cut
-    pair of a row once.
+    included, and NaN where that state does not exist.  With ``whole``,
+    one more column after m_range cuts rho_n at its rank, so its head is
+    [rho_n].  The spectral scheme reads the window off ``_cut_values``;
+    the dominated scheme takes its m-range and rows from one
+    ``dominated_window`` call, then on diagonal pairs and a family with a
+    stacked form makes one ``family.stacked`` call, and anything else
+    evaluates each distinct cut pair of a row once.
     """
     if scheme.kind == "spectral":
         m_range = range(1, m_max + 1)
         # a cut at m >= rank keeps rho_n whole
-        return (m_range, *_spectral_window(family, seq, ns, list(m_range) + [seq.dim] if whole else m_range, tails))
+        return (m_range, *_spectral_window(family, seq, ns, list(m_range) + [seq.dim] if whole else m_range))
     m_range, rows = scheme.dominated_window(seq, ns, m_max)
     if whole:
         rows = [row.with_whole() for row in rows]
     if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal for row in rows):
-        return (m_range, *_dominated_diagonal_window(family, ns, rows, tails))
-    cells = [_dominated_cells(family, n, row, tails) for n, row in zip(ns, rows)]
+        return (m_range, *_dominated_diagonal_window(family, ns, rows))
+    cells = [_dominated_cells(family, n, row) for n, row in zip(ns, rows)]
     window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
     mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
     return m_range, mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
 
 
-def _truncation_cell(family: FunctionalFamily, n: int, tr, tails: bool) -> tuple:
-    f_head = _state_value(family, n, tr.head)
-    return tr.mass, tr.ambiguous, f_head, tr.tail.trace(), _state_value(family, n, tr.tail) if tails else math.nan
+def _truncation_cell(family: FunctionalFamily, n: int, tr) -> tuple:
+    return tr.mass, tr.ambiguous, _state_value(family, n, tr.head), tr.tail.trace(), _state_value(family, n, tr.tail)
 
 
-def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow, tails: bool) -> list:
+def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow) -> list:
     """The cells of one dominated row, each distinct cut pair evaluated once."""
     keys = row.keys()
     cells = {}
     for i, key in enumerate(keys):
         if key not in cells:
-            cells[key] = _truncation_cell(family, n, row.truncation(i), tails)
+            cells[key] = _truncation_cell(family, n, row.truncation(i))
     return [cells[key] for key in keys]
 
 
-def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range, tails: bool) -> tuple:
+def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range) -> tuple:
     """``_truncation_window`` of the spectral scheme: rho_n's own spectrum cut at min(m, rank rho_n).
 
     A cut m below rank rho_n splits rho_n's kept spectrum into a head and a
@@ -320,11 +318,11 @@ def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_rang
     head_mass = np.concatenate([zero, np.cumsum(kept, axis=1)], axis=1)[j, cuts]
     tail_mass = np.concatenate([np.cumsum(kept[:, ::-1], axis=1)[:, ::-1], zero], axis=1)[j, cuts]
     mass = np.where(cuts >= ranks, np.sum(kept, axis=1)[:, None], head_mass)
-    f_head, f_tail = _cut_values(family, ns, ops, spectra, cuts, normalized=True, tails=tails)
+    f_head, f_tail = _cut_values(family, ns, ops, spectra, cuts, normalized=True)
     return mass, ambiguous_cuts(spectra, cuts), f_head, tail_mass, f_tail
 
 
-def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list, tails: bool) -> tuple:
+def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list) -> tuple:
     """``_truncation_window`` of the dominated scheme on diagonal pairs, the whole window at once.
 
     The heads and tails c Psi(rho_n) + Psi(sigma_n) of each row are
@@ -334,18 +332,17 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list, tails: 
     window.
     """
     shape = (len(rows), rows[0].rho_cuts.size)
-    heads, tails_of = [], []
+    heads, tails = [], []
     for row in rows:
         head, tail = (row.c * x for x in row.rho.split_diagonals(row.rho_cuts))
         if row.sigma_cuts is not None:
             sigma_head, sigma_tail = row.sigma.split_diagonals(row.sigma_cuts)
             head, tail = head + sigma_head, tail + sigma_tail
         heads.append(head)
-        tails_of.append(tail)
-    ops = np.concatenate(heads + tails_of)
-    asked = np.repeat([True, tails], ops.shape[0] // 2)
+        tails.append(tail)
+    ops = np.concatenate(heads + tails)
     op_ns = np.tile(np.repeat(np.asarray(ns), shape[1]), 2)
-    values = _stacked_values(family, op_ns, ops, normalized=True, asked=asked)
+    values = _stacked_values(family, op_ns, ops, normalized=True, asked=np.ones(ops.shape[0], dtype=bool))
     (head_mass, tail_mass), (f_head, f_tail) = np.sum(ops, axis=1).reshape((2,) + shape), values.reshape((2,) + shape)
     return head_mass, dominated_ambiguity(rows), f_head, tail_mass, f_tail
 
@@ -488,7 +485,7 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
 
     def evaluate(fam):
         # samples[n, i]: f_n([Psi_m(rho_n)]) at the i-th m, then f_n([rho_n]); NaN where there is no state
-        samples = _spectral_window(fam, seq, ns, ms + [seq.dim], tails=False)[2]
+        samples = _spectral_window(fam, seq, ns, ms + [seq.dim])[2]
         values = _whole_values(fam, whole_ns, whole_ops)
         return samples, values[:len(ns)], values[len(ns):]
 
@@ -638,8 +635,11 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
 
 
 def mixture_weights(p_seq, n_max: int) -> list:
-    """The mixture weights p_seq as floats; ValueError unless p_0..p_n_max are given and all lie in [0, 1]."""
-    p = [float(x) for x in p_seq]
+    """The mixture weights p_seq as floats; ValueError unless p_0..p_n_max are given and all are numbers in [0, 1]."""
+    try:
+        p = [float(x) for x in p_seq]
+    except (TypeError, ValueError):
+        raise ValueError(f"the mixture weights must be a list of numbers, got {p_seq!r}") from None
     if len(p) < n_max + 1:
         raise ValueError(f"the mixture weights need {n_max + 1} entries, got {len(p)}")
     outside = [x for x in p if not 0.0 <= x <= 1.0]

@@ -32,11 +32,11 @@ functionals that need many small spectra and no operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
 PSD_REL_TOL = 1e-10
 TRACE_ONE_TOL = 1e-10
 GAP_REL_TOL = 1e-9
@@ -336,28 +336,40 @@ def _check_orthonormal(bases: np.ndarray):
 
 
 def _extreme_eigenvalues(h: HermitianOperator):
-    """(lambda_min, lambda_max, all eigenvalues ascending or None for a diagonal h)."""
+    """(lambda_min, lambda_max, all eigenvalues ascending or None for a diagonal h); NaN for a dense h with a non-finite entry."""
     if h.is_diagonal:
         return float(h.diag.min()), float(h.diag.max()), None
+    if not np.isfinite(h.matrix).all():  # LAPACK can return finite values for a NaN entry
+        return math.nan, math.nan, None
     eigs = np.linalg.eigvalsh(h.matrix)
     return float(eigs[0]), float(eigs[-1]), eigs
 
 
 def _psd_tol(lam_max):
-    """The PSD rule: an operator is positive iff lambda_min >= -_psd_tol(lambda_max); elementwise on an array."""
+    """The tolerance of the PSD rule at lambda_max; elementwise on an array."""
     # max() on a float: np.maximum would cost a microsecond on every operator built
     top = np.maximum(lam_max, 0.0) if isinstance(lam_max, np.ndarray) else max(lam_max, 0.0)
     return PSD_REL_TOL * top + 1e-15
 
 
-def _not_psd(lam_min: float, tol: float) -> ValueError:
-    return ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{tol:.3e}")
+def _passes_psd(lam_min, lam_max):
+    """The PSD rule, elementwise on arrays: lambda_min >= -_psd_tol(lambda_max) with lambda_max finite, so NaN and +inf fail."""
+    if isinstance(lam_max, np.ndarray):
+        return (lam_min >= -_psd_tol(lam_max)) & np.isfinite(lam_max)
+    return lam_min >= -_psd_tol(lam_max) and math.isfinite(lam_max)
+
+
+def _not_psd(lam_min: float, lam_max: float, entries: np.ndarray) -> ValueError:
+    """The PSD rule's error: the first non-finite value of ``entries`` if there is one, else lambda_min."""
+    bad = entries[~np.isfinite(entries)]
+    if bad.size:
+        return ValueError(f"operator is not PSD: non-finite entry {bad[0]}")
+    return ValueError(f"operator is not PSD: min eigenvalue {lam_min:.3e} < -{_psd_tol(lam_max):.3e}")
 
 
 def is_psd(h: HermitianOperator) -> bool:
     """Whether h passes the PSD rule of ``PositiveOperator``; builds no operator."""
-    lam_min, lam_max, _ = _extreme_eigenvalues(h)
-    return lam_min >= -_psd_tol(lam_max)
+    return _passes_psd(*_extreme_eigenvalues(h)[:2])
 
 
 def positive_eigenvalues(matrices) -> np.ndarray:
@@ -369,12 +381,14 @@ def positive_eigenvalues(matrices) -> np.ndarray:
     spectrum clamped at 0 and non-increasing.
     """
     m = np.asarray(matrices, dtype=complex)
-    eigs = np.linalg.eigvalsh(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
-    tol = _psd_tol(eigs[..., -1])
-    failing = np.flatnonzero(eigs[..., 0] < -tol)
+    if not np.isfinite(m).all():  # before the eigensolve, as in ``_extreme_eigenvalues``
+        raise _not_psd(math.nan, math.nan, m)
+    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    eigs = np.linalg.eigvalsh(m)
+    failing = np.flatnonzero(np.logical_not(_passes_psd(eigs[..., 0], eigs[..., -1])))
     if failing.size:
-        first = np.unravel_index(failing[0], tol.shape)
-        raise _not_psd(eigs[first][0], tol[first])
+        first = np.unravel_index(failing[0], eigs.shape[:-1])
+        raise _not_psd(eigs[first][0], eigs[first][-1], m[first])
     return np.maximum(eigs[..., ::-1], 0.0)
 
 
@@ -382,7 +396,8 @@ class PositiveOperator(HermitianOperator):
     """Hermitian operator passing the PSD rule; its eigenvalues clamp to 0.
 
     The rule (see ``is_psd``) allows lambda_min down to
-    -(PSD_REL_TOL * max(lambda_max, 0) + 1e-15).  A dense operator keeps its
+    -(PSD_REL_TOL * max(lambda_max, 0) + 1e-15) and refuses a non-finite
+    entry, which the error names.  A dense operator keeps its
     matrix and clamps the spectrum it checked with; a diagonal operator
     stores its diagonal clamped at 0.
     """
@@ -392,9 +407,8 @@ class PositiveOperator(HermitianOperator):
     def __init__(self, matrix=None, *, diagonal=None):
         super().__init__(matrix, diagonal=diagonal)
         lam_min, lam_max, eigs = _extreme_eigenvalues(self)
-        tol = _psd_tol(lam_max)
-        if lam_min < -tol:
-            raise _not_psd(lam_min, tol)
+        if not _passes_psd(lam_min, lam_max):
+            raise _not_psd(lam_min, lam_max, self._diag if self.is_diagonal else self._mat)
         if self.is_diagonal:
             np.maximum(self._diag, 0.0, out=self._diag)  # the constructor's own copy
             self._spectrum = None  # sorted on first spectral read
@@ -452,7 +466,9 @@ class PositiveOperator(HermitianOperator):
         return cls._with_spectrum(spec, matrix=self._mat * c)
 
     def scale(self, c: float) -> HermitianOperator:
-        """c * self; positive (a spectral view) for c >= 0."""
+        """c * self; positive (a spectral view) for c >= 0, and self itself for c = 1: operators are immutable."""
+        if c == 1.0:
+            return self
         if c >= 0.0:
             return self.rescaled(c)
         return super().scale(c)

@@ -63,9 +63,19 @@ class ScenarioError(Exception):
 # Sequence constructors (declarative, deterministic)
 
 
-def _geometric_state(dim: int, ratio: float) -> np.ndarray:
-    lam = ratio ** np.arange(dim)
-    return lam / lam.sum()
+def _sequence(member, dim: int, density: bool = False) -> OperatorSequence:
+    """The one maker of scenario operators: n -> member(n) as density or positive operators.
+
+    Each builder reads its parameters into a member formula n -> array,
+    where a 1-d array is a diagonal and a 2-d array a matrix.
+    """
+    cls = DensityOperator if density else PositiveOperator
+
+    def gen(n):
+        a = member(n)
+        return cls(a) if a.ndim == 2 else cls(diagonal=a)
+
+    return OperatorSequence(gen, dim)
 
 
 def _seq_entropy_discontinuity(params) -> OperatorSequence:
@@ -77,41 +87,45 @@ def _seq_entropy_discontinuity(params) -> OperatorSequence:
     """
     n_cap = int(params.get("n_cap", 6))
     base_dim = int(params.get("base_dim", 9))
-    d_cap = math.ceil(math.exp(n_cap))
-    dim = base_dim + d_cap
+    dim = base_dim + math.ceil(math.exp(n_cap))
 
-    def gen(n):
+    def member(n):
         diag = np.zeros(dim)
         if n == 0:
             diag[:base_dim] = 1.0 / base_dim
-            return DensityOperator(diagonal=diag)
+            return diag
         if n > n_cap:
             raise ScenarioError(f"index {n} beyond the window cap {n_cap}")
         d_n = math.ceil(math.exp(n))
         p_n = 1.0 / math.log(d_n)
         diag[:base_dim] = (1.0 - p_n) / base_dim
         diag[base_dim:base_dim + d_n] = p_n / d_n
-        return DensityOperator(diagonal=diag)
+        return diag
 
-    return OperatorSequence(gen, dim, "entropy-discontinuity")
+    return _sequence(member, dim, density=True)
+
+
+def _normalized_head(state: np.ndarray, r: int) -> np.ndarray:
+    """The first r entries of a diagonal state, renormalized, and zeros after them."""
+    head = np.zeros(state.size)
+    head[:r] = state[:r] / state[:r].sum()
+    return head
+
+
+def _thermal(params) -> tuple:
+    """(dim, offset, tau_n formula): tau_n is the normalized top-(offset + n) truncation of a geometric-spectrum state tau_0."""
+    dim = int(params.get("dim", 16))
+    ratio = float(params.get("ratio", 0.5))
+    offset = int(params.get("offset", 2))
+    tau_0 = ratio ** np.arange(dim)
+    tau_0 = tau_0 / tau_0.sum()
+    return dim, offset, lambda n: tau_0 if n == 0 else _normalized_head(tau_0, min(dim, offset + n))
 
 
 def _seq_truncated_thermal(params) -> OperatorSequence:
     """tau_n = normalized top-(2+n) truncation of a geometric-spectrum state."""
-    dim = int(params.get("dim", 16))
-    ratio = float(params.get("ratio", 0.5))
-    offset = int(params.get("offset", 2))
-    tau_0 = _geometric_state(dim, ratio)
-
-    def gen(n):
-        if n == 0:
-            return DensityOperator(diagonal=tau_0)
-        r = min(dim, offset + n)
-        diag = np.zeros(dim)
-        diag[:r] = tau_0[:r] / tau_0[:r].sum()
-        return DensityOperator(diagonal=diag)
-
-    return OperatorSequence(gen, dim, "truncated-thermal")
+    dim, _, member = _thermal(params)
+    return _sequence(member, dim, density=True)
 
 
 def _seq_simon_compressed(params) -> OperatorSequence:
@@ -120,77 +134,47 @@ def _seq_simon_compressed(params) -> OperatorSequence:
     The head rank h is capped at the truncation rank of tau_n so the support
     of rho_n never leaves the support of tau_n.
     """
-    dim = int(params.get("dim", 16))
-    ratio = float(params.get("ratio", 0.5))
-    offset = int(params.get("offset", 2))
+    dim, offset, thermal = _thermal(params)
     head = int(params.get("head", 8))
-    thermal = _seq_truncated_thermal({"dim": dim, "ratio": ratio, "offset": offset})
-    tau_0 = thermal(0).diag
+    tau_0 = thermal(0)
 
-    def head_state(h):
-        base = np.zeros(dim)
-        base[:h] = tau_0[:h] / tau_0[:h].sum()
-        return base
-
-    def gen(n):
+    def member(n):
         if n == 0:
-            return DensityOperator(diagonal=head_state(head))
+            return _normalized_head(tau_0, head)
         eps = 0.5 ** n
-        h = min(head, min(dim, offset + n))
-        return DensityOperator(diagonal=(1.0 - eps) * head_state(h) + eps * thermal(n).diag)
+        return (1.0 - eps) * _normalized_head(tau_0, min(head, dim, offset + n)) + eps * thermal(n)
 
-    return OperatorSequence(gen, dim, "simon-compressed")
+    return _sequence(member, dim, density=True)
 
 
-def _seq_diag_perturbed(params) -> OperatorSequence:
+def _diagonal(base, pert, weight, limit=None) -> OperatorSequence:
+    """Diagonal members base + weight(n) * pert for n >= 1, and limit (base where none is given) at n = 0."""
+    limit = base if limit is None else limit
+    return _sequence(lambda n: limit if n == 0 else base + weight(n) * pert, base.size)
+
+
+def _seq_diag_perturbed(params, limit=None) -> OperatorSequence:
     """op_n = base + rate^n * pert (diagonal); the limit at n = 0 is base itself."""
     base = np.asarray(params["base"], dtype=float)
     pert = np.asarray(params["pert"], dtype=float)
     rate = float(params.get("rate", 0.5))
-
-    def gen(n):
-        if n == 0:
-            return PositiveOperator(diagonal=base)
-        return PositiveOperator(diagonal=base + rate ** n * pert)
-
-    return OperatorSequence(gen, base.size, "diag-perturbed")
+    return _diagonal(base, pert, lambda n: rate ** n, limit)
 
 
 def _seq_diag_planted_limit(params) -> OperatorSequence:
     """Members base + rate^n * pert but a deliberately different declared limit."""
-    limit = np.asarray(params["limit"], dtype=float)
-    base = np.asarray(params["base"], dtype=float)
-    pert = np.asarray(params["pert"], dtype=float)
-    rate = float(params.get("rate", 0.5))
-
-    def gen(n):
-        if n == 0:
-            return PositiveOperator(diagonal=limit)
-        return PositiveOperator(diagonal=base + rate ** n * pert)
-
-    return OperatorSequence(gen, base.size, "diag-planted-limit")
+    return _seq_diag_perturbed(params, np.asarray(params["limit"], dtype=float))
 
 
 def _seq_diag_oscillating(params) -> OperatorSequence:
     """Non-convergent control: base + pert on odd n, base on even n."""
     base = np.asarray(params["base"], dtype=float)
-    pert = np.asarray(params["pert"], dtype=float)
-
-    def gen(n):
-        if n % 2 == 1:
-            return PositiveOperator(diagonal=base + pert)
-        return PositiveOperator(diagonal=base)
-
-    return OperatorSequence(gen, base.size, "diag-oscillating")
+    return _diagonal(base, np.asarray(params["pert"], dtype=float), lambda n: n % 2)
 
 
 def _seq_constant_diag(params) -> OperatorSequence:
     diag = np.asarray(params["diag"], dtype=float)
-
-    def gen(n):
-        return PositiveOperator(diagonal=diag)
-
-    return OperatorSequence(gen, diag.size, "constant-diag")
+    return _diagonal(diag, 0.0, lambda n: 0.0)
 
 
 def _seq_qubit_coherent(params) -> OperatorSequence:
@@ -200,11 +184,11 @@ def _seq_qubit_coherent(params) -> OperatorSequence:
     amp = float(params.get("amp", 0.1))
     rate = float(params.get("rate", 0.5))
 
-    def gen(n):
+    def member(n):
         c = c0 if n == 0 else c0 + rate ** n * amp
-        return DensityOperator(np.array([[a, c], [c, 1.0 - a]]))
+        return np.array([[a, c], [c, 1.0 - a]])
 
-    return OperatorSequence(gen, 2, "qubit-coherent")
+    return _sequence(member, 2, density=True)
 
 
 SEQUENCE_BUILDERS = {
@@ -394,18 +378,13 @@ def _ref(table: dict, spec: dict, key: str):
 
 
 def _p_sequence(params: dict, n_max: int):
-    """The mixture weights p_0..p_n_max of a check: its p_list, or p_limit + p_amp * p_rate^n."""
-    try:
-        if "p_list" in params:
-            p = params["p_list"]
-        else:
-            limit = float(params.get("p_limit", 0.5))
-            amp = float(params.get("p_amp", 0.0))
-            rate = float(params.get("p_rate", 0.5))
-            p = [limit] + [limit + amp * rate ** n for n in range(1, n_max + 1)]
-        return dx.mixture_weights(p, n_max)[:n_max + 1]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from None
+    """The mixture weights of a check, which the check itself validates: its p_list, or p_limit + p_amp * p_rate^n."""
+    if "p_list" in params:
+        return params["p_list"]
+    limit = _number(params, "p_limit", 0.5)
+    amp = _number(params, "p_amp", 0.0)
+    rate = _number(params, "p_rate", 0.5)
+    return [limit] + [limit + amp * rate ** n for n in range(1, n_max + 1)]
 
 
 def _build_schedule(spec, seqs, default_seq, n_max):

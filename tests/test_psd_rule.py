@@ -29,7 +29,7 @@ from qdini import (
     random_unitary,
     relative_entropy_domination,
 )
-from qdini.operators import PSD_REL_TOL
+from qdini.operators import PSD_REL_TOL, positive_eigenvalues
 
 KINDS = ("diagonal", "dense")
 
@@ -145,6 +145,34 @@ def test_positive_arithmetic_reads_the_clamped_diagonal():
     assert rho.trace() == 0.5
     assert rho.scale(2.0).diag.tolist() == [1.0, 0.0]
     assert rho.add(rho).diag.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("value", [0.1, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind, entry", [("diagonal", (1, 1)), ("dense", (1, 1)), ("dense", (0, 1))],
+                         ids=["diagonal", "dense-on-diagonal", "dense-off-diagonal"])
+def test_entry_points_agree_on_non_finite_entries(value, kind, entry):
+    # diag(0.5, 0.5, 0.25) with one entry replaced; 0.1 is the finite control
+    m = np.diag([0.5, 0.5, 0.25]).astype(complex)
+    m[entry] = value
+    finite = bool(np.isfinite(value))
+    with np.errstate(invalid="ignore"):  # symmetrizing an infinite entry makes a NaN
+        h = HermitianOperator(diagonal=np.real(np.diagonal(m))) if kind == "diagonal" else HermitianOperator(m)
+        assert is_psd(h) is finite
+        if finite:
+            PositiveOperator.of(h)
+            positive_eigenvalues(np.stack([np.eye(3), m]))
+            return
+        with pytest.raises(ValueError, match=f"not PSD: non-finite entry {value}" if kind == "diagonal"
+                           else "not PSD: non-finite entry"):
+            PositiveOperator.of(h)
+        with pytest.raises(ValueError, match="not PSD: non-finite entry"):
+            positive_eigenvalues(np.stack([np.eye(3), m]))
+
+
+def test_scale_by_one_is_the_operator_itself():
+    for op in (PositiveOperator(diagonal=[0.5, 0.25]), PositiveOperator(np.array([[0.5, 0.1], [0.1, 0.25]]))):
+        assert op.scale(1.0) is op
+        assert op.scale(0.5) is not op
 
 
 def _dense_dominated_pair(d: int, n_max: int):

@@ -87,8 +87,11 @@ def _window(case, dense, seed, d=None):
     repeated values, so cuts fall inside multiplicity groups; scaled-*: both
     spectra times 1e7 or 1e-7; support-break: sigma_n has zero eigenvalues
     in directions where rho_n has mass, so some heads and tails give +inf.
+    ``dense`` is False (both diagonal), True (both dense) or "mixed": rho_n
+    dense and sigma_n diagonal on even seeds, the other way round on odd.
     """
-    rng = np.random.default_rng([seed, CASES.index(case), int(dense)])
+    mixed = dense == "mixed"
+    rng = np.random.default_rng([seed, CASES.index(case), 2 if mixed else int(dense)])
     d = int(rng.integers(3, 8)) if d is None else d
     n_max = int(rng.integers(2, 5))
     base = rng.uniform(0.05, 1.0, d)
@@ -108,16 +111,18 @@ def _window(case, dense, seed, d=None):
     w = u if case == "support-break" else random_unitary(rng, d)
     perm, sigma_perm = rng.permutation(d), rng.permutation(d)
 
-    def member(lam, basis, order):
+    def member(lam, basis, order, dense):
         if dense:
             return PositiveOperator((basis * lam) @ basis.conj().T)
         return PositiveOperator(diagonal=lam[order])
 
     def rho(n):
-        return member(scale * base * (1.0 + (0.5 ** n if n else 0.0) * pert), u, perm)
+        return member(scale * base * (1.0 + (0.5 ** n if n else 0.0) * pert), u, perm,
+                      seed % 2 == 0 if mixed else dense)
 
     def sigma(n):
-        return member(scale * sigma_base * (1.0 + (0.5 ** n if n else 0.0) * sigma_pert), w, sigma_perm)
+        return member(scale * sigma_base * (1.0 + (0.5 ** n if n else 0.0) * sigma_pert), w, sigma_perm,
+                      seed % 2 == 1 if mixed else dense)
 
     return OperatorSequence(rho, d), OperatorSequence(sigma, d), n_max
 
@@ -135,7 +140,7 @@ def _same_cut(got, want) -> bool:
     return _close(got, want)
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("dense", [False, True, "mixed"], ids=["diagonal", "dense", "mixed"])
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_gap_grid_rows_match_cells(kind, case, dense):

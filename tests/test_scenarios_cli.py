@@ -256,7 +256,8 @@ class TestMalformedInputsExit2:
         assert "n_max >= 0 and m_max >= 1" in result.output
 
     @pytest.mark.parametrize("weights", [{"p_list": [1.5] + [0.5] * 12}, {"p_list": [0.5] * 3},
-                                         {"p_limit": 0.5, "p_amp": 1.2, "p_rate": 0.5}])
+                                         {"p_limit": 0.5, "p_amp": 1.2, "p_rate": 0.5},
+                                         {"p_list": [None] + [0.5] * 12}])
     @pytest.mark.parametrize("op", ["channel-mi", "convex-mixture"])
     def test_mixture_weights_are_checked(self, op, weights):
         check = {"op": op, "channels": "phi", "family": "S", "rho": "rho", "sigma": "sigma",
@@ -324,6 +325,7 @@ class TestLibraryInputErrorsExit2:
     @pytest.mark.parametrize("name, message", [
         ("usage-dominated-not-psd", "check 'dominated-grid': tau - c*rho: operator is not PSD"),
         ("usage-member-not-psd", "check 'dct-basic': operator is not PSD"),
+        ("usage-nonfinite-member", "check 'dct-basic': operator is not PSD: non-finite entry nan"),
         ("usage-commuting-below-m0", "check 'truncation-criterion': m_max = 1 is below the starting index m_0 = 2"),
         ("usage-n0-past-window", "check 'truncation-criterion': n_0 = 99 is outside the window"),
     ])
