@@ -77,7 +77,8 @@ class HermitianOperator:
             m = np.asarray(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
                 raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
-            m = 0.5 * (m + m.conj().T)
+            with np.errstate(invalid="ignore"):  # an infinite entry symmetrizes to a NaN part, refused later
+                m = 0.5 * (m + m.conj().T)
             self.dim = int(m.shape[0])
             self.is_diagonal = False
             self._diag = None
@@ -108,13 +109,13 @@ class HermitianOperator:
     def operator_norm(self) -> float:
         if self.is_diagonal:
             return float(np.max(np.abs(self._diag))) if self.dim else 0.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+        return float(np.max(np.abs(_eigvalsh(self.matrix))))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in non-increasing order."""
         if self.is_diagonal:
             return np.sort(self._diag)[::-1].copy()
-        return np.linalg.eigvalsh(self.matrix)[::-1].copy()
+        return _eigvalsh(self.matrix)[::-1].copy()
 
     def add(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check_dim(other)
@@ -155,8 +156,8 @@ class Spectrum:
     """Eigenvalues of a positive operator, clamped at 0 and non-increasing, with their basis.
 
     ``rank`` counts the values above ``rank_tol``; ``kept()`` sets the
-    others to 0.  Neighbouring values closer than ``gap_tol`` share a
-    multiplicity group.  ``basis`` pairs ``values[i]`` with column i of a
+    others to 0.  ``group_ends`` of the kept values decides the multiplicity
+    groups and the stable indices.  ``basis`` pairs ``values[i]`` with column i of a
     unitary (dense) or with coordinate ``basis[i]`` (diagonal, where the
     basis is the stable argsort permutation).  A dense basis is solved for
     once, on first request or with the other pending bases of a window
@@ -164,7 +165,7 @@ class Spectrum:
     spectrum scaled from this one.  All arrays are read-only.
     """
 
-    __slots__ = ("values", "diagonal", "rank_tol", "gap_tol", "rank", "_basis", "_source", "_groups")
+    __slots__ = ("values", "diagonal", "rank_tol", "gap_tol", "rank", "_basis", "_source")
 
     def __init__(self, values, *, diagonal: bool, basis=None, source=None):
         values = np.asarray(values, dtype=float)
@@ -179,7 +180,6 @@ class Spectrum:
             basis.flags.writeable = False
         self._basis = basis
         self._source = source  # matrix to diagonalize, or the spectrum whose basis this shares
-        self._groups = None
 
     @property
     def basis(self) -> np.ndarray:
@@ -188,11 +188,14 @@ class Spectrum:
         return self._basis
 
     @property
+    def stable(self) -> np.ndarray:
+        """Whether each cut m = i + 1 is a stable index: a multiplicity group ends at i, or i is past the rank."""
+        return group_ends(self.kept(), self.gap_tol) | (np.arange(self.values.size) >= self.rank)
+
+    @property
     def multiplicity_groups(self) -> list:
-        """(start, stop) index ranges of values within gap_tol of the group's first."""
-        if self._groups is None:
-            self._groups = _multiplicity_groups(self.values, self.gap_tol)
-        return self._groups
+        """(start, stop) index ranges of the multiplicity groups of the kept values."""
+        return _groups(self.kept(), self.gap_tol)
 
     def kept(self) -> np.ndarray:
         """The values with those at or below the rank tolerance set to 0."""
@@ -341,7 +344,7 @@ def _extreme_eigenvalues(h: HermitianOperator):
         return float(h.diag.min()), float(h.diag.max()), None
     if not np.isfinite(h.matrix).all():  # LAPACK can return finite values for a NaN entry
         return math.nan, math.nan, None
-    eigs = np.linalg.eigvalsh(h.matrix)
+    eigs = _eigvalsh(h.matrix)
     return float(eigs[0]), float(eigs[-1]), eigs
 
 
@@ -384,7 +387,7 @@ def positive_eigenvalues(matrices) -> np.ndarray:
     if not np.isfinite(m).all():  # before the eigensolve, as in ``_extreme_eigenvalues``
         raise _not_psd(math.nan, math.nan, m)
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    eigs = np.linalg.eigvalsh(m)
+    eigs = _eigvalsh(m)
     failing = np.flatnonzero(np.logical_not(_passes_psd(eigs[..., 0], eigs[..., -1])))
     if failing.size:
         first = np.unravel_index(failing[0], eigs.shape[:-1])
@@ -408,7 +411,7 @@ class PositiveOperator(HermitianOperator):
         super().__init__(matrix, diagonal=diagonal)
         lam_min, lam_max, eigs = _extreme_eigenvalues(self)
         if not _passes_psd(lam_min, lam_max):
-            raise _not_psd(lam_min, lam_max, self._diag if self.is_diagonal else self._mat)
+            raise _not_psd(lam_min, lam_max, self._diag if self.is_diagonal else np.asarray(matrix))
         if self.is_diagonal:
             np.maximum(self._diag, 0.0, out=self._diag)  # the constructor's own copy
             self._spectrum = None  # sorted on first spectral read
@@ -619,23 +622,35 @@ def _eigh(matrices: np.ndarray) -> tuple:
         w, v = np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
         if len(matrices) == 1:
-            norm = float(np.linalg.norm(matrices[0]))
-            raise LinearAlgebraError(
-                f"eigensolver failed for dim-{matrices.shape[-1]} operator (frobenius norm {norm:.3e})"
-            ) from exc
+            raise _solver_failure(matrices) from exc
         solved = [_eigh(m[None]) for m in matrices]
         return np.concatenate([w for w, _ in solved]), np.concatenate([v for _, v in solved])
     return w[:, ::-1].copy(), _canonical_phase(v[..., ::-1])
 
 
-def _multiplicity_groups(lam: np.ndarray, gap_tol: float) -> list:
-    groups = []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[start] - lam[i] > gap_tol:
-            groups.append((start, i))
-            start = i
-    return groups
+def _eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix or a stack (..., d, d) in one eigensolve; a failure raises as in ``_eigh``."""
+    try:
+        return np.linalg.eigvalsh(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(matrices) from exc
+
+
+def _solver_failure(matrices: np.ndarray) -> LinearAlgebraError:
+    return LinearAlgebraError(f"eigensolver failed for dim-{matrices.shape[-1]} operator "
+                              f"(frobenius norm {float(np.linalg.norm(matrices)):.3e})")
+
+
+def group_ends(values: np.ndarray, gap_tol) -> np.ndarray:
+    """The one gap test: a group of the values (..., d) ends at i iff values[i + 1], 0 past the end, < values[i] - gap_tol."""
+    nxt = np.concatenate([values[..., 1:], np.zeros_like(values[..., :1])], axis=-1)
+    return nxt < values - gap_tol
+
+
+def _groups(values: np.ndarray, gap_tol: float) -> list:
+    """(start, stop) index ranges of the multiplicity groups of ``values``; the last group closes at the end."""
+    stops = np.append(np.flatnonzero(group_ends(values, gap_tol)[:-1]) + 1, values.size).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 def eigh(a: HermitianOperator) -> SpectralDecomposition:
@@ -648,7 +663,7 @@ def eigh(a: HermitianOperator) -> SpectralDecomposition:
     """
     if isinstance(a, PositiveOperator):
         spec = a.spectrum()
-        return SpectralDecomposition(spec.values.copy(), spec.vectors(), list(spec.multiplicity_groups))
+        return SpectralDecomposition(spec.values.copy(), spec.vectors(), spec.multiplicity_groups)
     if a.is_diagonal:
         order = np.argsort(-a.diag, kind="stable")
         lam = a.diag[order].copy()
@@ -657,7 +672,7 @@ def eigh(a: HermitianOperator) -> SpectralDecomposition:
     else:
         lam, vec = (x[0] for x in _solve(a.matrix[None]))
     lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    return SpectralDecomposition(lam, vec, _multiplicity_groups(lam, GAP_REL_TOL * lam_max))
+    return SpectralDecomposition(lam, vec, _groups(lam, GAP_REL_TOL * lam_max))
 
 
 def apply_spectral_function(a: PositiveOperator, f) -> HermitianOperator:
@@ -736,7 +751,7 @@ def trace_norm_distance(a: HermitianOperator, b: HermitianOperator) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_diagonal and b.is_diagonal:
         return float(np.sum(np.abs(a.diag - b.diag)))
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
+    return float(np.sum(np.abs(_eigvalsh(a.matrix - b.matrix))))
 
 
 # ---------------------------------------------------------------------------

@@ -535,8 +535,6 @@ def run_scenario(scenario: Scenario, seed: int = 0, n_max=None, m_max=None) -> d
         entry = {"op": check.get("op"), "name": check.get("name", check.get("op"))}
         try:
             verdict, grid = _run_check(check, seqs, chans, fams, n_max, m_max)
-        except np.linalg.LinAlgError:
-            raise  # numpy derives it from ValueError, but it is a numerical failure
         except ValueError as exc:  # the library's input errors; other types keep their tracebacks
             raise ScenarioError(f"check {entry['name']!r}: {exc}") from exc
         if grid is not None:

@@ -23,6 +23,7 @@ from .operators import (
     Spectrum,
     default_rank_tol,
     eigh,  # noqa: F401  kept importable from here: perfbench's tracer test wraps truncation.eigh
+    group_ends,
     support_projector,
 )
 from .verdicts import CheckResult, TrendSummary, Verdict
@@ -80,8 +81,7 @@ def spectral_truncation(rho: PositiveOperator, m: int) -> TruncationResult:
     head, tail = rho.split(m)
     if m >= spec.rank:
         return TruncationResult(head, tail, float(np.sum(lam)))
-    ambiguous = lam[m - 1] - lam[m] <= spec.gap_tol
-    return TruncationResult(head, tail, float(np.sum(lam[:m])), ambiguous)
+    return TruncationResult(head, tail, float(np.sum(lam[:m])), not spec.stable[m - 1])
 
 
 def truncated_state_entropy_bound(rho: PositiveOperator, m: int) -> bool:
@@ -94,12 +94,8 @@ def truncated_state_entropy_bound(rho: PositiveOperator, m: int) -> bool:
 
 
 def stable_index_set(rho: PositiveOperator, m_max: int):
-    """Ranks m where lambda_{m+1} < lambda_m - gap_tol, or lambda_m is zero-rank."""
-    spec = rho.spectrum()
-    lam = spec.kept()
-    nxt = np.append(lam[1:], 0.0)
-    stable = (nxt < lam - spec.gap_tol) | (lam <= spec.rank_tol)
-    return [int(m) + 1 for m in np.flatnonzero(stable[:max(m_max, 0)])]
+    """Ranks m <= m_max where a multiplicity group ends (lambda_{m+1} < lambda_m - gap_tol), or m is past the rank."""
+    return [int(m) + 1 for m in np.flatnonzero(rho.spectrum().stable[:max(m_max, 0)])]
 
 
 def largest_stable_index(limit: PositiveOperator, m: int, m_max: int | None = None):
@@ -119,8 +115,8 @@ def largest_stable_indices(limit: PositiveOperator, ms, m_max: int | None = None
 
 
 def top_multiplicity(rho: PositiveOperator) -> int:
-    """Multiplicity of the maximal eigenvalue (within the gap tolerance)."""
-    return rho.spectrum().multiplicity_groups[0][1]
+    """Size of the top multiplicity group: the first stable index, 1 for a zero operator."""
+    return int(np.argmax(rho.spectrum().stable)) + 1
 
 
 def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float, m: int,
@@ -129,7 +125,7 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
 
     head = c Psi_{m-hat(rho_limit)}(rho) + Psi_{m-hat(sigma_limit)}(sigma)
     with sigma = tau - c rho; m must reach the top-eigenvalue multiplicity
-    of each limit operator that does not vanish.
+    of each limit operator (1 for a zero limit).
     """
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
@@ -139,12 +135,8 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
 
 
 def _limit_floors(limits) -> tuple:
-    """The multiplicity floor of each limit (rho_0, sigma_0): its top multiplicity, 1 if it vanishes.
-
-    Every m is a stable index of a zero operator, so a vanishing limit
-    adds no floor.
-    """
-    return tuple(1 if limit.vanishes() else top_multiplicity(limit) for limit in limits)
+    """The multiplicity floor of each limit (rho_0, sigma_0): its first stable index, the least m with an m-hat."""
+    return tuple(top_multiplicity(limit) for limit in limits)
 
 
 def _limit_m_hats(limits, m_range) -> tuple:
@@ -198,14 +190,12 @@ class DominatedRow:
 def ambiguous_cuts(spectra, cuts: np.ndarray) -> np.ndarray:
     """``spectral_truncation``'s ambiguous flag for every cut k >= 1 of ``cuts``, from the spectra alone.
 
-    ``cuts`` has shape (N, M), row j cutting spectra[j].  Below the rank
-    the values either side of a cut are kept values.
+    ``cuts`` has shape (N, M), row j cutting spectra[j].  A cut is ambiguous iff it
+    is below the rank, where values are kept values, and no group ends at it.
     """
-    lam = np.stack([spec.values for spec in spectra])
+    ends = group_ends(np.stack([spec.values for spec in spectra]), np.array([[spec.gap_tol] for spec in spectra]))
     rank = np.array([[spec.rank] for spec in spectra])
-    gap_tol = np.array([[spec.gap_tol] for spec in spectra])
-    j = np.arange(lam.shape[0])[:, None]
-    return (cuts < rank) & (lam[j, cuts - 1] - lam[j, np.minimum(cuts, lam.shape[1] - 1)] <= gap_tol)
+    return (cuts < rank) & ~ends[np.arange(len(spectra))[:, None], cuts - 1]
 
 
 def dominated_ambiguity(rows) -> np.ndarray:
@@ -224,25 +214,22 @@ def dominated_ambiguity(rows) -> np.ndarray:
 
 def _cut_pairs(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
                floors: tuple, m_hats: tuple) -> DominatedRow:
-    """The cut pairs of every m of m_range, raising at the first m that has none.
+    """The cut pairs of every m of m_range, raising at the first m below the multiplicity floor m_*.
 
     ``floors`` and ``m_hats`` hold, for the rho and the sigma limit, its
-    multiplicity floor and its m-hat at each m of m_range.  When sigma
-    vanishes only the rho limit cuts.
+    floor (first stable index) and its m-hat at each m of m_range, so every
+    m from m_* on has a cut pair.  When sigma vanishes only the rho limit cuts.
     """
-    limits = ("rho",) if sigma.vanishes() else ("rho", "sigma")
-    m_star = max(floors[:len(limits)])
-    for i, m in enumerate(m_range):
+    cuts_sigma = not sigma.vanishes()
+    m_star = max(floors[:1 + cuts_sigma])
+    for m in m_range:
         if m < m_star:
             raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
-        for which, m_hat in zip(limits, m_hats):
-            if not m_hat[i]:
-                raise ValueError(f"no stable index of the {which} limit at or below m = {m}")
 
     def clipped(op, m_hat):
         return np.minimum(m_hat, max(op.spectrum().rank, 1))
 
-    sigma_cuts = None if len(limits) == 1 else clipped(sigma, m_hats[1])
+    sigma_cuts = clipped(sigma, m_hats[1]) if cuts_sigma else None
     return DominatedRow(rho, sigma, c, clipped(rho, m_hats[0]), sigma_cuts)
 
 
@@ -277,9 +264,9 @@ class ApproximationScheme:
     def dominated_window(self, seq: OperatorSequence, ns, m_max: int) -> tuple:
         """(m_range, rows): the dominated scheme's m-range up to m_max and the ``DominatedRow`` of each n of ns.
 
-        The m-range starts at the multiplicity floor.  Raises, at the first
-        n and m that has no cut, the error ``dominated_truncation`` raises
-        there.
+        The m-range starts at the multiplicity floor: the first stable index
+        of each limit, so every m of it has a cut pair.  A row whose sigma_n
+        vanishes cuts only rho_n.
         """
         limits = self._limits(seq)
         floors = _limit_floors(limits)
@@ -367,9 +354,7 @@ def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> Project
     m_0 = top_multiplicity(limit)
     if m_0 > m_max:
         raise ValueError(f"m_max = {m_max} is below the starting index m_0 = {m_0}; enlarge the window")
-    m_hats = largest_stable_indices(limit, range(m_0, m_max + 1))
-    if not m_hats.all():
-        raise ValueError(f"no stable index of the limit at or below m = {m_0 + int(np.argmin(m_hats))}; enlarge m_max")
+    m_hats = largest_stable_indices(limit, range(m_0, m_max + 1))  # every m from m_0 on has one
     cuts = np.minimum(m_hats[None, :], np.array(ranks)[:, None])
     return ProjectorSchedule(m_0, m_max, n_max, tuple(spectra), cuts)
 

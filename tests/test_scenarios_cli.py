@@ -326,6 +326,7 @@ class TestLibraryInputErrorsExit2:
         ("usage-dominated-not-psd", "check 'dominated-grid': tau - c*rho: operator is not PSD"),
         ("usage-member-not-psd", "check 'dct-basic': operator is not PSD"),
         ("usage-nonfinite-member", "check 'dct-basic': operator is not PSD: non-finite entry nan"),
+        ("usage-nonfinite-dense-member", "check 'dct-basic': operator is not PSD: non-finite entry inf"),
         ("usage-commuting-below-m0", "check 'truncation-criterion': m_max = 1 is below the starting index m_0 = 2"),
         ("usage-n0-past-window", "check 'truncation-criterion': n_0 = 99 is outside the window"),
     ])
@@ -367,8 +368,7 @@ class TestLibraryInputErrorsExit2:
         assert len(failed) == 1 and failed[0].startswith("PSD domination")
 
     @pytest.mark.parametrize("error", [ArithmeticError("overflow"), TypeError("bug"),
-                                       LinearAlgebraError("eigensolver failed"),
-                                       np.linalg.LinAlgError("no convergence")])
+                                       LinearAlgebraError("eigensolver failed")])
     def test_other_errors_propagate(self, error, monkeypatch):
         def failing(*args, **kwargs):
             raise error
@@ -377,3 +377,13 @@ class TestLibraryInputErrorsExit2:
         with pytest.raises(type(error)) as info:
             run_scenario(builtin_scenario("simon-dct"))
         assert info.value is error
+
+    def test_a_failing_eigensolver_is_a_linear_algebra_error(self, monkeypatch):
+        # numpy derives LinAlgError from ValueError; operators converts it before any input-error handler sees it
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(LinearAlgebraError, match="eigensolver failed for dim-") as info:
+            run_scenario(builtin_scenario("channel-mi-depolarizing"))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -663,6 +663,17 @@ def test_vanishing_sigma_limit_scenario_exits_zero():
     assert '"m_range":[1,2,3]' in result.output
 
 
+def test_near_tie_chain_scenario_exits_zero():
+    # rho_0 = diag(1, 1 - 0.6 GAP, 1 - 1.2 GAP, 0.5, 0.25, 0.1): the chain of near-ties is one
+    # multiplicity group, so the commuting schedule and the dominated grid both start at m = 3
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / "near-tie-chain.json")])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    criterion = report["checks"][0]
+    assert criterion["matched"] and criterion["verdict"]["status"] == "consistent"
+    assert [g["grid"]["m_range"] for g in report["grids"]] == [[3, 4, 5, 6]]
+
+
 # ---------------------------------------------------------------------------
 # A broken domination c rho_n <= tau_n is an unmet hypothesis, not an error
 

@@ -34,6 +34,7 @@ from qdini import (
     von_neumann_entropy,
 )
 from qdini.operators import GAP_REL_TOL
+from qdini.truncation import ambiguous_cuts
 
 
 class TestSpectralTruncation:
@@ -143,6 +144,22 @@ def test_largest_stable_indices_match_the_per_m_loop(lam, ms, m_max):
     assert got.shape == (len(ms),)
     assert [int(x) or None for x in got] == [_largest_stable_index_loop(limit, m, m_max) for m in ms]
     assert [largest_stable_index(limit, m, m_max) for m in ms] == [int(x) or None for x in got]
+
+
+@given(planted_spectra())
+@example(np.array([1.0, 1.0 - 0.6 * GAP_REL_TOL, 1.0 - 1.2 * GAP_REL_TOL, 0.5, 0.25, 0.1]))
+def test_one_gap_test_decides_groups_floors_and_ambiguity(lam):
+    # on a chain of near-ties the top group, the first stable index and the ambiguous cuts must agree
+    rho = PositiveOperator(diagonal=lam)
+    spec, d = rho.spectrum(), lam.size
+    stable = stable_index_set(rho, d)
+    assert top_multiplicity(rho) == stable[0]
+    assert all(stop in stable for _, stop in spec.multiplicity_groups if stop < spec.rank)
+    ms = np.arange(1, d + 1)
+    want = [bool(m < spec.rank and m not in stable) for m in ms]
+    assert [spectral_truncation(rho, int(m)).ambiguous for m in ms] == want
+    assert ambiguous_cuts([spec], ms[None, :])[0].tolist() == want
+    commuting_schedule(constant_sequence(rho), d, 1)
 
 
 class TestNormalize:
