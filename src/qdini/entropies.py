@@ -58,10 +58,10 @@ def von_neumann_entropy(rho: PositiveOperator) -> ExtendedReal:
     """Homogeneous entropy on the cone; equals Tr eta(rho) for states, 0 at rho = 0."""
     spec = rho.spectrum()
     lam = spec.values[:spec.rank]
-    t = float(np.sum(lam))
+    t = float(lam.sum())
     if t == 0.0:
         return finite(0.0)
-    return finite(float(-np.sum(lam * np.log(lam))) - eta(t))
+    return finite(float(-(lam * np.log(lam)).sum()) - eta(t))
 
 
 def entropy_of_diagonals(x: np.ndarray, dims=None) -> np.ndarray:

@@ -17,10 +17,9 @@ class ExtendedReal:
 
     def __post_init__(self):
         v = float(self.value)
-        if math.isnan(v):
-            raise ValueError("ExtendedReal cannot hold NaN")
-        if v == -math.inf:
-            raise ValueError("ExtendedReal only supports +inf, not -inf")
+        if not v > -math.inf:  # NaN or -inf
+            raise ValueError("ExtendedReal cannot hold NaN" if math.isnan(v)
+                             else "ExtendedReal only supports +inf, not -inf")
         object.__setattr__(self, "value", v)
 
     @property
@@ -77,8 +76,8 @@ INFINITY = ExtendedReal(math.inf)
 
 
 def finite(x) -> ExtendedReal:
-    """Wrap a finite float, rejecting inf/NaN."""
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite value, got {v}")
-    return ExtendedReal(v)
+    """Wrap a finite float: the constructor refuses NaN and -inf, and this refuses +inf."""
+    out = ExtendedReal(x)
+    if out.value == math.inf:
+        raise ValueError("expected a finite value, got inf")
+    return out

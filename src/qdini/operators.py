@@ -14,12 +14,19 @@ computes and solves for eigenvectors only when they are read: one basis on
 first request, or every pending basis of a window at once through
 ``solve_bases``, one stacked eigensolve per dimension, bitwise the same as
 solving each alone.  A diagonal operator sorts its diagonal on first
-spectral read.  Truncation heads and tails, normalized states and
-pseudoinverses are spectral views of their parent: they carry a spectrum
-derived from the parent's and cost no eigensolve.  ``PositiveOperator.split`` is the one cut of a spectrum into
-a head and a tail: both read the kept values, and a cut at or past the rank
-leaves the operator itself and a zero tail.  A projector cut from a dense
-spectrum is built and checked at once, like any other projector.
+spectral read.  Truncation heads and tails, rescaled and normalized
+states, pseudoinverses and purifications are spectral views of their
+parent: they carry a spectrum derived from the parent's and cost no
+eigensolve.  ``PositiveOperator._with_spectrum`` is the one constructor of
+views.  Its data is freshly allocated, shares memory with no parent or
+caller, and is exactly Hermitian (a composed V diag(lambda) V* and a
+purification's psi psi* are symmetrized once, as they round apart from
+their adjoints), so a view is never re-wrapped: it is not copied,
+symmetrized or validated again.  ``PositiveOperator.split`` is the one cut
+of a spectrum into a head and a tail: both read the kept values, and a cut
+at or past the rank leaves the operator itself and a zero tail.  A
+projector cut from a dense spectrum is built and checked at once, like any
+other projector.
 
 One PSD rule decides positivity, and this is the only module that calls
 numpy's eigensolvers.  ``PositiveOperator`` enforces the rule,
@@ -78,7 +85,7 @@ class HermitianOperator:
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
                 raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
             with np.errstate(invalid="ignore"):  # an infinite entry symmetrizes to a NaN part, refused later
-                m = 0.5 * (m + m.conj().T)
+                m = _hermitian_part(m)
             self.dim = int(m.shape[0])
             self.is_diagonal = False
             self._diag = None
@@ -103,12 +110,12 @@ class HermitianOperator:
     def trace(self) -> float:
         """Sum of the diagonal, computed on first call: operators are immutable."""
         if self._trace is None:
-            self._trace = float(np.sum(self.diag))
+            self._trace = float(self.diag.sum())
         return self._trace
 
     def operator_norm(self) -> float:
         if self.is_diagonal:
-            return float(np.max(np.abs(self._diag))) if self.dim else 0.0
+            return float(np.abs(self._diag).max())
         return float(np.max(np.abs(_eigvalsh(self.matrix))))
 
     def eigenvalues(self) -> np.ndarray:
@@ -141,6 +148,11 @@ class HermitianOperator:
     def __repr__(self):
         kind = "diagonal" if self.is_diagonal else "dense"
         return f"<{type(self).__name__} dim={self.dim} {kind}>"
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2: an exactly Hermitian fresh array."""
+    return 0.5 * (m + m.conj().T)
 
 
 def default_rank_tol(dim: int, lam_max: float) -> float:
@@ -271,7 +283,8 @@ class Spectrum:
         data = self.compose(self.values)
         if self.diagonal:
             return PositiveOperator._with_spectrum(self, diagonal=data)
-        return PositiveOperator._with_spectrum(self, matrix=data)
+        # V diag(lambda) V* rounds apart from its adjoint
+        return PositiveOperator._with_spectrum(self, matrix=_hermitian_part(data))
 
     def projector(self, k: int) -> "Projector":
         """Projector onto the first k basis vectors, checked as it is built."""
@@ -341,7 +354,8 @@ def _check_orthonormal(bases: np.ndarray):
 def _extreme_eigenvalues(h: HermitianOperator):
     """(lambda_min, lambda_max, all eigenvalues ascending or None for a diagonal h); NaN for a dense h with a non-finite entry."""
     if h.is_diagonal:
-        return float(h.diag.min()), float(h.diag.max()), None
+        d = h._diag
+        return float(d.min()), float(d.max()), None
     if not np.isfinite(h.matrix).all():  # LAPACK can return finite values for a NaN entry
         return math.nan, math.nan, None
     eigs = _eigvalsh(h.matrix)
@@ -402,7 +416,8 @@ class PositiveOperator(HermitianOperator):
     -(PSD_REL_TOL * max(lambda_max, 0) + 1e-15) and refuses a non-finite
     entry, which the error names.  A dense operator keeps its
     matrix and clamps the spectrum it checked with; a diagonal operator
-    stores its diagonal clamped at 0.
+    stores its diagonal clamped at 0, and so does every diagonal view, so
+    sorting the diagonal gives its spectrum.
     """
 
     __slots__ = ("_spectrum",)
@@ -427,9 +442,19 @@ class PositiveOperator(HermitianOperator):
 
     @classmethod
     def _with_spectrum(cls, spectrum: Spectrum | None, matrix=None, diagonal=None):
-        """An operator whose spectrum is already known: no validation, no eigensolve."""
+        """A spectral view: an operator whose spectrum is already known, the one constructor of views.
+
+        The caller hands over a freshly allocated array that no one else
+        holds: a real non-negative diagonal, or a complex matrix that is
+        exactly Hermitian.  It is stored as given, with no validation, copy,
+        symmetrization or eigensolve.
+        """
         op = cls.__new__(cls)
-        HermitianOperator.__init__(op, matrix, diagonal=diagonal)
+        if diagonal is not None:
+            op.dim, op.is_diagonal, op._diag, op._mat = diagonal.size, True, diagonal, None
+        else:
+            op.dim, op.is_diagonal, op._diag, op._mat = matrix.shape[0], False, None, matrix
+        op._trace = None
         op._spectrum = spectrum
         return op
 
@@ -437,7 +462,7 @@ class PositiveOperator(HermitianOperator):
         spec = self._spectrum
         if spec is None:
             order = np.argsort(-self._diag, kind="stable")
-            spec = self._spectrum = Spectrum(np.maximum(self._diag[order], 0.0), diagonal=True, basis=order)
+            spec = self._spectrum = Spectrum(self._diag[order], diagonal=True, basis=order)
         return spec
 
     def operator_norm(self) -> float:
@@ -671,7 +696,7 @@ def eigh(a: HermitianOperator) -> SpectralDecomposition:
         vec[order, np.arange(a.dim)] = 1.0
     else:
         lam, vec = (x[0] for x in _solve(a.matrix[None]))
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
+    lam_max = float(np.max(np.abs(lam)))
     return SpectralDecomposition(lam, vec, _groups(lam, GAP_REL_TOL * lam_max))
 
 
@@ -740,7 +765,7 @@ def purify(rho: DensityOperator) -> DensityOperator:
     # sum_i sqrt(lambda_i) v_i (x) e_i, with index (a, i) at a * r + i
     psi = (v * np.sqrt(spec.values[:r])).reshape(rho.dim * r)
     psi /= np.linalg.norm(psi)
-    matrix = np.outer(psi, psi.conj())
+    matrix = _hermitian_part(np.outer(psi, psi.conj()))  # numpy's complex products round apart across the diagonal
     pure = np.zeros(rho.dim * r)
     pure[0] = 1.0
     return DensityOperator._with_spectrum(Spectrum(pure, diagonal=False, source=matrix), matrix=matrix)

@@ -29,6 +29,7 @@ from qdini import (
 )
 from qdini.operators import GAP_REL_TOL, LinearAlgebraError, _canonical_phase, _eigh, solve_bases
 from qdini.scenarios import random_unitary
+from qdini.truncation import normalize
 
 
 class TestExtendedReal:
@@ -100,13 +101,16 @@ class TestConstruction:
             support_projector(rho),                    # dense Projector
             support_projector(rho).complement(),
         ]
+        ops += list(rho.split(2)) + [moore_penrose_inverse(rho), purify(rho)]  # the other spectral views
         firsts = [op.trace() for op in ops]
         assert firsts == [float(np.sum(op.diag)) for op in ops]
 
-        def no_sum(*args, **kwargs):
-            raise AssertionError("trace() summed the diagonal again")
+        def no_read(op):
+            raise AssertionError("trace() read the diagonal again")
 
-        monkeypatch.setattr(np, "sum", no_sum)
+        monkeypatch.setattr(HermitianOperator, "diag", property(no_read))
+        with pytest.raises(AssertionError, match="read the diagonal again"):
+            HermitianOperator(diagonal=[1.0]).trace()  # the hook sees every first read
         assert [op.trace() for op in ops] == firsts
 
     def test_projector_leq(self):
@@ -271,6 +275,43 @@ def test_stack_failure_names_the_failing_member(monkeypatch):
     norm = float(np.linalg.norm(members[1]))
     with pytest.raises(LinearAlgebraError, match=re.escape(f"eigensolver failed for dim-3 operator (frobenius norm {norm:.3e})")):
         solve_bases([PositiveOperator(m).spectrum() for m in members])
+
+
+def _views(parent):
+    """The spectral views of ``parent``: rescaled, pseudoinverse, rebuilt from its spectrum,
+    both parts of every split below the rank, and, unless it vanishes, normalized and purified."""
+    spec = parent.spectrum()
+    views = [parent.rescaled(0.5), parent.rescaled(0.0), moore_penrose_inverse(parent), spec.operator()]
+    for k in range(spec.rank):
+        views += parent.split(k)
+    if not parent.vanishes():
+        state = normalize(parent)
+        views += [state, purify(state)]
+    return views
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_views_hold_fresh_exactly_hermitian_data(stack):
+    """A view stores its data as given, so that data must be exactly Hermitian and shared with nothing."""
+    dims, cases, seed = stack
+    rng = np.random.default_rng(seed)
+    for d, case in zip(dims, cases):
+        member = _stack_member(rng, d, case)
+        diagonal = member.diagonal().real.copy()
+        for given_data, parent in ((member, PositiveOperator(member)), (diagonal, PositiveOperator(diagonal=diagonal))):
+            spec = parent.spectrum()
+            held = [given_data, parent._mat if parent._mat is not None else parent._diag, spec.values, spec.basis]
+            views = _views(parent)
+            data = [view._diag if view.is_diagonal else view._mat for view in views]
+            for view, m in zip(views, data):
+                if view.is_diagonal:
+                    assert m.dtype == float and m.ndim == 1 and (m >= 0.0).all()
+                else:
+                    assert np.array_equal(m, m.conj().T)
+                assert not any(np.shares_memory(m, a) for a in held)
+            for i, m in enumerate(data):
+                assert not any(np.shares_memory(m, other) for other in data[i + 1:])
 
 
 class TestSpectralCalculus:

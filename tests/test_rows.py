@@ -631,12 +631,18 @@ def test_choi_rank_bound_check_builds_no_operator_per_sample_cut(monkeypatch):
         rho(n).spectrum().basis  # the members and their bases, built beforehand
     counts = Counter()
     init, split = HermitianOperator.__init__, PositiveOperator.split
+    view = PositiveOperator._with_spectrum.__func__
 
     def counted_init(self, *args, **kwargs):
         counts["constructions"] += 1
         init(self, *args, **kwargs)
 
+    def counted_view(cls, *args, **kwargs):  # spectral views do not enter __init__
+        counts["constructions"] += 1
+        return view(cls, *args, **kwargs)
+
     monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
+    monkeypatch.setattr(PositiveOperator, "_with_spectrum", classmethod(counted_view))
     monkeypatch.setattr(PositiveOperator, "split", lambda op, k: counts.update(["split"]) or split(op, k))
     verdict = check_dct_basic(fams["f"], fams["g"], rho, n_max, check["m_max"])
     assert verdict.status == "consistent"
