@@ -76,8 +76,8 @@ INFINITY = ExtendedReal(math.inf)
 
 
 def finite(x) -> ExtendedReal:
-    """Wrap a finite float: the constructor refuses NaN and -inf, and this refuses +inf."""
-    out = ExtendedReal(x)
-    if out.value == math.inf:
-        raise ValueError("expected a finite value, got inf")
-    return out
+    """Wrap a finite float, rejecting inf/NaN."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite value, got {v}")
+    return ExtendedReal(v)

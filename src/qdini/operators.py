@@ -151,8 +151,8 @@ class HermitianOperator:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2: an exactly Hermitian fresh array."""
-    return 0.5 * (m + m.conj().T)
+    """(M + M*) / 2 over the last two axes: an exactly Hermitian fresh array, or a stack of them."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def default_rank_tol(dim: int, lam_max: float) -> float:
@@ -400,7 +400,7 @@ def positive_eigenvalues(matrices) -> np.ndarray:
     m = np.asarray(matrices, dtype=complex)
     if not np.isfinite(m).all():  # before the eigensolve, as in ``_extreme_eigenvalues``
         raise _not_psd(math.nan, math.nan, m)
-    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    m = _hermitian_part(m)
     eigs = _eigvalsh(m)
     failing = np.flatnonzero(np.logical_not(_passes_psd(eigs[..., 0], eigs[..., -1])))
     if failing.size:

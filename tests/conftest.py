@@ -26,6 +26,31 @@ def eigensolves(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of operators built, through ``HermitianOperator.__init__`` or the view constructor.
+
+    Spectral views come from ``PositiveOperator._with_spectrum`` and never
+    enter ``__init__``, so a count of ``__init__`` alone would miss them.
+    """
+    from qdini import HermitianOperator, PositiveOperator
+
+    counts = Counter()
+    init, view = HermitianOperator.__init__, PositiveOperator._with_spectrum.__func__
+
+    def counted_init(self, *args, **kwargs):
+        counts["operators"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_view(cls, *args, **kwargs):
+        counts["operators"] += 1
+        return view(cls, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
+    monkeypatch.setattr(PositiveOperator, "_with_spectrum", classmethod(counted_view))
+    return counts
+
+
 ACCEPTANCE_LABELS = {
     "test_ac1_identity_channel_mi_doubles_entropy":
         "AC1 identity-channel mutual information equals 2 S(rho)",

@@ -34,7 +34,6 @@ from qdini import (
     ApproximationScheme,
     ChannelSequence,
     FunctionalFamily,
-    HermitianOperator,
     OperatorSequence,
     PositiveOperator,
     approximation_gap_grid,
@@ -212,29 +211,25 @@ def test_commuting_criterion_takes_the_row_path(monkeypatch, dense):
     assert calls == {"split": (n_max + 1) * len(range(schedule.m_0, schedule.m_max + 1))}
 
 
-def test_dense_grid_row_builds_no_operator_and_reads_no_weights_per_cell(monkeypatch):
+def test_dense_grid_row_builds_no_operator_and_reads_no_weights_per_cell(monkeypatch, constructions):
     rho_seq, sigma_seq, _ = _window("generic", True, 0, d=16)
     n_max = m_max = 8
     for n in range(n_max + 1):
         rho_seq(n), sigma_seq(n)
+    constructions.clear()
     counts = Counter()
-    weights, init = Spectrum.weights, HermitianOperator.__init__
+    weights = Spectrum.weights
 
     def counted_weights(self, a):
         counts["weights"] += 1
         return weights(self, a)
 
-    def counted_init(self, *args, **kwargs):
-        counts["constructions"] += 1
-        init(self, *args, **kwargs)
-
     monkeypatch.setattr(Spectrum, "weights", counted_weights)
-    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
     grid = approximation_gap_grid(relative_entropy_family(sigma_seq), rho_seq,
                                   ApproximationScheme("spectral"), n_max, m_max)
     assert len(grid.cells) == (n_max + 1) * m_max
     assert counts["weights"] == n_max + 1  # f_n(rho_n) itself, once per row
-    assert counts["constructions"] == 0
+    assert constructions["operators"] == 0
 
 
 def test_criterion_tails_at_the_rank_are_finite_at_large_scale():
@@ -338,23 +333,15 @@ def test_dominated_row_flags_ties_at_a_cut():
     assert _dominated_row_matches_cells(*TIED_WINDOW)["ambiguous-m"]
 
 
-def test_simon_dct_grid_builds_no_operator_per_cell(monkeypatch):
+def test_simon_dct_grid_builds_no_operator_per_cell(constructions):
     sc = builtin_scenario("simon-dct").to_json()
     sc["checks"] = [check for check in sc["checks"] if check["op"] == "gap-grid"]
-    init = HermitianOperator.__init__
-    counts = Counter()
-
-    def counted_init(self, *args, **kwargs):
-        counts["constructions"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
     built = []
     for m_max in (4, 16):
-        counts.clear()
+        constructions.clear()
         report = run_scenario(Scenario.from_json(sc), m_max=m_max)
         assert len(report["grids"][0]["grid"]["cells"]) == 13 * m_max
-        built.append(counts["constructions"])
+        built.append(constructions["operators"])
     # per n: tau_n, rho_n and the thermal state rho_n mixes in; c rho_n, the
     # difference tau_n - c rho_n and sigma_n; whatever the number of cells
     assert built[0] == built[1] <= 7 * 13
@@ -622,33 +609,21 @@ def test_channel_mi_checks_rows_match_cells(window, with_schedule):
     assert _json_difference(got, want) is None, (got, want)
 
 
-def test_choi_rank_bound_check_builds_no_operator_per_sample_cut(monkeypatch):
+def test_choi_rank_bound_check_builds_no_operator_per_sample_cut(monkeypatch, constructions):
     sc = builtin_scenario("choi-rank-bound")
     seqs, _, fams = scenarios._resolve_bindings(sc)
     check = sc.checks[0]
     rho, n_max = seqs["rho"], check["n_max"]
     for n in range(n_max + 1):
         rho(n).spectrum().basis  # the members and their bases, built beforehand
-    counts = Counter()
-    init, split = HermitianOperator.__init__, PositiveOperator.split
-    view = PositiveOperator._with_spectrum.__func__
-
-    def counted_init(self, *args, **kwargs):
-        counts["constructions"] += 1
-        init(self, *args, **kwargs)
-
-    def counted_view(cls, *args, **kwargs):  # spectral views do not enter __init__
-        counts["constructions"] += 1
-        return view(cls, *args, **kwargs)
-
-    monkeypatch.setattr(HermitianOperator, "__init__", counted_init)
-    monkeypatch.setattr(PositiveOperator, "_with_spectrum", classmethod(counted_view))
-    monkeypatch.setattr(PositiveOperator, "split", lambda op, k: counts.update(["split"]) or split(op, k))
+    constructions.clear()
+    split = PositiveOperator.split
+    monkeypatch.setattr(PositiveOperator, "split", lambda op, k: constructions.update(["split"]) or split(op, k))
     verdict = check_dct_basic(fams["f"], fams["g"], rho, n_max, check["m_max"])
     assert verdict.status == "consistent"
     # [rho_0] once; per n >= 1 only the LAA mixture: [rho_n], the halves of
     # [rho_n] and [rho_0], their sum and Phi_n of it
-    assert counts == {"constructions": 1 + 5 * n_max}
+    assert constructions == {"operators": 1 + 5 * n_max}
 
 
 def test_choi_rank_bound_check_solves_its_bases_in_one_eigensolve(eigensolves):
