@@ -32,8 +32,10 @@ from .entropies import (
     regularized_log_ladder,
     relative_entropy,
     relative_entropy_cuts,
+    relative_entropy_pairs,
     trace_neg_log,
     trace_neg_log_cuts,
+    trace_neg_log_pairs,
     von_neumann_entropy,
 )
 from .extreal import ExtendedReal
@@ -43,8 +45,8 @@ from .operators import (
     apply_spectral_function,
     compress,
     default_rank_tols,
-    is_psd,
     moore_penrose_inverse,
+    ordering_slacks,
 )
 from .truncation import (
     ApproximationScheme,
@@ -730,34 +732,34 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     Requires c_rho rho2_n <= rho1_n and c_sigma sigma1_n <= sigma2_n; where
     one fails at some n >= 1 the verdict is inconclusive at once, with the
     failed check.  At the declared limit n = 0 they are only reported, so
-    that an inconsistent limit can be detected as a violation.
+    that an inconsistent limit can be detected as a violation.  Each
+    ordering is decided over the whole window in one call, and each list
+    of relative entropies comes from one ``relative_entropy_pairs`` call.
     """
-    broken = _broken_orderings(range(1, n_max + 1), (rho2, rho1, c_rho, "c_rho*rho2_n <= rho1_n"),
-                               (sigma1, sigma2, c_sigma, "c_sigma*sigma1_n <= sigma2_n"))
-    limit_rho_ok = is_psd(rho1(0).sub(rho2(0).scale(c_rho)))
-    limit_sigma_ok = is_psd(sigma2(0).sub(sigma1(0).scale(c_sigma)))
-    limit_check = CheckResult("orderings hold at the declared limit", limit_rho_ok and limit_sigma_ok, 0.0,
-                              "" if limit_rho_ok and limit_sigma_ok else "declared limit breaks an ordering")
+    ns = range(n_max + 1)
+    orderings = [(label, *_ordering_rows(ns, lower, upper, c)) for lower, upper, c, label in (
+        (rho2, rho1, c_rho, "c_rho*rho2_n <= rho1_n"), (sigma1, sigma2, c_sigma, "c_sigma*sigma1_n <= sigma2_n"))]
+    limit_ok = all(passes[0] for _, passes, _ in orderings)
+    limit_check = CheckResult("orderings hold at the declared limit", limit_ok, 0.0,
+                              "" if limit_ok else "declared limit breaks an ordering")
+    broken = tuple(check for label, passes, lam_min in orderings
+                   if (check := _first_break(label, ns[1:], passes[1:], lam_min[1:])))
     if broken:
         return Verdict("relative-entropy-domination", hypothesis_checks=(limit_check, *broken), hypotheses_ok=False)
-    hyp_vals = [relative_entropy(rho1(n), sigma1(n)) for n in range(n_max + 1)]
-    con_vals = [relative_entropy(rho2(n), sigma2(n)) for n in range(n_max + 1)]
-    inf_hyp = any(v.is_inf for v in hyp_vals)
+    hyp_vals = relative_entropy_pairs([rho1(n) for n in ns], [sigma1(n) for n in ns]).tolist()
+    con_vals = relative_entropy_pairs([rho2(n) for n in ns], [sigma2(n) for n in ns]).tolist()
+    inf_hyp = math.inf in hyp_vals
     checks = [limit_check, CheckResult("hypothesis D(rho1_n||sigma1_n) finite", not inf_hyp, 0.0)]
     trends = []
-    values = {
-        "hypothesis": [float(v) for v in hyp_vals],
-        "conclusion": [float(v) for v in con_vals],
-    }
+    values = {"hypothesis": hyp_vals, "conclusion": con_vals}
     violated = False
     if not inf_hyp:
         hyp_trend = _limit_trend("|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", hyp_vals)
         trends.append(hyp_trend)
-        inf_cells = [n for n, v in enumerate(con_vals) if v.is_inf]
-        if inf_cells:
+        if math.inf in con_vals:
             checks.append(CheckResult(
                 "conclusion finite where domination guarantees it", False, 0.0,
-                f"D(rho2_n||sigma2_n) = +inf at n = {inf_cells[0]}"))
+                f"D(rho2_n||sigma2_n) = +inf at n = {con_vals.index(math.inf)}"))
             # the guarantee needs the hypothesis to converge
             violated = hyp_trend.shrinks
         else:
@@ -775,21 +777,23 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
 
     Per-n sum inequalities are asserted as genuine checks; with theta_seq the
     shifted variant D(rho_n + sigma_n || omega_n + theta_n) is also tracked
-    with D(sigma_n || theta_n) as its second hypothesis.
+    with D(sigma_n || theta_n) as its second hypothesis.  Each list of
+    relative entropies comes from one ``relative_entropy_pairs`` call, and
+    rho_n + sigma_n is built once per n.
     """
-    d_rho = [relative_entropy(rho_seq(n), omega_seq(n)) for n in range(n_max + 1)]
-    d_sigma = [relative_entropy(sigma_seq(n), omega_seq(n)) for n in range(n_max + 1)]
-    d_sum = [relative_entropy(rho_seq(n).add(sigma_seq(n)), omega_seq(n)) for n in range(n_max + 1)]
-    inf_hyp = any(v.is_inf for v in d_rho + d_sigma)
+    ns = range(n_max + 1)
+    rhos, sigmas, omegas = ([seq(n) for n in ns] for seq in (rho_seq, sigma_seq, omega_seq))
+    sums = [rho.add(sigma) for rho, sigma in zip(rhos, sigmas)]
+    d_rho, d_sigma, d_sum = (relative_entropy_pairs(ops, omegas).tolist() for ops in (rhos, sigmas, sums))
+    inf_hyp = math.inf in d_rho or math.inf in d_sigma
     guard_ok, guard_slack, guard_detail = True, math.inf, ""
-    for n in range(n_max + 1):
-        if d_rho[n].is_inf or d_sigma[n].is_inf or d_sum[n].is_inf:
+    for n in ns:
+        if math.inf in (d_rho[n], d_sigma[n], d_sum[n]):
             continue
-        tr_omega = omega_seq(n).trace()
-        lower = float(d_rho[n]) + float(d_sigma[n]) - tr_omega
-        upper = lower + binary_entropy_extension(rho_seq(n).trace(), sigma_seq(n).trace())
-        lo_slack = float(d_sum[n]) - lower
-        hi_slack = upper - float(d_sum[n])
+        lower = d_rho[n] + d_sigma[n] - omegas[n].trace()
+        upper = lower + binary_entropy_extension(rhos[n].trace(), sigmas[n].trace())
+        lo_slack = d_sum[n] - lower
+        hi_slack = upper - d_sum[n]
         for tag, slack in (("lower", lo_slack), ("upper", hi_slack)):
             if slack < guard_slack:
                 guard_slack = slack
@@ -800,23 +804,23 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
         CheckResult("per-n sum inequalities", guard_ok, float(guard_slack), guard_detail),
     ]
     trends = []
-    values = {"conclusion": [float(v) for v in d_sum]}
+    values = {"conclusion": d_sum}
     if not inf_hyp:
         trends.append(_limit_trend("|D(rho_n||omega_n) - D(rho_0||omega_0)|", d_rho))
         trends.append(_limit_trend("|D(sigma_n||omega_n) - D(sigma_0||omega_0)|", d_sigma))
-    inf_sum = any(v.is_inf for v in d_sum)
+    inf_sum = math.inf in d_sum
     if not inf_sum:
         trends.append(_limit_trend("|D(rho_n+sigma_n||omega_n) - D(rho_0+sigma_0||omega_0)|", d_sum))
     if theta_seq is not None:
-        d_theta = [relative_entropy(sigma_seq(n), theta_seq(n)) for n in range(n_max + 1)]
-        d_shift = [relative_entropy(rho_seq(n).add(sigma_seq(n)), omega_seq(n).add(theta_seq(n)))
-                   for n in range(n_max + 1)]
-        values["shifted_conclusion"] = [float(v) for v in d_shift]
-        if not any(v.is_inf for v in d_theta):
+        thetas = [theta_seq(n) for n in ns]
+        d_theta = relative_entropy_pairs(sigmas, thetas).tolist()
+        d_shift = relative_entropy_pairs(sums, [omega.add(theta) for omega, theta in zip(omegas, thetas)]).tolist()
+        values["shifted_conclusion"] = d_shift
+        if math.inf not in d_theta:
             trends.append(_limit_trend("|D(sigma_n||theta_n) - D(sigma_0||theta_0)|", d_theta))
         else:
             inf_hyp = True
-        if not any(v.is_inf for v in d_shift):
+        if math.inf not in d_shift:
             trends.append(_limit_trend("|D(rho_n+sigma_n||omega_n+theta_n) - D(...limit...)|", d_shift))
         else:
             inf_sum = True
@@ -891,15 +895,17 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     hits +inf, inconclusive at once.  Else checks the monotone ladder
     difference inequality 0 <= a2_n - a2_{k,n} <= a1_n - a1_{k,n}, the
     windowed bound A_2 - a2_0 <= Delta, and the spectral identity
-    Tr H rho = sum of H-quadratic forms over rho's eigenvectors.
+    Tr H rho = sum of H-quadratic forms over rho's eigenvectors.  Each
+    ordering is decided over the whole window in one call, and a1_n and
+    a2_n each come from one ``trace_neg_log_pairs`` call.
     """
-    broken = _broken_orderings(range(n_max + 1), (rho2, rho1, 1.0, "rho2_n <= rho1_n"),
-                               (sigma1, sigma2, 1.0, "sigma1_n <= sigma2_n"))
+    ns = range(n_max + 1)
+    broken = _broken_orderings(ns, (rho2, rho1, 1.0, "rho2_n <= rho1_n"), (sigma1, sigma2, 1.0, "sigma1_n <= sigma2_n"))
     if broken:
         return Verdict("appendix-domination", hypothesis_checks=broken, hypotheses_ok=False)
-    a1 = [trace_neg_log(rho1(n), sigma1(n)) for n in range(n_max + 1)]
-    a2 = [trace_neg_log(rho2(n), sigma2(n)) for n in range(n_max + 1)]
-    inf_hyp = any(v.is_inf for v in a1)
+    a1 = trace_neg_log_pairs([rho1(n) for n in ns], [sigma1(n) for n in ns]).tolist()
+    a2 = trace_neg_log_pairs([rho2(n) for n in ns], [sigma2(n) for n in ns]).tolist()
+    inf_hyp = math.inf in a1
     checks = [CheckResult("A_1 values finite on window", not inf_hyp, 0.0)]
     if inf_hyp:
         return Verdict("appendix-domination", hypothesis_checks=tuple(checks), hypotheses_ok=False)
@@ -908,8 +914,8 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         l1 = regularized_log_ladder(rho1(n), sigma1(n), k_schedule)
         l2 = regularized_log_ladder(rho2(n), sigma2(n), k_schedule)
         for i, k in enumerate(l1.k_values):
-            d1 = float(a1[n]) - l1.a_k[i]
-            d2 = float(a2[n]) - l2.a_k[i]
+            d1 = a1[n] - l1.a_k[i]
+            d2 = a2[n] - l2.a_k[i]
             for tag, slack in (("0 <= a2_n - a2_(k,n)", d2 + INEQ_SLACK),
                                ("a2 difference <= a1 difference", d1 - d2 + INEQ_SLACK)):
                 if slack < ladder_slack:
@@ -919,10 +925,10 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     checks.append(CheckResult("ladder difference comparisons", ladder_ok, float(ladder_slack), ladder_detail))
     sq_ok, sq_slack = _spectral_form_identity(rho1, sigma1, n_max)
     checks.append(CheckResult("Tr H rho equals the eigenvector quadratic-form sum", sq_ok, sq_slack))
-    a1_window = windowed_sup([float(v) for v in a1[1:]], n_max)
-    delta = max(0.0, a1_window - float(a1[0]))
-    a2_window = windowed_sup([float(v) for v in a2[1:]], n_max)
-    bound_slack = delta + INEQ_SLACK - (a2_window - float(a2[0]))
+    a1_window = windowed_sup(a1[1:], n_max)
+    delta = max(0.0, a1_window - a1[0])
+    a2_window = windowed_sup(a2[1:], n_max)
+    bound_slack = delta + INEQ_SLACK - (a2_window - a2[0])
     bound_ok = bound_slack >= 0.0
     checks.append(CheckResult("windowed A_2 - a2_0 <= Delta", bound_ok, bound_slack))
     trends = (
@@ -956,19 +962,25 @@ def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequen
 # Shared PSD guards
 
 
+def _ordering_rows(ns, lower: OperatorSequence, upper: OperatorSequence, c: float) -> tuple:
+    """Whether c lower_n <= upper_n passes the PSD rule at each n of ns, and lambda_min of upper_n - c lower_n: one call for the window."""
+    return ordering_slacks([upper(n) for n in ns], [lower(n) for n in ns], c)
+
+
+def _first_break(label: str, ns, passes, lam_min) -> CheckResult | None:
+    """The failed hypothesis check of an ordering at the first n of ns where it breaks the PSD rule, or None."""
+    if passes.all():
+        return None
+    i = int(np.argmin(passes))
+    lam = float(lam_min[i])
+    return CheckResult(f"PSD domination {label}", False, lam,
+                       f"fails at n = {ns[i]}: most negative eigenvalue {lam:.3e}")
+
+
 def _broken_orderings(ns, *orderings) -> tuple:
     """A failed hypothesis check per ordering (lower, upper, c, label) where c lower_n <= upper_n breaks the PSD rule at some n of ns.
 
     Each names the first such n; its slack is the most negative eigenvalue of upper_n - c lower_n there.
     """
-    failed = []
-    for lower, upper, c, label in orderings:
-        for n in ns:
-            diff = upper(n).sub(lower(n).scale(c))
-            if not is_psd(diff):
-                lam_min = float(diff.eigenvalues()[-1])
-                failed.append(CheckResult(f"PSD domination {label}", False, lam_min,
-                                          f"fails at n = {n}: most negative eigenvalue {lam_min:.3e}"))
-                break
-    return tuple(failed)
-
+    checks = (_first_break(label, ns, *_ordering_rows(ns, lower, upper, c)) for lower, upper, c, label in orderings)
+    return tuple(check for check in checks if check is not None)

@@ -5,6 +5,15 @@ Neumann entropy uses its homogeneous extension S(rho) = Tr eta(rho) -
 eta(Tr rho), and the relative entropy uses the Lindblad extension
 D(rho||sigma) = sum <i| rho ln rho - rho ln sigma |i> + Tr sigma - Tr rho,
 with D(0||sigma) = Tr sigma and +inf on support violation.
+
+The scalar functionals take one operator or one pair.  Each window form
+below follows one of them step for step, and the scalar function is its
+oracle: ``relative_entropy_pairs`` and ``trace_neg_log_pairs`` evaluate a
+list of pairs (rho_n, sigma_n) in one array pass, and the relative-entropy
+procedures of ``diagnostics`` read their per-n lists from them;
+``SpectralCuts`` and the ``*_cuts`` functions evaluate every head and tail
+of a window of spectra.  The scalar functions stay for single-pair
+callers: a one-row kernel call costs more than a scalar call.
 """
 
 from __future__ import annotations
@@ -82,8 +91,8 @@ def entropy_of_diagonals(x: np.ndarray, dims=None) -> np.ndarray:
         lam = np.where(np.arange(x.shape[1]) < dims[:, None], lam, 0.0)
     counted = lam > default_rank_tols(dims, lam[:, 0])[:, None]
     lam = np.where(counted, lam, 0.0)
-    t = np.sum(lam, axis=1)
-    return -np.sum(lam * np.log(np.where(counted, lam, 1.0)), axis=1) + t * np.log(np.where(t > 0.0, t, 1.0))
+    t = lam.sum(axis=1)
+    return -(lam * np.log(np.where(counted, lam, 1.0))).sum(axis=1) + t * np.log(np.where(t > 0.0, t, 1.0))
 
 
 def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedReal:
@@ -117,6 +126,67 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
         return INFINITY
     s = float(von_neumann_entropy(rho))
     return finite(float(tnl) - s - eta(tr_rho) + tr_sigma - tr_rho)
+
+
+def _pair_sums(rhos, sigmas):
+    """Tr rho (-ln sigma) on supp sigma, the mass of rho off supp sigma, and Tr rho, for every pair: arrays of shape (N,).
+
+    Row i reads rho_i's weights along sigma_i's basis, in the order of
+    sigma_i's non-increasing values.  When every operator is diagonal they
+    are gathered from rho's diagonal by the stable argsort of sigma's;
+    otherwise the pending bases of the sigmas are solved in one call and
+    each spectrum reads its weights.  Both go through one formula.
+    """
+    if len(rhos) != len(sigmas):
+        raise ValueError(f"{len(rhos)} operators rho against {len(sigmas)} operators sigma")
+    dims = {op.dim for op in [*rhos, *sigmas]}
+    if len(dims) != 1:
+        raise ValueError(f"dimension mismatch: {sorted(dims)}")
+    # np.array, not np.stack: the rows share one shape, and np.stack's checks cost more than the sums below
+    if all(op.is_diagonal for op in rhos) and all(op.is_diagonal for op in sigmas):
+        s = np.array([sigma.diag for sigma in sigmas])
+        order = np.argsort(-s, axis=1, kind="stable")
+        rows = np.arange(len(sigmas))[:, None]
+        values, weights = s[rows, order], np.array([rho.diag for rho in rhos])[rows, order]
+    else:
+        specs = [sigma.spectrum() for sigma in sigmas]
+        solve_bases(specs)
+        values = np.array([spec.values for spec in specs])
+        weights = np.clip(np.array([spec.weights(rho) for spec, rho in zip(specs, rhos)]), 0.0, None)
+    # supp sigma: the values above its rank tolerance, the first ``Spectrum.rank`` of them
+    on_support = values > default_rank_tols(values.shape[1], values[:, 0])[:, None]
+    cost = -(weights * np.log(np.where(on_support, values, 1.0))).sum(axis=1)
+    outside = np.where(on_support, 0.0, weights).sum(axis=1)
+    return cost, outside, np.array([rho.trace() for rho in rhos])
+
+
+def trace_neg_log_pairs(rhos, sigmas) -> np.ndarray:
+    """``trace_neg_log(rhos[i], sigmas[i])`` for every pair, one array pass for all; +inf as np.inf.
+
+    The pairs share one dimension.  The scalar function is this kernel's oracle.
+    """
+    cost, outside, tr_rho = _pair_sums(rhos, sigmas)
+    return np.where(outside > _support_tol(tr_rho), np.inf, cost)
+
+
+def relative_entropy_pairs(rhos, sigmas) -> np.ndarray:
+    """``relative_entropy(rhos[i], sigmas[i])`` for every pair, one array pass for all; +inf as np.inf.
+
+    Row for row the scalar rules: D(0||sigma) = Tr sigma where rho
+    vanishes, decided before the support test; +inf where rho's mass off
+    supp sigma exceeds ``_support_tol``; else Tr rho (-ln sigma) - S(rho)
+    - eta(Tr rho) + Tr sigma - Tr rho, with S(rho) from
+    ``entropy_of_diagonals`` of rho's diagonal or eigenvalues.  The pairs
+    share one dimension.  The scalar function is this kernel's oracle.
+    """
+    cost, outside, tr_rho = _pair_sums(rhos, sigmas)
+    lam = np.array([rho.diag if rho.is_diagonal else rho.spectrum().values for rho in rhos])
+    tr_sigma = np.array([sigma.trace() for sigma in sigmas])
+    # rho's operator norm is its largest value
+    vanishing = tr_rho <= default_rank_tols(lam.shape[1], lam.max(axis=1))
+    eta_tr = -tr_rho * np.log(np.where(tr_rho > 0.0, tr_rho, 1.0))
+    d = cost - entropy_of_diagonals(lam) - eta_tr + tr_sigma - tr_rho
+    return np.where(vanishing, tr_sigma, np.where(outside > _support_tol(tr_rho), np.inf, d))
 
 
 class SpectralCuts:

@@ -8,19 +8,36 @@ NaN so that diagnostics never propagate indeterminate cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class ExtendedReal:
-    value: float
+    """An immutable extended real: its ``value`` is a float, never NaN or -inf."""
 
-    def __post_init__(self):
-        v = float(self.value)
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        v = float(value)
         if not v > -math.inf:  # NaN or -inf
             raise ValueError("ExtendedReal cannot hold NaN" if math.isnan(v)
                              else "ExtendedReal only supports +inf, not -inf")
-        object.__setattr__(self, "value", v)
+        _set_value(self, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: ExtendedReal is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: ExtendedReal is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is ExtendedReal:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __reduce__(self):
+        return ExtendedReal, (self.value,)
 
     @property
     def is_inf(self) -> bool:
@@ -72,6 +89,7 @@ class ExtendedReal:
         return "ExtendedReal(+inf)" if self.is_inf else f"ExtendedReal({self.value!r})"
 
 
+_set_value = ExtendedReal.value.__set__  # the slot's own setter, past the refusing __setattr__
 INFINITY = ExtendedReal(math.inf)
 
 

@@ -32,7 +32,9 @@ One PSD rule decides positivity, and this is the only module that calls
 numpy's eigensolvers.  ``PositiveOperator`` enforces the rule,
 ``PositiveOperator.of`` turns a Hermitian result (a difference, a partial
 trace) into a checked positive operator, and ``is_psd`` answers the same
-question without building one.  ``positive_eigenvalues`` applies the rule
+question without building one.  ``ordering_slacks`` answers it for the
+differences upper_n - c lower_n of a whole window of orderings in one
+call, and ``positive_eigenvalues`` applies the rule
 to a whole stack of matrices with one eigensolve, for the window
 functionals that need many small spectra and no operators.
 """
@@ -387,6 +389,33 @@ def _not_psd(lam_min: float, lam_max: float, entries: np.ndarray) -> ValueError:
 def is_psd(h: HermitianOperator) -> bool:
     """Whether h passes the PSD rule of ``PositiveOperator``; builds no operator."""
     return _passes_psd(*_extreme_eigenvalues(h)[:2])
+
+
+def ordering_slacks(uppers, lowers, c: float) -> tuple:
+    """Whether c lowers[i] <= uppers[i] passes the PSD rule for each pair, and lambda_min of uppers[i] - c lowers[i]: one rule call.
+
+    The differences are those of ``uppers[i].sub(lowers[i].scale(c))``
+    and the rule that of ``is_psd``.  Pairs of diagonal operators read the
+    row min and max of the stacked differences of their diagonals; the
+    other pairs' symmetrized dense differences go through one stacked
+    eigensolve, and a difference with a non-finite entry fails with NaN.
+    """
+    lam_min, lam_max = np.full(len(uppers), math.nan), np.full(len(uppers), math.nan)
+    diagonal = np.array([u.is_diagonal and l.is_diagonal for u, l in zip(uppers, lowers)], dtype=bool)
+    rows = np.flatnonzero(diagonal)
+    if rows.size:
+        diffs = np.array([uppers[i].diag for i in rows]) - np.array([lowers[i].diag for i in rows]) * c
+        lam_min[rows], lam_max[rows] = diffs.min(axis=1), diffs.max(axis=1)
+    rows = np.flatnonzero(~diagonal)
+    if rows.size:
+        diffs = np.array([uppers[i].matrix for i in rows]) - np.array([lowers[i].matrix for i in rows]) * c
+        with np.errstate(invalid="ignore"):  # as in ``HermitianOperator``: a non-finite difference fails as NaN
+            diffs = _hermitian_part(diffs)
+        finite = np.isfinite(diffs).all(axis=(1, 2))
+        if finite.any():
+            eigs = _eigvalsh(diffs[finite])
+            lam_min[rows[finite]], lam_max[rows[finite]] = eigs[:, 0], eigs[:, -1]
+    return _passes_psd(lam_min, lam_max), lam_min
 
 
 def positive_eigenvalues(matrices) -> np.ndarray:

@@ -33,7 +33,11 @@ from qdini import (
     trace_neg_log_family,
     truncation_criterion,
     windowed_sup,
+    binary_entropy_extension,
+    builtin_scenario,
+    run_scenario,
 )
+from qdini import diagnostics
 from qdini.verdicts import CONSISTENT, INCONCLUSIVE, VIOLATED
 
 
@@ -357,6 +361,85 @@ class TestAppendixDomination:
         sigma = constant_sequence(PositiveOperator(diagonal=[1.0, 0.0]))
         v = appendix_domination(rho1, rho2, sigma, sigma, k_schedule=[1, 10], n_max=4)
         assert v.status == INCONCLUSIVE
+
+
+def _check(verdict, name: str):
+    (check,) = [c for c in verdict.hypothesis_checks if c.name == name]
+    return check
+
+
+def _passes_on_builtin(builtin: str, name: str) -> bool:
+    verdict = run_scenario(builtin_scenario(builtin), seed=3)["checks"][0]["verdict"]
+    (check,) = [c for c in verdict["hypothesis_checks"] if c["name"] == name]
+    return check["passed"]
+
+
+def _zero_last_level_at(seq: OperatorSequence, k: int) -> OperatorSequence:
+    """seq with the last diagonal entry of member k set to 0."""
+    def member(n):
+        if n != k:
+            return seq(n)
+        d = seq(n).diag.copy()
+        d[-1] = 0.0
+        return PositiveOperator(diagonal=d)
+    return OperatorSequence(member, seq.dim)
+
+
+class TestPinnedChecks:
+    """Each check fails on an input made to break it, and passes on its builtin.
+
+    The status of each input does not show the check's own flag: an
+    infinite value also clears ``hypotheses_ok``, and a failed sum
+    inequality also sets ``violated``.
+    """
+
+    def test_re_domination_infinite_hypothesis(self):
+        name = "hypothesis D(rho1_n||sigma1_n) finite"
+        rho1 = _diag_seq([0.4, 0.35, 0.25], [0.02, -0.01, -0.01])
+        rho2 = OperatorSequence(lambda n: rho1(n).scale(0.5), 3)
+        # sigma1_3 misses a level that rho1_3 fills; sigma2_3 = 2 sigma1_3 keeps the ordering
+        sigma1 = _zero_last_level_at(_diag_seq([0.3, 0.3, 0.4], [0.01, 0.01, -0.02]), 3)
+        sigma2 = OperatorSequence(lambda n: sigma1(n).scale(2.0), 3)
+        v = relative_entropy_domination(rho1, rho2, sigma1, sigma2, n_max=8)
+        assert math.isinf(v.values["hypothesis"][3]) and not _check(v, name).passed
+        assert v.status == INCONCLUSIVE
+        assert _passes_on_builtin("re-domination", name)
+
+    def test_re_sum_infinite_hypothesis(self):
+        name = "hypothesis values finite"
+        rho = _diag_seq([0.3, 0.2, 0.1], [0.02, -0.01, -0.01])
+        sigma = _diag_seq([0.1, 0.2, 0.3], [-0.01, 0.02, -0.01])
+        omega = _zero_last_level_at(_diag_seq([0.4, 0.3, 0.3], [0.01, -0.01, 0.0]), 2)
+        v = relative_entropy_sum(rho, sigma, omega, n_max=8)
+        assert not _check(v, name).passed and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("re-sum", name)
+
+    def test_re_sum_broken_inequality(self, monkeypatch):
+        name = "per-n sum inequalities"
+        rho = _diag_seq([0.3, 0.2, 0.1], [0.02, -0.01, 0.01])  # Tr rho_n = 0.6 + 0.02 / 2^n tells n apart
+        sigma = _diag_seq([0.1, 0.2, 0.3], [-0.01, 0.02, -0.01])
+        omega = _diag_seq([0.4, 0.3, 0.3], [0.01, -0.01, 0.0])
+        at_3 = (rho(3).trace(), sigma(3).trace())
+        # the upper bound of n = 3 lowered by 1 falls below D(rho_3 + sigma_3||omega_3)
+        monkeypatch.setattr(diagnostics, "binary_entropy_extension",
+                            lambda x, y: binary_entropy_extension(x, y) - ((x, y) == at_3))
+        v = relative_entropy_sum(rho, sigma, omega, n_max=8)
+        check = _check(v, name)
+        assert not check.passed and check.slack < -0.5
+        assert check.detail.startswith("sum upper bound fails at n = 3 by ")
+        assert v.status == VIOLATED
+        monkeypatch.undo()
+        assert _passes_on_builtin("re-sum", name)
+
+    def test_appendix_infinite_a1(self):
+        name = "A_1 values finite on window"
+        rho1 = _diag_seq([0.5, 0.3, 0.2], [0.02, -0.01, -0.01])
+        rho2 = OperatorSequence(lambda n: rho1(n).scale(0.6), 3)
+        sigma1 = _zero_last_level_at(_diag_seq([0.2, 0.3, 0.5], [0.01, -0.01, 0.0]), 5)
+        sigma2 = OperatorSequence(lambda n: sigma1(n).scale(1.5), 3)
+        v = appendix_domination(rho1, rho2, sigma1, sigma2, k_schedule=[1, 10], n_max=8)
+        assert not _check(v, name).passed and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("appendix-ladder", name)
 
 
 class TestChannelMiFamily:

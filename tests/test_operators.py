@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -56,6 +58,20 @@ class TestExtendedReal:
         assert finite(1.0) < INFINITY
         assert not INFINITY < INFINITY
         assert finite(-2.0) < finite(0.0)
+
+    def test_is_an_immutable_value(self):
+        x = ExtendedReal(value=np.float64(2.5))
+        assert type(x.value) is float and x == ExtendedReal(2.5) and x != ExtendedReal(3.0)
+        assert hash(x) == hash(ExtendedReal(2.5)) and len({x, ExtendedReal(2.5), INFINITY}) == 2
+        assert x != 2.5 and repr(x) == "ExtendedReal(2.5)" and repr(INFINITY) == "ExtendedReal(+inf)"
+        with pytest.raises(AttributeError):
+            x.value = 3.0
+        with pytest.raises(AttributeError):
+            del x.value
+        with pytest.raises(AttributeError):
+            x.other = 1.0
+        assert x.value == 2.5
+        assert copy.copy(x) == x and copy.deepcopy(INFINITY).is_inf and pickle.loads(pickle.dumps(x)) == x
 
 
 class TestConstruction:

@@ -31,6 +31,7 @@ from qdini import (
     random_unitary,
     relative_entropy_domination,
 )
+from qdini.diagnostics import _broken_orderings
 from qdini.operators import PSD_REL_TOL, positive_eigenvalues
 
 KINDS = ("diagonal", "dense")
@@ -117,6 +118,61 @@ class TestRejectionOnBothPaths:
         (dom,) = verdict.hypothesis_checks
         assert dom.name == "PSD domination rho2_n <= rho1_n" and not dom.passed
         assert dom.slack == pytest.approx(-0.5, abs=1e-12)
+
+
+RHO1 = ([0.4, 0.35, 0.25], [0.02, -0.01, -0.01])
+
+
+def planted_break(kind: str, breaks) -> tuple:
+    """rho1_n and rho2_n = rho1_n / 2, except at each n of breaks, where 0.45 more on the first level breaks c rho2_n <= rho1_n for c >= 0.8."""
+    rho1 = sequence(*RHO1, kind)
+
+    def rho2_member(n):
+        values = 0.5 * (np.array(RHO1[0]) + (0.5 ** n if n else 0.0) * np.array(RHO1[1]))
+        values[0] += 0.45 if n in breaks else 0.0
+        return positive(values, kind)
+
+    return rho1, OperatorSequence(rho2_member, 3)
+
+
+class TestPlantedOrderingBreak:
+    """One PSD-rule call per ordering over the window still names the first break and its eigenvalue."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("breaks", [{1}, {4}, {4, 6}, {0, 3}])
+    @pytest.mark.parametrize("c", [1.0, 0.8])
+    def test_the_check_names_the_first_break_and_its_eigenvalue(self, kind, breaks, c):
+        rho1, rho2 = planted_break(kind, breaks)
+        k = min(breaks)
+        (check,) = _broken_orderings(range(7), (rho2, rho1, c, "rho2_n <= rho1_n"))
+        lam = float(rho1(k).sub(rho2(k).scale(c)).eigenvalues()[-1])
+        assert lam < 0.0 and check.slack == lam and not check.passed
+        assert check.name == "PSD domination rho2_n <= rho1_n"
+        assert check.detail == f"fails at n = {k}: most negative eigenvalue {lam:.3e}"
+        assert _broken_orderings(range(7), (rho1, rho1, c, "rho1_n <= rho1_n")) == ()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_break_at_a_member_makes_domination_inconclusive(self, kind):
+        rho1, rho2 = planted_break(kind, {3})
+        sigma1 = sequence([0.3, 0.3, 0.4], [0.01, 0.01, -0.02], kind)
+        sigma2 = OperatorSequence(lambda n: sigma1(n).scale(2.0), 3)
+        verdict = relative_entropy_domination(rho1, rho2, sigma1, sigma2, n_max=6)
+        assert verdict.status == "inconclusive"
+        limit, dom = verdict.hypothesis_checks
+        assert limit.passed and not dom.passed and dom.detail.startswith("fails at n = 3:")
+        assert dom.slack == float(rho1(3).sub(rho2(3)).eigenvalues()[-1])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_break_only_at_the_limit_stays_a_limit_check(self, kind):
+        # rho2_0 puts mass where rho1_0 and sigma2_0 have none; every member n >= 1 is ordered
+        rho1 = sequence([0.5, 0.3, 0.0], [0.02, -0.01, 0.05], kind)
+        sigma1 = sequence([0.3, 0.3, 0.0], [0.01, -0.01, 0.05], kind)
+        rho2 = OperatorSequence(lambda n: positive([0.25, 0.15, 0.05], kind) if n == 0 else rho1(n).scale(0.5), 3)
+        sigma2 = OperatorSequence(lambda n: sigma1(n).scale(2.0), 3)
+        verdict = relative_entropy_domination(rho1, rho2, sigma1, sigma2, n_max=8)
+        assert [c.name for c in verdict.hypothesis_checks if not c.passed] == [
+            "orderings hold at the declared limit", "conclusion finite where domination guarantees it"]
+        assert verdict.status == "violated"
 
 
 TOL_AT_ONE = PSD_REL_TOL * 1.0 + 1e-15  # the rule's tolerance when lambda_max = 1
@@ -206,13 +262,14 @@ def _dense_dominated_pair(d: int, n_max: int):
     return rho, tau
 
 
-def test_dense_guards_solve_once_per_ordering_per_n(eigensolves):
+def test_dense_guards_solve_once_per_ordering(eigensolves):
     n_max = 6
     rho, tau = _dense_dominated_pair(6, n_max)
     eigensolves.clear()
     check_dct_simon(entropy_family(), rho, tau, 0.5, n_max, 3)
-    # the guard c rho_n <= tau_n is the only eigvalsh: the members' spectra are cached
-    assert eigensolves["eigvalsh"] == n_max + 1
+    # the guard c rho_n <= tau_n is the only eigvalsh, one stacked call for the window:
+    # the members' spectra are cached
+    assert eigensolves["eigvalsh"] == 1
 
 
 def test_dense_dominated_cell_costs_three_eigvalsh_and_one_eigh(eigensolves):
