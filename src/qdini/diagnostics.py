@@ -2,10 +2,12 @@
 
 Each procedure takes declared-limit sequences (index 0), evaluates an
 entropic functional family across the window, and reports a Verdict: named
-hypothesis checks with slacks, residual trends, and the three inputs of the
-status policy in ``verdicts``: whether an inequality failed beyond
-tolerance, whether every hypothesis is met and finite, and whether the
-conclusion trends shrink.
+checks with slacks and residual trends, from which ``verdicts`` derives the
+status.  A check's role says what its failure means: ``inequality``
+(violated), ``hypothesis``, the default, for an unmet hypothesis or a +inf
+(inconclusive), or ``note`` (reported only); a trend that does not gate is
+reported only.  A +inf that the named checks do not cover appends a failed
+hypothesis check, on that branch only.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ from .truncation import (
     stable_index_set,
 )
 from .verdicts import (
+    HYPOTHESIS,
+    INEQUALITY,
+    NOTE,
     CheckResult,
     DiagnosticsGrid,
     GridCell,
@@ -199,9 +204,9 @@ def output_entropy_family(channel_seq: ChannelSequence, label: str = "S(Phi_n(.)
     )
 
 
-def _limit_trend(name: str, vals) -> TrendSummary:
+def _limit_trend(name: str, vals, gates: bool = True) -> TrendSummary:
     """Residuals |v_n - v_0| of finite values v_0, v_1, ... as a trend."""
-    return TrendSummary.from_residuals(name, [abs(float(v) - float(vals[0])) for v in vals[1:]])
+    return TrendSummary.from_residuals(name, [abs(float(v) - float(vals[0])) for v in vals[1:]], gates)
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +537,18 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
         trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", f_vals))
     if not inf_in_g:
         trends.append(_limit_trend("|g_n(rho_n) - g_0(rho_0)|", g_vals))
-    checks = (
-        CheckResult("|g_n| <= f_n on window and truncations", dom_ok, float(dom_slack), dom_detail),
-        CheckResult("LAA bounds for f and g", laa_ok, float(laa_slack), laa_detail),
+    checks = [
+        CheckResult("|g_n| <= f_n on window and truncations", dom_ok, float(dom_slack), dom_detail, INEQUALITY),
+        CheckResult("LAA bounds for f and g", laa_ok, float(laa_slack), laa_detail, INEQUALITY),
         CheckResult("f values finite on window", not inf_in_f, 0.0,
                      "" if not inf_in_f else "f hit +inf on the window"),
-    )
-    return Verdict(
-        name="dct-basic",
-        hypothesis_checks=checks,
-        conclusion_trends=tuple(trends),
-        violated=not dom_ok or not laa_ok,
-        hypotheses_ok=not (inf_in_f or inf_in_g or saw_inf),
-        trends_ok=all(t.shrinks for t in trends),
-    )
+    ]
+    if inf_in_g:
+        checks.append(CheckResult("g values finite on window", False, detail="g hit +inf on the window"))
+    if saw_inf:
+        checks.append(CheckResult("f finite on the samples [rho_n] and [Psi_m(rho_n)]", False,
+                                  detail="f hit +inf on a sample"))
+    return Verdict(name="dct-basic", hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends))
 
 
 def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: OperatorSequence,
@@ -582,18 +585,12 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
         truncation_lower_bound_slack(f, tau_seq, ApproximationScheme("spectral"), n_max, m_max),
         truncation_lower_bound_slack(f, rho_seq, ApproximationScheme("spectral"), n_max, m_max),
     )
-    cell_bound_ok = slack >= -INEQ_SLACK
-    checks.append(CheckResult("per-cell truncation lower bound", cell_bound_ok, float(slack)))
+    checks.append(CheckResult("per-cell truncation lower bound", slack >= -INEQ_SLACK, float(slack), role=INEQUALITY))
     checks.extend(domination)
-    return Verdict(
-        name="dct-simon",
-        hypothesis_checks=tuple(checks),
-        conclusion_trends=tuple(trends),
-        values=values,
-        violated=not cell_bound_ok,
-        hypotheses_ok=not (inf_tau or inf_rho or domination),
-        trends_ok=all(t.shrinks for t in trends),
-    )
+    if inf_rho or any(v.is_inf for v in tau_vals[1:]):
+        checks.append(CheckResult("f finite on rho_n and on tau_n for n >= 1", False,
+                                  detail="f hit +inf on the window"))
+    return Verdict(name="dct-simon", hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values)
 
 
 def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
@@ -626,13 +623,13 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     mix_vals = _finite_values(f, n_max, lambda n: _mixture(rho_seq(n), sigma_seq(n), p[n]))
     if mix_vals is not None:
         trends.append(_limit_trend("|f_n(p_n rho_n + (1-p_n) sigma_n) - f_0(...)|", mix_vals))
+    else:
+        checks.append(CheckResult("mixture values finite", False, detail="f hit +inf on a mixture"))
     return Verdict(
         name="convex-mixture",
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
         notes=("the shared stable index condition is checked only within the finite window",),
-        hypotheses_ok=not inf_hyp and bool(stable),
-        trends_ok=mix_vals is not None and all(t.shrinks for t in trends),
     )
 
 
@@ -703,7 +700,7 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     tail_vanishes = shrinks_toward_zero(tails)
     checks = (
         CheckResult("schedule consistency", not sched_violated, 0.0,
-                     "schedule failed validation" if sched_violated else ""),
+                     "schedule failed validation" if sched_violated else "", INEQUALITY),
         CheckResult("finite values on window", not saw_inf, 0.0),
         CheckResult("tail sup decreases toward zero over m", tail_vanishes,
                      float(tails[-1]) if tails else 0.0),
@@ -713,9 +710,6 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
         hypothesis_checks=checks,
         conclusion_trends=tuple(trends),
         values={"tail_sup_per_m": tails},
-        violated=sched_violated,
-        hypotheses_ok=not saw_inf,
-        trends_ok=tail_vanishes and all(t.shrinks for t in trends),
     )
 
 
@@ -741,33 +735,30 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         (rho2, rho1, c_rho, "c_rho*rho2_n <= rho1_n"), (sigma1, sigma2, c_sigma, "c_sigma*sigma1_n <= sigma2_n"))]
     limit_ok = all(passes[0] for _, passes, _ in orderings)
     limit_check = CheckResult("orderings hold at the declared limit", limit_ok, 0.0,
-                              "" if limit_ok else "declared limit breaks an ordering")
+                              "" if limit_ok else "declared limit breaks an ordering", NOTE)
     broken = tuple(check for label, passes, lam_min in orderings
                    if (check := _first_break(label, ns[1:], passes[1:], lam_min[1:])))
     if broken:
-        return Verdict("relative-entropy-domination", hypothesis_checks=(limit_check, *broken), hypotheses_ok=False)
+        return Verdict("relative-entropy-domination", hypothesis_checks=(limit_check, *broken))
     hyp_vals = relative_entropy_pairs([rho1(n) for n in ns], [sigma1(n) for n in ns]).tolist()
     con_vals = relative_entropy_pairs([rho2(n) for n in ns], [sigma2(n) for n in ns]).tolist()
     inf_hyp = math.inf in hyp_vals
     checks = [limit_check, CheckResult("hypothesis D(rho1_n||sigma1_n) finite", not inf_hyp, 0.0)]
     trends = []
     values = {"hypothesis": hyp_vals, "conclusion": con_vals}
-    violated = False
     if not inf_hyp:
         hyp_trend = _limit_trend("|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", hyp_vals)
         trends.append(hyp_trend)
         if math.inf in con_vals:
+            # the guarantee needs the hypothesis to converge
             checks.append(CheckResult(
                 "conclusion finite where domination guarantees it", False, 0.0,
-                f"D(rho2_n||sigma2_n) = +inf at n = {con_vals.index(math.inf)}"))
-            # the guarantee needs the hypothesis to converge
-            violated = hyp_trend.shrinks
+                f"D(rho2_n||sigma2_n) = +inf at n = {con_vals.index(math.inf)}",
+                INEQUALITY if hyp_trend.shrinks else HYPOTHESIS))
         else:
             trends.append(_limit_trend("|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|", con_vals))
     return Verdict("relative-entropy-domination",
-                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values,
-                   violated=violated, hypotheses_ok=not inf_hyp,
-                   trends_ok=all(t.shrinks for t in trends))
+                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values)
 
 
 def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
@@ -801,7 +792,7 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
                 guard_ok, guard_detail = False, f"sum {tag} bound fails at n = {n} by {-slack:.3e}"
     checks = [
         CheckResult("hypothesis values finite", not inf_hyp, 0.0),
-        CheckResult("per-n sum inequalities", guard_ok, float(guard_slack), guard_detail),
+        CheckResult("per-n sum inequalities", guard_ok, float(guard_slack), guard_detail, INEQUALITY),
     ]
     trends = []
     values = {"conclusion": d_sum}
@@ -819,15 +810,16 @@ def relative_entropy_sum(rho_seq: OperatorSequence, sigma_seq: OperatorSequence,
         if math.inf not in d_theta:
             trends.append(_limit_trend("|D(sigma_n||theta_n) - D(sigma_0||theta_0)|", d_theta))
         else:
-            inf_hyp = True
+            checks.append(CheckResult("hypothesis D(sigma_n||theta_n) finite", False))
         if math.inf not in d_shift:
             trends.append(_limit_trend("|D(rho_n+sigma_n||omega_n+theta_n) - D(...limit...)|", d_shift))
         else:
             inf_sum = True
+    # supp(rho_n + sigma_n) lies in supp omega_n when both marginals' supports do: only tolerance gets here
+    if inf_sum and not inf_hyp:
+        checks.append(CheckResult("conclusion values finite", False))
     return Verdict("relative-entropy-sum",
-                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values,
-                   violated=not guard_ok, hypotheses_ok=not inf_hyp,
-                   trends_ok=not inf_sum and all(t.shrinks for t in trends))
+                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +852,9 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
     ]
     s_in = _whole_values(ent, ns, rhos)
     s_out = _whole_values(out_ent, ns, rhos)
-    in_trend = _limit_trend("|S(rho_n) - S(rho_0)|", s_in)
-    out_trend = _limit_trend("|S(Phi_n(rho_n)) - S(Phi_0(rho_0))|", s_out)
+    # the sufficient condition reads these trends through its check; they do not gate
+    in_trend = _limit_trend("|S(rho_n) - S(rho_0)|", s_in, gates=False)
+    out_trend = _limit_trend("|S(Phi_n(rho_n)) - S(Phi_0(rho_0))|", s_out, gates=False)
     trends = mi_trends + [in_trend, out_trend]
     checks = [
         CheckResult("entropy sufficient condition (inputs or outputs)",
@@ -872,14 +865,11 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
         window = _cut_values(out_ent, ns, rhos, schedule.bases[:len(ns)], schedule.cuts[:len(ns), :m_count],
                              normalized=False, heads=False)
         tails = np.max(window[1], axis=0).tolist()
-        trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails))
+        trends.append(TrendSummary.from_residuals("output-entropy tail sup over m", tails, gates=False))
         checks.append(CheckResult("output-entropy tail decreases toward zero over m",
                                   shrinks_toward_zero(tails), 0.0))
     checks.extend(domination)
-    return Verdict("channel-mi",
-                   hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends),
-                   hypotheses_ok=all(c.passed for c in checks),
-                   trends_ok=all(t.shrinks for t in mi_trends))
+    return Verdict("channel-mi", hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends))
 
 
 # ---------------------------------------------------------------------------
@@ -902,13 +892,13 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
     ns = range(n_max + 1)
     broken = _broken_orderings(ns, (rho2, rho1, 1.0, "rho2_n <= rho1_n"), (sigma1, sigma2, 1.0, "sigma1_n <= sigma2_n"))
     if broken:
-        return Verdict("appendix-domination", hypothesis_checks=broken, hypotheses_ok=False)
+        return Verdict("appendix-domination", hypothesis_checks=broken)
     a1 = trace_neg_log_pairs([rho1(n) for n in ns], [sigma1(n) for n in ns]).tolist()
     a2 = trace_neg_log_pairs([rho2(n) for n in ns], [sigma2(n) for n in ns]).tolist()
     inf_hyp = math.inf in a1
     checks = [CheckResult("A_1 values finite on window", not inf_hyp, 0.0)]
     if inf_hyp:
-        return Verdict("appendix-domination", hypothesis_checks=tuple(checks), hypotheses_ok=False)
+        return Verdict("appendix-domination", hypothesis_checks=tuple(checks))
     ladder_ok, ladder_slack, ladder_detail = True, math.inf, ""
     for n in range(n_max + 1):
         l1 = regularized_log_ladder(rho1(n), sigma1(n), k_schedule)
@@ -922,24 +912,22 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
                     ladder_slack = slack
                 if slack < 0.0:
                     ladder_ok, ladder_detail = False, f"{tag} fails at (n, k) = ({n}, {k})"
-    checks.append(CheckResult("ladder difference comparisons", ladder_ok, float(ladder_slack), ladder_detail))
+    checks.append(CheckResult("ladder difference comparisons", ladder_ok, float(ladder_slack), ladder_detail,
+                              INEQUALITY))
     sq_ok, sq_slack = _spectral_form_identity(rho1, sigma1, n_max)
-    checks.append(CheckResult("Tr H rho equals the eigenvector quadratic-form sum", sq_ok, sq_slack))
+    checks.append(CheckResult("Tr H rho equals the eigenvector quadratic-form sum", sq_ok, sq_slack, role=INEQUALITY))
     a1_window = windowed_sup(a1[1:], n_max)
     delta = max(0.0, a1_window - a1[0])
     a2_window = windowed_sup(a2[1:], n_max)
     bound_slack = delta + INEQ_SLACK - (a2_window - a2[0])
-    bound_ok = bound_slack >= 0.0
-    checks.append(CheckResult("windowed A_2 - a2_0 <= Delta", bound_ok, bound_slack))
+    checks.append(CheckResult("windowed A_2 - a2_0 <= Delta", bound_slack >= 0.0, bound_slack))
     trends = (
         _limit_trend("|a1_n - a1_0|", a1),
         _limit_trend("|a2_n - a2_0|", a2),
     )
     return Verdict("appendix-domination",
                    hypothesis_checks=tuple(checks), conclusion_trends=trends,
-                   values={"A_1": a1_window, "A_2": a2_window, "Delta": delta},
-                   violated=not ladder_ok or not sq_ok,
-                   trends_ok=bound_ok and all(t.shrinks for t in trends))
+                   values={"A_1": a1_window, "A_2": a2_window, "Delta": delta})
 
 
 def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequence, n_max: int):

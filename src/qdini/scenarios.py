@@ -490,8 +490,7 @@ def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: flo
     )
     return Verdict("entropy-jump-probe",
                    hypothesis_checks=checks, conclusion_trends=(dist_trend,),
-                   values={"distances": distances, "entropy_gaps": gaps},
-                   hypotheses_ok=in_band, trends_ok=dist_trend.shrinks)
+                   values={"distances": distances, "entropy_gaps": gaps})
 
 
 # ---------------------------------------------------------------------------

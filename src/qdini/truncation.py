@@ -26,7 +26,7 @@ from .operators import (
     group_ends,
     support_projector,
 )
-from .verdicts import CheckResult, TrendSummary, Verdict
+from .verdicts import INEQUALITY, CheckResult, TrendSummary, Verdict
 
 class OperatorSequence:
     """Indexed family n -> PositiveOperator; index 0 is the declared limit."""
@@ -392,12 +392,12 @@ def schedule_checks(schedule: ProjectorSchedule, seq: OperatorSequence,
     cover_detail = f"support of rho_n not covered at n = {uncovered[-1]}, m = {m_hi}" if uncovered else ""
     return (
         CheckResult("rank P^n_m <= m", not rank_bad.any(), float(np.min(ms - cuts)),
-                    _last_failure(rank_bad, m_lo, lambda n, i: f"rank {cuts[n, i]} > m")),
+                    _last_failure(rank_bad, m_lo, lambda n, i: f"rank {cuts[n, i]} > m"), INEQUALITY),
         CheckResult("Tr P^n_m rho_n > 0", not mass_bad.any(), float(np.min(masses)),
-                    _last_failure(mass_bad, m_lo, lambda n, i: f"Tr P rho_n = {masses[n, i]:.3e}")),
+                    _last_failure(mass_bad, m_lo, lambda n, i: f"Tr P rho_n = {masses[n, i]:.3e}"), INEQUALITY),
         CheckResult("P^n_m <= P^n_(m+1)", not nest_bad.any(), 0.0,
-                    _last_failure(nest_bad, m_lo, lambda n, i: "P^n_m not below P^n_(m+1)")),
-        CheckResult("join of P^n_m covers supp rho_n", not uncovered, 0.0, cover_detail),
+                    _last_failure(nest_bad, m_lo, lambda n, i: "P^n_m not below P^n_(m+1)"), INEQUALITY),
+        CheckResult("join of P^n_m covers supp rho_n", not uncovered, 0.0, cover_detail, INEQUALITY),
     )
 
 
@@ -426,8 +426,6 @@ def validate_schedule(schedule: ProjectorSchedule, seq: OperatorSequence,
         hypothesis_checks=checks,
         conclusion_trends=tuple(trends),
         notes=("projector convergence is certified only as a finite-window trend",),
-        violated=not all(c.passed for c in checks),
-        trends_ok=all(t.shrinks for t in trends),
     )
 
 

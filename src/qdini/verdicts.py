@@ -3,11 +3,13 @@
 A finite window can never certify a limit, so asymptotic claims are reported
 with a fixed trend rule: a residual sequence "shrinks" iff its last value is
 below half its first value and at least 60 percent of consecutive steps
-decrease.  Every verdict's status follows one policy, ``Verdict.status``:
-"violated" is reserved for actual inequality failures beyond tolerance, a
-+inf or an unmet hypothesis makes the verdict "inconclusive", and otherwise
-the trends decide; trend-based conclusions are at most "consistent" and
-carry trend_only = true.
+decrease.  Every verdict's status follows one policy, ``Verdict.status``, and
+reads only the records the verdict reports.  Each check has a role:
+``inequality`` (an inequality the window must satisfy; a failure is
+"violated"), ``hypothesis`` (a hypothesis or a finite value the conclusion
+needs; a failure, +inf included, is "inconclusive") or ``note`` (reported
+only).  Otherwise the trends that gate decide; trend-based conclusions are at
+most "consistent" and carry trend_only = true.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from typing import ClassVar
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
+
+# the roles of a check: what its failure makes of the status
+HYPOTHESIS = "hypothesis"
+INEQUALITY = "inequality"
+NOTE = "note"
 
 TREND_HALVING = 0.5
 TREND_MAJORITY = 0.6
@@ -82,12 +89,13 @@ def encode_number(x) -> object:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A named boolean hypothesis or inequality check with its worst slack."""
+    """A named boolean check with its worst slack, and its role in the status (not serialized)."""
 
     name: str
     passed: bool
     slack: float = 0.0
     detail: str = ""
+    role: str = HYPOTHESIS
 
     def to_json(self) -> dict:
         return {
@@ -100,16 +108,20 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class TrendSummary:
-    """A residual sequence over the window with its trend classification."""
+    """A residual sequence over the window with its trend classification.
+
+    ``gates`` (not serialized): whether the trend takes part in the status.
+    """
 
     name: str
     residuals: tuple
     shrinks: bool
+    gates: bool = True
 
     @classmethod
-    def from_residuals(cls, name: str, residuals) -> "TrendSummary":
+    def from_residuals(cls, name: str, residuals, gates: bool = True) -> "TrendSummary":
         res = tuple(float(r) for r in residuals)
-        return cls(name, res, residual_shrinks(res))
+        return cls(name, res, residual_shrinks(res), gates)
 
     def to_json(self) -> dict:
         return {
@@ -121,34 +133,32 @@ class TrendSummary:
 
 @dataclass(frozen=True)
 class Verdict:
-    """A procedure's checks and trends, and the three inputs its status is derived from.
-
-    ``violated``: an inequality failed beyond tolerance.  ``hypotheses_ok``:
-    no hypothesis is unmet or +inf.  ``trends_ok``: the residual trends that
-    stand in for the conclusion shrink.  The defaults make an unannotated
-    verdict "inconclusive".
-    """
+    """A procedure's checks and trends; its status is derived from them alone."""
 
     name: str
     hypothesis_checks: tuple = ()
     conclusion_trends: tuple = ()
     notes: tuple = ()
     values: dict = field(default_factory=dict)
-    violated: bool = False
-    hypotheses_ok: bool = True
-    trends_ok: bool = False
 
     # a finite window never certifies a limit, so every verdict rests on trends
     trend_only: ClassVar[bool] = True
 
     @property
     def status(self) -> str:
-        """The status policy, and the only place a status is decided."""
-        if self.violated:
+        """The status policy, and the only place a status is decided.
+
+        A failed ``inequality`` check is "violated"; else a failed
+        ``hypothesis`` check is "inconclusive"; else "consistent" iff at
+        least one trend gates and every gating trend shrinks.
+        """
+        failed = {c.role for c in self.hypothesis_checks if not c.passed}
+        if INEQUALITY in failed:
             return VIOLATED
-        if not self.hypotheses_ok:
+        if HYPOTHESIS in failed:
             return INCONCLUSIVE
-        return CONSISTENT if self.trends_ok else INCONCLUSIVE
+        gating = [t.shrinks for t in self.conclusion_trends if t.gates]
+        return CONSISTENT if gating and all(gating) else INCONCLUSIVE
 
     def to_json(self) -> dict:
         return {

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qdini import (
     ApproximationScheme,
     ChannelSequence,
     DensityOperator,
+    ExtendedReal,
     OperatorSequence,
     PositiveOperator,
     Spectrum,
@@ -32,13 +34,18 @@ from qdini import (
     shrinks_toward_zero,
     trace_neg_log_family,
     truncation_criterion,
+    von_neumann_entropy,
     windowed_sup,
     binary_entropy_extension,
     builtin_scenario,
     run_scenario,
 )
 from qdini import diagnostics
+from qdini.diagnostics import ZERO_MODULUS, FunctionalFamily
+from qdini.scenarios import BUILTIN_SCENARIOS, load_scenario
 from qdini.verdicts import CONSISTENT, INCONCLUSIVE, VIOLATED
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent / "scenarios"
 
 
 def _diag_seq(limit, pert, rate=0.5):
@@ -182,7 +189,7 @@ class TestDctSimon:
         rho = _diag_seq([0.5, 0.5], [0.1, -0.1])
         tau = constant_sequence(PositiveOperator(diagonal=[0.1, 0.1]))
         v = check_dct_simon(entropy_family(), rho, tau, 1.0, 4, 2)
-        assert not v.hypotheses_ok and v.status != CONSISTENT
+        assert v.status == INCONCLUSIVE
         dom = v.hypothesis_checks[-1]
         assert dom.name == "PSD domination c*rho_n <= tau_n" and not dom.passed
         assert dom.slack == pytest.approx(-0.4) and "n = 0" in dom.detail
@@ -369,9 +376,24 @@ def _check(verdict, name: str):
 
 
 def _passes_on_builtin(builtin: str, name: str) -> bool:
-    verdict = run_scenario(builtin_scenario(builtin), seed=3)["checks"][0]["verdict"]
-    (check,) = [c for c in verdict["hypothesis_checks"] if c["name"] == name]
+    """Whether the named check passes in the report of a builtin, or of a scenario file under tests/scenarios."""
+    scenario = builtin_scenario(builtin) if builtin in BUILTIN_SCENARIOS else load_scenario(str(SCENARIOS / builtin))
+    verdicts = [entry["verdict"] for entry in run_scenario(scenario, seed=3)["checks"] if "verdict" in entry]
+    (check,) = [c for v in verdicts for c in v["hypothesis_checks"] if c["name"] == name]
     return check["passed"]
+
+
+def _only_failing_record(verdict) -> str:
+    """The name of the one failed check or gating trend that does not shrink; the status rests on it alone."""
+    (record,) = ([c.name for c in verdict.hypothesis_checks if not c.passed]
+                 + [t.name for t in verdict.conclusion_trends if t.gates and not t.shrinks])
+    return record
+
+
+def _infinite_where(pred, label: str) -> FunctionalFamily:
+    """S(op), but +inf at the (n, op) where pred holds."""
+    return FunctionalFamily("Custom", label, lambda n, op: ExtendedReal(math.inf) if pred(n, op)
+                            else von_neumann_entropy(op), a_f=ZERO_MODULUS)
 
 
 def _zero_last_level_at(seq: OperatorSequence, k: int) -> OperatorSequence:
@@ -388,9 +410,9 @@ def _zero_last_level_at(seq: OperatorSequence, k: int) -> OperatorSequence:
 class TestPinnedChecks:
     """Each check fails on an input made to break it, and passes on its builtin.
 
-    The status of each input does not show the check's own flag: an
-    infinite value also clears ``hypotheses_ok``, and a failed sum
-    inequality also sets ``violated``.
+    The status is derived from the reported records, so where an input
+    makes a check the only failing record, the status rests on that check
+    alone and a check that reads passed would read consistent.
     """
 
     def test_re_domination_infinite_hypothesis(self):
@@ -439,6 +461,60 @@ class TestPinnedChecks:
         sigma2 = OperatorSequence(lambda n: sigma1(n).scale(1.5), 3)
         v = appendix_domination(rho1, rho2, sigma1, sigma2, k_schedule=[1, 10], n_max=8)
         assert not _check(v, name).passed and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("appendix-ladder", name)
+
+    def test_dct_basic_infinite_f_on_members(self):
+        name = "f values finite on window"
+        # Tr rho_n = 2: f is +inf on the members only, finite on every normalized sample and LAA mixture
+        seq = OperatorSequence(lambda n: _diag_seq([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])(n).scale(2.0), 3)
+        f = _infinite_where(lambda n, op: op.trace() > 1.5, "S unless Tr > 1.5")
+        v = check_dct_basic(f, entropy_family(), seq, n_max=6, m_max=3)
+        assert _only_failing_record(v) == name and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("choi-rank-bound", name)
+
+    def test_dct_simon_infinite_f_at_tau_0(self):
+        name = "f_0(tau_0) finite"
+        # rho_n = tau_n / 2, so [rho_0] = [tau_0] and f_0 is +inf there: only the per-cell bound's
+        # normalized cells at n = 0 and f_0(tau_0) itself are +inf, and the bound skips +inf cells
+        tau = _diag_seq([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])
+        rho = OperatorSequence(lambda n: tau(n).scale(0.5), 3)
+        f = _infinite_where(lambda n, op: n == 0 and op.trace() > 0.9, "S unless n = 0 and Tr > 0.9")
+        v = check_dct_simon(f, rho, tau, 1.0, 6, 3)
+        assert _only_failing_record(v) == name and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("simon-dct", name)
+
+    def test_convex_mixture_infinite_hypothesis(self):
+        name = "hypothesis values finite"
+        # f is +inf on rank-2 states: on rho_n, but on no mixture with the full-rank sigma_n
+        rho = _diag_seq([0.6, 0.4, 0.0], [0.05, -0.05, 0.0])
+        sigma = _diag_seq([0.2, 0.5, 0.3], [-0.02, 0.05, -0.03])
+        f = _infinite_where(lambda n, op: op.rank() < 3, "S unless rank < 3")
+        p = [0.5] + [0.5 + 0.1 * 0.5 ** n for n in range(1, 9)]
+        v = check_convex_mixture(f, rho, sigma, p, n_max=8, m_max=3)
+        assert _only_failing_record(v) == name and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("convex-mixture.json", name)
+
+    def test_truncation_criterion_infinite_head(self):
+        name = "finite values on window"
+        # f is +inf on the heads P^n_1 rho_n P^n_1 (trace near 0.7) only: their head trend drops
+        # out, and every other head and every tail stays finite
+        seq = _diag_seq([0.7, 0.2, 0.06, 0.04], [0.02, -0.01, -0.005, -0.005])
+        f = _infinite_where(lambda n, op: 0.6 < op.trace() < 0.8, "S unless 0.6 < Tr < 0.8")
+        schedule = fixed_basis_schedule(4, 4, seq, n_max=8)
+        v = truncation_criterion(f, seq, schedule, n_0=1, n_max=8, m_max=4)
+        assert _only_failing_record(v) == name and v.status == INCONCLUSIVE
+        assert _passes_on_builtin("entropy-discontinuity", name)
+
+    def test_appendix_windowed_bound(self):
+        name = "windowed A_2 - a2_0 <= Delta"
+        # a1_n is constant, so Delta = 0, while a2_n > a2_0 converges from above: every trend
+        # shrinks and the windowed surrogate of limsup a2_n - a2_0 <= Delta fails alone
+        rho1 = constant_sequence(PositiveOperator(diagonal=[0.5, 0.3, 0.2]))
+        rho2 = _diag_seq([0.25, 0.15, 0.1], [0.0, 0.0, 0.1])
+        sigma = constant_sequence(PositiveOperator(diagonal=[0.2, 0.3, 0.5]))
+        v = appendix_domination(rho1, rho2, sigma, sigma, k_schedule=[1, 10, 100], n_max=8)
+        assert _only_failing_record(v) == name and v.status == INCONCLUSIVE
+        assert _check(v, name).slack < -1e-3
         assert _passes_on_builtin("appendix-ladder", name)
 
 

@@ -35,7 +35,7 @@ from qdini import (
     truncation_criterion,
     validate_schedule,
 )
-from qdini.verdicts import CheckResult, TrendSummary, Verdict
+from qdini.verdicts import INEQUALITY, CheckResult, TrendSummary, Verdict
 
 TOL = 1e-12
 BASES = ("own", "coordinates", "permutation", "dense", "previous")
@@ -70,10 +70,10 @@ def reference_validate(schedule, seq, n_max=None, m_max=None) -> Verdict:
         q_n = support_projector(rho)
         if not q_n.leq(schedule.projector(n, m_hi)):
             cover_ok, cover_detail = False, f"support of rho_n not covered at n = {n}, m = {m_hi}"
-    checks.append(CheckResult("rank P^n_m <= m", rank_ok, float(rank_slack), rank_detail))
-    checks.append(CheckResult("Tr P^n_m rho_n > 0", mass_ok, float(mass_slack), mass_detail))
-    checks.append(CheckResult("P^n_m <= P^n_(m+1)", nest_ok, 0.0, nest_detail))
-    checks.append(CheckResult("join of P^n_m covers supp rho_n", cover_ok, 0.0, cover_detail))
+    checks.append(CheckResult("rank P^n_m <= m", rank_ok, float(rank_slack), rank_detail, INEQUALITY))
+    checks.append(CheckResult("Tr P^n_m rho_n > 0", mass_ok, float(mass_slack), mass_detail, INEQUALITY))
+    checks.append(CheckResult("P^n_m <= P^n_(m+1)", nest_ok, 0.0, nest_detail, INEQUALITY))
+    checks.append(CheckResult("join of P^n_m covers supp rho_n", cover_ok, 0.0, cover_detail, INEQUALITY))
     probes = seq(0).spectrum().vectors()
     trends = []
     for m in range(m_lo, m_hi + 1):
@@ -84,8 +84,6 @@ def reference_validate(schedule, seq, n_max=None, m_max=None) -> Verdict:
         name="schedule-consistency",
         hypothesis_checks=tuple(checks),
         conclusion_trends=tuple(trends),
-        violated=not all(c.passed for c in checks),
-        trends_ok=all(t.shrinks for t in trends),
     )
 
 
@@ -176,8 +174,8 @@ def test_criterion_schedule_check_matches_validation(window, n_max):
     criterion = truncation_criterion(entropy_family(), seq, schedule, min(1, n_max), n_max, schedule.m_max)
     check = criterion.hypothesis_checks[0]
     assert check.name == "schedule consistency"
-    assert check.passed == (not full.violated)
-    assert criterion.violated == full.violated
+    assert check.passed == (full.status != "violated")
+    assert (criterion.status == "violated") == (full.status == "violated")
 
 
 def test_criterion_computes_no_probe_residual(monkeypatch):
@@ -219,5 +217,5 @@ def test_fixed_basis_validation_builds_no_dense_probes(monkeypatch, dense):
 
     monkeypatch.setattr(Spectrum, "vectors", vectors)
     verdict = validate_schedule(schedule, seq)
-    assert not verdict.violated
+    assert verdict.status != "violated"
     assert len(verdict.conclusion_trends) == d

@@ -1,11 +1,17 @@
 """Status table: (procedure, branch) -> status for every reachable branch.
 
-Each verdict procedure decides its status from three inputs: a genuine
-inequality failure ("violated"), an unmet or infinite hypothesis
-("inconclusive"), and otherwise its trends ("consistent" iff they shrink).
-Every case below drives one procedure down one of those branches on a small
-window, on diagonal inputs and, where the branch does not depend on the
-coordinate basis, on the same inputs rotated into a dense basis.
+A verdict's status is derived from the checks and trends it reports, each
+by its role: a failed ``inequality`` check is "violated", a failed
+``hypothesis`` check (an unmet or infinite hypothesis) is "inconclusive", a
+``note`` check is only reported, and otherwise the trends that gate decide
+("consistent" iff there is one and all of them shrink).  Every case below
+drives one procedure down one of those branches on a small window, on
+diagonal inputs and, where the branch does not depend on the coordinate
+basis, on the same inputs rotated into a dense basis, and names the record
+that decides it: that record fails, or, for a consistent case, shrinks while
+no gating record fails.  Every report, here, of the builtins and of the
+scenario files, explains a status other than consistent by a failed check
+or a trend that does not shrink.
 
 A few cases need a hand-written functional family, because no registered
 family can reach the branch (an infinite g with finite f at the same state,
@@ -30,6 +36,7 @@ from click.testing import CliRunner
 from qdini import (
     ApproximationScheme,
     Channel,
+    CheckResult,
     ChannelSequence,
     ExtendedReal,
     OperatorSequence,
@@ -57,7 +64,15 @@ from qdini import (
 )
 from qdini.cli import main
 from qdini.diagnostics import ZERO_MODULUS, FunctionalFamily
-from qdini.scenarios import _entropy_jump_probe
+from qdini.scenarios import (
+    BUILTIN_SCENARIOS,
+    _entropy_jump_probe,
+    builtin_scenario,
+    load_scenario,
+    report_to_json,
+    run_scenario,
+)
+from qdini.verdicts import HYPOTHESIS, INEQUALITY, NOTE
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qdini"
 SCENARIOS = pathlib.Path(__file__).resolve().parent / "scenarios"
@@ -341,6 +356,17 @@ def re_domination_ordering_fails(b):
     return relative_entropy_domination(rho1, rho2, sigma1, _scaled(sigma1, 2.0), n_max=8)
 
 
+def re_domination_limit_ordering_only(b):
+    # 2 rho2_n = rho1_n for n >= 1, but the declared rho2_0 permutes the levels of rho1_0 / 2, so
+    # 2 rho2_0 <= rho1_0 fails at the limit alone; sigma2 is a multiple of I, so D(rho2_n||sigma2_n)
+    # reads only the spectrum and still converges: the limit check is a note and decides nothing
+    rho1 = _seq(*RD_RHO1, b)
+    limit = _op([0.125, 0.175, 0.2], b)
+    rho2 = OperatorSequence(lambda n: limit if n == 0 else rho1(n).scale(0.5), 3)
+    sigma1 = _const([1 / 3] * 3, b)
+    return relative_entropy_domination(rho1, rho2, sigma1, _scaled(sigma1, 2.0), c_rho=2.0, n_max=8)
+
+
 def re_domination_trends(b):
     rho1, sigma1 = _seq(*RD_RHO1, b, rate=1.0), _seq(*RD_SIGMA1, b)
     return relative_entropy_domination(rho1, _scaled(rho1, 0.5), sigma1, _scaled(sigma1, 2.0), n_max=8)
@@ -417,12 +443,30 @@ def channel_mi_core_trends(b):
     return channel_mi_checks(_depolarizing(), rho, sigma, 0.5, p, 8, 2)
 
 
+def _replacements(late):
+    """Replacement channels preparing diag(0.5, 0.5) at n = 0 and diag(late) after."""
+    return ChannelSequence(lambda n: _replacement([0.5, 0.5] if n == 0 else late), 2, 2)
+
+
 def channel_mi_sufficient_condition(b):
     # replacement channels carry no information (every MI is 0), but the
     # inputs and the prepared outputs both stay away from their limits
     rho = _seq(*CM_RHO, b, rate=1.0)
-    chans = ChannelSequence(lambda n: _replacement([0.5, 0.5] if n == 0 else [0.9, 0.1]), 2, 2)
-    return channel_mi_checks(chans, rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
+    return channel_mi_checks(_replacements([0.9, 0.1]), rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
+
+
+def channel_mi_outputs_stuck(b):
+    # the prepared outputs stay away from their limit, the inputs converge: the sufficient
+    # condition holds through the inputs, and the output-entropy trend does not gate
+    rho = _seq(*CM_RHO, b)
+    return channel_mi_checks(_replacements([0.9, 0.1]), rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
+
+
+def channel_mi_inputs_stuck(b):
+    # the inputs stay away from their limit, the outputs are fixed: the sufficient condition
+    # holds through the outputs, and the input-entropy trend does not gate
+    rho = _seq(*CM_RHO, b, rate=1.0)
+    return channel_mi_checks(_replacements([0.5, 0.5]), rho, _scaled(rho, 2.0), 0.5, CM_P, 8, 2)
 
 
 def channel_mi_tail(b):
@@ -517,79 +561,175 @@ def schedule_probe_trends(b):
 
 CONSISTENT, VIOLATED, INCONCLUSIVE = "consistent", "violated", "inconclusive"
 
-# (procedure, branch) -> (case, expected status, bases it runs on)
+# (procedure, branch) -> (case, expected status, the record that decides it, bases it runs on)
 STATUS_TABLE = {
-    ("dct-basic", "trends shrink"): (dct_basic_consistent, CONSISTENT, BOTH),
-    ("dct-basic", "domination fails"): (dct_basic_violated_domination, VIOLATED, BOTH),
-    ("dct-basic", "LAA bound fails"): (dct_basic_violated_laa, VIOLATED, BOTH),
-    ("dct-basic", "+inf in f"): (dct_basic_inf_f, INCONCLUSIVE, BOTH),
-    ("dct-basic", "+inf in g only"): (dct_basic_inf_g_only, INCONCLUSIVE, BOTH),
-    ("dct-basic", "+inf in f at a sample only"): (dct_basic_inf_f_on_samples, INCONCLUSIVE, BOTH),
-    ("dct-basic", "trends do not shrink"): (dct_basic_trends, INCONCLUSIVE, BOTH),
-    ("dct-simon", "trends shrink"): (dct_simon_consistent, CONSISTENT, BOTH),
-    ("dct-simon", "per-cell bound fails"): (dct_simon_violated, VIOLATED, BOTH),
-    ("dct-simon", "domination fails"): (dct_simon_domination_fails, INCONCLUSIVE, BOTH),
-    ("dct-simon", "+inf"): (dct_simon_inf, INCONCLUSIVE, BOTH),
-    ("dct-simon", "+inf in rho only"): (dct_simon_inf_rho_only, INCONCLUSIVE, BOTH),
-    ("dct-simon", "trends do not shrink"): (dct_simon_trends, INCONCLUSIVE, BOTH),
-    ("convex-mixture", "trends shrink"): (convex_mixture_consistent, CONSISTENT, BOTH),
-    ("convex-mixture", "+inf in a hypothesis"): (convex_mixture_inf, INCONCLUSIVE, BOTH),
-    ("convex-mixture", "hypothesis trends do not shrink"): (convex_mixture_hypothesis_trends, INCONCLUSIVE, BOTH),
-    ("convex-mixture", "no shared stable index"): (convex_mixture_no_stable_index, INCONCLUSIVE, BOTH),
-    ("convex-mixture", "mixture trend does not shrink"): (convex_mixture_mixture_trend, INCONCLUSIVE, BOTH),
-    ("convex-mixture", "+inf in the mixture only"): (convex_mixture_mixture_inf, INCONCLUSIVE, BOTH),
-    ("truncation-criterion", "trends shrink"): (truncation_criterion_consistent, CONSISTENT, BOTH),
-    ("truncation-criterion", "schedule violated"): (truncation_criterion_violated, VIOLATED, BOTH),
-    ("truncation-criterion", "+inf"): (truncation_criterion_inf, INCONCLUSIVE, BOTH),
-    ("truncation-criterion", "head trends do not shrink"): (truncation_criterion_head_trends, INCONCLUSIVE, BOTH),
-    ("truncation-criterion", "tails do not vanish"): (truncation_criterion_tails, INCONCLUSIVE, (DIAGONAL,)),
-    ("re-domination", "trends shrink"): (re_domination_consistent, CONSISTENT, BOTH),
-    ("re-domination", "+inf in the hypothesis"): (re_domination_inf_hypothesis, INCONCLUSIVE, BOTH),
-    ("re-domination", "+inf conclusion, converging hypothesis"): (re_domination_violated, VIOLATED, BOTH),
-    ("re-domination", "+inf conclusion, stuck hypothesis"): (re_domination_inf_conclusion_trends, INCONCLUSIVE, BOTH),
-    ("re-domination", "trends do not shrink"): (re_domination_trends, INCONCLUSIVE, BOTH),
-    ("re-domination", "ordering fails at n >= 1"): (re_domination_ordering_fails, INCONCLUSIVE, BOTH),
-    ("re-sum", "trends shrink"): (re_sum_consistent, CONSISTENT, BOTH),
-    ("re-sum", "shifted trends shrink"): (re_sum_shifted_consistent, CONSISTENT, BOTH),
-    ("re-sum", "+inf in a hypothesis"): (re_sum_inf, INCONCLUSIVE, BOTH),
-    ("re-sum", "+inf in D(sigma||theta)"): (re_sum_inf_theta, INCONCLUSIVE, BOTH),
-    ("re-sum", "trends do not shrink"): (re_sum_trends, INCONCLUSIVE, BOTH),
-    ("channel-mi", "trends shrink"): (channel_mi_consistent, CONSISTENT, BOTH),
-    ("channel-mi", "MI trends do not shrink"): (channel_mi_core_trends, INCONCLUSIVE, BOTH),
-    ("channel-mi", "domination fails"): (channel_mi_domination_fails, INCONCLUSIVE, BOTH),
-    ("channel-mi", "sufficient condition fails"): (channel_mi_sufficient_condition, INCONCLUSIVE, (DIAGONAL,)),
-    ("channel-mi", "output tails do not vanish"): (channel_mi_tail, INCONCLUSIVE, (DIAGONAL,)),
-    ("appendix-domination", "trends shrink"): (appendix_consistent, CONSISTENT, BOTH),
-    ("appendix-domination", "+inf in A_1"): (appendix_inf, INCONCLUSIVE, BOTH),
-    ("appendix-domination", "trends do not shrink"): (appendix_trends, INCONCLUSIVE, BOTH),
-    ("appendix-domination", "trends shrink at trace 1e10"): (appendix_large_trace, CONSISTENT, BOTH),
-    ("appendix-domination", "ordering fails"): (appendix_ordering_fails, INCONCLUSIVE, BOTH),
-    ("entropy-jump-probe", "distances shrink, gap in band"): (jump_probe_consistent, CONSISTENT, BOTH),
-    ("entropy-jump-probe", "gap out of band"): (jump_probe_out_of_band, INCONCLUSIVE, BOTH),
-    ("entropy-jump-probe", "distances do not shrink"): (jump_probe_trends, INCONCLUSIVE, BOTH),
-    ("schedule-consistency", "probe trends shrink"): (schedule_consistent, CONSISTENT, BOTH),
-    ("schedule-consistency", "rank condition fails"): (schedule_violated_rank, VIOLATED, BOTH),
-    ("schedule-consistency", "nesting fails"): (schedule_violated_nesting, VIOLATED, BOTH),
-    ("schedule-consistency", "probe trends do not shrink"): (schedule_probe_trends, INCONCLUSIVE, (DIAGONAL,)),
+    ("dct-basic", "trends shrink"):
+        (dct_basic_consistent, CONSISTENT, "|g_n(rho_n) - g_0(rho_0)|", BOTH),
+    ("dct-basic", "domination fails"):
+        (dct_basic_violated_domination, VIOLATED, "|g_n| <= f_n on window and truncations", BOTH),
+    ("dct-basic", "LAA bound fails"):
+        (dct_basic_violated_laa, VIOLATED, "LAA bounds for f and g", BOTH),
+    ("dct-basic", "+inf in f"):
+        (dct_basic_inf_f, INCONCLUSIVE, "f values finite on window", BOTH),
+    ("dct-basic", "+inf in g only"):
+        (dct_basic_inf_g_only, INCONCLUSIVE, "g values finite on window", BOTH),
+    ("dct-basic", "+inf in f at a sample only"):
+        (dct_basic_inf_f_on_samples, INCONCLUSIVE, "f finite on the samples [rho_n] and [Psi_m(rho_n)]", BOTH),
+    ("dct-basic", "trends do not shrink"):
+        (dct_basic_trends, INCONCLUSIVE, "|g_n(rho_n) - g_0(rho_0)|", BOTH),
+    ("dct-simon", "trends shrink"):
+        (dct_simon_consistent, CONSISTENT, "|f_n(rho_n) - f_0(rho_0)|", BOTH),
+    ("dct-simon", "per-cell bound fails"):
+        (dct_simon_violated, VIOLATED, "per-cell truncation lower bound", BOTH),
+    ("dct-simon", "domination fails"):
+        (dct_simon_domination_fails, INCONCLUSIVE, "PSD domination c*rho_n <= tau_n", BOTH),
+    ("dct-simon", "+inf"):
+        (dct_simon_inf, INCONCLUSIVE, "f_0(tau_0) finite", BOTH),
+    ("dct-simon", "+inf in rho only"):
+        (dct_simon_inf_rho_only, INCONCLUSIVE, "f finite on rho_n and on tau_n for n >= 1", BOTH),
+    ("dct-simon", "trends do not shrink"):
+        (dct_simon_trends, INCONCLUSIVE, "|f_n(tau_n) - f_0(tau_0)|", BOTH),
+    ("convex-mixture", "trends shrink"):
+        (convex_mixture_consistent, CONSISTENT, "|f_n(p_n rho_n + (1-p_n) sigma_n) - f_0(...)|", BOTH),
+    ("convex-mixture", "+inf in a hypothesis"):
+        (convex_mixture_inf, INCONCLUSIVE, "hypothesis values finite", BOTH),
+    ("convex-mixture", "hypothesis trends do not shrink"):
+        (convex_mixture_hypothesis_trends, INCONCLUSIVE, "|f_n(rho_n) - f_0(rho_0)|", BOTH),
+    ("convex-mixture", "no shared stable index"):
+        (convex_mixture_no_stable_index, INCONCLUSIVE, "stable index sets intersect within window", BOTH),
+    ("convex-mixture", "mixture trend does not shrink"):
+        (convex_mixture_mixture_trend, INCONCLUSIVE, "|f_n(p_n rho_n + (1-p_n) sigma_n) - f_0(...)|", BOTH),
+    ("convex-mixture", "+inf in the mixture only"):
+        (convex_mixture_mixture_inf, INCONCLUSIVE, "mixture values finite", BOTH),
+    ("truncation-criterion", "trends shrink"):
+        (truncation_criterion_consistent, CONSISTENT, "tail sup over m", BOTH),
+    ("truncation-criterion", "schedule violated"):
+        (truncation_criterion_violated, VIOLATED, "schedule consistency", BOTH),
+    ("truncation-criterion", "+inf"):
+        (truncation_criterion_inf, INCONCLUSIVE, "finite values on window", BOTH),
+    ("truncation-criterion", "head trends do not shrink"):
+        (truncation_criterion_head_trends, INCONCLUSIVE, "head residual, m = 2", BOTH),
+    ("truncation-criterion", "tails do not vanish"):
+        (truncation_criterion_tails, INCONCLUSIVE, "tail sup decreases toward zero over m", (DIAGONAL,)),
+    ("re-domination", "trends shrink"):
+        (re_domination_consistent, CONSISTENT, "|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|", BOTH),
+    ("re-domination", "+inf in the hypothesis"):
+        (re_domination_inf_hypothesis, INCONCLUSIVE, "hypothesis D(rho1_n||sigma1_n) finite", BOTH),
+    ("re-domination", "+inf conclusion, converging hypothesis"):
+        (re_domination_violated, VIOLATED, "conclusion finite where domination guarantees it", BOTH),
+    ("re-domination", "+inf conclusion, stuck hypothesis"):
+        (re_domination_inf_conclusion_trends, INCONCLUSIVE, "|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", BOTH),
+    ("re-domination", "trends do not shrink"):
+        (re_domination_trends, INCONCLUSIVE, "|D(rho1_n||sigma1_n) - D(rho1_0||sigma1_0)|", BOTH),
+    ("re-domination", "ordering fails at the declared limit only"):
+        (re_domination_limit_ordering_only, CONSISTENT, "|D(rho2_n||sigma2_n) - D(rho2_0||sigma2_0)|", BOTH),
+    ("re-domination", "ordering fails at n >= 1"):
+        (re_domination_ordering_fails, INCONCLUSIVE, "PSD domination c_rho*rho2_n <= rho1_n", BOTH),
+    ("re-sum", "trends shrink"):
+        (re_sum_consistent, CONSISTENT, "|D(rho_n+sigma_n||omega_n) - D(rho_0+sigma_0||omega_0)|", BOTH),
+    ("re-sum", "shifted trends shrink"):
+        (re_sum_shifted_consistent, CONSISTENT, "|D(rho_n+sigma_n||omega_n+theta_n) - D(...limit...)|", BOTH),
+    ("re-sum", "+inf in a hypothesis"):
+        (re_sum_inf, INCONCLUSIVE, "hypothesis values finite", BOTH),
+    ("re-sum", "+inf in D(sigma||theta)"):
+        (re_sum_inf_theta, INCONCLUSIVE, "hypothesis D(sigma_n||theta_n) finite", BOTH),
+    ("re-sum", "trends do not shrink"):
+        (re_sum_trends, INCONCLUSIVE, "|D(sigma_n||omega_n) - D(sigma_0||omega_0)|", BOTH),
+    ("channel-mi", "trends shrink"):
+        (channel_mi_consistent, CONSISTENT, "|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|", BOTH),
+    ("channel-mi", "MI trends do not shrink"):
+        (channel_mi_core_trends, INCONCLUSIVE, "|I(Phi_n,p_n rho_n + (1-p_n) sigma_n) - I(Phi_0,...)|", BOTH),
+    ("channel-mi", "domination fails"):
+        (channel_mi_domination_fails, INCONCLUSIVE, "PSD domination c*rho_n <= sigma_n", BOTH),
+    ("channel-mi", "sufficient condition fails"):
+        (channel_mi_sufficient_condition, INCONCLUSIVE, "entropy sufficient condition (inputs or outputs)",
+         (DIAGONAL,)),
+    ("channel-mi", "inputs converge, outputs do not"):
+        (channel_mi_outputs_stuck, CONSISTENT, "entropy sufficient condition (inputs or outputs)", BOTH),
+    ("channel-mi", "outputs converge, inputs do not"):
+        (channel_mi_inputs_stuck, CONSISTENT, "entropy sufficient condition (inputs or outputs)", BOTH),
+    ("channel-mi", "output tails do not vanish"):
+        (channel_mi_tail, INCONCLUSIVE, "output-entropy tail decreases toward zero over m", (DIAGONAL,)),
+    ("appendix-domination", "trends shrink"):
+        (appendix_consistent, CONSISTENT, "|a2_n - a2_0|", BOTH),
+    ("appendix-domination", "+inf in A_1"):
+        (appendix_inf, INCONCLUSIVE, "A_1 values finite on window", BOTH),
+    ("appendix-domination", "trends do not shrink"):
+        (appendix_trends, INCONCLUSIVE, "|a1_n - a1_0|", BOTH),
+    ("appendix-domination", "trends shrink at trace 1e10"):
+        (appendix_large_trace, CONSISTENT, "Tr H rho equals the eigenvector quadratic-form sum", BOTH),
+    ("appendix-domination", "ordering fails"):
+        (appendix_ordering_fails, INCONCLUSIVE, "PSD domination rho2_n <= rho1_n", BOTH),
+    ("entropy-jump-probe", "distances shrink, gap in band"):
+        (jump_probe_consistent, CONSISTENT, "trace distance to the declared limit", BOTH),
+    ("entropy-jump-probe", "gap out of band"):
+        (jump_probe_out_of_band, INCONCLUSIVE, "entropy gap within [0.9, 1.1] for n >= 3", BOTH),
+    ("entropy-jump-probe", "distances do not shrink"):
+        (jump_probe_trends, INCONCLUSIVE, "trace distance to the declared limit", BOTH),
+    ("schedule-consistency", "probe trends shrink"):
+        (schedule_consistent, CONSISTENT, "probe residual ||(P^n_m - P^0_m)v||, m = 4", BOTH),
+    ("schedule-consistency", "rank condition fails"):
+        (schedule_violated_rank, VIOLATED, "rank P^n_m <= m", BOTH),
+    ("schedule-consistency", "nesting fails"):
+        (schedule_violated_nesting, VIOLATED, "P^n_m <= P^n_(m+1)", BOTH),
+    ("schedule-consistency", "probe trends do not shrink"):
+        (schedule_probe_trends, INCONCLUSIVE, "probe residual ||(P^n_m - P^0_m)v||, m = 1", (DIAGONAL,)),
 }
 
 CASES = [
-    pytest.param(case, expected, basis, id=f"{proc}: {branch} [{basis}]")
-    for (proc, branch), (case, expected, bases) in STATUS_TABLE.items()
+    pytest.param(case, expected, record, basis, id=f"{proc}: {branch} [{basis}]")
+    for (proc, branch), (case, expected, record, bases) in STATUS_TABLE.items()
     for basis in bases
 ]
 
 
-@pytest.mark.parametrize("case, expected, basis", CASES)
-def test_status_table(case, expected, basis):
+def _failed_records(verdict):
+    """The records that keep a status off consistent: failed checks but notes, gating trends that do not shrink."""
+    return ([c for c in verdict.hypothesis_checks if not c.passed and c.role != NOTE]
+            + [t for t in verdict.conclusion_trends if t.gates and not t.shrinks])
+
+
+def _report_explains(verdict: dict) -> bool:
+    """From the JSON alone: a status other than consistent shows a failed check or a trend that does not shrink."""
+    return (verdict["status"] == CONSISTENT
+            or any(not c["passed"] for c in verdict["hypothesis_checks"])
+            or any(not t["shrinks"] for t in verdict["conclusion_trends"]))
+
+
+@pytest.mark.parametrize("case, expected, record, basis", CASES)
+def test_status_table(case, expected, record, basis):
     verdict = case(basis)
     assert verdict.status == expected
     assert verdict.to_json()["status"] == expected
+    assert _report_explains(verdict.to_json())
+    (deciding,) = [r for r in verdict.hypothesis_checks + verdict.conclusion_trends if r.name == record]
+    failed = _failed_records(verdict)
+    if expected == CONSISTENT:
+        assert not failed
+        assert deciding.passed if isinstance(deciding, CheckResult) else deciding.gates and deciding.shrinks
+    elif expected == VIOLATED:
+        assert deciding in failed and deciding.role == INEQUALITY
+    else:
+        assert deciding in failed and (not isinstance(deciding, CheckResult) or deciding.role == HYPOTHESIS)
+
+
+# every builtin, and every scenario file but the usage-*.json files, which are refused before any report
+REPORTS = sorted(BUILTIN_SCENARIOS) + sorted(
+    p.name for p in SCENARIOS.glob("*.json") if not p.name.startswith("usage-"))
+
+
+@pytest.mark.parametrize("source", REPORTS)
+def test_scenario_report_explains_its_status(source):
+    scenario = load_scenario(str(SCENARIOS / source)) if source.endswith(".json") else builtin_scenario(source)
+    report = json.loads(report_to_json(run_scenario(scenario, seed=3)))
+    for entry in report["checks"]:
+        if "verdict" in entry:
+            assert _report_explains(entry["verdict"]), entry["name"]
 
 
 def test_every_procedure_reaches_each_status_it_can():
     reached = {}
-    for (proc, _), (_, expected, _) in STATUS_TABLE.items():
+    for (proc, _), (_, expected, _, _) in STATUS_TABLE.items():
         reached.setdefault(proc, set()).add(expected)
     # re-sum cannot reach "violated" (its per-n sum inequalities are theorems
     # of the relative entropy), nor can appendix-domination (its ladder
@@ -707,7 +847,7 @@ def test_broken_ordering_returns_before_any_inequality(case, name, n, basis):
     assert [check.name for check in failed] == [name]
     assert failed[0].slack < 0.0 and failed[0].detail.startswith(f"fails at n = {n}:")
     # nothing that rests on the ordering is evaluated, so nothing can read violated
-    assert not verdict.violated and not verdict.conclusion_trends and not verdict.values
+    assert verdict.status != VIOLATED and not verdict.conclusion_trends and not verdict.values
 
 
 def test_simon_dct_at_c5_scenario_exits_zero():
