@@ -27,11 +27,11 @@ from .channels import (
 )
 from .entropies import (
     SpectralCuts,
+    _ladder_values,
     binary_entropy,
     binary_entropy_extension,
     entropy_cuts,
     entropy_of_diagonals,
-    regularized_log_ladder,
     relative_entropy,
     relative_entropy_cuts,
     relative_entropy_pairs,
@@ -218,11 +218,21 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
     """Per-(n, m) masses mu, gaps f_n(rho_n) - f_n([Psi_m(rho_n)]) and tail terms.
 
     Cells where a value is +inf are flagged and kept; the grid is returned in
-    full either way.
+    full either way.  On the spectral scheme a family with rows reads
+    f_n(rho_n) off the window itself: one more column, cut at rank rho_n
+    and not normalized, whose head is rho_n's kept spectrum.  The
+    dominated scheme and a family without rows call ``family.value`` once
+    per n.
     """
     ns = range(n_max + 1)
-    m_range, mass, ambiguous, f_head, tail_mass, f_tail = _truncation_window(family, seq, scheme, ns, m_max)
-    f_rho = _column([float(family.value(n, seq(n))) for n in ns])
+    value = scheme.kind == "spectral" and family.rows is not None
+    m_range, *window = _truncation_window(family, seq, scheme, ns, m_max, value=value)
+    if value:
+        f_rho = window[2][:, -1:]  # the head of the last column
+        window = [a[:, :-1] for a in window]
+    else:
+        f_rho = _column([float(family.value(n, seq(n))) for n in ns])
+    mass, ambiguous, f_head, tail_mass, f_tail = window
     no_head, no_tail = np.isnan(f_head), np.isnan(f_tail)
     inf_gap = ~no_head & (np.isinf(f_rho) | np.isinf(f_head))
     inf_tail = np.isinf(f_tail)
@@ -265,14 +275,16 @@ def _column(values) -> np.ndarray:
 
 
 def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: ApproximationScheme,
-                       ns, m_max: int, whole: bool = False) -> tuple:
+                       ns, m_max: int, whole: bool = False, value: bool = False) -> tuple:
     """(m_range, mass, ambiguous, f_head, tail mass, f_tail) of Psi_m(rho_n), each an (N, M) array over n of ns and m of m_range.
 
     m_range runs from the scheme's smallest usable m to m_max.  f_head is
     f_n of the normalized head and f_tail of the normalized tail, +inf
     included, and NaN where that state does not exist.  With ``whole``,
     one more column after m_range cuts rho_n at its rank, so its head is
-    [rho_n].  The spectral scheme reads the window off ``_cut_values``;
+    [rho_n].  With ``value`` (spectral scheme only), one more column after
+    those cuts rho_n at its rank without normalizing, so its head is
+    f_n(rho_n).  The spectral scheme reads the window off ``_cut_values``;
     the dominated scheme takes its m-range and rows from one
     ``dominated_window`` call, then on diagonal pairs and a family with a
     stacked form makes one ``family.stacked`` call, and anything else
@@ -280,8 +292,9 @@ def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: 
     """
     if scheme.kind == "spectral":
         m_range = range(1, m_max + 1)
-        # a cut at m >= rank keeps rho_n whole
-        return (m_range, *_spectral_window(family, seq, ns, list(m_range) + [seq.dim] if whole else m_range))
+        # a cut at m >= rank keeps rho_n whole: [rho_n] with ``whole``, then rho_n itself with ``value``
+        ms = list(m_range) + [seq.dim] * (whole + value)
+        return (m_range, *_spectral_window(family, seq, ns, ms, np.arange(len(ms)) < len(m_range) + whole))
     m_range, rows = scheme.dominated_window(seq, ns, m_max)
     if whole:
         rows = [row.with_whole() for row in rows]
@@ -307,14 +320,15 @@ def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow) -> lis
     return [cells[key] for key in keys]
 
 
-def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range) -> tuple:
+def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range, normalized=True) -> tuple:
     """``_truncation_window`` of the spectral scheme: rho_n's own spectrum cut at min(m, rank rho_n).
 
     A cut m below rank rho_n splits rho_n's kept spectrum into a head and a
     tail of positive mass.  A cut at or above the rank keeps rho_n itself
     and leaves no tail: the whole cell, whose mass is Tr of the kept
     spectrum, as in ``spectral_truncation``.  A vanishing rho_n has rank
-    0, so its cells keep zero masses and no values.
+    0, so its cells keep zero masses and no values.  ``normalized``, one
+    bool for every m or one per m, is passed on to ``_cut_values``.
     """
     ops = [seq(n) for n in ns]
     spectra = [op.spectrum() for op in ops]
@@ -325,7 +339,7 @@ def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_rang
     head_mass = np.concatenate([zero, np.cumsum(kept, axis=1)], axis=1)[j, cuts]
     tail_mass = np.concatenate([np.cumsum(kept[:, ::-1], axis=1)[:, ::-1], zero], axis=1)[j, cuts]
     mass = np.where(cuts >= ranks, np.sum(kept, axis=1)[:, None], head_mass)
-    f_head, f_tail = _cut_values(family, ns, ops, spectra, cuts, normalized=True)
+    f_head, f_tail = _cut_values(family, ns, ops, spectra, cuts, normalized)
     return mass, ambiguous_cuts(spectra, cuts), f_head, tail_mass, f_tail
 
 
@@ -358,15 +372,17 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list) -> tupl
 # The cut evaluator: f_n on the heads and tails of one basis per n
 
 
-def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized: bool,
+def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized,
                 heads: bool = True, tails: bool = True) -> np.ndarray:
     """f_{ns[j]} of the head P X P and the tail Pbar X Pbar of X = ops[j], for each prefix P of bases[j] cut at cuts[j].
 
     ``cuts`` has shape (N, M); the result is a (2, N, M) float array,
-    heads in [0] and tails in [1], with +inf.  With ``normalized`` each
-    cut enters as its state [P X P].  An entry is NaN where that state
-    does not exist (the cut vanishes, as ``normalize`` decides) or where
-    its side was not asked for.  The inputs choose one of three forms:
+    heads in [0] and tails in [1], with +inf.  ``normalized`` is one bool
+    for every column of cuts or one per column, shape (M,); in a
+    normalized column each cut enters as its state [P X P].  An entry is
+    NaN where that state does not exist (the cut vanishes, as
+    ``normalize`` decides) or where its side was not asked for.  The
+    inputs choose one of three forms:
 
     - every basis is its operator's own spectrum and the family has rows:
       one ``family.rows`` call, each kept spectrum cut as ``split`` cuts
@@ -380,6 +396,7 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized: bool
       only the sides asked for.
     """
     ns, cuts = list(ns), np.asarray(cuts, dtype=np.intp)
+    normalized = np.broadcast_to(normalized, cuts.shape[1:])
     asked = np.array([heads, tails])
     own = [basis is op.spectrum() for op, basis in zip(ops, bases)]
     if family.rows is not None and all(own):
@@ -394,7 +411,7 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized: bool
             position[basis.basis] = np.arange(position.size)
             in_head = position < row[:, None]
             masked = np.concatenate([np.where(in_head, op.diag, 0.0), np.where(in_head, 0.0, op.diag)])
-            values[j] = _stacked_values(family, np.full(2 * row.size, n), masked, normalized,
+            values[j] = _stacked_values(family, np.full(2 * row.size, n), masked, np.tile(normalized, 2),
                                         np.repeat(asked, row.size)).reshape(2, -1)
         return values.transpose(1, 0, 2)
     values = np.full((2,) + cuts.shape, np.nan)
@@ -407,7 +424,7 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized: bool
                 parts = (compress(op, p) if heads else None, compress(op, p.complement()) if tails else None)
             for side in np.flatnonzero(asked):
                 part = parts[side]
-                values[side, j, i] = _state_value(family, n, part) if normalized else float(family.value(n, part))
+                values[side, j, i] = _state_value(family, n, part) if normalized[i] else float(family.value(n, part))
     return values
 
 
@@ -417,22 +434,22 @@ def _state_value(family: FunctionalFamily, n: int, op: PositiveOperator) -> floa
     return math.nan if state is None else float(family.value(n, state))
 
 
-def _stacked_values(family: FunctionalFamily, ns, diagonals: np.ndarray, normalized: bool,
+def _stacked_values(family: FunctionalFamily, ns, diagonals: np.ndarray, normalized,
                     asked: np.ndarray) -> np.ndarray:
     """f_{ns[i]} of the diagonal operator whose diagonal is row i of ``diagonals``, for each asked row, from one ``family.stacked`` call.
 
-    With ``normalized`` a row enters as its state, its masses and its
-    vanishing test read as ``normalize`` reads them; a row that vanishes,
-    like one not asked for, is NaN.
+    ``normalized`` is one bool for every row or one per row.  A normalized
+    row enters as its state, its masses and its vanishing test read as
+    ``normalize`` reads them; a normalized row that vanishes, like one not
+    asked for, is NaN.
     """
     values = np.full(diagonals.shape[0], np.nan)
-    if normalized:
-        mass = np.sum(diagonals, axis=1)
-        asked = asked & (mass > default_rank_tols(diagonals.shape[1], np.max(diagonals, axis=1)))
-        states = diagonals[asked] * (1.0 / mass[asked])[:, None]
-    else:
-        states = diagonals[asked]
-    values[asked] = family.stacked(np.asarray(ns)[asked], states)
+    mass = np.sum(diagonals, axis=1)
+    vanishing = mass <= default_rank_tols(diagonals.shape[1], np.max(diagonals, axis=1))
+    asked = asked & ~(normalized & vanishing)
+    scale = np.ones_like(mass)
+    np.divide(1.0, mass, out=scale, where=asked & normalized)
+    values[asked] = family.stacked(np.asarray(ns)[asked], diagonals[asked] * scale[asked, None])
     return values
 
 
@@ -679,7 +696,8 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     schedule's own full m-window (its coverage condition lives there),
     independently of the m-window scanned for tails.  The probe-residual
     trend of P^n_m toward P^0_m does not gate the criterion; only
-    ``validate_schedule`` reports it.
+    ``validate_schedule`` reports it.  "finite values on window" reads the
+    values the criterion uses: every head, and the tails from n_0 on.
     """
     if n_max > schedule.n_max:
         raise ValueError(f"n_max = {n_max} is past the schedule's n_max = {schedule.n_max}")
@@ -692,7 +710,8 @@ def truncation_criterion(family: FunctionalFamily, seq: OperatorSequence,
     values = _cut_values(family, ns, [seq(n) for n in ns], schedule.bases[:len(ns)],
                          schedule.cuts[:len(ns), :len(m_range)], normalized=False)
     heads, tail_rows = values
-    saw_inf = bool(np.isinf(values).any())
+    # the tail sups read only n >= n_0
+    saw_inf = bool(np.isinf(heads).any() or np.isinf(tail_rows[n_0:]).any())
     trends = [_limit_trend(f"head residual, m = {m}", head_vals) for m, head_vals in zip(m_range, heads.T.tolist())
               if not any(math.isinf(v) for v in head_vals)]
     tails = np.max(tail_rows[n_0:], axis=0).tolist()
@@ -901,11 +920,11 @@ def appendix_domination(rho1: OperatorSequence, rho2: OperatorSequence,
         return Verdict("appendix-domination", hypothesis_checks=tuple(checks))
     ladder_ok, ladder_slack, ladder_detail = True, math.inf, ""
     for n in range(n_max + 1):
-        l1 = regularized_log_ladder(rho1(n), sigma1(n), k_schedule)
-        l2 = regularized_log_ladder(rho2(n), sigma2(n), k_schedule)
-        for i, k in enumerate(l1.k_values):
-            d1 = a1[n] - l1.a_k[i]
-            d2 = a2[n] - l2.a_k[i]
+        ks, a1_k = _ladder_values(rho1(n), sigma1(n), k_schedule)
+        _, a2_k = _ladder_values(rho2(n), sigma2(n), k_schedule)
+        for i, k in enumerate(ks):
+            d1 = a1[n] - a1_k[i]
+            d2 = a2[n] - a2_k[i]
             for tag, slack in (("0 <= a2_n - a2_(k,n)", d2 + INEQ_SLACK),
                                ("a2 difference <= a1 difference", d1 - d2 + INEQ_SLACK)):
                 if slack < ladder_slack:

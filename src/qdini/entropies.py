@@ -30,6 +30,7 @@ from .operators import (
     Projector,
     compress,
     default_rank_tols,
+    dense_overlaps,
     partial_trace,
     solve_bases,
 )
@@ -197,8 +198,10 @@ class SpectralCuts:
     basis u of spectra[j] as ``PositiveOperator.split`` cuts it.  ``cuts``
     is an int array of shape (N, M).  The head at cut k of row j is
     X = c sum_{i < k} V[j, i] |u_i><u_i| and the tail is the same sum over
-    i >= k, with c = 1, or c = 1 / Tr X when ``normalized`` and Tr X > 0.
-    Arrays indexed by cut have shape (2, N, M): heads in [0], tails in [1].
+    i >= k, with c = 1, or c = 1 / Tr X when the cut's column is
+    normalized and Tr X > 0.  ``normalized`` is one bool for every column
+    or one per column, shape (M,).  Arrays indexed by cut have shape
+    (2, N, M): heads in [0], tails in [1].
 
     The window functionals below read a head off a forward cumulative sum
     along each row of V and a tail off a reversed one, so a whole window of
@@ -208,7 +211,7 @@ class SpectralCuts:
 
     __slots__ = ("spectra", "values", "cuts", "scale", "mass", "top", "vanishing", "_rows", "_ranked_end")
 
-    def __init__(self, spectra, cuts, normalized: bool):
+    def __init__(self, spectra, cuts, normalized):
         v = np.stack([spec.kept() for spec in spectra])
         k = np.asarray(cuts, dtype=np.intp)
         self.spectra = tuple(spectra)
@@ -217,9 +220,8 @@ class SpectralCuts:
         self._rows = np.arange(v.shape[0])[:, None]  # gathers prefix[j, k[j, i]] with k
         self.mass = self.sums(v)
         self.scale = np.ones_like(self.mass)
-        if normalized:
-            # a cut of zero mass (the empty tail at the rank) has no state and stays unscaled
-            np.divide(1.0, self.mass, out=self.scale, where=self.mass > 0.0)
+        # a cut of zero mass (the empty tail at the rank) has no state and stays unscaled
+        np.divide(1.0, self.mass, out=self.scale, where=np.logical_and(normalized, self.mass > 0.0))
         # largest value of each head and tail, before scaling (0 for an empty tail)
         padded = np.concatenate([v, np.zeros((v.shape[0], 1))], axis=1)
         self.top = np.stack([np.broadcast_to(v[:, :1], k.shape), padded[self._rows, k]])
@@ -266,23 +268,32 @@ def entropy_cuts(cuts: SpectralCuts, scale=None) -> np.ndarray:
 def _support_sums(cuts: SpectralCuts, sigmas):
     """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X of row j and sigma = sigmas[j].
 
-    The pending bases of the rows and of the sigmas are solved in one call
-    before any row reads its overlaps.
+    Each eigenvector u_i of row j reads <u_i|-ln sigma|u_i> and its weight
+    off supp sigma, sums over sigma's eigenvectors s weighted by the
+    overlaps |<s|u_i>|^2.  The pending bases of the rows and of the sigmas
+    are solved in one call before any overlap is read.  When every basis is
+    dense, the overlaps of the whole window are one stacked (N, d, d)
+    product (``dense_overlaps``); otherwise each row reads its own through
+    ``Spectrum.expectations``.
     """
     for spectrum, sigma in zip(cuts.spectra, sigmas):
         if spectrum.values.size != sigma.dim:
             raise ValueError(f"dimension mismatch: {spectrum.values.size} vs {sigma.dim}")
     specs = [sigma.spectrum() for sigma in sigmas]
-    solve_bases(cuts.spectra + tuple(specs))
-    per_vector = []
-    for spectrum, spec in zip(cuts.spectra, specs):
-        r = spec.rank
-        g = np.zeros((spec.values.size, 2))
-        g[:r, 0] = -np.log(spec.values[:r])
-        g[r:, 1] = 1.0
-        # per eigenvector u_i of the cut spectrum: <u_i|-ln sigma|u_i> and its weight off supp sigma
-        per_vector.append(spec.expectations(spectrum, g))
-    sums = cuts.scale[..., None] * cuts.sums(cuts.values[..., None] * np.stack(per_vector))
+    bases = cuts.spectra + tuple(specs)
+    solve_bases(bases)
+    values = np.array([spec.values for spec in specs])
+    on_support = np.arange(values.shape[1]) < np.array([spec.rank for spec in specs])[:, None]
+    # per eigenvector of sigma_j: -ln of its value on supp sigma_j, and 1 off it
+    g = np.stack([np.where(on_support, -np.log(np.where(on_support, values, 1.0)), 0.0),
+                  np.where(on_support, 0.0, 1.0)], axis=-1)
+    if not any(spec.diagonal for spec in bases):
+        overlaps = dense_overlaps(np.array([spec.basis for spec in specs]),
+                                  np.array([spectrum.basis for spectrum in cuts.spectra]))
+        per_vector = np.swapaxes(overlaps, -1, -2) @ g
+    else:
+        per_vector = np.array([spec.expectations(spectrum, row) for spec, spectrum, row in zip(specs, cuts.spectra, g)])
+    sums = cuts.scale[..., None] * cuts.sums(cuts.values[..., None] * per_vector)
     return sums[..., 0], sums[..., 1]
 
 
@@ -325,12 +336,29 @@ class LadderResult:
     limit_estimate: ExtendedReal
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_values)
-        if any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("k_values must be strictly increasing positive integers")
-        diffs = np.diff(np.asarray(self.a_k, dtype=float))
-        if diffs.size and float(np.min(diffs)) < -1e-10:
-            raise ValueError(f"ladder not non-decreasing: min step {float(np.min(diffs)):.3e}")
+        _check_ladder(self.k_values, self.a_k)
+
+
+def _check_ladder(k_values, a_k):
+    """Refuse a k schedule that is not strictly increasing and positive, or a ladder that decreases."""
+    ks = tuple(int(k) for k in k_values)
+    if any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("k_values must be strictly increasing positive integers")
+    diffs = np.diff(np.asarray(a_k, dtype=float))
+    if diffs.size and float(np.min(diffs)) < -1e-10:
+        raise ValueError(f"ladder not non-decreasing: min step {float(np.min(diffs)):.3e}")
+
+
+def _ladder_values(rho: PositiveOperator, sigma: PositiveOperator, k_schedule) -> tuple:
+    """(k values, a_k values) of a_k = -Tr rho ln(sigma + I/k), checked as ``LadderResult`` checks them."""
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    ks = tuple(int(k) for k in k_schedule)
+    spec = sigma.spectrum()
+    weights = np.clip(spec.weights(rho), 0.0, None)
+    vals = tuple(float(-np.sum(weights * np.log(spec.values + 1.0 / k))) for k in ks)
+    _check_ladder(ks, vals)
+    return ks, vals
 
 
 def regularized_log_ladder(rho: PositiveOperator, sigma: PositiveOperator, k_schedule) -> LadderResult:
@@ -338,13 +366,7 @@ def regularized_log_ladder(rho: PositiveOperator, sigma: PositiveOperator, k_sch
 
     sup_k a_k = Tr rho (-ln sigma), so limit_estimate is trace_neg_log(rho, sigma).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    ks = [int(k) for k in k_schedule]
-    spec = sigma.spectrum()
-    weights = np.clip(spec.weights(rho), 0.0, None)
-    vals = [float(-np.sum(weights * np.log(spec.values + 1.0 / k))) for k in ks]
-    return LadderResult(tuple(ks), tuple(vals), trace_neg_log(rho, sigma))
+    return LadderResult(*_ladder_values(rho, sigma, k_schedule), trace_neg_log(rho, sigma))
 
 
 def check_entropy_subadditivity_pair(rho: PositiveOperator, sigma: PositiveOperator):

@@ -239,8 +239,9 @@ class Spectrum:
         """<w_i|G|w_i> for every basis vector w_i of ``other``, where G = sum_j g[j] |v_j><v_j|.
 
         Row i is sum_j |<v_j|w_i>|^2 g[j]; g may have several columns.  The
-        overlaps |<v_j|w_i>|^2 are one d x d product for two dense bases, a
-        gather of rows for one diagonal basis, and a permutation of g for two.
+        overlaps |<v_j|w_i>|^2 are one d x d product for two dense bases
+        (``dense_overlaps``), a gather of rows for one diagonal basis, and a
+        permutation of g for two.
         """
         g = np.asarray(g, dtype=float)
         mine, theirs = self.basis, other.basis
@@ -252,7 +253,7 @@ class Spectrum:
             return (np.abs(theirs[mine]) ** 2).T @ g
         if other.diagonal:
             return np.abs(mine[theirs]) ** 2 @ g
-        return (np.abs(mine.conj().T @ theirs) ** 2).T @ g
+        return dense_overlaps(mine, theirs).T @ g
 
     def compose(self, vals) -> np.ndarray:
         """sum_i vals[i] |v_i><v_i|: the diagonal (diagonal basis) or the dense matrix."""
@@ -296,6 +297,11 @@ class Spectrum:
         d = np.zeros(self.values.size)
         d[self.basis[:k]] = 1.0
         return Projector(diagonal=d, rank=k)
+
+
+def dense_overlaps(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|<v_j|w_i>|^2 at [..., j, i] for the columns v_j of v and w_i of w: two dense bases, or two stacks of them."""
+    return np.abs(np.swapaxes(v.conj(), -1, -2) @ w) ** 2
 
 
 def solve_bases(spectra) -> None:

@@ -455,8 +455,13 @@ def _covers(basis: Spectrum, cut: int, rho: PositiveOperator) -> bool:
 
 
 def _prefix_masses(basis: Spectrum, rho: PositiveOperator) -> np.ndarray:
-    """Tr P_k rho for the projector P_k onto the first k vectors of ``basis``, k = 0..d."""
-    return np.concatenate([[0.0], np.cumsum(basis.weights(rho))])
+    """Tr P_k rho for the projector P_k onto the first k vectors of ``basis``, k = 0..d.
+
+    On rho's own spectrum these are the cumulative sums of its clamped
+    values; any other basis reads rho's weights along it.
+    """
+    masses = basis.values if basis is rho.spectrum() else basis.weights(rho)
+    return np.concatenate([[0.0], np.cumsum(masses)])
 
 
 def _probe_residual(spec_n: Spectrum, cut_n: int, spec_0: Spectrum, cut_0: int, probes: np.ndarray) -> float:

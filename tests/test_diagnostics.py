@@ -40,7 +40,7 @@ from qdini import (
     builtin_scenario,
     run_scenario,
 )
-from qdini import diagnostics
+from qdini import diagnostics, entropies
 from qdini.diagnostics import ZERO_MODULUS, FunctionalFamily
 from qdini.scenarios import BUILTIN_SCENARIOS, load_scenario
 from qdini.verdicts import CONSISTENT, INCONCLUSIVE, VIOLATED
@@ -362,6 +362,18 @@ class TestAppendixDomination:
         assert not identity.passed and identity.slack < 0.0
         assert v.status == VIOLATED
 
+    def test_ladders_compute_no_limit_estimate_and_keep_their_checks(self, monkeypatch):
+        rho1 = _diag_seq([0.5, 0.3, 0.2], [0.02, -0.01, -0.01])
+        rho2 = OperatorSequence(lambda n: rho1(n).scale(0.6), 3)
+        sigma1 = _diag_seq([0.2, 0.3, 0.5], [0.01, -0.01, 0.0])
+        sigma2 = OperatorSequence(lambda n: sigma1(n).scale(1.5), 3)
+        # a1_n and a2_n come from the pair kernel: no ladder computes the scalar limit estimate
+        monkeypatch.setattr(entropies, "trace_neg_log", None)
+        v = appendix_domination(rho1, rho2, sigma1, sigma2, k_schedule=[1, 10, 100], n_max=4)
+        assert v.status == CONSISTENT
+        with pytest.raises(ValueError, match="k_values must be strictly increasing positive integers"):
+            appendix_domination(rho1, rho2, sigma1, sigma2, k_schedule=[10, 10], n_max=4)
+
     def test_infinite_hypothesis_inconclusive(self):
         rho1 = _diag_seq([0.5, 0.5], [0.02, -0.02])
         rho2 = OperatorSequence(lambda n: rho1(n).scale(0.5), 2)
@@ -504,6 +516,18 @@ class TestPinnedChecks:
         v = truncation_criterion(f, seq, schedule, n_0=1, n_max=8, m_max=4)
         assert _only_failing_record(v) == name and v.status == INCONCLUSIVE
         assert _passes_on_builtin("entropy-discontinuity", name)
+
+    def test_truncation_criterion_infinite_tail_before_n_0(self):
+        name = "finite values on window"
+        # f is +inf on the tails at n = 0 only (trace at most 0.3): the tail sups read n >= n_0 = 1
+        # and never see them, so the check passes; from n_0 = 0 on they are read and it fails
+        seq = _diag_seq([0.7, 0.2, 0.06, 0.04], [0.02, -0.01, -0.005, -0.005])
+        f = _infinite_where(lambda n, op: n == 0 and op.trace() < 0.5, "S unless n = 0 and Tr < 0.5")
+        schedule = fixed_basis_schedule(4, 4, seq, n_max=8)
+        v = truncation_criterion(f, seq, schedule, n_0=1, n_max=8, m_max=4)
+        assert _check(v, name).passed and v.status == CONSISTENT
+        v = truncation_criterion(f, seq, schedule, n_0=0, n_max=8, m_max=4)
+        assert not _check(v, name).passed and v.status == INCONCLUSIVE
 
     def test_appendix_windowed_bound(self):
         name = "windowed A_2 - a2_0 <= Delta"

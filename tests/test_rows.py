@@ -56,7 +56,7 @@ from qdini import (
     truncation_criterion,
     truncation_lower_bound_slack,
 )
-from qdini import Scenario, diagnostics, scenarios
+from qdini import Scenario, diagnostics, entropies, scenarios, truncation
 from qdini.entropies import SpectralCuts
 from qdini.operators import Spectrum
 
@@ -182,7 +182,8 @@ def test_commuting_criterion_rows_match_cells(kind, case, dense):
         m_range = range(schedule.m_0, schedule.m_max + 1)
         ns = range(n_max + 1)
         ops = [rho_seq(n) for n in ns]
-        for normalized in (False, True):
+        # every column as is, every column as its state, and every other column as its state
+        for normalized in (False, True, np.arange(len(m_range)) % 2 == 0):
             got, want = (diagnostics._cut_values(fam, ns, ops, schedule.bases, schedule.cuts, normalized)
                          for fam in (family, _per_cell(family)))
             for (side, n, i), w in np.ndenumerate(want):
@@ -225,11 +226,72 @@ def test_dense_grid_row_builds_no_operator_and_reads_no_weights_per_cell(monkeyp
         return weights(self, a)
 
     monkeypatch.setattr(Spectrum, "weights", counted_weights)
+    relative_entropy = diagnostics.relative_entropy
+    monkeypatch.setattr(diagnostics, "relative_entropy",
+                        lambda rho, sigma: counts.update(["relative_entropy"]) or relative_entropy(rho, sigma))
     grid = approximation_gap_grid(relative_entropy_family(sigma_seq), rho_seq,
                                   ApproximationScheme("spectral"), n_max, m_max)
     assert len(grid.cells) == (n_max + 1) * m_max
-    assert counts["weights"] == n_max + 1  # f_n(rho_n) itself, once per row
+    # f_n(rho_n) is the window's rank column, not a scalar call per row
+    assert counts["weights"] == 0 and counts["relative_entropy"] == 0
     assert constructions["operators"] == 0
+
+
+@pytest.mark.parametrize("dense", [False, True, "mixed"], ids=["diagonal", "dense", "mixed"])
+@pytest.mark.parametrize("case", ("support-break", "ties", "scaled-up", "scaled-down", "rank-deficient"))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_spectral_value_column_matches_the_family_value(kind, case, dense):
+    # the unnormalized column cut at rank rho_n, from which the spectral grid reads f_n(rho_n)
+    saw_inf = False
+    for seed in SEEDS:
+        rho_seq, sigma_seq, n_max = _window(case, dense, seed)
+        family = _family(kind, sigma_seq)
+        ns = range(n_max + 1)
+        window = diagnostics._truncation_window(family, rho_seq, ApproximationScheme("spectral"), ns,
+                                                rho_seq.dim, value=True)
+        for n, got in zip(ns, window[3][:, -1].tolist()):
+            want = float(family.value(n, rho_seq(n)))
+            assert math.isinf(got) == math.isinf(want) and _close(got, want), (seed, n, got, want)
+            saw_inf |= math.isinf(want)
+    assert saw_inf == (case == "support-break" and kind != "entropy")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stacked_support_sums_match_per_row_expectations(monkeypatch, case):
+    for seed in SEEDS:
+        rho_seq, sigma_seq, n_max = _window(case, True, seed)
+        ns, d = range(n_max + 1), rho_seq.dim
+        spectra, sigmas = [rho_seq(n).spectrum() for n in ns], [sigma_seq(n) for n in ns]
+        cuts = SpectralCuts(spectra, np.tile(np.arange(d + 1), (n_max + 1, 1)), np.arange(d + 1) % 2 == 0)
+        per_vector = []
+        for spectrum, sigma in zip(spectra, sigmas):
+            spec = sigma.spectrum()
+            g = np.zeros((d, 2))
+            g[:spec.rank, 0] = -np.log(spec.values[:spec.rank])
+            g[spec.rank:, 1] = 1.0
+            per_vector.append(spec.expectations(spectrum, g))
+        sums = cuts.scale[..., None] * cuts.sums(cuts.values[..., None] * np.array(per_vector))
+        monkeypatch.setattr(Spectrum, "expectations", None)  # the dense window forms no per-row overlap
+        got = entropies._support_sums(cuts, sigmas)
+        monkeypatch.undo()
+        for x, want in zip(got, (sums[..., 0], sums[..., 1])):
+            assert np.all(np.abs(x - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (seed, x, want)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("case", CASES)
+def test_own_basis_prefix_masses_match_the_weights(dense, case):
+    saw_zero = False
+    for seed in SEEDS:
+        rho_seq, _, n_max = _window(case, dense, seed)
+        for n in range(n_max + 1):
+            rho = rho_seq(n)
+            spec = rho.spectrum()
+            got = truncation._prefix_masses(spec, rho)
+            want = np.concatenate([[0.0], np.cumsum(spec.weights(rho))])
+            assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, rho.trace())), (seed, n, got, want)
+            saw_zero |= spec.rank < rho.dim
+    assert saw_zero == (case == "rank-deficient")
 
 
 def test_criterion_tails_at_the_rank_are_finite_at_large_scale():
@@ -679,15 +741,17 @@ SIDES = ((True, True), (False, True), (True, False))
 
 
 @settings(max_examples=80, deadline=None)
-@given(dominated_windows(), st.booleans(), st.integers(0, 2 ** 16), st.booleans(), st.sampled_from(SIDES))
+@given(dominated_windows(), st.booleans(), st.integers(0, 2 ** 16), st.sampled_from((False, True, "mixed")),
+       st.sampled_from(SIDES))
 @example(TIED_WINDOW, False, 0, False, SIDES[0])
 @example(TIED_WINDOW, True, 1, False, SIDES[0])
 @example(TIED_WINDOW, True, 2, True, SIDES[1])
+@example(TIED_WINDOW, True, 3, "mixed", SIDES[0])
 def test_fixed_basis_window_matches_cells(window, permuted, seed, normalized, sides):
     """The stacked masked-diagonal form of ``_cut_values`` against its per-cell form.
 
-    Coordinate or permuted bases, any cuts, the cuts or their states, both
-    sides or one.
+    Coordinate or permuted bases, any cuts, the cuts or their states (or
+    the states of some columns), both sides or one.
     """
     rho_diags, _, _, scale = window
     d, n_count = len(rho_diags[0]), len(rho_diags)
@@ -697,6 +761,8 @@ def test_fixed_basis_window_matches_cells(window, permuted, seed, normalized, si
     bases = [PositiveOperator(diagonal=rng.permutation(d) + 1.0).spectrum() if permuted else coordinates
              for _ in range(n_count)]
     cuts = rng.integers(0, d + 1, size=(n_count, int(rng.integers(1, d + 2))))
+    if isinstance(normalized, str):
+        normalized = rng.integers(0, 2, cuts.shape[1]).astype(bool)
     family = entropy_family()
     ns = range(n_count)
     ops = [rho_seq(n) for n in ns]
