@@ -46,7 +46,6 @@ from .operators import (
     PositiveOperator,
     apply_spectral_function,
     compress,
-    default_rank_tols,
     moore_penrose_inverse,
     ordering_slacks,
 )
@@ -56,6 +55,7 @@ from .truncation import (
     DominatedRow,
     ProjectorSchedule,
     ambiguous_cuts,
+    check_positive,
     dominated_ambiguity,
     normalize,
     schedule_checks,
@@ -401,7 +401,7 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized,
     own = [basis is op.spectrum() for op, basis in zip(ops, bases)]
     if family.rows is not None and all(own):
         window = SpectralCuts(bases, cuts, normalized)
-        missing = ~asked[:, None, None] | (normalized & (window.mass <= 0.0))
+        missing = ~asked[:, None, None] | (normalized & window.vanishing)
         return np.where(missing, np.nan, family.rows(ns, window))
     if family.stacked is not None and not any(own) and all(op.is_diagonal and basis.diagonal
                                                             for op, basis in zip(ops, bases)):
@@ -439,14 +439,13 @@ def _stacked_values(family: FunctionalFamily, ns, diagonals: np.ndarray, normali
     """f_{ns[i]} of the diagonal operator whose diagonal is row i of ``diagonals``, for each asked row, from one ``family.stacked`` call.
 
     ``normalized`` is one bool for every row or one per row.  A normalized
-    row enters as its state, its masses and its vanishing test read as
-    ``normalize`` reads them; a normalized row that vanishes, like one not
-    asked for, is NaN.
+    row enters as its state; one that vanishes, like one not asked for,
+    is NaN.  The rows are non-negative (c > 0), so ``normalize``'s test
+    holds only at mass 0, as on ``SpectralCuts``.
     """
     values = np.full(diagonals.shape[0], np.nan)
     mass = np.sum(diagonals, axis=1)
-    vanishing = mass <= default_rank_tols(diagonals.shape[1], np.max(diagonals, axis=1))
-    asked = asked & ~(normalized & vanishing)
+    asked = asked & ~(normalized & (mass <= 0.0))
     scale = np.ones_like(mass)
     np.divide(1.0, mass, out=scale, where=asked & normalized)
     values[asked] = family.stacked(np.asarray(ns)[asked], diagonals[asked] * scale[asked, None])
@@ -494,24 +493,23 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
     Verifies domination on window members and their truncations, spot-checks
     the LAA bounds for both families, and reports whether shrinking residuals
     of f imply shrinking residuals of g.  Per family, the samples [rho_n]
-    and [Psi_m(rho_n)] are one truncation window, and f_n(rho_n) with the
-    LAA values f_n([rho_0]) one ``_whole_values`` call.  Only the LAA
-    mixtures are evaluated one by one: read through rows, each dense
-    mixture would need an ``eigh`` of its own basis, and on
-    ``choi-rank-bound`` that costs more eigensolves than the ``value``
-    calls it replaces.
+    and [Psi_m(rho_n)] and f_n(rho_n), read off an unnormalized last
+    column, are one truncation window, and the LAA values f_n([rho_0]) one
+    ``_whole_values`` call.  Only the LAA mixtures are evaluated one by
+    one: read through rows, each dense mixture would need an ``eigh`` of
+    its own basis, and on ``choi-rank-bound`` that costs more eigensolves
+    than the ``value`` calls it replaces.
     """
     ns = range(n_max + 1)
     ms = sorted({1, max(1, m_max // 2), m_max})
     base = normalize(seq(0))
     laa_ns = list(ns[1:]) if base is not None else []
-    whole_ns, whole_ops = list(ns) + laa_ns, [seq(n) for n in ns] + [base] * len(laa_ns)
 
     def evaluate(fam):
-        # samples[n, i]: f_n([Psi_m(rho_n)]) at the i-th m, then f_n([rho_n]); NaN where there is no state
-        samples = _spectral_window(fam, seq, ns, ms + [seq.dim])[2]
-        values = _whole_values(fam, whole_ns, whole_ops)
-        return samples, values[:len(ns)], values[len(ns):]
+        # samples[n, i]: f_n([Psi_m(rho_n)]) at the i-th m, then f_n([rho_n]), then f_n(rho_n); NaN where there is no state
+        samples = _spectral_window(fam, seq, ns, ms + [seq.dim] * 2, np.arange(len(ms) + 2) <= len(ms))[2]
+        at_base = _whole_values(fam, laa_ns, [base] * len(laa_ns)) if laa_ns else []
+        return samples[:, :-1], samples[:, -1].tolist(), at_base
 
     (f_samples, f_vals, f_base), (g_samples, g_vals, g_base) = evaluate(f), evaluate(g)
     dom_ok, dom_slack, dom_detail = True, math.inf, ""
@@ -574,8 +572,9 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
 
     The windowed surrogate A of limsup f_n(tau_n) - f_0(tau_0) must control
     the conclusion residuals through A/c + G_c(A); per-cell truncation
-    inequalities are asserted as genuine inequality checks.
+    inequalities are asserted as genuine inequality checks.  c > 0.
     """
+    check_positive("c", c)
     domination = _broken_orderings(range(n_max + 1), (rho_seq, tau_seq, c, "c*rho_n <= tau_n"))
     g_c = g_c_linear(c)
     tau_vals = [f.value(n, tau_seq(n)) for n in range(n_max + 1)]
@@ -742,16 +741,18 @@ def relative_entropy_domination(rho1: OperatorSequence, rho2: OperatorSequence,
                                 n_max: int = 12) -> Verdict:
     """Convergence of D(rho2_n||sigma2_n) dominated by D(rho1_n||sigma1_n).
 
-    Requires c_rho rho2_n <= rho1_n and c_sigma sigma1_n <= sigma2_n; where
-    one fails at some n >= 1 the verdict is inconclusive at once, with the
-    failed check.  At the declared limit n = 0 they are only reported, so
+    Requires c_rho rho2_n <= rho1_n and c_sigma sigma1_n <= sigma2_n, with
+    c_rho, c_sigma > 0; where one fails at some n >= 1 the verdict is
+    inconclusive at once, with the failed check.  At the declared limit n = 0 they are only reported, so
     that an inconsistent limit can be detected as a violation.  Each
     ordering is decided over the whole window in one call, and each list
     of relative entropies comes from one ``relative_entropy_pairs`` call.
     """
+    check_positive("c_rho", c_rho)
+    check_positive("c_sigma", c_sigma)
     ns = range(n_max + 1)
-    orderings = [(label, *_ordering_rows(ns, lower, upper, c)) for lower, upper, c, label in (
-        (rho2, rho1, c_rho, "c_rho*rho2_n <= rho1_n"), (sigma1, sigma2, c_sigma, "c_sigma*sigma1_n <= sigma2_n"))]
+    orderings = [(label, *ordering_slacks([upper(n) for n in ns], [lower(n) for n in ns], c)) for lower, upper, c, label
+                 in ((rho2, rho1, c_rho, "c_rho*rho2_n <= rho1_n"), (sigma1, sigma2, c_sigma, "c_sigma*sigma1_n <= sigma2_n"))]
     limit_ok = all(passes[0] for _, passes, _ in orderings)
     limit_check = CheckResult("orderings hold at the declared limit", limit_ok, 0.0,
                               "" if limit_ok else "declared limit breaks an ordering", NOTE)
@@ -850,10 +851,11 @@ def channel_mi_checks(channel_seq: ChannelSequence, rho_seq: OperatorSequence,
                       schedule: ProjectorSchedule | None = None) -> Verdict:
     """Domination, mixture and sufficient-condition checks for I(Phi_n, .).
 
-    Bundles the dominated implication (c rho_n <= sigma_n), the mixture
-    conclusion for p_seq, the two entropy-based sufficient conditions, and an
-    output-entropy tail check when a schedule is supplied.
+    Bundles the dominated implication (c rho_n <= sigma_n, c > 0), the
+    mixture conclusion for p_seq, the two entropy-based sufficient
+    conditions, and an output-entropy tail check when a schedule is supplied.
     """
+    check_positive("c", c)
     p = mixture_weights(p_seq, n_max)
     domination = _broken_orderings(range(n_max + 1), (rho_seq, sigma_seq, c, "c*rho_n <= sigma_n"))
     mi = channel_mi_family(channel_seq)
@@ -969,11 +971,6 @@ def _spectral_form_identity(rho_seq: OperatorSequence, sigma_seq: OperatorSequen
 # Shared PSD guards
 
 
-def _ordering_rows(ns, lower: OperatorSequence, upper: OperatorSequence, c: float) -> tuple:
-    """Whether c lower_n <= upper_n passes the PSD rule at each n of ns, and lambda_min of upper_n - c lower_n: one call for the window."""
-    return ordering_slacks([upper(n) for n in ns], [lower(n) for n in ns], c)
-
-
 def _first_break(label: str, ns, passes, lam_min) -> CheckResult | None:
     """The failed hypothesis check of an ordering at the first n of ns where it breaks the PSD rule, or None."""
     if passes.all():
@@ -989,5 +986,6 @@ def _broken_orderings(ns, *orderings) -> tuple:
 
     Each names the first such n; its slack is the most negative eigenvalue of upper_n - c lower_n there.
     """
-    checks = (_first_break(label, ns, *_ordering_rows(ns, lower, upper, c)) for lower, upper, c, label in orderings)
+    checks = (_first_break(label, ns, *ordering_slacks([upper(n) for n in ns], [lower(n) for n in ns], c))
+              for lower, upper, c, label in orderings)
     return tuple(check for check in checks if check is not None)

@@ -129,6 +129,13 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
     return finite(float(tnl) - s - eta(tr_rho) + tr_sigma - tr_rho)
 
 
+def _support_table(values) -> np.ndarray:
+    """[-ln s, 0] per value s of sigma on supp sigma (the rule of ``Spectrum.rank``), [0, 1] off it: (N, d, 2) for sorted ``values`` (N, d)."""
+    on_support = values > default_rank_tols(values.shape[1], values[:, :1])
+    return np.stack([np.where(on_support, -np.log(np.where(on_support, values, 1.0)), 0.0),
+                     np.where(on_support, 0.0, 1.0)], axis=-1)
+
+
 def _pair_sums(rhos, sigmas):
     """Tr rho (-ln sigma) on supp sigma, the mass of rho off supp sigma, and Tr rho, for every pair: arrays of shape (N,).
 
@@ -136,7 +143,7 @@ def _pair_sums(rhos, sigmas):
     sigma_i's non-increasing values.  When every operator is diagonal they
     are gathered from rho's diagonal by the stable argsort of sigma's;
     otherwise the pending bases of the sigmas are solved in one call and
-    each spectrum reads its weights.  Both go through one formula.
+    each spectrum reads its weights.  Both weigh ``_support_table``.
     """
     if len(rhos) != len(sigmas):
         raise ValueError(f"{len(rhos)} operators rho against {len(sigmas)} operators sigma")
@@ -154,11 +161,22 @@ def _pair_sums(rhos, sigmas):
         solve_bases(specs)
         values = np.array([spec.values for spec in specs])
         weights = np.clip(np.array([spec.weights(rho) for spec, rho in zip(specs, rhos)]), 0.0, None)
-    # supp sigma: the values above its rank tolerance, the first ``Spectrum.rank`` of them
-    on_support = values > default_rank_tols(values.shape[1], values[:, 0])[:, None]
-    cost = -(weights * np.log(np.where(on_support, values, 1.0))).sum(axis=1)
-    outside = np.where(on_support, 0.0, weights).sum(axis=1)
+    table = _support_table(values)
+    # along each row's contiguous last axis: another axis rounds differently for d >= 8
+    cost, outside = ((weights * table[..., i]).sum(axis=1) for i in (0, 1))
     return cost, outside, np.array([rho.trace() for rho in rhos])
+
+
+def _beyond_support(values, outside, tr):
+    """``values`` with +inf where the mass ``outside`` off supp sigma exceeds ``_support_tol(tr)``: the +inf test of every form."""
+    return np.where(outside > _support_tol(tr), np.inf, values)
+
+
+def _relative_entropies(cost, outside, tr, entropy, tr_sigma, vanishing) -> np.ndarray:
+    """D(X||sigma) of the pair and cut forms, as ``relative_entropy`` decides it: Tr sigma where X vanishes, before the support test."""
+    eta_tr = -tr * np.log(np.where(tr > 0.0, tr, 1.0))
+    d = cost - entropy - eta_tr + tr_sigma - tr
+    return np.where(vanishing, tr_sigma, _beyond_support(d, outside, tr))
 
 
 def trace_neg_log_pairs(rhos, sigmas) -> np.ndarray:
@@ -166,28 +184,22 @@ def trace_neg_log_pairs(rhos, sigmas) -> np.ndarray:
 
     The pairs share one dimension.  The scalar function is this kernel's oracle.
     """
-    cost, outside, tr_rho = _pair_sums(rhos, sigmas)
-    return np.where(outside > _support_tol(tr_rho), np.inf, cost)
+    return _beyond_support(*_pair_sums(rhos, sigmas))
 
 
 def relative_entropy_pairs(rhos, sigmas) -> np.ndarray:
     """``relative_entropy(rhos[i], sigmas[i])`` for every pair, one array pass for all; +inf as np.inf.
 
-    Row for row the scalar rules: D(0||sigma) = Tr sigma where rho
-    vanishes, decided before the support test; +inf where rho's mass off
-    supp sigma exceeds ``_support_tol``; else Tr rho (-ln sigma) - S(rho)
-    - eta(Tr rho) + Tr sigma - Tr rho, with S(rho) from
-    ``entropy_of_diagonals`` of rho's diagonal or eigenvalues.  The pairs
-    share one dimension.  The scalar function is this kernel's oracle.
+    Row for row the scalar rules (``_relative_entropies``), with S(rho)
+    from ``entropy_of_diagonals`` of rho's diagonal or eigenvalues.  The
+    pairs share one dimension.  The scalar function is this kernel's oracle.
     """
     cost, outside, tr_rho = _pair_sums(rhos, sigmas)
     lam = np.array([rho.diag if rho.is_diagonal else rho.spectrum().values for rho in rhos])
     tr_sigma = np.array([sigma.trace() for sigma in sigmas])
     # rho's operator norm is its largest value
     vanishing = tr_rho <= default_rank_tols(lam.shape[1], lam.max(axis=1))
-    eta_tr = -tr_rho * np.log(np.where(tr_rho > 0.0, tr_rho, 1.0))
-    d = cost - entropy_of_diagonals(lam) - eta_tr + tr_sigma - tr_rho
-    return np.where(vanishing, tr_sigma, np.where(outside > _support_tol(tr_rho), np.inf, d))
+    return _relative_entropies(cost, outside, tr_rho, entropy_of_diagonals(lam), tr_sigma, vanishing)
 
 
 class SpectralCuts:
@@ -205,50 +217,35 @@ class SpectralCuts:
 
     The window functionals below read a head off a forward cumulative sum
     along each row of V and a tail off a reversed one, so a whole window of
-    cuts costs a few array passes.  They follow the scalar functionals step
-    for step, which remain their oracle.
+    cuts costs a few array passes.  Kept values are 0 from the rank on, so
+    the sums meet only values that the scalar functionals, their oracle, count.
     """
 
-    __slots__ = ("spectra", "values", "cuts", "scale", "mass", "top", "vanishing", "_rows", "_ranked_end")
+    __slots__ = ("spectra", "values", "cuts", "scale", "mass", "vanishing", "_rows")
 
     def __init__(self, spectra, cuts, normalized):
         v = np.stack([spec.kept() for spec in spectra])
-        k = np.asarray(cuts, dtype=np.intp)
         self.spectra = tuple(spectra)
         self.values = v
-        self.cuts = k
+        self.cuts = np.asarray(cuts, dtype=np.intp)
         self._rows = np.arange(v.shape[0])[:, None]  # gathers prefix[j, k[j, i]] with k
         self.mass = self.sums(v)
         self.scale = np.ones_like(self.mass)
         # a cut of zero mass (the empty tail at the rank) has no state and stays unscaled
         np.divide(1.0, self.mass, out=self.scale, where=np.logical_and(normalized, self.mass > 0.0))
-        # largest value of each head and tail, before scaling (0 for an empty tail)
-        padded = np.concatenate([v, np.zeros((v.shape[0], 1))], axis=1)
-        self.top = np.stack([np.broadcast_to(v[:, :1], k.shape), padded[self._rows, k]])
-        # whether each cut, taken at its scale, vanishes as ``vanishes`` decides
-        self.vanishing = self.scale * self.mass <= default_rank_tols(v.shape[1], self.scale * self.top)
-        # a cut's entropy counts its values above the rank tolerance of its
-        # own top value: all of a head's, a prefix of a tail's.  V is
-        # non-increasing, so the count of values above the tolerance is
-        # where that prefix ends
-        tols = default_rank_tols(v.shape[1], self.top)
-        end = np.count_nonzero(v[None, :, None, :] > tols[..., None], axis=-1)
-        self._ranked_end = np.stack([np.minimum(k, end[0]), np.maximum(k, end[1])])
+        # ``vanishes()`` on each cut: Tr X <= d RANK_REL_TOL * top with
+        # d RANK_REL_TOL < 1, and a sum of non-negative values never rounds
+        # below its largest, so only a cut of mass 0 vanishes
+        self.vanishing = self.mass <= 0.0
 
-    def sums(self, x, ranked: bool = False) -> np.ndarray:
-        """Sums of a per-eigenvector quantity x (shape (N, d) or (N, d, p), real or complex) over every head and tail.
-
-        ``ranked`` sums only over the values the cut's entropy counts.
-        """
+    def sums(self, x) -> np.ndarray:
+        """Sums of a per-eigenvector quantity x (shape (N, d) or (N, d, p), real or complex) over every head and tail."""
         x = np.asarray(x)
         zero = np.zeros((x.shape[0], 1) + x.shape[2:], dtype=x.dtype)
         forward = np.concatenate([zero, np.cumsum(x, axis=1)], axis=1)
         backward = np.concatenate([np.cumsum(x[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
         j, k = self._rows, self.cuts
-        if not ranked:
-            return np.stack([forward[j, k], backward[j, k]])
-        head_end, tail_end = self._ranked_end
-        return np.stack([forward[j, head_end], backward[j, k] - backward[j, tail_end]])
+        return np.stack([forward[j, k], backward[j, k]])
 
 
 def entropy_cuts(cuts: SpectralCuts, scale=None) -> np.ndarray:
@@ -258,9 +255,9 @@ def entropy_cuts(cuts: SpectralCuts, scale=None) -> np.ndarray:
     # the spectrum's scale, and a one-value cut exactly 0
     r = np.where(v[:, :1] > 0.0, v[:, :1], 1.0)
     v_log = v * np.log(np.where(v > 0.0, v, r) / r)
-    sums = cuts.sums(np.stack([v, v_log], axis=-1), ranked=True)
+    sums = cuts.sums(np.stack([v, v_log], axis=-1))
     mass, v_log_sum = sums[..., 0], sums[..., 1]
-    # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the counted values
+    # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the cut's kept values
     s = (cuts.scale if scale is None else scale) * (mass * np.log(np.where(mass > 0.0, mass, r) / r) - v_log_sum)
     return np.where(mass > 0.0, s, 0.0)
 
@@ -269,12 +266,12 @@ def _support_sums(cuts: SpectralCuts, sigmas):
     """Tr X (-ln sigma) on supp sigma and the mass of X outside it, for every head and tail X of row j and sigma = sigmas[j].
 
     Each eigenvector u_i of row j reads <u_i|-ln sigma|u_i> and its weight
-    off supp sigma, sums over sigma's eigenvectors s weighted by the
-    overlaps |<s|u_i>|^2.  The pending bases of the rows and of the sigmas
-    are solved in one call before any overlap is read.  When every basis is
-    dense, the overlaps of the whole window are one stacked (N, d, d)
-    product (``dense_overlaps``); otherwise each row reads its own through
-    ``Spectrum.expectations``.
+    off supp sigma, sums of ``_support_table`` over sigma's eigenvectors s
+    weighted by the overlaps |<s|u_i>|^2.  The pending bases of the rows
+    and of the sigmas are solved in one call before any overlap is read.
+    When every basis is dense, the overlaps of the whole window are one
+    stacked (N, d, d) product (``dense_overlaps``); otherwise each row
+    reads its own through ``Spectrum.expectations``.
     """
     for spectrum, sigma in zip(cuts.spectra, sigmas):
         if spectrum.values.size != sigma.dim:
@@ -282,11 +279,7 @@ def _support_sums(cuts: SpectralCuts, sigmas):
     specs = [sigma.spectrum() for sigma in sigmas]
     bases = cuts.spectra + tuple(specs)
     solve_bases(bases)
-    values = np.array([spec.values for spec in specs])
-    on_support = np.arange(values.shape[1]) < np.array([spec.rank for spec in specs])[:, None]
-    # per eigenvector of sigma_j: -ln of its value on supp sigma_j, and 1 off it
-    g = np.stack([np.where(on_support, -np.log(np.where(on_support, values, 1.0)), 0.0),
-                  np.where(on_support, 0.0, 1.0)], axis=-1)
+    g = _support_table(np.array([spec.values for spec in specs]))
     if not any(spec.diagonal for spec in bases):
         overlaps = dense_overlaps(np.array([spec.basis for spec in specs]),
                                   np.array([spectrum.basis for spectrum in cuts.spectra]))
@@ -299,20 +292,14 @@ def _support_sums(cuts: SpectralCuts, sigmas):
 
 def trace_neg_log_cuts(cuts: SpectralCuts, sigmas) -> np.ndarray:
     """``trace_neg_log(X, sigmas[j])`` of every head and tail X of row j of ``cuts``; +inf as np.inf."""
-    cost, outside = _support_sums(cuts, sigmas)
-    return np.where(outside > _support_tol(cuts.scale * cuts.mass), np.inf, cost)
+    return _beyond_support(*_support_sums(cuts, sigmas), cuts.scale * cuts.mass)
 
 
 def relative_entropy_cuts(cuts: SpectralCuts, sigmas) -> np.ndarray:
     """``relative_entropy(X, sigmas[j])`` of every head and tail X of row j of ``cuts``; +inf as np.inf."""
-    cost, outside = _support_sums(cuts, sigmas)
-    tr = cuts.scale * cuts.mass
     tr_sigma = np.array([sigma.trace() for sigma in sigmas])[:, None]
-    eta_tr = -tr * np.log(np.where(tr > 0.0, tr, 1.0))
-    d = cost - entropy_cuts(cuts) - eta_tr + tr_sigma - tr
-    d = np.where(outside > _support_tol(tr), np.inf, d)
-    # D(0||sigma) = Tr sigma, decided before the support test
-    return np.where(cuts.vanishing, tr_sigma, d)
+    return _relative_entropies(*_support_sums(cuts, sigmas), cuts.scale * cuts.mass, entropy_cuts(cuts), tr_sigma,
+                               cuts.vanishing)
 
 
 def quantum_mutual_information(rho_ab: DensityOperator, d_a: int, d_b: int) -> ExtendedReal:

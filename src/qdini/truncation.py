@@ -52,6 +52,12 @@ def constant_sequence(op: PositiveOperator, label: str = "") -> OperatorSequence
     return OperatorSequence(lambda n: op, op.dim, label)
 
 
+def check_positive(name: str, c: float) -> None:
+    """Refuse a domination constant c that is not a finite number > 0: ValueError naming it."""
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {c!r}")
+
+
 def normalize(sigma: PositiveOperator):
     """[sigma] = sigma / Tr sigma; returns None for (numerically) zero input."""
     if sigma.vanishes():
@@ -124,9 +130,10 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
     """Truncation of tau = c rho + sigma along stable indices of the limits.
 
     head = c Psi_{m-hat(rho_limit)}(rho) + Psi_{m-hat(sigma_limit)}(sigma)
-    with sigma = tau - c rho; m must reach the top-eigenvalue multiplicity
-    of each limit operator (1 for a zero limit).
+    with sigma = tau - c rho, c > 0; m must reach the top-eigenvalue
+    multiplicity of each limit operator (1 for a zero limit).
     """
+    check_positive("c", c)
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
     sigma = _sigma_part(tau, rho, c)
@@ -247,8 +254,8 @@ class ApproximationScheme:
 
     The dominated kind truncates tau_n = c rho_n + sigma_n by cutting rho_n
     and sigma_n = tau_n - c rho_n separately at stable indices of the limit
-    operators.  The limits and their cut indices are worked out once per
-    ``dominated_window`` call.
+    operators (c > 0).  The limits and their cut indices are worked out
+    once per ``dominated_window`` call.
     """
 
     kind: str = "spectral"  # "spectral" or "dominated"
@@ -260,6 +267,7 @@ class ApproximationScheme:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "dominated" and self.dominated is None:
             raise ValueError("dominated scheme needs the dominated sequence")
+        check_positive("c", self.c)
 
     def dominated_window(self, seq: OperatorSequence, ns, m_max: int) -> tuple:
         """(m_range, rows): the dominated scheme's m-range up to m_max and the ``DominatedRow`` of each n of ns.

@@ -20,6 +20,7 @@ from qdini import (
     check_dct_basic,
     check_dct_simon,
     constant_sequence,
+    dominated_truncation,
     depolarizing_channel,
     entropy_family,
     fixed_basis_schedule,
@@ -248,6 +249,46 @@ def test_mixture_checks_refuse_bad_weights(p_seq, match):
         check_convex_mixture(entropy_family(), rho, sigma, p_seq, n_max=4, m_max=2)
     with pytest.raises(ValueError, match=match):
         channel_mi_checks(channels, rho, sigma, 0.5, p_seq, n_max=4, m_max=2)
+
+
+# domination constants that are not finite and > 0: each entry point refuses them with one message
+BAD_CONSTANTS = pytest.mark.parametrize("c", [0.0, -0.5, math.nan, math.inf], ids=["0", "-0.5", "nan", "inf"])
+
+
+@BAD_CONSTANTS
+def test_scheme_refuses_a_bad_constant(c):
+    with pytest.raises(ValueError, match=r"^c must be finite and > 0, got "):
+        ApproximationScheme("dominated", c, _diag_seq([0.6, 0.4], [0.05, -0.05]))
+
+
+@BAD_CONSTANTS
+def test_dominated_truncation_refuses_a_bad_constant(c):
+    rho = PositiveOperator(diagonal=[0.6, 0.4])
+    with pytest.raises(ValueError, match=r"^c must be finite and > 0, got "):
+        dominated_truncation(rho.scale(2.0), rho, c, 1, rho, rho)
+
+
+@BAD_CONSTANTS
+def test_dct_simon_refuses_a_bad_constant(c):
+    rho = _diag_seq([0.6, 0.4], [0.05, -0.05])
+    with pytest.raises(ValueError, match=r"^c must be finite and > 0, got "):
+        check_dct_simon(entropy_family(), rho, rho, c, 4, 2)
+
+
+@BAD_CONSTANTS
+def test_channel_mi_checks_refuse_a_bad_constant(c):
+    rho = _diag_seq([0.6, 0.4], [0.05, -0.05])
+    channels = ChannelSequence(lambda n: depolarizing_channel(0.1), 2, 2)
+    with pytest.raises(ValueError, match=r"^c must be finite and > 0, got "):
+        channel_mi_checks(channels, rho, rho, c, [0.5] * 5, n_max=4, m_max=2)
+
+
+@BAD_CONSTANTS
+@pytest.mark.parametrize("name", ["c_rho", "c_sigma"])
+def test_relative_entropy_domination_refuses_a_bad_constant(name, c):
+    rho1, rho2, sigma1, sigma2 = TestRelativeEntropyDomination()._pair()
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got "):
+        relative_entropy_domination(rho1, rho2, sigma1, sigma2, n_max=4, **{name: c})
 
 
 class TestTruncationCriterion:

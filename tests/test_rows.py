@@ -294,6 +294,27 @@ def test_own_basis_prefix_masses_match_the_weights(dense, case):
     assert saw_zero == (case == "rank-deficient")
 
 
+@pytest.mark.parametrize("dense", [False, True, "mixed"], ids=["diagonal", "dense", "mixed"])
+@pytest.mark.parametrize("case", ("support-break", "ties", "scaled-up", "scaled-down", "rank-deficient"))
+def test_window_vanishing_is_the_vanishing_of_each_split(case, dense):
+    # SpectralCuts decides vanishing as mass <= 0 on the kept values; that
+    # must be ``vanishes()`` of both views of ``split(k)`` at every cut k,
+    # on a zero operator too
+    saw = Counter()
+    for seed in SEEDS:
+        rho_seq, _, n_max = _window(case, dense, seed)
+        d = rho_seq.dim
+        ops = [rho_seq(n) for n in range(n_max + 1)] + [PositiveOperator(diagonal=np.zeros(d))]
+        cuts = SpectralCuts([op.spectrum() for op in ops], np.tile(np.arange(d + 1), (len(ops), 1)),
+                            np.arange(d + 1) % 2 == 0)
+        for j, op in enumerate(ops):
+            for k in range(d + 1):
+                for side, part in enumerate(op.split(k)):
+                    assert cuts.vanishing[side, j, k] == part.vanishes(), (seed, j, k, side)
+                    saw[bool(cuts.vanishing[side, j, k])] += 1
+    assert saw[True] and saw[False]
+
+
 def test_criterion_tails_at_the_rank_are_finite_at_large_scale():
     # equal supports of rank 3 in dim 6 at trace 1e7: at a cut equal to the
     # rank the tail is 0, not the eigensolver's noise off the support, so
@@ -393,6 +414,43 @@ def test_dominated_rows_match_cells(window):
 
 def test_dominated_row_flags_ties_at_a_cut():
     assert _dominated_row_matches_cells(*TIED_WINDOW)["ambiguous-m"]
+
+
+def _stacked_states_match_normalize(rho_diags, sigma_diags, c, scale, monkeypatch) -> Counter:
+    """Assert that ``_stacked_values`` finds no state exactly where ``normalize`` does, on the rows of one dominated window."""
+    calls = []
+    stacked_values = diagnostics._stacked_values
+
+    def recorded(family, ns, diagonals, normalized, asked):
+        values = stacked_values(family, ns, diagonals, normalized, asked)
+        calls.append((diagonals, values))
+        return values
+
+    monkeypatch.setattr(diagnostics, "_stacked_values", recorded)
+    if isinstance(_dominated_grids(rho_diags, sigma_diags, c, scale, entropy_family()), str):
+        return Counter()
+    assert calls
+    seen = Counter()
+    for diagonals, values in calls:
+        for row, value in zip(diagonals, values.tolist()):
+            no_state = normalize(PositiveOperator(diagonal=row)) is None
+            assert math.isnan(value) == no_state, (row, value)
+            seen[no_state] += 1
+    return seen
+
+
+@settings(max_examples=60)
+@given(dominated_windows(), st.sampled_from([0.25, 3.0]))
+def test_stacked_values_find_no_state_where_normalize_does(window, c):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _stacked_states_match_normalize(window[0], window[1], c, window[3], monkeypatch)
+
+
+@pytest.mark.parametrize("c", [0.25, 3.0])
+def test_stacked_values_meet_states_and_vanishing_rows(monkeypatch, c):
+    # the tied window's last member is 0, so its rows vanish, and the others have states
+    seen = _stacked_states_match_normalize(TIED_WINDOW[0], TIED_WINDOW[1], c, 1.0, monkeypatch)
+    assert seen[True] and seen[False]
 
 
 def test_simon_dct_grid_builds_no_operator_per_cell(constructions):

@@ -329,6 +329,7 @@ class TestLibraryInputErrorsExit2:
         ("usage-nonfinite-dense-member", "check 'dct-basic': operator is not PSD: non-finite entry inf"),
         ("usage-commuting-below-m0", "check 'truncation-criterion': m_max = 1 is below the starting index m_0 = 2"),
         ("usage-n0-past-window", "check 'truncation-criterion': n_0 = 99 is outside the window"),
+        ("usage-dct-simon-c0", "check 'dct-simon': c must be finite and > 0, got 0.0"),
     ])
     def test_scenario_files_exit_2(self, name, message):
         path = str(SCENARIOS / f"{name}.json")
