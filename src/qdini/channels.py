@@ -47,6 +47,9 @@ class Channel:
             raise ValueError("a channel needs at least one Kraus operator")
         if ops.ndim != 3:
             raise ValueError(f"Kraus operators must stack to shape (k, d_out, d_in), got {ops.shape}")
+        if not np.isfinite(ops).all():
+            k, i, j = np.argwhere(~np.isfinite(ops))[0]
+            raise ValueError(f"Kraus operator {k} has a non-finite entry {ops[k, i, j]} at ({i}, {j})")
         d_in = ops.shape[2]
         stacked = ops.reshape(-1, d_in)  # the Stinespring isometry, rows (i, a)
         deficit = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(d_in)))

@@ -36,6 +36,8 @@ from .operators import (
 )
 
 SUPPORT_TOL = 1e-10
+"""Mass of X off supp sigma up to this times max(1, Tr X) counts as on it: it moves where
+D(X||sigma) and Tr X(-ln sigma) are +inf, and so every finite-value check on them."""
 
 
 def _support_tol(trace):

@@ -49,7 +49,7 @@ from .truncation import (
     commuting_schedule,
     fixed_basis_schedule,
 )
-from .verdicts import CheckResult, TrendSummary, Verdict, dumps_canonical
+from .verdicts import CheckResult, TrendSummary, Verdict, dumps_canonical, inequality_holds
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_BUDGET = 2e10
@@ -473,6 +473,8 @@ def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: flo
     """Trace distances shrink while the entropy gap sits inside [low, high] for n_from <= n <= n_max."""
     if not 1 <= n_from <= n_max:
         raise ValueError(f"n_from = {n_from} is outside the window 1 <= n <= n_max = {n_max}")
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise ValueError(f"the entropy band [{low}, {high}] needs finite ends with low <= high")
     rho_0 = seq(0)
     s_0 = float(von_neumann_entropy(rho_0))
     distances = []
@@ -998,22 +1000,18 @@ FUZZ_SUITES = {
 
 
 def inequality_fuzz(suite: str, dim: int, trials: int, seed: int) -> dict:
-    """Run a named inequality suite; slacks below -1e-8 are violations."""
+    """Run a named inequality suite; a slack that fails ``inequality_holds`` is a violation."""
     if suite not in FUZZ_SUITES:
         known = ", ".join(sorted(FUZZ_SUITES))
         raise ScenarioError(f"unknown fuzz suite {suite!r}; registered: {known}")
     if dim < 2 or trials < 1:
         raise ScenarioError(f"fuzzing needs dim >= 2 and trials >= 1, got dim = {dim}, trials = {trials}")
     rng = np.random.default_rng(seed)
-    fn = FUZZ_SUITES[suite]
-    violations = []
-    worst = {}
+    violations, worst = [], {}
     for trial in range(trials):
-        slacks = fn(rng, dim)
-        for name, slack in slacks.items():
-            if name not in worst or slack < worst[name]:
-                worst[name] = slack
-            if slack < -dx.INEQ_SLACK:
+        for name, slack in FUZZ_SUITES[suite](rng, dim).items():
+            worst[name] = min(worst.get(name, slack), slack)
+            if not inequality_holds(slack):
                 violations.append({"trial": trial, "check": name, "slack": slack})
     return {
         "tool": "qdini",
@@ -1023,6 +1021,6 @@ def inequality_fuzz(suite: str, dim: int, trials: int, seed: int) -> dict:
         "trials": int(trials),
         "seed": int(seed),
         "violations": violations,
-        "worst_slack": {k: v for k, v in sorted(worst.items())},
+        "worst_slack": dict(sorted(worst.items())),
         "all_matched": not violations,
     }

@@ -9,7 +9,9 @@ reads only the records the verdict reports.  Each check has a role:
 "violated"), ``hypothesis`` (a hypothesis or a finite value the conclusion
 needs; a failure, +inf included, is "inconclusive") or ``note`` (reported
 only).  Otherwise the trends that gate decide; trend-based conclusions are at
-most "consistent" and carry trend_only = true.
+most "consistent" and carry trend_only = true.  Every inequality, in a
+verdict or a fuzz suite, is decided by one rule, ``inequality_holds``, and
+every check over many cases is built by ``inequality_check``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ NOTE = "note"
 TREND_HALVING = 0.5
 TREND_MAJORITY = 0.6
 TREND_ZERO_TOL = 1e-12
+"""A residual of at most this magnitude is zero: it moves every trend rule, so every status that trends decide."""
+
+INEQ_SLACK = 1e-8
+"""A slack of at least -INEQ_SLACK holds (``inequality_holds``): it moves every
+inequality check, the appendix's windowed bound and every fuzz violation."""
 
 
 def residual_shrinks(residuals) -> bool:
@@ -79,12 +86,30 @@ def windowed_sup(values, n_max: int) -> float:
     return max(vals[-tail:])
 
 
+def inequality_holds(slack: float) -> bool:
+    """The one inequality rule: a slack holds iff it is at least -INEQ_SLACK; a NaN slack never holds."""
+    return slack >= -INEQ_SLACK
+
+
+def inequality_check(name: str, cases, describe=None) -> CheckResult:
+    """An ``inequality`` check over cases (slack, *where), passed iff every case holds; a slack of None fails.
+
+    It reports the least slack (+inf without one) and ``describe(slack, *where)`` of the last failing case, or "".
+    """
+    least, failure = math.inf, None
+    for slack, *where in cases:
+        if slack is not None and slack < least:
+            least = slack
+        if slack is None or not inequality_holds(slack):
+            failure = (slack, *where)
+    detail = describe(*failure) if failure is not None and describe is not None else ""
+    return CheckResult(name, failure is None, float(least), detail, INEQUALITY)
+
+
 def encode_number(x) -> object:
     """JSON-safe scalar: +inf becomes the string 'inf'."""
     v = float(x)
-    if math.isinf(v):
-        return "inf"
-    return v
+    return "inf" if math.isinf(v) else v
 
 
 @dataclass(frozen=True)
@@ -234,5 +259,5 @@ class DiagnosticsGrid:
 
 
 def dumps_canonical(obj: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic strict JSON: sorted keys, fixed separators, trailing newline; a NaN or an infinite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -330,6 +332,21 @@ class TestKrausArray:
             Channel([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
             Channel([])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_entry(self, value):
+        # the trace-preservation test reads a NaN deficit as passing, so such a channel used to build
+        message = re.escape(f"Kraus operator 0 has a non-finite entry {complex(value, 0.0)} at (1, 0)")
+        kraus = np.eye(2, dtype=complex)
+        kraus[1, 0] = value
+        obj = channel_to_json(identity_channel(2))
+        obj["kraus"][0]["re"][1][0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Channel([kraus])
+            with pytest.raises(ValueError, match=message):
+                channel_from_json(obj)
 
     def test_compose_lists_outer_kraus_first(self):
         rng = np.random.default_rng(16)

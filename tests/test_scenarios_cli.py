@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -330,6 +331,8 @@ class TestLibraryInputErrorsExit2:
         ("usage-commuting-below-m0", "check 'truncation-criterion': m_max = 1 is below the starting index m_0 = 2"),
         ("usage-n0-past-window", "check 'truncation-criterion': n_0 = 99 is outside the window"),
         ("usage-dct-simon-c0", "check 'dct-simon': c must be finite and > 0, got 0.0"),
+        ("usage-jump-probe-nan-band",
+         "check 'entropy-jump-probe': the entropy band [nan, 1.1] needs finite ends with low <= high"),
     ])
     def test_scenario_files_exit_2(self, name, message):
         path = str(SCENARIOS / f"{name}.json")
@@ -347,6 +350,22 @@ class TestLibraryInputErrorsExit2:
         sc["checks"] = [dict(sc["checks"][0], n_from=n_from)]
         message = f"check 'entropy-jump-probe': n_from = {n_from} is outside the window 1 <= n <= n_max = 6"
         with pytest.raises(ScenarioError, match=message):
+            run_scenario(Scenario.from_json(sc))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2 and message in result.output
+
+    @pytest.mark.parametrize("low, high", [
+        (math.nan, 1.1), (0.9, math.nan), (-math.inf, 1.1), (0.9, math.inf), (2.0, 1.0),
+    ])
+    def test_jump_probe_refuses_a_band_that_is_not_finite_or_inverted(self, low, high, tmp_path):
+        # a NaN end used to print "slack":NaN, which is not JSON, and [2.0, 1.0] to read inconclusive
+        sc = builtin_scenario("entropy-discontinuity").to_json()
+        sc["checks"] = [dict(sc["checks"][0], low=low, high=high)]
+        message = (f"check 'entropy-jump-probe': the entropy band [{low}, {high}] "
+                   "needs finite ends with low <= high")
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             run_scenario(Scenario.from_json(sc))
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(sc))
