@@ -31,7 +31,6 @@ from .entropies import (
     binary_entropy,
     binary_entropy_extension,
     entropy_cuts,
-    entropy_of_diagonals,
     relative_entropy,
     relative_entropy_cuts,
     relative_entropy_pairs,
@@ -56,6 +55,7 @@ from .truncation import (
     ProjectorSchedule,
     ambiguous_cuts,
     check_positive,
+    coordinate_basis,
     dominated_ambiguity,
     normalize,
     schedule_checks,
@@ -109,28 +109,24 @@ class FunctionalFamily:
     basis per n, or through a linear map of it (the channel families),
     also has ``rows``: (ns, SpectralCuts) -> f_n of every head
     and tail of the window, row j evaluated at n = ns[j], as a (2, N, M)
-    float array with +inf.  A family that reads a diagonal operator only
-    through its diagonal can also have ``stacked``: (ns, (K, d) array) ->
-    f_{ns[i]} of the diagonal operator whose diagonal is row i, for all K
-    rows at once.  The procedures do not choose between the forms
+    float array with +inf.  The procedures do not choose between the forms
     themselves: ``_cut_values`` reads the cuts of one basis per n through
-    rows when every basis is its operator's own spectrum, through stacked
-    on masked diagonals when operators and bases are diagonal, and
-    through ``value`` cell by cell otherwise; the dominated scheme's grids
-    on diagonal pairs also use stacked.
+    rows when each basis is its operator's own spectrum or a diagonal
+    basis of a diagonal operator, and through ``value`` cell by cell
+    otherwise; the dominated scheme's grids on diagonal pairs also use
+    rows.
     """
 
-    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "rows", "stacked")
+    __slots__ = ("kind", "label", "_value", "a_f", "b_f", "rows")
 
     def __init__(self, kind: str, label: str, value, a_f: ModulusFunction,
-                 b_f: ModulusFunction | None = None, rows=None, stacked=None):
+                 b_f: ModulusFunction | None = None, rows=None):
         self.kind = kind
         self.label = label
         self._value = value
         self.a_f = a_f
         self.b_f = b_f
         self.rows = rows
-        self.stacked = stacked
 
     def value(self, n: int, op: PositiveOperator) -> ExtendedReal:
         return self._value(n, op)
@@ -156,7 +152,6 @@ def entropy_family() -> FunctionalFamily:
         lambda n, op: von_neumann_entropy(op),
         a_f=ZERO_MODULUS, b_f=H2_MODULUS,
         rows=lambda ns, cuts: entropy_cuts(cuts),
-        stacked=lambda ns, diagonals: entropy_of_diagonals(diagonals),
     )
 
 
@@ -287,9 +282,9 @@ def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: 
     those cuts rho_n at its rank without normalizing, so its head is
     f_n(rho_n).  The spectral scheme reads the window off ``_cut_values``;
     the dominated scheme takes its m-range and rows from one
-    ``dominated_window`` call, then on diagonal pairs and a family with a
-    stacked form makes one ``family.stacked`` call, and anything else
-    evaluates each distinct cut pair of a row once.
+    ``dominated_window`` call, then on diagonal pairs and a family with
+    rows makes one ``family.rows`` call, and anything else evaluates each
+    distinct cut pair of a row once.
     """
     if scheme.kind == "spectral":
         m_range = range(1, m_max + 1)
@@ -299,7 +294,7 @@ def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: 
     m_range, rows = scheme.dominated_window(seq, ns, m_max)
     if whole:
         rows = [row.with_whole() for row in rows]
-    if rows and family.stacked is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal for row in rows):
+    if rows and family.rows is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal for row in rows):
         return (m_range, *_dominated_diagonal_window(family, ns, rows))
     cells = [_dominated_cells(family, n, row) for n, row in zip(ns, rows)]
     window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
@@ -349,9 +344,13 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list) -> tupl
 
     The heads and tails c Psi(rho_n) + Psi(sigma_n) of each row are
     (M, d) arrays of diagonals, each part cut as ``split`` cuts it; the
-    heads of every row, then their tails, form one (2 N M, d) array, and
-    one ``_stacked_values`` call evaluates f_n on every state of the
-    window.
+    heads of every row, then their tails, are the 2 N M rows of one
+    ``SpectralCuts`` on the coordinate basis, each weighted by its diagonal
+    and cut once after its last coordinate, normalized, so that one
+    ``family.rows`` call evaluates f_n on every state of the window.  The
+    window counts every positive value of a diagonal, where the per-cell
+    form decides the rank tolerance of each state again (see
+    ``SpectralCuts``).
     """
     shape = (len(rows), rows[0].rho_cuts.size)
     heads, tails = [], []
@@ -363,8 +362,10 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list) -> tupl
         heads.append(head)
         tails.append(tail)
     ops = np.concatenate(heads + tails)
+    count, d = ops.shape
+    window = SpectralCuts((coordinate_basis(d),) * count, np.full((count, 1), d), True, ops)
     op_ns = np.tile(np.repeat(np.asarray(ns), shape[1]), 2)
-    values = _stacked_values(family, op_ns, ops, normalized=True, asked=np.ones(ops.shape[0], dtype=bool))
+    values = np.where(window.vanishing, np.nan, family.rows(op_ns, window))[0, :, 0]
     (head_mass, tail_mass), (f_head, f_tail) = np.sum(ops, axis=1).reshape((2,) + shape), values.reshape((2,) + shape)
     return head_mass, dominated_ambiguity(rows), f_head, tail_mass, f_tail
 
@@ -383,38 +384,31 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized,
     normalized column each cut enters as its state [P X P].  An entry is
     NaN where that state does not exist (the cut vanishes, as
     ``normalize`` decides) or where its side was not asked for.  The
-    inputs choose one of three forms:
+    inputs choose one of two forms:
 
-    - every basis is its operator's own spectrum and the family has rows:
-      one ``family.rows`` call, each kept spectrum cut as ``split`` cuts
-      it, where a state exists iff the cut's mass is positive;
-    - every operator and every basis is diagonal, no basis is its
-      operator's own spectrum, and the family has a stacked form: P X P
-      is X's diagonal masked by P's, one ``_stacked_values`` call per n
-      (one window-sized array would cost megabytes at large d);
+    - the family has rows, and each basis is its operator's own spectrum
+      or a diagonal basis of a diagonal operator: one ``family.rows``
+      call over one ``SpectralCuts``, whose rows are weighted by the kept
+      spectrum (a cut as ``split`` cuts it) or by the clamped diagonal in
+      basis order (P X P is X's diagonal masked by P's), and where a
+      state exists iff the cut's mass is positive.  On a diagonal basis
+      the window counts every positive value of the diagonal, where the
+      per-cell form drops those at or below the rank tolerance of their
+      cut (see ``SpectralCuts``);
     - anything else, cell by cell: ``split`` on an operator's own
       spectrum, ``compress`` onto P or Pbar on any other basis, building
-      only the sides asked for.
+      only the sides asked for.  This form is the oracle of the other.
     """
     ns, cuts = list(ns), np.asarray(cuts, dtype=np.intp)
     normalized = np.broadcast_to(normalized, cuts.shape[1:])
     asked = np.array([heads, tails])
     own = [basis is op.spectrum() for op, basis in zip(ops, bases)]
-    if family.rows is not None and all(own):
-        window = SpectralCuts(bases, cuts, normalized)
+    if family.rows is not None and all(mine or (op.is_diagonal and basis.diagonal)
+                                       for mine, op, basis in zip(own, ops, bases)):
+        weights = [basis.kept() if mine else op.diag[basis.basis] for mine, op, basis in zip(own, ops, bases)]
+        window = SpectralCuts(bases, cuts, normalized, weights)
         missing = ~asked[:, None, None] | (normalized & window.vanishing)
         return np.where(missing, np.nan, family.rows(ns, window))
-    if family.stacked is not None and not any(own) and all(op.is_diagonal and basis.diagonal
-                                                            for op, basis in zip(ops, bases)):
-        values = np.empty((cuts.shape[0], 2, cuts.shape[1]))
-        for j, (n, op, basis, row) in enumerate(zip(ns, ops, bases, cuts)):
-            position = np.empty_like(basis.basis)
-            position[basis.basis] = np.arange(position.size)
-            in_head = position < row[:, None]
-            masked = np.concatenate([np.where(in_head, op.diag, 0.0), np.where(in_head, 0.0, op.diag)])
-            values[j] = _stacked_values(family, np.full(2 * row.size, n), masked, np.tile(normalized, 2),
-                                        np.repeat(asked, row.size)).reshape(2, -1)
-        return values.transpose(1, 0, 2)
     values = np.full((2,) + cuts.shape, np.nan)
     for j, (n, op, basis) in enumerate(zip(ns, ops, bases)):
         for i, k in enumerate(cuts[j].tolist()):
@@ -433,24 +427,6 @@ def _state_value(family: FunctionalFamily, n: int, op: PositiveOperator) -> floa
     """f_n([op]) as a float with +inf, or NaN when op vanishes and has no state."""
     state = normalize(op)
     return math.nan if state is None else float(family.value(n, state))
-
-
-def _stacked_values(family: FunctionalFamily, ns, diagonals: np.ndarray, normalized,
-                    asked: np.ndarray) -> np.ndarray:
-    """f_{ns[i]} of the diagonal operator whose diagonal is row i of ``diagonals``, for each asked row, from one ``family.stacked`` call.
-
-    ``normalized`` is one bool for every row or one per row.  A normalized
-    row enters as its state; one that vanishes, like one not asked for,
-    is NaN.  The rows are non-negative (c > 0), so ``normalize``'s test
-    holds only at mass 0, as on ``SpectralCuts``.
-    """
-    values = np.full(diagonals.shape[0], np.nan)
-    mass = np.sum(diagonals, axis=1)
-    asked = asked & ~(normalized & (mass <= 0.0))
-    scale = np.ones_like(mass)
-    np.divide(1.0, mass, out=scale, where=asked & normalized)
-    values[asked] = family.stacked(np.asarray(ns)[asked], diagonals[asked] * scale[asked, None])
-    return values
 
 
 # ---------------------------------------------------------------------------

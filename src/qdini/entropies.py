@@ -205,11 +205,14 @@ def relative_entropy_pairs(rhos, sigmas) -> np.ndarray:
 
 
 class SpectralCuts:
-    """The heads and tails of one spectrum per n of a window, each cut at several indices at once.
+    """The heads and tails of one weighted basis per row of a window, each cut at several indices at once.
 
-    ``spectra`` holds one spectrum per row of the window, N in all, and
-    ``values`` V, of shape (N, d), their kept values; row j pairs with the
-    basis u of spectra[j] as ``PositiveOperator.split`` cuts it.  ``cuts``
+    ``spectra`` holds the spectrum whose basis each row reads, N in all,
+    and ``values`` V, of shape (N, d), the row weights: row j pairs
+    V[j, i] with basis vector u_i of spectra[j].  ``weights`` defaults to
+    the kept values of each spectrum, an operator's own spectrum cut as
+    ``PositiveOperator.split`` cuts it; a diagonal operator on another
+    diagonal basis passes its clamped diagonal in basis order.  ``cuts``
     is an int array of shape (N, M).  The head at cut k of row j is
     X = c sum_{i < k} V[j, i] |u_i><u_i| and the tail is the same sum over
     i >= k, with c = 1, or c = 1 / Tr X when the cut's column is
@@ -219,14 +222,19 @@ class SpectralCuts:
 
     The window functionals below read a head off a forward cumulative sum
     along each row of V and a tail off a reversed one, so a whole window of
-    cuts costs a few array passes.  Kept values are 0 from the rank on, so
-    the sums meet only values that the scalar functionals, their oracle, count.
+    cuts costs a few array passes.  They count every positive weight.  Kept
+    values are 0 from the rank on, so on an operator's own spectrum the
+    sums meet only values that the scalar functionals, their oracle,
+    count.  On other weights the scalar functionals decide the rank
+    tolerance of each cut again and drop a value at or below d RANK_REL_TOL
+    times the cut's top; the window counts it, which moves f by at most
+    d RANK_REL_TOL (1 + |ln(d RANK_REL_TOL)|) Tr X per such value.
     """
 
     __slots__ = ("spectra", "values", "cuts", "scale", "mass", "vanishing", "_rows")
 
-    def __init__(self, spectra, cuts, normalized):
-        v = np.stack([spec.kept() for spec in spectra])
+    def __init__(self, spectra, cuts, normalized, weights=None):
+        v = np.stack([spec.kept() for spec in spectra]) if weights is None else np.asarray(weights, dtype=float)
         self.spectra = tuple(spectra)
         self.values = v
         self.cuts = np.asarray(cuts, dtype=np.intp)
@@ -243,23 +251,25 @@ class SpectralCuts:
     def sums(self, x) -> np.ndarray:
         """Sums of a per-eigenvector quantity x (shape (N, d) or (N, d, p), real or complex) over every head and tail."""
         x = np.asarray(x)
-        zero = np.zeros((x.shape[0], 1) + x.shape[2:], dtype=x.dtype)
-        forward = np.concatenate([zero, np.cumsum(x, axis=1)], axis=1)
-        backward = np.concatenate([np.cumsum(x[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
-        j, k = self._rows, self.cuts
-        return np.stack([forward[j, k], backward[j, k]])
+        d = x.shape[1]
+        # [0, j, k]: the sum over i < k; [1, j, k]: over i >= k
+        prefix = np.zeros((2, x.shape[0], d + 1) + x.shape[2:], dtype=x.dtype)
+        np.cumsum(x, axis=1, out=prefix[0, :, 1:])
+        np.cumsum(x[:, ::-1], axis=1, out=prefix[1, :, d - 1::-1])
+        return prefix[:, self._rows, self.cuts]
 
 
 def entropy_cuts(cuts: SpectralCuts, scale=None) -> np.ndarray:
     """``von_neumann_entropy`` of every head and tail of ``cuts``, each cut taken at ``scale`` in place of ``cuts.scale``."""
     v = cuts.values
-    # logs relative to each row's top value r keep the terms independent of
-    # the spectrum's scale, and a one-value cut exactly 0
-    r = np.where(v[:, :1] > 0.0, v[:, :1], 1.0)
-    v_log = v * np.log(np.where(v > 0.0, v, r) / r)
-    sums = cuts.sums(np.stack([v, v_log], axis=-1))
-    mass, v_log_sum = sums[..., 0], sums[..., 1]
-    # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the cut's kept values
+    # logs relative to each row's largest weight r (its top kept value on
+    # its own spectrum) keep the terms independent of the scale, and a
+    # one-value cut exactly 0
+    r = np.max(v, axis=1, keepdims=True)
+    r = np.where(r > 0.0, r, 1.0)
+    v_log_sum = cuts.sums(v * np.log(np.where(v > 0.0, v, r) / r))
+    mass = cuts.mass
+    # -sum (c v) ln(c v) - eta(c M) = c (M ln(M / r) - sum v ln(v / r)) over the cut's weights
     s = (cuts.scale if scale is None else scale) * (mass * np.log(np.where(mass > 0.0, mass, r) / r) - v_log_sum)
     return np.where(mass > 0.0, s, 0.0)
 

@@ -330,9 +330,14 @@ class ProjectorSchedule:
         return self.bases[n].projector(int(self.cuts[n, m - self.m_0]))
 
 
+def coordinate_basis(dim: int) -> Spectrum:
+    """The coordinate basis e_0, ..., e_{dim-1}, in order, as a diagonal spectrum of unit values; no operator is built."""
+    return Spectrum(np.ones(dim), diagonal=True, basis=np.arange(dim))
+
+
 def fixed_basis_schedule(dim: int, m_max: int, seq: OperatorSequence, n_max: int = 12) -> ProjectorSchedule:
     """P^n_m = projector onto the first m coordinates, constant in n."""
-    coordinates = PositiveOperator(diagonal=np.ones(dim)).spectrum()
+    coordinates = coordinate_basis(dim)
     masses = np.array([_prefix_masses(coordinates, seq(n))[1:m_max + 1] for n in range(n_max + 1)])
     tols = np.array([[default_rank_tol(dim, seq(n).operator_norm())] for n in range(n_max + 1)])
     vanishing = np.argwhere((masses <= tols).T)  # (m, n) order: the first vanishing cell by m

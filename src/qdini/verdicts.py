@@ -107,9 +107,11 @@ def inequality_check(name: str, cases, describe=None) -> CheckResult:
 
 
 def encode_number(x) -> object:
-    """JSON-safe scalar: +inf becomes the string 'inf'."""
+    """JSON-safe scalar: +inf becomes the string 'inf' and -inf the string '-inf'."""
     v = float(x)
-    return "inf" if math.isinf(v) else v
+    if math.isinf(v):
+        return "inf" if v > 0.0 else "-inf"
+    return v
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from qdini import (
     Channel,
     ChannelSequence,
     DensityOperator,
+    FunctionalFamily,
     PositiveOperator,
     Scenario,
     builtin_scenario,
@@ -468,5 +469,12 @@ class TestOutputEntropyTails:
         sc["checks"][0]["schedule"] = {"type": "fixed-basis", "m_max": 2}
         calls = self.counted_cuts(monkeypatch)
         run_scenario(Scenario.from_json(sc), seed=0)
+        # diagonal members on the coordinate basis: one rows window, no cut is built
+        assert not calls
         # the per-cell form: P^n_m is the first m of 2 coordinates, so Pbar has rank 2 - m; no head is built
-        assert calls == {("compress", 1): 13, ("compress", 0): 13}
+        # (and the whole values S(Phi_n(rho_n)) split each rho_n at its rank)
+        make = diagnostics.output_entropy_family
+        monkeypatch.setattr(diagnostics, "output_entropy_family", lambda *args: FunctionalFamily(
+            *(getattr(make(*args), name) for name in ("kind", "label", "value", "a_f", "b_f"))))
+        run_scenario(Scenario.from_json(sc), seed=0)
+        assert calls == {("compress", 1): 13, ("compress", 0): 13, "split": 13}

@@ -12,6 +12,12 @@ behaviour to explain, never a reason to recapture the file.
 ``dumps_canonical(inequality_fuzz(suite, dim, 200, 3))`` at the dimensions of
 the acceptance test AC2, captured before the PSD checks were unified.  It
 pins the seeded random generators and every worst slack the same way.
+
+``golden/scenario_reports_seed3.json`` maps each scenario file of
+tests/scenarios/ but the ``usage-*`` ones (which must exit 2 and have no
+report) to its decoded report at seed 3, with QDINI_THREADS unset, captured
+before the diagonal windows of other bases and of the dominated scheme
+became rows windows.  The same rule applies.
 """
 
 import json
@@ -19,12 +25,23 @@ from pathlib import Path
 
 import pytest
 
-from qdini import BUILTIN_SCENARIOS, FUZZ_SUITES, builtin_scenario, inequality_fuzz, report_to_json, run_scenario
+from qdini import (
+    BUILTIN_SCENARIOS,
+    FUZZ_SUITES,
+    builtin_scenario,
+    inequality_fuzz,
+    load_scenario,
+    report_to_json,
+    run_scenario,
+)
 from qdini.verdicts import dumps_canonical
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "builtin_reports_seed3.json").read_text())
 GOLDEN_FUZZ = json.loads((GOLDEN_DIR / "fuzz_reports_seed3.json").read_text())
+GOLDEN_SCENARIOS = json.loads((GOLDEN_DIR / "scenario_reports_seed3.json").read_text())
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
+SCENARIO_FILES = sorted(path.stem for path in SCENARIO_DIR.glob("*.json") if not path.name.startswith("usage-"))
 FUZZ_DIMS = {  # the dimensions of test_ac2_inequality_fuzz_suites
     "entropy": 6,
     "relative-entropy": 6,
@@ -85,6 +102,17 @@ def test_golden_covers_every_fuzz_suite():
 def test_fuzz_report_matches_golden(suite):
     report = json.loads(dumps_canonical(inequality_fuzz(suite, FUZZ_DIMS[suite], trials=200, seed=3)))
     assert first_difference(GOLDEN_FUZZ[suite], report, suite) is None
+
+
+def test_golden_covers_every_scenario_file():
+    assert sorted(GOLDEN_SCENARIOS) == SCENARIO_FILES
+
+
+@pytest.mark.parametrize("name", SCENARIO_FILES)
+def test_scenario_file_report_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("QDINI_THREADS", raising=False)
+    report = json.loads(report_to_json(run_scenario(load_scenario(str(SCENARIO_DIR / f"{name}.json")), seed=3)))
+    assert first_difference(GOLDEN_SCENARIOS[name], report, name) is None
 
 
 def test_comparison_is_strict_on_statuses_and_inf():

@@ -34,7 +34,15 @@ from qdini import (
 from qdini import scenarios
 from qdini.diagnostics import ZERO_MODULUS, FunctionalFamily
 from qdini.entropies import _ladder_values, trace_neg_log_pairs
-from qdini.verdicts import INEQ_SLACK, INEQUALITY, dumps_canonical, inequality_check, inequality_holds
+from qdini.verdicts import (
+    INEQ_SLACK,
+    INEQUALITY,
+    TrendSummary,
+    dumps_canonical,
+    encode_number,
+    inequality_check,
+    inequality_holds,
+)
 
 
 def test_the_rule_holds_down_to_minus_the_slack():
@@ -168,6 +176,13 @@ class TestStrictJson:
         verdict = Verdict("v", hypothesis_checks=(CheckResult("c", False, math.nan),))
         with pytest.raises(ValueError, match="not JSON compliant"):
             dumps_canonical(verdict.to_json())
+
+    def test_infinities_are_encoded_with_their_sign(self):
+        assert encode_number(math.inf) == "inf" and encode_number(-math.inf) == "-inf"
+        trend = TrendSummary.from_residuals("t", [-math.inf, 1.0, math.inf]).to_json()
+        assert trend["residuals"] == ["-inf", 1.0, "inf"]
+        assert CheckResult("c", False, -math.inf).to_json()["slack"] == "-inf"
+        assert '"slack":"-inf"' in dumps_canonical(CheckResult("c", False, -math.inf).to_json())
 
     def test_an_infinite_float_raises(self):
         with pytest.raises(ValueError, match="not JSON compliant"):

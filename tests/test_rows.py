@@ -11,15 +11,19 @@ trace-neg-log and entropy-plus-log families carry rows, and so do the
 channel families (mutual information, coherent information, output
 entropy): by linearity every channel output of a head or tail is a
 cumulative sum of the images of rank-one projectors, and one stacked
-eigensolve gives all their spectra.  When operators and other bases are
-diagonal, a family with a stacked form, (ns, diagonals) -> f_n of each
-diagonal operator, reads the masked diagonals in one call per n; the
-dominated scheme's grids use the same form on one array of diagonals per
-window when every rho_n and sigma_n is diagonal.  Anything else goes cell
-by cell through the scalar functionals.  The same family without
-``rows`` and ``stacked`` (``_per_cell``) takes the per-cell form
-everywhere and is the oracle here.  Numbers agree within
-1e-12 * max(1, |x|); flags, NaN and +inf agree exactly.
+eigensolve gives all their spectra.  A diagonal operator on another
+diagonal basis is a rows window too, each row weighted by the operator's
+diagonal in basis order (a fixed-basis schedule on diagonal members), and
+so is the dominated scheme's window when every rho_n and sigma_n is
+diagonal: one row per head and per tail c Psi(rho_n) + Psi(sigma_n) on
+the coordinate basis, cut once after its last coordinate.  Anything else
+goes cell by cell through the scalar functionals.  The same family
+without ``rows`` (``_per_cell``) takes the per-cell form everywhere and
+is the oracle here.  Numbers agree within 1e-12 * max(1, |x|), or with
+Tr X in the max where a value scales with the trace; flags, NaN and +inf
+agree exactly.  On a diagonal basis a window counts every positive
+value, where the per-cell form drops one at or below the rank tolerance
+of its cut; the last tests pin that difference.
 """
 
 import math
@@ -58,11 +62,13 @@ from qdini import (
 )
 from qdini import Scenario, diagnostics, entropies, scenarios, truncation
 from qdini.entropies import SpectralCuts
-from qdini.operators import Spectrum
+from qdini.operators import RANK_REL_TOL, Spectrum
+from qdini.truncation import coordinate_basis
 
 TOL = 1e-12
 SEEDS = range(4)
 FAMILIES = ("entropy", "relative-entropy", "trace-neg-log")
+ROWS_FAMILIES = FAMILIES + ("output-entropy", "channel-mi")
 CASES = ("generic", "rank-deficient", "ties", "scaled-up", "scaled-down", "support-break")
 
 
@@ -74,8 +80,16 @@ def _family(kind, sigma_seq):
     return trace_neg_log_family(sigma_seq)
 
 
+def _rows_family(kind, sigma_seq):
+    """A family with rows: one of ``_family``, or a channel family of fixed random channels from C^d to C^2."""
+    if kind in FAMILIES:
+        return _family(kind, sigma_seq)
+    d = sigma_seq.dim
+    return _channel_family(kind, ChannelSequence(lambda n: random_channel(np.random.default_rng([d, n]), d, 2, d), d, 2))
+
+
 def _per_cell(family):
-    """The same family without its rows and stacked forms."""
+    """The same family without its rows form."""
     return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f)
 
 
@@ -126,17 +140,18 @@ def _window(case, dense, seed, d=None):
     return OperatorSequence(rho, d), OperatorSequence(sigma, d), n_max
 
 
-def _close(got, want) -> bool:
+def _close(got, want, trace=1.0, tol=TOL) -> bool:
+    """Equal infinities, or numbers within tol * max(1, |want|, trace): ``trace`` bounds Tr X of a value that scales with it."""
     if math.isinf(got) or math.isinf(want):
         return got == want
-    return abs(got - want) <= TOL * max(1.0, abs(want))
+    return abs(got - want) <= tol * max(1.0, abs(want), trace)
 
 
-def _same_cut(got, want) -> bool:
+def _same_cut(got, want, trace=1.0, tol=TOL) -> bool:
     """``_close`` on two entries of ``_cut_values``, where NaN (no state, or a side not asked for) must meet NaN."""
     if math.isnan(got) or math.isnan(want):
         return math.isnan(got) and math.isnan(want)
-    return _close(got, want)
+    return _close(got, want, trace, tol)
 
 
 @pytest.mark.parametrize("dense", [False, True, "mixed"], ids=["diagonal", "dense", "mixed"])
@@ -342,7 +357,7 @@ def test_criterion_tails_at_the_rank_are_finite_at_large_scale():
 def _dominated_grids(rho_diags, sigma_diags, c, scale, family):
     """The dominated gap grid of tau_n = c rho_n + sigma_n and its lower-bound slack, or the ValueError raised."""
     d, n_max = len(rho_diags[0]), len(rho_diags) - 1
-    rho = OperatorSequence(lambda n: PositiveOperator(diagonal=scale * np.array(rho_diags[n])), d)
+    rho = _diagonal_sequence(rho_diags, scale)
     tau = OperatorSequence(lambda n: PositiveOperator(
         diagonal=scale * (c * np.array(rho_diags[n]) + np.array(sigma_diags[n]))), d)
     scheme = ApproximationScheme("dominated", c, rho)
@@ -355,25 +370,36 @@ def _dominated_grids(rho_diags, sigma_diags, c, scale, family):
     return grid, slack
 
 
-def _dominated_row_matches_cells(rho_diags, sigma_diags, c, scale) -> Counter:
-    """Assert the row path equals the per-cell path on one window; the flags seen."""
-    family = entropy_family()
-    assert family.stacked is not None
+def _diagonal_sequence(diags, scale):
+    """The diagonal operators scale * diags[n] as a sequence."""
+    return OperatorSequence(lambda n: PositiveOperator(diagonal=scale * np.array(diags[n])), len(diags[0]))
+
+
+def _dominated_row_matches_cells(rho_diags, sigma_diags, c, scale, kind="entropy", tol=TOL) -> Counter | None:
+    """Assert that the window takes the rows path and equals the per-cell path; the flags seen, None if the window raised.
+
+    The family's sigma_n, where it has one, is the sigma_n of the window.
+    Each number of row n agrees within tol * max(1, |x|, Tr tau_n).
+    """
+    calls = Counter()
+    family = _counted(_rows_family(kind, _diagonal_sequence(sigma_diags, scale)), calls)
     got = _dominated_grids(rho_diags, sigma_diags, c, scale, family)
     want = _dominated_grids(rho_diags, sigma_diags, c, scale, _per_cell(family))
     if isinstance(want, str):
         assert got == want
-        return Counter()
+        return None
+    assert calls == {"rows": 2}  # the grid's window and the slack's
     (rows, slack_rows), (cells, slack_cells) = got, want
     assert rows.m_range == cells.m_range and len(rows.cells) == len(cells.cells)
+    traces = [scale * (c * sum(r) + sum(s)) for r, s in zip(rho_diags, sigma_diags)]
     flags = Counter()
     for g, w in zip(rows.cells, cells.cells):
         where = f"(n, m) = ({w.n}, {w.m})"
         assert (g.n, g.m, g.flags) == (w.n, w.m, w.flags), where
         for label in ("mu", "gap", "tail"):
-            assert _close(getattr(g, label), getattr(w, label)), f"{label} at {where}"
+            assert _close(getattr(g, label), getattr(w, label), traces[w.n], tol), f"{label} at {where}"
         flags.update(w.flags)
-    assert _close(slack_rows, slack_cells)
+    assert _close(slack_rows, slack_cells, max(traces), tol)
     return flags
 
 
@@ -403,53 +429,52 @@ def dominated_windows(draw):
             draw(st.sampled_from([1.0, 1e7, 1e-7])))
 
 
-@settings(max_examples=150)
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
+@settings(max_examples=150, deadline=None)
 @given(dominated_windows())
 @example(TIED_WINDOW)
 @example((TIED_WINDOW[0], TIED_WINDOW[1], 3.0, 1e7))
 @example((TIED_WINDOW[0], TIED_WINDOW[1], 0.25, 1e-7))
-def test_dominated_rows_match_cells(window):
-    _dominated_row_matches_cells(*window)
+def test_dominated_rows_match_cells(kind, window):
+    _dominated_row_matches_cells(*window, kind)
 
 
 def test_dominated_row_flags_ties_at_a_cut():
     assert _dominated_row_matches_cells(*TIED_WINDOW)["ambiguous-m"]
 
 
-def _stacked_states_match_normalize(rho_diags, sigma_diags, c, scale, monkeypatch) -> Counter:
-    """Assert that ``_stacked_values`` finds no state exactly where ``normalize`` does, on the rows of one dominated window."""
-    calls = []
-    stacked_values = diagnostics._stacked_values
-
-    def recorded(family, ns, diagonals, normalized, asked):
-        values = stacked_values(family, ns, diagonals, normalized, asked)
-        calls.append((diagonals, values))
-        return values
-
-    monkeypatch.setattr(diagnostics, "_stacked_values", recorded)
+def _window_states_match_normalize(rho_diags, sigma_diags, c, scale, monkeypatch) -> Counter:
+    """Assert that the ``vanishing`` of the dominated window finds no state exactly where ``normalize`` does, on every head and tail."""
+    windows = []
+    spectral_cuts = diagnostics.SpectralCuts
+    monkeypatch.setattr(diagnostics, "SpectralCuts", lambda *args: windows.append(spectral_cuts(*args)) or windows[-1])
     if isinstance(_dominated_grids(rho_diags, sigma_diags, c, scale, entropy_family()), str):
         return Counter()
-    assert calls
+    assert windows
     seen = Counter()
-    for diagonals, values in calls:
-        for row, value in zip(diagonals, values.tolist()):
-            no_state = normalize(PositiveOperator(diagonal=row)) is None
-            assert math.isnan(value) == no_state, (row, value)
-            seen[no_state] += 1
+    for window in windows:
+        for j, row in enumerate(window.values):
+            # the weights are in basis order, a permutation of the diagonal: ``normalize`` does not see it
+            for i, k in enumerate(window.cuts[j].tolist()):
+                in_head = np.arange(row.size) < k
+                for side, part in enumerate((np.where(in_head, row, 0.0), np.where(in_head, 0.0, row))):
+                    no_state = normalize(PositiveOperator(diagonal=part)) is None
+                    assert window.vanishing[side, j, i] == no_state, (part, side)
+                    seen[no_state] += 1
     return seen
 
 
 @settings(max_examples=60)
 @given(dominated_windows(), st.sampled_from([0.25, 3.0]))
-def test_stacked_values_find_no_state_where_normalize_does(window, c):
+def test_dominated_window_finds_no_state_where_normalize_does(window, c):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _stacked_states_match_normalize(window[0], window[1], c, window[3], monkeypatch)
+        _window_states_match_normalize(window[0], window[1], c, window[3], monkeypatch)
 
 
 @pytest.mark.parametrize("c", [0.25, 3.0])
-def test_stacked_values_meet_states_and_vanishing_rows(monkeypatch, c):
+def test_dominated_window_meets_states_and_vanishing_rows(monkeypatch, c):
     # the tied window's last member is 0, so its rows vanish, and the others have states
-    seen = _stacked_states_match_normalize(TIED_WINDOW[0], TIED_WINDOW[1], c, 1.0, monkeypatch)
+    seen = _window_states_match_normalize(TIED_WINDOW[0], TIED_WINDOW[1], c, 1.0, monkeypatch)
     assert seen[True] and seen[False]
 
 
@@ -521,18 +546,12 @@ def test_window_slack_and_grid_match_cells(window, kind, dense, single):
 
 
 def _counted(family, calls: Counter):
-    """``family`` with its rows and stacked forms counting their calls in ``calls``."""
-    rows = stacked = None
-    if family.rows is not None:
-        def rows(ns, cuts):
-            calls["rows"] += 1
-            return family.rows(ns, cuts)
-    if family.stacked is not None:
-        def stacked(ns, diagonals):
-            calls["stacked"] += 1
-            return family.stacked(ns, diagonals)
-    return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f,
-                            rows=rows, stacked=stacked)
+    """``family`` with its rows form counting its calls in ``calls``."""
+    def rows(ns, cuts):
+        calls["rows"] += 1
+        return family.rows(ns, cuts)
+
+    return FunctionalFamily(family.kind, family.label, family.value, family.a_f, family.b_f, rows=rows)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
@@ -550,7 +569,7 @@ def test_spectral_procedures_make_one_rows_call_per_window(kind, dense):
     assert calls == {"rows": 3}
 
 
-def test_dominated_diagonal_grid_makes_one_stacked_call_per_window():
+def test_dominated_diagonal_grid_makes_one_rows_call_per_window():
     rho_diags, sigma_diags, c, _ = TIED_WINDOW
     d, n_max = len(rho_diags[0]), len(rho_diags) - 1
     rho = OperatorSequence(lambda n: PositiveOperator(diagonal=np.array(rho_diags[n])), d)
@@ -560,9 +579,9 @@ def test_dominated_diagonal_grid_makes_one_stacked_call_per_window():
     family = _counted(entropy_family(), calls)
     scheme = ApproximationScheme("dominated", c, rho)
     grid = approximation_gap_grid(family, tau, scheme, n_max, d)
-    assert calls == {"stacked": 1} and len(grid.cells) == (n_max + 1) * len(grid.m_range)
+    assert calls == {"rows": 1} and len(grid.cells) == (n_max + 1) * len(grid.m_range)
     truncation_lower_bound_slack(family, tau, scheme, n_max, d)
-    assert calls == {"stacked": 2}
+    assert calls == {"rows": 2}
 
 
 def test_criterion_refuses_n_max_past_the_schedule():
@@ -798,6 +817,28 @@ def test_channel_rows_raise_the_psd_error_of_a_failing_row():
 SIDES = ((True, True), (False, True), (True, False))
 
 
+def _fixed_basis_matches_cells(kind, rho_diags, sigma_diags, scale, bases, cuts, normalized, sides, tol=TOL):
+    """Assert that ``_cut_values`` of the diagonal rho_n on ``bases`` takes the rows path and equals the per-cell form.
+
+    The family's sigma_n, where it has one, is the diagonal sigma_n of
+    ``sigma_diags``.  Row n agrees within tol * max(1, |x|, Tr rho_n).
+    """
+    rho_seq = _diagonal_sequence(rho_diags, scale)
+    calls = Counter()
+    family = _counted(_rows_family(kind, _diagonal_sequence(sigma_diags, scale)), calls)
+    ns = range(len(rho_diags))
+    ops = [rho_seq(n) for n in ns]
+    got, want = (diagnostics._cut_values(fam, ns, ops, bases, cuts, normalized, *sides)
+                 for fam in (family, _per_cell(family)))
+    assert calls == {"rows": 1}
+    assert np.isnan(got[[not side for side in sides]]).all()
+    for n in ns:
+        for side in (0, 1):
+            assert all(_same_cut(g, w, ops[n].trace(), tol) for g, w in zip(got[side, n], want[side, n])), \
+                (n, side, got[side, n], want[side, n])
+
+
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
 @settings(max_examples=80, deadline=None)
 @given(dominated_windows(), st.booleans(), st.integers(0, 2 ** 16), st.sampled_from((False, True, "mixed")),
        st.sampled_from(SIDES))
@@ -805,34 +846,24 @@ SIDES = ((True, True), (False, True), (True, False))
 @example(TIED_WINDOW, True, 1, False, SIDES[0])
 @example(TIED_WINDOW, True, 2, True, SIDES[1])
 @example(TIED_WINDOW, True, 3, "mixed", SIDES[0])
-def test_fixed_basis_window_matches_cells(window, permuted, seed, normalized, sides):
-    """The stacked masked-diagonal form of ``_cut_values`` against its per-cell form.
+def test_fixed_basis_window_matches_cells(kind, window, permuted, seed, normalized, sides):
+    """The rows form of ``_cut_values`` on diagonal members and other diagonal bases against its per-cell form.
 
     Coordinate or permuted bases, any cuts, the cuts or their states (or
     the states of some columns), both sides or one.
     """
-    rho_diags, _, _, scale = window
+    rho_diags, sigma_diags, _, scale = window
     d, n_count = len(rho_diags[0]), len(rho_diags)
-    rho_seq = OperatorSequence(lambda n: PositiveOperator(diagonal=scale * np.array(rho_diags[n])), d)
     rng = np.random.default_rng(seed)
-    coordinates = PositiveOperator(diagonal=np.ones(d)).spectrum()
-    bases = [PositiveOperator(diagonal=rng.permutation(d) + 1.0).spectrum() if permuted else coordinates
+    bases = [PositiveOperator(diagonal=rng.permutation(d) + 1.0).spectrum() if permuted else coordinate_basis(d)
              for _ in range(n_count)]
     cuts = rng.integers(0, d + 1, size=(n_count, int(rng.integers(1, d + 2))))
     if isinstance(normalized, str):
         normalized = rng.integers(0, 2, cuts.shape[1]).astype(bool)
-    family = entropy_family()
-    ns = range(n_count)
-    ops = [rho_seq(n) for n in ns]
-    got, want = (diagnostics._cut_values(fam, ns, ops, bases, cuts, normalized, *sides)
-                 for fam in (family, _per_cell(family)))
-    assert np.isnan(got[[not side for side in sides]]).all()
-    for n in ns:
-        for side in (0, 1):
-            assert all(map(_same_cut, got[side, n], want[side, n])), (n, side, got[side, n], want[side, n])
+    _fixed_basis_matches_cells(kind, rho_diags, sigma_diags, scale, bases, cuts, normalized, sides)
 
 
-def test_fixed_basis_criterion_makes_one_stacked_call_per_n_and_no_compression(monkeypatch):
+def test_fixed_basis_criterion_makes_one_rows_call_and_no_compression(monkeypatch):
     seq = scenarios._seq_entropy_discontinuity({"n_cap": 6})
     schedule = fixed_basis_schedule(seq.dim, 413, seq, n_max=6)
     compress = diagnostics.compress
@@ -840,8 +871,55 @@ def test_fixed_basis_criterion_makes_one_stacked_call_per_n_and_no_compression(m
     monkeypatch.setattr(diagnostics, "compress", lambda rho, p: calls.update(["compress"]) or compress(rho, p))
     family = _counted(entropy_family(), calls)
     rows = truncation_criterion(family, seq, schedule, 1, 6, 12)
-    assert calls == {"stacked": 7}
+    assert calls == {"rows": 1}
     cells = truncation_criterion(_per_cell(family), seq, schedule, 1, 6, 12)
-    assert calls["compress"] == 2 * 7 * 12
+    assert calls == {"rows": 1, "compress": 2 * 7 * 12}
     assert rows.status == cells.status
     assert all(map(_close, rows.values["tail_sup_per_m"], cells.values["tail_sup_per_m"]))
+
+
+# ---------------------------------------------------------------------------
+# A value below the rank tolerance of its cut on a diagonal basis
+
+PLANT = 0.99  # the planted value's fraction of d RANK_REL_TOL times the top of its cut
+
+
+def _rank_edge(d) -> float:
+    """d RANK_REL_TOL (1 + |ln(d RANK_REL_TOL)|): how far one value at the rank tolerance of a cut moves f, per unit Tr X."""
+    t = d * RANK_REL_TOL
+    return t * (1.0 + abs(math.log(t)))
+
+
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
+@pytest.mark.parametrize("d", [3, 7, 16])
+def test_fixed_basis_window_counts_a_value_below_the_rank_tolerance(kind, d):
+    # coordinate 1 holds PLANT d RANK_REL_TOL times coordinate 0, the top of
+    # every head from k = 2 on: a window counts it there, ``compress`` drops it
+    rho = 0.5 ** np.arange(d) * 2.6
+    rho[1] = PLANT * d * RANK_REL_TOL * rho[0]
+    sigma = np.full(d, 1.0 / d)
+    assert PositiveOperator(diagonal=rho).rank() == d - 1
+    rho_diags = [(rho * (1.0 + 0.1 * 0.5 ** n)).tolist() for n in range(3)]
+    cuts = np.tile(np.arange(d + 1), (3, 1))
+    for normalized in (False, True):
+        _fixed_basis_matches_cells(kind, rho_diags, [sigma.tolist()] * 3, 1.0, [coordinate_basis(d)] * 3, cuts,
+                                   normalized, SIDES[0], _rank_edge(d))
+    seq = _diagonal_sequence(rho_diags, 1.0)
+    schedule = fixed_basis_schedule(d, d, seq, n_max=2)
+    family = _rows_family(kind, _diagonal_sequence([sigma.tolist()] * 3, 1.0))
+    rows, cells = (truncation_criterion(fam, seq, schedule, 1, 2, d) for fam in (family, _per_cell(family)))
+    assert rows.status == cells.status
+
+
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
+@pytest.mark.parametrize("d", [3, 7, 16])
+def test_dominated_window_counts_a_value_below_the_rank_tolerance(kind, d):
+    # rho_n's last value is above rho_n's own rank tolerance, so its heads
+    # keep it, but PLANT d RANK_REL_TOL times 3, the top c rho_n + sigma_n
+    # of every head that holds it: a window counts it, the per-cell form drops it
+    rho = 0.5 ** np.arange(d)
+    rho[-1] = PLANT * d * RANK_REL_TOL * 3.0
+    sigma = np.concatenate([[2.0], 0.3 * 0.6 ** np.arange(d - 2), [0.0]])
+    assert PositiveOperator(diagonal=rho).rank() == d and PositiveOperator(diagonal=rho + sigma).rank() == d - 1
+    window = ([rho.tolist()] * 3, [sigma.tolist()] * 3, 1.0, 1.0)
+    assert _dominated_row_matches_cells(*window, kind, _rank_edge(d)) is not None
