@@ -56,7 +56,6 @@ from .truncation import (
     ambiguous_cuts,
     check_positive,
     coordinate_basis,
-    dominated_ambiguity,
     normalize,
     schedule_checks,
     spectral_truncation,
@@ -69,7 +68,6 @@ from .verdicts import (
     NOTE,
     CheckResult,
     DiagnosticsGrid,
-    GridCell,
     TrendSummary,
     Verdict,
     inequality_check,
@@ -235,12 +233,7 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
     with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf land only in cells replaced below
         gap = np.where(no_head, f_rho, np.where(inf_gap, np.inf, f_rho - f_head))
         tail = np.where(no_tail, 0.0, np.where(inf_tail, np.inf, tail_mass * f_tail))
-    cells = []
-    for n, *row in zip(ns, *(a.tolist() for a in (mass, gap, tail, ambiguous, inf_gap, inf_tail))):
-        for m, mu, gap_nm, tail_nm, *flagged in zip(m_range, *row):
-            flags = tuple(flag for flag, on in zip(("ambiguous-m", "inf-gap", "inf-tail"), flagged) if on)
-            cells.append(GridCell(n, m, mu, gap_nm, tail_nm, flags))
-    return DiagnosticsGrid(tuple(ns), tuple(m_range), tuple(cells))
+    return DiagnosticsGrid(ns, m_range, mass, gap, tail, ambiguous, inf_gap, inf_tail)
 
 
 def truncation_lower_bound_slack(family: FunctionalFamily, seq: OperatorSequence,
@@ -280,22 +273,27 @@ def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: 
     one more column after m_range cuts rho_n at its rank, so its head is
     [rho_n].  With ``value`` (spectral scheme only), one more column after
     those cuts rho_n at its rank without normalizing, so its head is
-    f_n(rho_n).  The spectral scheme reads the window off ``_cut_values``;
-    the dominated scheme takes its m-range and rows from one
-    ``dominated_window`` call, then on diagonal pairs and a family with
-    rows makes one ``family.rows`` call, and anything else evaluates each
-    distinct cut pair of a row once.
+    f_n(rho_n).  The spectral scheme reads the window off ``_cut_values``.
+    On the dominated scheme a family with rows on diagonal pairs reads
+    the window's cut diagonals off one ``dominated_diagonals`` call, with
+    no operator per n, and evaluates them in one ``family.rows`` call;
+    anything else takes the ``DominatedRow`` of each n from one
+    ``dominated_window`` call and evaluates each distinct cut pair of a
+    row once.
     """
     if scheme.kind == "spectral":
         m_range = range(1, m_max + 1)
         # a cut at m >= rank keeps rho_n whole: [rho_n] with ``whole``, then rho_n itself with ``value``
         ms = list(m_range) + [seq.dim] * (whole + value)
         return (m_range, *_spectral_window(family, seq, ns, ms, np.arange(len(ms)) < len(m_range) + whole))
+    stacked = scheme.dominated_diagonals(seq, ns, m_max, whole) if family.rows is not None else None
+    if stacked is not None:
+        m_range, heads, tails, ambiguous = stacked
+        mass, f_head, tail_mass, f_tail = _dominated_diagonal_window(family, ns, heads, tails)
+        return m_range, mass, ambiguous, f_head, tail_mass, f_tail
     m_range, rows = scheme.dominated_window(seq, ns, m_max)
     if whole:
         rows = [row.with_whole() for row in rows]
-    if rows and family.rows is not None and all(row.rho.is_diagonal and row.sigma.is_diagonal for row in rows):
-        return (m_range, *_dominated_diagonal_window(family, ns, rows))
     cells = [_dominated_cells(family, n, row) for n, row in zip(ns, rows)]
     window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
     mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
@@ -339,35 +337,29 @@ def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_rang
     return mass, ambiguous_cuts(spectra, cuts), f_head, tail_mass, f_tail
 
 
-def _dominated_diagonal_window(family: FunctionalFamily, ns, rows: list) -> tuple:
-    """``_truncation_window`` of the dominated scheme on diagonal pairs, the whole window at once.
+def _dominated_diagonal_window(family: FunctionalFamily, ns, heads: np.ndarray, tails: np.ndarray) -> tuple:
+    """(head mass, f_head, tail mass, f_tail) of the dominated scheme on diagonal pairs, each (N, M), in one ``family.rows`` call.
 
-    The heads and tails c Psi(rho_n) + Psi(sigma_n) of each row are
-    (M, d) arrays of diagonals, each part cut as ``split`` cuts it; the
-    heads of every row, then their tails, are the 2 N M rows of one
-    ``SpectralCuts`` on the coordinate basis, each weighted by its diagonal
-    and cut once after its last coordinate, normalized, so that one
-    ``family.rows`` call evaluates f_n on every state of the window.  The
-    window counts every positive value of a diagonal, where the per-cell
-    form decides the rank tolerance of each state again (see
-    ``SpectralCuts``).
+    ``heads`` and ``tails`` are the (N, M, d) diagonals of
+    ``ApproximationScheme.dominated_diagonals``.  The heads of every row,
+    then their tails, are the 2 N M rows of one ``SpectralCuts`` on the
+    coordinate basis, each weighted by its diagonal and cut once after its
+    last coordinate, normalized.  Every tail of that window is empty, so
+    it evaluates heads only.  An empty window (m_max below the floor)
+    makes no call.  The window counts every positive value of a
+    diagonal, where the per-cell form decides the rank tolerance of each
+    state again (see ``SpectralCuts``).
     """
-    shape = (len(rows), rows[0].rho_cuts.size)
-    heads, tails = [], []
-    for row in rows:
-        head, tail = (row.c * x for x in row.rho.split_diagonals(row.rho_cuts))
-        if row.sigma_cuts is not None:
-            sigma_head, sigma_tail = row.sigma.split_diagonals(row.sigma_cuts)
-            head, tail = head + sigma_head, tail + sigma_tail
-        heads.append(head)
-        tails.append(tail)
-    ops = np.concatenate(heads + tails)
-    count, d = ops.shape
-    window = SpectralCuts((coordinate_basis(d),) * count, np.full((count, 1), d), True, ops)
-    op_ns = np.tile(np.repeat(np.asarray(ns), shape[1]), 2)
-    values = np.where(window.vanishing, np.nan, family.rows(op_ns, window))[0, :, 0]
+    shape, d = heads.shape[:2], heads.shape[2]
+    ops = np.concatenate([heads.reshape(-1, d), tails.reshape(-1, d)])
+    count = len(ops)
+    values = np.empty(0)
+    if count:
+        window = SpectralCuts((coordinate_basis(d),) * count, np.full((count, 1), d), True, ops, tails=False)
+        op_ns = np.tile(np.repeat(np.asarray(ns), shape[1]), 2)
+        values = np.where(window.vanishing, np.nan, family.rows(op_ns, window))[0, :, 0]
     (head_mass, tail_mass), (f_head, f_tail) = np.sum(ops, axis=1).reshape((2,) + shape), values.reshape((2,) + shape)
-    return head_mass, dominated_ambiguity(rows), f_head, tail_mass, f_tail
+    return head_mass, f_head, tail_mass, f_tail
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,9 @@ class SpectralCuts:
     i >= k, with c = 1, or c = 1 / Tr X when the cut's column is
     normalized and Tr X > 0.  ``normalized`` is one bool for every column
     or one per column, shape (M,).  Arrays indexed by cut have shape
-    (2, N, M): heads in [0], tails in [1].
+    (2, N, M): heads in [0], tails in [1].  With ``tails`` false they have
+    shape (1, N, M) and hold the heads only, so a window whose tails are
+    not read costs nothing for them.
 
     The window functionals below read a head off a forward cumulative sum
     along each row of V and a tail off a reversed one, so a whole window of
@@ -231,13 +233,14 @@ class SpectralCuts:
     d RANK_REL_TOL (1 + |ln(d RANK_REL_TOL)|) Tr X per such value.
     """
 
-    __slots__ = ("spectra", "values", "cuts", "scale", "mass", "vanishing", "_rows")
+    __slots__ = ("spectra", "values", "cuts", "sides", "scale", "mass", "vanishing", "_rows")
 
-    def __init__(self, spectra, cuts, normalized, weights=None):
+    def __init__(self, spectra, cuts, normalized, weights=None, tails=True):
         v = np.stack([spec.kept() for spec in spectra]) if weights is None else np.asarray(weights, dtype=float)
         self.spectra = tuple(spectra)
         self.values = v
         self.cuts = np.asarray(cuts, dtype=np.intp)
+        self.sides = 1 + bool(tails)
         self._rows = np.arange(v.shape[0])[:, None]  # gathers prefix[j, k[j, i]] with k
         self.mass = self.sums(v)
         self.scale = np.ones_like(self.mass)
@@ -253,9 +256,10 @@ class SpectralCuts:
         x = np.asarray(x)
         d = x.shape[1]
         # [0, j, k]: the sum over i < k; [1, j, k]: over i >= k
-        prefix = np.zeros((2, x.shape[0], d + 1) + x.shape[2:], dtype=x.dtype)
+        prefix = np.zeros((self.sides, x.shape[0], d + 1) + x.shape[2:], dtype=x.dtype)
         np.cumsum(x, axis=1, out=prefix[0, :, 1:])
-        np.cumsum(x[:, ::-1], axis=1, out=prefix[1, :, d - 1::-1])
+        if self.sides == 2:
+            np.cumsum(x[:, ::-1], axis=1, out=prefix[1, :, d - 1::-1])
         return prefix[:, self._rows, self.cuts]
 
 

@@ -37,6 +37,9 @@ differences upper_n - c lower_n of a whole window of orderings in one
 call, and ``positive_eigenvalues`` applies the rule
 to a whole stack of matrices with one eigensolve, for the window
 functionals that need many small spectra and no operators.
+``positive_diagonals`` applies it to a stack of diagonals, and
+``diagonal_spectra`` sorts such a stack as ``PositiveOperator.spectrum``
+sorts each row, with one stable argsort and no operator built.
 """
 
 from __future__ import annotations
@@ -444,6 +447,36 @@ def positive_eigenvalues(matrices) -> np.ndarray:
     return np.maximum(eigs[..., ::-1], 0.0)
 
 
+def positive_diagonals(diagonals) -> np.ndarray:
+    """A stack of diagonals (N, d) as ``PositiveOperator(diagonal=...)`` would store each: one rule call for the stack.
+
+    Each row is checked by the PSD rule on its min and max, the first that
+    fails raising the error ``PositiveOperator`` raises; the result holds
+    each row clamped at 0.
+    """
+    diagonals = np.asarray(diagonals, dtype=float)
+    lam_min, lam_max = diagonals.min(axis=1), diagonals.max(axis=1)
+    failing = np.flatnonzero(np.logical_not(_passes_psd(lam_min, lam_max)))
+    if failing.size:
+        first = failing[0]
+        raise _not_psd(lam_min[first], lam_max[first], diagonals[first])
+    return np.maximum(diagonals, 0.0)
+
+
+def diagonal_spectra(diagonals: np.ndarray) -> tuple:
+    """(order, values, ranks, gap_tols) of a stack of clamped diagonals (N, d), row j as ``PositiveOperator.spectrum`` sorts it.
+
+    order[j] is the stable argsort of -diagonals[j], the spectrum's basis,
+    values[j] the sorted diagonal, ranks[j] its rank and gap_tols[j, 0]
+    its gap tolerance: one argsort for the stack, no operator built.
+    """
+    order = np.argsort(-diagonals, axis=1, kind="stable")
+    values = np.take_along_axis(diagonals, order, axis=1)
+    top = values[:, :1]
+    ranks = np.count_nonzero(values > default_rank_tols(values.shape[1], top), axis=1)
+    return order, values, ranks, GAP_REL_TOL * top
+
+
 class PositiveOperator(HermitianOperator):
     """Hermitian operator passing the PSD rule; its eigenvalues clamp to 0.
 
@@ -550,27 +583,6 @@ class PositiveOperator(HermitianOperator):
         head = spec.reordered(np.concatenate([lam[:k], np.zeros(d - k)])).operator()
         order = np.concatenate([np.arange(k, d), np.arange(k)])
         return head, spec.reordered(np.concatenate([lam[k:], np.zeros(k)]), order).operator()
-
-    def split_diagonals(self, cuts) -> tuple:
-        """The diagonals of ``split(k)`` for every k of ``cuts``: (heads, tails), each of shape (len(cuts), d).
-
-        Diagonal operators only.  Row i of the heads holds the kept values
-        of the first cuts[i] coordinates in spectrum order and the tails
-        the rest; a cut at or past the rank gives this diagonal and a zero
-        tail, as ``split`` does.
-        """
-        if not self.is_diagonal:
-            raise ValueError("split_diagonals needs a diagonal operator")
-        spec = self.spectrum()
-        k = np.asarray(cuts, dtype=np.intp)[:, None]
-        position = np.empty(self.dim, dtype=np.intp)
-        position[spec.basis] = np.arange(self.dim)
-        kept = spec.kept()[position]  # in coordinate order
-        in_head = position < k
-        whole = k >= spec.rank
-        heads = np.where(whole, self._diag, np.where(in_head, kept, 0.0))
-        tails = np.where(in_head | whole, 0.0, kept)
-        return heads, tails
 
     def add(self, other: HermitianOperator) -> HermitianOperator:
         """self + other; positive when other is."""

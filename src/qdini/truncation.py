@@ -22,8 +22,11 @@ from .operators import (
     Projector,
     Spectrum,
     default_rank_tol,
+    default_rank_tols,
+    diagonal_spectra,
     eigh,  # noqa: F401  kept importable from here: perfbench's tracer test wraps truncation.eigh
     group_ends,
+    positive_diagonals,
     support_projector,
 )
 from .verdicts import INEQUALITY, CheckResult, TrendSummary, Verdict
@@ -200,23 +203,14 @@ def ambiguous_cuts(spectra, cuts: np.ndarray) -> np.ndarray:
     ``cuts`` has shape (N, M), row j cutting spectra[j].  A cut is ambiguous iff it
     is below the rank, where values are kept values, and no group ends at it.
     """
-    ends = group_ends(np.stack([spec.values for spec in spectra]), np.array([[spec.gap_tol] for spec in spectra]))
-    rank = np.array([[spec.rank] for spec in spectra])
-    return (cuts < rank) & ~ends[np.arange(len(spectra))[:, None], cuts - 1]
+    return _ambiguous_cuts(np.stack([spec.values for spec in spectra]), np.array([spec.rank for spec in spectra]),
+                           np.array([[spec.gap_tol] for spec in spectra]), cuts)
 
 
-def dominated_ambiguity(rows) -> np.ndarray:
-    """Whether either cut of each (n, m) falls inside a multiplicity group, as ``spectral_truncation`` flags it.
-
-    ``rows`` are the ``DominatedRow`` of a window, one per n, all over the
-    same m-range; the flags come as an (N, M) array.
-    """
-    flags = ambiguous_cuts([row.rho.spectrum() for row in rows], np.stack([row.rho_cuts for row in rows]))
-    cut = [j for j, row in enumerate(rows) if row.sigma_cuts is not None]
-    if cut:
-        flags[cut] |= ambiguous_cuts([rows[j].sigma.spectrum() for j in cut],
-                                     np.stack([rows[j].sigma_cuts for j in cut]))
-    return flags
+def _ambiguous_cuts(values: np.ndarray, ranks: np.ndarray, gap_tols: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """``ambiguous_cuts`` from stacked spectra: values (N, d), ranks (N,) and gap tolerances (N, 1)."""
+    ends = group_ends(values, gap_tols)
+    return (cuts < ranks[:, None]) & ~ends[np.arange(len(values))[:, None], cuts - 1]
 
 
 def _cut_pairs(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
@@ -274,12 +268,11 @@ class ApproximationScheme:
 
         The m-range starts at the multiplicity floor: the first stable index
         of each limit, so every m of it has a cut pair.  A row whose sigma_n
-        vanishes cuts only rho_n.
+        vanishes cuts only rho_n.  This is the per-cell form, one
+        operator per rho_n and sigma_n: dense pairs and families without
+        rows read it, and it is the oracle of ``dominated_diagonals``.
         """
-        limits = self._limits(seq)
-        floors = _limit_floors(limits)
-        m_range = range(max(floors), m_max + 1)
-        m_hats = _limit_m_hats(limits, m_range)
+        limits, floors, m_range, m_hats = self._window_indices(seq, m_max)
         rows = []
         for n in ns:
             rho = limits[0] if n == 0 else self.dominated(n)
@@ -287,11 +280,74 @@ class ApproximationScheme:
             rows.append(_cut_pairs(rho, sigma, self.c, m_range, floors, m_hats))
         return m_range, rows
 
+    def dominated_diagonals(self, seq: OperatorSequence, ns, m_max: int, whole: bool = False):
+        """(m_range, heads, tails, ambiguous) of the dominated window from arrays, or None unless every rho_n and tau_n is diagonal.
+
+        heads[j, i] and tails[j, i] are the diagonals of the head and the
+        tail of c Psi(rho_n) + Psi(sigma_n) at n = ns[j] and the i-th m,
+        shape (N, M, d), and ambiguous[j, i] flags a cut inside a
+        multiplicity group.  With ``whole``, one more column after m_range
+        cuts rho_n and sigma_n at their ranks, so its head is tau_n.  The
+        numbers are those of the rows of ``dominated_window``, bitwise,
+        with no operator built past the limits: the stacked
+        tau_n - c rho_n pass the PSD rule row by row, the first failing n
+        raising the error ``dominated_window`` raises; one stable argsort
+        sorts every rho_n and sigma_n; the cut of each m is m-hat of the
+        limit clipped at the rank (at least 1).  Where sigma_n vanishes only
+        rho_n is cut and sigma_n's flags are ignored.
+        """
+        if not (self.dominated(0).is_diagonal and seq(0).is_diagonal):
+            return None
+        _, _, m_range, m_hats = self._window_indices(seq, m_max)
+        try:
+            members = [(self.dominated(n), seq(n)) for n in ns]
+        except Exception:
+            # the per-cell form generates and checks member by member, so it
+            # raises at an earlier sigma_n that fails the rule, else here again
+            self.dominated_window(seq, ns, m_max)
+            raise
+        if not all(rho.is_diagonal and tau.is_diagonal for rho, tau in members):
+            return None
+        rho = np.array([rho.diag for rho, _ in members])
+        try:
+            sigma = positive_diagonals(np.array([tau.diag for _, tau in members]) - rho * self.c)
+        except ValueError as exc:
+            raise ValueError(f"tau - c*rho: {exc}") from None
+        # rows 0..N-1 hold rho_n and rows N..2N-1 sigma_n
+        both = np.concatenate([rho, sigma])
+        count, d = both.shape
+        order, values, ranks, gap_tols = diagonal_spectra(both)
+        clip = np.maximum(ranks, 1)[:, None]
+        cuts = np.minimum(np.repeat(np.stack(m_hats), len(members), axis=0), clip)
+        if whole:
+            cuts = np.concatenate([cuts, clip], axis=1)
+        flags = _ambiguous_cuts(values, ranks, gap_tols, cuts)
+        position = np.empty_like(order)  # coordinate i is the position[j, i]-th value of row j
+        position[np.arange(count)[:, None], order] = np.arange(d)
+        # a cut keeps its first values, and a cut at or past the rank the whole row; the tail keeps the other kept values
+        in_head = (position[:, None, :] < cuts[:, :, None]) | (cuts >= ranks[:, None])[:, :, None]
+        heads = np.where(in_head, both[:, None, :], 0.0)
+        tails = np.where(in_head | (position >= ranks[:, None])[:, None, :], 0.0, both[:, None, :])
+        cut_sigma = sigma.sum(axis=1) > default_rank_tols(d, sigma.max(axis=1))  # not ``vanishes()``
+        n = len(members)
+        rho_heads, rho_tails = self.c * heads[:n], self.c * tails[:n]
+        joined = cut_sigma[:, None, None]
+        heads = np.where(joined, rho_heads + heads[n:], rho_heads)
+        tails = np.where(joined, rho_tails + tails[n:], rho_tails)
+        return m_range, heads, tails, flags[:n] | (cut_sigma[:, None] & flags[n:])
+
     def m_floor(self, seq: OperatorSequence) -> int:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""
         if self.kind == "spectral":
             return 1
         return max(_limit_floors(self._limits(seq)))
+
+    def _window_indices(self, seq: OperatorSequence, m_max: int) -> tuple:
+        """(limits, floors, m_range, m_hats) of a dominated window up to m_max; m_hats[k] holds limit k's m-hat at each m of m_range."""
+        limits = self._limits(seq)
+        floors = _limit_floors(limits)
+        m_range = range(max(floors), m_max + 1)
+        return limits, floors, m_range, _limit_m_hats(limits, m_range)
 
     def _limits(self, seq: OperatorSequence) -> tuple:
         """The limits (rho_0, sigma_0 = tau_0 - c rho_0) of the dominated scheme on seq."""

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
+
+import numpy as np
 
 CONSISTENT = "consistent"
 VIOLATED = "violated"
@@ -221,28 +224,64 @@ class GridCell:
     flags: tuple = ()
 
 
-@dataclass(frozen=True)
-class DiagnosticsGrid:
-    """Per-(n, m) masses, approximation gaps and tail terms."""
+# the flags a grid cell can carry; a cell's flag code sets bit i for FLAG_NAMES[i]
+FLAG_NAMES = ("ambiguous-m", "inf-gap", "inf-tail")
+_FLAG_SETS = tuple(tuple(name for i, name in enumerate(FLAG_NAMES) if code >> i & 1)
+                   for code in range(1 << len(FLAG_NAMES)))
+_FLAG_STRINGS = tuple(";".join(flags) for flags in _FLAG_SETS)
 
-    n_range: tuple
-    m_range: tuple
-    cells: tuple  # GridCell in (n, m) lexicographic order
+
+class DiagnosticsGrid:
+    """Per-(n, m) masses, approximation gaps and tail terms.
+
+    The grid holds (N, M) columns over n of ``n_range`` and m of
+    ``m_range``: ``mu``, ``gap`` and ``tail`` (gap and tail may be +inf)
+    and ``flag_codes``, built from the three flag columns ``ambiguous``,
+    ``inf_gap`` and ``inf_tail`` (bit i for FLAG_NAMES[i]).  ``to_rows``,
+    ``to_json`` and ``to_csv`` emit the rows straight from the columns, in
+    (n, m) lexicographic order, each cell's flags through a table of the
+    8 flag strings.  ``cells`` and ``cell(n, m)`` build ``GridCell``
+    records only when they are read.
+    """
+
+    __slots__ = ("n_range", "m_range", "mu", "gap", "tail", "flag_codes", "_cells")
+
+    def __init__(self, n_range, m_range, mu, gap, tail, ambiguous, inf_gap, inf_tail):
+        self.n_range, self.m_range = tuple(n_range), tuple(m_range)
+        shape = (len(self.n_range), len(self.m_range))
+        self.mu, self.gap, self.tail = (np.array(a, dtype=float).reshape(shape) for a in (mu, gap, tail))
+        flags = (np.asarray(a, dtype=bool).reshape(shape) for a in (ambiguous, inf_gap, inf_tail))
+        self.flag_codes = sum(f.astype(np.intp) << i for i, f in enumerate(flags))
+        for a in (self.mu, self.gap, self.tail, self.flag_codes):
+            a.flags.writeable = False
+        self._cells = None
+
+    @property
+    def cells(self) -> tuple:
+        """Every cell as a ``GridCell``, in (n, m) lexicographic order; built on first read."""
+        if self._cells is None:
+            self._cells = tuple(GridCell(n, m, mu, gap, tail, _FLAG_SETS[code]) for (n, m), mu, gap, tail, code
+                                in zip(itertools.product(self.n_range, self.m_range), *self._columns()))
+        return self._cells
 
     def cell(self, n: int, m: int) -> GridCell:
-        idx = self.n_range.index(n) * len(self.m_range) + self.m_range.index(m)
-        return self.cells[idx]
+        """The cell at (n, m) as a ``GridCell``, built alone."""
+        i, k = self.n_range.index(n), self.m_range.index(m)
+        return GridCell(self.n_range[i], self.m_range[k], float(self.mu[i, k]), float(self.gap[i, k]),
+                        float(self.tail[i, k]), _FLAG_SETS[int(self.flag_codes[i, k])])
+
+    def _columns(self) -> tuple:
+        """mu, gap, tail and the flag codes of every cell as flat lists, in row order."""
+        return tuple(a.ravel().tolist() for a in (self.mu, self.gap, self.tail, self.flag_codes))
 
     def to_rows(self):
-        for c in self.cells:
-            yield {
-                "n": c.n,
-                "m": c.m,
-                "mu": encode_number(c.mu),
-                "gap": encode_number(c.gap),
-                "tail": encode_number(c.tail),
-                "flags": ";".join(c.flags),
-            }
+        *numbers, codes = self._columns()
+        # encode_number changes only +-inf; a column without one is already JSON-safe
+        mu, gap, tail = ([encode_number(x) for x in column] if any(map(math.isinf, column)) else column
+                         for column in numbers)
+        for (n, m), mu_nm, gap_nm, tail_nm, code in zip(itertools.product(self.n_range, self.m_range),
+                                                        mu, gap, tail, codes):
+            yield {"n": n, "m": m, "mu": mu_nm, "gap": gap_nm, "tail": tail_nm, "flags": _FLAG_STRINGS[code]}
 
     def to_json(self) -> dict:
         return {
@@ -258,6 +297,16 @@ class DiagnosticsGrid:
         for row in self.to_rows():
             writer.writerow(row)
         return buf.getvalue()
+
+    def __eq__(self, other):
+        if not isinstance(other, DiagnosticsGrid):
+            return NotImplemented
+        return ((self.n_range, self.m_range) == (other.n_range, other.m_range)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("mu", "gap", "tail", "flag_codes")))
+
+    def __repr__(self):
+        return f"DiagnosticsGrid(n_range={self.n_range!r}, m_range={self.m_range!r}, cells={self.cells!r})"
 
 
 def dumps_canonical(obj: dict) -> str:

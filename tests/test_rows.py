@@ -26,7 +26,11 @@ value, where the per-cell form drops one at or below the rank tolerance
 of its cut; the last tests pin that difference.
 """
 
+import csv
+import io
+import itertools
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -35,9 +39,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdini import (
+    BUILTIN_SCENARIOS,
     ApproximationScheme,
     ChannelSequence,
     FunctionalFamily,
+    GridCell,
     OperatorSequence,
     PositiveOperator,
     approximation_gap_grid,
@@ -49,21 +55,27 @@ from qdini import (
     commuting_schedule,
     entropy_family,
     fixed_basis_schedule,
+    load_scenario,
     normalize,
     output_entropy_family,
     random_channel,
     random_unitary,
     relative_entropy_family,
+    report_to_csv,
+    report_to_json,
     run_scenario,
     spectral_truncation,
     trace_neg_log_family,
     truncation_criterion,
     truncation_lower_bound_slack,
 )
-from qdini import Scenario, diagnostics, entropies, scenarios, truncation
+from qdini import Scenario, channels, diagnostics, entropies, scenarios, truncation
 from qdini.entropies import SpectralCuts
 from qdini.operators import RANK_REL_TOL, Spectrum
 from qdini.truncation import coordinate_basis
+from qdini.verdicts import encode_number
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent / "scenarios"
 
 TOL = 1e-12
 SEEDS = range(4)
@@ -444,10 +456,11 @@ def test_dominated_row_flags_ties_at_a_cut():
 
 
 def _window_states_match_normalize(rho_diags, sigma_diags, c, scale, monkeypatch) -> Counter:
-    """Assert that the ``vanishing`` of the dominated window finds no state exactly where ``normalize`` does, on every head and tail."""
+    """Assert that the ``vanishing`` of the dominated window finds no state exactly where ``normalize`` does, on every head and tail it holds."""
     windows = []
     spectral_cuts = diagnostics.SpectralCuts
-    monkeypatch.setattr(diagnostics, "SpectralCuts", lambda *args: windows.append(spectral_cuts(*args)) or windows[-1])
+    monkeypatch.setattr(diagnostics, "SpectralCuts",
+                        lambda *args, **kwargs: windows.append(spectral_cuts(*args, **kwargs)) or windows[-1])
     if isinstance(_dominated_grids(rho_diags, sigma_diags, c, scale, entropy_family()), str):
         return Counter()
     assert windows
@@ -457,7 +470,8 @@ def _window_states_match_normalize(rho_diags, sigma_diags, c, scale, monkeypatch
             # the weights are in basis order, a permutation of the diagonal: ``normalize`` does not see it
             for i, k in enumerate(window.cuts[j].tolist()):
                 in_head = np.arange(row.size) < k
-                for side, part in enumerate((np.where(in_head, row, 0.0), np.where(in_head, 0.0, row))):
+                parts = (np.where(in_head, row, 0.0), np.where(in_head, 0.0, row))[:window.sides]
+                for side, part in enumerate(parts):
                     no_state = normalize(PositiveOperator(diagonal=part)) is None
                     assert window.vanishing[side, j, i] == no_state, (part, side)
                     seen[no_state] += 1
@@ -487,9 +501,135 @@ def test_simon_dct_grid_builds_no_operator_per_cell(constructions):
         report = run_scenario(Scenario.from_json(sc), m_max=m_max)
         assert len(report["grids"][0]["grid"]["cells"]) == 13 * m_max
         built.append(constructions["operators"])
-    # per n: tau_n, rho_n and the thermal state rho_n mixes in; c rho_n, the
-    # difference tau_n - c rho_n and sigma_n; whatever the number of cells
-    assert built[0] == built[1] <= 7 * 13
+    # per n: tau_n and rho_n; the limits add c rho_0, tau_0 - c rho_0 and
+    # sigma_0; whatever the number of cells, as the window reads arrays
+    assert built[0] == built[1] <= 2 * 13 + 3
+
+
+def _grid_forms_agree(grid) -> Counter:
+    """Assert that ``cells``, ``cell(n, m)``, ``to_json`` and ``to_csv`` of one grid agree cell by cell; the flags seen."""
+    rows = grid.to_json()["cells"]
+    csv_rows = list(csv.DictReader(io.StringIO(grid.to_csv())))
+    assert len(grid.cells) == len(rows) == len(csv_rows) == len(grid.n_range) * len(grid.m_range)
+    assert [(cell.n, cell.m) for cell in grid.cells] == list(itertools.product(grid.n_range, grid.m_range))
+    flags = Counter()
+    for cell, row, csv_row in zip(grid.cells, rows, csv_rows):
+        assert grid.cell(cell.n, cell.m) == cell
+        assert row == {"n": cell.n, "m": cell.m, "mu": encode_number(cell.mu), "gap": encode_number(cell.gap),
+                       "tail": encode_number(cell.tail), "flags": ";".join(cell.flags)}
+        assert csv_row == {key: str(value) for key, value in row.items()}
+        flags.update(cell.flags)
+    return flags
+
+
+def test_simon_dct_run_builds_no_grid_cell_and_every_grid_form_agrees(monkeypatch):
+    built, grids = Counter(), []
+    init = GridCell.__init__
+    monkeypatch.setattr(GridCell, "__init__", lambda self, *args: built.update(["cells"]) or init(self, *args))
+    grid_of = diagnostics.approximation_gap_grid
+    monkeypatch.setattr(diagnostics, "approximation_gap_grid", lambda *args: grids.append(grid_of(*args)) or grids[-1])
+    report = run_scenario(builtin_scenario("simon-dct"), seed=3)
+    report_to_json(report), report_to_csv(report)
+    assert len(grids) == 1 and not built
+    # every builtin grid, the scenario files' grids, and dense spectral grids with +inf and tied cells
+    for name in BUILTIN_SCENARIOS:
+        run_scenario(builtin_scenario(name), seed=3)
+    for name in ("near-tie-chain", "vanishing-sigma-limit"):
+        run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"), seed=3)
+    for case in ("support-break", "ties"):
+        rho_seq, sigma_seq, n_max = _window(case, True, 0)
+        grids.append(approximation_gap_grid(relative_entropy_family(sigma_seq), rho_seq, ApproximationScheme("spectral"),
+                                            n_max, rho_seq.dim))
+    assert len(grids) == 1 + 1 + 2 + 2
+    flags = sum((_grid_forms_agree(grid) for grid in grids), Counter())
+    assert set(flags) == {"ambiguous-m", "inf-gap", "inf-tail"}
+
+
+def test_dominated_window_evaluates_heads_only(monkeypatch):
+    # every row of the window is cut after its last coordinate: its tail
+    # side would be empty, so the channel stacks hold the heads alone
+    shapes = []
+    solve = channels.positive_eigenvalues
+
+    def recorded(stack):
+        stack = np.asarray(stack)
+        shapes.append(stack.shape)
+        # [output or environment, side, row, cut, :, :]: no side is all zero
+        assert all(np.any(stack[:, side]) for side in range(stack.shape[1]))
+        return solve(stack)
+
+    monkeypatch.setattr(channels, "positive_eigenvalues", recorded)
+    _dominated_row_matches_cells(*TIED_WINDOW, "channel-mi")
+    # the grid's 4 n x 6 m heads and tails, then the slack's with its whole column
+    assert shapes == [(2, 1, 48, 1, 5, 5), (2, 1, 56, 1, 5, 5)]
+
+
+# rho_n and tau_n with tau_n - rho_n not PSD first at n = 2, by -0.1, and again at n = 3, by -0.05
+NOT_PSD_AT_2 = ([[0.5, 0.3, 0.2]] * 4,
+                [[0.1, 0.1, 0.1], [0.1, 0.2, 0.1], [0.2, -0.1, 0.1], [-0.05, 0.2, 0.1]])
+
+
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
+def test_dominated_window_raises_the_first_failing_n_on_both_paths(kind):
+    rho_diags, sigma_diags = NOT_PSD_AT_2
+    got = _dominated_row_matches_cells(rho_diags, sigma_diags, 1.0, 1.0, kind)
+    assert got is None  # both paths raised the same text
+    rho, tau = (PositiveOperator(diagonal=np.array(x)) for x in (rho_diags[2], np.add(rho_diags[2], sigma_diags[2])))
+    with pytest.raises(ValueError) as scalar:
+        PositiveOperator.of(tau.sub(rho))
+    want = f"tau - c*rho: {scalar.value}"
+    assert "min eigenvalue -1.000e-01" in want
+    family = _rows_family(kind, _diagonal_sequence(sigma_diags, 1.0))
+    for fam in (family, _per_cell(family)):
+        assert _dominated_grids(rho_diags, sigma_diags, 1.0, 1.0, fam) == want
+
+
+@pytest.mark.parametrize("broken", [3, 2])
+def test_dominated_window_raises_in_member_order_when_a_member_fails(broken):
+    # tau_n's generator raises at n = broken: past the failing n = 2 both paths
+    # report tau_2 - rho_2, and at n = 2 the generator's own error
+    rho_diags, sigma_diags = NOT_PSD_AT_2
+
+    def tau_member(n):
+        if n == broken:
+            raise ValueError(f"member {n} cannot be built")
+        return PositiveOperator(diagonal=np.add(rho_diags[n], sigma_diags[n]))
+
+    rho, tau = _diagonal_sequence(rho_diags, 1.0), OperatorSequence(tau_member, 3)
+    want = "min eigenvalue -1.000e-01" if broken == 3 else "member 2 cannot be built"
+    for family in (entropy_family(), _per_cell(entropy_family())):
+        with pytest.raises(ValueError, match=want):
+            approximation_gap_grid(family, tau, ApproximationScheme("dominated", 1.0, rho), 3, 3)
+
+
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
+def test_dominated_window_below_the_floor_is_empty_on_both_paths(kind):
+    # rho_0 has a top multiplicity of 2: m_max = 1 is below the floor, so
+    # the grid has no m; the slack reads only the whole column and has no cell
+    rho_diags, sigma_diags = [[0.3, 0.3, 0.2]] * 3, [[0.2, 0.1, 0.05]] * 3
+    rho, tau = _diagonal_sequence(rho_diags, 1.0), _diagonal_sequence(np.add(rho_diags, sigma_diags), 1.0)
+    scheme = ApproximationScheme("dominated", 1.0, rho)
+    calls = Counter()
+    family = _counted(_rows_family(kind, _diagonal_sequence(sigma_diags, 1.0)), calls)
+    for fam in (family, _per_cell(family)):
+        grid = approximation_gap_grid(fam, tau, scheme, 2, 1)
+        assert (grid.m_range, grid.cells, grid.to_json()["cells"]) == ((), (), [])
+        assert truncation_lower_bound_slack(fam, tau, scheme, 2, 1) == math.inf
+    assert calls == {"rows": 1}  # the slack's whole column; the empty grid makes no call
+
+
+@pytest.mark.parametrize("kind", ROWS_FAMILIES)
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_dominated_window_with_sigma_vanishing_past_the_limit(kind, c):
+    # sigma_1 = 0 exactly (tau_1 = c rho_1 at these c), sigma_0 != 0 with a tie
+    # its m-hat cuts through at n = 2: only rho_1 is cut on both paths
+    rho_diags = [[0.4, 0.3, 0.2, 0.1], [0.35, 0.3, 0.25, 0.1], [0.4, 0.2, 0.2, 0.2]]
+    sigma_diags = [[0.3, 0.2, 0.2, 0.0], [0.0] * 4, [0.25, 0.25, 0.1, 0.1]]
+    rho = _diagonal_sequence(rho_diags, 1.0)
+    tau = OperatorSequence(lambda n: PositiveOperator(diagonal=c * np.array(rho_diags[n]) + np.array(sigma_diags[n])), 4)
+    _, rows = ApproximationScheme("dominated", c, rho).dominated_window(tau, range(3), 5)
+    assert [row.sigma_cuts is None for row in rows] == [False, True, False]
+    assert _dominated_row_matches_cells(rho_diags, sigma_diags, c, 1.0, kind)["ambiguous-m"]
 
 
 # ---------------------------------------------------------------------------
