@@ -50,8 +50,8 @@ from .operators import (
 )
 from .truncation import (
     ApproximationScheme,
+    DominatedCuts,
     OperatorSequence,
-    DominatedRow,
     ProjectorSchedule,
     ambiguous_cuts,
     check_positive,
@@ -274,44 +274,44 @@ def _truncation_window(family: FunctionalFamily, seq: OperatorSequence, scheme: 
     [rho_n].  With ``value`` (spectral scheme only), one more column after
     those cuts rho_n at its rank without normalizing, so its head is
     f_n(rho_n).  The spectral scheme reads the window off ``_cut_values``.
-    On the dominated scheme a family with rows on diagonal pairs reads
-    the window's cut diagonals off one ``dominated_diagonals`` call, with
-    no operator per n, and evaluates them in one ``family.rows`` call;
-    anything else takes the ``DominatedRow`` of each n from one
-    ``dominated_window`` call and evaluates each distinct cut pair of a
-    row once.
+    The dominated scheme reads it off one ``DominatedCuts`` table, whose
+    cuts and flags both of its evaluators share: a family with rows on
+    diagonal pairs evaluates the table's head and tail diagonals in one
+    ``family.rows`` call; anything else (dense pairs, families without
+    rows) truncates and evaluates each distinct cut pair of a row once,
+    from operators.
     """
     if scheme.kind == "spectral":
         m_range = range(1, m_max + 1)
         # a cut at m >= rank keeps rho_n whole: [rho_n] with ``whole``, then rho_n itself with ``value``
         ms = list(m_range) + [seq.dim] * (whole + value)
         return (m_range, *_spectral_window(family, seq, ns, ms, np.arange(len(ms)) < len(m_range) + whole))
-    stacked = scheme.dominated_diagonals(seq, ns, m_max, whole) if family.rows is not None else None
-    if stacked is not None:
-        m_range, heads, tails, ambiguous = stacked
-        mass, f_head, tail_mass, f_tail = _dominated_diagonal_window(family, ns, heads, tails)
-        return m_range, mass, ambiguous, f_head, tail_mass, f_tail
-    m_range, rows = scheme.dominated_window(seq, ns, m_max)
-    if whole:
-        rows = [row.with_whole() for row in rows]
-    cells = [_dominated_cells(family, n, row) for n, row in zip(ns, rows)]
-    window = np.array(cells, dtype=float).reshape(len(ns), len(m_range) + whole, 5)
-    mass, ambiguous, f_head, tail_mass, f_tail = np.moveaxis(window, -1, 0)
-    return m_range, mass, ambiguous.astype(bool), f_head, tail_mass, f_tail
+    table = scheme.dominated_cuts(seq, ns, m_max, whole)
+    parts = table.diagonal_parts() if family.rows is not None else None
+    if parts is not None:
+        mass, f_head, tail_mass, f_tail = _dominated_diagonal_window(family, ns, *parts)
+    else:
+        mass, f_head, tail_mass, f_tail = _dominated_cells(family, ns, table)
+    return table.m_range, mass, table.ambiguous, f_head, tail_mass, f_tail
 
 
-def _truncation_cell(family: FunctionalFamily, n: int, tr) -> tuple:
-    return tr.mass, tr.ambiguous, _state_value(family, n, tr.head), tr.tail.trace(), _state_value(family, n, tr.tail)
+def _dominated_cells(family: FunctionalFamily, ns, table: DominatedCuts) -> np.ndarray:
+    """(head mass, f_head, tail mass, f_tail) of a dominated cut table from operators, each (N, M).
 
-
-def _dominated_cells(family: FunctionalFamily, n: int, row: DominatedRow) -> list:
-    """The cells of one dominated row, each distinct cut pair evaluated once."""
-    keys = row.keys()
-    cells = {}
-    for i, key in enumerate(keys):
-        if key not in cells:
-            cells[key] = _truncation_cell(family, n, row.truncation(i))
-    return [cells[key] for key in keys]
+    Each distinct (n, rho cut, sigma cut) is truncated and evaluated once.
+    """
+    rho_cuts, sigma_cuts = table.cuts.tolist()
+    window = []
+    for j, n in enumerate(ns):
+        keys = list(zip(rho_cuts[j], sigma_cuts[j] if table.cut_sigma[j] else [None] * len(rho_cuts[j])))
+        cells = {}
+        for i, key in enumerate(keys):
+            if key not in cells:
+                tr = table.truncation(j, i)
+                cells[key] = (tr.mass, _state_value(family, n, tr.head),
+                              tr.tail.trace(), _state_value(family, n, tr.tail))
+            window.append(cells[key])
+    return np.moveaxis(np.array(window, dtype=float).reshape(table.ambiguous.shape + (4,)), -1, 0)
 
 
 def _spectral_window(family: FunctionalFamily, seq: OperatorSequence, ns, m_range, normalized=True) -> tuple:
@@ -341,7 +341,7 @@ def _dominated_diagonal_window(family: FunctionalFamily, ns, heads: np.ndarray, 
     """(head mass, f_head, tail mass, f_tail) of the dominated scheme on diagonal pairs, each (N, M), in one ``family.rows`` call.
 
     ``heads`` and ``tails`` are the (N, M, d) diagonals of
-    ``ApproximationScheme.dominated_diagonals``.  The heads of every row,
+    ``DominatedCuts.diagonal_parts``.  The heads of every row,
     then their tails, are the 2 N M rows of one ``SpectralCuts`` on the
     coordinate basis, each weighted by its diagonal and cut once after its
     last coordinate, normalized.  Every tail of that window is empty, so
@@ -382,8 +382,9 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized,
       or a diagonal basis of a diagonal operator: one ``family.rows``
       call over one ``SpectralCuts``, whose rows are weighted by the kept
       spectrum (a cut as ``split`` cuts it) or by the clamped diagonal in
-      basis order (P X P is X's diagonal masked by P's), and where a
-      state exists iff the cut's mass is positive.  On a diagonal basis
+      basis order (P X P is X's diagonal masked by P's), which holds the
+      tails only when they are asked for, and where a state exists iff
+      the cut's mass is positive.  On a diagonal basis
       the window counts every positive value of the diagonal, where the
       per-cell form drops those at or below the rank tolerance of their
       cut (see ``SpectralCuts``);
@@ -398,9 +399,10 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized,
     if family.rows is not None and all(mine or (op.is_diagonal and basis.diagonal)
                                        for mine, op, basis in zip(own, ops, bases)):
         weights = [basis.kept() if mine else op.diag[basis.basis] for mine, op, basis in zip(own, ops, bases)]
-        window = SpectralCuts(bases, cuts, normalized, weights)
-        missing = ~asked[:, None, None] | (normalized & window.vanishing)
-        return np.where(missing, np.nan, family.rows(ns, window))
+        window = SpectralCuts(bases, cuts, normalized, weights, tails)
+        missing = ~asked[:window.sides, None, None] | (normalized & window.vanishing)
+        values = np.where(missing, np.nan, family.rows(ns, window))
+        return values if tails else np.concatenate([values, np.full_like(values, np.nan)])
     values = np.full((2,) + cuts.shape, np.nan)
     for j, (n, op, basis) in enumerate(zip(ns, ops, bases)):
         for i, k in enumerate(cuts[j].tolist()):

@@ -40,6 +40,10 @@ SUPPORT_TOL = 1e-10
 D(X||sigma) and Tr X(-ln sigma) are +inf, and so every finite-value check on them."""
 
 
+_TINY_MASS = 1.0 / np.finfo(float).max
+"""The least mass whose reciprocal is finite, about 5.6e-309."""
+
+
 def _support_tol(trace):
     """The mass of X off supp sigma that still counts as on it: SUPPORT_TOL, relative above Tr X = 1."""
     return SUPPORT_TOL * np.maximum(1.0, trace)
@@ -222,6 +226,14 @@ class SpectralCuts:
     shape (1, N, M) and hold the heads only, so a window whose tails are
     not read costs nothing for them.
 
+    ``values`` holds V, ``mass`` each cut's sum of it and ``scale`` c, so
+    Tr X = scale * mass.  A row with a positive cut mass whose reciprocal
+    overflows (a subnormal mass) is held instead in units of 2^e, e the
+    binary exponent of its largest weight: its ``values`` and ``mass`` are
+    exactly 2^-e times V and its sums, and its unnormalized scale is 2^e.
+    No scale overflows then, unless a row's weights span more than the
+    float range, which kept values never do; other rows are unchanged.
+
     The window functionals below read a head off a forward cumulative sum
     along each row of V and a tail off a reversed one, so a whole window of
     cuts costs a few array passes.  They count every positive weight.  Kept
@@ -238,14 +250,20 @@ class SpectralCuts:
     def __init__(self, spectra, cuts, normalized, weights=None, tails=True):
         v = np.stack([spec.kept() for spec in spectra]) if weights is None else np.asarray(weights, dtype=float)
         self.spectra = tuple(spectra)
-        self.values = v
         self.cuts = np.asarray(cuts, dtype=np.intp)
         self.sides = 1 + bool(tails)
         self._rows = np.arange(v.shape[0])[:, None]  # gathers prefix[j, k[j, i]] with k
-        self.mass = self.sums(v)
-        self.scale = np.ones_like(self.mass)
+        mass = self.sums(v)
+        self.scale = np.ones_like(mass)
+        tiny = (mass < _TINY_MASS) & (mass > 0.0)
+        if tiny.any():
+            e = np.where(tiny.any(axis=(0, 2)), np.frexp(v.max(axis=1))[1], 0)
+            v = np.ldexp(v, -e[:, None])
+            mass = self.sums(v)
+            self.scale = np.broadcast_to(np.ldexp(1.0, e)[:, None], mass.shape).copy()
+        self.values, self.mass = v, mass
         # a cut of zero mass (the empty tail at the rank) has no state and stays unscaled
-        np.divide(1.0, self.mass, out=self.scale, where=np.logical_and(normalized, self.mass > 0.0))
+        np.divide(1.0, mass, out=self.scale, where=np.logical_and(normalized, mass > 0.0))
         # ``vanishes()`` on each cut: Tr X <= d RANK_REL_TOL * top with
         # d RANK_REL_TOL < 1, and a sum of non-negative values never rounds
         # below its largest, so only a cut of mass 0 vanishes

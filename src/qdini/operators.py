@@ -37,9 +37,10 @@ differences upper_n - c lower_n of a whole window of orderings in one
 call, and ``positive_eigenvalues`` applies the rule
 to a whole stack of matrices with one eigensolve, for the window
 functionals that need many small spectra and no operators.
-``positive_diagonals`` applies it to a stack of diagonals, and
-``diagonal_spectra`` sorts such a stack as ``PositiveOperator.spectrum``
-sorts each row, with one stable argsort and no operator built.
+``positive_diagonal`` applies it to one diagonal, and
+``diagonal_spectra`` sorts a stack of diagonals as
+``PositiveOperator.spectrum`` sorts each, with one stable argsort; neither
+builds an operator.
 """
 
 from __future__ import annotations
@@ -447,20 +448,15 @@ def positive_eigenvalues(matrices) -> np.ndarray:
     return np.maximum(eigs[..., ::-1], 0.0)
 
 
-def positive_diagonals(diagonals) -> np.ndarray:
-    """A stack of diagonals (N, d) as ``PositiveOperator(diagonal=...)`` would store each: one rule call for the stack.
+def positive_diagonal(diagonal: np.ndarray) -> np.ndarray:
+    """One diagonal as ``PositiveOperator(diagonal=...)`` stores it, clamped at 0, with no operator built.
 
-    Each row is checked by the PSD rule on its min and max, the first that
-    fails raising the error ``PositiveOperator`` raises; the result holds
-    each row clamped at 0.
+    The PSD rule reads its min and max and raises the error ``PositiveOperator`` raises.
     """
-    diagonals = np.asarray(diagonals, dtype=float)
-    lam_min, lam_max = diagonals.min(axis=1), diagonals.max(axis=1)
-    failing = np.flatnonzero(np.logical_not(_passes_psd(lam_min, lam_max)))
-    if failing.size:
-        first = failing[0]
-        raise _not_psd(lam_min[first], lam_max[first], diagonals[first])
-    return np.maximum(diagonals, 0.0)
+    lam_min, lam_max = float(diagonal.min()), float(diagonal.max())
+    if not _passes_psd(lam_min, lam_max):
+        raise _not_psd(lam_min, lam_max, diagonal)
+    return np.maximum(diagonal, 0.0)
 
 
 def diagonal_spectra(diagonals: np.ndarray) -> tuple:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .operators import (
     diagonal_spectra,
     eigh,  # noqa: F401  kept importable from here: perfbench's tracer test wraps truncation.eigh
     group_ends,
-    positive_diagonals,
+    positive_diagonal,
     support_projector,
 )
 from .verdicts import INEQUALITY, CheckResult, TrendSummary, Verdict
@@ -134,67 +135,25 @@ def dominated_truncation(tau: PositiveOperator, rho: PositiveOperator, c: float,
 
     head = c Psi_{m-hat(rho_limit)}(rho) + Psi_{m-hat(sigma_limit)}(sigma)
     with sigma = tau - c rho, c > 0; m must reach the top-eigenvalue
-    multiplicity of each limit operator (1 for a zero limit).
+    multiplicity of each limit operator (1 for a zero limit), or of the
+    rho limit alone when sigma vanishes.  It is the one cell of the cut
+    table of the pair (rho, sigma) at m.
     """
     check_positive("c", c)
     if tau.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {tau.dim} vs {rho.dim}")
     sigma = _sigma_part(tau, rho, c)
     limits = (rho_limit, sigma_limit)
-    return _cut_pairs(rho, sigma, c, (m,), _limit_floors(limits), _limit_m_hats(limits, (m,))).truncation(0)
+    floors = _limit_floors(limits)
+    m_star = floors[0] if sigma.vanishes() else max(floors)
+    if m < m_star:
+        raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
+    return _cut_table(limits, range(m, m + 1), c, [rho], [sigma]).truncation(0, 0)
 
 
 def _limit_floors(limits) -> tuple:
     """The multiplicity floor of each limit (rho_0, sigma_0): its first stable index, the least m with an m-hat."""
     return tuple(top_multiplicity(limit) for limit in limits)
-
-
-def _limit_m_hats(limits, m_range) -> tuple:
-    """m-hat of each limit (rho_0, sigma_0) at every m of m_range, 0 where it has none."""
-    return tuple(largest_stable_indices(limit, m_range) for limit in limits)
-
-
-@dataclass(frozen=True, eq=False)
-class DominatedRow:
-    """Row n of the dominated scheme: rho_n, sigma_n = tau_n - c rho_n and the cut pair of each m.
-
-    ``rho_cuts[i]`` is m-hat of the rho limit at the i-th m, clipped at
-    rank rho_n (at least 1), and ``sigma_cuts[i]`` the same for the sigma
-    limit and sigma_n.  A cut at or past the rank truncates to the
-    operator itself, so the clip changes no truncation, and two m with the
-    same pair have the same truncation.  When sigma_n vanishes only rho_n
-    is cut and ``sigma_cuts`` is None.
-    """
-
-    rho: PositiveOperator
-    sigma: PositiveOperator
-    c: float
-    rho_cuts: np.ndarray
-    sigma_cuts: np.ndarray | None
-
-    def keys(self) -> list:
-        """The cut pair of each m as a hashable key: (rho cut, sigma cut or None)."""
-        sigma = [None] * self.rho_cuts.size if self.sigma_cuts is None else self.sigma_cuts.tolist()
-        return list(zip(self.rho_cuts.tolist(), sigma))
-
-    def with_whole(self) -> "DominatedRow":
-        """This row with one more cut pair after the last, at the ranks of rho_n and sigma_n: the whole tau_n."""
-        def at_rank(cuts, op):
-            return np.append(cuts, max(op.spectrum().rank, 1))
-
-        sigma_cuts = None if self.sigma_cuts is None else at_rank(self.sigma_cuts, self.sigma)
-        return DominatedRow(self.rho, self.sigma, self.c, at_rank(self.rho_cuts, self.rho), sigma_cuts)
-
-    def truncation(self, i: int) -> TruncationResult:
-        """c Psi(rho_n) + Psi(sigma_n) at the i-th m, head and tail each summed as operators."""
-        head_rho = spectral_truncation(self.rho, int(self.rho_cuts[i]))
-        if self.sigma_cuts is None:
-            head = head_rho.head.scale(self.c)
-            return TruncationResult(head, head_rho.tail.scale(self.c), head.trace(), head_rho.ambiguous)
-        head_sigma = spectral_truncation(self.sigma, int(self.sigma_cuts[i]))
-        head = head_rho.head.scale(self.c).add(head_sigma.head)
-        tail = head_rho.tail.scale(self.c).add(head_sigma.tail)
-        return TruncationResult(head, tail, head.trace(), head_rho.ambiguous or head_sigma.ambiguous)
 
 
 def ambiguous_cuts(spectra, cuts: np.ndarray) -> np.ndarray:
@@ -203,8 +162,13 @@ def ambiguous_cuts(spectra, cuts: np.ndarray) -> np.ndarray:
     ``cuts`` has shape (N, M), row j cutting spectra[j].  A cut is ambiguous iff it
     is below the rank, where values are kept values, and no group ends at it.
     """
-    return _ambiguous_cuts(np.stack([spec.values for spec in spectra]), np.array([spec.rank for spec in spectra]),
-                           np.array([[spec.gap_tol] for spec in spectra]), cuts)
+    return _ambiguous_cuts(*_stacked(spectra), cuts)
+
+
+def _stacked(spectra) -> tuple:
+    """(values (N, d), ranks (N,), gap tolerances (N, 1)) of a list of spectra."""
+    return (np.array([spec.values for spec in spectra]), np.array([spec.rank for spec in spectra]),
+            np.array([[spec.gap_tol] for spec in spectra]))
 
 
 def _ambiguous_cuts(values: np.ndarray, ranks: np.ndarray, gap_tols: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -213,30 +177,103 @@ def _ambiguous_cuts(values: np.ndarray, ranks: np.ndarray, gap_tols: np.ndarray,
     return (cuts < ranks[:, None]) & ~ends[np.arange(len(values))[:, None], cuts - 1]
 
 
-def _cut_pairs(rho: PositiveOperator, sigma: PositiveOperator, c: float, m_range,
-               floors: tuple, m_hats: tuple) -> DominatedRow:
-    """The cut pairs of every m of m_range, raising at the first m below the multiplicity floor m_*.
+@dataclass(frozen=True, eq=False)
+class DominatedCuts:
+    """The cut table of the dominated scheme: rows n of pairs (rho_n, sigma_n = tau_n - c rho_n), columns m of m_range.
 
-    ``floors`` and ``m_hats`` hold, for the rho and the sigma limit, its
-    floor (first stable index) and its m-hat at each m of m_range, so every
-    m from m_* on has a cut pair.  When sigma vanishes only the rho limit cuts.
+    ``cuts[0, j, i]`` is m-hat of the rho limit at the i-th m, clipped at
+    rank rho_n (at least 1), and ``cuts[1, j, i]`` the same for the sigma
+    limit and sigma_n.  A cut at or past the rank truncates to the
+    operator itself, so the clip changes no truncation.  A table built
+    with ``whole`` has one more column, each operator cut at its rank,
+    whose head is tau_n.  Where sigma_n vanishes (``cut_sigma[j]`` false)
+    only rho_n is cut.  ``ambiguous[j, i]`` flags a cut inside a
+    multiplicity group, of rho_n or of a sigma_n that is cut.  Two
+    evaluators read the table: ``diagonal_parts`` from arrays and
+    ``truncation`` from operators, the oracle of the other.
     """
-    cuts_sigma = not sigma.vanishes()
-    m_star = max(floors[:1 + cuts_sigma])
-    for m in m_range:
-        if m < m_star:
-            raise ValueError(f"m = {m} is below the multiplicity floor m_* = {m_star}")
 
-    def clipped(op, m_hat):
-        return np.minimum(m_hat, max(op.spectrum().rank, 1))
+    m_range: range
+    c: float
+    rhos: tuple
+    sigmas: tuple  # each an operator, or the clamped diagonal of a diagonal pair
+    cuts: np.ndarray  # ints, shape (2, N, M)
+    cut_sigma: np.ndarray  # bools, shape (N,)
+    ambiguous: np.ndarray  # bools, shape (N, M)
+    # (clamped diagonals, stable argsorts, ranks) of every rho_n, then sigma_n, if all are diagonal
+    diagonals: tuple | None
 
-    sigma_cuts = clipped(sigma, m_hats[1]) if cuts_sigma else None
-    return DominatedRow(rho, sigma, c, clipped(rho, m_hats[0]), sigma_cuts)
+    def diagonal_parts(self):
+        """(heads, tails): the diagonals of the head and the tail of c Psi(rho_n) + Psi(sigma_n) at every cell, (N, M, d); None unless every pair is diagonal.
+
+        A cut keeps the first values of its row, and a cut at or past the
+        rank the whole row; the tail keeps the other kept values.  A
+        diagonal sigma_n that vanishes is 0 (a sum of non-negative values
+        never rounds below its largest), so adding its parts moves no bit.
+        """
+        if self.diagonals is None:
+            return None
+        both, order, ranks = self.diagonals
+        count, d = both.shape
+        cuts = self.cuts.reshape(count, -1)
+        position = np.empty_like(order)  # coordinate i is the position[j, i]-th value of row j
+        position[np.arange(count)[:, None], order] = np.arange(d)
+        in_head = (position[:, None, :] < cuts[:, :, None]) | (cuts >= ranks[:, None])[:, :, None]
+        heads = np.where(in_head, both[:, None, :], 0.0)
+        tails = np.where(in_head | (position >= ranks[:, None])[:, None, :], 0.0, both[:, None, :])
+        n = count // 2
+        return self.c * heads[:n] + heads[n:], self.c * tails[:n] + tails[n:]
+
+    def truncation(self, j: int, i: int) -> TruncationResult:
+        """c Psi(rho_n) + Psi(sigma_n) at row j and column i from operators: c rho_n.split(k) + sigma_n.split(l), each sum checked by ``add``."""
+        rho_head, rho_tail = self.rhos[j].split(int(self.cuts[0, j, i]))
+        head, tail = rho_head.scale(self.c), rho_tail.scale(self.c)
+        if self.cut_sigma[j]:
+            sigma_head, sigma_tail = self._sigma_operators[j].split(int(self.cuts[1, j, i]))
+            head, tail = head.add(sigma_head), tail.add(sigma_tail)
+        return TruncationResult(head, tail, head.trace(), bool(self.ambiguous[j, i]))
+
+    @cached_property
+    def _sigma_operators(self) -> tuple:
+        """sigma_n as an operator: a diagonal pair's clamped diagonal is built into one here, on the first per-cell read."""
+        return tuple(PositiveOperator(diagonal=s) if isinstance(s, np.ndarray) else s for s in self.sigmas)
 
 
-def _sigma_part(tau: PositiveOperator, rho: PositiveOperator, c: float) -> PositiveOperator:
-    """sigma = tau - c rho, checked by the PSD rule."""
+def _cut_table(limits, m_range, c: float, rhos, sigmas, whole: bool = False) -> DominatedCuts:
+    """The ``DominatedCuts`` of the pairs (rhos[j], sigmas[j]) over m_range, cut at the m-hats of the limits (rho_0, sigma_0).
+
+    Each sigma_n is an operator, or the clamped diagonal of a diagonal
+    pair.  Every rho_n and sigma_n enters as its stacked spectrum (values,
+    rank, gap tolerance): one stable argsort of the diagonals when every
+    pair is diagonal, each operator's own spectrum otherwise.  sigma_n
+    vanishes as ``vanishes()`` decides, from its trace and largest value.
+    """
+    count = len(rhos)
+    if all(isinstance(sigma, np.ndarray) for sigma in sigmas):
+        both = np.array([rho.diag for rho in rhos] + list(sigmas))
+        order, values, ranks, gap_tols = diagonal_spectra(both)
+        diagonals, traces = (both, order, ranks), both[count:].sum(axis=1)
+    else:
+        sigmas = [PositiveOperator(diagonal=s) if isinstance(s, np.ndarray) else s for s in sigmas]
+        values, ranks, gap_tols = _stacked([op.spectrum() for op in [*rhos, *sigmas]])
+        diagonals, traces = None, np.array([sigma.trace() for sigma in sigmas])
+    clip = np.maximum(ranks, 1)[:, None]
+    m_hats = np.stack([largest_stable_indices(limit, m_range) for limit in limits])
+    cuts = np.minimum(np.repeat(m_hats, count, axis=0), clip)
+    if whole:
+        cuts = np.concatenate([cuts, clip], axis=1)
+    cut_sigma = traces > default_rank_tols(values.shape[1], values[count:, 0])
+    flags = _ambiguous_cuts(values, ranks, gap_tols, cuts)
+    ambiguous = flags[:count] | (cut_sigma[:, None] & flags[count:])
+    return DominatedCuts(m_range, c, tuple(rhos), tuple(sigmas), cuts.reshape(2, count, -1), cut_sigma, ambiguous,
+                         diagonals)
+
+
+def _sigma_part(tau: PositiveOperator, rho: PositiveOperator, c: float, row: bool = False):
+    """sigma = tau - c rho, checked by the PSD rule; with ``row``, a diagonal pair gives its ``positive_diagonal`` instead."""
     try:
+        if row and tau.is_diagonal and rho.is_diagonal:
+            return positive_diagonal(tau.diag - rho.diag * c)
         return PositiveOperator.of(tau.sub(rho.scale(c)))
     except ValueError as exc:
         raise ValueError(f"tau - c*rho: {exc}") from None
@@ -248,8 +285,8 @@ class ApproximationScheme:
 
     The dominated kind truncates tau_n = c rho_n + sigma_n by cutting rho_n
     and sigma_n = tau_n - c rho_n separately at stable indices of the limit
-    operators (c > 0).  The limits and their cut indices are worked out
-    once per ``dominated_window`` call.
+    operators (c > 0).  One ``dominated_cuts`` call builds the limits, the
+    members and the cut table of a whole window; the scheme holds no cache.
     """
 
     kind: str = "spectral"  # "spectral" or "dominated"
@@ -263,91 +300,29 @@ class ApproximationScheme:
             raise ValueError("dominated scheme needs the dominated sequence")
         check_positive("c", self.c)
 
-    def dominated_window(self, seq: OperatorSequence, ns, m_max: int) -> tuple:
-        """(m_range, rows): the dominated scheme's m-range up to m_max and the ``DominatedRow`` of each n of ns.
+    def dominated_cuts(self, seq: OperatorSequence, ns, m_max: int, whole: bool = False) -> DominatedCuts:
+        """The ``DominatedCuts`` of rows n of ns and of the m-range from the multiplicity floor to m_max, plus the whole column with ``whole``.
 
-        The m-range starts at the multiplicity floor: the first stable index
-        of each limit, so every m of it has a cut pair.  A row whose sigma_n
-        vanishes cuts only rho_n.  This is the per-cell form, one
-        operator per rho_n and sigma_n: dense pairs and families without
-        rows read it, and it is the oracle of ``dominated_diagonals``.
+        The floor is the first stable index of each limit, so every m of
+        the range has a cut pair.  rho_n and tau_n are generated in n order,
+        and sigma_n = tau_n - c rho_n passes the PSD rule before the next n
+        is generated, so the first failing n or member raises.  A diagonal
+        pair builds no operator; n = 0 reads the sigma limit.
         """
-        limits, floors, m_range, m_hats = self._window_indices(seq, m_max)
-        rows = []
+        limits = self._limits(seq)
+        m_range = range(max(_limit_floors(limits)), m_max + 1)
+        limit = limits[1].diag if limits[1].is_diagonal else limits[1]  # row 0's sigma_n
+        rhos, sigmas = [], []
         for n in ns:
-            rho = limits[0] if n == 0 else self.dominated(n)
-            sigma = limits[1] if n == 0 else _sigma_part(seq(n), rho, self.c)
-            rows.append(_cut_pairs(rho, sigma, self.c, m_range, floors, m_hats))
-        return m_range, rows
-
-    def dominated_diagonals(self, seq: OperatorSequence, ns, m_max: int, whole: bool = False):
-        """(m_range, heads, tails, ambiguous) of the dominated window from arrays, or None unless every rho_n and tau_n is diagonal.
-
-        heads[j, i] and tails[j, i] are the diagonals of the head and the
-        tail of c Psi(rho_n) + Psi(sigma_n) at n = ns[j] and the i-th m,
-        shape (N, M, d), and ambiguous[j, i] flags a cut inside a
-        multiplicity group.  With ``whole``, one more column after m_range
-        cuts rho_n and sigma_n at their ranks, so its head is tau_n.  The
-        numbers are those of the rows of ``dominated_window``, bitwise,
-        with no operator built past the limits: the stacked
-        tau_n - c rho_n pass the PSD rule row by row, the first failing n
-        raising the error ``dominated_window`` raises; one stable argsort
-        sorts every rho_n and sigma_n; the cut of each m is m-hat of the
-        limit clipped at the rank (at least 1).  Where sigma_n vanishes only
-        rho_n is cut and sigma_n's flags are ignored.
-        """
-        if not (self.dominated(0).is_diagonal and seq(0).is_diagonal):
-            return None
-        _, _, m_range, m_hats = self._window_indices(seq, m_max)
-        try:
-            members = [(self.dominated(n), seq(n)) for n in ns]
-        except Exception:
-            # the per-cell form generates and checks member by member, so it
-            # raises at an earlier sigma_n that fails the rule, else here again
-            self.dominated_window(seq, ns, m_max)
-            raise
-        if not all(rho.is_diagonal and tau.is_diagonal for rho, tau in members):
-            return None
-        rho = np.array([rho.diag for rho, _ in members])
-        try:
-            sigma = positive_diagonals(np.array([tau.diag for _, tau in members]) - rho * self.c)
-        except ValueError as exc:
-            raise ValueError(f"tau - c*rho: {exc}") from None
-        # rows 0..N-1 hold rho_n and rows N..2N-1 sigma_n
-        both = np.concatenate([rho, sigma])
-        count, d = both.shape
-        order, values, ranks, gap_tols = diagonal_spectra(both)
-        clip = np.maximum(ranks, 1)[:, None]
-        cuts = np.minimum(np.repeat(np.stack(m_hats), len(members), axis=0), clip)
-        if whole:
-            cuts = np.concatenate([cuts, clip], axis=1)
-        flags = _ambiguous_cuts(values, ranks, gap_tols, cuts)
-        position = np.empty_like(order)  # coordinate i is the position[j, i]-th value of row j
-        position[np.arange(count)[:, None], order] = np.arange(d)
-        # a cut keeps its first values, and a cut at or past the rank the whole row; the tail keeps the other kept values
-        in_head = (position[:, None, :] < cuts[:, :, None]) | (cuts >= ranks[:, None])[:, :, None]
-        heads = np.where(in_head, both[:, None, :], 0.0)
-        tails = np.where(in_head | (position >= ranks[:, None])[:, None, :], 0.0, both[:, None, :])
-        cut_sigma = sigma.sum(axis=1) > default_rank_tols(d, sigma.max(axis=1))  # not ``vanishes()``
-        n = len(members)
-        rho_heads, rho_tails = self.c * heads[:n], self.c * tails[:n]
-        joined = cut_sigma[:, None, None]
-        heads = np.where(joined, rho_heads + heads[n:], rho_heads)
-        tails = np.where(joined, rho_tails + tails[n:], rho_tails)
-        return m_range, heads, tails, flags[:n] | (cut_sigma[:, None] & flags[n:])
+            rhos.append(self.dominated(n))
+            sigmas.append(_sigma_part(seq(n), rhos[-1], self.c, row=True) if n else limit)
+        return _cut_table(limits, m_range, self.c, rhos, sigmas, whole)
 
     def m_floor(self, seq: OperatorSequence) -> int:
         """Smallest usable m: 1 for spectral, the multiplicity floor otherwise."""
         if self.kind == "spectral":
             return 1
         return max(_limit_floors(self._limits(seq)))
-
-    def _window_indices(self, seq: OperatorSequence, m_max: int) -> tuple:
-        """(limits, floors, m_range, m_hats) of a dominated window up to m_max; m_hats[k] holds limit k's m-hat at each m of m_range."""
-        limits = self._limits(seq)
-        floors = _limit_floors(limits)
-        m_range = range(max(floors), m_max + 1)
-        return limits, floors, m_range, _limit_m_hats(limits, m_range)
 
     def _limits(self, seq: OperatorSequence) -> tuple:
         """The limits (rho_0, sigma_0 = tau_0 - c rho_0) of the dominated scheme on seq."""

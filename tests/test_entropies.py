@@ -21,7 +21,7 @@ from qdini import (
     trace_neg_log,
     von_neumann_entropy,
 )
-from qdini.entropies import SpectralCuts, relative_entropy_cuts, trace_neg_log_cuts
+from qdini.entropies import SpectralCuts, entropy_cuts, relative_entropy_cuts, trace_neg_log_cuts
 
 
 def _scalar_entropy(lam):
@@ -253,3 +253,29 @@ class TestCompressedEntropyPair:
             p = coordinate_projector(5, range(k))
             s_head, s_tail = compressed_entropy_pair(rho, p)
             assert s_head + s_tail <= float(von_neumann_entropy(rho)) + 1e-9
+
+
+class TestSubnormalCutMass:
+    # the tail at cut 1 has mass 1e-310, below 1 / DBL_MAX, so 1 / mass overflows
+    SPECTRUM = PositiveOperator(diagonal=[1e-300, 1e-310]).spectrum()
+
+    def test_states_of_the_cuts_are_pure(self):
+        cuts = SpectralCuts([self.SPECTRUM], [[1]], True)
+        assert np.isfinite(cuts.scale).all()
+        np.testing.assert_allclose(cuts.scale * cuts.mass, 1.0, rtol=1e-15)
+        # head [e_0] and tail [e_1]: S = 0, and D = ln 2 against I/2
+        np.testing.assert_allclose(entropy_cuts(cuts), 0.0, atol=1e-15)
+        np.testing.assert_allclose(relative_entropy_cuts(cuts, [PositiveOperator(diagonal=[0.5, 0.5])]),
+                                   math.log(2.0), rtol=1e-14)
+
+    def test_unnormalized_cuts_keep_their_masses_exactly(self):
+        cuts = SpectralCuts([self.SPECTRUM], [[1]], False)
+        assert (cuts.scale * cuts.mass).ravel().tolist() == [1e-300, 1e-310]
+
+    def test_a_finite_reciprocal_is_the_scale_bitwise(self):
+        spectrum = PositiveOperator(diagonal=[1e-300, 3e-301, 1e-305]).spectrum()
+        cuts = SpectralCuts([spectrum], [[0, 1, 2, 3]], True)
+        positive = cuts.mass > 0.0
+        assert np.array_equal(cuts.values, spectrum.kept()[None, :])
+        assert np.array_equal(cuts.scale[positive], 1.0 / cuts.mass[positive])
+        assert np.all(cuts.scale[~positive] == 1.0)

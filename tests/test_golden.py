@@ -17,7 +17,9 @@ pins the seeded random generators and every worst slack the same way.
 tests/scenarios/ but the ``usage-*`` ones (which must exit 2 and have no
 report) to its decoded report at seed 3, with QDINI_THREADS unset, captured
 before the diagonal windows of other bases and of the dominated scheme
-became rows windows.  The same rule applies.
+became rows windows; ``dominated-dense``, whose dense pairs take the
+per-cell dominated path, was captured before the diagonal and dense
+dominated windows shared one cut table.  The same rule applies.
 """
 
 import json

@@ -320,3 +320,28 @@ def test_only_operators_calls_the_eigensolvers():
 def test_the_structural_check_sees_a_call():
     assert _eigensolver_calls(ast.parse("import numpy as np\nnp.linalg.eigvalsh(m)\n")) == [2]
     assert _eigensolver_calls(ast.parse("from numpy.linalg import eigh\n")) == [1]
+
+
+def _broad_handlers(tree: ast.AST) -> list:
+    """Line numbers of bare ``except:`` handlers and of those that name Exception or BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")) for t in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_catches_every_exception():
+    # one failure policy: an input's ValueError crosses to the scenario boundary,
+    # and no handler in the library swallows or replays a failure of any type
+    package = Path(qdini.__file__).parent
+    offenders = {path.name: _broad_handlers(ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def test_the_handler_check_sees_broad_handlers():
+    source = ("try:\n    f()\nexcept:\n    pass\ntry:\n    f()\nexcept Exception:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, BaseException):\n    pass\ntry:\n    f()\nexcept ValueError:\n    pass\n")
+    assert _broad_handlers(ast.parse(source)) == [3, 7, 11]

@@ -31,6 +31,7 @@ import io
 import itertools
 import math
 import pathlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -55,6 +56,7 @@ from qdini import (
     commuting_schedule,
     entropy_family,
     fixed_basis_schedule,
+    largest_stable_index,
     load_scenario,
     normalize,
     output_entropy_family,
@@ -65,6 +67,7 @@ from qdini import (
     report_to_json,
     run_scenario,
     spectral_truncation,
+    top_multiplicity,
     trace_neg_log_family,
     truncation_criterion,
     truncation_lower_bound_slack,
@@ -564,6 +567,22 @@ def test_dominated_window_evaluates_heads_only(monkeypatch):
     assert shapes == [(2, 1, 48, 1, 5, 5), (2, 1, 56, 1, 5, 5)]
 
 
+@pytest.mark.parametrize("name", ["choi-rank-bound", "channel-mi-depolarizing"])
+def test_whole_values_evaluate_heads_only(monkeypatch, name):
+    # f_n of whole operators cuts each at its rank: its tails are empty, so
+    # the channel stacks of these builtins hold no side that is all zero
+    stacks = []
+    solve = channels.positive_eigenvalues
+    monkeypatch.setattr(channels, "positive_eigenvalues",
+                        lambda stack: stacks.append(np.asarray(stack)) or solve(stack))
+    run_scenario(builtin_scenario(name), seed=3)
+    assert stacks
+    for stack in stacks:
+        # [output or environment,] side, row, cut, :, :
+        sides = np.moveaxis(stack, stack.ndim - 5, 0)
+        assert all(np.any(side) for side in sides), stack.shape
+
+
 # rho_n and tau_n with tau_n - rho_n not PSD first at n = 2, by -0.1, and again at n = 3, by -0.05
 NOT_PSD_AT_2 = ([[0.5, 0.3, 0.2]] * 4,
                 [[0.1, 0.1, 0.1], [0.1, 0.2, 0.1], [0.2, -0.1, 0.1], [-0.05, 0.2, 0.1]])
@@ -627,8 +646,8 @@ def test_dominated_window_with_sigma_vanishing_past_the_limit(kind, c):
     sigma_diags = [[0.3, 0.2, 0.2, 0.0], [0.0] * 4, [0.25, 0.25, 0.1, 0.1]]
     rho = _diagonal_sequence(rho_diags, 1.0)
     tau = OperatorSequence(lambda n: PositiveOperator(diagonal=c * np.array(rho_diags[n]) + np.array(sigma_diags[n])), 4)
-    _, rows = ApproximationScheme("dominated", c, rho).dominated_window(tau, range(3), 5)
-    assert [row.sigma_cuts is None for row in rows] == [False, True, False]
+    table = ApproximationScheme("dominated", c, rho).dominated_cuts(tau, range(3), 5)
+    assert table.cut_sigma.tolist() == [True, False, True]
     assert _dominated_row_matches_cells(rho_diags, sigma_diags, c, 1.0, kind)["ambiguous-m"]
 
 
@@ -652,6 +671,55 @@ def _sequences(rho_diags, sigma_diags, scale, dense):
         return OperatorSequence(member, d)
 
     return sequence(rho_diags, bases[0]), sequence(sigma_diags, bases[1])
+
+
+def _reference_cut_table(rho, tau, c, ns, m_max, whole):
+    """(m_range, cuts, cut_sigma, flags) of a dominated window from operators alone, as plain lists.
+
+    sigma_n = tau_n - c rho_n is built by ``PositiveOperator.of``; each m-hat
+    comes from ``largest_stable_index`` of its limit, clipped at the rank
+    (at least 1); each flag is ``spectral_truncation(rho_n, k).ambiguous``,
+    or the same for sigma_n where sigma_n does not vanish.
+    """
+    limits = (rho(0), PositiveOperator.of(tau(0).sub(rho(0).scale(c))))
+    m_range = range(max(top_multiplicity(limit) for limit in limits), m_max + 1)
+    cuts, cut_sigma, flags = ([], []), [], []
+    for n in ns:
+        pair = (rho(n), PositiveOperator.of(tau(n).sub(rho(n).scale(c))))
+        rows = [[min(largest_stable_index(limit, m), max(op.rank(), 1)) for m in m_range] + [max(op.rank(), 1)] * whole
+                for limit, op in zip(limits, pair)]
+        cut_sigma.append(not pair[1].vanishes())
+        flags.append([spectral_truncation(pair[0], k).ambiguous
+                      or (cut_sigma[-1] and spectral_truncation(pair[1], l).ambiguous) for k, l in zip(*rows)])
+        for side, row in zip(cuts, rows):
+            side.append(row)
+    return m_range, [list(side) for side in cuts], cut_sigma, flags
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@settings(max_examples=100, deadline=None)
+@given(dominated_windows(), st.booleans())
+@example(TIED_WINDOW, False)
+@example(TIED_WINDOW, True)
+def test_dominated_cut_table_matches_the_operator_reference(dense, window, whole):
+    """The table's m-range, cut pairs, vanishing rows and ambiguous flags against ``_reference_cut_table``, exactly."""
+    rho_diags, sigma_diags, c, scale = window
+    rho, sigma = _sequences(rho_diags, sigma_diags, scale, dense)
+    tau = OperatorSequence(lambda n: PositiveOperator.of(rho(n).scale(c).add(sigma(n))), rho.dim)
+    ns, m_max = range(len(rho_diags)), rho.dim + 1
+    try:
+        m_range, cuts, cut_sigma, flags = _reference_cut_table(rho, tau, c, ns, m_max, whole)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(f"tau - c*rho: {exc}")):
+            ApproximationScheme("dominated", c, rho).dominated_cuts(tau, ns, m_max, whole)
+        return
+    table = ApproximationScheme("dominated", c, rho).dominated_cuts(tau, ns, m_max, whole)
+    assert table.m_range == m_range
+    assert table.cut_sigma.tolist() == cut_sigma
+    assert table.cuts[0].tolist() == cuts[0]
+    assert [row for row, cut in zip(table.cuts[1].tolist(), cut_sigma) if cut] == \
+        [row for row, cut in zip(cuts[1], cut_sigma) if cut]
+    assert table.ambiguous.tolist() == flags
 
 
 @settings(max_examples=100, deadline=None)
