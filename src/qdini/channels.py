@@ -172,7 +172,7 @@ def environment_entropy(phi: Channel, rho: PositiveOperator) -> float:
 def output_entropy_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
     """``output_entropy(channels[j], X)`` of every head and tail X of row j of ``cuts``."""
     out, _ = _cut_spectra(cuts, channels, cuts.scale, environment=False)
-    return _entropies(out, out.shape[-1])
+    return entropy_of_diagonals(out)
 
 
 def coherent_information_cuts(cuts: SpectralCuts, channels) -> np.ndarray:
@@ -203,13 +203,8 @@ def _homogeneous_cuts(cuts: SpectralCuts, state_values: np.ndarray) -> np.ndarra
 def _normalized_output_entropies(cuts: SpectralCuts, channels, unit: np.ndarray) -> tuple:
     """S(Phi_j([X])) and S(Phi^_j([X])) of every head and tail X of row j of ``cuts``."""
     out, env = _cut_spectra(cuts, channels, unit, environment=True)
-    return _entropies(out, channels[0].d_out), _entropies(env, [[len(phi.kraus)] for phi in channels])
-
-
-def _entropies(spectra: np.ndarray, dims) -> np.ndarray:
-    """``entropy_of_diagonals`` over the last axis of ``spectra``, each spectrum of the dimension ``dims`` broadcasts to it."""
-    dims = np.broadcast_to(dims, spectra.shape[:-1]).ravel()
-    return entropy_of_diagonals(spectra.reshape(-1, spectra.shape[-1]), dims).reshape(spectra.shape[:-1])
+    kraus_counts = [[len(phi.kraus)] for phi in channels]
+    return entropy_of_diagonals(out, channels[0].d_out), entropy_of_diagonals(env, kraus_counts)
 
 
 def _cut_spectra(cuts: SpectralCuts, channels, scale: np.ndarray, environment: bool) -> tuple:

@@ -774,12 +774,6 @@ def moore_penrose_inverse(a: PositiveOperator) -> PositiveOperator:
     return spec.reordered(inv, order).operator()
 
 
-def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    if a.is_diagonal and b.is_diagonal:
-        return HermitianOperator(diagonal=np.kron(a.diag, b.diag))
-    return HermitianOperator(np.kron(a.matrix, b.matrix))
-
-
 def partial_trace(a: HermitianOperator, keep: str, d_a: int, d_b: int) -> HermitianOperator:
     """Reduced operator on the kept factor ('A' or 'B'); trace is preserved."""
     if a.dim != d_a * d_b:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropies import von_neumann_entropy
+from .entropies import _TINY_MASS, _binary_units, von_neumann_entropy
 from .operators import (
     DensityOperator,
     PositiveOperator,
@@ -63,9 +63,12 @@ def check_positive(name: str, c: float) -> None:
 
 
 def normalize(sigma: PositiveOperator):
-    """[sigma] = sigma / Tr sigma; returns None for (numerically) zero input."""
+    """[sigma] = sigma / Tr sigma, a trace below ``_TINY_MASS`` first taken in ``_binary_units``; None for (numerically) zero input."""
     if sigma.vanishes():
         return None
+    if sigma.trace() < _TINY_MASS:
+        data = _binary_units(sigma.diag if sigma.is_diagonal else sigma.matrix, sigma.operator_norm())[0]
+        sigma = PositiveOperator(diagonal=data) if sigma.is_diagonal else PositiveOperator(data)
     return sigma.rescaled(1.0 / sigma.trace(), DensityOperator)
 
 

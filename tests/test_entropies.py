@@ -21,7 +21,10 @@ from qdini import (
     trace_neg_log,
     von_neumann_entropy,
 )
+from qdini import diagnostics
 from qdini.entropies import SpectralCuts, entropy_cuts, relative_entropy_cuts, trace_neg_log_cuts
+from qdini.truncation import constant_sequence
+from test_rows import FAMILIES, _family, _per_cell, _same_cut
 
 
 def _scalar_entropy(lam):
@@ -257,7 +260,8 @@ class TestCompressedEntropyPair:
 
 class TestSubnormalCutMass:
     # the tail at cut 1 has mass 1e-310, below 1 / DBL_MAX, so 1 / mass overflows
-    SPECTRUM = PositiveOperator(diagonal=[1e-300, 1e-310]).spectrum()
+    OPERATOR = PositiveOperator(diagonal=[1e-300, 1e-310])
+    SPECTRUM = OPERATOR.spectrum()
 
     def test_states_of_the_cuts_are_pure(self):
         cuts = SpectralCuts([self.SPECTRUM], [[1]], True)
@@ -271,6 +275,14 @@ class TestSubnormalCutMass:
     def test_unnormalized_cuts_keep_their_masses_exactly(self):
         cuts = SpectralCuts([self.SPECTRUM], [[1]], False)
         assert (cuts.scale * cuts.mass).ravel().tolist() == [1e-300, 1e-310]
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_the_per_cell_form_agrees_with_the_window(self, kind):
+        family = _family(kind, constant_sequence(PositiveOperator(diagonal=[0.5, 0.5])))
+        for normalized in (False, True):
+            got, want = (diagnostics._cut_values(fam, [0], [self.OPERATOR], [self.SPECTRUM], [[0, 1, 2]], normalized)
+                         for fam in (family, _per_cell(family)))
+            assert all(map(_same_cut, got.ravel(), want.ravel())), (normalized, got, want)
 
     def test_a_finite_reciprocal_is_the_scale_bitwise(self):
         spectrum = PositiveOperator(diagonal=[1e-300, 3e-301, 1e-305]).spectrum()

@@ -26,7 +26,6 @@ from qdini import (
     partial_trace,
     purify,
     support_projector,
-    tensor,
     trace_norm_distance,
 )
 from qdini.operators import GAP_REL_TOL, LinearAlgebraError, _canonical_phase, _eigh, solve_bases
@@ -376,11 +375,6 @@ class TestTensorAndPartialTrace:
         rho = _random_density(rng, 6)
         red = partial_trace(rho, "A", 2, 3)
         assert abs(red.trace() - 1.0) < 1e-12
-
-    def test_tensor_diagonal_stays_diagonal(self):
-        t = tensor(HermitianOperator(diagonal=[1.0, 2.0]), HermitianOperator(diagonal=[3.0, 4.0]))
-        assert t.is_diagonal
-        assert np.allclose(t.diag, [3.0, 4.0, 6.0, 8.0])
 
 
 class TestPurify:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,16 @@ class TestNormalize:
 
     def test_zero_gives_none(self):
         assert normalize(PositiveOperator(diagonal=[0.0, 0.0])) is None
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_a_subnormal_trace_gives_its_state(self, dense):
+        # 1 / 1e-310 overflows; the operator is rescaled by a power of two first, exactly
+        diagonal = np.array([1e-310, 0.0])
+        rho = PositiveOperator(np.diag(diagonal).astype(complex)) if dense else PositiveOperator(diagonal=diagonal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize(rho)
+        assert state.diag.tolist() == [1.0, 0.0]
 
 
 class TestDominatedTruncation:
