@@ -603,8 +603,13 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
 
 
 def mixture_weights(p_seq, n_max: int) -> list:
-    """The mixture weights p_seq as floats; ValueError unless p_0..p_n_max are given and all are numbers in [0, 1]."""
+    """The mixture weights p_seq as floats; ValueError unless p_0..p_n_max are given and all are numbers in [0, 1].
+
+    A bool or a string is not a number here, though ``float`` would read one.
+    """
     try:
+        if any(isinstance(x, (bool, str)) for x in p_seq):
+            raise TypeError
         p = [float(x) for x in p_seq]
     except (TypeError, ValueError):
         raise ValueError(f"the mixture weights must be a list of numbers, got {p_seq!r}") from None

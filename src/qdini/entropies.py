@@ -37,7 +37,9 @@ from .operators import (
 
 SUPPORT_TOL = 1e-10
 """Mass of X off supp sigma up to this times max(1, Tr X) counts as on it: it moves where
-D(X||sigma) and Tr X(-ln sigma) are +inf, and so every finite-value check on them."""
+D(X||sigma) and Tr X(-ln sigma) are +inf, and so every finite-value check on them.  The
+same rule decides schedule coverage: mass of rho_n past the last cut up to this times
+max(1, Tr rho_n) counts as covered (``truncation.schedule_checks``)."""
 
 
 _TINY_MASS = 1.0 / np.finfo(float).max
@@ -309,25 +311,30 @@ def _support_sums(cuts: SpectralCuts, sigmas):
 
     Each eigenvector u_i of row j reads <u_i|-ln sigma|u_i> and its weight
     off supp sigma, sums of ``_support_table`` over sigma's eigenvectors s
-    weighted by the overlaps |<s|u_i>|^2.  The pending bases of the rows
-    and of the sigmas are solved in one call before any overlap is read.
-    When every basis is dense, the overlaps of the whole window are one
-    stacked (N, d, d) product (``dense_overlaps``); otherwise each row
-    reads its own through ``Spectrum.expectations``.
+    weighted by the overlaps |<s|u_i>|^2, in one stacked pass for the
+    window.  When every basis is diagonal each overlap is 0 or 1, so the
+    table is gathered into each row's basis order and no unitary is built.
+    Otherwise the pending bases are solved in one call and the overlaps
+    are one (N, d, d) product (``dense_overlaps``) of the bases as
+    unitaries (``Spectrum.vectors``).
     """
     for spectrum, sigma in zip(cuts.spectra, sigmas):
         if spectrum.values.size != sigma.dim:
             raise ValueError(f"dimension mismatch: {spectrum.values.size} vs {sigma.dim}")
     specs = [sigma.spectrum() for sigma in sigmas]
     bases = cuts.spectra + tuple(specs)
-    solve_bases(bases)
     g = _support_table(np.array([spec.values for spec in specs]))
-    if not any(spec.diagonal for spec in bases):
-        overlaps = dense_overlaps(np.array([spec.basis for spec in specs]),
-                                  np.array([spectrum.basis for spectrum in cuts.spectra]))
-        per_vector = np.swapaxes(overlaps, -1, -2) @ g
+    if all(spec.diagonal for spec in bases):
+        # position[j, c]: the index of coordinate c in sigma_j's basis order
+        rows, d = np.arange(len(specs))[:, None], g.shape[1]
+        position = np.empty((len(specs), d), dtype=np.intp)
+        position[rows, np.array([spec.basis for spec in specs])] = np.arange(d)
+        per_vector = g[rows, position[rows, np.array([spectrum.basis for spectrum in cuts.spectra])]]
     else:
-        per_vector = np.array([spec.expectations(spectrum, row) for spec, spectrum, row in zip(specs, cuts.spectra, g)])
+        solve_bases(bases)
+        overlaps = dense_overlaps(np.array([spec.vectors() for spec in specs]),
+                                  np.array([spectrum.vectors() for spectrum in cuts.spectra]))
+        per_vector = np.swapaxes(overlaps, -1, -2) @ g
     sums = cuts.scale[..., None] * cuts.sums(cuts.values[..., None] * per_vector)
     return sums[..., 0], sums[..., 1]
 

@@ -239,26 +239,6 @@ class Spectrum:
             return a.diag @ np.abs(basis) ** 2
         return np.real(np.sum(basis.conj() * (a.matrix @ basis), axis=0))
 
-    def expectations(self, other: "Spectrum", g) -> np.ndarray:
-        """<w_i|G|w_i> for every basis vector w_i of ``other``, where G = sum_j g[j] |v_j><v_j|.
-
-        Row i is sum_j |<v_j|w_i>|^2 g[j]; g may have several columns.  The
-        overlaps |<v_j|w_i>|^2 are one d x d product for two dense bases
-        (``dense_overlaps``), a gather of rows for one diagonal basis, and a
-        permutation of g for two.
-        """
-        g = np.asarray(g, dtype=float)
-        mine, theirs = self.basis, other.basis
-        if self.diagonal and other.diagonal:
-            position = np.empty_like(mine)
-            position[mine] = np.arange(mine.size)
-            return g[position[theirs]]
-        if self.diagonal:
-            return (np.abs(theirs[mine]) ** 2).T @ g
-        if other.diagonal:
-            return np.abs(mine[theirs]) ** 2 @ g
-        return dense_overlaps(mine, theirs).T @ g
-
     def compose(self, vals) -> np.ndarray:
         """sum_i vals[i] |v_i><v_i|: the diagonal (diagonal basis) or the dense matrix."""
         basis = self.basis

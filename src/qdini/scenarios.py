@@ -49,7 +49,7 @@ from .truncation import (
     commuting_schedule,
     fixed_basis_schedule,
 )
-from .verdicts import CheckResult, TrendSummary, Verdict, dumps_canonical, inequality_holds
+from .verdicts import STATUSES, CheckResult, TrendSummary, Verdict, dumps_canonical, inequality_holds
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_BUDGET = 2e10
@@ -85,8 +85,8 @@ def _seq_entropy_discontinuity(params) -> OperatorSequence:
     block of dimension d_n = ceil(e^n) on disjoint coordinates with weight
     p_n = 1 / ln d_n.
     """
-    n_cap = int(params.get("n_cap", 6))
-    base_dim = int(params.get("base_dim", 9))
+    n_cap = _number(params, "n_cap", 6, int)
+    base_dim = _number(params, "base_dim", 9, int)
     dim = base_dim + math.ceil(math.exp(n_cap))
 
     def member(n):
@@ -114,9 +114,9 @@ def _normalized_head(state: np.ndarray, r: int) -> np.ndarray:
 
 def _thermal(params) -> tuple:
     """(dim, offset, tau_n formula): tau_n is the normalized top-(offset + n) truncation of a geometric-spectrum state tau_0."""
-    dim = int(params.get("dim", 16))
-    ratio = float(params.get("ratio", 0.5))
-    offset = int(params.get("offset", 2))
+    dim = _number(params, "dim", 16, int)
+    ratio = _number(params, "ratio", 0.5)
+    offset = _number(params, "offset", 2, int)
     tau_0 = ratio ** np.arange(dim)
     tau_0 = tau_0 / tau_0.sum()
     return dim, offset, lambda n: tau_0 if n == 0 else _normalized_head(tau_0, min(dim, offset + n))
@@ -135,7 +135,7 @@ def _seq_simon_compressed(params) -> OperatorSequence:
     of rho_n never leaves the support of tau_n.
     """
     dim, offset, thermal = _thermal(params)
-    head = int(params.get("head", 8))
+    head = _number(params, "head", 8, int)
     tau_0 = thermal(0)
 
     def member(n):
@@ -155,34 +155,34 @@ def _diagonal(base, pert, weight, limit=None) -> OperatorSequence:
 
 def _seq_diag_perturbed(params, limit=None) -> OperatorSequence:
     """op_n = base + rate^n * pert (diagonal); the limit at n = 0 is base itself."""
-    base = np.asarray(params["base"], dtype=float)
-    pert = np.asarray(params["pert"], dtype=float)
-    rate = float(params.get("rate", 0.5))
+    base = np.array(_numbers(params, "base"))
+    pert = np.array(_numbers(params, "pert"))
+    rate = _number(params, "rate", 0.5)
     return _diagonal(base, pert, lambda n: rate ** n, limit)
 
 
 def _seq_diag_planted_limit(params) -> OperatorSequence:
     """Members base + rate^n * pert but a deliberately different declared limit."""
-    return _seq_diag_perturbed(params, np.asarray(params["limit"], dtype=float))
+    return _seq_diag_perturbed(params, np.array(_numbers(params, "limit")))
 
 
 def _seq_diag_oscillating(params) -> OperatorSequence:
     """Non-convergent control: base + pert on odd n, base on even n."""
-    base = np.asarray(params["base"], dtype=float)
-    return _diagonal(base, np.asarray(params["pert"], dtype=float), lambda n: n % 2)
+    base = np.array(_numbers(params, "base"))
+    return _diagonal(base, np.array(_numbers(params, "pert")), lambda n: n % 2)
 
 
 def _seq_constant_diag(params) -> OperatorSequence:
-    diag = np.asarray(params["diag"], dtype=float)
+    diag = np.array(_numbers(params, "diag"))
     return _diagonal(diag, 0.0, lambda n: 0.0)
 
 
 def _seq_qubit_coherent(params) -> OperatorSequence:
     """Real qubit states [[a, c_n], [c_n, 1-a]] with c_n = c0 + rate^n * amp."""
-    a = float(params.get("a", 0.7))
-    c0 = float(params.get("c0", 0.3))
-    amp = float(params.get("amp", 0.1))
-    rate = float(params.get("rate", 0.5))
+    a = _number(params, "a", 0.7)
+    c0 = _number(params, "c0", 0.3)
+    amp = _number(params, "amp", 0.1)
+    rate = _number(params, "rate", 0.5)
 
     def member(n):
         c = c0 if n == 0 else c0 + rate ** n * amp
@@ -215,9 +215,9 @@ def _chan_depolarizing_inverse(params) -> ChannelSequence:
 
 
 def _chan_phase_damping(params) -> ChannelSequence:
-    gamma = float(params.get("gamma", 0.3))
-    amp = float(params.get("amp", 0.2))
-    rate = float(params.get("rate", 0.5))
+    gamma = _number(params, "gamma", 0.3)
+    amp = _number(params, "amp", 0.2)
+    rate = _number(params, "rate", 0.5)
 
     def gen(n):
         g = gamma if n == 0 else gamma + rate ** n * amp
@@ -227,7 +227,7 @@ def _chan_phase_damping(params) -> ChannelSequence:
 
 
 def _chan_identity(params) -> ChannelSequence:
-    dim = int(params.get("dim", 2))
+    dim = _number(params, "dim", 2, int)
 
     def gen(n):
         return identity_channel(dim)
@@ -256,6 +256,22 @@ class Scenario:
     diagonal: bool = False
     version: int = 1
 
+    def __post_init__(self):
+        for sec in ("sequences", "channels", "families"):
+            table = getattr(self, sec)
+            if not isinstance(table, dict):
+                raise ScenarioError(f"{sec!r} must be an object, got {table!r}")
+            for key, spec in table.items():
+                if not isinstance(spec, dict):
+                    raise ScenarioError(f"{sec}.{key} must be an object, got {spec!r}")
+                if sec != "families" and not isinstance(spec.get("builder"), str):
+                    raise ScenarioError(f"{sec}.{key} needs a 'builder' string, got {spec.get('builder')!r}")
+        for check in self.checks:
+            if not isinstance(check, dict):
+                raise ScenarioError(f"each check must be an object, got {check!r}")
+            if check.get("expected") not in (None, *STATUSES):
+                raise ScenarioError(f"'expected' must be one of {', '.join(STATUSES)}, got {check['expected']!r}")
+
     def to_json(self) -> dict:
         return {
             "version": self.version,
@@ -273,17 +289,18 @@ class Scenario:
             raise ScenarioError("scenario file must be a JSON object with a 'name' field")
         if _number(obj, "version", 1, int) != 1:
             raise ScenarioError(f"unsupported scenario version {obj.get('version')!r}")
-        for sec in ("sequences", "channels"):
-            for key, spec in obj.get(sec, {}).items():
-                if "builder" not in spec:
-                    raise ScenarioError(f"{sec}.{key} is missing the 'builder' field")
+        checks, diagonal = obj.get("checks", []), obj.get("diagonal", False)
+        if not isinstance(checks, list):
+            raise ScenarioError(f"'checks' must be a list of objects, got {checks!r}")
+        if not isinstance(diagonal, bool):
+            raise ScenarioError(f"'diagonal' must be true or false, got {diagonal!r}")
         return cls(
             name=obj["name"],
             sequences=obj.get("sequences", {}),
             channels=obj.get("channels", {}),
             families=obj.get("families", {}),
-            checks=tuple(obj.get("checks", [])),
-            diagonal=bool(obj.get("diagonal", False)),
+            checks=tuple(checks),
+            diagonal=diagonal,
             version=_number(obj, "version", 1, int),
         )
 
@@ -327,17 +344,38 @@ def _built(where: str, spec: dict, builder):
         return builder(params)
     except KeyError as exc:
         raise ScenarioError(f"{where} is missing the parameter {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ScenarioError) as exc:
         raise ScenarioError(f"{where} has a malformed parameter: {exc}") from None
 
 
 def _number(spec: dict, key: str, default, kind=float):
-    """spec[key], or default where it is absent, converted by kind; a ScenarioError if it does not convert."""
+    """spec[key], or default where it is absent, as a float or (kind int) an int; a ScenarioError naming key otherwise.
+
+    Only a JSON number is one: a bool or a string is refused.  An int field
+    takes an integral value (12.0 reads 12), not 12.9, NaN or inf.
+    """
     value = spec.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{key!r} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{key!r} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, int) or (math.isfinite(value) and value.is_integer())):
+        raise ScenarioError(f"{key!r} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _numbers(spec: dict, key: str, default=None, kind=float) -> list:
+    """spec[key] (required where default is None) as a list, each entry read as ``_number`` reads one."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{key!r} must be a list of numbers, got {value!r}")
+    return [_number({key: x}, key, None, kind) for x in value]
+
+
+def _section(spec: dict, key: str) -> dict:
+    """spec[key], an object, or {} where it is absent."""
+    value = spec.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key!r} must be an object, got {value!r}")
+    return value
 
 
 def _build_family(spec: dict, seqs: dict, chans: dict) -> dx.FunctionalFamily:
@@ -346,6 +384,8 @@ def _build_family(spec: dict, seqs: dict, chans: dict) -> dx.FunctionalFamily:
         return dx.entropy_family()
     if kind == "entropy-plus-log":
         k = _number(spec, "k", None, int)
+        if k < 1:
+            raise ScenarioError(f"'k' of entropy-plus-log must be at least 1, got {k}")
         shift = math.log(k)
         ent = dx.entropy_family()
         return dx.FunctionalFamily(
@@ -419,7 +459,7 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
 
     grid = None
     if op == "truncation-criterion":
-        schedule = _build_schedule(check.get("schedule", {}), seqs, seq("sequence"), n_max)
+        schedule = _build_schedule(_section(check, "schedule"), seqs, seq("sequence"), n_max)
         verdict = dx.truncation_criterion(fam("family"), seq("sequence"), schedule,
                                           _number(check, "n_0", 1, int), n_max, m_max)
     elif op == "dct-simon":
@@ -440,20 +480,20 @@ def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
     elif op == "channel-mi":
         schedule = None
         if "schedule" in check:
-            schedule = _build_schedule(check["schedule"], seqs, seq("rho"), n_max)
+            schedule = _build_schedule(_section(check, "schedule"), seqs, seq("rho"), n_max)
         verdict = dx.channel_mi_checks(_ref(chans, check, "channels"), seq("rho"), seq("sigma"),
                                        _number(check, "c", 0.5), _p_sequence(check, n_max),
                                        n_max, m_max, schedule=schedule)
     elif op == "appendix-domination":
         verdict = dx.appendix_domination(seq("rho1"), seq("rho2"), seq("sigma1"), seq("sigma2"),
-                                         check.get("k_schedule", [1, 10, 100, 1000, 10000]), n_max)
+                                         _numbers(check, "k_schedule", [1, 10, 100, 1000, 10000], int), n_max)
     elif op == "entropy-jump-probe":
         verdict = _entropy_jump_probe(seq("sequence"), n_max,
                                       _number(check, "low", 0.9),
                                       _number(check, "high", 1.1),
                                       _number(check, "n_from", 3, int))
     elif op == "gap-grid":
-        scheme = _build_scheme(check.get("scheme", {}), seqs)
+        scheme = _build_scheme(_section(check, "scheme"), seqs)
         grid = dx.approximation_gap_grid(fam("family"), seq("sequence"), scheme, n_max, m_max)
         verdict = None
     else:
@@ -465,6 +505,8 @@ def _build_scheme(spec: dict, seqs) -> ApproximationScheme:
     kind = spec.get("kind", "spectral")
     if kind == "spectral":
         return ApproximationScheme("spectral")
+    if kind != "dominated":
+        raise ScenarioError(f"unknown scheme kind {kind!r}")
     return ApproximationScheme("dominated", _number(spec, "c", 1.0), _ref(seqs, spec, "dominated"))
 
 

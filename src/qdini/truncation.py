@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropies import _TINY_MASS, _binary_units, von_neumann_entropy
+from .entropies import _TINY_MASS, _binary_units, _support_tol, von_neumann_entropy
 from .operators import (
     DensityOperator,
     PositiveOperator,
@@ -28,7 +28,6 @@ from .operators import (
     eigh,  # noqa: F401  kept importable from here: perfbench's tracer test wraps truncation.eigh
     group_ends,
     positive_diagonal,
-    support_projector,
 )
 from .verdicts import INEQUALITY, CheckResult, TrendSummary, Verdict
 
@@ -422,21 +421,27 @@ def schedule_checks(schedule: ProjectorSchedule, seq: OperatorSequence,
     """The four hard consistency checks of a schedule on a finite window.
 
     rank P^n_m <= m, Tr P^n_m rho_n > 0, nesting in m and support coverage,
-    each read off the cut array and naming its last failing cell.  Coverage
-    is cut >= rank rho_n on rho_n's own basis; any other basis compares
-    support projectors.  A schedule is violated iff one of them fails; no
-    probe residual is computed.
+    each read off the cut array and naming its last failing cell.  Each
+    member reads one prefix-mass row (``_prefix_masses``): Tr P^n_m rho_n
+    at its cuts, and coverage at its last cut.  The join P covers
+    supp rho_n iff Tr (I - P) rho_n, the row's total less its mass at the
+    last cut, is at most ``entropies._support_tol`` of the total, the rule
+    under which mass off supp sigma leaves D(rho||sigma) finite; it is the
+    same on every basis.  A schedule is violated iff one of the checks
+    fails; no projector is built and no probe residual is computed.
     """
     n_hi, ms = _schedule_window(schedule, n_max, m_max)
     m_lo, m_hi = int(ms[0]), int(ms[-1])
     bases, cuts = schedule.bases, schedule.cuts[:n_hi + 1, :ms.size]
-    masses = np.array([_prefix_masses(bases[n], seq(n))[cuts[n]] for n in range(n_hi + 1)])
+    prefix = np.array([_prefix_masses(bases[n], seq(n)) for n in range(n_hi + 1)])
+    masses = prefix[np.arange(n_hi + 1)[:, None], cuts]
+    total = prefix[:, -1]
     rank_bad = cuts > ms
     mass_bad = masses <= 0.0
     # prefixes of one basis are nested iff the cut does not decrease
     nest_bad = cuts[:, :-1] > cuts[:, 1:]
-    uncovered = [n for n in range(n_hi + 1) if not _covers(bases[n], cuts[n, -1], seq(n))]
-    cover_detail = f"support of rho_n not covered at n = {uncovered[-1]}, m = {m_hi}" if uncovered else ""
+    uncovered = np.flatnonzero(total - masses[:, -1] > _support_tol(total))
+    cover_detail = f"support of rho_n not covered at n = {uncovered[-1]}, m = {m_hi}" if uncovered.size else ""
     return (
         CheckResult("rank P^n_m <= m", not rank_bad.any(), float(np.min(ms - cuts)),
                     _last_failure(rank_bad, m_lo, lambda n, i: f"rank {cuts[n, i]} > m"), INEQUALITY),
@@ -444,7 +449,7 @@ def schedule_checks(schedule: ProjectorSchedule, seq: OperatorSequence,
                     _last_failure(mass_bad, m_lo, lambda n, i: f"Tr P rho_n = {masses[n, i]:.3e}"), INEQUALITY),
         CheckResult("P^n_m <= P^n_(m+1)", not nest_bad.any(), 0.0,
                     _last_failure(nest_bad, m_lo, lambda n, i: "P^n_m not below P^n_(m+1)"), INEQUALITY),
-        CheckResult("join of P^n_m covers supp rho_n", not uncovered, 0.0, cover_detail, INEQUALITY),
+        CheckResult("join of P^n_m covers supp rho_n", not uncovered.size, 0.0, cover_detail, INEQUALITY),
     )
 
 
@@ -494,20 +499,14 @@ def _last_failure(bad: np.ndarray, m_lo: int, describe) -> str:
     return f"{describe(n, i)} at (n, m) = ({n}, {m_lo + i})"
 
 
-def _covers(basis: Spectrum, cut: int, rho: PositiveOperator) -> bool:
-    """Whether the prefix of ``basis`` cut at ``cut`` covers supp rho: cut >= rank rho for rho's own basis."""
-    if basis is rho.spectrum():
-        return cut >= basis.rank
-    return support_projector(rho).leq(basis.projector(int(cut)))
-
-
 def _prefix_masses(basis: Spectrum, rho: PositiveOperator) -> np.ndarray:
     """Tr P_k rho for the projector P_k onto the first k vectors of ``basis``, k = 0..d.
 
-    On rho's own spectrum these are the cumulative sums of its clamped
-    values; any other basis reads rho's weights along it.
+    On rho's own spectrum these are the cumulative sums of its kept values,
+    as ``PositiveOperator.split`` cuts it, so no mass lies past the rank;
+    any other basis reads rho's weights along it.
     """
-    masses = basis.values if basis is rho.spectrum() else basis.weights(rho)
+    masses = basis.kept() if basis is rho.spectrum() else basis.weights(rho)
     return np.concatenate([[0.0], np.cumsum(masses)])
 
 

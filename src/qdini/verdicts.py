@@ -29,6 +29,7 @@ import numpy as np
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
+STATUSES = (CONSISTENT, VIOLATED, INCONCLUSIVE)  # every status a verdict can take
 
 # the roles of a check: what its failure makes of the status
 HYPOTHESIS = "hypothesis"

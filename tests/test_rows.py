@@ -286,26 +286,47 @@ def test_spectral_value_column_matches_the_family_value(kind, case, dense):
     assert saw_inf == (case == "support-break" and kind != "entropy")
 
 
+@pytest.mark.parametrize("rows", ["own", "coordinates"])
+@pytest.mark.parametrize("dense", [False, True, "mixed"], ids=["diagonal", "dense", "mixed"])
 @pytest.mark.parametrize("case", CASES)
-def test_stacked_support_sums_match_per_row_expectations(monkeypatch, case):
+def test_stacked_support_sums_match_per_row_expectations(monkeypatch, case, dense, rows):
+    # the reference reads each row's overlaps |V_sigma* U|^2 from the two bases as unitaries, one row at a time;
+    # rows on the coordinate basis weigh X's diagonal, as a fixed-basis window does
+    saw_outside, saw_diagonal = False, False
     for seed in SEEDS:
-        rho_seq, sigma_seq, n_max = _window(case, True, seed)
+        rho_seq, sigma_seq, n_max = _window(case, dense, seed)
         ns, d = range(n_max + 1), rho_seq.dim
-        spectra, sigmas = [rho_seq(n).spectrum() for n in ns], [sigma_seq(n) for n in ns]
-        cuts = SpectralCuts(spectra, np.tile(np.arange(d + 1), (n_max + 1, 1)), np.arange(d + 1) % 2 == 0)
+        ops, sigmas = [rho_seq(n) for n in ns], [sigma_seq(n) for n in ns]
+        if rows == "own":
+            spectra, weights = [op.spectrum() for op in ops], None
+        else:
+            spectra, weights = [coordinate_basis(d)] * len(ops), [op.diag for op in ops]
+        cuts = SpectralCuts(spectra, np.tile(np.arange(d + 1), (len(ops), 1)), np.arange(d + 1) % 2 == 0, weights)
         per_vector = []
         for spectrum, sigma in zip(spectra, sigmas):
             spec = sigma.spectrum()
             g = np.zeros((d, 2))
             g[:spec.rank, 0] = -np.log(spec.values[:spec.rank])
             g[spec.rank:, 1] = 1.0
-            per_vector.append(spec.expectations(spectrum, g))
+            overlaps = np.abs(spec.vectors().conj().T @ spectrum.vectors()) ** 2  # [k, i] = |<s_k|u_i>|^2
+            per_vector.append(overlaps.T @ g)
         sums = cuts.scale[..., None] * cuts.sums(cuts.values[..., None] * np.array(per_vector))
-        monkeypatch.setattr(Spectrum, "expectations", None)  # the dense window forms no per-row overlap
+        diagonal = all(spec.diagonal for spec in [*spectra, *(sigma.spectrum() for sigma in sigmas)])
+        if diagonal:
+            def vectors(self):
+                raise AssertionError("an all-diagonal window built a unitary")
+
+            monkeypatch.setattr(Spectrum, "vectors", vectors)
         got = entropies._support_sums(cuts, sigmas)
         monkeypatch.undo()
         for x, want in zip(got, (sums[..., 0], sums[..., 1])):
             assert np.all(np.abs(x - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (seed, x, want)
+        saw_outside |= bool(np.any(sums[..., 1] > 0.0))
+        saw_diagonal |= diagonal
+    # support breaks put mass off supp sigma; every window of the diagonal case, and the coordinate rows
+    # of the mixed one when sigma is diagonal, take the gather
+    assert saw_outside == (case == "support-break")
+    assert saw_diagonal == (dense is False or (dense == "mixed" and rows == "coordinates"))
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])

@@ -229,12 +229,16 @@ class TestCli:
         assert "consistent" in result.output
 
 
-def _scenario_with(check: dict) -> Scenario:
-    """The channel-mi-depolarizing bindings with one check in place of its own."""
+def _scenario_json(check: dict) -> dict:
+    """The channel-mi-depolarizing bindings with one check in place of its own, as a scenario file holds them."""
     sc = builtin_scenario("channel-mi-depolarizing").to_json()
     sc["families"] = {"S": {"kind": "entropy"}}
     sc["checks"] = [check]
-    return Scenario.from_json(sc)
+    return sc
+
+
+def _scenario_with(check: dict) -> Scenario:
+    return Scenario.from_json(_scenario_json(check))
 
 
 class TestMalformedInputsExit2:
@@ -302,11 +306,77 @@ class TestMalformedInputsExit2:
         assert result.exit_code == 2
         assert "must be a number" in result.output
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_max", 12.9, "'n_max' must be an integer, got 12.9"),
+        ("n_max", "3", "'n_max' must be a number, got '3'"),
+        ("n_max", math.inf, "'n_max' must be an integer, got inf"),
+        ("n_max", math.nan, "'n_max' must be an integer, got nan"),
+        ("m_max", True, "'m_max' must be a number, got True"),
+        ("m_max", "2", "'m_max' must be a number, got '2'"),
+        ("c", False, "'c' must be a number, got False"),
+        ("c", "0.5", "'c' must be a number, got '0.5'"),
+        ("expected", "consistant", "'expected' must be one of consistent, violated, inconclusive, got 'consistant'"),
+        ("expected", True, "'expected' must be one of consistent, violated, inconclusive, got True"),
+    ])
+    def test_numbers_and_statuses_of_the_right_kind(self, field, value, message, tmp_path):
+        # "n_max": 12.9 used to run as 12, "3" as 3 and true as 1; a typo in "expected" ran and exited 1
+        check = {"op": "dct-simon", "family": "S", "rho": "rho", "tau": "sigma", "c": 0.5, "n_max": 4, "m_max": 2}
+        sc = _scenario_json(dict(check, **{field: value}))
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(Scenario.from_json(sc))
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(sc))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2 and f"Error: {message}" in result.output
+
+    @pytest.mark.parametrize("field", ["n_max", "m_max"])
+    def test_an_integral_float_reads_as_an_integer(self, field):
+        check = {"op": "dct-basic", "f": "S", "g": "S", "sequence": "rho", "n_max": 4, "m_max": 2}
+        want = run_scenario(_scenario_with(check))
+        got = run_scenario(_scenario_with(dict(check, **{field: float(check[field])})))
+        assert report_to_json(got) == report_to_json(want)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"dim": 4.5}, "'dim' must be an integer, got 4.5"),
+        ({"dim": True}, "'dim' must be a number, got True"),
+    ])
+    def test_builder_integers_of_the_right_kind(self, params, message):
+        sc = _scenario_json({"op": "dct-basic", "f": "S", "g": "S", "sequence": "rho"})
+        sc["sequences"]["rho"] = {"builder": "truncated-thermal", "params": params}
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(Scenario.from_json(sc))
+
+    @pytest.mark.parametrize("weights", [[True] + [0.5] * 12, ["0.5"] * 13])
+    def test_mixture_weights_are_numbers(self, weights):
+        check = {"op": "convex-mixture", "family": "S", "rho": "rho", "sigma": "sigma", "n_max": 12, "m_max": 2,
+                 "p_list": weights}
+        with pytest.raises(ScenarioError, match="the mixture weights must be a list of numbers"):
+            run_scenario(_scenario_with(check))
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_diagonal_is_a_bool(self, flag):
+        # "false" used to read as true, and the budget estimate counted d where it should count d^3
+        sc = builtin_scenario("channel-mi-depolarizing").to_json()
+        sc["diagonal"] = flag
+        with pytest.raises(ScenarioError, match=re.escape(f"'diagonal' must be true or false, got {flag!r}")):
+            Scenario.from_json(sc)
+
+    def test_unknown_scheme_kind(self):
+        check = {"op": "gap-grid", "family": "S", "sequence": "rho",
+                 "scheme": {"kind": "dominatd", "c": 0.5, "dominated": "rho"}}
+        with pytest.raises(ScenarioError, match="unknown scheme kind 'dominatd'"):
+            run_scenario(_scenario_with(check))
+
     @pytest.mark.parametrize("params, message", [
         ({"pert": [0.05, -0.05]}, "missing the parameter 'base'"),
         ({"base": [0.75, "x"], "pert": [0.05, -0.05]}, "malformed parameter"),
         ({"base": [0.75, 0.25], "pert": [0.05, -0.05], "rate": "fast"}, "malformed parameter"),
         ([0.75, 0.25], "params must be an object"),
+        # a bool or a string is not a number, though float() reads one
+        ({"base": [0.75, True], "pert": [0.05, -0.05]}, "malformed parameter: 'base' must be a number, got True"),
+        ({"base": [0.75, "0.25"], "pert": [0.05, -0.05]}, "malformed parameter: 'base' must be a number, got '0.25'"),
+        ({"base": [0.75, 0.25], "pert": [0.05, -0.05], "rate": "0.5"},
+         "malformed parameter: 'rate' must be a number, got '0.5'"),
     ])
     def test_malformed_builder_parameters(self, params, message, tmp_path):
         sc = _scenario_with({"op": "dct-basic", "f": "S", "g": "S", "sequence": "rho"}).to_json()
@@ -333,6 +403,19 @@ class TestLibraryInputErrorsExit2:
         ("usage-dct-simon-c0", "check 'dct-simon': c must be finite and > 0, got 0.0"),
         ("usage-jump-probe-nan-band",
          "check 'entropy-jump-probe': the entropy band [nan, 1.1] needs finite ends with low <= high"),
+        # malformed JSON types, each refused where it is read
+        ("usage-checks-not-a-list", "'checks' must be a list of objects, got {'a': 1}"),
+        ("usage-check-not-an-object", "each check must be an object, got 'dct-basic'"),
+        ("usage-sequences-not-an-object", "'sequences' must be an object, got ['rho']"),
+        ("usage-channel-not-an-object", "channels.phi must be an object, got 'depolarizing-inverse-n'"),
+        ("usage-family-not-an-object", "families.S must be an object, got 'entropy'"),
+        ("usage-builder-not-a-string", "sequences.rho needs a 'builder' string, got ['diag-perturbed']"),
+        ("usage-scheme-not-an-object", "'scheme' must be an object, got 'spectral'"),
+        ("usage-schedule-not-an-object", "'schedule' must be an object, got 'commuting'"),
+        ("usage-k-schedule-not-a-list", "'k_schedule' must be a list of numbers, got 5"),
+        ("usage-entropy-plus-log-k0", "'k' of entropy-plus-log must be at least 1, got 0"),
+        ("usage-n-max-fraction", "'n_max' must be an integer, got 12.9"),
+        ("usage-expected-typo", "'expected' must be one of consistent, violated, inconclusive, got 'consistant'"),
     ])
     def test_scenario_files_exit_2(self, name, message):
         path = str(SCENARIOS / f"{name}.json")

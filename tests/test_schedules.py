@@ -1,16 +1,25 @@
 """Prefix-schedule validation against the per-projector reference.
 
 A schedule stores one basis per n and an int array of cuts, and
-``validate_schedule`` reads its hard checks off the cut array.  The
-reference below is the per-projector loop it replaced: one ``Projector``
-per (n, m), Tr P rho_n by the diagonal or dense path, nesting and coverage
-by ``Projector.leq``, and probe residuals by the diagonal or dense path.  Random windows mix diagonal and dense members (some rank
-deficient) with five kinds of basis per n (the member's own spectrum, a
-shared coordinate basis, a random permutation, a random dense basis, or
-the basis of n - 1), and plant cuts above m and cuts that decrease in m.  Pass flags, details and statuses must agree
-exactly; slacks and residuals within 1e-12 of scale.  On the same windows,
-``truncation_criterion`` gates on the hard checks alone: its schedule
-check agrees with ``validate_schedule``, and it computes no probe residual.
+``validate_schedule`` reads its hard checks off the cut array and one
+prefix-mass row per member, building no projector.  The reference below
+is the per-projector loop it replaced: one ``Projector`` per (n, m),
+Tr P rho_n by the diagonal or dense path, nesting and coverage by
+``Projector.leq`` (coverage as supp rho_n <= the last projector), and
+probe residuals by the diagonal or dense path.  Random windows mix
+diagonal and dense members (some rank deficient) with five kinds of basis
+per n (the member's own spectrum, a shared coordinate basis, a random
+permutation, a random dense basis, or the basis of n - 1), and plant cuts
+above m and cuts that decrease in m.  Pass flags, details and statuses
+must agree exactly; slacks and residuals within 1e-12 of scale.  The
+schedule decides coverage by mass: the join covers supp rho_n iff
+Tr (I - P) rho_n is at most SUPPORT_TOL max(1, Tr rho_n).  On these
+windows an uncovered member leaves mass far above that, so the range
+inclusion of the reference decides alike; the planted-mass tests at the
+end pin the tolerance itself on three kinds of basis and three traces.
+On the same windows, ``truncation_criterion`` gates on the hard checks
+alone: its schedule check agrees with ``validate_schedule``, and it
+computes no probe residual.
 """
 
 import math
@@ -35,6 +44,8 @@ from qdini import (
     truncation_criterion,
     validate_schedule,
 )
+from qdini.entropies import SUPPORT_TOL
+from qdini.truncation import coordinate_basis, schedule_checks
 from qdini.verdicts import INEQUALITY, CheckResult, TrendSummary, Verdict
 
 TOL = 1e-12
@@ -219,3 +230,85 @@ def test_fixed_basis_validation_builds_no_dense_probes(monkeypatch, dense):
     verdict = validate_schedule(schedule, seq)
     assert verdict.status != "violated"
     assert len(verdict.conclusion_trends) == d
+
+
+
+def _no_projector(self, k):
+    raise AssertionError("a projector was built")
+
+
+def _planted_window(basis_kind, trace, planted):
+    """A two-member window of dim 3 cut at [1, 2]: rho_0 lies in the last prefix, rho_1 has ``planted`` mass past it."""
+    u = random_unitary(np.random.default_rng(11), 3)
+    lams = [trace * np.array([0.6, 0.4, 0.0]), trace * np.array([0.6, 0.4, 0.0]) + planted * np.array([0.0, -1.0, 1.0])]
+    if basis_kind == "coordinates":
+        members = [PositiveOperator(diagonal=lam) for lam in lams]
+        bases = (coordinate_basis(3),) * 2
+    else:
+        members = [PositiveOperator((u * lam) @ u.conj().T) for lam in lams]
+        if basis_kind == "own":
+            bases = tuple(rho.spectrum() for rho in members)
+        else:
+            bases = (Spectrum(np.ones(3), diagonal=False, basis=u),) * 2
+    seq = OperatorSequence(lambda n: members[n], 3)
+    return ProjectorSchedule(1, 2, 1, bases, [[1, 2], [1, 2]]), seq
+
+
+@pytest.mark.parametrize("trace", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("basis_kind", ["own", "coordinates", "dense"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_coverage_is_the_mass_past_the_last_cut(monkeypatch, basis_kind, trace, factor):
+    # the join covers supp rho_n iff Tr (I - P) rho_n <= SUPPORT_TOL max(1, Tr rho_n), on every basis,
+    # read off the prefix masses with no projector built
+    schedule, seq = _planted_window(basis_kind, trace, factor * SUPPORT_TOL * max(1.0, trace))
+    if basis_kind == "own":
+        assert seq(1).spectrum().rank == 3  # the planted mass is inside the support, past the cut
+    monkeypatch.setattr(Spectrum, "projector", _no_projector)
+    checks = schedule_checks(schedule, seq)
+    cover = checks[3]
+    assert cover.name == "join of P^n_m covers supp rho_n"
+    assert (cover.passed, cover.detail) == ((True, "") if factor < 1.0 else
+                                            (False, "support of rho_n not covered at n = 1, m = 2"))
+    assert all(check.passed for check in checks[:3])
+    assert (validate_schedule(schedule, seq).status == "violated") == (factor > 1.0)
+
+
+@pytest.mark.parametrize("basis_kind", ["own", "coordinates"])
+@pytest.mark.parametrize("small, covered", [(1e-11, True), (1e-9, False)])
+def test_a_cut_below_the_rank_reads_covered_within_the_tolerance(basis_kind, small, covered):
+    rho = PositiveOperator(diagonal=[1.0, small])
+    basis = rho.spectrum() if basis_kind == "own" else coordinate_basis(2)
+    assert rho.spectrum().rank == 2
+    schedule = ProjectorSchedule(1, 1, 0, (basis,), [[1]])
+    assert schedule_checks(schedule, OperatorSequence(lambda n: rho, 2))[3].passed == covered
+
+
+def test_own_basis_rows_are_kept_values():
+    # 199 values just below the rank tolerance (d RANK_REL_TOL = 2e-12 of the top) hold 3.8e-10, above the
+    # coverage tolerance: rho_n's own row reads them as 0, as ``split`` does, so a cut at the rank covers;
+    # the coordinate basis reads rho_n's diagonal and counts them
+    d = 200
+    rho = PositiveOperator(diagonal=np.concatenate([[1.0], np.full(d - 1, 1.9e-12)]))
+    assert rho.spectrum().rank == 1
+    seq = OperatorSequence(lambda n: rho, d)
+    for basis, covered in ((rho.spectrum(), True), (coordinate_basis(d), False)):
+        assert schedule_checks(ProjectorSchedule(1, 1, 0, (basis,), [[1]]), seq)[3].passed == covered
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_truncation_criterion_builds_no_projector(monkeypatch, dense):
+    """A commuting schedule reads rho_n's own spectra and a fixed-basis one diagonal members: both are rows windows."""
+    d, n_max = 4, 3
+    u = random_unitary(np.random.default_rng(5), d)
+    lam = np.array([0.4, 0.3, 0.2, 0.1])
+    pert = np.array([0.04, -0.01, -0.01, -0.02])
+
+    def member(n):
+        x = lam + (0.5 ** n if n else 0.0) * pert
+        return PositiveOperator((u * x) @ u.conj().T) if dense else PositiveOperator(diagonal=x)
+
+    seq = OperatorSequence(member, d)
+    schedule = commuting_schedule(seq, d, n_max) if dense else fixed_basis_schedule(d, d, seq, n_max)
+    monkeypatch.setattr(Spectrum, "projector", _no_projector)
+    verdict = truncation_criterion(entropy_family(), seq, schedule, 1, n_max, d)
+    assert verdict.hypothesis_checks[0].passed
