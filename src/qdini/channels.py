@@ -70,9 +70,6 @@ class Channel:
             out = (k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(0)
         return PositiveOperator(out)
 
-    def choi_rank(self) -> int:
-        return choi_matrix(self).rank()
-
     def compose(self, inner: "Channel") -> "Channel":
         """self after inner: rho -> self(inner(rho)), Kraus A_i B_j at index i * len(inner) + j."""
         if inner.d_out != self.d_in:
@@ -295,29 +292,3 @@ def strong_convergence_probe(seq: ChannelSequence, probes, n_max: int) -> np.nda
         for n in range(1, n_max + 1):
             grid[j, n - 1] = trace_norm_distance(seq(n).apply(rho), ref)
     return grid
-
-
-def channel_to_json(phi: Channel) -> dict:
-    return {
-        "d_in": phi.d_in,
-        "d_out": phi.d_out,
-        "kraus": [
-            {
-                "re": np.real(k).tolist(),
-                "im": np.imag(k).tolist(),
-            }
-            for k in phi.kraus
-        ],
-    }
-
-
-def channel_from_json(obj: dict) -> Channel:
-    ops = []
-    for kj in obj["kraus"]:
-        re = np.asarray(kj["re"], dtype=float)
-        im = np.asarray(kj.get("im", np.zeros_like(re)), dtype=float)
-        ops.append(re + 1j * im)
-    phi = Channel(ops)
-    if phi.d_in != obj["d_in"] or phi.d_out != obj["d_out"]:
-        raise ValueError("declared channel dims do not match Kraus shapes")
-    return phi

@@ -15,13 +15,12 @@ first request, or every pending basis of a window at once through
 ``solve_bases``, one stacked eigensolve per dimension, bitwise the same as
 solving each alone.  A diagonal operator sorts its diagonal on first
 spectral read.  Truncation heads and tails, rescaled and normalized
-states, pseudoinverses and purifications are spectral views of their
-parent: they carry a spectrum derived from the parent's and cost no
-eigensolve.  ``PositiveOperator._with_spectrum`` is the one constructor of
-views.  Its data is freshly allocated, shares memory with no parent or
-caller, and is exactly Hermitian (a composed V diag(lambda) V* and a
-purification's psi psi* are symmetrized once, as they round apart from
-their adjoints), so a view is never re-wrapped: it is not copied,
+states and pseudoinverses are spectral views of their parent: they carry
+a spectrum derived from the parent's and cost no eigensolve.
+``PositiveOperator._with_spectrum`` is the one constructor of views.  Its
+data is freshly allocated, shares memory with no parent or caller, and is
+exactly Hermitian (a composed V diag(lambda) V* is symmetrized once, as it
+rounds apart from its adjoint), so a view is never re-wrapped: it is not copied,
 symmetrized or validated again.  ``PositiveOperator.split`` is the one cut
 of a spectrum into a head and a tail: both read the kept values, and a cut
 at or past the rank leaves the operator itself and a zero tail.  A
@@ -629,17 +628,6 @@ def compress(rho: PositiveOperator, p: Projector) -> PositiveOperator:
     return PositiveOperator(pm @ rho.matrix @ pm)
 
 
-def identity(dim: int) -> Projector:
-    return Projector(diagonal=np.ones(dim), rank=dim)
-
-
-def coordinate_projector(dim: int, indices) -> Projector:
-    idx = list(indices)
-    d = np.zeros(dim)
-    d[idx] = 1.0
-    return Projector(diagonal=d, rank=len(idx))
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in non-increasing order with phase-canonicalized eigenvectors."""
@@ -769,54 +757,9 @@ def partial_trace(a: HermitianOperator, keep: str, d_a: int, d_b: int) -> Hermit
     return HermitianOperator(red)
 
 
-def purify(rho: DensityOperator) -> DensityOperator:
-    """Minimal purification on H_A (x) H_R with dim(R) = rank(rho).
-
-    The purifying vector is built in the non-increasing eigenbasis so the
-    construction is reproducible.  The result is a pure state, so its
-    spectrum (1, 0, ..., 0) is known without an eigensolve.
-    """
-    spec = rho.spectrum()
-    r = spec.rank
-    v = spec.vectors()[:, :r]
-    # sum_i sqrt(lambda_i) v_i (x) e_i, with index (a, i) at a * r + i
-    psi = (v * np.sqrt(spec.values[:r])).reshape(rho.dim * r)
-    psi /= np.linalg.norm(psi)
-    matrix = _hermitian_part(np.outer(psi, psi.conj()))  # numpy's complex products round apart across the diagonal
-    pure = np.zeros(rho.dim * r)
-    pure[0] = 1.0
-    return DensityOperator._with_spectrum(Spectrum(pure, diagonal=False, source=matrix), matrix=matrix)
-
-
 def trace_norm_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_diagonal and b.is_diagonal:
         return float(np.sum(np.abs(a.diag - b.diag)))
     return float(np.sum(np.abs(_eigvalsh(a.matrix - b.matrix))))
-
-
-# ---------------------------------------------------------------------------
-# JSON matrix format: {"dim": d, "re": [[...]], "im": [[...]]} with the
-# diagonal shorthand {"diag": [...]}.
-
-def operator_to_json(a: HermitianOperator) -> dict:
-    if a.is_diagonal:
-        return {"diag": [float(x) for x in a.diag]}
-    m = a.matrix
-    return {
-        "dim": a.dim,
-        "re": np.real(m).tolist(),
-        "im": np.imag(m).tolist(),
-    }
-
-
-def operator_from_json(obj: dict, cls=HermitianOperator) -> HermitianOperator:
-    if "diag" in obj:
-        return cls(diagonal=np.asarray(obj["diag"], dtype=float))
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    m = re + 1j * im
-    if "dim" in obj and m.shape != (obj["dim"], obj["dim"]):
-        raise ValueError(f"declared dim {obj['dim']} does not match shape {m.shape}")
-    return cls(m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +258,8 @@ class Scenario:
     version: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"'name' must be a string, got {self.name!r}")
         for sec in ("sequences", "channels", "families"):
             table = getattr(self, sec)
             if not isinstance(table, dict):
@@ -269,6 +272,8 @@ class Scenario:
         for check in self.checks:
             if not isinstance(check, dict):
                 raise ScenarioError(f"each check must be an object, got {check!r}")
+            if not isinstance(check.get("name", ""), str):
+                raise ScenarioError(f"a check's 'name' must be a string, got {check['name']!r}")
             if check.get("expected") not in (None, *STATUSES):
                 raise ScenarioError(f"'expected' must be one of {', '.join(STATUSES)}, got {check['expected']!r}")
 
@@ -447,6 +452,15 @@ def _window(check: dict, n_override, m_override):
     return n_max, m_max
 
 
+@contextmanager
+def _naming(check: dict):
+    """Re-raise a check's input error (a ValueError from the library, a ScenarioError from a field) as ``check '<name>': ...``."""
+    try:
+        yield
+    except (ValueError, ScenarioError) as exc:  # other types keep their tracebacks
+        raise ScenarioError(f"check {check.get('name', check.get('op'))!r}: {exc}") from exc
+
+
 def _run_check(check: dict, seqs, chans, fams, n_override, m_override):
     op = check.get("op")
     n_max, m_max = _window(check, n_override, m_override)
@@ -549,7 +563,8 @@ def estimate_flops(scenario: Scenario, n_max=None, m_max=None) -> float:
         dims = [seqs[v].dim for v in check.values() if isinstance(v, str) and v in seqs]
         dim = max(dims, default=2)
         cost_dim = dim if scenario.diagonal else dim ** 3
-        n, m = _window(check, n_max, m_max)
+        with _naming(check):
+            n, m = _window(check, n_max, m_max)
         total += cost_dim * (n + 1) * (m + 1) * 8.0
     return total
 
@@ -576,10 +591,8 @@ def run_scenario(scenario: Scenario, seed: int = 0, n_max=None, m_max=None) -> d
     all_matched = True
     for check in scenario.checks:
         entry = {"op": check.get("op"), "name": check.get("name", check.get("op"))}
-        try:
+        with _naming(check):
             verdict, grid = _run_check(check, seqs, chans, fams, n_max, m_max)
-        except ValueError as exc:  # the library's input errors; other types keep their tracebacks
-            raise ScenarioError(f"check {entry['name']!r}: {exc}") from exc
         if grid is not None:
             grids_out.append({"check": entry["name"], "grid": grid.to_json()})
         if verdict is not None:

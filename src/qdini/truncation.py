@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropies import _TINY_MASS, _binary_units, _support_tol, von_neumann_entropy
+from .entropies import _TINY_MASS, _binary_units, _support_tol
 from .operators import (
     DensityOperator,
     PositiveOperator,
@@ -96,27 +96,13 @@ def spectral_truncation(rho: PositiveOperator, m: int) -> TruncationResult:
     return TruncationResult(head, tail, float(np.sum(lam[:m])), not spec.stable[m - 1])
 
 
-def truncated_state_entropy_bound(rho: PositiveOperator, m: int) -> bool:
-    """S([Psi_m(rho)]) <= ln m within 1e-10."""
-    head = spectral_truncation(rho, m).head
-    state = normalize(head)
-    if state is None:
-        return True
-    return float(von_neumann_entropy(state)) <= math.log(m) + 1e-10
-
-
 def stable_index_set(rho: PositiveOperator, m_max: int):
     """Ranks m <= m_max where a multiplicity group ends (lambda_{m+1} < lambda_m - gap_tol), or m is past the rank."""
     return [int(m) + 1 for m in np.flatnonzero(rho.spectrum().stable[:max(m_max, 0)])]
 
 
-def largest_stable_index(limit: PositiveOperator, m: int, m_max: int | None = None):
-    """m-hat: the largest stable index of the limit operator not exceeding m (nor m_max, default its dim); None if there is none."""
-    return int(largest_stable_indices(limit, [m], m_max)[0]) or None
-
-
 def largest_stable_indices(limit: PositiveOperator, ms, m_max: int | None = None) -> np.ndarray:
-    """``largest_stable_index`` at every m of ms as an int array, 0 where there is none.
+    """m-hat at every m of ms as an int array: the largest stable index of the limit not exceeding m (nor m_max, default its dim), 0 where there is none.
 
     The stable index set up to m_max is computed once and each m found
     in it by ``np.searchsorted``.
@@ -384,36 +370,21 @@ def fixed_basis_schedule(dim: int, m_max: int, seq: OperatorSequence, n_max: int
 def commuting_schedule(seq: OperatorSequence, m_max: int, n_max: int) -> ProjectorSchedule:
     """Schedule of spectral projectors of rho_n, cut at stable indices of the limit.
 
-    Full-rank windows use P^n_m = top-(m-hat of rho_0) eigenprojector of
-    rho_n.  If any member is rank deficient, the limit is first extended by a
-    direct sum with an auxiliary full-rank state whose spectrum lies strictly
-    below every positive eigenvalue in the window, so the induced cut always
-    lands inside rho_n's spectrum and the restricted projectors stay nested.
+    P^n_m is the top-k eigenprojector of rho_n with k the m-hat of rho_0
+    clipped at rank rho_n, for m from m_0 = ``top_multiplicity(rho_0)``.
+    Every cut past rank rho_0 is stable (``Spectrum.stable``), and the clip
+    keeps each cut inside rho_n's kept values.
     """
-    dim = seq.dim
     members = [seq(n) for n in range(n_max + 1)]
-    spectra = [op.spectrum() for op in members]
-    ranks = [spec.rank for spec in spectra]
     if any(op.vanishes() for op in members):
         raise ValueError("commuting_schedule requires every window member to be nonzero")
-    limit = members[0] if all(r == dim for r in ranks) else _extended_limit(spectra)
-    m_0 = top_multiplicity(limit)
+    spectra = [op.spectrum() for op in members]
+    m_0 = top_multiplicity(members[0])
     if m_0 > m_max:
         raise ValueError(f"m_max = {m_max} is below the starting index m_0 = {m_0}; enlarge the window")
-    m_hats = largest_stable_indices(limit, range(m_0, m_max + 1))  # every m from m_0 on has one
-    cuts = np.minimum(m_hats[None, :], np.array(ranks)[:, None])
+    m_hats = largest_stable_indices(members[0], range(m_0, m_max + 1))  # every m from m_0 on has one
+    cuts = np.minimum(m_hats[None, :], np.array([spec.rank for spec in spectra])[:, None])
     return ProjectorSchedule(m_0, m_max, n_max, tuple(spectra), cuts)
-
-
-def _extended_limit(spectra) -> PositiveOperator:
-    """rho_0 (+) auxiliary state with a geometric spectrum below the window."""
-    dim = spectra[0].values.size
-    min_pos = min(float(spec.values[spec.rank - 1]) for spec in spectra)
-    # fractional part of sqrt(2): keeps the auxiliary spectrum numerically
-    # disjoint from the window spectra while staying strictly below them
-    scale = (math.sqrt(2.0) - 1.0) * min_pos
-    aux = scale * 0.5 ** np.arange(dim)
-    return PositiveOperator(diagonal=np.concatenate([spectra[0].kept(), aux]))
 
 
 def schedule_checks(schedule: ProjectorSchedule, seq: OperatorSequence,

@@ -6,11 +6,11 @@ import pytest
 from qdini import (
     DensityOperator,
     PositiveOperator,
+    Projector,
     binary_entropy,
     binary_entropy_extension,
     check_entropy_subadditivity_pair,
     compressed_entropy_pair,
-    coordinate_projector,
     eta,
     quantum_mutual_information,
     random_density,
@@ -243,7 +243,7 @@ class TestSubadditivityPair:
 class TestCompressedEntropyPair:
     def test_diagonal_split(self):
         rho = DensityOperator(diagonal=[0.4, 0.3, 0.2, 0.1])
-        p = coordinate_projector(4, [0, 1])
+        p = Projector(diagonal=[1.0, 1.0, 0.0, 0.0])
         s_head, s_tail = compressed_entropy_pair(rho, p)
         assert abs(s_head - _scalar_entropy([0.4, 0.3])) < 1e-12
         assert abs(s_tail - _scalar_entropy([0.2, 0.1])) < 1e-12
@@ -253,7 +253,7 @@ class TestCompressedEntropyPair:
         for _ in range(50):
             rho = random_density(rng, 5)
             k = int(rng.integers(1, 5))
-            p = coordinate_projector(5, range(k))
+            p = Projector(diagonal=(np.arange(5) < k).astype(float))
             s_head, s_tail = compressed_entropy_pair(rho, p)
             assert s_head + s_tail <= float(von_neumann_entropy(rho)) + 1e-9
 

@@ -15,16 +15,11 @@ from qdini import (
     PositiveOperator,
     Projector,
     apply_spectral_function,
-    coordinate_projector,
     default_rank_tol,
     dense_materialization_count,
     eigh,
-    identity,
     moore_penrose_inverse,
-    operator_from_json,
-    operator_to_json,
     partial_trace,
-    purify,
     support_projector,
     trace_norm_distance,
 )
@@ -96,14 +91,9 @@ class TestConstruction:
     def test_projector_idempotence_check(self):
         with pytest.raises(ValueError):
             Projector(np.array([[0.5, 0.0], [0.0, 1.0]]))
-        p = coordinate_projector(3, [0, 2])
+        p = Projector(diagonal=[1.0, 0.0, 1.0])
         assert p.rank == 2
         assert p.complement().rank == 1
-
-    def test_coordinate_projector_reads_indices_once(self):
-        p = coordinate_projector(4, iter([0, 1]))
-        assert p.rank == 2
-        assert np.array_equal(p.diag, [1.0, 1.0, 0.0, 0.0])
 
     def test_trace_is_summed_once_on_every_constructor(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -116,7 +106,7 @@ class TestConstruction:
             support_projector(rho),                    # dense Projector
             support_projector(rho).complement(),
         ]
-        ops += list(rho.split(2)) + [moore_penrose_inverse(rho), purify(rho)]  # the other spectral views
+        ops += list(rho.split(2)) + [moore_penrose_inverse(rho)]  # the other spectral views
         firsts = [op.trace() for op in ops]
         assert firsts == [float(np.sum(op.diag)) for op in ops]
 
@@ -129,8 +119,8 @@ class TestConstruction:
         assert [op.trace() for op in ops] == firsts
 
     def test_projector_leq(self):
-        p1 = coordinate_projector(3, [0])
-        p2 = coordinate_projector(3, [0, 1])
+        p1 = Projector(diagonal=[1.0, 0.0, 0.0])
+        p2 = Projector(diagonal=[1.0, 1.0, 0.0])
         assert p1.leq(p2)
         assert not p2.leq(p1)
 
@@ -294,14 +284,14 @@ def test_stack_failure_names_the_failing_member(monkeypatch):
 
 def _views(parent):
     """The spectral views of ``parent``: rescaled, pseudoinverse, rebuilt from its spectrum,
-    both parts of every split below the rank, and, unless it vanishes, normalized and purified."""
+    both parts of every split below the rank, and, unless it vanishes, normalized."""
     spec = parent.spectrum()
     views = [parent.rescaled(0.5), parent.rescaled(0.0), moore_penrose_inverse(parent), spec.operator()]
     for k in range(spec.rank):
         views += parent.split(k)
     if not parent.vanishes():
         state = normalize(parent)
-        views += [state, purify(state)]
+        views.append(state)
     return views
 
 
@@ -377,47 +367,14 @@ class TestTensorAndPartialTrace:
         assert abs(red.trace() - 1.0) < 1e-12
 
 
-class TestPurify:
-    def test_reduced_state_recovers_input(self):
-        rng = np.random.default_rng(4)
-        rho = _random_density(rng, 4)
-        psi = purify(rho)
-        r = psi.dim // 4
-        red = partial_trace(psi, "A", 4, r)
-        assert np.allclose(red.matrix, rho.matrix, atol=1e-10)
-
-    def test_minimal_environment(self):
-        rho = DensityOperator(diagonal=[0.5, 0.5, 0.0])
-        psi = purify(rho)
-        assert psi.dim == 3 * 2  # environment dimension equals rank
-
-
-class TestMetricsAndJson:
+class TestMetrics:
     def test_trace_norm_distance_oracle(self):
         a = HermitianOperator(diagonal=[1.0, 0.0])
         b = HermitianOperator(diagonal=[0.0, 1.0])
         assert abs(trace_norm_distance(a, b) - 2.0) < 1e-14
 
-    def test_json_round_trip_dense(self):
-        rng = np.random.default_rng(5)
-        rho = _random_density(rng, 3)
-        back = operator_from_json(operator_to_json(rho), DensityOperator)
-        assert np.allclose(back.matrix, rho.matrix, atol=1e-15)
-
-    def test_json_round_trip_diagonal(self):
-        rho = PositiveOperator(diagonal=[0.25, 0.75])
-        obj = operator_to_json(rho)
-        assert "diag" in obj
-        back = operator_from_json(obj, PositiveOperator)
-        assert back.is_diagonal
-
-    def test_json_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            operator_from_json({"dim": 3, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
-
     def test_rank_tolerance_scales(self):
         assert default_rank_tol(10, 2.0) == 10 * 1e-14 * 2.0
-        assert identity(3).rank == 3
 
 
 def _random_density(rng, dim):

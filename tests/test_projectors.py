@@ -243,7 +243,7 @@ def test_dense_window_solves_its_bases_in_one_eigensolve(eigensolves):
 
 def test_dominated_scheme_builds_its_limits_once(monkeypatch):
     calls = Counter()
-    for name in ("largest_stable_index", "stable_index_set", "top_multiplicity"):
+    for name in ("largest_stable_indices", "stable_index_set", "top_multiplicity"):
         fn = getattr(truncation, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -257,9 +257,9 @@ def test_dominated_scheme_builds_its_limits_once(monkeypatch):
     scheme = ApproximationScheme("dominated", 1.0, rho)
     grid = approximation_gap_grid(entropy_family(), tau, scheme, n_max, m_max)
     assert len(grid.cells) == (n_max + 1) * len(grid.m_range)
-    # one per limit and per (limit, m), not one per (n, m) cell
+    # one per limit, not one per (n, m) cell
     assert calls["top_multiplicity"] <= 2
-    assert calls["largest_stable_index"] <= 2 * m_max
+    assert calls["largest_stable_indices"] <= 2
     # one stable index set per limit, whatever the number of m
     assert calls["stable_index_set"] <= 2
 

@@ -56,7 +56,6 @@ from qdini import (
     commuting_schedule,
     entropy_family,
     fixed_basis_schedule,
-    largest_stable_index,
     load_scenario,
     normalize,
     output_entropy_family,
@@ -67,6 +66,7 @@ from qdini import (
     report_to_json,
     run_scenario,
     spectral_truncation,
+    stable_index_set,
     top_multiplicity,
     trace_neg_log_family,
     truncation_criterion,
@@ -698,7 +698,7 @@ def _reference_cut_table(rho, tau, c, ns, m_max, whole):
     """(m_range, cuts, cut_sigma, flags) of a dominated window from operators alone, as plain lists.
 
     sigma_n = tau_n - c rho_n is built by ``PositiveOperator.of``; each m-hat
-    comes from ``largest_stable_index`` of its limit, clipped at the rank
+    is the largest of its limit's ``stable_index_set`` up to m, clipped at the rank
     (at least 1); each flag is ``spectral_truncation(rho_n, k).ambiguous``,
     or the same for sigma_n where sigma_n does not vanish.
     """
@@ -707,7 +707,7 @@ def _reference_cut_table(rho, tau, c, ns, m_max, whole):
     cuts, cut_sigma, flags = ([], []), [], []
     for n in ns:
         pair = (rho(n), PositiveOperator.of(tau(n).sub(rho(n).scale(c))))
-        rows = [[min(largest_stable_index(limit, m), max(op.rank(), 1)) for m in m_range] + [max(op.rank(), 1)] * whole
+        rows = [[min(max(stable_index_set(limit, m)), max(op.rank(), 1)) for m in m_range] + [max(op.rank(), 1)] * whole
                 for limit, op in zip(limits, pair)]
         cut_sigma.append(not pair[1].vanishes())
         flags.append([spectral_truncation(pair[0], k).ambiguous

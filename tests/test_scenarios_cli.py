@@ -307,14 +307,14 @@ class TestMalformedInputsExit2:
         assert "must be a number" in result.output
 
     @pytest.mark.parametrize("field, value, message", [
-        ("n_max", 12.9, "'n_max' must be an integer, got 12.9"),
-        ("n_max", "3", "'n_max' must be a number, got '3'"),
-        ("n_max", math.inf, "'n_max' must be an integer, got inf"),
-        ("n_max", math.nan, "'n_max' must be an integer, got nan"),
-        ("m_max", True, "'m_max' must be a number, got True"),
-        ("m_max", "2", "'m_max' must be a number, got '2'"),
-        ("c", False, "'c' must be a number, got False"),
-        ("c", "0.5", "'c' must be a number, got '0.5'"),
+        ("n_max", 12.9, "check 'dct-simon': 'n_max' must be an integer, got 12.9"),
+        ("n_max", "3", "check 'dct-simon': 'n_max' must be a number, got '3'"),
+        ("n_max", math.inf, "check 'dct-simon': 'n_max' must be an integer, got inf"),
+        ("n_max", math.nan, "check 'dct-simon': 'n_max' must be an integer, got nan"),
+        ("m_max", True, "check 'dct-simon': 'm_max' must be a number, got True"),
+        ("m_max", "2", "check 'dct-simon': 'm_max' must be a number, got '2'"),
+        ("c", False, "check 'dct-simon': 'c' must be a number, got False"),
+        ("c", "0.5", "check 'dct-simon': 'c' must be a number, got '0.5'"),
         ("expected", "consistant", "'expected' must be one of consistent, violated, inconclusive, got 'consistant'"),
         ("expected", True, "'expected' must be one of consistent, violated, inconclusive, got True"),
     ])
@@ -391,7 +391,7 @@ class TestMalformedInputsExit2:
 
 
 class TestLibraryInputErrorsExit2:
-    """A ValueError on a check's input becomes a ScenarioError naming the check; other errors propagate."""
+    """A ValueError or ScenarioError on a check's input becomes a ScenarioError naming the check; other errors propagate."""
 
     @pytest.mark.parametrize("name, message", [
         ("usage-dominated-not-psd", "check 'dominated-grid': tau - c*rho: operator is not PSD"),
@@ -410,12 +410,14 @@ class TestLibraryInputErrorsExit2:
         ("usage-channel-not-an-object", "channels.phi must be an object, got 'depolarizing-inverse-n'"),
         ("usage-family-not-an-object", "families.S must be an object, got 'entropy'"),
         ("usage-builder-not-a-string", "sequences.rho needs a 'builder' string, got ['diag-perturbed']"),
-        ("usage-scheme-not-an-object", "'scheme' must be an object, got 'spectral'"),
-        ("usage-schedule-not-an-object", "'schedule' must be an object, got 'commuting'"),
-        ("usage-k-schedule-not-a-list", "'k_schedule' must be a list of numbers, got 5"),
+        ("usage-scheme-not-an-object", "check 'gap-grid': 'scheme' must be an object, got 'spectral'"),
+        ("usage-schedule-not-an-object", "check 'truncation-criterion': 'schedule' must be an object, got 'commuting'"),
+        ("usage-k-schedule-not-a-list", "check 'appendix-domination': 'k_schedule' must be a list of numbers, got 5"),
         ("usage-entropy-plus-log-k0", "'k' of entropy-plus-log must be at least 1, got 0"),
-        ("usage-n-max-fraction", "'n_max' must be an integer, got 12.9"),
+        ("usage-n-max-fraction", "check 'dct-basic': 'n_max' must be an integer, got 12.9"),
         ("usage-expected-typo", "'expected' must be one of consistent, violated, inconclusive, got 'consistant'"),
+        ("usage-name-not-a-string", "'name' must be a string, got nan"),
+        ("usage-check-name-not-a-string", "a check's 'name' must be a string, got {'a': 1}"),
     ])
     def test_scenario_files_exit_2(self, name, message):
         path = str(SCENARIOS / f"{name}.json")

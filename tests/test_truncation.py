@@ -17,11 +17,9 @@ from qdini import (
     commutator_norm,
     commuting_schedule,
     constant_sequence,
-    coordinate_projector,
     dominated_truncation,
     entropy_family,
     fixed_basis_schedule,
-    largest_stable_index,
     largest_stable_indices,
     normalize,
     random_density,
@@ -29,13 +27,13 @@ from qdini import (
     spectral_truncation,
     stable_index_set,
     top_multiplicity,
-    truncated_state_entropy_bound,
+    truncation_criterion,
     truncation_lower_bound_slack,
     validate_schedule,
     von_neumann_entropy,
 )
 from qdini.operators import GAP_REL_TOL
-from qdini.truncation import ambiguous_cuts
+from qdini.truncation import ambiguous_cuts, schedule_checks
 
 
 class TestSpectralTruncation:
@@ -71,13 +69,6 @@ class TestSpectralTruncation:
         with pytest.raises(ValueError):
             spectral_truncation(PositiveOperator(diagonal=[1.0]), 0)
 
-    def test_entropy_bound_holds(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            rho = random_density(rng, 6)
-            m = int(rng.integers(1, 7))
-            assert truncated_state_entropy_bound(rho, m)
-
 
 class TestStableIndices:
     def test_matches_index_loop(self):
@@ -97,8 +88,7 @@ class TestStableIndices:
     def test_multiplicity_blocks_interior_cuts(self):
         rho = PositiveOperator(diagonal=[0.4, 0.3, 0.3])
         assert stable_index_set(rho, 3) == [1, 3]
-        assert largest_stable_index(rho, 2) == 1
-        assert largest_stable_index(rho, 3) == 3
+        assert largest_stable_indices(rho, [2, 3]).tolist() == [1, 3]
 
     def test_rank_deficient_tail_is_stable(self):
         rho = PositiveOperator(diagonal=[0.6, 0.4, 0.0, 0.0])
@@ -110,7 +100,7 @@ class TestStableIndices:
 
     def test_no_stable_index_below_multiplicity(self):
         rho = PositiveOperator(diagonal=[0.5, 0.5])
-        assert largest_stable_index(rho, 1) is None
+        assert largest_stable_indices(rho, [1]).tolist() == [0]
 
 
 def _largest_stable_index_loop(limit, m, m_max=None):
@@ -144,7 +134,6 @@ def test_largest_stable_indices_match_the_per_m_loop(lam, ms, m_max):
     got = largest_stable_indices(limit, ms, m_max)
     assert got.shape == (len(ms),)
     assert [int(x) or None for x in got] == [_largest_stable_index_loop(limit, m, m_max) for m in ms]
-    assert [largest_stable_index(limit, m, m_max) for m in ms] == [int(x) or None for x in got]
 
 
 @given(planted_spectra())
@@ -366,7 +355,7 @@ class TestFixedBasisSchedule:
         assert sched.cuts.tolist() == [[1, 2, 3]] * 3
         for n in range(3):
             for m in range(1, 4):
-                assert sched.projector(n, m).diag.tolist() == coordinate_projector(4, range(m)).diag.tolist()
+                assert sched.projector(n, m).diag.tolist() == [1.0] * m + [0.0] * (4 - m)
 
     def test_rejects_malformed_cuts(self):
         sched = fixed_basis_schedule(4, 4, constant_sequence(DensityOperator(diagonal=[0.4, 0.3, 0.2, 0.1])),
@@ -400,7 +389,7 @@ class TestCommutingSchedule:
         )
         assert worst <= 1e-12
 
-    def test_mixed_rank_direct_sum_restriction(self):
+    def test_mixed_rank_window_validates(self):
         rng = np.random.default_rng(5)
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         def member(n):
@@ -423,6 +412,41 @@ class TestCommutingSchedule:
         )
         assert worst <= 1e-12
 
+    def test_tiny_values_past_the_limits_rank_are_kept(self):
+        # rho_0 = diag(1, 0.5, 0) and rho_1 = rho_2 = diag(1, 0.5, 1e-9): the cut at m = 3 is
+        # stable for rho_0 (past its rank), so rows 1 and 2 keep their value 1e-9 and cover
+        # their supports; P^n_3 stays 1 away from P^0_3 on e_2, so the trend is unmet
+        limit, member = [1.0, 0.5, 0.0], [1.0, 0.5, 1e-9]
+        for dense in (False, True):
+            u = random_unitary(np.random.default_rng(3), 3) if dense else None
+            seq = OperatorSequence(lambda n: _member(member if n else limit, u), 3)
+            sched = commuting_schedule(seq, m_max=3, n_max=2)
+            assert sched.m_0 == 1
+            assert sched.cuts.tolist() == [[1, 2, 2], [1, 2, 3], [1, 2, 3]]
+            v = validate_schedule(sched, seq)
+            assert all(c.passed for c in v.hypothesis_checks)
+            assert v.status == "inconclusive"
+            if not dense:
+                assert v.conclusion_trends[-1].residuals == (1.0, 1.0)
+            assert truncation_criterion(entropy_family(), seq, sched, 1, 2, 3).status == "inconclusive"
+
+    @pytest.mark.parametrize("dense", (False, True), ids=("diagonal", "dense"))
+    @pytest.mark.parametrize("case", ("generic", "zeros", "planted", "ties"))
+    def test_rank_deficient_windows_cut_at_the_limits_stable_indices(self, case, dense):
+        # cuts are min(m-hat of rho_0, rank rho_n), m-hat from the stable index set of rho_0
+        # itself, and with m_max = d the four hard checks pass
+        rng = np.random.default_rng(["generic", "zeros", "planted", "ties"].index(case) + 10 * dense)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            seq, n_max = _rank_deficient_window(rng, d, case, dense), 3
+            limit = seq(0)
+            sched = commuting_schedule(seq, m_max=d, n_max=n_max)
+            assert sched.m_0 == top_multiplicity(limit) == stable_index_set(limit, d)[0]
+            m_hats = [max(stable_index_set(limit, m)) for m in range(sched.m_0, d + 1)]
+            ranks = [seq(n).rank() for n in range(n_max + 1)]
+            assert sched.cuts.tolist() == [[min(k, r) for k in m_hats] for r in ranks]
+            assert all(c.passed for c in schedule_checks(sched, seq)), (case, limit.spectrum().values)
+
     def test_rejects_zero_member(self):
         def member(n):
             return PositiveOperator(diagonal=[0.0, 0.0] if n == 1 else [0.5, 0.5])
@@ -443,7 +467,7 @@ class TestCommutingSchedule:
             validate_schedule(sched, seq, m_max=1)
 
     def test_commutator_exactly_zero_on_diagonal(self):
-        p = coordinate_projector(3, [0])
+        p = Projector(diagonal=[1.0, 0.0, 0.0])
         rho = PositiveOperator(diagonal=[0.5, 0.3, 0.2])
         assert commutator_norm(p, rho) == 0.0
 
@@ -463,6 +487,47 @@ class TestSequenceCaching:
         seq = OperatorSequence(lambda n: PositiveOperator(diagonal=[1.0]), 2)
         with pytest.raises(ValueError):
             seq(0)
+
+
+def _member(lam, u=None) -> PositiveOperator:
+    """diag(lam), or u diag(lam) u* with u given."""
+    lam = np.asarray(lam, dtype=float)
+    return PositiveOperator(diagonal=lam) if u is None else PositiveOperator((u * lam) @ u.conj().T)
+
+
+def _rank_deficient_window(rng, d, case, dense) -> OperatorSequence:
+    """A window whose limit rho_0 has at least one exact zero eigenvalue.
+
+    ``generic``: rho_0 has random values and rho_n = rho_0 + 0.5^n times a
+    perturbation on its support.  ``zeros``: rho_n also has exact zeros, a
+    random number of them per n.  ``planted``: the zero slots of rho_n hold
+    values 10^-16 ... 10^-8 of the top, and so, half the time, does the last
+    positive slot of rho_0.  ``ties``: neighbouring values of rho_0 and
+    rho_n sit at, just inside or just outside the gap tolerance.
+    """
+    r = int(rng.integers(1, d))
+    if case == "ties":
+        steps = rng.choice(GAP_STEPS, size=r - 1)
+        limit = np.concatenate([1.0 - np.cumsum(np.concatenate([[0.0], steps])) * GAP_REL_TOL, np.zeros(d - r)])
+    else:
+        limit = np.concatenate([np.sort(rng.uniform(0.1, 1.0, r))[::-1], np.zeros(d - r)])
+    if case == "planted" and rng.random() < 0.5:
+        limit[r - 1] = 10.0 ** rng.uniform(-16, -8)
+    members = [limit]
+    for n in range(1, 4):
+        lam = limit.copy()
+        if case == "ties":
+            lam[:r] *= 1.0 + 0.5 ** n * rng.choice(GAP_STEPS[:4]) * GAP_REL_TOL
+        elif case != "planted" or rng.random() < 0.5:
+            lam[:r] += 0.5 ** n * rng.uniform(0.0, 0.05, r)
+        if case == "zeros":
+            lam[rng.random(d) < 0.3] = 0.0
+            lam[0] = max(lam[0], 0.1)
+        if case == "planted":
+            lam[r:] = 10.0 ** rng.uniform(-16, -8, d - r)
+        members.append(lam)
+    u = random_unitary(rng, d) if dense else None
+    return OperatorSequence(lambda n: _member(members[n], u), d)
 
 
 def _stable_index_loop(lam, m_max):
