@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extreal import ExtendedReal, finite
+from .extreal import finite
 from .operators import (
     DensityOperator,
     PositiveOperator,
@@ -142,14 +142,14 @@ def _environment_state(phi: Channel, rho: PositiveOperator) -> PositiveOperator:
     return PositiveOperator(k_rho.reshape(len(k), -1) @ k.reshape(len(k), -1).conj().T)
 
 
-def channel_mutual_information(phi: Channel, rho: DensityOperator) -> ExtendedReal:
+def channel_mutual_information(phi: Channel, rho: DensityOperator) -> float:
     """I(Phi, rho) = S(rho) + S(Phi(rho)) - S(Phi^(rho)), always finite.
 
     Equals the mutual information of (Phi (x) Id_R)(rho_hat) for any
     purification rho_hat of rho: Phi^ is the complementary channel, whose
     output has the entropy of the purified joint output.
     """
-    return finite(float(von_neumann_entropy(rho)) + coherent_information(phi, rho))
+    return finite(von_neumann_entropy(rho) + coherent_information(phi, rho))
 
 
 def coherent_information(phi: Channel, rho: DensityOperator) -> float:
@@ -158,12 +158,12 @@ def coherent_information(phi: Channel, rho: DensityOperator) -> float:
 
 
 def output_entropy(phi: Channel, rho: PositiveOperator) -> float:
-    return float(von_neumann_entropy(phi.apply(rho)))
+    return von_neumann_entropy(phi.apply(rho))
 
 
 def environment_entropy(phi: Channel, rho: PositiveOperator) -> float:
     """S(Phi^(rho)), the entropy the complementary channel outputs."""
-    return float(von_neumann_entropy(_environment_state(phi, rho)))
+    return von_neumann_entropy(_environment_state(phi, rho))
 
 
 def output_entropy_cuts(cuts: SpectralCuts, channels) -> np.ndarray:

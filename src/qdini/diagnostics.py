@@ -39,7 +39,7 @@ from .entropies import (
     trace_neg_log_pairs,
     von_neumann_entropy,
 )
-from .extreal import ExtendedReal
+from .extreal import extended
 from .operators import (
     DensityOperator,
     PositiveOperator,
@@ -101,9 +101,10 @@ def g_c_linear(c: float) -> ModulusFunction:
 class FunctionalFamily:
     """An index-dependent functional f_n on the positive cone.
 
-    Evaluation returns an ExtendedReal; +inf is a legitimate value (support
-    violations of the relative entropy), never an error.  A family that
-    reads a state only through its spectrum and its weights in a fixed
+    Evaluation returns a float; +inf is a legitimate value (support
+    violations of the relative entropy), never an error, and a NaN or -inf
+    is refused with ValueError (``extreal.extended``).  A family that reads
+    a state only through its spectrum and its weights in a fixed
     basis per n, or through a linear map of it (the channel families),
     also has ``rows``: (ns, SpectralCuts) -> f_n of every head
     and tail of the window, row j evaluated at n = ns[j], as a (2, N, M)
@@ -126,8 +127,8 @@ class FunctionalFamily:
         self.b_f = b_f
         self.rows = rows
 
-    def value(self, n: int, op: PositiveOperator) -> ExtendedReal:
-        return self._value(n, op)
+    def value(self, n: int, op: PositiveOperator) -> float:
+        return extended(self._value(n, op))
 
     def __repr__(self):
         return f"<FunctionalFamily {self.kind} {self.label!r}>"
@@ -138,7 +139,7 @@ def _homogeneous(state_value):
 
     def value(n, op):
         if op.vanishes():
-            return ExtendedReal(0.0)
+            return 0.0
         return state_value(n, normalize(op)) * op.trace()
 
     return value
@@ -183,7 +184,7 @@ def channel_mi_family(channel_seq: ChannelSequence, label: str = "I(Phi_n,.)") -
 def coherent_info_family(channel_seq: ChannelSequence, label: str = "Ic(Phi_n,.)") -> FunctionalFamily:
     return FunctionalFamily(
         "CoherentInfo", label,
-        _homogeneous(lambda n, state: ExtendedReal(coherent_information(channel_seq(n), state))),
+        _homogeneous(lambda n, state: coherent_information(channel_seq(n), state)),
         a_f=H2_MODULUS, b_f=H2_MODULUS,
         rows=lambda ns, cuts: coherent_information_cuts(cuts, [channel_seq(n) for n in ns]),
     )
@@ -200,7 +201,7 @@ def output_entropy_family(channel_seq: ChannelSequence, label: str = "S(Phi_n(.)
 
 def _limit_trend(name: str, vals, gates: bool = True) -> TrendSummary:
     """Residuals |v_n - v_0| of finite values v_0, v_1, ... as a trend."""
-    return TrendSummary.from_residuals(name, [abs(float(v) - float(vals[0])) for v in vals[1:]], gates)
+    return TrendSummary.from_residuals(name, [abs(v - vals[0]) for v in vals[1:]], gates)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def approximation_gap_grid(family: FunctionalFamily, seq: OperatorSequence,
         f_rho = window[2][:, -1:]  # the head of the last column
         window = [a[:, :-1] for a in window]
     else:
-        f_rho = _column([float(family.value(n, seq(n))) for n in ns])
+        f_rho = _column([family.value(n, seq(n)) for n in ns])
     mass, ambiguous, f_head, tail_mass, f_tail = window
     no_head, no_tail = np.isnan(f_head), np.isnan(f_tail)
     inf_gap = ~no_head & (np.isinf(f_rho) | np.isinf(f_head))
@@ -413,14 +414,14 @@ def _cut_values(family: FunctionalFamily, ns, ops, bases, cuts, normalized,
                 parts = (compress(op, p) if heads else None, compress(op, p.complement()) if tails else None)
             for side in np.flatnonzero(asked):
                 part = parts[side]
-                values[side, j, i] = _state_value(family, n, part) if normalized[i] else float(family.value(n, part))
+                values[side, j, i] = _state_value(family, n, part) if normalized[i] else family.value(n, part)
     return values
 
 
 def _state_value(family: FunctionalFamily, n: int, op: PositiveOperator) -> float:
     """f_n([op]) as a float with +inf, or NaN when op vanishes and has no state."""
     state = normalize(op)
-    return math.nan if state is None else float(family.value(n, state))
+    return math.nan if state is None else family.value(n, state)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def laa_check(family: FunctionalFamily, n: int, rho: DensityOperator,
               sigma: DensityOperator, p: float):
     """(a-side slack, b-side slack or None) of the weakened convexity bounds."""
     mix = rho.scale(p).add(sigma.scale(1.0 - p))
-    return _laa_slacks(family, p, *(float(family.value(n, op)) for op in (mix, rho, sigma)))
+    return _laa_slacks(family, p, *(family.value(n, op) for op in (mix, rho, sigma)))
 
 
 def _laa_slacks(family: FunctionalFamily, p: float, f_mix: float, f_rho: float, f_sigma: float):
@@ -495,7 +496,7 @@ def check_dct_basic(f: FunctionalFamily, g: FunctionalFamily, seq: OperatorSeque
                 continue
             mix = state.scale(0.5).add(base.scale(0.5))
             for fam, samples, at_base, tag in ((f, f_samples, f_base, "f"), (g, g_samples, g_base, "g")):
-                slacks = _laa_slacks(fam, 0.5, float(fam.value(n, mix)), samples[n, -1], at_base[i])
+                slacks = _laa_slacks(fam, 0.5, fam.value(n, mix), samples[n, -1], at_base[i])
                 yield from ((slack, side, tag, n) for side, slack in zip("ab", slacks) if slack is not None)
 
     inf_in_f = any(math.isinf(v) for v in f_vals)
@@ -535,13 +536,13 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
     g_c = g_c_linear(c)
     tau_vals = [f.value(n, tau_seq(n)) for n in range(n_max + 1)]
     rho_vals = [f.value(n, rho_seq(n)) for n in range(n_max + 1)]
-    inf_tau = any(v.is_inf for v in tau_vals)
-    inf_rho = any(v.is_inf for v in rho_vals)
-    checks = [CheckResult("f_0(tau_0) finite", not tau_vals[0].is_inf, 0.0)]
+    inf_tau = any(math.isinf(v) for v in tau_vals)
+    inf_rho = any(math.isinf(v) for v in rho_vals)
+    checks = [CheckResult("f_0(tau_0) finite", not math.isinf(tau_vals[0]), 0.0)]
     trends = []
     values = {}
     if not inf_tau:
-        a_window = max(0.0, windowed_sup([float(v) - float(tau_vals[0]) for v in tau_vals[1:]], n_max))
+        a_window = max(0.0, windowed_sup([v - tau_vals[0] for v in tau_vals[1:]], n_max))
         values["A_window"] = a_window
         values["conclusion_bound"] = a_window / c + g_c(a_window)
         trends.append(_limit_trend("|f_n(tau_n) - f_0(tau_0)|", tau_vals))
@@ -550,13 +551,13 @@ def check_dct_simon(f: FunctionalFamily, rho_seq: OperatorSequence, tau_seq: Ope
             # A can undershoot the limsup it stands in for, so the bound does
             # not gate the status
             values["conclusion_window"] = windowed_sup(
-                [float(v) - float(rho_vals[0]) for v in rho_vals[1:]], n_max)
+                [v - rho_vals[0] for v in rho_vals[1:]], n_max)
     if not inf_rho:
         trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", rho_vals))
     checks.append(inequality_check("per-cell truncation lower bound", (
         (truncation_lower_bound_slack(f, seq, ApproximationScheme("spectral"), n_max, m_max),) for seq in (tau_seq, rho_seq))))
     checks.extend(domination)
-    if inf_rho or any(v.is_inf for v in tau_vals[1:]):
+    if inf_rho or any(math.isinf(v) for v in tau_vals[1:]):
         checks.append(CheckResult("f finite on rho_n and on tau_n for n >= 1", False,
                                   detail="f hit +inf on the window"))
     return Verdict(name="dct-simon", hypothesis_checks=tuple(checks), conclusion_trends=tuple(trends), values=values)
@@ -572,7 +573,7 @@ def check_convex_mixture(f: FunctionalFamily, rho_seq: OperatorSequence, sigma_s
     p = mixture_weights(p_seq, n_max)
     rho_vals = [f.value(n, rho_seq(n)) for n in range(n_max + 1)]
     sigma_vals = [f.value(n, sigma_seq(n)) for n in range(n_max + 1)]
-    inf_hyp = any(v.is_inf for v in rho_vals + sigma_vals)
+    inf_hyp = any(math.isinf(v) for v in rho_vals + sigma_vals)
     trends = []
     if not inf_hyp:
         trends.append(_limit_trend("|f_n(rho_n) - f_0(rho_0)|", rho_vals))
@@ -636,7 +637,7 @@ def _finite_values(f: FunctionalFamily, n_max: int, op_at):
         if op is None:
             return None
         val = f.value(n, op)
-        if val.is_inf:
+        if math.isinf(val):
             return None
         vals.append(val)
     return vals

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INFINITY, ExtendedReal, finite
+from .extreal import finite
 from .operators import (
     DensityOperator,
     PositiveOperator,
@@ -80,13 +80,13 @@ def binary_entropy(p: float) -> float:
     return eta(p) + eta(1.0 - p)
 
 
-def von_neumann_entropy(rho: PositiveOperator) -> ExtendedReal:
+def von_neumann_entropy(rho: PositiveOperator) -> float:
     """Homogeneous entropy on the cone; equals Tr eta(rho) for states, 0 at rho = 0."""
     # ``_entropies`` written out on this one spectrum: a one-row array call costs three times as much
     spec = rho.spectrum()
     lam = spec.values[:spec.rank]
     if lam.size == 0:
-        return finite(0.0)
+        return 0.0
     r, mass = float(lam[0]), float(lam.sum())
     return finite(mass * math.log(mass / r) - float(lam @ np.log(lam / r)))
 
@@ -122,8 +122,8 @@ def entropy_of_diagonals(x: np.ndarray, dims=None) -> np.ndarray:
     return _entropies(lam, lam[..., :1], lambda v: v.sum(axis=-1, keepdims=True))[..., 0]
 
 
-def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedReal:
-    """Tr rho (-ln sigma) on supp sigma; +inf if rho has mass outside supp sigma."""
+def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> float:
+    """Tr rho (-ln sigma) on supp sigma; math.inf if rho has mass outside supp sigma."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     spec = sigma.spectrum()
@@ -131,11 +131,11 @@ def trace_neg_log(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedRea
     weights = np.clip(spec.weights(rho), 0.0, None)
     r = spec.rank
     if float(np.sum(weights[r:])) > _support_tol(rho.trace()):
-        return INFINITY
-    return finite(float(-np.sum(weights[:r] * np.log(spec.values[:r]))))
+        return math.inf
+    return finite(-np.sum(weights[:r] * np.log(spec.values[:r])))
 
 
-def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> ExtendedReal:
+def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> float:
     """Lindblad relative entropy on the cone.
 
     Uses the representation D = Tr rho(-ln sigma) + Tr rho ln rho + Tr sigma
@@ -149,10 +149,9 @@ def relative_entropy(rho: PositiveOperator, sigma: PositiveOperator) -> Extended
     if rho.vanishes():
         return finite(tr_sigma)
     tnl = trace_neg_log(rho, sigma)
-    if tnl.is_inf:
-        return INFINITY
-    s = float(von_neumann_entropy(rho))
-    return finite(float(tnl) - s - eta(tr_rho) + tr_sigma - tr_rho)
+    if math.isinf(tnl):
+        return math.inf
+    return finite(tnl - von_neumann_entropy(rho) - eta(tr_rho) + tr_sigma - tr_rho)
 
 
 def _support_table(values) -> np.ndarray:
@@ -351,16 +350,15 @@ def relative_entropy_cuts(cuts: SpectralCuts, sigmas) -> np.ndarray:
                                cuts.vanishing)
 
 
-def quantum_mutual_information(rho_ab: DensityOperator, d_a: int, d_b: int) -> ExtendedReal:
+def quantum_mutual_information(rho_ab: DensityOperator, d_a: int, d_b: int) -> float:
     """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB), always finite here."""
     if rho_ab.dim != d_a * d_b:
         raise ValueError(f"dim {rho_ab.dim} != d_a*d_b = {d_a * d_b}")
     rho_a = partial_trace(rho_ab, "A", d_a, d_b)
     rho_b = partial_trace(rho_ab, "B", d_a, d_b)
-    s_a = float(von_neumann_entropy(PositiveOperator.of(rho_a)))
-    s_b = float(von_neumann_entropy(PositiveOperator.of(rho_b)))
-    s_ab = float(von_neumann_entropy(rho_ab))
-    return finite(s_a + s_b - s_ab)
+    s_a = von_neumann_entropy(PositiveOperator.of(rho_a))
+    s_b = von_neumann_entropy(PositiveOperator.of(rho_b))
+    return finite(s_a + s_b - von_neumann_entropy(rho_ab))
 
 
 @dataclass(frozen=True)
@@ -369,7 +367,7 @@ class LadderResult:
 
     k_values: tuple
     a_k: tuple
-    limit_estimate: ExtendedReal
+    limit_estimate: float
 
     def __post_init__(self):
         _check_ladder(self.k_values, self.a_k)
@@ -409,9 +407,9 @@ def check_entropy_subadditivity_pair(rho: PositiveOperator, sigma: PositiveOpera
     """Slacks of S(rho)+S(sigma) <= S(rho+sigma) <= S(rho)+S(sigma)+H({Tr rho, Tr sigma})."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    s_sum = float(von_neumann_entropy(rho.add(sigma)))
-    s_rho = float(von_neumann_entropy(rho))
-    s_sigma = float(von_neumann_entropy(sigma))
+    s_sum = von_neumann_entropy(rho.add(sigma))
+    s_rho = von_neumann_entropy(rho)
+    s_sigma = von_neumann_entropy(sigma)
     h = binary_entropy_extension(rho.trace(), sigma.trace())
     slack_lower = s_sum - s_rho - s_sigma
     slack_upper = s_rho + s_sigma + h - s_sum
@@ -422,4 +420,4 @@ def compressed_entropy_pair(rho: PositiveOperator, p: Projector):
     """(S(P rho P), S(P_perp rho P_perp)) for the Lindblad-Ozawa comparison."""
     head = compress(rho, p)
     tail = compress(rho, p.complement())
-    return float(von_neumann_entropy(head)), float(von_neumann_entropy(tail))
+    return von_neumann_entropy(head), von_neumann_entropy(tail)

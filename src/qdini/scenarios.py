@@ -447,9 +447,15 @@ def _window(check: dict, n_override, m_override):
     """The (n_max, m_max) window a check runs on: the override where given, else its own."""
     n_max = int(n_override) if n_override is not None else _number(check, "n_max", 12, int)
     m_max = int(m_override) if m_override is not None else _number(check, "m_max", 12, int)
-    if n_max < 0 or m_max < 1:
-        raise ScenarioError(f"the window needs n_max >= 0 and m_max >= 1, got n_max = {n_max}, m_max = {m_max}")
+    _check_window("the window", n_max, m_max)
     return n_max, m_max
+
+
+def _check_window(what: str, n_max, m_max):
+    """Refuse a window with no member or no cut; a bound given as None is not checked."""
+    if (n_max is not None and int(n_max) < 0) or (m_max is not None and int(m_max) < 1):
+        got = ", ".join(f"{k} = {v}" for k, v in (("n_max", n_max), ("m_max", m_max)) if v is not None)
+        raise ScenarioError(f"{what} needs n_max >= 0 and m_max >= 1, got {got}")
 
 
 @contextmanager
@@ -532,13 +538,13 @@ def _entropy_jump_probe(seq: OperatorSequence, n_max: int, low: float, high: flo
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
         raise ValueError(f"the entropy band [{low}, {high}] needs finite ends with low <= high")
     rho_0 = seq(0)
-    s_0 = float(von_neumann_entropy(rho_0))
+    s_0 = von_neumann_entropy(rho_0)
     distances = []
     gaps = []
     for n in range(1, n_max + 1):
         rho = seq(n)
         distances.append(trace_norm_distance(rho, rho_0))
-        gaps.append(float(von_neumann_entropy(rho)) - s_0)
+        gaps.append(von_neumann_entropy(rho) - s_0)
     dist_trend = TrendSummary.from_residuals("trace distance to the declared limit", distances)
     window = gaps[n_from - 1:]
     in_band = all(low <= g <= high for g in window)
@@ -579,6 +585,7 @@ def _budget() -> float:
 
 
 def run_scenario(scenario: Scenario, seed: int = 0, n_max=None, m_max=None) -> dict:
+    _check_window("the window override", n_max, m_max)
     estimate = estimate_flops(scenario, n_max, m_max)
     cap = _budget()
     if estimate > cap:
@@ -909,15 +916,14 @@ def _fuzz_entropy(rng, dim):
     sigma = random_positive(rng, dim)
     lo, hi = check_entropy_subadditivity_pair(rho, sigma)
     c = rng.uniform(0.2, 3.0)
-    s = float(von_neumann_entropy(rho))
-    s_scaled = float(von_neumann_entropy(rho.scale(c)))
+    s = von_neumann_entropy(rho)
+    s_scaled = von_neumann_entropy(rho.scale(c))
     p = rng.uniform(0.0, 1.0)
     rho_s = random_density(rng, dim)
     sigma_s = random_density(rng, dim)
     mix = DensityOperator(p * rho_s.matrix + (1 - p) * sigma_s.matrix)
-    concavity_upper = (p * float(von_neumann_entropy(rho_s))
-                       + (1 - p) * float(von_neumann_entropy(sigma_s))
-                       + binary_entropy(p) - float(von_neumann_entropy(mix)))
+    concavity_upper = (p * von_neumann_entropy(rho_s) + (1 - p) * von_neumann_entropy(sigma_s)
+                       + binary_entropy(p) - von_neumann_entropy(mix))
     return {
         "sum lower bound": lo,
         "sum upper bound": hi,
@@ -933,30 +939,30 @@ def _fuzz_relative_entropy(rng, dim):
     theta = random_positive(rng, dim)
     slacks = {}
     d = relative_entropy(rho, sigma)
-    slacks["nonnegativity"] = float(d) if not d.is_inf else 0.0
+    slacks["nonnegativity"] = d if not math.isinf(d) else 0.0
     c = rng.uniform(0.2, 3.0)
     d_cc = relative_entropy(rho.scale(c), sigma.scale(c))
-    if not d.is_inf:
-        slacks["joint scaling identity"] = -abs(float(d_cc) - c * float(d))
+    if not math.isinf(d):
+        slacks["joint scaling identity"] = -abs(d_cc - c * d)
         d_c = relative_entropy(rho, sigma.scale(c))
-        expect = float(d) - rho.trace() * math.log(c) + (c - 1.0) * sigma.trace()
-        slacks["second-argument scaling identity"] = -abs(float(d_c) - expect)
+        expect = d - rho.trace() * math.log(c) + (c - 1.0) * sigma.trace()
+        slacks["second-argument scaling identity"] = -abs(d_c - expect)
     d_ro = relative_entropy(rho, omega)
     d_so = relative_entropy(sigma, omega)
     d_sum = relative_entropy(rho.add(sigma), omega)
-    if not (d_ro.is_inf or d_so.is_inf or d_sum.is_inf):
-        lower = float(d_ro) + float(d_so) - omega.trace()
+    if not (math.isinf(d_ro) or math.isinf(d_so) or math.isinf(d_sum)):
+        lower = d_ro + d_so - omega.trace()
         upper = lower + binary_entropy_extension(rho.trace(), sigma.trace())
-        slacks["sum lower bound"] = float(d_sum) - lower
-        slacks["sum upper bound"] = upper - float(d_sum)
+        slacks["sum lower bound"] = d_sum - lower
+        slacks["sum upper bound"] = upper - d_sum
     d_shift = relative_entropy(rho, sigma.add(theta))
-    if not d.is_inf:
-        slacks["second-argument shift bound"] = float(d) + theta.trace() - float(d_shift)
+    if not math.isinf(d):
+        slacks["second-argument shift bound"] = d + theta.trace() - d_shift
     # support-break control: a finite-side inequality must still hold
     proj = random_projector(rng, dim, dim - 1)
     sigma_cut = compress(sigma, proj)
     d_cut = relative_entropy(rho, sigma_cut)
-    slacks["support break is infinite"] = 0.0 if d_cut.is_inf else -1.0
+    slacks["support break is infinite"] = 0.0 if math.isinf(d_cut) else -1.0
     return slacks
 
 
@@ -967,12 +973,12 @@ def _fuzz_mi_bound(rng, dim):
     d_a = int(rng.integers(2, min(dim, 4) + 1))
     d_b = int(rng.integers(2, min(dim, 4) + 1))
     rho_ab = random_density(rng, d_a * d_b)
-    s_a = float(von_neumann_entropy(PositiveOperator.of(partial_trace(rho_ab, "A", d_a, d_b))))
-    s_b = float(von_neumann_entropy(PositiveOperator.of(partial_trace(rho_ab, "B", d_a, d_b))))
-    mi = s_a + s_b - float(von_neumann_entropy(rho_ab))
+    s_a = von_neumann_entropy(PositiveOperator.of(partial_trace(rho_ab, "A", d_a, d_b)))
+    s_b = von_neumann_entropy(PositiveOperator.of(partial_trace(rho_ab, "B", d_a, d_b)))
+    mi = s_a + s_b - von_neumann_entropy(rho_ab)
     phi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     rho = random_density(rng, dim)
-    s_in = float(von_neumann_entropy(rho))
+    s_in = von_neumann_entropy(rho)
     s_out = output_entropy(phi, rho)
     mi_ch = s_in + (s_out - environment_entropy(phi, rho))
     return {
@@ -991,12 +997,12 @@ def _fuzz_laa_relative_entropy(rng, dim):
     d_mix = relative_entropy(mix, omega)
     d_rho = relative_entropy(rho, omega)
     d_sigma = relative_entropy(sigma, omega)
-    if d_mix.is_inf or d_rho.is_inf or d_sigma.is_inf:
+    if math.isinf(d_mix) or math.isinf(d_rho) or math.isinf(d_sigma):
         return {}
-    combo = p * float(d_rho) + (1 - p) * float(d_sigma)
+    combo = p * d_rho + (1 - p) * d_sigma
     return {
-        "weakened concavity with h2": float(d_mix) - combo + binary_entropy(p),
-        "convexity": combo - float(d_mix),
+        "weakened concavity with h2": d_mix - combo + binary_entropy(p),
+        "convexity": combo - d_mix,
     }
 
 
@@ -1006,9 +1012,8 @@ def _fuzz_laa_channel_mi(rng, dim):
     sigma = random_density(rng, dim)
     p = rng.uniform(0.0, 1.0)
     mix = DensityOperator(p * rho.matrix + (1 - p) * sigma.matrix)
-    i_mix = float(channel_mutual_information(phi, mix))
-    combo = (p * float(channel_mutual_information(phi, rho))
-             + (1 - p) * float(channel_mutual_information(phi, sigma)))
+    i_mix = channel_mutual_information(phi, mix)
+    combo = p * channel_mutual_information(phi, rho) + (1 - p) * channel_mutual_information(phi, sigma)
     return {
         "concavity": i_mix - combo,
         "weakened convexity with 2*h2": combo + 2.0 * binary_entropy(p) - i_mix,
@@ -1019,9 +1024,7 @@ def _fuzz_chain_rule(rng, dim):
     phi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     psi = random_channel(rng, dim, dim, int(rng.integers(1, 4)))
     rho = random_density(rng, dim)
-    i_phi = float(channel_mutual_information(phi, rho))
-    i_comp = float(channel_mutual_information(psi.compose(phi), rho))
-    return {"chain rule": i_phi - i_comp}
+    return {"chain rule": channel_mutual_information(phi, rho) - channel_mutual_information(psi.compose(phi), rho)}
 
 
 def _fuzz_lindblad_ozawa(rng, dim):
@@ -1029,7 +1032,7 @@ def _fuzz_lindblad_ozawa(rng, dim):
     rank = int(rng.integers(1, dim))
     proj = random_projector(rng, dim, rank)
     s_head, s_tail = compressed_entropy_pair(rho, proj)
-    return {"compression entropy sum": float(von_neumann_entropy(rho)) - s_head - s_tail}
+    return {"compression entropy sum": von_neumann_entropy(rho) - s_head - s_tail}
 
 
 def _fuzz_choi_rank(rng, dim):
@@ -1037,8 +1040,8 @@ def _fuzz_choi_rank(rng, dim):
     phi = random_channel(rng, dim, dim, k)
     rho = random_density(rng, dim)
     rank = choi_matrix(phi).rank()
-    s_in = float(von_neumann_entropy(rho))
-    s_out = float(von_neumann_entropy(phi.apply(rho)))
+    s_in = von_neumann_entropy(rho)
+    s_out = von_neumann_entropy(phi.apply(rho))
     return {"output entropy log-rank bound": s_in + math.log(rank) - s_out}
 
 

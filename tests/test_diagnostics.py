@@ -8,7 +8,6 @@ from qdini import (
     ApproximationScheme,
     ChannelSequence,
     DensityOperator,
-    ExtendedReal,
     OperatorSequence,
     PositiveOperator,
     Spectrum,
@@ -219,6 +218,14 @@ class TestDctSimon:
         v = check_dct_simon(entropy_family(), seq, seq, 1.0, 10, 3)
         assert v.status == CONSISTENT
         assert "A_window" in v.values
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_a_family_value_off_the_extended_reals_is_refused(self, bad):
+        # +inf is a value; NaN and -inf are not, whatever a custom family returns
+        seq = _diag_seq([0.5, 0.3, 0.2], [0.05, -0.02, -0.03])
+        family = FunctionalFamily("Custom", "bad", lambda n, op: bad, a_f=ZERO_MODULUS)
+        with pytest.raises(ValueError, match=r"expected a value in \(-inf, \+inf\]"):
+            check_dct_simon(family, seq, seq, 1.0, 4, 2)
 
 
 class TestConvexMixture:
@@ -445,7 +452,7 @@ def _only_failing_record(verdict) -> str:
 
 def _infinite_where(pred, label: str) -> FunctionalFamily:
     """S(op), but +inf at the (n, op) where pred holds."""
-    return FunctionalFamily("Custom", label, lambda n, op: ExtendedReal(math.inf) if pred(n, op)
+    return FunctionalFamily("Custom", label, lambda n, op: math.inf if pred(n, op)
                             else von_neumann_entropy(op), a_f=ZERO_MODULUS)
 
 

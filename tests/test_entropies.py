@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from qdini import (
+    ChannelSequence,
     DensityOperator,
     PositiveOperator,
     Projector,
     binary_entropy,
     binary_entropy_extension,
+    channel_mutual_information,
     check_entropy_subadditivity_pair,
+    coherent_information,
     compressed_entropy_pair,
+    environment_entropy,
     eta,
+    output_entropy,
     quantum_mutual_information,
+    random_channel,
     random_density,
     random_positive,
     random_unitary,
@@ -97,7 +103,7 @@ class TestTraceNegLog:
     def test_infinite_on_support_violation(self):
         rho = PositiveOperator(diagonal=[0.5, 0.5])
         sigma = PositiveOperator(diagonal=[1.0, 0.0])
-        assert trace_neg_log(rho, sigma).is_inf
+        assert math.isinf(trace_neg_log(rho, sigma))
 
     def test_finite_when_support_contained(self):
         rho = PositiveOperator(diagonal=[1.0, 0.0])
@@ -137,7 +143,7 @@ class TestRelativeEntropy:
     def test_support_violation_is_infinite(self):
         rho = DensityOperator(diagonal=[0.5, 0.5])
         sigma = PositiveOperator(diagonal=[1.0, 0.0])
-        assert relative_entropy(rho, sigma).is_inf
+        assert math.isinf(relative_entropy(rho, sigma))
 
     def test_equal_supports_at_large_scale_are_finite(self):
         # rounding leaves about 3e-10 of a trace-1e7 rho off the common
@@ -150,7 +156,7 @@ class TestRelativeEntropy:
             rho = PositiveOperator(1e7 * (u * p) @ u.conj().T)
             sigma = PositiveOperator(1e7 * (u * q) @ u.conj().T)
             assert abs(float(relative_entropy(rho, sigma)) - want) <= 1e-9 * want
-            assert not trace_neg_log(rho, sigma).is_inf
+            assert not math.isinf(trace_neg_log(rho, sigma))
             spec = rho.spectrum()
             cuts = SpectralCuts([spec], [[1, 2]], normalized=False)
             assert np.all(np.isfinite(relative_entropy_cuts(cuts, [sigma])))
@@ -204,14 +210,14 @@ class TestRegularizedLogLadder:
         res = regularized_log_ladder(rho, sigma, [1, 10, 100, 1000, 10**6, 10**9])
         diffs = np.diff(res.a_k)
         assert np.all(diffs >= -1e-10)
-        assert not res.limit_estimate.is_inf
+        assert not math.isinf(res.limit_estimate)
         assert abs(res.a_k[-1] - float(res.limit_estimate)) < 1e-6
 
     def test_diverges_on_support_violation(self):
         rho = PositiveOperator(diagonal=[0.5, 0.5])
         sigma = PositiveOperator(diagonal=[1.0, 0.0])
         res = regularized_log_ladder(rho, sigma, [1, 10, 100])
-        assert res.limit_estimate.is_inf
+        assert math.isinf(res.limit_estimate)
         # a_k grows like 0.5 ln k on the unsupported coordinate
         assert res.a_k[-1] > res.a_k[0] + 0.5 * math.log(50)
 
@@ -291,3 +297,41 @@ class TestSubnormalCutMass:
         assert np.array_equal(cuts.values, spectrum.kept()[None, :])
         assert np.array_equal(cuts.scale[positive], 1.0 / cuts.mass[positive])
         assert np.all(cuts.scale[~positive] == 1.0)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("support_break", [False, True])
+def test_scalar_functionals_return_floats(dense, support_break):
+    """Every scalar functional gives a Python float, +inf as math.inf and only on a support break."""
+    rng = np.random.default_rng(11)
+    u = random_unitary(rng, 4)
+    lam, s = np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.5, 0.3, 0.2, 0.0 if support_break else 0.1])
+    rho, sigma = ((DensityOperator((u * lam) @ u.conj().T), PositiveOperator((u * s) @ u.conj().T)) if dense
+                  else (DensityOperator(diagonal=lam), PositiveOperator(diagonal=s)))
+    phi = random_channel(rng, 4, 2, 3)
+    channels = ChannelSequence(lambda n: phi, 4, 2)
+    sigmas = constant_sequence(sigma)
+    may_break = [
+        trace_neg_log(rho, sigma),
+        relative_entropy(rho, sigma),
+        regularized_log_ladder(rho, sigma, [1, 10]).limit_estimate,
+        diagnostics.relative_entropy_family(sigmas).value(0, rho),
+        diagnostics.trace_neg_log_family(sigmas).value(0, rho),
+    ]
+    finite = [
+        von_neumann_entropy(rho),
+        von_neumann_entropy(rho.scale(0.0)),
+        relative_entropy(rho.scale(0.0), sigma),
+        quantum_mutual_information(rho, 2, 2),
+        channel_mutual_information(phi, rho),
+        coherent_information(phi, rho),
+        output_entropy(phi, rho),
+        environment_entropy(phi, rho),
+        diagnostics.entropy_family().value(0, rho),
+        diagnostics.channel_mi_family(channels).value(0, rho.scale(2.0)),
+        diagnostics.coherent_info_family(channels).value(0, rho.scale(2.0)),
+        diagnostics.output_entropy_family(channels).value(0, rho),
+    ]
+    assert all(type(v) is float for v in may_break + finite)
+    assert [v == math.inf for v in may_break] == [support_break] * len(may_break)
+    assert all(math.isfinite(v) for v in finite)

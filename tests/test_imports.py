@@ -1,4 +1,4 @@
-"""No module of src/qdini but ``__init__`` imports a name it never uses, or defines public API that nothing runs.
+"""No module of src/qdini or tests/ imports a name it never uses, and src/qdini defines no public API that nothing runs.
 
 A stdlib ``ast`` scan stands in for a linter: every name that an
 ``import`` or ``from ... import`` binds must be read somewhere in the
@@ -11,6 +11,9 @@ A second scan holds the public API to its use: every module-level public
 function and class must be read as a name or an attribute somewhere in
 ``src/qdini`` outside its own definition and outside ``__init__``, or be a
 click command, or be listed in ``KEPT`` with the reason it stays.
+
+A third check reads ``LAYERS`` of perfbench/tracer.py with ``ast`` and
+requires a module of src/qdini for each layer, as the tracer does.
 """
 
 import ast
@@ -20,6 +23,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qdini"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list:
@@ -92,7 +97,22 @@ def test_modules_found():
     assert any(p.name == "diagnostics.py" for p in MODULES)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def tracer_layers() -> tuple:
+    """The ``LAYERS`` tuple of perfbench/tracer.py, read with ``ast``: the tracer is neither imported nor run."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} assigns no LAYERS")
+
+
+def test_every_traced_layer_is_a_module():
+    # the tracer installs over sys.modules[f"qdini.{layer}"] for every layer, so a
+    # deleted module breaks ``perfbench/run.py --trace 1`` and perfbench/tests
+    layers = tracer_layers()
+    assert layers and [layer for layer in layers if not (SRC / f"{layer}.py").is_file()] == []
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -20,7 +20,6 @@ import pytest
 import qdini
 from qdini import (
     CheckResult,
-    ExtendedReal,
     OperatorSequence,
     PositiveOperator,
     Verdict,
@@ -154,7 +153,7 @@ def _member(n):
 # g_n is +inf on every state for even n and S + 1 > S for odd n, so each n fails domination in one way
 ALTERNATING = FunctionalFamily(
     "Custom", "inf or S + 1",
-    lambda n, op: ExtendedReal(math.inf) if n % 2 == 0 else ExtendedReal(float(von_neumann_entropy(op)) + 1.0),
+    lambda n, op: math.inf if n % 2 == 0 else von_neumann_entropy(op) + 1.0,
     a_f=ZERO_MODULUS)
 
 

@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 import re
 
 import numpy as np
@@ -8,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdini.extreal import INFINITY, ExtendedReal, finite
+from qdini.extreal import extended, finite
 from qdini import (
     DensityOperator,
     HermitianOperator,
@@ -28,44 +26,19 @@ from qdini.scenarios import random_unitary
 from qdini.truncation import normalize
 
 
-class TestExtendedReal:
-    def test_rejects_nan_and_negative_infinity(self):
-        with pytest.raises(ValueError):
-            ExtendedReal(float("nan"))
-        with pytest.raises(ValueError):
-            ExtendedReal(float("-inf"))
+class TestValueRules:
+    def test_finite_refuses_inf_and_nan(self):
+        assert finite(np.float64(2.5)) == 2.5 and type(finite(np.float64(2.5))) is float
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="expected a finite value"):
+                finite(bad)
 
-    def test_infinity_absorbs_addition(self):
-        assert (INFINITY + finite(3.0)).is_inf
-        assert (finite(2.0) + finite(3.0)) == finite(5.0)
-
-    def test_undefined_subtractions_raise(self):
-        with pytest.raises(ArithmeticError):
-            INFINITY - INFINITY
-        with pytest.raises(ArithmeticError):
-            finite(1.0) - INFINITY
-
-    def test_inf_times_zero_is_zero(self):
-        assert float(INFINITY * 0.0) == 0.0
-
-    def test_ordering(self):
-        assert finite(1.0) < INFINITY
-        assert not INFINITY < INFINITY
-        assert finite(-2.0) < finite(0.0)
-
-    def test_is_an_immutable_value(self):
-        x = ExtendedReal(value=np.float64(2.5))
-        assert type(x.value) is float and x == ExtendedReal(2.5) and x != ExtendedReal(3.0)
-        assert hash(x) == hash(ExtendedReal(2.5)) and len({x, ExtendedReal(2.5), INFINITY}) == 2
-        assert x != 2.5 and repr(x) == "ExtendedReal(2.5)" and repr(INFINITY) == "ExtendedReal(+inf)"
-        with pytest.raises(AttributeError):
-            x.value = 3.0
-        with pytest.raises(AttributeError):
-            del x.value
-        with pytest.raises(AttributeError):
-            x.other = 1.0
-        assert x.value == 2.5
-        assert copy.copy(x) == x and copy.deepcopy(INFINITY).is_inf and pickle.loads(pickle.dumps(x)) == x
+    def test_extended_keeps_plus_inf_and_refuses_nan_and_minus_inf(self):
+        assert extended(math.inf) == math.inf and extended(-2.0) == -2.0
+        assert type(extended(np.float64(2.5))) is float
+        for bad in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"expected a value in \(-inf, \+inf\]"):
+                extended(bad)
 
 
 class TestConstruction:

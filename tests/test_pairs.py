@@ -15,6 +15,8 @@ oracle in ``test_accuracy.py``, so the scalar here is a reference for the
 rules, not for the digits.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,9 +78,13 @@ def _assert_matches_scalars(rhos, sigmas):
     """Both kernels against their scalar functions, row by row; returns which rows are +inf (the same for both)."""
     for kernel, scalar in ((relative_entropy_pairs, relative_entropy), (trace_neg_log_pairs, trace_neg_log)):
         got = kernel(rhos, sigmas)
-        want = np.array([float(scalar(rho, sigma)) for rho, sigma in zip(rhos, sigmas)])
+        values = [scalar(rho, sigma) for rho, sigma in zip(rhos, sigmas)]
+        want = np.array(values)
         assert got.shape == want.shape
         assert np.array_equal(np.isinf(got), np.isinf(want)), (kernel.__name__, got, want)
+        # the scalar is a Python float, math.inf exactly where the kernel's row is np.inf
+        assert all(type(v) is float for v in values)
+        assert [v == math.inf for v in values] == (got == np.inf).tolist(), (kernel.__name__, got, values)
         finite = np.isfinite(want)
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.maximum(1.0, np.abs(want[finite]))), \
             (kernel.__name__, got, want)

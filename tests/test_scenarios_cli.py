@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import pathlib
 import re
 
@@ -258,7 +257,8 @@ class TestMalformedInputsExit2:
     def test_run_refuses_empty_windows(self, args):
         result = CliRunner().invoke(main, ["run"] + args)
         assert result.exit_code == 2
-        assert "n_max >= 0 and m_max >= 1" in result.output
+        assert "the window override needs n_max >= 0 and m_max >= 1" in result.output
+        assert "check '" not in result.output
 
     @pytest.mark.parametrize("weights", [{"p_list": [1.5] + [0.5] * 12}, {"p_list": [0.5] * 3},
                                          {"p_limit": 0.5, "p_amp": 1.2, "p_rate": 0.5},
@@ -313,6 +313,7 @@ class TestMalformedInputsExit2:
         ("n_max", math.nan, "check 'dct-simon': 'n_max' must be an integer, got nan"),
         ("m_max", True, "check 'dct-simon': 'm_max' must be a number, got True"),
         ("m_max", "2", "check 'dct-simon': 'm_max' must be a number, got '2'"),
+        ("m_max", 0, "check 'dct-simon': the window needs n_max >= 0 and m_max >= 1, got n_max = 4, m_max = 0"),
         ("c", False, "check 'dct-simon': 'c' must be a number, got False"),
         ("c", "0.5", "check 'dct-simon': 'c' must be a number, got '0.5'"),
         ("expected", "consistant", "'expected' must be one of consistent, violated, inconclusive, got 'consistant'"),

@@ -38,7 +38,6 @@ from qdini import (
     Channel,
     CheckResult,
     ChannelSequence,
-    ExtendedReal,
     OperatorSequence,
     PositiveOperator,
     ProjectorSchedule,
@@ -121,12 +120,12 @@ def _family(value, label="custom"):
     return FunctionalFamily("Custom", label, value, a_f=ZERO_MODULUS)
 
 
-NEG_ENTROPY = _family(lambda n, op: ExtendedReal(-float(von_neumann_entropy(op))), "-S")
+NEG_ENTROPY = _family(lambda n, op: -von_neumann_entropy(op), "-S")
 
 
 def _entropy_unless(pred, label):
     """S, but +inf on operators where pred holds."""
-    return _family(lambda n, op: ExtendedReal(math.inf) if pred(op) else von_neumann_entropy(op), label)
+    return _family(lambda n, op: math.inf if pred(op) else von_neumann_entropy(op), label)
 
 
 # a converging pair on three levels, and a pair stuck away from its limit

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -22,7 +21,6 @@ from qdini import (
     fixed_basis_schedule,
     largest_stable_indices,
     normalize,
-    random_density,
     random_unitary,
     spectral_truncation,
     stable_index_set,
@@ -30,7 +28,6 @@ from qdini import (
     truncation_criterion,
     truncation_lower_bound_slack,
     validate_schedule,
-    von_neumann_entropy,
 )
 from qdini.operators import GAP_REL_TOL
 from qdini.truncation import ambiguous_cuts, schedule_checks
